@@ -20,6 +20,7 @@ package microvm
 
 import (
 	"fmt"
+	"slices"
 
 	"toss/internal/access"
 	"toss/internal/disk"
@@ -161,10 +162,14 @@ type Machine struct {
 	layout    guest.Layout
 	placement *mem.Placement
 	backing   Backing
-	resident  bitset
+	// resident is the set of mapped pages as extents, so a restore costs
+	// O(layout entries), not O(guest pages).
+	resident extents
 	// stored marks pages with backing-file contents; non-stored pages are
 	// snapshot holes (zero pages) that only need zero-fill on first touch.
-	stored bitset
+	// Lazy and REAP restores share the snapshot's memoized regions here:
+	// the set is read-only.
+	stored extents
 	// uffd marks REAP-style restores where every miss is served by a
 	// userspace fault handler instead of kernel demand paging.
 	uffd  bool
@@ -187,9 +192,11 @@ type Machine struct {
 	// prefetch, TOSS slow-tier DAX mappings) — demand faults avoided during
 	// execution by paying at restore, reported as a budget mark.
 	prefetched int64
-	// segbuf is the reusable scratch slice for per-event tier splits; a
-	// machine serves one invocation on one goroutine, so reuse is safe.
+	// segbuf and gapbuf are reusable scratch slices for per-event tier
+	// splits and freshly touched runs; a machine serves one invocation on
+	// one goroutine, so reuse is safe.
 	segbuf []mem.Segment
+	gapbuf []guest.Region
 }
 
 // setupPart is one component of the setup-time breakdown, in order.
@@ -219,7 +226,7 @@ func NewBooted(cfg Config, layout guest.Layout) *Machine {
 		layout:      layout,
 		placement:   mem.AllFast(),
 		backing:     BackingAnon,
-		resident:    newBitset(layout.TotalPages),
+		resident:    guest.NormalizeRegions([]guest.Region{layout.BootImage}), // boot leaves it resident
 		setup:       cfg.BootTime,
 		concurrency: 1,
 		recordTruth: true,
@@ -227,8 +234,6 @@ func NewBooted(cfg Config, layout guest.Layout) *Machine {
 		setupName:   "boot",
 	}
 	m.parts = []setupPart{{kind: telemetry.KindBoot, name: "kernel+runtime", dur: cfg.BootTime}}
-	// Boot leaves the boot image resident.
-	m.resident.setRange(layout.BootImage)
 	return m
 }
 
@@ -240,14 +245,10 @@ func RestoreLazy(cfg Config, layout guest.Layout, snap *snapshot.Single, concurr
 		layout:      layout,
 		placement:   mem.AllFast(),
 		backing:     BackingDisk,
-		resident:    newBitset(layout.TotalPages),
-		stored:      newBitset(layout.TotalPages),
+		stored:      snap.Memory.ResidentRegions(),
 		concurrency: clampConc(concurrency),
 		recordTruth: true,
 		label:       snap.Function,
-	}
-	for _, r := range snap.Memory.ResidentRegions() {
-		m.stored.setRange(r)
 	}
 	m.setup = cfg.VMLoadBase + cfg.MmapCost // one mapping for the memory file
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-lazy"
@@ -281,9 +282,7 @@ func RestoreREAP(cfg Config, layout guest.Layout, snap *snapshot.Single, ws []gu
 		{kind: telemetry.KindPTEPopulate, name: "pte-populate", dur: ptePop,
 			attrs: []telemetry.Attr{telemetry.I64("pages", wsPages)}},
 	}
-	for _, r := range ws {
-		m.resident.setRange(r)
-	}
+	m.resident = ws // NormalizeRegions returned a fresh slice
 	m.prefetched = wsPages
 	return m
 }
@@ -292,23 +291,22 @@ func RestoreREAP(cfg Config, layout guest.Layout, snap *snapshot.Single, ws []gu
 // mmap per layout entry, slow-tier entries resident in place (DAX), fast
 // entries demand-loaded from the fast file.
 func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurrency int) *Machine {
-	var slow []guest.Region
+	var stored, slow []guest.Region
+	for _, e := range ts.Entries {
+		stored = append(stored, e.GuestRegion())
+		if e.Tier == mem.Slow {
+			slow = append(slow, e.GuestRegion())
+		}
+	}
 	m := &Machine{
 		cfg:         cfg,
 		layout:      layout,
 		backing:     BackingTiered,
-		resident:    newBitset(layout.TotalPages),
-		stored:      newBitset(layout.TotalPages),
+		resident:    guest.NormalizeRegions(slow),
+		stored:      guest.NormalizeRegions(stored),
 		concurrency: clampConc(concurrency),
 		recordTruth: true,
 		label:       ts.Function,
-	}
-	for _, e := range ts.Entries {
-		m.stored.setRange(e.GuestRegion())
-		if e.Tier == mem.Slow {
-			slow = append(slow, e.GuestRegion())
-			m.resident.setRange(e.GuestRegion())
-		}
 	}
 	m.placement = mem.NewPlacement(slow)
 	m.prefetched = guest.TotalPages(slow)
@@ -330,17 +328,15 @@ func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurr
 // bin-profiling step (§V-C) uses this to measure how a candidate
 // fast/slow split affects execution time in steady state.
 func NewResident(cfg Config, layout guest.Layout, placement *mem.Placement, concurrency int) *Machine {
-	m := &Machine{
+	return &Machine{
 		cfg:         cfg,
 		layout:      layout,
 		placement:   placement,
 		backing:     BackingAnon,
-		resident:    newBitset(layout.TotalPages),
+		resident:    guest.NormalizeRegions([]guest.Region{{Start: 0, Pages: layout.TotalPages}}),
 		concurrency: clampConc(concurrency),
 		recordTruth: true,
 	}
-	m.resident.setRange(guest.Region{Start: 0, Pages: layout.TotalPages})
-	return m
 }
 
 func clampConc(c int) int {
@@ -584,21 +580,11 @@ func setupSegID(name string) string {
 // touch marks all pages of r resident and splits the newly-touched count
 // into pages with stored backing-file contents and zero-page holes.
 func (m *Machine) touch(r guest.Region) (newStored, newZero int64) {
-	for p := r.Start; p < r.End(); p++ {
-		if m.resident.get(p) {
-			continue
-		}
-		m.resident.set(p)
-		if m.stored.words != nil && m.stored.get(p) {
-			newStored++
-		} else {
-			newZero++
-		}
-	}
-	if m.stored.words == nil {
-		// No backing file at all (fresh boot / fully-resident machine):
-		// everything is an anonymous zero page.
-		return 0, newStored + newZero
+	m.gapbuf = m.resident.add(r, m.gapbuf[:0])
+	for _, g := range m.gapbuf {
+		n := m.stored.overlap(g)
+		newStored += n
+		newZero += g.Pages - n
 	}
 	return newStored, newZero
 }
@@ -659,8 +645,7 @@ func (m *Machine) Snapshot(function string) (*snapshot.Single, simtime.Duration)
 // the capture cost lands in the snapshot-create histogram when metrics are
 // configured.
 func (m *Machine) SnapshotTraced(function string, parent *telemetry.Span, at simtime.Duration) (*snapshot.Single, simtime.Duration) {
-	resident := m.resident.regions()
-	memImg := snapshot.NewMemory(function, m.layout.TotalPages, resident)
+	memImg := snapshot.NewMemory(function, m.layout.TotalPages, m.resident)
 	const vmStateBytes = 1 << 20
 	cost := m.cfg.Disk.SequentialWrite(memImg.ResidentBytes()+vmStateBytes, m.concurrency)
 	if parent != nil {
@@ -680,55 +665,64 @@ func (m *Machine) SnapshotTraced(function string, parent *telemetry.Span, at sim
 	}, cost
 }
 
-// bitset tracks page residency.
-type bitset struct {
-	words []uint64
-	n     int64
-}
+// extents is a page set held as sorted, disjoint, non-adjacent runs — the
+// shape of placements, layout entries and snapshot resident regions — so
+// building one from a restore costs O(runs), not O(guest pages). Lookups
+// binary-search; inserting a run between two others shifts the tail, so n
+// scattered single-page touches cost O(n²) (BenchmarkTouchScattered). No
+// generated trace comes close.
+type extents []guest.Region
 
-func newBitset(n int64) bitset {
-	return bitset{words: make([]uint64, (n+63)/64), n: n}
-}
-
-func (b bitset) get(p guest.PageID) bool {
-	return b.words[p/64]&(1<<(uint(p)%64)) != 0
-}
-
-func (b bitset) set(p guest.PageID) {
-	b.words[p/64] |= 1 << (uint(p) % 64)
-}
-
-func (b bitset) setRange(r guest.Region) {
-	for p := r.Start; p < r.End(); p++ {
-		b.set(p)
-	}
-}
-
-// setRangeCountingNew sets all pages in r and returns how many were newly set.
-func (b bitset) setRangeCountingNew(r guest.Region) int64 {
-	var fresh int64
-	for p := r.Start; p < r.End(); p++ {
-		if !b.get(p) {
-			b.set(p)
-			fresh++
+// search returns the index of the first run ending at or after p.
+func (x extents) search(p guest.PageID) int {
+	lo, hi := 0, len(x)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x[mid].End() < p {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return fresh
+	return lo
 }
 
-// regions returns the set bits as normalized guest regions.
-func (b bitset) regions() []guest.Region {
-	var out []guest.Region
-	var cur *guest.Region
-	for p := guest.PageID(0); p < guest.PageID(b.n); p++ {
-		if b.get(p) {
-			if cur != nil && cur.End() == p {
-				cur.Pages++
-				continue
-			}
-			out = append(out, guest.Region{Start: p, Pages: 1})
-			cur = &out[len(out)-1]
-		}
+// add inserts r and appends its sub-runs that were not yet in the set to
+// gaps, in address order.
+func (x *extents) add(r guest.Region, gaps []guest.Region) []guest.Region {
+	s := *x
+	i := s.search(r.Start)
+	if r.Empty() || i < len(s) && s[i].Start <= r.Start && s[i].End() >= r.End() {
+		return gaps
 	}
-	return out
+	// Runs i..j-1 overlap or abut r; they merge with it into one run.
+	start, end, cur := r.Start, r.End(), r.Start
+	j := i
+	for ; j < len(s) && s[j].Start <= end; j++ {
+		if s[j].Start > cur {
+			gaps = append(gaps, guest.Region{Start: cur, Pages: int64(s[j].Start - cur)})
+		}
+		cur = max(cur, s[j].End())
+		start, end = min(start, s[j].Start), max(end, s[j].End())
+	}
+	if cur < r.End() {
+		gaps = append(gaps, guest.Region{Start: cur, Pages: int64(r.End() - cur)})
+	}
+	merged := guest.Region{Start: start, Pages: int64(end - start)}
+	if i == j {
+		*x = slices.Insert(s, i, merged)
+	} else {
+		s[i] = merged
+		*x = append(s[:i+1], s[j:]...)
+	}
+	return gaps
+}
+
+// overlap counts the pages of r in the set.
+func (x extents) overlap(r guest.Region) int64 {
+	var n int64
+	for i := x.search(r.Start + 1); i < len(x) && x[i].Start < r.End(); i++ {
+		n += int64(min(x[i].End(), r.End()) - max(x[i].Start, r.Start))
+	}
+	return n
 }

@@ -339,21 +339,3 @@ func TestSnapshotCapturesResidentPages(t *testing.T) {
 		t.Errorf("Function = %q", snap.Function)
 	}
 }
-
-func TestBitset(t *testing.T) {
-	b := newBitset(130)
-	if b.get(0) || b.get(129) {
-		t.Error("fresh bitset has bits set")
-	}
-	b.set(129)
-	if !b.get(129) {
-		t.Error("set bit not readable")
-	}
-	if n := b.setRangeCountingNew(guest.Region{Start: 128, Pages: 2}); n != 1 {
-		t.Errorf("setRangeCountingNew = %d, want 1", n)
-	}
-	regs := b.regions()
-	if len(regs) != 1 || regs[0] != (guest.Region{Start: 128, Pages: 2}) {
-		t.Errorf("regions = %v", regs)
-	}
-}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,5 +104,62 @@ func TestReadTieredPreservesSum(t *testing.T) {
 	}
 	if got.Sum != want.Sum {
 		t.Fatalf("Sum %#x round-tripped to %#x", want.Sum, got.Sum)
+	}
+}
+
+// TestReadRejectsOutOfGuestContents writes snapshots whose layout entries or
+// page ids fall outside the guest through the normal writers, so their
+// checksums are consistent, and expects every reader to refuse them: a
+// restore would map such contents past the guest's last page.
+func TestReadRejectsOutOfGuestContents(t *testing.T) {
+	const guestPages = 256
+	image := func(pages ...guest.PageID) *Memory {
+		m := &Memory{GuestPages: guestPages, Pages: map[guest.PageID]PageDigest{}}
+		for _, p := range pages {
+			m.Pages[p] = DigestFor("f", p)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		e    LayoutEntry
+	}{
+		{"past the guest", LayoutEntry{Tier: mem.Slow, GuestStart: 10, Pages: 5000}},
+		{"ends one late", LayoutEntry{Tier: mem.Fast, GuestStart: 200, Pages: 57}},
+		{"negative start", LayoutEntry{Tier: mem.Slow, GuestStart: -1, Pages: 2}},
+		{"empty", LayoutEntry{Tier: mem.Fast, GuestStart: 3, Pages: 0}},
+		{"negative size", LayoutEntry{Tier: mem.Fast, GuestStart: 3, Pages: -4}},
+		{"end overflows", LayoutEntry{Tier: mem.Slow, GuestStart: 1, Pages: math.MaxInt64}},
+		{"unknown tier", LayoutEntry{Tier: mem.Tier(2), GuestStart: 0, Pages: 1}},
+	} {
+		dir := t.TempDir()
+		ts := &Tiered{Function: "f", GuestPages: guestPages, Entries: []LayoutEntry{c.e},
+			FastMem: image(), SlowMem: image()}
+		if err := WriteTiered(dir, ts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: entry %+v read back with err %v, want ErrCorrupt", c.name, c.e, err)
+		}
+	}
+
+	for _, p := range []guest.PageID{guestPages, -1} {
+		dir := t.TempDir()
+		ts := &Tiered{Function: "f", GuestPages: guestPages,
+			Entries: []LayoutEntry{{Tier: mem.Slow, GuestStart: 0, Pages: 1}},
+			FastMem: image(), SlowMem: image(0, p)}
+		if err := WriteTiered(dir, ts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("tier image page %d read back with err %v, want ErrCorrupt", p, err)
+		}
+		path := filepath.Join(dir, "single.toss")
+		if err := WriteSingle(path, &Single{Function: "f", Memory: image(p)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSingle(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("single-tier page %d read back with err %v, want ErrCorrupt", p, err)
+		}
 	}
 }

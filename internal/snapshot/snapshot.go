@@ -441,6 +441,14 @@ func ReadTiered(dir string) (*Tiered, error) {
 			f.Close()
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrCorrupt, i, err)
 		}
+		// A restore maps every entry into the guest, so an entry the
+		// checksum vouches for must still name a tier and fit the guest.
+		if rec[0] != int64(mem.Fast) && rec[0] != int64(mem.Slow) ||
+			rec[2] < 0 || rec[3] <= 0 || rec[3] > t.GuestPages-rec[2] {
+			f.Close()
+			return nil, fmt.Errorf("%w: entry %d (tier %d, %d pages at %d) outside a %d-page guest",
+				ErrCorrupt, i, rec[0], rec[3], rec[2], t.GuestPages)
+		}
 		t.Entries = append(t.Entries, LayoutEntry{
 			Tier:            mem.Tier(rec[0]),
 			FileOffsetPages: rec[1],
@@ -617,6 +625,9 @@ func readMemory(r *bufio.Reader) (*Memory, error) {
 		var rec [2]uint64
 		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("%w: page %d: %v", ErrCorrupt, i, err)
+		}
+		if p := int64(rec[0]); p < 0 || p >= m.GuestPages {
+			return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, m.GuestPages)
 		}
 		m.Pages[guest.PageID(rec[0])] = PageDigest(rec[1])
 	}

@@ -24,7 +24,9 @@ echo "== micro-benchmarks ==" >&2
 # migrations/s metric into the suite block as migrations_per_second.
 # AlertEngine drives the virtual-time alert engine over a mixed rule set;
 # benchjson hoists its evals/s metric as alerts_evaluations_per_second.
-go test -run='^$' -bench='TraceReplay|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
+# RestoreTieredRun is the serving hot path: a tiered restore of a 1 GiB
+# guest plus one replay.
+go test -run='^$' -bench='TraceReplay|RestoreTieredRun|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
     ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ | tee "$tmp/bench.txt" >&2
 
 echo "== suite wall-clock ==" >&2

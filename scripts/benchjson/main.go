@@ -184,6 +184,8 @@ func main() {
 // parseBench parses one result line:
 //
 //	BenchmarkTraceReplay-8   9246   120884 ns/op   4768 B/op   9 allocs/op
+//
+// into a Benchmark named BenchmarkTraceReplay.
 func parseBench(line, pkg string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -193,7 +195,15 @@ func parseBench(line, pkg string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: fields[0], Package: pkg, Iterations: iters}
+	// Drop the -GOMAXPROCS suffix (BenchmarkX-8), so reports from hosts
+	// with different core counts compare by name.
+	name := fields[0]
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	b := Benchmark{Name: name, Package: pkg, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
