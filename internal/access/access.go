@@ -93,6 +93,9 @@ func (e Event) Validate() error {
 	if e.Region.Empty() {
 		return fmt.Errorf("access: event with empty region %v", e.Region)
 	}
+	if e.Region.Start < 0 {
+		return fmt.Errorf("access: event region %v starts before page 0", e.Region)
+	}
 	if e.LinesPerPage < 1 || e.LinesPerPage > guest.LinesPerPage {
 		return fmt.Errorf("access: LinesPerPage %d out of [1,%d]", e.LinesPerPage, guest.LinesPerPage)
 	}

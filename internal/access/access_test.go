@@ -25,6 +25,8 @@ func TestEventValidate(t *testing.T) {
 	}
 	bad := []func(*Event){
 		func(e *Event) { e.Region.Pages = 0 },
+		// Trace.Counts would index its per-page histogram at -4.
+		func(e *Event) { e.Region = guest.Region{Start: -4, Pages: 8} },
 		func(e *Event) { e.LinesPerPage = 0 },
 		func(e *Event) { e.LinesPerPage = guest.LinesPerPage + 1 },
 		func(e *Event) { e.Repeat = 0 },

@@ -66,8 +66,14 @@ func ReadPattern(path string) (Pattern, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return Pattern{}, fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || n > 1<<30 {
-		return Pattern{}, fmt.Errorf("%w: implausible record count %d", ErrCorrupt, n)
+	// Bound the count by the bytes left (24 per record after the 24-byte
+	// header and count) before allocating for it.
+	st, err := f.Stat()
+	if err != nil {
+		return Pattern{}, err
+	}
+	if n < 0 || n > (st.Size()-24)/24 {
+		return Pattern{}, fmt.Errorf("%w: record count %d does not fit in %d bytes", ErrCorrupt, n, st.Size())
 	}
 	p := Pattern{Records: make([]RegionRecord, 0, n)}
 	for i := int64(0); i < n; i++ {

@@ -1,6 +1,8 @@
 package damon
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,6 +72,33 @@ func TestReadPatternRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadPattern(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReadPatternBoundsHostileCounts patches the record count of a valid
+// pattern file: a count whose records cannot fit in the file must be
+// rejected as corrupt before anything is allocated for it. A count of
+// 2^30−1 once reserved 24 GiB and killed the process.
+func TestReadPatternBoundsHostileCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.damon")
+	if err := WritePattern(path, Pattern{Records: []RegionRecord{
+		{Region: guest.Region{Start: 0, Pages: 4}, NrAccesses: 9},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{2, 1<<30 - 1, 1 << 30, 1<<63 - 1, -1} {
+		// The count follows the 16-byte header.
+		binary.LittleEndian.PutUint64(data[16:], uint64(n))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPattern(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("count %d: err = %v, want ErrCorrupt", n, err)
+		}
 	}
 }
 

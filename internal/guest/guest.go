@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"toss/internal/lazyrand"
 )
 
 const (
@@ -132,7 +134,7 @@ type Allocator struct {
 func NewAllocator(l Layout, seed int64) *Allocator {
 	a := &Allocator{heap: l.Heap, next: l.Heap.Start}
 	if seed != 0 {
-		a.rng = rand.New(rand.NewSource(seed))
+		a.rng = lazyrand.New(seed)
 		a.maxGapPages = 16
 	}
 	return a

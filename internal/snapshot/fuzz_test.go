@@ -1,9 +1,12 @@
 package snapshot
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"toss/internal/guest"
@@ -68,9 +71,15 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 		return out
 	}
 
+	// Mutate the files in path order, so the seeded sequence reproduces.
+	paths := make([]string, 0, len(originals))
+	for p := range originals {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
 	for round := 0; round < 300; round++ {
-		for path, data := range originals {
-			if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
+		for _, path := range paths {
+			if err := os.WriteFile(path, mutate(originals[path]), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,5 +110,30 @@ func TestReadSingleBoundsHostileCounts(t *testing.T) {
 	}
 	if _, err := ReadSingle(path); err == nil {
 		t.Error("hostile page count accepted")
+	}
+}
+
+// TestReadWorkingSetBoundsHostileCounts patches the region count of a valid
+// work-set file: a count whose records cannot fit in the file must be
+// rejected as corrupt before anything is allocated for it. A count of
+// 2^30−1 once reserved 16 GiB and killed the process.
+func TestReadWorkingSetBoundsHostileCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ws.toss")
+	if err := WriteWorkingSet(path, []guest.Region{{Start: 0, Pages: 30}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{2, 1<<30 - 1, 1 << 30, 1<<63 - 1, -1} {
+		// The count follows the 16-byte header.
+		binary.LittleEndian.PutUint64(data[16:], uint64(n))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadWorkingSet(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("count %d: err = %v, want ErrCorrupt", n, err)
+		}
 	}
 }

@@ -515,8 +515,14 @@ func ReadWorkingSet(path string) ([]guest.Region, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: region count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible region count %d", ErrCorrupt, n)
+	// Bound the count by the bytes left (16 per region after the 24-byte
+	// header and count) before allocating for it.
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || n > (st.Size()-24)/16 {
+		return nil, fmt.Errorf("%w: region count %d does not fit in %d bytes", ErrCorrupt, n, st.Size())
 	}
 	out := make([]guest.Region, 0, n)
 	for i := int64(0); i < n; i++ {

@@ -31,3 +31,24 @@ func BenchmarkTraceCompileCached(b *testing.B) {
 		}
 	}
 }
+
+// mixSeed advances across benchmark runs, so no run of
+// BenchmarkTraceCompileMix meets a seed the trace cache already holds.
+var mixSeed int64
+
+// BenchmarkTraceCompileMix measures the serve loop's compile mix: every
+// Table I function at every level in turn, each with a fresh seed, so every
+// iteration compiles a new trace and seeds its two rngs.
+func BenchmarkTraceCompileMix(b *testing.B) {
+	specs := Registry()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := specs[i%len(specs)]
+		lv := Levels[i/len(specs)%len(Levels)]
+		mixSeed++
+		if _, err := spec.Trace(lv, mixSeed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -25,9 +25,10 @@ echo "== micro-benchmarks ==" >&2
 # AlertEngine drives the virtual-time alert engine over a mixed rule set;
 # benchjson hoists its evals/s metric as alerts_evaluations_per_second.
 # RestoreTieredRun is the serving hot path: a tiered restore of a 1 GiB
-# guest plus one replay.
-go test -run='^$' -bench='TraceReplay|RestoreTieredRun|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
-    ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ | tee "$tmp/bench.txt" >&2
+# guest plus one replay. The Lazy/MathRand pairs price internal/lazyrand
+# against math/rand: seeding plus ten draws, and steady-state draws.
+go test -run='^$' -bench='TraceReplay|RestoreTieredRun|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine|Lazy|MathRand' -benchmem \
+    ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ ./internal/lazyrand/ | tee "$tmp/bench.txt" >&2
 
 echo "== suite wall-clock ==" >&2
 go build -o "$tmp/tossctl" ./cmd/tossctl
