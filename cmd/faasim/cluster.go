@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"toss/internal/cliutil"
 	"toss/internal/cluster"
 	"toss/internal/fleet"
 	"toss/internal/fleetobs"
@@ -196,8 +198,8 @@ func runCluster(o clusterOpts) int {
 			}
 		}
 		if o.reportOut != "" {
-			if err := writeExport(o.reportOut, func(f *os.File) error {
-				return insight.WriteDumpJSON(f, insight.Dump{
+			if err := cliutil.WriteFile(o.reportOut, func(w io.Writer) error {
+				return insight.WriteDumpJSON(w, insight.Dump{
 					Schema: insight.SchemaVersion,
 					Cells:  []insight.Result{res},
 				})
@@ -214,18 +216,14 @@ func runCluster(o clusterOpts) int {
 			fmt.Printf("\n%s", fleetobs.RenderFleet(fr.View(), 32))
 		}
 		if o.decisionLog != "" {
-			if err := writeExport(o.decisionLog, func(f *os.File) error {
-				return fr.WriteDecisionLog(f)
-			}); err != nil {
+			if err := cliutil.WriteFile(o.decisionLog, fr.WriteDecisionLog); err != nil {
 				fmt.Fprintln(os.Stderr, "faasim:", err)
 				return 1
 			}
 			fmt.Printf("fleet: wrote decision log to %s\n", o.decisionLog)
 		}
 		if o.fleetTrace != "" {
-			if err := writeExport(o.fleetTrace, func(f *os.File) error {
-				return fr.WriteChromeTrace(f)
-			}); err != nil {
+			if err := cliutil.WriteFile(o.fleetTrace, fr.WriteChromeTrace); err != nil {
 				fmt.Fprintln(os.Stderr, "faasim:", err)
 				return 1
 			}

@@ -78,6 +78,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -399,9 +400,9 @@ func main() {
 		pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
-		if err := writeExport(*memprofile, func(f *os.File) error {
+		if err := cliutil.WriteFile(*memprofile, func(w io.Writer) error {
 			runtime.GC()
-			return pprof.WriteHeapProfile(f)
+			return pprof.WriteHeapProfile(w)
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "faasim:", err)
 			os.Exit(1)
@@ -504,8 +505,8 @@ func main() {
 			}
 		}
 		if *reportOut != "" {
-			if err := writeExport(*reportOut, func(f *os.File) error {
-				return insight.WriteDumpJSON(f, insight.Dump{
+			if err := cliutil.WriteFile(*reportOut, func(w io.Writer) error {
+				return insight.WriteDumpJSON(w, insight.Dump{
 					Schema: insight.SchemaVersion,
 					Cells:  []insight.Result{res},
 				})
@@ -551,7 +552,12 @@ func main() {
 		spans := tracer.Spans()
 		fmt.Printf("\ntrace: %s\n", telemetry.Summarize(spans))
 		if *traceOut != "" {
-			if err := writeTrace(*traceOut, *traceFormat, spans); err != nil {
+			if err := cliutil.WriteFile(*traceOut, func(w io.Writer) error {
+				if *traceFormat == "jsonl" {
+					return telemetry.WriteJSONLines(w, spans)
+				}
+				return telemetry.WriteChromeTrace(w, spans)
+			}); err != nil {
 				fmt.Fprintln(os.Stderr, "faasim:", err)
 				os.Exit(1)
 			}
@@ -567,8 +573,8 @@ func main() {
 			fmt.Printf("\n%s", obs.RenderHeatmap(rec.Snapshot(), 64))
 		}
 		if *promOut != "" {
-			if err := writeExport(*promOut, func(f *os.File) error {
-				return obs.WritePrometheus(f, rec.Metrics())
+			if err := cliutil.WriteFile(*promOut, func(w io.Writer) error {
+				return obs.WritePrometheus(w, rec.Metrics())
 			}); err != nil {
 				fmt.Fprintln(os.Stderr, "faasim:", err)
 				os.Exit(1)
@@ -576,8 +582,8 @@ func main() {
 			fmt.Printf("recorder: wrote Prometheus export to %s\n", *promOut)
 		}
 		if *csvOut != "" {
-			if err := writeExport(*csvOut, func(f *os.File) error {
-				return obs.WriteCSV(f, rec.Snapshot())
+			if err := cliutil.WriteFile(*csvOut, func(w io.Writer) error {
+				return obs.WriteCSV(w, rec.Snapshot())
 			}); err != nil {
 				fmt.Fprintln(os.Stderr, "faasim:", err)
 				os.Exit(1)
@@ -602,36 +608,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeExport creates path and streams one export into it.
-func writeExport(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// writeTrace renders the spans to path in the chosen format.
-func writeTrace(path, format string, spans []*telemetry.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if format == "jsonl" {
-		if err := telemetry.WriteJSONLines(f, spans); err != nil {
-			return err
-		}
-	} else {
-		if err := telemetry.WriteChromeTrace(f, spans); err != nil {
-			return err
-		}
-	}
-	return f.Close()
 }

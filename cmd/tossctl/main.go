@@ -21,10 +21,9 @@
 //
 // -xray <out.json> additionally collects every invocation's attribution
 // budget (internal/xray), prints each experiment's hottest segments, and
-// writes the aggregated per-experiment dump — the input to `tossctl diff`,
-// which compares two dumps (or two scripts/benchjson reports) and names the
-// segment that regressed. Attribution is parallel-safe: the dump is
-// byte-identical for any -parallel value.
+// writes the aggregated per-experiment dump — an input to `tossctl report`,
+// which names the segment that regressed between two dumps. Attribution is
+// parallel-safe: the dump is byte-identical for any -parallel value.
 //
 // -fleetlog <out.jsonl> collects the cluster experiments' fleet decision
 // traces (internal/fleetobs): every routing decision with its candidate
@@ -39,27 +38,29 @@
 // value: alerting replays each cell's recorded outcomes after the run, so
 // attaching it changes no decision (OBSERVABILITY.md).
 //
-// `tossctl report old new [old2 new2 ...] [-fail] [-html out]` is the
+// `tossctl report [-fail] [-html out] old new [old2 new2 ...]` is the
 // cross-run regression sentinel: it compares pairs of insight dumps, xray
 // attribution dumps, or scripts/benchjson reports (formats auto-detected
-// per pair), prints a markdown verdict naming each regressed (cell, metric)
-// pair, and under -fail exits non-zero when anything regressed — the CI
-// gate form.
+// per file; a pair of two kinds is an error), prints a markdown verdict
+// naming each regressed (cell, metric) pair, and under -fail exits non-zero
+// when anything regressed or a pair compared nothing — the CI gate form.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"toss/internal/cliutil"
 	"toss/internal/experiments"
 	"toss/internal/fault"
-	"toss/internal/fleetobs"
 	"toss/internal/insight"
+	"toss/internal/par"
 	"toss/internal/telemetry"
 	"toss/internal/xray"
 )
@@ -69,9 +70,6 @@ func main() {
 }
 
 func run() int {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		return runDiff(os.Args[2:])
-	}
 	if len(os.Args) > 1 && os.Args[1] == "report" {
 		return runReport(os.Args[2:])
 	}
@@ -86,7 +84,7 @@ func run() int {
 	faults := flag.String("faults", "", "JSON fault plan injected into every experiment (see FAULTS.md; forces -parallel 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker pool size (1 = serial; output is identical either way)")
 	clusterScale := flag.Float64("cluster-scale", 1, "scale for the long-horizon experiments: ext10's day (1 = full ~1.26M-invocation day; CI smoke uses 0.02) and ext11's migration epochs (CI smoke uses 0.25)")
-	xrayOut := flag.String("xray", "", "write per-experiment attribution budgets (JSON) to this `file`; compare runs with tossctl diff")
+	xrayOut := flag.String("xray", "", "write per-experiment attribution budgets (JSON) to this `file`; compare runs with tossctl report")
 	fleetLog := flag.String("fleetlog", "", "write the cluster experiments' fleet decision logs (JSON lines, one event per routing/scaling decision) to this `file`")
 	alerts := flag.String("alerts", "", "write the alert-wired experiments' (ext10, ext11) SLO alert log to this `file`")
 	insightOut := flag.String("insight", "", "write the insight dump (series + alerts per cell, JSON) to this `file`; compare runs with tossctl report")
@@ -116,14 +114,10 @@ func run() int {
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tossctl:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := cliutil.WriteFile(*memprofile, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			}); err != nil {
 				fmt.Fprintln(os.Stderr, "tossctl:", err)
 			}
 		}()
@@ -210,7 +204,7 @@ func run() int {
 	}
 
 	if *fleetLog != "" {
-		suite.FleetSink = fleetobs.NewSink()
+		suite.FleetSink = par.NewSink[string]()
 	}
 	if *alerts != "" || *insightOut != "" {
 		suite.InsightSink = insight.NewSink()
@@ -282,37 +276,25 @@ func writeInsight(suite *experiments.Suite, alertsPath, dumpPath string) int {
 	if suite.InsightSink == nil {
 		return 0
 	}
+	cells := suite.InsightSink.Sorted()
 	if alertsPath != "" {
-		f, err := os.Create(alertsPath)
-		if err != nil {
+		if err := cliutil.WriteFile(alertsPath, func(w io.Writer) error {
+			return insight.WriteAlertLog(w, cells)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tossctl:", err)
 			return 1
 		}
-		err = suite.InsightSink.WriteAlertLog(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "tossctl: wrote alert log (%d cells) to %s\n", suite.InsightSink.Len(), alertsPath)
+		fmt.Fprintf(os.Stderr, "tossctl: wrote alert log (%d cells) to %s\n", len(cells), alertsPath)
 	}
 	if dumpPath != "" {
-		f, err := os.Create(dumpPath)
-		if err != nil {
+		dump := insight.Dump{Schema: insight.SchemaVersion, Cells: cells}
+		if err := cliutil.WriteFile(dumpPath, func(w io.Writer) error {
+			return insight.WriteDumpJSON(w, dump)
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tossctl:", err)
 			return 1
 		}
-		err = insight.WriteDumpJSON(f, suite.InsightSink.Dump())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "tossctl: wrote insight dump (%d cells) to %s\n", suite.InsightSink.Len(), dumpPath)
+		fmt.Fprintf(os.Stderr, "tossctl: wrote insight dump (%d cells) to %s\n", len(cells), dumpPath)
 	}
 	return 0
 }
@@ -325,19 +307,16 @@ func writeFleetLog(suite *experiments.Suite, path string) int {
 	if path == "" {
 		return 0
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tossctl:", err)
-		return 1
-	}
-	defer f.Close()
-	n, err := suite.FleetSink.WriteTo(f)
-	if err != nil {
+	log := strings.Join(suite.FleetSink.Sorted(), "")
+	if err := cliutil.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, log)
+		return err
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tossctl:", err)
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "tossctl: wrote fleet decision log (%d cells, %d bytes) to %s\n",
-		suite.FleetSink.Len(), n, path)
+		suite.FleetSink.Len(), len(log), path)
 	return 0
 }
 
@@ -381,13 +360,9 @@ func runXRay(suite *experiments.Suite, ids []string, path string, timing bool, r
 		fmt.Printf("[%d experiments took %v over %d workers]\n",
 			len(ids), time.Since(start).Round(time.Millisecond), suite.Pool().Workers())
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tossctl:", err)
-		return 1
-	}
-	defer f.Close()
-	if err := xray.WriteJSON(f, doc); err != nil {
+	if err := cliutil.WriteFile(path, func(w io.Writer) error {
+		return xray.WriteJSON(w, doc)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tossctl:", err)
 		return 1
 	}

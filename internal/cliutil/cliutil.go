@@ -1,17 +1,32 @@
-// Package cliutil renders the flag-interaction diagnostics shared by
-// cmd/faasim and cmd/tossctl. Both commands have flags that are only
-// deterministic when invocations are serialized (tracing, the flight
-// recorder, fault injection) and flags that reshape the run loop in
-// mutually incompatible ways; the messages that explain those conflicts
-// follow one format so the README's flag-interaction table stays accurate
-// as new flags (cluster mode's -nodes/-router/-arrival, for instance)
-// join the set.
+// Package cliutil holds what cmd/faasim and cmd/tossctl share: the export
+// file writer and the flag-interaction diagnostics. Both commands have
+// flags that are only deterministic when invocations are serialized
+// (tracing, the flight recorder, fault injection) and flags that reshape
+// the run loop in mutually incompatible ways; the messages that explain
+// those conflicts follow one format so the README's flag-interaction table
+// stays accurate as new flags (cluster mode's -nodes/-router/-arrival, for
+// instance) join the set.
 package cliutil
 
 import (
 	"fmt"
 	"io"
+	"os"
 )
+
+// WriteFile creates path and streams one export into it, returning the
+// first error of the create, the write, or the close.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // ConflictForced renders the soft-conflict warning: flagName needs a single
 // worker, so the command downgraded -workers rather than exiting.

@@ -82,8 +82,8 @@ type Config struct {
 	// router/autoscaler marks.
 	XRay *xray.Collector
 	// XRayTag, when non-empty, suffixes every budget label so dumps from
-	// different fleet shapes (node count, policy, arrival process) diff as
-	// distinct cells in tossctl diff.
+	// different fleet shapes (node count, policy, arrival process) compare
+	// as distinct cells in tossctl report.
 	XRayTag string
 	// FleetObs, when set, receives the run's decision trace — every
 	// routing decision with its candidate ranking, every autoscaler

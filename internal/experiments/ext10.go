@@ -202,7 +202,7 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 		t.AddNote("WARNING: the tiered fleet fired %d SLO alert edge(s) over the day", toss.ins.Fires())
 	}
 	for _, r := range results {
-		s.InsightSink.Record(r.ins)
+		s.InsightSink.Record(r.ins.Cell, r.ins)
 	}
 	return t, nil
 }

@@ -324,7 +324,7 @@ func ExtTierMigration(s *Suite) (*Table, error) {
 	insResults := make([]insight.Result, len(results))
 	for i, r := range results {
 		insResults[i] = r.ins
-		s.InsightSink.Record(r.ins)
+		s.InsightSink.Record(r.ins.Cell, r.ins)
 	}
 	t.AddNote("%s", insightNote(insResults))
 	return t, nil

@@ -103,6 +103,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// recordFleet files one cell's decision log in the suite's fleet sink. A
+// cell with no sustained run has no recorder and records nothing.
+func (s *Suite) recordFleet(cell string, rec *fleetobs.Recorder) {
+	if rec != nil {
+		s.FleetSink.Record(cell, rec.DecisionLog(cell))
+	}
+}
+
 // ext9Sustained walks the rate ladder and returns the highest offered rate
 // (inv/s) whose p99 meets the SLO, with that run's report. A nil report
 // means even the lowest rung missed the objective. With trace set, every
@@ -200,7 +208,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 	// baseConfig wires one cell's fleet. With an attribution collector on
 	// the suite (tossctl -xray), every cluster invocation's budget carries
 	// the cell's identity — node count, policy, arrival process, mechanism
-	// — in its label tag, so `tossctl diff` names the exact cell a cluster
+	// — in its label tag, so `tossctl report` names the exact cell a cluster
 	// regression lives in.
 	baseConfig := func(hosts []fleet.HostSpec, c cell, mech string) cluster.Config {
 		return cluster.Config{
@@ -245,8 +253,8 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 			return result{}, err
 		}
 		cellName := fmt.Sprintf("ext9/%dn/%s/%s", c.nodes, c.router, c.proc)
-		s.FleetSink.Record(cellName+"/toss", tossObs)
-		s.FleetSink.Record(cellName+"/dram", dramObs)
+		s.recordFleet(cellName+"/toss", tossObs)
+		s.recordFleet(cellName+"/dram", dramObs)
 		res := result{tossRate: tossRate, dramRate: dramRate}
 		if tossRep != nil {
 			res.tossP99 = float64(ext9InflationP99(tossRep, tossProfiles)) / float64(simtime.Millisecond)

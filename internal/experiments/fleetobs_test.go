@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"toss/internal/fleetobs"
+	"toss/internal/par"
 	"toss/internal/xray"
 )
 
@@ -26,7 +26,7 @@ func TestExt9FleetLogParallelIdentical(t *testing.T) {
 		s.Iterations = 2
 		col := xray.NewCollector()
 		s.Core.VM.XRay = col
-		s.FleetSink = fleetobs.NewSink()
+		s.FleetSink = par.NewSink[string]()
 		if _, err := s.Run("ext9"); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -36,9 +36,7 @@ func TestExt9FleetLogParallelIdentical(t *testing.T) {
 		if err := xray.WriteJSON(&xb, doc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.FleetSink.WriteTo(&fb); err != nil {
-			t.Fatal(err)
-		}
+		fb.WriteString(strings.Join(s.FleetSink.Sorted(), ""))
 		if s.FleetSink.Len() == 0 {
 			t.Fatalf("workers=%d: sweep recorded no fleet cells", workers)
 		}

@@ -31,10 +31,10 @@ func TestInsightSinkParallelIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: no cells recorded", workers)
 		}
 		var ab, db bytes.Buffer
-		if err := s.InsightSink.WriteAlertLog(&ab); err != nil {
+		if err := insight.WriteAlertLog(&ab, s.InsightSink.Sorted()); err != nil {
 			t.Fatal(err)
 		}
-		if err := insight.WriteDumpJSON(&db, s.InsightSink.Dump()); err != nil {
+		if err := insight.WriteDumpJSON(&db, insight.Dump{Schema: insight.SchemaVersion, Cells: s.InsightSink.Sorted()}); err != nil {
 			t.Fatal(err)
 		}
 		return ab.Bytes(), db.Bytes()

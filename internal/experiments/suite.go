@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"toss/internal/core"
-	"toss/internal/fleetobs"
 	"toss/internal/insight"
 	"toss/internal/mem"
 	"toss/internal/microvm"
@@ -45,10 +44,11 @@ type Suite struct {
 	Obs *obs.Recorder
 	// FleetSink, when set, collects the fleet decision traces of the
 	// cluster experiments (ext9): each swept cell records its best
-	// sustained run's routing/scaling event log under a stable cell name.
-	// The sink folds parallel cells deterministically, so the exported
-	// JSON-lines log is byte-identical for any worker-pool size.
-	FleetSink *fleetobs.Sink
+	// sustained run's routing/scaling event log, rendered as cell-tagged
+	// JSON lines, under a stable cell name. The sink folds parallel cells
+	// by sorted cell name, so the concatenated log is byte-identical for
+	// any worker-pool size.
+	FleetSink *par.Sink[string]
 	// InsightSink, when set, collects the alert-wired experiments'
 	// (ext10, ext11) per-cell insight results: virtual-time series,
 	// SLO-alert fire/resolve edges, and rule-evaluation counts. The

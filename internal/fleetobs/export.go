@@ -1,31 +1,19 @@
 package fleetobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"toss/internal/simtime"
+	"toss/internal/emit"
+	"toss/internal/telemetry"
 )
 
 // All exporters are hand-serialized with fixed field order and fixed number
 // formatting, the same discipline as internal/telemetry: identical inputs
 // produce identical bytes, which is what the serial-vs-parallel cmp steps
-// in CI assert. encoding/json is only used for string escaping.
-
-// jsonString escapes s as a JSON string literal.
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
-// micros renders virtual nanoseconds as microseconds with nanosecond
-// precision — Chrome's trace_event ts unit.
-func micros(d simtime.Duration) string {
-	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 3, 64)
-}
+// in CI assert. Strings are escaped by emit.JSONString.
 
 // appendEventLine appends one decision-log JSON line for e. cell, when
 // non-empty, is emitted as the leading field so folded multi-cell logs
@@ -33,25 +21,25 @@ func micros(d simtime.Duration) string {
 func appendEventLine(b *strings.Builder, cell string, e Event) {
 	b.WriteByte('{')
 	if cell != "" {
-		b.WriteString(`"cell":` + jsonString(cell) + `,`)
+		b.WriteString(`"cell":` + emit.JSONString(cell) + `,`)
 	}
 	switch {
 	case e.Route != nil:
 		d := e.Route
 		fmt.Fprintf(b, `"at_ns":%d,"kind":"route","fn":%s,"node":%s,"reason":%s,"hit":%t,"router_queue_ns":%d,"decide_ns":%d,"candidates":[`,
-			d.At.Nanoseconds(), jsonString(d.Function), jsonString(d.Node), jsonString(d.Reason),
+			d.At.Nanoseconds(), emit.JSONString(d.Function), emit.JSONString(d.Node), emit.JSONString(d.Reason),
 			d.Hit, d.RouterQueue.Nanoseconds(), d.Decide.Nanoseconds())
 		for i, c := range d.Candidates {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(b, `{"node":%s,"inflight":%d,"hit":%t}`, jsonString(c.Node), c.Inflight, c.Hit)
+			fmt.Fprintf(b, `{"node":%s,"inflight":%d,"hit":%t}`, emit.JSONString(c.Node), c.Inflight, c.Hit)
 		}
 		b.WriteString("]}")
 	case e.Scale != nil:
 		s := e.Scale
 		fmt.Fprintf(b, `"at_ns":%d,"kind":"scale","action":%s,"node":%s,"util":%s,"burn":%s,"fleet":%d}`,
-			s.At.Nanoseconds(), jsonString(s.Action), jsonString(s.Node),
+			s.At.Nanoseconds(), emit.JSONString(s.Action), emit.JSONString(s.Node),
 			strconv.FormatFloat(s.Util, 'f', 6, 64), strconv.FormatFloat(s.Burn, 'f', 6, 64), s.Fleet)
 	default:
 		b.WriteByte('}')
@@ -59,35 +47,33 @@ func appendEventLine(b *strings.Builder, cell string, e Event) {
 	b.WriteByte('\n')
 }
 
-// renderDecisionLog renders events as JSON lines with an optional cell tag.
-func renderDecisionLog(cell string, events []Event) string {
+// DecisionLog renders the recorder's decision trace as JSON lines, one
+// object per routing decision or autoscaler action, in simulation order.
+// cell, when non-empty, leads every line, so the logs of many cells
+// concatenate into one self-describing document. Nil recorders render "".
+func (r *Recorder) DecisionLog(cell string) string {
 	var b strings.Builder
-	for _, e := range events {
+	for _, e := range r.Events() {
 		appendEventLine(&b, cell, e)
 	}
 	return b.String()
 }
 
-// WriteDecisionLog writes the recorder's decision trace as JSON lines, one
-// object per routing decision or autoscaler action, in simulation order.
+// WriteDecisionLog writes the recorder's untagged decision log.
 func (r *Recorder) WriteDecisionLog(w io.Writer) error {
-	_, err := io.WriteString(w, renderDecisionLog("", r.Events()))
+	_, err := io.WriteString(w, r.DecisionLog(""))
 	return err
 }
 
 // WriteChromeTrace writes the decision trace plus the node grid in Chrome
-// trace_event JSON (chrome://tracing, Perfetto): one thread per node in id
-// order carrying its routing decisions as instant events, an "autoscaler"
-// thread carrying scale actions, and per-node load counters (running +
-// queued) from the grid samples.
+// trace_event JSON: one thread per node in id order carrying its routing
+// decisions as instant events, an "autoscaler" thread carrying scale
+// actions, and per-node load counters (running + queued) from the grid
+// samples.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
-		_, err := io.WriteString(w, "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n")
-		return err
+		return telemetry.WriteTraceEvents(w, nil)
 	}
-	events := r.Events()
-	samples := r.Samples()
-
 	r.mu.Lock()
 	ids := r.nodeIDsLocked()
 	r.mu.Unlock()
@@ -96,59 +82,35 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		tid[id] = i + 1 // tid 0 is the autoscaler track
 	}
 
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		sep := ",\n"
-		if first {
-			sep = "\n"
-			first = false
-		}
-		_, err := io.WriteString(w, sep+line)
-		return err
-	}
-	if err := emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":"fleet"}}`); err != nil {
-		return err
-	}
-	if err := emit(`{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"autoscaler"}}`); err != nil {
-		return err
+	events := []string{
+		`{"name":"process_name","ph":"M","pid":1,"args":{"name":"fleet"}}`,
+		`{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"autoscaler"}}`,
 	}
 	for _, id := range ids {
-		if err := emit(fmt.Sprintf(
+		events = append(events, fmt.Sprintf(
 			`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid[id], jsonString(id))); err != nil {
-			return err
-		}
+			tid[id], emit.JSONString(id)))
 	}
-	for _, e := range events {
+	for _, e := range r.Events() {
 		switch {
 		case e.Route != nil:
 			d := e.Route
-			if err := emit(fmt.Sprintf(
+			events = append(events, fmt.Sprintf(
 				`{"name":%s,"cat":"route","ph":"i","s":"t","ts":%s,"pid":1,"tid":%d,"args":{"reason":%s,"hit":%t}}`,
-				jsonString(d.Function), micros(d.At), tid[d.Node], jsonString(d.Reason), d.Hit)); err != nil {
-				return err
-			}
+				emit.JSONString(d.Function), emit.Micros(d.At), tid[d.Node], emit.JSONString(d.Reason), d.Hit))
 		case e.Scale != nil:
 			s := e.Scale
-			if err := emit(fmt.Sprintf(
+			events = append(events, fmt.Sprintf(
 				`{"name":%s,"cat":"scale","ph":"i","s":"p","ts":%s,"pid":1,"tid":0,"args":{"node":%s,"util":%s,"burn":%s,"fleet":%d}}`,
-				jsonString("scale-"+s.Action), micros(s.At), jsonString(s.Node),
+				emit.JSONString("scale-"+s.Action), emit.Micros(s.At), emit.JSONString(s.Node),
 				strconv.FormatFloat(s.Util, 'f', 6, 64), strconv.FormatFloat(s.Burn, 'f', 6, 64),
-				s.Fleet)); err != nil {
-				return err
-			}
+				s.Fleet))
 		}
 	}
-	for _, s := range samples {
-		if err := emit(fmt.Sprintf(
+	for _, s := range r.Samples() {
+		events = append(events, fmt.Sprintf(
 			`{"name":%s,"ph":"C","ts":%s,"pid":1,"tid":0,"args":{"running":%d,"queued":%d}}`,
-			jsonString(s.Node+" load"), micros(s.At), s.Running, s.Queued)); err != nil {
-			return err
-		}
+			emit.JSONString(s.Node+" load"), emit.Micros(s.At), s.Running, s.Queued))
 	}
-	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return err
+	return telemetry.WriteTraceEvents(w, events)
 }

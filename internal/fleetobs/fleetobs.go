@@ -21,9 +21,9 @@
 //   - Nil safety. Every method on a nil *Recorder is a no-op, so cluster
 //     hot paths pay one pointer comparison when fleet tracing is off.
 //
-// One Recorder observes one cluster run. The Sink folds many recorders
-// (one per experiment cell) into a single deterministic log regardless of
-// the order cells complete in.
+// One Recorder observes one cluster run. A par.Sink of cell-tagged
+// DecisionLog strings folds many recorders (one per experiment cell) into a
+// single deterministic log regardless of the order cells complete in.
 package fleetobs
 
 import (

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"toss/internal/par"
 	"toss/internal/simtime"
 )
 
@@ -231,12 +232,32 @@ func TestRenderEmptyViews(t *testing.T) {
 	}
 }
 
-// TestSinkDeterministic folds cells concurrently in scrambled orders and
-// asserts the rendered log is byte-identical — the property the CI
-// serial-vs-parallel cmp step relies on.
+// TestDecisionLogCellTag: a cell-tagged log leads every line with the
+// cell, so the logs of many cells concatenate into one self-describing
+// document; a nil recorder renders nothing.
+func TestDecisionLogCellTag(t *testing.T) {
+	log := sampleRecorder().DecisionLog("ext9/2n/affinity/flash/toss")
+	lines := strings.Split(strings.TrimSuffix(log, "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want 5 lines (4 decisions, 1 scale), got %d:\n%s", len(lines), log)
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, `{"cell":"ext9/2n/affinity/flash/toss","at_ns":`) {
+			t.Fatalf("line not cell-tagged: %s", l)
+		}
+	}
+	var nilRec *Recorder
+	if nilRec.DecisionLog("x") != "" {
+		t.Fatal("nil recorder rendered a log")
+	}
+}
+
+// TestSinkDeterministic: cell-tagged decision logs recorded from
+// concurrent cells in any order fold, through the cell sink, into the same
+// bytes sorted by cell name; a nil sink is a no-op.
 func TestSinkDeterministic(t *testing.T) {
 	render := func(order []int) string {
-		s := NewSink()
+		s := par.NewSink[string]()
 		var wg sync.WaitGroup
 		for _, i := range order {
 			wg.Add(1)
@@ -247,15 +268,12 @@ func TestSinkDeterministic(t *testing.T) {
 					At:       simtime.Duration(i) * simtime.Millisecond,
 					Function: "fn", Node: fmt.Sprintf("n%02d", i), Reason: ReasonAffinity,
 				})
-				s.Record(fmt.Sprintf("cell-%02d", i), r)
+				cell := fmt.Sprintf("cell-%02d", i)
+				s.Record(cell, r.DecisionLog(cell))
 			}(i)
 		}
 		wg.Wait()
-		var b bytes.Buffer
-		if _, err := s.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+		return strings.Join(s.Sorted(), "")
 	}
 	a := render([]int{3, 1, 4, 2, 0})
 	b := render([]int{0, 2, 4, 1, 3})
@@ -268,9 +286,9 @@ func TestSinkDeterministic(t *testing.T) {
 	if strings.Index(a, "cell-00") > strings.Index(a, "cell-04") {
 		t.Fatal("cells not sorted by name")
 	}
-	var nilSink *Sink
-	nilSink.Record("x", New(Config{}))
-	if n, err := nilSink.WriteTo(&bytes.Buffer{}); n != 0 || err != nil {
+	var nilSink *par.Sink[string]
+	nilSink.Record("x", New(Config{}).DecisionLog("x"))
+	if nilSink.Len() != 0 || nilSink.Sorted() != nil {
 		t.Fatal("nil sink should be a no-op")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 )
 
@@ -275,7 +276,7 @@ func WriteFleetJSON(w io.Writer, v *FleetView) error {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, "{\"node\":%s,\"state\":%s,\"cores\":%d,\"running\":%d,\"queued\":%d,",
-			jsonString(n.Node), jsonString(nodeState(n)), n.Cores, n.Running, n.Queued)
+			emit.JSONString(n.Node), emit.JSONString(nodeState(n)), n.Cores, n.Running, n.Queued)
 		fmt.Fprintf(&b, "\"disk_used\":%d,\"disk_cap\":%d,\"fast_used\":%d,\"fast_cap\":%d,\"slow_used\":%d,\"slow_cap\":%d,",
 			n.DiskUsed, n.DiskCap, n.FastUsed, n.FastCap, n.SlowUsed, n.SlowCap)
 		fmt.Fprintf(&b, "\"invocations\":%d,\"cold_starts\":%d,\"p50_ns\":%d,\"p99_ns\":%d,",
@@ -304,7 +305,7 @@ func WriteFleetJSON(w io.Writer, v *FleetView) error {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, "{\"at_ns\":%d,\"action\":%s,\"node\":%s,\"util\":%s,\"burn\":%s,\"fleet\":%d}",
-			s.At.Nanoseconds(), jsonString(s.Action), jsonString(s.Node),
+			s.At.Nanoseconds(), emit.JSONString(s.Action), emit.JSONString(s.Node),
 			strconv.FormatFloat(s.Util, 'f', 6, 64), strconv.FormatFloat(s.Burn, 'f', 6, 64), s.Fleet)
 	}
 	b.WriteString("]}\n")

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
+	"toss/internal/emit"
+	"toss/internal/par"
 	"toss/internal/simtime"
 )
 
@@ -52,6 +53,13 @@ type Dump struct {
 	Cells []Result
 }
 
+// Sink folds per-cell Results from a parallel run by sorted cell name, so
+// the alert log and dump bytes are identical at any `par` width.
+type Sink = par.Sink[Result]
+
+// NewSink returns an empty sink.
+func NewSink() *Sink { return par.NewSink[Result]() }
+
 // fmtValue renders a float with the shortest round-trip representation —
 // deterministic for a given value.
 func fmtValue(v float64) string {
@@ -91,7 +99,8 @@ func WriteAlertLog(w io.Writer, results []Result) error {
 
 // The JSON writer is hand-serialized (like xray's and obs's exporters) so
 // field order is fixed and the bytes are deterministic for a given dump;
-// the reader uses encoding/json over mirror structs.
+// strings are escaped by emit.JSONString. The reader uses encoding/json over
+// mirror structs.
 
 type wireDump struct {
 	Schema int        `json:"schema_version"`
@@ -140,14 +149,14 @@ func WriteDumpJSON(w io.Writer, d Dump) error {
 			b.WriteByte(',')
 		}
 		b.WriteString(`{"cell":`)
-		b.WriteString(strconv.Quote(c.Cell))
+		b.WriteString(emit.JSONString(c.Cell))
 		fmt.Fprintf(&b, `,"evals":%d,"series":[`, c.Evals)
 		for j, s := range c.Series {
 			if j > 0 {
 				b.WriteByte(',')
 			}
 			b.WriteString(`{"name":`)
-			b.WriteString(strconv.Quote(s.Name))
+			b.WriteString(emit.JSONString(s.Name))
 			fmt.Fprintf(&b, `,"points":%d,"buckets":%d,"downsamples":%d,"width_ns":%d,"first_ns":%d,"last_ns":%d`,
 				s.Points, s.Buckets, s.Downsamples, s.Width.Nanoseconds(), s.FirstAt.Nanoseconds(), s.LastAt.Nanoseconds())
 			fmt.Fprintf(&b, `,"min":%s,"max":%s,"mean":%s,"last":%s}`,
@@ -163,10 +172,10 @@ func WriteDumpJSON(w io.Writer, d Dump) error {
 				state = "fire"
 			}
 			fmt.Fprintf(&b, `{"at_ns":%d,"rule":%s,"state":%q,"value":%s`,
-				a.At.Nanoseconds(), strconv.Quote(a.Rule), state, fmtValue(a.Value))
+				a.At.Nanoseconds(), emit.JSONString(a.Rule), state, fmtValue(a.Value))
 			if a.Blame != "" {
 				b.WriteString(`,"blame":`)
-				b.WriteString(strconv.Quote(a.Blame))
+				b.WriteString(emit.JSONString(a.Blame))
 			}
 			b.WriteByte('}')
 		}
@@ -175,7 +184,7 @@ func WriteDumpJSON(w io.Writer, d Dump) error {
 			if j > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(strconv.Quote(f))
+			b.WriteString(emit.JSONString(f))
 		}
 		b.WriteString(`]}`)
 	}
@@ -220,14 +229,4 @@ func ReadDump(r io.Reader) (Dump, error) {
 		d.Cells = append(d.Cells, res)
 	}
 	return d, nil
-}
-
-// ReadDumpFile loads an insight dump from disk.
-func ReadDumpFile(path string) (Dump, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Dump{}, err
-	}
-	defer f.Close()
-	return ReadDump(f)
 }

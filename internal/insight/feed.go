@@ -1,64 +1,9 @@
 package insight
 
 import (
-	"toss/internal/fleetobs"
 	"toss/internal/migrate"
 	"toss/internal/simtime"
-	"toss/internal/telemetry"
-	"toss/internal/xray"
 )
-
-// This file holds the ingest adapters: each one replays an existing
-// byte-deterministic observability stream into the store, stamped with the
-// stream's own virtual time. All of them are post-run consumers — nothing
-// here can influence a decision the producer makes.
-
-// IngestMetrics samples every instrument of a telemetry registry into the
-// store at virtual time at: counters and gauges become one point each under
-// their instrument name; histograms become ".count", ".sum", and ".max"
-// points (the same flattening the obs flight recorder uses). Iteration
-// order is Each's deterministic order. Nil-safe on both sides.
-func (st *Store) IngestMetrics(at simtime.Duration, m *telemetry.Metrics) {
-	if st == nil || m == nil {
-		return
-	}
-	m.Each(func(name string, kind telemetry.Kind, s telemetry.Sample) {
-		switch kind {
-		case telemetry.KindCounter, telemetry.KindGauge:
-			st.Observe(name, at, float64(s.Value))
-		case telemetry.KindHistogram:
-			st.Observe(name+".count", at, float64(s.Count))
-			st.Observe(name+".sum", at, float64(s.Sum))
-			st.Observe(name+".max", at, float64(s.Max))
-		}
-	})
-}
-
-// IngestNodeSamples replays a fleetobs node-grid sample stream: each sample
-// becomes a utilization point on a per-node labeled series plus a point on
-// the fleet-wide "fleet.util" series, stamped with the sample's own virtual
-// time. Samples must arrive in the recorder's deterministic order.
-func (st *Store) IngestNodeSamples(samples []fleetobs.NodeSample) {
-	if st == nil {
-		return
-	}
-	for _, s := range samples {
-		st.Observe(telemetry.Labeled("fleet.node.util", "node", s.Node), s.At, s.Util())
-		st.Observe("fleet.util", s.At, s.Util())
-	}
-}
-
-// IngestBurn snapshots an xray burn tracker at virtual time at: the current
-// window burn rate, the whole-run burn rate, and the peak so far, each
-// under "<name>." suffixed series.
-func (st *Store) IngestBurn(name string, at simtime.Duration, t *xray.BurnTracker) {
-	if st == nil || t == nil {
-		return
-	}
-	peak, _ := t.Peak()
-	st.Observe(name+".burn", at, t.BurnRate())
-	st.Observe(name+".peak", at, peak)
-}
 
 // IngestMigrate records a migration engine's activity for the epoch ending
 // at virtual time at, as deltas between two Stats snapshots: moves, moved

@@ -2,11 +2,10 @@
 // streams: a deterministic virtual-time time-series store, an alerting rules
 // engine, and a cross-run regression sentinel.
 //
-// The four byte-deterministic streams the lower layers emit — telemetry
-// instruments, obs flight-recorder samples, fleetobs node-grid samples and
-// decision logs, xray attribution budgets and SLO burn — are producers;
-// nothing before this package consumed them the way a production on-call
-// rotation would. insight closes that loop:
+// The simulator's record streams — cluster completions, migration epochs,
+// xray attribution budgets — are producers; nothing before this package
+// consumed them the way a production on-call rotation would. insight closes
+// that loop:
 //
 //   - Store ingests observations stamped with virtual time into bounded,
 //     resolution-doubling bucket series: when a series outgrows its bucket
@@ -15,26 +14,28 @@
 //     invocation one and every merge is exact (count/sum/min/max compose).
 //
 //   - Engine evaluates rules purely in virtual time: threshold rules with a
-//     sustained-for duration, rate-of-change rules over a lookback window,
-//     and Google-SRE-style multi-window multi-burn-rate SLO rules (a fast
-//     window to catch an ongoing burn, a slow window to confirm it matters).
+//     sustained-for duration, and Google-SRE-style multi-window
+//     multi-burn-rate SLO rules (a fast window to catch an ongoing burn, a
+//     slow window to confirm it matters), each window an xray.BurnWindow.
 //     The output is a deterministic alert log of fire/resolve edges, each
 //     fire optionally blamed on the hottest xray segment at that moment.
 //
-//   - Verdict compares two runs' dumps cell by cell — insight dumps, xray
-//     attribution dumps, or benchjson reports — and renders a markdown/HTML
-//     regression report; `tossctl report -fail` turns it into a CI gate.
+//   - Compare judges two runs' flattened artifacts cell by cell — insight
+//     dumps, xray attribution dumps, or benchjson reports — and Verdict
+//     renders a markdown/HTML regression report; `tossctl report -fail`
+//     turns it into a CI gate.
 //
 // insight is strictly a consumer. It attaches to nothing on the decision
 // path: feeds replay completed runs (columnar cluster records, platform
-// replay records, recorder snapshots) through their virtual timestamps, so
+// replay records, migration epochs) through their virtual timestamps, so
 // attaching insight cannot change a scheduling, routing, or migration
 // decision — the observer-identity property the experiments tests pin.
 //
 // Determinism follows the package conventions established by telemetry and
 // fleetobs: all iteration orders are explicit, exports are hand-serialized
-// with fixed field order, and a Sink folds per-cell results by sorted cell
-// name so suite-level artifacts are byte-identical at any parallelism.
+// with fixed field order, and a Sink (par.Sink) folds per-cell results by
+// sorted cell name so suite-level artifacts are byte-identical at any
+// parallelism.
 package insight
 
 import (

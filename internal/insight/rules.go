@@ -11,7 +11,7 @@ import (
 // Op compares an observed value against a rule limit.
 type Op int
 
-// Comparison directions for threshold and rate rules.
+// Comparison directions for threshold rules.
 const (
 	// Above fires when the value exceeds the limit.
 	Above Op = iota
@@ -43,9 +43,6 @@ const (
 	// Threshold fires when the watched series violates Limit for at least
 	// For of sustained virtual time.
 	Threshold Kind = iota
-	// Rate fires when the watched series' rate of change per second over
-	// the trailing Window violates Limit (same sustained-For semantics).
-	Rate
 	// Burn is a Google-SRE multi-window multi-burn-rate SLO rule over a
 	// latency stream: an observation violates when latency > Objective;
 	// the rule fires when the violation fraction exceeds FastBurn over the
@@ -57,8 +54,6 @@ const (
 // String names the kind for logs and dumps.
 func (k Kind) String() string {
 	switch k {
-	case Rate:
-		return "rate"
 	case Burn:
 		return "burn"
 	default:
@@ -66,27 +61,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Rule is one alerting rule. Threshold and Rate watch a Store series by
-// name (values arrive via Engine.Observe); Burn watches a latency stream
-// (values arrive via Engine.ObserveLatency).
+// Rule is one alerting rule. Threshold watches a Store series by name
+// (values arrive via Engine.Observe); Burn watches a latency stream (values
+// arrive via Engine.ObserveLatency).
 type Rule struct {
 	// Name identifies the rule in the alert log.
 	Name string
 	// Kind selects the evaluation strategy.
 	Kind Kind
-	// Series is the watched series (Threshold, Rate) or latency stream
-	// (Burn) name.
+	// Series is the watched series (Threshold) or latency stream (Burn)
+	// name.
 	Series string
 
-	// Op and Limit define the violation for Threshold (on the value) and
-	// Rate (on the change per second over Window).
+	// Op and Limit define the Threshold rule's violation.
 	Op    Op
 	Limit float64
 	// For is how long a violation must be sustained before the rule fires
 	// (0 fires on the first violating observation).
 	For simtime.Duration
-	// Window is the Rate rule's lookback.
-	Window simtime.Duration
 
 	// Objective is the Burn rule's per-observation latency SLO.
 	Objective simtime.Duration
@@ -154,54 +146,6 @@ func BlameTop(rep *xray.Report) Blamer {
 	return func(string, simtime.Duration) string { return blame }
 }
 
-// burnWindow is a sliding violation window over a latency stream: O(1)
-// amortized per observation via a head cursor, mirroring xray.BurnTracker.
-type burnWindow struct {
-	width simtime.Duration
-	at    []simtime.Duration
-	bad   []bool
-	head  int
-	live  int // violations still inside the window
-}
-
-func (w *burnWindow) record(at simtime.Duration, violated bool) {
-	w.at = append(w.at, at)
-	w.bad = append(w.bad, violated)
-	if violated {
-		w.live++
-	}
-	cut := at - w.width
-	for w.head < len(w.at) && w.at[w.head] < cut {
-		if w.bad[w.head] {
-			w.live--
-		}
-		w.head++
-	}
-	// Reclaim the dead prefix once it dominates, keeping memory bounded.
-	if w.head > 1024 && w.head*2 > len(w.at) {
-		n := copy(w.at, w.at[w.head:])
-		w.at = w.at[:n]
-		m := copy(w.bad, w.bad[w.head:])
-		w.bad = w.bad[:m]
-		w.head = 0
-	}
-}
-
-// fraction returns the violation share of the observations in the window.
-func (w *burnWindow) fraction() float64 {
-	n := len(w.at) - w.head
-	if n == 0 {
-		return 0
-	}
-	return float64(w.live) / float64(n)
-}
-
-// ratePoint is one retained observation for a Rate rule's lookback.
-type ratePoint struct {
-	at simtime.Duration
-	v  float64
-}
-
 // ruleState is one rule's evaluation state machine.
 type ruleState struct {
 	rule Rule
@@ -210,16 +154,12 @@ type ruleState struct {
 	pendingSince simtime.Duration
 	firing       bool
 
-	// Rate lookback ring.
-	hist []ratePoint
-	head int
-
 	// Burn windows.
-	fast, slow burnWindow
+	fast, slow xray.BurnWindow
 }
 
 // Engine evaluates rules purely in virtual time. Feed it with Observe (for
-// threshold/rate series) and ObserveLatency (for burn streams); every
+// threshold series) and ObserveLatency (for burn streams); every
 // observation advances the state machines and may append fire/resolve edges
 // to the alert log. A nil *Engine no-ops every method.
 type Engine struct {
@@ -242,10 +182,6 @@ func NewEngine(store *Store, rules ...Rule) *Engine {
 	e := &Engine{store: store, byStream: make(map[string][]*ruleState)}
 	for _, r := range rules {
 		st := &ruleState{rule: r}
-		if r.Kind == Burn {
-			st.fast.width = r.FastWindow
-			st.slow.width = r.SlowWindow
-		}
 		e.states = append(e.states, st)
 		e.byStream[r.Series] = append(e.byStream[r.Series], st)
 	}
@@ -268,31 +204,24 @@ func (e *Engine) Store() *Store {
 }
 
 // Observe records a value on a named series: it lands in the store and
-// drives every threshold/rate rule watching that series. Feed observations
-// in nondecreasing virtual time per series for deterministic edges.
+// drives every threshold rule watching that series. Feed observations in
+// nondecreasing virtual time per series for deterministic edges.
 func (e *Engine) Observe(name string, at simtime.Duration, v float64) {
 	if e == nil {
 		return
 	}
 	e.store.Observe(name, at, v)
 	for _, st := range e.byStream[name] {
-		switch st.rule.Kind {
-		case Threshold:
+		if st.rule.Kind == Threshold {
 			e.evals++
 			e.step(st, at, v, st.rule.Op.violated(v, st.rule.Limit))
-		case Rate:
-			e.evals++
-			rate, ok := st.observeRate(at, v)
-			if ok {
-				e.step(st, at, rate, st.rule.Op.violated(rate, st.rule.Limit))
-			}
 		}
 	}
 }
 
 // ObserveLatency records one latency sample on a burn stream: every Burn
 // rule watching the stream updates both windows and re-evaluates, and
-// threshold/rate rules watching the same stream evaluate on the value in
+// threshold rules watching the same stream evaluate on the value in
 // milliseconds. The sample is also stored as a series point (milliseconds)
 // under the stream name so dumps carry the shape the rules saw.
 func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simtime.Duration) {
@@ -302,23 +231,15 @@ func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simt
 	ms := float64(latency) / float64(simtime.Millisecond)
 	e.store.Observe(stream, at, ms)
 	for _, st := range e.byStream[stream] {
-		switch st.rule.Kind {
-		case Threshold:
-			e.evals++
+		e.evals++
+		if st.rule.Kind == Threshold {
 			e.step(st, at, ms, st.rule.Op.violated(ms, st.rule.Limit))
 			continue
-		case Rate:
-			e.evals++
-			if rate, ok := st.observeRate(at, ms); ok {
-				e.step(st, at, rate, st.rule.Op.violated(rate, st.rule.Limit))
-			}
-			continue
 		}
-		e.evals++
 		violated := latency > st.rule.Objective
-		st.fast.record(at, violated)
-		st.slow.record(at, violated)
-		ff, sf := st.fast.fraction(), st.slow.fraction()
+		st.fast.Record(at, st.rule.FastWindow, violated)
+		st.slow.Record(at, st.rule.SlowWindow, violated)
+		ff, sf := st.fast.Fraction(), st.slow.Fraction()
 		if !st.firing {
 			if ff >= st.rule.FastBurn && sf >= st.rule.SlowBurn {
 				st.firing = true
@@ -331,29 +252,7 @@ func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simt
 	}
 }
 
-// observeRate pushes a point into the lookback and returns the change per
-// second across the retained window (false until two points are inside).
-func (st *ruleState) observeRate(at simtime.Duration, v float64) (float64, bool) {
-	st.hist = append(st.hist, ratePoint{at: at, v: v})
-	cut := at - st.rule.Window
-	for st.head < len(st.hist)-1 && st.hist[st.head].at < cut {
-		st.head++
-	}
-	if st.head > 1024 && st.head*2 > len(st.hist) {
-		n := copy(st.hist, st.hist[st.head:])
-		st.hist = st.hist[:n]
-		st.head = 0
-	}
-	oldest := st.hist[st.head]
-	dt := at - oldest.at
-	if dt <= 0 {
-		return 0, false
-	}
-	return (v - oldest.v) / dt.Seconds(), true
-}
-
-// step runs the sustained-For state machine shared by threshold and rate
-// rules.
+// step runs the threshold rules' sustained-For state machine.
 func (e *Engine) step(st *ruleState, at simtime.Duration, value float64, violated bool) {
 	if violated {
 		if !st.pending {

@@ -7,13 +7,12 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"toss/internal/xray"
 )
 
 // The regression sentinel: compare two runs' exported artifacts cell by
-// cell and render a machine-checked verdict. `tossctl report` feeds it
-// pairs of insight dumps, xray attribution dumps, and benchjson reports.
+// cell and render a machine-checked verdict. `tossctl report` flattens
+// pairs of insight dumps, xray attribution dumps, and benchjson reports
+// into Cells and judges them all with Compare.
 
 // noiseFloor is the absolute magnitude below which two values are treated
 // as equal: sub-nano series values and empty counters flap at 100% relative
@@ -32,7 +31,7 @@ type VerdictRow struct {
 }
 
 // Delta returns the relative change (new-old)/old; growth from a zero
-// baseline reports as 1 (100%), matching xray.DiffEntry.
+// baseline reports as 1 (100%).
 func (r VerdictRow) Delta() float64 {
 	if r.Old == 0 {
 		if r.New == 0 {
@@ -77,9 +76,21 @@ func (v *Verdict) Regressed() int {
 	return n
 }
 
-// Failed reports whether any section regressed — the `-fail` exit
-// condition.
-func (v *Verdict) Failed() bool { return v.Regressed() > 0 }
+// vacuous returns the number of sections whose old artifact had cells but
+// whose pair compared none: nothing was checked, which is no pass.
+func (v *Verdict) vacuous() int {
+	n := 0
+	for _, s := range v.Sections {
+		if s.Compared == 0 && len(s.OnlyOld) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Failed reports whether any section regressed or compared nothing — the
+// `-fail` exit condition.
+func (v *Verdict) Failed() bool { return v.Regressed() > 0 || v.vacuous() > 0 }
 
 // sortRows orders by decreasing |delta|, ties by (cell, metric).
 func sortRows(rows []VerdictRow) {
@@ -95,19 +106,32 @@ func sortRows(rows []VerdictRow) {
 	})
 }
 
-// diffCells compares two keyed value maps into a Section body.
-func diffCells(sec *Section, threshold float64, old, new map[[2]string]float64) {
+// CellValue is one comparable number of a flattened run artifact: the
+// (cell, metric) pair a verdict row names, and its value.
+type CellValue struct {
+	Cell, Metric string
+	Value        float64
+}
+
+// Cells is a run artifact flattened for comparison, keyed by the name an
+// only-old or only-new line prints for each value.
+type Cells map[string]CellValue
+
+// Compare judges two flattened artifacts cell by cell at the given relative
+// threshold. Identical artifacts yield a section with no rows.
+func Compare(title, kind string, old, new Cells, threshold float64) Section {
+	sec := Section{Title: title, Kind: kind}
 	for k, ov := range old {
 		nv, ok := new[k]
 		if !ok {
-			sec.OnlyOld = append(sec.OnlyOld, k[0]+" / "+k[1])
+			sec.OnlyOld = append(sec.OnlyOld, k)
 			continue
 		}
 		sec.Compared++
-		if math.Abs(ov) < noiseFloor && math.Abs(nv) < noiseFloor {
+		if math.Abs(ov.Value) < noiseFloor && math.Abs(nv.Value) < noiseFloor {
 			continue
 		}
-		row := VerdictRow{Cell: k[0], Metric: k[1], Old: ov, New: nv}
+		row := VerdictRow{Cell: ov.Cell, Metric: ov.Metric, Old: ov.Value, New: nv.Value}
 		switch d := row.Delta(); {
 		case d > threshold:
 			sec.Regressions = append(sec.Regressions, row)
@@ -117,25 +141,29 @@ func diffCells(sec *Section, threshold float64, old, new map[[2]string]float64) 
 	}
 	for k := range new {
 		if _, ok := old[k]; !ok {
-			sec.OnlyNew = append(sec.OnlyNew, k[0]+" / "+k[1])
+			sec.OnlyNew = append(sec.OnlyNew, k)
 		}
 	}
 	sortRows(sec.Regressions)
 	sortRows(sec.Improvements)
 	sort.Strings(sec.OnlyOld)
 	sort.Strings(sec.OnlyNew)
+	return sec
 }
 
-// indexDump flattens an insight dump into (cell, metric) -> value: each
-// series contributes its mean, max, and last; each rule contributes its
-// fire-edge count.
-func indexDump(d Dump) map[[2]string]float64 {
-	m := make(map[[2]string]float64)
+// DumpCells flattens an insight dump into comparable cells: each series
+// contributes its mean, max, and last; each rule contributes its fire-edge
+// count.
+func DumpCells(d Dump) Cells {
+	m := make(Cells)
+	add := func(cell, metric string, v float64) {
+		m[cell+" / "+metric] = CellValue{Cell: cell, Metric: metric, Value: v}
+	}
 	for _, c := range d.Cells {
 		for _, s := range c.Series {
-			m[[2]string{c.Cell, "series " + s.Name + " mean"}] = s.Mean
-			m[[2]string{c.Cell, "series " + s.Name + " max"}] = s.Max
-			m[[2]string{c.Cell, "series " + s.Name + " last"}] = s.Last
+			add(c.Cell, "series "+s.Name+" mean", s.Mean)
+			add(c.Cell, "series "+s.Name+" max", s.Max)
+			add(c.Cell, "series "+s.Name+" last", s.Last)
 		}
 		fires := make(map[string]float64)
 		for _, a := range c.Alerts {
@@ -144,7 +172,7 @@ func indexDump(d Dump) map[[2]string]float64 {
 			}
 		}
 		for rule, n := range fires {
-			m[[2]string{c.Cell, "alert-fires " + rule}] = n
+			add(c.Cell, "alert-fires "+rule, n)
 		}
 	}
 	return m
@@ -157,35 +185,7 @@ func DiffDumps(title string, old, new Dump, threshold float64) (Section, error) 
 	if old.Schema != new.Schema {
 		return Section{}, fmt.Errorf("insight: schema mismatch: %d vs %d", old.Schema, new.Schema)
 	}
-	sec := Section{Title: title, Kind: "insight"}
-	diffCells(&sec, threshold, indexDump(old), indexDump(new))
-	return sec, nil
-}
-
-// SectionFromXRayDiff adapts an xray attribution diff (also used for
-// benchjson reports via tossctl's bench-to-RunDoc bridge) into a verdict
-// section, preserving xray's cluster-cell label rendering.
-func SectionFromXRayDiff(title, kind string, res *xray.DiffResult) Section {
-	sec := Section{Title: title, Kind: kind, Compared: res.Compared}
-	conv := func(entries []xray.DiffEntry) []VerdictRow {
-		rows := make([]VerdictRow, 0, len(entries))
-		for _, e := range entries {
-			cell := e.Experiment + "/" + e.Label
-			if bare, tag, ok := xray.SplitClusterLabel(e.Label); ok {
-				cell = e.Experiment + "/" + bare
-				if tag != "" {
-					cell += " [" + tag + "]"
-				}
-			}
-			rows = append(rows, VerdictRow{Cell: cell, Metric: "segment " + e.Segment + " ns/record", Old: e.OldNs, New: e.NewNs})
-		}
-		return rows
-	}
-	sec.Regressions = conv(res.Regressions)
-	sec.Improvements = conv(res.Improvements)
-	sec.OnlyOld = append(sec.OnlyOld, res.OnlyOld...)
-	sec.OnlyNew = append(sec.OnlyNew, res.OnlyNew...)
-	return sec
+	return Compare(title, "insight", DumpCells(old), DumpCells(new), threshold), nil
 }
 
 // verdictLine is the one-line summary shared by both renderers.
@@ -194,9 +194,13 @@ func (v *Verdict) verdictLine() string {
 	for _, s := range v.Sections {
 		compared += s.Compared
 	}
-	if v.Failed() {
+	if v.Regressed() > 0 {
 		return fmt.Sprintf("FAIL — %d regression(s) across %d section(s) (%d cells compared)",
 			v.Regressed(), len(v.Sections), compared)
+	}
+	if v.vacuous() > 0 {
+		return fmt.Sprintf("FAIL — %d of %d section(s) compared no cells of a non-empty old run",
+			v.vacuous(), len(v.Sections))
 	}
 	return fmt.Sprintf("PASS — no regressions across %d section(s) (%d cells compared)",
 		len(v.Sections), compared)

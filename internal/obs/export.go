@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"toss/internal/emit"
 	"toss/internal/telemetry"
 )
 
@@ -155,7 +156,7 @@ func WriteTimeseriesJSON(w io.Writer, snap Snapshot) error {
 			b.WriteByte(',')
 		}
 		b.WriteString(`{"name":`)
-		b.WriteString(strconv.Quote(s.Name))
+		b.WriteString(emit.JSONString(s.Name))
 		b.WriteString(`,"points":[`)
 		for j, p := range s.Points {
 			if j > 0 {
@@ -172,7 +173,7 @@ func WriteTimeseriesJSON(w io.Writer, snap Snapshot) error {
 			b.WriteByte(',')
 		}
 		b.WriteString(`{"function":`)
-		b.WriteString(strconv.Quote(tl.Function))
+		b.WriteString(emit.JSONString(tl.Function))
 		fmt.Fprintf(&b, `,"restores":%d,"fast_faults":%d,"slow_faults":%d,"fast_fault_cost_ns":%d,"slow_fault_cost_ns":%d,"events":[`,
 			tl.Restores, tl.Faults[0], tl.Faults[1],
 			tl.FaultCost[0].Nanoseconds(), tl.FaultCost[1].Nanoseconds())
@@ -181,7 +182,7 @@ func WriteTimeseriesJSON(w io.Writer, snap Snapshot) error {
 				b.WriteByte(',')
 			}
 			fmt.Fprintf(&b, `{"at_ns":%d,"cause":%s,"slow_pages":%d,"total_pages":%d,"fast_share":%s}`,
-				ev.At.Nanoseconds(), strconv.Quote(ev.Cause), ev.SlowPages, ev.TotalPages,
+				ev.At.Nanoseconds(), emit.JSONString(ev.Cause), ev.SlowPages, ev.TotalPages,
 				strconv.FormatFloat(ev.FastShare(), 'g', -1, 64))
 		}
 		b.WriteString(`]}`)
@@ -193,7 +194,7 @@ func WriteTimeseriesJSON(w io.Writer, snap Snapshot) error {
 			b.WriteByte(',')
 		}
 		fmt.Fprintf(&b, `{"function":%s,"seq":%d,"at_ns":%d,"pages":%d,"threshold":%d,"rank_correlation":%s,"hot_pages":%d,"cold_pages":%d,"hot_as_cold":%d,"cold_as_hot":%d}`,
-			strconv.Quote(a.Function), a.Seq, a.At.Nanoseconds(), a.Pages, a.Threshold,
+			emit.JSONString(a.Function), a.Seq, a.At.Nanoseconds(), a.Pages, a.Threshold,
 			strconv.FormatFloat(a.RankCorrelation, 'g', -1, 64),
 			a.HotPages, a.ColdPages, a.HotAsCold, a.ColdAsHot)
 	}

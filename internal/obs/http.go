@@ -46,7 +46,7 @@ func (r *Recorder) routes() []route {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}},
-		{"/xray.json", "aggregated attribution dump (tossctl diff input)", func(w http.ResponseWriter, req *http.Request) {
+		{"/xray.json", "aggregated attribution dump (tossctl report input)", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			doc := xray.RunDoc{Schema: xray.SchemaVersion}
 			if rep := r.XRayReport(); rep != nil {

@@ -168,25 +168,6 @@ func TestAlertEndpoints(t *testing.T) {
 	}
 }
 
-// TestFeedInsight bridges recorder samples into an insight store.
-func TestFeedInsight(t *testing.T) {
-	rec := miniRun(t)
-	st := insight.NewStore(insight.Config{})
-	rec.FeedInsight(st)
-	if len(st.Names()) == 0 {
-		t.Fatal("FeedInsight stored no series")
-	}
-	for _, n := range st.Names() {
-		if st.Series(n).Points() == 0 {
-			t.Errorf("series %s has no points", n)
-		}
-	}
-	// Nil store and nil recorder both no-op.
-	rec.FeedInsight(nil)
-	var nilRec *obs.Recorder
-	nilRec.FeedInsight(st)
-}
-
 // TestFleetEndpoints covers the node-grid panel: the index links it, it
 // renders the empty banner without a fleet recorder, and serves the grid
 // once one is attached.

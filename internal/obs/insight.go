@@ -36,22 +36,6 @@ func (r *Recorder) InsightResult() (insight.Result, bool) {
 	return e.Result("live"), true
 }
 
-// FeedInsight replays the recorder's sampled series into an insight store,
-// one point per retained sample under the recorder's series names. It
-// bridges the flight recorder's rings into insight's downsampled buckets so
-// rules (and `tossctl report`) can run over recorder-collected metrics; the
-// recorder itself is unchanged.
-func (r *Recorder) FeedInsight(st *insight.Store) {
-	if r == nil || st == nil {
-		return
-	}
-	for _, s := range r.Snapshot().Series {
-		for _, p := range s.Points {
-			st.Observe(s.Name, p.T, float64(p.V))
-		}
-	}
-}
-
 // WriteAlertsHTML renders the alert panel: the rules still firing, the full
 // fire/resolve edge log with blame attributions, and the watched series
 // summaries. Self-contained (no scripts), same conventions as the other

@@ -6,7 +6,8 @@
 // result slice serially afterwards yields byte-identical output to a
 // plain loop. Determinism therefore requires only that fn's side effects
 // are order-independent (pure cells, or writes guarded by the caller);
-// all aggregation belongs after the Map, in input order.
+// all aggregation belongs after the Map, in input order. Sink is the same
+// contract for values cells hand back by name instead of by index.
 //
 // Pools nest safely. A Map call never blocks waiting for a worker slot:
 // helpers are spawned only for slots available right now and the calling
@@ -68,7 +69,10 @@ type Error struct {
 	Err   error
 }
 
+// Error renders the failure with the input index it occurred at.
 func (e *Error) Error() string { return fmt.Sprintf("item %d: %v", e.Index, e.Err) }
+
+// Unwrap returns fn's error, so errors.Is and errors.As see through Map.
 func (e *Error) Unwrap() error { return e.Err }
 
 // Map applies fn to every item and returns the results in input order.

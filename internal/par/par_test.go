@@ -3,6 +3,8 @@ package par
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -179,5 +181,40 @@ func TestFor(t *testing.T) {
 	var pe *Error
 	if !errors.As(err, &pe) || pe.Index != 4 {
 		t.Fatalf("For error = %v, want *par.Error at index 4", err)
+	}
+}
+
+// TestSinkFoldsSorted records cells concurrently in scrambled orders: the
+// sorted fold must not depend on record order, the latest value of a cell
+// recorded twice wins, and a nil sink is a no-op.
+func TestSinkFoldsSorted(t *testing.T) {
+	fold := func(order []int) []string {
+		s := NewSink[string]()
+		var wg sync.WaitGroup
+		for _, i := range order {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s.Record(fmt.Sprintf("cell-%02d", i), fmt.Sprintf("v%d", i))
+			}(i)
+		}
+		wg.Wait()
+		s.Record("cell-02", "latest")
+		if s.Len() != len(order) {
+			t.Fatalf("Len = %d, want %d", s.Len(), len(order))
+		}
+		return s.Sorted()
+	}
+	want := []string{"v0", "v1", "latest", "v3", "v4"}
+	for _, order := range [][]int{{3, 1, 4, 2, 0}, {0, 2, 4, 1, 3}} {
+		if got := fold(order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %v folded to %v, want %v", order, got, want)
+		}
+	}
+
+	var nilSink *Sink[int]
+	nilSink.Record("x", 1)
+	if nilSink.Len() != 0 || nilSink.Sorted() != nil {
+		t.Fatal("nil sink must no-op")
 	}
 }

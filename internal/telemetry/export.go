@@ -1,32 +1,19 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 	"toss/internal/stats"
 )
 
 // All exporters are hand-serialized with fixed field order and fixed number
 // formatting: given the same spans they produce the same bytes, which is the
-// property the acceptance tests assert. encoding/json is only used for
-// string escaping (deterministic) and for *parsing* in tests.
-
-// jsonString escapes s as a JSON string literal.
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
-// micros renders virtual nanoseconds as microseconds with nanosecond
-// precision — Chrome's trace_event ts/dur unit.
-func micros(d simtime.Duration) string {
-	return strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 3, 64)
-}
+// property the acceptance tests assert. Strings are escaped by
+// emit.JSONString; encoding/json only parses the output in tests.
 
 // attrsJSON renders an ordered attribute list as a JSON object.
 func attrsJSON(attrs []Attr) string {
@@ -39,9 +26,9 @@ func attrsJSON(attrs []Attr) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(jsonString(a.Key))
+		b.WriteString(emit.JSONString(a.Key))
 		b.WriteByte(':')
-		b.WriteString(jsonString(a.Val))
+		b.WriteString(emit.JSONString(a.Val))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -53,7 +40,7 @@ func WriteJSONLines(w io.Writer, spans []*Span) error {
 	for _, s := range spans {
 		line := fmt.Sprintf(
 			`{"id":%d,"parent":%d,"track":%d,"kind":%s,"name":%s,"start_ns":%d,"end_ns":%d,"attrs":%s}`,
-			s.ID, s.Parent, s.Track, jsonString(s.Kind.String()), jsonString(s.Name),
+			s.ID, s.Parent, s.Track, emit.JSONString(s.Kind.String()), emit.JSONString(s.Name),
 			s.Start.Nanoseconds(), s.End.Nanoseconds(), attrsJSON(s.Attrs))
 		if _, err := io.WriteString(w, line+"\n"); err != nil {
 			return err
@@ -62,53 +49,49 @@ func WriteJSONLines(w io.Writer, spans []*Span) error {
 	return nil
 }
 
-// WriteChromeTrace writes the spans in Chrome trace_event JSON (the format
-// chrome://tracing and Perfetto load). Each invocation track becomes one
-// "thread": tid = track+1, named after its root span via metadata events;
-// spans are "X" (complete) events with microsecond timestamps on the track's
-// virtual timeline.
-func WriteChromeTrace(w io.Writer, spans []*Span) error {
-	if _, err := io.WriteString(w, `{"traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		} else {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-			first = false
+// WriteTraceEvents writes events, each one Chrome trace_event JSON object,
+// inside the trace_event envelope chrome://tracing and Perfetto load: one
+// event per line, in the given order. Every Chrome trace export writes
+// through it.
+func WriteTraceEvents(w io.Writer, events []string) error {
+	var b strings.Builder
+	b.WriteString(`{"traceEvents":[`)
+	for i, e := range events {
+		if i > 0 {
+			b.WriteByte(',')
 		}
-		_, err := io.WriteString(w, line)
-		return err
+		b.WriteByte('\n')
+		b.WriteString(e)
 	}
+	b.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// WriteChromeTrace writes the spans in Chrome trace_event JSON. Each
+// invocation track becomes one "thread": tid = track+1, named after its root
+// span via metadata events; spans are "X" (complete) events with microsecond
+// timestamps on the track's virtual timeline.
+func WriteChromeTrace(w io.Writer, spans []*Span) error {
+	var events []string
 	// Thread-name metadata: one per track, from the root span.
 	for _, s := range spans {
 		if s.Parent != -1 {
 			continue
 		}
 		label := fmt.Sprintf("%s #%d", s.Name, s.Track)
-		if err := emit(fmt.Sprintf(
+		events = append(events, fmt.Sprintf(
 			`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			s.Track+1, jsonString(label))); err != nil {
-			return err
-		}
+			s.Track+1, emit.JSONString(label)))
 	}
 	for _, s := range spans {
-		if err := emit(fmt.Sprintf(
+		events = append(events, fmt.Sprintf(
 			`{"name":%s,"cat":%s,"ph":"X","ts":%s,"dur":%s,"pid":1,"tid":%d,"args":%s}`,
-			jsonString(s.Name), jsonString(s.Kind.String()),
-			micros(s.Start), micros(s.Duration()), s.Track+1,
-			attrsJSON(s.Attrs))); err != nil {
-			return err
-		}
+			emit.JSONString(s.Name), emit.JSONString(s.Kind.String()),
+			emit.Micros(s.Start), emit.Micros(s.Duration()), s.Track+1,
+			attrsJSON(s.Attrs)))
 	}
-	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return err
+	return WriteTraceEvents(w, events)
 }
 
 // FlameSummary renders one track's span tree as an indented ASCII flame

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// These tests pin the histogram behaviors internal/insight's metric feed
-// consumes (IngestMetrics reads each histogram's count/sum/max through
-// Each): bucket-boundary inclusivity, the implicit overflow bucket, and the
-// exported Bounds/Counts shape.
+// These tests pin the histogram behaviors the obs flight recorder consumes
+// (it reads each histogram's count/sum/max through Each): bucket-boundary
+// inclusivity, the implicit overflow bucket, and the exported Bounds/Counts
+// shape.
 
 // TestHistogramBoundaryInclusive pins the bucketing convention: bucket i
 // counts v <= Bounds[i], so a value exactly on a bound lands in that bucket

@@ -21,25 +21,11 @@ type BurnTracker struct {
 	total      int64
 	violations int64
 
-	// points holds (completion time, violated) within the current window,
-	// pruned as time advances; Record must be fed in nondecreasing time
-	// order (the virtual clock only moves forward).
-	points []burnPoint
-	// head indexes the first live point (amortized pruning without
-	// reslicing allocations on every call).
-	head int
-	// liveViolations counts violated points in points[head:], maintained
-	// incrementally on append and prune so the windowed rate is O(1) per
-	// Record instead of a rescan of the live window.
-	liveViolations int
+	// live holds the completions within the current window.
+	live BurnWindow
 
 	peakRate float64
 	peakAt   simtime.Duration
-}
-
-type burnPoint struct {
-	at       simtime.Duration
-	violated bool
 }
 
 // NewBurnTracker returns a tracker for the given latency objective and
@@ -63,35 +49,61 @@ func (t *BurnTracker) Record(at, latency simtime.Duration) {
 	if t.Window <= 0 {
 		return
 	}
-	t.points = append(t.points, burnPoint{at: at, violated: violated})
-	if violated {
-		t.liveViolations++
-	}
-	for t.head < len(t.points) && t.points[t.head].at < at-t.Window {
-		if t.points[t.head].violated {
-			t.liveViolations--
-		}
-		t.head++
-	}
-	// Compact once the dead prefix dominates.
-	if t.head > 1024 && t.head > len(t.points)/2 {
-		t.points = append(t.points[:0], t.points[t.head:]...)
-		t.head = 0
-	}
-	if rate := t.windowRate(); rate > t.peakRate {
+	t.live.Record(at, t.Window, violated)
+	if rate := t.live.Fraction(); rate > t.peakRate {
 		t.peakRate, t.peakAt = rate, at
 	}
 }
 
-// windowRate is the violation fraction among live points, computed from the
-// incrementally maintained counter (million-invocation runs call this once
-// per completion).
-func (t *BurnTracker) windowRate() float64 {
-	live := len(t.points) - t.head
+// BurnWindow is a sliding violation window in virtual time: it keeps the
+// points no older than the window width before the newest one and counts
+// the violations among them, so the windowed rate costs O(1) amortized per
+// point instead of a rescan. BurnTracker and insight's multi-window Burn
+// rule both slide one. The zero value is an empty window.
+type BurnWindow struct {
+	// points holds (time, violated); points[head:] are live.
+	points []burnPoint
+	// head indexes the first live point (amortized pruning without
+	// reslicing allocations on every call).
+	head int
+	// violations counts violated points in points[head:], maintained
+	// incrementally on append and prune.
+	violations int
+}
+
+type burnPoint struct {
+	at       simtime.Duration
+	violated bool
+}
+
+// Record appends one point at virtual time at and prunes the points older
+// than width before it. Calls must be in nondecreasing at order, with the
+// same width every time (the virtual clock only moves forward).
+func (w *BurnWindow) Record(at, width simtime.Duration, violated bool) {
+	w.points = append(w.points, burnPoint{at: at, violated: violated})
+	if violated {
+		w.violations++
+	}
+	for w.head < len(w.points) && w.points[w.head].at < at-width {
+		if w.points[w.head].violated {
+			w.violations--
+		}
+		w.head++
+	}
+	// Compact once the dead prefix dominates, keeping memory bounded.
+	if w.head > 1024 && w.head > len(w.points)/2 {
+		w.points = append(w.points[:0], w.points[w.head:]...)
+		w.head = 0
+	}
+}
+
+// Fraction returns the violation share of the live points (0 when none).
+func (w *BurnWindow) Fraction() float64 {
+	live := len(w.points) - w.head
 	if live == 0 {
 		return 0
 	}
-	return float64(t.liveViolations) / float64(live)
+	return float64(w.violations) / float64(live)
 }
 
 // Totals returns completions seen and objective violations.

@@ -45,9 +45,10 @@ func TestBurnTrackerWindowPeak(t *testing.T) {
 	}
 }
 
+// TestBurnTrackerPruneCompaction drives long feeds through narrow windows,
+// past the amortized compaction (head > 1024): the window must keep memory
+// bounded and its rates must survive compaction, in the tracker and bare.
 func TestBurnTrackerPruneCompaction(t *testing.T) {
-	// Drive enough points through a narrow window to trigger the amortized
-	// compaction (head > 1024) and confirm rates survive it.
 	bt := NewBurnTracker(simtime.Millisecond, simtime.Second)
 	for i := 0; i < 5000; i++ {
 		lat := simtime.Duration(0)
@@ -60,8 +61,20 @@ func TestBurnTrackerPruneCompaction(t *testing.T) {
 	if total != 5000 || viol != 2500 {
 		t.Fatalf("totals after compaction: %d/%d", viol, total)
 	}
-	if len(bt.points)-bt.head > 11 {
-		t.Fatalf("window should hold ~11 live points, got %d", len(bt.points)-bt.head)
+	if live := len(bt.live.points) - bt.live.head; live > 11 {
+		t.Fatalf("window should hold ~11 live points, got %d", live)
+	}
+
+	// A 1s window on a 100s feed must not retain the whole stream.
+	var w BurnWindow
+	for i := 0; i < 100000; i++ {
+		w.Record(simtime.Duration(i)*simtime.Millisecond, simtime.Second, i%10 == 0)
+	}
+	if len(w.points) > 8192 {
+		t.Fatalf("window retained %d points for a 1s window on a 100s feed", len(w.points))
+	}
+	if got := w.Fraction(); got < 0.09 || got > 0.11 {
+		t.Fatalf("fraction = %v, want ~0.1", got)
 	}
 }
 

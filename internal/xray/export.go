@@ -8,23 +8,25 @@ import (
 	"strconv"
 	"strings"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 )
 
-// SchemaVersion identifies the attribution dump format. Diffing refuses to
-// compare documents with mismatched schema versions.
+// SchemaVersion identifies the attribution dump format. `tossctl report`
+// refuses to compare documents with mismatched schema versions.
 const SchemaVersion = 1
 
 // RunDoc is one run's attribution dump: per-experiment reports in run order.
-// `tossctl -xray out.json` writes one; `tossctl diff` compares two.
+// `tossctl -xray out.json` writes one; `tossctl report` compares two.
 type RunDoc struct {
 	Schema  int
 	Reports []*Report
 }
 
 // The JSON writer is hand-serialized (like internal/obs's exporters) so field
-// order is fixed and the bytes are deterministic for a given document; the
-// reader uses encoding/json over mirror structs.
+// order is fixed and the bytes are deterministic for a given document;
+// strings are escaped by emit.JSONString. The reader uses encoding/json over
+// mirror structs.
 
 type wireDoc struct {
 	Schema      int          `json:"schema_version"`
@@ -70,20 +72,20 @@ func WriteJSON(w io.Writer, doc RunDoc) error {
 			b.WriteByte(',')
 		}
 		b.WriteString(`{"experiment":`)
-		b.WriteString(strconv.Quote(r.Experiment))
+		b.WriteString(emit.JSONString(r.Experiment))
 		fmt.Fprintf(&b, `,"records":%d,"total_ns":%d,"functions":[`, r.Records, r.Total.Nanoseconds())
 		for j, fr := range r.Functions {
 			if j > 0 {
 				b.WriteByte(',')
 			}
 			b.WriteString(`{"label":`)
-			b.WriteString(strconv.Quote(fr.Label))
+			b.WriteString(emit.JSONString(fr.Label))
 			fmt.Fprintf(&b, `,"records":%d,"total_ns":%d,"segments":[`, fr.Records, fr.Total.Nanoseconds())
 			for k, s := range fr.Segments {
 				if k > 0 {
 					b.WriteByte(',')
 				}
-				fmt.Fprintf(&b, `{"id":%s,"total_ns":%d,"count":%d}`, strconv.Quote(s.ID), s.Total.Nanoseconds(), s.Count)
+				fmt.Fprintf(&b, `{"id":%s,"total_ns":%d,"count":%d}`, emit.JSONString(s.ID), s.Total.Nanoseconds(), s.Count)
 			}
 			b.WriteByte(']')
 			if len(fr.Marks) > 0 {
@@ -92,7 +94,7 @@ func WriteJSON(w io.Writer, doc RunDoc) error {
 					if k > 0 {
 						b.WriteByte(',')
 					}
-					fmt.Fprintf(&b, `{"id":%s,"n":%d}`, strconv.Quote(m.ID), m.N)
+					fmt.Fprintf(&b, `{"id":%s,"n":%d}`, emit.JSONString(m.ID), m.N)
 				}
 				b.WriteByte(']')
 			}

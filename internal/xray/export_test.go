@@ -59,6 +59,8 @@ func TestWriteCSVGolden(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	doc := goldenDoc()
+	// Labels are escaped as JSON strings, so control bytes survive.
+	doc.Reports[0].Functions[0].Label = "ctl\x01<&>"
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, doc); err != nil {
 		t.Fatal(err)

@@ -29,12 +29,13 @@ package xray
 
 import (
 	"sort"
+	"strings"
 
 	"toss/internal/simtime"
 )
 
-// Segment identifiers. The taxonomy is stable: exporters, diffing, and the
-// golden files key on these strings.
+// Segment identifiers. The taxonomy is stable: exporters, run comparison,
+// and the golden files key on these strings.
 const (
 	// SegQueueWait is time an arrival waited for a free core (sched).
 	SegQueueWait = "queue.wait"
@@ -292,4 +293,21 @@ func (b *Budget) Sorted() []Segment {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// SplitClusterLabel recognizes attribution labels minted by the cluster
+// simulator — "<fn>@<node>/cluster[/<cell>]", where the optional cell tag
+// (cluster.Config.XRayTag) names the swept cell, e.g.
+// "pyaes@n01/cluster/4n/affinity/flash/toss". It returns the bare invocation
+// label ("pyaes@n01") and the cell tag ("4n/affinity/flash/toss", empty when
+// the run was untagged). ok reports whether the label is a cluster label at
+// all; single-host labels pass through unrecognized.
+func SplitClusterLabel(label string) (bare, cell string, ok bool) {
+	if i := strings.Index(label, "/cluster/"); i >= 0 {
+		return label[:i], label[i+len("/cluster/"):], true
+	}
+	if bare, found := strings.CutSuffix(label, "/cluster"); found {
+		return bare, "", true
+	}
+	return label, "", false
 }

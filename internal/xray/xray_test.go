@@ -119,3 +119,22 @@ func TestCollectorDrainAndSnapshot(t *testing.T) {
 		t.Fatal("second Drain must be empty")
 	}
 }
+
+func TestSplitClusterLabel(t *testing.T) {
+	cases := []struct {
+		label, bare, cell string
+		ok                bool
+	}{
+		{"pyaes@n01/cluster/4n/affinity/flash/toss", "pyaes@n01", "4n/affinity/flash/toss", true},
+		{"compress@n02/cluster", "compress@n02", "", true},
+		{"alpha", "alpha", "", false},
+		{"beta@host", "beta@host", "", false},
+	}
+	for _, c := range cases {
+		bare, cell, ok := SplitClusterLabel(c.label)
+		if bare != c.bare || cell != c.cell || ok != c.ok {
+			t.Errorf("SplitClusterLabel(%q) = (%q, %q, %v), want (%q, %q, %v)",
+				c.label, bare, cell, ok, c.bare, c.cell, c.ok)
+		}
+	}
+}

@@ -91,5 +91,5 @@ echo "wrote $out" >&2
 # machines vary); pass -fail in a gating context.
 if [ -f BENCH_experiments.json ] && [ "$out" != BENCH_experiments.json ]; then
     echo "== diff vs checked-in baseline (warn-only, 25% threshold) ==" >&2
-    "$tmp/tossctl" diff BENCH_experiments.json "$out" >&2 || true
+    "$tmp/tossctl" report BENCH_experiments.json "$out" >&2 || true
 fi

@@ -33,9 +33,9 @@ type Benchmark struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// SchemaVersion stamps the report format; `tossctl diff` refuses to compare
-// mismatched schemas (reports written before versioning read as 0 and are
-// normalized on load).
+// SchemaVersion stamps the report format. `tossctl report` leaves it
+// unread, so reports written before versioning still compare against
+// current ones.
 const SchemaVersion = 1
 
 // Suite records the end-to-end `tossctl all` wall-clock comparison.
