@@ -1,29 +1,30 @@
 // Command faasim runs the simulated serverless platform end to end: it
 // registers Table I functions under a chosen snapshot mode (toss, reap,
-// faasnap, dram, or slow), replays a randomized invocation trace through a
-// worker pool, and prints per-function statistics including the TOSS
-// lifecycle phase and the billed memory cost.
+// faasnap, dram, or slow), replays a randomized invocation trace in request
+// order, and prints per-function statistics including the TOSS lifecycle
+// phase and the billed memory cost. -workers is the modeled concurrency:
+// every invocation is charged the disk and slow-tier contention of that
+// many invocations in flight, so two runs with the same flags print, and
+// write, the same bytes.
 //
 // With -fault-rate, a uniform fault plan (fault.UniformPlan, seeded by
 // -fault-seed) is injected into every machine: slow-tier and disk read
 // stalls, slow-tier outages, snapshot corruption, stale profiles, and
 // keep-alive eviction storms. The platform retries and degrades per
 // FAULTS.md; a post-replay summary reports per-site firings, degraded
-// serves, and retries. Fault injection forces a single worker so the
-// deterministic firing sequence — and the output — is reproducible.
+// serves, and retries.
 //
 // With -trace, every invocation is recorded as a virtual-time span tree and
 // written as a Chrome trace_event file (load it at https://ui.perfetto.dev)
 // or JSON lines; -flame additionally prints an ASCII flame summary of the
-// first invocation. Tracing forces a single worker so span order — and the
-// output bytes — are deterministic for a given seed.
+// first invocation.
 //
 // The flight recorder (-http, -prom, -csv, -heatmap) samples every metric on
 // a virtual-time cadence (-record-interval) and tracks per-function tier
 // residency. -prom and -csv write byte-deterministic exports; -heatmap
 // prints an ASCII tier-residency heatmap; -http serves the live dashboard
 // (/metrics, /timeseries.json, /heatmap, /healthz, /debug/pprof/) after the
-// replay finishes. The recorder, like tracing, forces a single worker.
+// replay finishes.
 //
 // With -nodes N, faasim switches to cluster mode (internal/cluster): it
 // profiles the functions once through the single-host machinery, generates a
@@ -48,10 +49,10 @@
 // fire/resolve edges, each blamed on the hottest attribution segment when
 // the xray collector is on. -report writes the run's insight dump, the
 // input `tossctl report` compares across runs; -http additionally serves
-// the alert panel at /alerts. Replay mode forces a single worker (the feed
-// replays a serial timeline); cluster mode feeds the engine from the
-// completion-ordered record log after the event loop finishes, so
-// observation changes no simulated decision in either mode.
+// the alert panel at /alerts. Replay mode feeds the engine the records in
+// request order; cluster mode feeds it the completion-ordered record log
+// after the event loop finishes, so observation changes no simulated
+// decision in either mode.
 //
 // With -migrate-demo, faasim skips the replay entirely: it profiles the
 // first -functions entry through the TOSS pipeline, seeds the N-tier
@@ -103,19 +104,19 @@ import (
 func main() {
 	modeFlag := flag.String("mode", "toss", "snapshot mode: toss, reap, faasnap, dram, or slow")
 	requests := flag.Int("requests", 400, "number of invocations to replay")
-	workers := flag.Int("workers", 4, "invoker pool size")
+	workers := flag.Int("workers", 4, "modeled concurrency: invocations in flight sharing the disk and slow tier (>= 1)")
 	fns := flag.String("functions", "pyaes,json_load_dump,compress", "comma-separated Table I functions")
 	window := flag.Int("window", 12, "TOSS profiling convergence window")
 	seed := flag.Int64("seed", 42, "trace seed")
-	traceOut := flag.String("trace", "", "write a virtual-time trace to this file (forces -workers 1)")
+	traceOut := flag.String("trace", "", "write a virtual-time trace to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or jsonl")
 	flame := flag.Bool("flame", false, "print an ASCII flame summary of the first traced invocation")
-	httpAddr := flag.String("http", "", "serve the live dashboard on this address after the replay (forces -workers 1)")
-	promOut := flag.String("prom", "", "write a Prometheus text export to this file (forces -workers 1)")
-	csvOut := flag.String("csv", "", "write the sampled series as CSV to this file (forces -workers 1)")
-	heatmap := flag.Bool("heatmap", false, "print the ASCII tier-residency heatmap (forces -workers 1)")
+	httpAddr := flag.String("http", "", "serve the live dashboard on this address after the replay")
+	promOut := flag.String("prom", "", "write a Prometheus text export to this file")
+	csvOut := flag.String("csv", "", "write the sampled series as CSV to this file")
+	heatmap := flag.Bool("heatmap", false, "print the ASCII tier-residency heatmap")
 	recordInterval := flag.Duration("record-interval", 100*time.Millisecond, "flight-recorder sampling cadence in virtual time")
-	faultRate := flag.Float64("fault-rate", 0, "uniform per-site fault rate in [0, 1] (0 disables; forces -workers 1)")
+	faultRate := flag.Float64("fault-rate", 0, "uniform per-site fault rate in [0, 1] (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-plan seed (with -fault-rate)")
 	nodes := flag.Int("nodes", 0, "simulate a fleet of N nodes instead of one host (cluster mode)")
 	router := flag.String("router", "affinity", "cluster routing policy: rr, least, or affinity (with -nodes)")
@@ -131,11 +132,21 @@ func main() {
 	explainTop := flag.Int("explain-top", 0, "print full attribution waterfalls for the N slowest invocations")
 	slo := flag.Duration("slo", 0, "latency objective; reports SLO burn (violations, burn rate, peak windowed burn) after the replay")
 	sloWindow := flag.Duration("slo-window", 10*time.Second, "virtual-time window for the peak burn rate (with -slo)")
-	alerts := flag.Bool("alerts", false, "evaluate multi-window SLO alert rules over the run's virtual timeline and print the alert log (with -slo; forces -workers 1)")
-	reportOut := flag.String("report", "", "write the run's insight dump (series summaries + alert edges, JSON — tossctl report input) to this `file` (with -slo; forces -workers 1)")
+	alerts := flag.Bool("alerts", false, "evaluate multi-window SLO alert rules over the run's virtual timeline and print the alert log (with -slo)")
+	reportOut := flag.String("report", "", "write the run's insight dump (series summaries + alert edges, JSON — tossctl report input) to this `file` (with -slo)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the replay")
 	flag.Parse()
+
+	// Reject values no run can mean before doing any work.
+	if *requests < 0 {
+		fmt.Fprintf(os.Stderr, "faasim: -requests must be at least 0 (got %d)\n", *requests)
+		os.Exit(2)
+	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "faasim: -workers must be at least 1 (got %d)\n", *workers)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -177,22 +188,10 @@ func main() {
 		os.Exit(runMigrateDemo(strings.Split(*fns, ",")[0], *window, *seed))
 	}
 
-	// Deterministic output (span order, recorder timeline) needs serialized
-	// invocations. Warn once, whichever feature tripped it first.
-	workersSetExplicitly := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSetExplicitly = true
-		}
-	})
 	// All flag-interaction diagnostics share one format that names the
 	// conflicting flag pair (see the README's flag interaction table);
-	// internal/cliutil renders them for faasim and tossctl alike.
-	forcer := &cliutil.WorkerForcer{Prog: "faasim", Workers: workers, Err: os.Stderr}
-	forceSingleWorker := func(flagName, why string) { forcer.Force(flagName, why) }
-
-	// Alerting needs the -slo objective to define what a violation is, in
-	// either mode.
+	// internal/cliutil renders them for faasim and tossctl alike. Alerting
+	// needs the -slo objective to define what a violation is, in either mode.
 	alerting := *alerts || *reportOut != ""
 	if alerting && *slo <= 0 {
 		name := "-alerts"
@@ -207,18 +206,12 @@ func main() {
 	// Cluster mode is a different simulator: a modeled fleet fed by arrival
 	// generators, not the microVM replay loop. Its flags make no sense
 	// without -nodes, and the replay-only surfaces make no sense with it.
-	clusterOnly := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "router", "arrival", "horizon", "mean-iat", "autoscale",
-			"fleetview", "decision-log", "fleet-trace":
-			clusterOnly["-"+f.Name] = true
-		}
-	})
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given["-"+f.Name] = true })
 	if *nodes <= 0 {
 		for _, name := range []string{"-router", "-arrival", "-horizon", "-mean-iat", "-autoscale",
 			"-fleetview", "-decision-log", "-fleet-trace"} {
-			if clusterOnly[name] {
+			if given[name] {
 				fmt.Fprintln(os.Stderr, cliutil.Requires("faasim", name, "-nodes",
 					"cluster mode routes through the fleet simulator"))
 				os.Exit(2)
@@ -237,17 +230,13 @@ func main() {
 			{*csvOut != "", "-csv"},
 			{*heatmap, "-heatmap"},
 			{*faultRate > 0, "-fault-rate"},
+			{given["-workers"] && *workers > 1, "-workers"},
 		} {
 			if conflict.set {
 				fmt.Fprintln(os.Stderr, cliutil.MutuallyExclusive("faasim", "-nodes", conflict.name,
 					"the cluster simulator replays a modeled fleet, not the microVM platform"))
 				os.Exit(2)
 			}
-		}
-		if workersSetExplicitly && *workers > 1 {
-			fmt.Fprintln(os.Stderr, cliutil.ConflictFatal("faasim", "-nodes", *workers,
-				"the cluster event loop is serial by construction"))
-			os.Exit(2)
 		}
 		names := strings.Split(*fns, ",")
 		for i, name := range names {
@@ -291,40 +280,9 @@ func main() {
 			os.Exit(2)
 		}
 		tracer = telemetry.NewTracer()
-		if *traceOut != "" {
-			forceSingleWorker("-trace", "span order is only deterministic serially")
-		} else {
-			forceSingleWorker("-flame", "span order is only deterministic serially")
-		}
 	}
 
-	if alerting {
-		// The alert feed accumulates the run's virtual timeline in record
-		// order, the same serial-only property -slo's burn summary has.
-		name := "-alerts"
-		if !*alerts {
-			name = "-report"
-		}
-		forceSingleWorker(name, "the alert feed replays a serial timeline")
-	}
 	recording := *httpAddr != "" || *promOut != "" || *csvOut != "" || *heatmap
-	if *httpAddr != "" && workersSetExplicitly && *workers > 1 {
-		fmt.Fprintln(os.Stderr, cliutil.ConflictFatal("faasim", "-http", *workers,
-			"the dashboard serves a deterministic timeline"))
-		os.Exit(2)
-	}
-	if recording {
-		switch {
-		case *httpAddr != "":
-			forceSingleWorker("-http", "the flight recorder samples a serial timeline")
-		case *promOut != "":
-			forceSingleWorker("-prom", "the flight recorder samples a serial timeline")
-		case *csvOut != "":
-			forceSingleWorker("-csv", "the flight recorder samples a serial timeline")
-		default:
-			forceSingleWorker("-heatmap", "the flight recorder samples a serial timeline")
-		}
-	}
 
 	cfg := core.DefaultConfig()
 	cfg.ConvergenceWindow = *window
@@ -339,14 +297,11 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.VM.Faults = inj
-		// The injector's per-(site,function) sequence counters are shared
-		// state: concurrent invocations would race the firing order.
-		forceSingleWorker("-fault-rate", "the injector's firing sequence is shared state")
 	}
 	var xcol *xray.Collector
 	if *explain || *explainTop > 0 || recording {
-		// Attribution is parallel-safe: no worker forcing here. The recorder
-		// gets a collector too so the dashboard can serve the budget panel.
+		// The recorder gets a collector too so the dashboard can serve the
+		// budget panel.
 		xcol = xray.NewCollector()
 		cfg.VM.XRay = xcol
 	}
@@ -457,7 +412,7 @@ func main() {
 	if *slo > 0 {
 		// Burn tracking runs on the platform's accumulated virtual timeline:
 		// each record completes at the running sum of invocation times, in
-		// replay record order (deterministic for a given seed and workers).
+		// request order.
 		burn := xray.NewBurnTracker(
 			simtime.FromStd(*slo), simtime.FromStd(*sloWindow))
 		var at simtime.Duration

@@ -14,16 +14,19 @@
 // With -parallel N the experiments (and the heavy per-cell sweeps inside
 // them) fan out over a bounded worker pool; results are folded in input
 // order, so the rendered tables are byte-identical to a serial run.
-// -metrics forces serial execution (the telemetry sink records events in
-// arrival order). -cpuprofile/-memprofile write pprof profiles of the run.
-// -faults <plan.json> injects a fault plan (FAULTS.md) into every
-// experiment and likewise forces serial execution.
+// -metrics prints each experiment's telemetry dump after its table; the
+// counters and histograms sum the same in any order, so the dump too is
+// byte-identical for any -parallel value. -cpuprofile/-memprofile write
+// pprof profiles of the run. -faults <plan.json> injects a fault plan
+// (FAULTS.md) into every experiment and forces serial execution: the
+// injector's firing sequence is shared state.
 //
 // -xray <out.json> additionally collects every invocation's attribution
 // budget (internal/xray), prints each experiment's hottest segments, and
 // writes the aggregated per-experiment dump — an input to `tossctl report`,
 // which names the segment that regressed between two dumps. Attribution is
 // parallel-safe: the dump is byte-identical for any -parallel value.
+// Composes with -metrics.
 //
 // -fleetlog <out.jsonl> collects the cluster experiments' fleet decision
 // traces (internal/fleetobs): every routing decision with its candidate
@@ -80,7 +83,7 @@ func run() int {
 	threshold := flag.Float64("threshold", 0, "slowdown threshold (0 disables; e.g. 0.1 = 10%)")
 	timing := flag.Bool("timing", false, "print wall-clock timing per experiment")
 	format := flag.String("format", "table", "output format: table, csv, or json")
-	metrics := flag.Bool("metrics", false, "collect telemetry metrics and dump them after the run (forces -parallel 1)")
+	metrics := flag.Bool("metrics", false, "collect telemetry metrics and dump them after each experiment")
 	faults := flag.String("faults", "", "JSON fault plan injected into every experiment (see FAULTS.md; forces -parallel 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker pool size (1 = serial; output is identical either way)")
 	clusterScale := flag.Float64("cluster-scale", 1, "scale for the long-horizon experiments: ext10's day (1 = full ~1.26M-invocation day; CI smoke uses 0.02) and ext11's migration epochs (CI smoke uses 0.25)")
@@ -97,6 +100,10 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
+		return 2
+	}
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "tossctl: -iters must be at least 1 (got %d)\n", *iters)
 		return 2
 	}
 
@@ -147,18 +154,13 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tossctl:", err)
 			return 2
 		}
+		// A suite-level injector's sequence counters are shared state, so
+		// Suite.Pool runs serially while it is attached.
 		suite.Core.VM.Faults = inj
-		// A suite-level injector's sequence counters are shared state:
-		// deterministic firing needs serialized queries (Suite.Pool also
-		// enforces this; set Workers too so the timing line is honest).
-		suite.Workers = 1
 	}
 
 	var met *telemetry.Metrics
 	if *metrics {
-		// Attaching a metrics sink makes Suite.Pool serial, so the
-		// per-experiment dump/reset cycle below observes one experiment at
-		// a time.
 		met = telemetry.NewMetrics()
 		suite.Core.VM.Metrics = met
 	}
@@ -216,30 +218,9 @@ func run() int {
 		return writeInsight(suite, *alerts, *insightOut)
 	}
 
-	if *xrayOut != "" {
-		if met != nil {
-			fmt.Fprintln(os.Stderr, cliutil.MutuallyExclusive("tossctl", "-xray", "-metrics",
-				"both re-shape the per-experiment run loop"))
-			return 2
-		}
-		if code := runXRay(suite, ids, *xrayOut, *timing, render); code != 0 {
+	if *xrayOut != "" || met != nil {
+		if code := runXRay(suite, ids, *xrayOut, met, *timing, render); code != 0 {
 			return code
-		}
-		return finish()
-	}
-
-	if met != nil {
-		// Per-experiment metrics: run one id at a time, dump, then reset in
-		// place so cached instrument handles inside the suite stay live.
-		for _, id := range ids {
-			code := runOne(suite, id, *timing, render)
-			if code != 0 {
-				return code
-			}
-			fmt.Printf("=== metrics: %s ===\n", id)
-			fmt.Print(met.Dump())
-			fmt.Println()
-			met.Reset()
 		}
 		return finish()
 	}
@@ -320,14 +301,20 @@ func writeFleetLog(suite *experiments.Suite, path string) int {
 	return 0
 }
 
-// runXRay runs the experiments one id at a time with an attribution
-// collector attached (inner per-experiment parallelism is preserved — the
-// collector is parallel-safe and aggregation is order-independent), prints
-// each experiment's hottest segments after its table, and writes the
-// aggregated dump to path.
-func runXRay(suite *experiments.Suite, ids []string, path string, timing bool, render func(*experiments.Table) (string, error)) int {
-	col := xray.NewCollector()
-	suite.Core.VM.XRay = col
+// runXRay runs the experiments one id at a time, so each gets its own
+// attribution report (when path is set) and metrics dump (when met is set).
+// Inner per-experiment parallelism is preserved: the collector and the
+// registry are parallel-safe, attribution aggregates order-independently,
+// and counters and histograms sum commutatively. After each table it prints
+// the experiment's hottest segments, then its metrics dump, resetting the
+// registry in place so instrument handles cached inside the suite stay
+// live. It writes the aggregated attribution dump to path.
+func runXRay(suite *experiments.Suite, ids []string, path string, met *telemetry.Metrics, timing bool, render func(*experiments.Table) (string, error)) int {
+	var col *xray.Collector
+	if path != "" {
+		col = xray.NewCollector()
+		suite.Core.VM.XRay = col
+	}
 	doc := xray.RunDoc{Schema: xray.SchemaVersion}
 	start := time.Now()
 	for _, id := range ids {
@@ -343,22 +330,33 @@ func runXRay(suite *experiments.Suite, ids []string, path string, timing bool, r
 			return 1
 		}
 		fmt.Println(out)
-		rep := xray.Aggregate(id, col.Drain())
-		doc.Reports = append(doc.Reports, rep)
-		if hot := rep.TopSegments(5); len(hot) > 0 {
-			fmt.Printf("xray %s: %d budgets, hottest segments:\n", id, rep.Records)
-			for _, h := range hot {
-				fmt.Printf("  %-28s %-22s %12v %5.1f%%\n", h.Label, h.Segment, h.Total, h.Share*100)
+		if col != nil {
+			rep := xray.Aggregate(id, col.Drain())
+			doc.Reports = append(doc.Reports, rep)
+			if hot := rep.TopSegments(5); len(hot) > 0 {
+				fmt.Printf("xray %s: %d budgets, hottest segments:\n", id, rep.Records)
+				for _, h := range hot {
+					fmt.Printf("  %-28s %-22s %12v %5.1f%%\n", h.Label, h.Segment, h.Total, h.Share*100)
+				}
+				fmt.Println()
 			}
-			fmt.Println()
 		}
 		if timing {
 			fmt.Printf("[%s took %v]\n\n", r.ID, r.Elapsed.Round(time.Millisecond))
+		}
+		if met != nil {
+			fmt.Printf("=== metrics: %s ===\n", id)
+			fmt.Print(met.Dump())
+			fmt.Println()
+			met.Reset()
 		}
 	}
 	if timing {
 		fmt.Printf("[%d experiments took %v over %d workers]\n",
 			len(ids), time.Since(start).Round(time.Millisecond), suite.Pool().Workers())
+	}
+	if col == nil {
+		return 0
 	}
 	if err := cliutil.WriteFile(path, func(w io.Writer) error {
 		return xray.WriteJSON(w, doc)
@@ -367,25 +365,5 @@ func runXRay(suite *experiments.Suite, ids []string, path string, timing bool, r
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "tossctl: wrote attribution dump for %d experiments to %s\n", len(doc.Reports), path)
-	return 0
-}
-
-// runOne executes and renders a single experiment (metrics mode).
-func runOne(suite *experiments.Suite, id string, timing bool, render func(*experiments.Table) (string, error)) int {
-	start := time.Now()
-	t, err := suite.Run(id)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tossctl: %s: %v\n", id, err)
-		return 1
-	}
-	out, err := render(t)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tossctl: %s: render: %v\n", id, err)
-		return 1
-	}
-	fmt.Println(out)
-	if timing {
-		fmt.Printf("[%s took %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
 	return 0
 }

@@ -1,32 +1,13 @@
 package cliutil
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // The rendered strings are part of the CLI surface (the README's flag
 // interaction table quotes them), so the tests pin exact bytes.
 
-func TestConflictForced(t *testing.T) {
-	got := ConflictForced("faasim", "-trace", 4, "span order is only deterministic serially")
-	want := "faasim: -trace conflicts with -workers 4 (span order is only deterministic serially); forcing -workers 1"
-	if got != want {
-		t.Errorf("ConflictForced:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestConflictFatal(t *testing.T) {
-	got := ConflictFatal("faasim", "-http", 8, "the dashboard serves a deterministic timeline")
-	want := "faasim: -http conflicts with -workers 8 (the dashboard serves a deterministic timeline); drop -workers or pass -workers 1"
-	if got != want {
-		t.Errorf("ConflictFatal:\n got %q\nwant %q", got, want)
-	}
-}
-
 func TestMutuallyExclusive(t *testing.T) {
-	got := MutuallyExclusive("tossctl", "-xray", "-metrics", "both re-shape the per-experiment run loop")
-	want := "tossctl: -xray and -metrics are mutually exclusive (both re-shape the per-experiment run loop)"
+	got := MutuallyExclusive("faasim", "-nodes", "-trace", "the cluster simulator replays a modeled fleet, not the microVM platform")
+	want := "faasim: -nodes and -trace are mutually exclusive (the cluster simulator replays a modeled fleet, not the microVM platform)"
 	if got != want {
 		t.Errorf("MutuallyExclusive:\n got %q\nwant %q", got, want)
 	}
@@ -37,38 +18,5 @@ func TestRequires(t *testing.T) {
 	want := "faasim: -router requires -nodes (cluster mode routes through the fleet simulator)"
 	if got != want {
 		t.Errorf("Requires:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestWorkerForcerWarnsOnce(t *testing.T) {
-	var buf bytes.Buffer
-	workers := 4
-	f := &WorkerForcer{Prog: "faasim", Workers: &workers, Err: &buf}
-
-	if !f.Force("-trace", "span order is only deterministic serially") {
-		t.Error("first Force should print the warning")
-	}
-	if workers != 1 {
-		t.Errorf("workers = %d after Force, want 1", workers)
-	}
-	// Later features stay silent: the pool is already serial.
-	if f.Force("-heatmap", "the flight recorder samples a serial timeline") {
-		t.Error("second Force printed a duplicate warning")
-	}
-	want := "faasim: -trace conflicts with -workers 4 (span order is only deterministic serially); forcing -workers 1\n"
-	if buf.String() != want {
-		t.Errorf("warning:\n got %q\nwant %q", buf.String(), want)
-	}
-}
-
-func TestWorkerForcerNoopWhenSerial(t *testing.T) {
-	var buf bytes.Buffer
-	workers := 1
-	f := &WorkerForcer{Prog: "faasim", Workers: &workers, Err: &buf}
-	if f.Force("-trace", "whatever") {
-		t.Error("Force printed despite -workers 1")
-	}
-	if buf.Len() != 0 {
-		t.Errorf("unexpected output %q", buf.String())
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"toss/internal/fleetobs"
 	"toss/internal/simtime"
-	"toss/internal/telemetry"
 )
 
 // Autoscaler configures the virtual-time fleet autoscaler. Every Tick of
@@ -162,19 +161,4 @@ func (c *Cluster) recordScale(action string, n *node, util, burn float64) {
 	c.cfg.FleetObs.ScaleAction(fleetobs.Scale{
 		At: c.now, Action: action, Node: n.id, Util: util, Burn: burn, Fleet: before,
 	})
-	if m := c.cfg.Metrics; m != nil {
-		if action == "up" {
-			m.Counter(telemetry.MetricClusterScaleUps).Add(1)
-		} else {
-			m.Counter(telemetry.MetricClusterScaleDown).Add(1)
-		}
-		m.Gauge(telemetry.MetricClusterNodes).Set(int64(before))
-	}
-	if r := c.cfg.Recorder; r != nil {
-		delta := -1
-		if action == "up" {
-			delta = 1
-		}
-		r.ObservePhase("cluster/fleet", fmt.Sprintf("n=%d", before-delta), fmt.Sprintf("n=%d", before), 0)
-	}
 }

@@ -30,12 +30,9 @@ import (
 	"toss/internal/costmodel"
 	"toss/internal/fleet"
 	"toss/internal/fleetobs"
-	"toss/internal/guest"
 	"toss/internal/keepalive"
-	"toss/internal/obs"
 	"toss/internal/simtime"
 	"toss/internal/stats"
-	"toss/internal/telemetry"
 	"toss/internal/workload"
 	"toss/internal/xray"
 )
@@ -90,11 +87,6 @@ type Config struct {
 	// action with its triggering signals — plus node-grid samples on the
 	// recorder's virtual-time cadence and per-invocation outcomes.
 	FleetObs *fleetobs.Recorder
-	// Metrics, when set, receives cluster.* counters and gauges.
-	Metrics *telemetry.Metrics
-	// Recorder, when set, gets per-node placement rows ("<fn>@<node>") and
-	// fleet-resize phase events on its timelines.
-	Recorder *obs.Recorder
 }
 
 // DefaultConfig returns a small fleet of paper hosts: 3 nodes, 20 cores
@@ -403,7 +395,7 @@ func New(cfg Config, profiles map[string]FnProfile) (*Cluster, error) {
 	c.rankEpoch = make([]uint64, len(c.fnNames))
 	c.rankCache = make([][]int32, len(c.fnNames))
 	c.report.Records.fnNames = c.fnNames
-	c.hasObservers = cfg.XRay != nil || cfg.FleetObs != nil || cfg.Metrics != nil || cfg.Recorder != nil
+	c.hasObservers = cfg.XRay != nil || cfg.FleetObs != nil
 	for _, h := range cfg.Hosts {
 		c.addNode(h)
 	}
@@ -443,9 +435,6 @@ func (c *Cluster) addNode(h fleet.HostSpec) *node {
 	c.rebuildTopo()
 	if live := len(c.liveIdx); live > c.report.PeakNodes {
 		c.report.PeakNodes = live
-	}
-	if m := c.cfg.Metrics; m != nil {
-		m.Gauge(telemetry.MetricClusterNodes).Set(int64(len(c.liveIdx)))
 	}
 	return n
 }
@@ -541,7 +530,6 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 				c.pushEvent(event{at: c.now + c.cfg.Autoscale.Tick, kind: evScaleTick, pri: priLoop})
 			}
 		}
-		c.cfg.Recorder.RecordAt(c.now)
 		if c.cfg.FleetObs != nil {
 			c.cfg.FleetObs.SampleAt(c.now, c.nodeStates)
 		}
@@ -674,18 +662,6 @@ func (c *Cluster) countRoute(res routeResult, fid int32) bool {
 	if res.reason == routeShed {
 		n.router.Sheds++
 	}
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(telemetry.MetricRouterDecisions).Add(1)
-		if hit {
-			m.Counter(telemetry.MetricRouterAffinity).Add(1)
-		}
-		if spilled {
-			m.Counter(telemetry.MetricRouterSpills).Add(1)
-		}
-		if res.reason == routeShed {
-			m.Counter(telemetry.MetricRouterSheds).Add(1)
-		}
-	}
 	return hit
 }
 
@@ -800,36 +776,12 @@ func (c *Cluster) pullSnapshot(n *node, fid int32, bytes int64) simtime.Duration
 	c.report.Pulls++
 	dur := simtime.Duration(bytes * int64(simtime.Second) / c.cfg.PullBytesPerSec)
 	c.report.PullTime += dur
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(telemetry.MetricSnapshotPulls).Add(1)
-	}
 	return dur
 }
 
-// observeInvocation lands one dispatched invocation on the telemetry, obs,
-// and xray surfaces.
+// observeInvocation lands one dispatched invocation's attribution budget on
+// the xray collector.
 func (c *Cluster) observeInvocation(n *node, rec Record) {
-	if m := c.cfg.Metrics; m != nil {
-		if rec.Cold {
-			m.Counter(telemetry.MetricClusterColdStart).Add(1)
-		} else {
-			m.Counter(telemetry.MetricClusterWarmStart).Add(1)
-		}
-	}
-	if r := c.cfg.Recorder; r != nil {
-		// One heatmap row per (function, node): the fleet dashboard shows
-		// where each function's warm state concentrates.
-		prof := c.profs[c.fnIdx[rec.Function]]
-		var slow []guest.Region
-		if prof.SlowPages > 0 {
-			slow = []guest.Region{{Start: 0, Pages: prof.SlowPages}}
-		}
-		cause := "cluster:warm"
-		if rec.Cold {
-			cause = "cluster:cold"
-		}
-		r.ObservePlacement(rec.Function+"@"+n.id, slow, prof.FastPages+prof.SlowPages, cause)
-	}
 	if xr := c.cfg.XRay; xr != nil {
 		label := rec.Function + "@" + n.id + "/cluster"
 		if c.cfg.XRayTag != "" {

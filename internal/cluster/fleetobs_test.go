@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"toss/internal/fleetobs"
-	"toss/internal/obs"
 	"toss/internal/simtime"
-	"toss/internal/telemetry"
 	"toss/internal/workload"
 	"toss/internal/xray"
 )
@@ -182,9 +180,9 @@ func TestFleetObsTrace(t *testing.T) {
 
 // TestScaleEventsIdenticalUnderObservers mirrors PR 4's zero-fault-plan
 // identity test at fleet scale: attaching the full observability stack —
-// flight recorder, metrics, xray collector, fleetobs recorder — must not
-// perturb a single routing or scaling decision. The whole report renders
-// byte-identical with and without observers.
+// xray collector and fleetobs recorder — must not perturb a single routing
+// or scaling decision. The whole report renders byte-identical with and
+// without observers.
 func TestScaleEventsIdenticalUnderObservers(t *testing.T) {
 	arrivals := testArrivals(t, workload.ProcFlash, 25*simtime.Millisecond)
 	cfg := testConfig(2, RouteAffinity)
@@ -196,8 +194,6 @@ func TestScaleEventsIdenticalUnderObservers(t *testing.T) {
 	}
 
 	observed := cfg
-	observed.Recorder = obs.New(obs.Config{Interval: 100 * simtime.Millisecond})
-	observed.Metrics = telemetry.NewMetrics()
 	observed.XRay = &xray.Collector{}
 	observed.FleetObs = fleetobs.New(fleetobs.Config{})
 	rep := runOnce(t, observed, arrivals)

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"toss/internal/obs"
 	"toss/internal/par"
-	"toss/internal/simtime"
 	"toss/internal/telemetry"
 	"toss/internal/workload"
 )
@@ -107,10 +105,11 @@ func TestExt11SerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolSerialWhenObserved pins the faasim rule carried over to the
-// suite: any attached recorder, observer, or metrics sink forces the pool
-// serial so observation order stays deterministic.
-func TestPoolSerialWhenObserved(t *testing.T) {
+// TestPoolParallelWhenObserved pins that observing a suite does not
+// serialize it: a metrics registry sums the same in any order, so only
+// Workers (and a suite-level fault injector, see
+// TestPoolSerialWithSuiteInjector) decide the pool.
+func TestPoolParallelWhenObserved(t *testing.T) {
 	plain := NewSuite()
 	plain.Workers = 8
 	if plain.Pool() == par.Serial {
@@ -120,24 +119,45 @@ func TestPoolSerialWhenObserved(t *testing.T) {
 		t.Errorf("pool workers = %d, want 8", got)
 	}
 
-	recorded := NewSuite()
-	recorded.Workers = 8
-	recorded.SetRecorder(obs.New(obs.Config{Interval: simtime.Millisecond}))
-	if recorded.Pool() != par.Serial {
-		t.Error("suite with a recorder attached must run serially")
-	}
-
 	metered := NewSuite()
 	metered.Workers = 8
 	metered.Core.VM.Metrics = telemetry.NewMetrics()
-	if metered.Pool() != par.Serial {
-		t.Error("suite with a metrics sink attached must run serially")
+	if got := metered.Pool().Workers(); got != 8 {
+		t.Errorf("suite with a metrics registry attached: pool workers = %d, want 8", got)
 	}
 
 	single := NewSuite()
 	single.Workers = 1
 	if single.Pool() != par.Serial {
 		t.Error("Workers=1 suite must use the serial pool")
+	}
+}
+
+// TestMetricsParallelIdentical pins what lets tossctl -metrics keep its
+// pool: parallel cells write the registry in a different order, but the
+// counters and histograms sum the same, and the only gauges they set (ext1's
+// sched gauges) end on the same value in every cell.
+func TestMetricsParallelIdentical(t *testing.T) {
+	dump := func(workers int) string {
+		s := NewSuite()
+		s.Iterations = 1
+		s.Workers = workers
+		met := telemetry.NewMetrics()
+		s.Core.VM.Metrics = met
+		if got := s.Pool().Workers(); got != workers {
+			t.Fatalf("pool workers = %d, want %d", got, workers)
+		}
+		if _, err := s.RunMany([]string{"ext1", "fig2"}); err != nil {
+			t.Fatal(err)
+		}
+		return met.Dump()
+	}
+	serial, parallel := dump(1), dump(8)
+	if serial == "" {
+		t.Fatal("empty metrics dump")
+	}
+	if serial != parallel {
+		t.Errorf("metrics dump differs between 1 and 8 workers:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }
 

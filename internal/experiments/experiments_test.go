@@ -5,10 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"toss/internal/mem"
-	"toss/internal/obs"
-	"toss/internal/simtime"
-	"toss/internal/telemetry"
 	"toss/internal/workload"
 )
 
@@ -420,47 +416,5 @@ func TestSuiteCachesBuilds(t *testing.T) {
 	}
 	if b3 == b1 {
 		t.Error("different input sets share a cache entry")
-	}
-}
-
-func TestFig7FeedsRecorder(t *testing.T) {
-	s := fastSuite()
-	rec := obs.New(obs.Config{
-		Interval: 10 * simtime.Millisecond,
-		Metrics:  telemetry.NewMetrics(),
-	})
-	s.SetRecorder(rec)
-	if _, err := s.Run("fig7"); err != nil {
-		t.Fatal(err)
-	}
-	snap := rec.Snapshot()
-	if snap.Now == 0 {
-		t.Error("recorder clock never advanced")
-	}
-	if len(snap.Timelines) == 0 {
-		t.Fatal("no residency timelines recorded")
-	}
-	sawPlacement, sawFault := false, false
-	for _, tl := range snap.Timelines {
-		for _, ev := range tl.Events {
-			if ev.Cause == "placement:fig7" {
-				sawPlacement = true
-			}
-		}
-		if tl.Faults[mem.Fast]+tl.Faults[mem.Slow] > 0 {
-			sawFault = true
-		}
-	}
-	if !sawPlacement {
-		t.Error("no fig7 placement events on the timelines")
-	}
-	if !sawFault {
-		t.Error("machine observer recorded no faults")
-	}
-	// Detaching clears the typed-nil hazard: Observer must be a nil
-	// interface, not a nil *Recorder in a non-nil interface.
-	s.SetRecorder(nil)
-	if s.Core.VM.Observer != nil {
-		t.Error("SetRecorder(nil) left a non-nil Observer interface")
 	}
 }

@@ -44,9 +44,6 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 		Title:  "Setup time normalized to DRAM snapshot setup (Fig. 7)",
 		Header: []string{"function", "dram (ms)", "toss", "reap min", "reap avg", "reap max"},
 	}
-	// Per-function cells are independent; the recorder calls inside the
-	// mapped body stay ordered because an attached recorder forces the pool
-	// serial (see Suite.Pool) and are no-ops when it is nil.
 	type specRes struct {
 		row   []any
 		ratio float64
@@ -62,11 +59,6 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 		}
 		dram := float64(s.Core.VM.VMLoadBase + s.Core.VM.MmapCost)
 		tossSetup := float64(microvm.RestoreTiered(s.Core.VM, layout, b.tiered, 1).SetupTime())
-		// Land the measured placement on the flight recorder's timeline and
-		// advance its clock by the measured setup, so fig7 runs show up on
-		// the residency heatmap.
-		s.Obs.ObservePlacement(spec.Name, b.analysis.Placement.SlowRegions(), layout.TotalPages, "fig7")
-		s.Obs.Advance(simtime.Duration(tossSetup))
 
 		var reapSetups []float64
 		for _, snapLv := range AllLevels {
@@ -277,9 +269,6 @@ func Fig9Scalability(s *Suite) (*Table, error) {
 			if err != nil {
 				return sr, err
 			}
-			s.Obs.ObservePlacement(spec.Name, b.analysis.Placement.SlowRegions(),
-				layout.TotalPages, fmt.Sprintf("fig9/conc=%d", conc))
-			s.Obs.Advance(simtime.Duration(tossExec))
 			bestExec, err := runExec(microvm.RestoreREAP(s.Core.VM, mBest.Layout(), mBest.Snapshot(), mBest.WorkingSet(), conc))
 			if err != nil {
 				return sr, err

@@ -21,7 +21,6 @@ import (
 	"toss/internal/insight"
 	"toss/internal/mem"
 	"toss/internal/microvm"
-	"toss/internal/obs"
 	"toss/internal/par"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
@@ -38,10 +37,6 @@ type Suite struct {
 	Iterations int
 	// BaseSeed makes the whole suite deterministic.
 	BaseSeed int64
-	// Obs, when set, records tier placements and measured phases of the
-	// observability-wired experiments (Fig. 7/9) on its residency timelines.
-	// Attach with SetRecorder so machine-level observations flow too.
-	Obs *obs.Recorder
 	// FleetSink, when set, collects the fleet decision traces of the
 	// cluster experiments (ext9): each swept cell records its best
 	// sustained run's routing/scaling event log, rendered as cell-tagged
@@ -54,9 +49,7 @@ type Suite struct {
 	// SLO-alert fire/resolve edges, and rule-evaluation counts. The
 	// alerts are computed either way (the tables note them); the sink
 	// only exports them. It folds parallel cells by sorted cell name, so
-	// the alert log and dump are byte-identical at any worker-pool size —
-	// and unlike Obs it is a pure post-run consumer, so attaching it does
-	// not force the pool serial.
+	// the alert log and dump are byte-identical at any worker-pool size.
 	InsightSink *insight.Sink
 	// Workers bounds the experiment engine's parallelism (see Pool). Zero
 	// or one runs everything serially. Set before the first Run.
@@ -111,14 +104,14 @@ type buildEntry struct {
 }
 
 // Pool returns the worker pool experiments fan cells out on. It is serial
-// when Workers <= 1 and whenever a recorder, observer, metrics sink, or
-// suite-level fault injector is attached — those consumers record (or, for
-// the injector, sequence-count) events in arrival order, mirroring faasim's
-// tracing-forces-workers=1 rule. Experiments that build their own per-cell
-// injectors (ext8) stay parallel-safe: each cell's sequence counters are
-// private.
+// when Workers <= 1 and when a suite-level fault injector is attached: the
+// injector's per-(site, function) sequence counters decide which queries
+// fire, so concurrent cells would race the firing order. Experiments that
+// build their own per-cell injectors (ext8) stay parallel-safe: each cell's
+// sequence counters are private. A metrics registry does not force serial:
+// its counters and histograms sum the same in any order.
 func (s *Suite) Pool() *par.Pool {
-	if s.Workers <= 1 || s.Obs != nil || s.Core.VM.Observer != nil || s.Core.VM.Metrics != nil || s.Core.VM.Faults != nil {
+	if s.Workers <= 1 || s.Core.VM.Faults != nil {
 		return par.Serial
 	}
 	s.poolOnce.Do(func() { s.pool = par.New(s.Workers) })
@@ -139,19 +132,6 @@ func NewSuite() *Suite {
 		Iterations: 5,
 		BaseSeed:   1,
 	}
-}
-
-// SetRecorder attaches a flight recorder to the suite: experiment-built
-// machines report restores and faults to it (via the microvm observer), and
-// the wired experiments push placements and advance its virtual clock. Call
-// before Run; pass nil to detach.
-func (s *Suite) SetRecorder(r *obs.Recorder) {
-	s.Obs = r
-	if r == nil {
-		s.Core.VM.Observer = nil // avoid a typed-nil interface
-		return
-	}
-	s.Core.VM.Observer = r
 }
 
 // AllLevels is the paper's full input mix; LevelIVOnly is the input-IV-only

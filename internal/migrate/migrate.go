@@ -33,7 +33,6 @@ import (
 	"toss/internal/guest"
 	"toss/internal/mem"
 	"toss/internal/simtime"
-	"toss/internal/telemetry"
 )
 
 // Policy selects what the engine is allowed to move.
@@ -254,9 +253,6 @@ type Engine struct {
 	busyUntil simtime.Duration
 	log       []Event
 	stats     Stats
-
-	// Metrics, when set, receives migrate.* counters. Nil-safe.
-	Metrics *telemetry.Metrics
 
 	// scratch buffers reused across Ticks.
 	order   []int
@@ -611,23 +607,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	if !oracle && cursor > e.busyUntil {
 		e.busyUntil = cursor
 	}
-	events := e.log[logStart:]
-	if m := e.Metrics; m != nil && len(events) > 0 {
-		var moved int64
-		for _, ev := range events {
-			moved += ev.Region.Pages * guest.PageSize
-			switch ev.Reason {
-			case ReasonDemote, ReasonEvict:
-				m.Counter(telemetry.MetricMigrateDemotions).Add(1)
-			case ReasonPrefetch:
-				m.Counter(telemetry.MetricMigratePrefetches).Add(1)
-			default:
-				m.Counter(telemetry.MetricMigratePromotions).Add(1)
-			}
-		}
-		m.Counter(telemetry.MetricMigrateMovedBytes).Add(moved)
-	}
-	return events
+	return e.log[logStart:]
 }
 
 // makeRoom evicts coldest incumbents of `target` (one level down, cascading

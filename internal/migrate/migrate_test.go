@@ -7,7 +7,6 @@ import (
 	"toss/internal/mem"
 	"toss/internal/par"
 	"toss/internal/simtime"
-	"toss/internal/telemetry"
 )
 
 // testHierarchy returns the default 4-tier stack with explicit capacities
@@ -315,23 +314,6 @@ func TestTouchRegionWeighting(t *testing.T) {
 	e.Touch(guest.Region{Start: 128, Pages: 64}, 8) // exactly extent 2
 	if e.pending[2] != 8 {
 		t.Fatalf("full-overlap heat = %v, want 8", e.pending[2])
-	}
-}
-
-// TestMetricsCounters: a wired telemetry registry sees the migrate.*
-// counters move.
-func TestMetricsCounters(t *testing.T) {
-	cfg := DefaultConfig(testHierarchy(1024, 1024, 1024))
-	e, _ := New(cfg, 64*10)
-	m := telemetry.NewMetrics()
-	e.Metrics = m
-	e.TouchExtent(2, 50)
-	e.Tick(cfg.Epoch)
-	if m.Counter(telemetry.MetricMigratePromotions).Value() == 0 {
-		t.Fatal("promotion counter did not move")
-	}
-	if m.Counter(telemetry.MetricMigrateMovedBytes).Value() == 0 {
-		t.Fatal("moved-bytes counter did not move")
 	}
 }
 

@@ -270,10 +270,9 @@ func (r *Recorder) Now() simtime.Duration {
 	return r.now
 }
 
-// RecordAt advances the recorder's virtual clock to now (monotonic; earlier
-// values are ignored) and samples every registered instrument at each
-// interval boundary crossed. The discrete-event scheduler calls this with
-// its global clock after every event.
+// RecordAt advances the recorder's virtual clock to the absolute time now
+// (monotonic; earlier values are ignored) and samples every registered
+// instrument at each interval boundary crossed.
 func (r *Recorder) RecordAt(now simtime.Duration) {
 	if r == nil {
 		return

@@ -1,17 +1,17 @@
 // Package platform assembles the pieces into a serverless platform: a
 // function registry, per-function snapshot managers (TOSS, REAP, or plain
-// lazy-restore DRAM), a concurrent invoker pool, and per-function billing
-// statistics based on the paper's memory cost formula.
+// lazy-restore DRAM), a trace replayer, and per-function billing statistics
+// based on the paper's memory cost formula.
 //
-// The platform runs invocations on real goroutines; all *timing* remains
-// virtual and deterministic given the observed concurrency level, which the
-// platform feeds into the memory/disk contention models.
+// Concurrency is a model input, not an observation: Replay serves a trace
+// in request order and charges every invocation the memory/disk contention
+// of the concurrency level it is given, so all timing is virtual and every
+// output is a function of the trace and that level alone.
 package platform
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"toss/internal/access"
 	"toss/internal/core"
@@ -20,7 +20,6 @@ import (
 	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/obs"
-	"toss/internal/par"
 	"toss/internal/reap"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
@@ -71,19 +70,13 @@ type Platform struct {
 	mu  sync.RWMutex
 	fns map[string]*functionState
 
-	// active tracks in-flight invocations for the contention models.
-	active atomic.Int64
-
 	// tracer, when set, records every invocation as a root span on its own
-	// track (nil disables tracing at near-zero cost). Span creation order is
-	// only deterministic when invocations are serialized; run Replay with one
-	// worker for byte-identical traces.
+	// track (nil disables tracing at near-zero cost).
 	tracer *telemetry.Tracer
 
 	// recorder, when set, receives machine restore/fault observations, TOSS
 	// controller phase/placement transitions, and DAMON-accuracy audits, and
-	// has its virtual clock advanced by each invocation's duration. Like the
-	// tracer, deterministic output needs serialized invocations.
+	// has its virtual clock advanced by each invocation's duration.
 	recorder *obs.Recorder
 
 	// policy governs retry and graceful degradation when restore-path
@@ -265,10 +258,16 @@ type Record struct {
 // Total returns setup + execution.
 func (r Record) Total() simtime.Duration { return r.Setup + r.Exec }
 
-// Invoke serves one invocation of a registered function. Safe for
-// concurrent use; concurrent invocations see each other through the
-// contention models.
+// Invoke serves one invocation of a registered function at modeled
+// concurrency 1. Safe for concurrent use, but concurrent callers do not see
+// each other: contention comes only from the level Replay is given.
 func (p *Platform) Invoke(name string, lv workload.Level, seed int64) Record {
+	return p.invoke(name, lv, seed, 1)
+}
+
+// invoke serves one invocation charged the disk and slow-tier contention of
+// conc invocations in flight.
+func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) Record {
 	p.mu.RLock()
 	fs := p.fns[name]
 	p.mu.RUnlock()
@@ -277,8 +276,6 @@ func (p *Platform) Invoke(name string, lv workload.Level, seed int64) Record {
 		rec.Err = fmt.Errorf("platform: unknown function %q", name)
 		return rec
 	}
-	conc := int(p.active.Add(1))
-	defer p.active.Add(-1)
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -547,12 +544,17 @@ type Request struct {
 	Seed     int64
 }
 
-// Replay drives a request trace through a bounded worker pool and returns
-// one record per request, in request order (not completion order), so
-// per-request output is reproducible regardless of the worker count.
+// Replay serves a request trace in request order on the calling goroutine
+// and returns one record per request. workers is the modeled concurrency:
+// every invocation is charged the contention of min(workers, len(reqs))
+// invocations in flight, so the records, and everything an attached tracer,
+// recorder, metrics registry or fault injector sees, are the same on every
+// run of the same trace.
 func (p *Platform) Replay(reqs []Request, workers int) []Record {
-	records, _ := par.Map(par.New(workers), reqs, func(_ int, req Request) (Record, error) {
-		return p.Invoke(req.Function, req.Level, req.Seed), nil
-	})
+	conc := min(workers, len(reqs))
+	records := make([]Record, len(reqs))
+	for i, req := range reqs {
+		records[i] = p.invoke(req.Function, req.Level, req.Seed, conc)
+	}
 	return records
 }

@@ -1,10 +1,15 @@
 package platform
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"toss/internal/core"
+	"toss/internal/fault"
+	"toss/internal/telemetry"
 	"toss/internal/workload"
 )
 
@@ -208,6 +213,92 @@ func TestReplayConcurrent(t *testing.T) {
 	if a.Invocations+b.Invocations != int64(len(reqs)) {
 		t.Errorf("stats count %d+%d != %d", a.Invocations, b.Invocations, len(reqs))
 	}
+}
+
+// TestReplayDeterministic pins that a replay's output is a function of the
+// trace and the modeled concurrency alone. Two fresh platforms with a
+// tracer, a fault injector and a metrics registry attached replay the same
+// trace at 4 workers and must agree on every record, the Chrome trace bytes,
+// the injector's firing counts and the metrics dump. At 1 worker, Replay
+// must equal a loop of Invoke.
+func TestReplayDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"pyaes", "json_load_dump", "compress"}
+	reqs := make([]Request, 60)
+	for i := range reqs {
+		reqs[i] = Request{
+			Function: names[rng.Intn(len(names))],
+			Level:    workload.Levels[rng.Intn(len(workload.Levels))],
+			Seed:     rng.Int63n(1 << 40),
+		}
+	}
+	type run struct {
+		records []Record
+		trace   []byte
+		faults  map[fault.Site]int64
+		metrics string
+	}
+	observed := func(serve func(*Platform) []Record) run {
+		t.Helper()
+		cfg := core.DefaultConfig()
+		cfg.ConvergenceWindow = 3
+		cfg.ReprofileBudget = 0
+		inj, err := fault.New(fault.UniformPlan(0.05, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.VM.Faults = inj
+		cfg.VM.Metrics = telemetry.NewMetrics()
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := telemetry.NewTracer()
+		p.SetTracer(tracer)
+		mustRegister(t, p, "pyaes", ModeTOSS)
+		mustRegister(t, p, "json_load_dump", ModeDRAM)
+		mustRegister(t, p, "compress", ModeSlow)
+		records := serve(p)
+		var trace bytes.Buffer
+		if err := telemetry.WriteChromeTrace(&trace, tracer.Spans()); err != nil {
+			t.Fatal(err)
+		}
+		return run{records, trace.Bytes(), inj.Counts(), cfg.VM.Metrics.Dump()}
+	}
+	replay := func(workers int) func(*Platform) []Record {
+		return func(p *Platform) []Record { return p.Replay(reqs, workers) }
+	}
+	same := func(what string, a, b run) {
+		t.Helper()
+		if !reflect.DeepEqual(a.records, b.records) {
+			t.Errorf("%s: records differ", what)
+		}
+		if !bytes.Equal(a.trace, b.trace) {
+			t.Errorf("%s: Chrome traces differ", what)
+		}
+		if !reflect.DeepEqual(a.faults, b.faults) {
+			t.Errorf("%s: injector counts differ: %v vs %v", what, a.faults, b.faults)
+		}
+		if a.metrics != b.metrics {
+			t.Errorf("%s: metrics dumps differ:\n%s\nvs\n%s", what, a.metrics, b.metrics)
+		}
+	}
+
+	first := observed(replay(4))
+	if len(first.records) != len(reqs) || len(first.faults) == 0 {
+		t.Fatalf("got %d records and %d firing sites; the comparison would be vacuous",
+			len(first.records), len(first.faults))
+	}
+	same("two replays at 4 workers", first, observed(replay(4)))
+
+	loop := observed(func(p *Platform) []Record {
+		records := make([]Record, len(reqs))
+		for i, req := range reqs {
+			records[i] = p.Invoke(req.Function, req.Level, req.Seed)
+		}
+		return records
+	})
+	same("Replay at 1 worker vs a loop of Invoke", observed(replay(1)), loop)
 }
 
 func TestConcurrentInvokeRace(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"toss/internal/core"
 	"toss/internal/fault"
 	"toss/internal/keepalive"
-	"toss/internal/obs"
 	"toss/internal/predict"
 	"toss/internal/simtime"
 	"toss/internal/telemetry"
@@ -313,31 +312,10 @@ type Sim struct {
 	// expirations counts idle-TTL expiries.
 	expirations int64
 
-	// tracer, when set, records each invocation as a root span on the
-	// simulator's global virtual timeline: queue wait, setup, and execution
-	// appear as children. The simulator is single-threaded, so traces are
-	// deterministic by construction.
-	tracer *telemetry.Tracer
-
-	// recorder, when set, has its virtual clock driven by the event loop.
-	recorder *obs.Recorder
-
 	// breaker circuit-breaks keep-alive admission per function under fault
 	// injection (nil without a fault plan; nil is always-closed).
 	breaker *fault.Breaker
 }
-
-// SetTracer attaches a tracer recording one root span per dispatched
-// invocation on the global virtual timeline. Pass nil to disable.
-func (s *Sim) SetTracer(t *telemetry.Tracer) { s.tracer = t }
-
-// SetRecorder attaches a flight recorder whose virtual clock follows the
-// simulator's global event clock: after every processed event the recorder
-// is advanced to the event's time, sampling each crossed interval boundary.
-// Set cfg.Core.VM.Observer to the same recorder (before New) to also land
-// machine-level fault/restore observations on its residency timelines.
-// Pass nil to disable.
-func (s *Sim) SetRecorder(r *obs.Recorder) { s.recorder = r }
 
 // met returns the metrics registry (nil when the config has none attached).
 func (s *Sim) met() *telemetry.Metrics { return s.cfg.Core.VM.Metrics }
@@ -405,7 +383,6 @@ func (s *Sim) Run(arrivals []trace.Arrival) (*Report, error) {
 		if s.now > s.report.Horizon {
 			s.report.Horizon = s.now
 		}
-		s.recorder.RecordAt(s.now)
 	}
 	if s.cache != nil {
 		s.report.CacheStats = s.cache.Stats()
@@ -553,17 +530,6 @@ func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
 	s.report.Records = append(s.report.Records, rec)
 	s.push(&event{at: finish, kind: evCompletion})
 
-	if span := s.tracer.Root(telemetry.KindInvocation, a.Function, arrivedAt,
-		telemetry.Str("start", kind.String()),
-		telemetry.I64("concurrency", int64(conc))); span != nil {
-		if s.now > arrivedAt {
-			span.Child(telemetry.KindQueueWait, "queue-wait", arrivedAt).EndAt(s.now)
-		}
-		span.Child(telemetry.KindSnapshotRestore, "setup:"+kind.String(), s.now).
-			EndAt(s.now + setup)
-		span.Child(telemetry.KindExec, "exec", s.now+setup).EndAt(finish)
-		span.EndAt(finish)
-	}
 	if met := s.met(); met != nil {
 		switch kind {
 		case ColdStart:

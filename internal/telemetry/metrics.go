@@ -595,23 +595,8 @@ const (
 	MetricRecoveryLatency = "platform.recovery_ns"
 	MetricBreakerTrips    = "sched.breaker_trips"
 	MetricEvictStorms     = "sched.evict_storms"
-	// cluster
-	MetricClusterNodes     = "cluster.nodes"
-	MetricRouterDecisions  = "cluster.router_decisions"
-	MetricRouterAffinity   = "cluster.router_affinity_hits"
-	MetricRouterSpills     = "cluster.router_spills"
-	MetricRouterSheds      = "cluster.router_sheds"
-	MetricSnapshotPulls    = "cluster.snapshot_pulls"
-	MetricClusterScaleUps  = "cluster.scale_ups"
-	MetricClusterScaleDown = "cluster.scale_downs"
-	MetricClusterColdStart = "cluster.cold_starts"
-	MetricClusterWarmStart = "cluster.warm_starts"
-	// migration engine (internal/migrate)
-	MetricMigratePromotions = "migrate.promotions"
-	MetricMigrateDemotions  = "migrate.demotions"
-	MetricMigratePrefetches = "migrate.prefetch_extents"
-	MetricMigrateMovedBytes = "migrate.moved_bytes"
-	MetricMigrateStallTime  = "migrate.stall_ns"
+	// tier migration time charged to sched's cold starts
+	MetricMigrateStallTime = "migrate.stall_ns"
 )
 
 // TierUtilization derives per-tier memory-time shares of total execution
