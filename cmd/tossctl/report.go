@@ -104,34 +104,43 @@ type artifact struct {
 	cells  insight.Cells
 }
 
-// loadArtifact sniffs which run artifact a JSON file is — insight dumps
-// carry "cells", attribution dumps "experiments", benchjson reports
-// "benchmarks" — and flattens it into comparable cells. A file carrying
-// none of the three reads as an (empty) attribution dump.
+// loadArtifact reads and parses one run artifact file.
 func loadArtifact(path string) (artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return artifact{}, err
 	}
+	a, err := parseArtifact(data)
+	if err != nil {
+		return artifact{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return a, nil
+}
+
+// parseArtifact sniffs which run artifact a JSON document is — insight
+// dumps carry "cells", attribution dumps "experiments", benchjson reports
+// "benchmarks" — and flattens it into comparable cells. A document carrying
+// none of the three reads as an (empty) attribution dump.
+func parseArtifact(data []byte) (artifact, error) {
 	var probe struct {
 		Experiments []json.RawMessage `json:"experiments"`
 		Benchmarks  []json.RawMessage `json:"benchmarks"`
 		Cells       []json.RawMessage `json:"cells"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return artifact{}, fmt.Errorf("%s: %w", path, err)
+		return artifact{}, err
 	}
 	switch {
 	case probe.Experiments == nil && probe.Benchmarks == nil && probe.Cells != nil:
 		d, err := insight.ReadDump(bytes.NewReader(data))
 		if err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
+			return artifact{}, err
 		}
 		return artifact{kind: "insight", schema: d.Schema, cells: insight.DumpCells(d)}, nil
 	case probe.Experiments == nil && probe.Benchmarks != nil:
 		var bd benchDoc
 		if err := json.Unmarshal(data, &bd); err != nil {
-			return artifact{}, fmt.Errorf("%s: %w", path, err)
+			return artifact{}, err
 		}
 		// The schema is left unread, so reports written before benchjson
 		// stamped versions still compare against current ones.
@@ -139,7 +148,7 @@ func loadArtifact(path string) (artifact, error) {
 	}
 	doc, err := xray.ReadJSON(bytes.NewReader(data))
 	if err != nil {
-		return artifact{}, fmt.Errorf("%s: %w", path, err)
+		return artifact{}, err
 	}
 	return artifact{kind: "xray", schema: doc.Schema, cells: runDocCells(doc)}, nil
 }

@@ -448,3 +448,37 @@ func TestReportNamesClusterCells(t *testing.T) {
 		t.Fatalf("untagged cluster cell not compared:\n%s", out)
 	}
 }
+
+// nullReportDoc is an attribution dump whose one report is null.
+const nullReportDoc = `{"schema_version":1,"experiments":[null]}`
+
+// TestReportRejectsNullReport: a pair of dumps holding a null report exits
+// 1 with an error instead of dereferencing the report.
+func TestReportRejectsNullReport(t *testing.T) {
+	dir := t.TempDir()
+	a := writeFile(t, dir, "a.json", nullReportDoc)
+	b := writeFile(t, dir, "b.json", nullReportDoc)
+	if code, _ := captureReport(t, a, b); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+}
+
+// FuzzLoadArtifact: any document yields an artifact or an error, never a
+// panic.
+func FuzzLoadArtifact(f *testing.F) {
+	for _, path := range []string{
+		goldenRunDoc,
+		"../../internal/insight/testdata/dump.json",
+		"../../BENCH_experiments.json",
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(nullReportDoc))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = parseArtifact(data)
+	})
+}

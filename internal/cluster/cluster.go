@@ -64,19 +64,11 @@ type Config struct {
 	BurnWindow simtime.Duration
 	// Autoscale configures the virtual-time autoscaler.
 	Autoscale Autoscaler
-	// DecideCost models the front end as a serial router that spends this
-	// long on every routing decision: arrivals queue when decisions back
-	// up, and both waits land in the invocation's budget (router.queue,
-	// router.decide) and its end-to-end latency. Zero (the default) keeps
-	// the front end instantaneous, byte-identical to the pre-DecideCost
-	// model.
-	DecideCost simtime.Duration
 
 	// XRay, when set, collects one budget per invocation labeled
 	// "<fn>@<node>/cluster[/<XRayTag>]" with causally ordered
-	// router.queue / router.decide / snapshot.pull / node.queue / exec.*
-	// segments that sum to the record's end-to-end latency, plus
-	// router/autoscaler marks.
+	// node.queue / snapshot.pull / exec.* segments that sum to the
+	// record's end-to-end latency, plus router/autoscaler marks.
 	XRay *xray.Collector
 	// XRayTag, when non-empty, suffixes every budget label so dumps from
 	// different fleet shapes (node count, policy, arrival process) compare
@@ -168,12 +160,9 @@ type queued struct {
 	a   workload.ArrivalSpec
 	fid int32
 	enq simtime.Duration
-	// rq / decide are the front-end segments the arrival already paid
-	// before reaching the node; route is the routing reason (a routeReasons
-	// code). All ride to dispatch so the Record and its budget carry them.
-	rq     simtime.Duration
-	decide simtime.Duration
-	route  uint8
+	// route is the routing reason (a routeReasons code); it rides to
+	// dispatch so the Record and its budget carry it.
+	route uint8
 }
 
 // waitRing is a growable FIFO ring of queued arrivals: steady-state
@@ -225,11 +214,6 @@ type Record struct {
 	// Route is the routing reason (fleetobs.Reason*: rr, least, affinity,
 	// spill, shed).
 	Route string
-	// RouterQueue is time waiting for the front-end router itself and
-	// Decide the routing-decision cost; both are zero unless
-	// Config.DecideCost models a non-instant front end.
-	RouterQueue simtime.Duration
-	Decide      simtime.Duration
 	// QueueDelay is time waiting for a core on the routed node.
 	QueueDelay simtime.Duration
 	// Pull is snapshot-fetch time on a cold start at a node without the
@@ -242,7 +226,7 @@ type Record struct {
 
 // Latency is the end-to-end response time.
 func (r Record) Latency() simtime.Duration {
-	return r.RouterQueue + r.Decide + r.QueueDelay + r.Pull + r.Setup + r.Exec
+	return r.QueueDelay + r.Pull + r.Setup + r.Exec
 }
 
 // NodeStats summarizes one node's run.
@@ -351,10 +335,6 @@ type Cluster struct {
 	lastTotal, lastBad int64
 	// pending scale marks attach to the next sealed xray budget.
 	pendingUp, pendingDown int64
-
-	// routerFree is when the serial front-end router finishes its current
-	// decision (only advances when cfg.DecideCost > 0).
-	routerFree simtime.Duration
 
 	// Topology caches, rebuilt on node add/drain/retire: routableIdx and
 	// liveIdx index into nodes in creation order; topoEpoch invalidates the
@@ -496,21 +476,7 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 			if err := c.pullArrival(src); err != nil {
 				return nil, err
 			}
-			if c.cfg.DecideCost > 0 {
-				// Serial front end: the decision starts when the router
-				// frees up and the arrival lands on its node when the
-				// decision completes.
-				start := c.now
-				if c.routerFree > start {
-					start = c.routerFree
-				}
-				c.routerFree = start + c.cfg.DecideCost
-				c.pushEvent(event{at: c.routerFree, kind: evRouted, pri: priLoop, a: e.a, fid: e.fid, rq: start - c.now})
-				break
-			}
-			c.routeArrival(e.a, e.fid, 0)
-		case evRouted:
-			c.routeArrival(e.a, e.fid, e.rq)
+			c.routeArrival(e.a, e.fid)
 		case evCompletion:
 			n := c.nodes[e.node]
 			n.free++
@@ -569,38 +535,27 @@ func (c *Cluster) pullArrival(src workload.Source) error {
 	return nil
 }
 
-// routeArrival routes one arrival (rq is the front-end wait it already
-// paid) and dispatches or enqueues it on the chosen node.
-func (c *Cluster) routeArrival(a workload.ArrivalSpec, fid int32, rq simtime.Duration) {
+// routeArrival routes one arrival and dispatches or enqueues it on the
+// chosen node.
+func (c *Cluster) routeArrival(a workload.ArrivalSpec, fid int32) {
 	res := c.route(fid, a.Function)
 	hit := c.countRoute(res, fid)
 	if f := c.cfg.FleetObs; f != nil {
 		f.RouteDecision(fleetobs.Decision{
-			At:          c.now,
-			Function:    a.Function,
-			Node:        res.n.id,
-			Reason:      routeReasons[res.reason],
-			Hit:         hit,
-			RouterQueue: rq,
-			Decide:      c.decideCost(),
-			Candidates:  res.cands,
+			At:         c.now,
+			Function:   a.Function,
+			Node:       res.n.id,
+			Reason:     routeReasons[res.reason],
+			Hit:        hit,
+			Candidates: res.cands,
 		})
 	}
-	q := queued{a: a, fid: fid, enq: c.now, rq: rq, decide: c.decideCost(), route: res.reason}
+	q := queued{a: a, fid: fid, enq: c.now, route: res.reason}
 	if res.n.free == 0 {
 		res.n.waiting.push(q)
 	} else {
 		c.dispatch(res.n, q)
 	}
-}
-
-// decideCost is the per-decision front-end cost actually charged (zero for
-// the instantaneous default front end).
-func (c *Cluster) decideCost() simtime.Duration {
-	if c.cfg.DecideCost > 0 {
-		return c.cfg.DecideCost
-	}
-	return 0
 }
 
 // nodeStates snapshots every node ever created for the fleet grid, in
@@ -707,27 +662,25 @@ func (c *Cluster) dispatch(n *node, q queued) {
 	qd := c.now - q.enq
 	work := pull + setup + exec
 	finish := c.now + work
-	latency := q.rq + q.decide + qd + work
+	latency := qd + work
 	n.busy += work
 	c.report.BusyCoreTime += work
 	c.report.Records.push(fid, n.idx, uint8(lv), q.route, cold,
-		q.enq, q.rq, q.decide, qd, pull, setup, exec)
+		q.enq, qd, pull, setup, exec)
 	c.pushEvent(event{at: finish, kind: evCompletion, pri: priLoop, node: n.idx, latency: latency})
 
 	if c.hasObservers {
 		rec := Record{
-			Function:    a.Function,
-			Node:        n.id,
-			Level:       lv,
-			Arrival:     q.enq,
-			Route:       routeReasons[q.route],
-			RouterQueue: q.rq,
-			Decide:      q.decide,
-			QueueDelay:  qd,
-			Pull:        pull,
-			Setup:       setup,
-			Exec:        exec,
-			Cold:        cold,
+			Function:   a.Function,
+			Node:       n.id,
+			Level:      lv,
+			Arrival:    q.enq,
+			Route:      routeReasons[q.route],
+			QueueDelay: qd,
+			Pull:       pull,
+			Setup:      setup,
+			Exec:       exec,
+			Cold:       cold,
 		}
 		c.cfg.FleetObs.Invocation(n.id, latency, cold)
 		c.observeInvocation(n, rec)
@@ -787,14 +740,12 @@ func (c *Cluster) observeInvocation(n *node, rec Record) {
 		if c.cfg.XRayTag != "" {
 			label += "/" + c.cfg.XRayTag
 		}
-		// The segments are added in causal order — front-end router, node
-		// queue, snapshot pull, then execution — and decompose the
+		// The segments are added in causal order — node queue, snapshot
+		// pull, then execution — and decompose the
 		// independently computed Record.Latency() exactly (zero segments
 		// are dropped by Budget.Add), so Sum()==Recorded() stays a real
 		// cross-check at fleet scale.
 		bud := xray.New(label)
-		bud.Add(xray.SegRouterQueue, rec.RouterQueue)
-		bud.Add(xray.SegRouterDecide, rec.Decide)
 		bud.Add(xray.SegNodeQueue, rec.QueueDelay)
 		bud.Add(xray.SegSnapshotPull, rec.Pull)
 		if rec.Cold {

@@ -80,8 +80,8 @@ func renderReport(rep *Report) string {
 	fmt.Fprintf(&b, "router=%+v peak=%d final=%d\n", rep.Router, rep.PeakNodes, rep.FinalNodes)
 	for i := 0; i < rep.Records.Len(); i++ {
 		r := rep.Records.At(i)
-		fmt.Fprintf(&b, "%s %s %s %d %d %d %d %d %d %d %v\n",
-			r.Function, r.Node, r.Route, int64(r.Arrival), int64(r.RouterQueue), int64(r.Decide),
+		fmt.Fprintf(&b, "%s %s %s %d %d %d %d %d %v\n",
+			r.Function, r.Node, r.Route, int64(r.Arrival),
 			int64(r.QueueDelay), int64(r.Pull), int64(r.Setup), int64(r.Exec), r.Cold)
 	}
 	for _, ev := range rep.ScaleEvents {

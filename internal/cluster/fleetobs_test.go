@@ -12,66 +12,42 @@ import (
 
 // TestClusterBudgetsBalance pins the cluster x-ray invariant at the unit
 // level: every routed invocation's budget decomposes into the causally
-// ordered router.queue / router.decide / node.queue / snapshot.pull /
-// exec.* segments and Sum() equals the independently computed record
-// latency — including with a non-instant front end charging decision cost.
+// ordered node.queue / snapshot.pull / exec.* segments and Sum() equals the
+// independently computed record latency.
 func TestClusterBudgetsBalance(t *testing.T) {
 	arrivals := testArrivals(t, workload.ProcFlash, 40*simtime.Millisecond)
-	for _, decide := range []simtime.Duration{0, 2 * simtime.Millisecond} {
-		col := &xray.Collector{}
-		cfg := testConfig(3, RouteAffinity)
-		cfg.XRay = col
-		cfg.XRayTag = "3n/affinity/flash/toss"
-		cfg.DecideCost = decide
-		rep := runOnce(t, cfg, arrivals)
+	col := &xray.Collector{}
+	cfg := testConfig(3, RouteAffinity)
+	cfg.XRay = col
+	cfg.XRayTag = "3n/affinity/flash/toss"
+	rep := runOnce(t, cfg, arrivals)
 
-		buds := col.Drain()
-		if len(buds) != rep.Records.Len() {
-			t.Fatalf("decide=%v: %d budgets for %d records", decide, len(buds), rep.Records.Len())
+	buds := col.Drain()
+	if len(buds) != rep.Records.Len() {
+		t.Fatalf("%d budgets for %d records", len(buds), rep.Records.Len())
+	}
+	for _, b := range buds {
+		if b.Sum() != b.Recorded() {
+			t.Fatalf("budget %q unbalanced: Sum %v != Recorded %v", b.Label, b.Sum(), b.Recorded())
 		}
-		var sawRouterQueue, sawDecide bool
-		for _, b := range buds {
-			if b.Sum() != b.Recorded() {
-				t.Fatalf("decide=%v: budget %q unbalanced: Sum %v != Recorded %v", decide, b.Label, b.Sum(), b.Recorded())
-			}
-			if b.Get(xray.SegRouterQueue) > 0 {
-				sawRouterQueue = true
-			}
-			if b.Get(xray.SegRouterDecide) > 0 {
-				sawDecide = true
-			}
-			if b.Get(xray.SegExecRun) == 0 {
-				t.Fatalf("budget %q missing exec.run", b.Label)
-			}
+		if b.Get(xray.SegExecRun) == 0 {
+			t.Fatalf("budget %q missing exec.run", b.Label)
 		}
-		if decide == 0 && (sawRouterQueue || sawDecide) {
-			t.Error("instant front end charged router segments")
+	}
+	// The record's own arithmetic agrees with the budget decomposition.
+	for i := 0; i < rep.Records.Len(); i++ {
+		rec := rep.Records.At(i)
+		want := rec.QueueDelay + rec.Pull + rec.Setup + rec.Exec
+		if rec.Latency() != want {
+			t.Fatalf("record %d latency %v != field sum %v", i, rec.Latency(), want)
 		}
-		if decide > 0 && !sawDecide {
-			t.Error("DecideCost charged no router.decide segment")
+		if got := rep.Records.Latency(i); got != want {
+			t.Fatalf("record %d columnar latency %v != field sum %v", i, got, want)
 		}
-		if decide > 0 && !sawRouterQueue {
-			// Flash crowds deliver near-simultaneous arrivals, so a 2ms
-			// serial decision loop must back some of them up.
-			t.Error("backed-up router charged no router.queue segment")
-		}
-		// The record's own arithmetic agrees with the budget decomposition.
-		for i := 0; i < rep.Records.Len(); i++ {
-			rec := rep.Records.At(i)
-			want := rec.RouterQueue + rec.Decide + rec.QueueDelay + rec.Pull + rec.Setup + rec.Exec
-			if rec.Latency() != want {
-				t.Fatalf("record %d latency %v != field sum %v", i, rec.Latency(), want)
-			}
-			if got := rep.Records.Latency(i); got != want {
-				t.Fatalf("record %d columnar latency %v != field sum %v", i, got, want)
-			}
-		}
-		if decide > 0 {
-			tagged := buds[0].Label
-			if want := "/cluster/3n/affinity/flash/toss"; !bytes.Contains([]byte(tagged), []byte(want)) {
-				t.Fatalf("XRayTag missing from label %q", tagged)
-			}
-		}
+	}
+	tagged := buds[0].Label
+	if want := "/cluster/3n/affinity/flash/toss"; !bytes.Contains([]byte(tagged), []byte(want)) {
+		t.Fatalf("XRayTag missing from label %q", tagged)
 	}
 }
 

@@ -18,10 +18,7 @@ type event struct {
 	// latency rides on completions so the burn tracker is fed in
 	// completion-time order (its Record contract).
 	latency simtime.Duration
-	// rq rides on evRouted: time the arrival waited for the front-end
-	// router before its decision started.
-	rq simtime.Duration
-	// fid is the arrival's interned function id (evArrival / evRouted).
+	// fid is the arrival's interned function id (evArrival).
 	fid int32
 	// node indexes Cluster.nodes on completions.
 	node int32
@@ -31,9 +28,6 @@ type event struct {
 
 const (
 	evArrival uint8 = iota
-	// evRouted is an arrival whose routing decision just completed (only
-	// used when Config.DecideCost models a non-instant front end).
-	evRouted
 	evCompletion
 	evScaleTick
 )
@@ -64,9 +58,9 @@ func eventLess(a, b *event) bool {
 }
 
 // eventHeap is a slice-backed 4-ary min-heap. 4-ary halves the tree depth
-// of a binary heap, and with ~96-byte value entries the four children of a
-// node span two cache lines, so sift-down touches less memory per level
-// than the pointer-chasing container/heap equivalent.
+// of a binary heap, and the four children of a node sit contiguously in
+// the backing slice, so sift-down touches less memory per level than the
+// pointer-chasing container/heap equivalent.
 type eventHeap struct {
 	es []event
 }

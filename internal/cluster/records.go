@@ -7,7 +7,7 @@ import (
 )
 
 // Records is the run's per-invocation outcome log in columnar
-// (struct-of-arrays) form. A million-invocation run stores thirteen dense
+// (struct-of-arrays) form. A million-invocation run stores ten dense
 // parallel slices — function and node interned to small ints, level and
 // routing reason as single bytes — instead of a million ~120-byte Record
 // structs full of repeated strings. Consumers that want the struct view
@@ -27,13 +27,11 @@ type Records struct {
 	route []uint8
 	cold  []bool
 
-	arrival     []simtime.Duration
-	routerQueue []simtime.Duration
-	decide      []simtime.Duration
-	queueDelay  []simtime.Duration
-	pull        []simtime.Duration
-	setup       []simtime.Duration
-	exec        []simtime.Duration
+	arrival    []simtime.Duration
+	queueDelay []simtime.Duration
+	pull       []simtime.Duration
+	setup      []simtime.Duration
+	exec       []simtime.Duration
 }
 
 // Len returns the number of recorded invocations.
@@ -42,24 +40,22 @@ func (r *Records) Len() int { return len(r.fn) }
 // At decodes invocation i into the struct view.
 func (r *Records) At(i int) Record {
 	return Record{
-		Function:    r.fnNames[r.fn[i]],
-		Node:        r.nodeNames[r.node[i]],
-		Level:       int(r.level[i]),
-		Arrival:     r.arrival[i],
-		Route:       routeReasons[r.route[i]],
-		RouterQueue: r.routerQueue[i],
-		Decide:      r.decide[i],
-		QueueDelay:  r.queueDelay[i],
-		Pull:        r.pull[i],
-		Setup:       r.setup[i],
-		Exec:        r.exec[i],
-		Cold:        r.cold[i],
+		Function:   r.fnNames[r.fn[i]],
+		Node:       r.nodeNames[r.node[i]],
+		Level:      int(r.level[i]),
+		Arrival:    r.arrival[i],
+		Route:      routeReasons[r.route[i]],
+		QueueDelay: r.queueDelay[i],
+		Pull:       r.pull[i],
+		Setup:      r.setup[i],
+		Exec:       r.exec[i],
+		Cold:       r.cold[i],
 	}
 }
 
 // Latency returns invocation i's end-to-end response time without decoding.
 func (r *Records) Latency(i int) simtime.Duration {
-	return r.routerQueue[i] + r.decide[i] + r.queueDelay[i] + r.pull[i] + r.setup[i] + r.exec[i]
+	return r.queueDelay[i] + r.pull[i] + r.setup[i] + r.exec[i]
 }
 
 // Arrival returns invocation i's arrival time.
@@ -77,18 +73,16 @@ func (r *Records) Function(i int) string { return r.fnNames[r.fn[i]] }
 // Node returns invocation i's node id.
 func (r *Records) Node(i int) string { return r.nodeNames[r.node[i]] }
 
-// push appends one invocation. Amortized allocation-free: thirteen slice
+// push appends one invocation. Amortized allocation-free: ten slice
 // appends that each reallocate O(log n) times over a run.
 func (r *Records) push(fid, node int32, level, route uint8, cold bool,
-	arrival, rq, decide, qd, pull, setup, exec simtime.Duration) {
+	arrival, qd, pull, setup, exec simtime.Duration) {
 	r.fn = append(r.fn, fid)
 	r.node = append(r.node, node)
 	r.level = append(r.level, level)
 	r.route = append(r.route, route)
 	r.cold = append(r.cold, cold)
 	r.arrival = append(r.arrival, arrival)
-	r.routerQueue = append(r.routerQueue, rq)
-	r.decide = append(r.decide, decide)
 	r.queueDelay = append(r.queueDelay, qd)
 	r.pull = append(r.pull, pull)
 	r.setup = append(r.setup, setup)

@@ -12,9 +12,9 @@ func TestCompletionsSortedByCompletionTime(t *testing.T) {
 	// Three invocations whose completion order differs from arrival order:
 	// #0 arrives first but runs long; #1 arrives later and finishes first;
 	// #2 ties #0's completion time and must keep record order (stable sort).
-	r.push(0, 0, 1, 0, true, ms(0), 0, 0, 0, 0, ms(10), ms(90)) // completes at 100ms
-	r.push(1, 0, 2, 0, false, ms(50), 0, 0, 0, 0, 0, ms(20))    // completes at 70ms
-	r.push(0, 0, 1, 0, false, ms(60), 0, 0, 0, 0, 0, ms(40))    // completes at 100ms
+	r.push(0, 0, 1, 0, true, ms(0), 0, 0, ms(10), ms(90)) // completes at 100ms
+	r.push(1, 0, 2, 0, false, ms(50), 0, 0, 0, ms(20))    // completes at 70ms
+	r.push(0, 0, 1, 0, false, ms(60), 0, 0, 0, ms(40))    // completes at 100ms
 	got := r.Completions()
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))

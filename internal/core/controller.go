@@ -72,11 +72,9 @@ type Controller struct {
 	hooks Hooks
 }
 
-// Hooks lets persistence layers observe the pipeline without coupling the
-// controller to any storage backend.
+// Hooks lets observers watch the pipeline without coupling the controller
+// to them.
 type Hooks struct {
-	// OnPattern receives each profiling invocation's DAMON pattern.
-	OnPattern func(seq int, p damon.Pattern)
 	// OnProfiled receives, per profiling invocation, DAMON's estimated
 	// pattern alongside the invocation's exact ground-truth access counts —
 	// the join the DAMON-accuracy audit (internal/obs) consumes.
@@ -93,7 +91,6 @@ type Hooks struct {
 func (c *Controller) SetHooks(h Hooks) {
 	c.hooks = h
 	if c.pd != nil {
-		c.pd.OnPattern = h.OnPattern
 		c.pd.OnProfiled = h.OnProfiled
 	}
 }
@@ -163,7 +160,6 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 			return Result{}, err
 		}
 		c.pd = pd
-		c.pd.OnPattern = c.hooks.OnPattern
 		c.pd.OnProfiled = c.hooks.OnProfiled
 		c.phase = PhaseProfiling
 		c.stable = 0

@@ -129,10 +129,6 @@ type ProfileData struct {
 	Profiled int
 	// Largest is the longest invocation seen while profiling.
 	Largest LargestInput
-	// OnPattern, when set, receives every profiling invocation's DAMON
-	// pattern with its sequence number — the hook persistence layers use
-	// to store the per-invocation access files (§VI-A).
-	OnPattern func(seq int, p damon.Pattern)
 	// OnProfiled, when set, additionally receives the invocation's exact
 	// ground-truth access histogram alongside the pattern — the join the
 	// DAMON-accuracy audit (internal/obs) scores.
@@ -178,32 +174,6 @@ func NewProfileDataTraced(cfg Config, spec *workload.Spec, lv workload.Level, se
 	}, res, nil
 }
 
-// RebuildProfileData reconstructs profiling state from persisted artifacts
-// (see package store), so a controller can resume where a previous process
-// stopped.
-func RebuildProfileData(spec *workload.Spec, single *snapshot.Single, unified *damon.Unified, profiled int, largest LargestInput) (*ProfileData, error) {
-	if spec == nil || single == nil || unified == nil {
-		return nil, fmt.Errorf("core: nil artifact in RebuildProfileData")
-	}
-	layout, err := spec.Layout()
-	if err != nil {
-		return nil, err
-	}
-	if single.Memory.GuestPages != layout.TotalPages {
-		return nil, fmt.Errorf("core: snapshot guest size %d pages does not match %s's layout (%d pages)",
-			single.Memory.GuestPages, spec.Name, layout.TotalPages)
-	}
-	return &ProfileData{
-		Spec:     spec,
-		Layout:   layout,
-		Single:   single,
-		Unified:  unified,
-		Profiled: profiled,
-		Largest:  largest,
-		damonSeq: int64(profiled),
-	}, nil
-}
-
 // ProfileInvocation performs one Step II invocation: restore the single-tier
 // snapshot, run with DAMON attached (paying its overhead), fold the observed
 // pattern into the unified file, and report whether the unified pattern
@@ -241,9 +211,6 @@ func (pd *ProfileData) ProfileInvocationTraced(cfg Config, lv workload.Level, se
 			EndAt(res.Setup + res.Exec)
 	}
 	pd.Profiled++
-	if pd.OnPattern != nil {
-		pd.OnPattern(pd.Profiled, pattern)
-	}
 	if pd.OnProfiled != nil {
 		pd.OnProfiled(pd.Profiled, pattern, res.Truth)
 	}

@@ -129,7 +129,7 @@ func insightNote(results []insight.Result) string {
 		}
 		fires += f
 		for _, a := range r.Alerts {
-			if a.Firing && !rules[a.Rule] {
+			if bool(a.Firing) && !rules[a.Rule] {
 				rules[a.Rule] = true
 				order = append(order, a.Rule)
 			}

@@ -78,8 +78,9 @@ type Decision struct {
 	// Hit reports the chosen node already held the function warm or its
 	// snapshot on local disk.
 	Hit bool
-	// RouterQueue / Decide are the front-end segments of the invocation
-	// (zero unless cluster.Config.DecideCost models a non-instant router).
+	// RouterQueue / Decide are the front-end router's wait and decision
+	// cost. The cluster's front end is instantaneous and leaves both zero;
+	// the decision-log format keeps them for routers that are not.
 	RouterQueue simtime.Duration
 	Decide      simtime.Duration
 	// Candidates is the ranked candidate list the router considered, in

@@ -32,16 +32,17 @@
 // decision — the observer-identity property the experiments tests pin.
 //
 // Determinism follows the package conventions established by telemetry and
-// fleetobs: all iteration orders are explicit, exports are hand-serialized
-// with fixed field order, and a Sink (par.Sink) folds per-cell results by
-// sorted cell name so suite-level artifacts are byte-identical at any
-// parallelism.
+// fleetobs: all iteration orders are explicit, the dump encodes its types
+// in fixed field order with fixed number spelling (emit.Float), and a Sink
+// (par.Sink) folds per-cell results by sorted cell name so suite-level
+// artifacts are byte-identical at any parallelism.
 package insight
 
 import (
 	"sort"
 	"sync"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 )
 
@@ -287,17 +288,21 @@ func (st *Store) Now() simtime.Duration {
 // sentinel's comparison unit.
 type SeriesSummary struct {
 	// Name is the series identifier.
-	Name string
+	Name string `json:"name"`
 	// Points / Buckets / Downsamples describe the series' shape.
-	Points      int64
-	Buckets     int
-	Downsamples int
+	Points      int64 `json:"points"`
+	Buckets     int   `json:"buckets"`
+	Downsamples int   `json:"downsamples"`
 	// Width is the final bucket width.
-	Width simtime.Duration
+	Width simtime.Duration `json:"width_ns"`
 	// FirstAt / LastAt bound the observations in virtual time.
-	FirstAt, LastAt simtime.Duration
+	FirstAt simtime.Duration `json:"first_ns"`
+	LastAt  simtime.Duration `json:"last_ns"`
 	// Min / Max / Mean / Last are the whole-series aggregates.
-	Min, Max, Mean, Last float64
+	Min  emit.Float `json:"min"`
+	Max  emit.Float `json:"max"`
+	Mean emit.Float `json:"mean"`
+	Last emit.Float `json:"last"`
 }
 
 // Summaries returns every series' summary in sorted-name order.
@@ -323,10 +328,10 @@ func (st *Store) Summaries() []SeriesSummary {
 			Width:       s.Width,
 			FirstAt:     s.firstAt,
 			LastAt:      s.lastAt,
-			Min:         s.min,
-			Max:         s.max,
-			Mean:        s.Mean(),
-			Last:        s.last,
+			Min:         emit.Float(s.min),
+			Max:         emit.Float(s.max),
+			Mean:        emit.Float(s.Mean()),
+			Last:        emit.Float(s.last),
 		})
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 	"toss/internal/xray"
 )
@@ -379,7 +380,7 @@ func TestVerdictNoiseFloor(t *testing.T) {
 	mk := func(mean float64) Dump {
 		return Dump{Schema: SchemaVersion, Cells: []Result{{
 			Cell:   "c",
-			Series: []SeriesSummary{{Name: "tiny", Mean: mean}},
+			Series: []SeriesSummary{{Name: "tiny", Mean: emit.Float(mean)}},
 		}}}
 	}
 	sec, err := DiffDumps("t", mk(1e-12), mk(5e-12), 0.25)

@@ -1,9 +1,11 @@
 package insight
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
+	"toss/internal/emit"
 	"toss/internal/simtime"
 	"toss/internal/xray"
 )
@@ -107,16 +109,38 @@ func BurnRule(name, stream string, objective, fast, slow simtime.Duration, fastB
 // Alert is one fire or resolve edge in the deterministic alert log.
 type Alert struct {
 	// At is the virtual time of the edge.
-	At simtime.Duration
+	At simtime.Duration `json:"at_ns"`
 	// Rule names the rule that produced the edge.
-	Rule string
+	Rule string `json:"rule"`
 	// Firing is true for a fire edge, false for a resolve edge.
-	Firing bool
+	Firing Edge `json:"state"`
 	// Value is the observation (or burn fraction / rate) at the edge.
-	Value float64
+	Value emit.Float `json:"value"`
 	// Blame names the xray segment attribution attached at fire time
 	// (empty when no blamer is configured or on resolve edges).
-	Blame string
+	Blame string `json:"blame,omitempty"`
+}
+
+// Edge is an alert edge's direction: true fires, false resolves. A dump
+// spells it "fire" or "resolve", and reads any other string as a resolve.
+type Edge bool
+
+// MarshalJSON implements json.Marshaler.
+func (e Edge) MarshalJSON() ([]byte, error) {
+	if e {
+		return []byte(`"fire"`), nil
+	}
+	return []byte(`"resolve"`), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *Edge) UnmarshalJSON(b []byte) error {
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	*e = s == "fire"
+	return nil
 }
 
 // State renders the edge direction for logs.
@@ -247,7 +271,7 @@ func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simt
 			}
 		} else if ff < st.rule.FastBurn {
 			st.firing = false
-			e.log = append(e.log, Alert{At: at, Rule: st.rule.Name, Firing: false, Value: ff})
+			e.log = append(e.log, Alert{At: at, Rule: st.rule.Name, Firing: false, Value: emit.Float(ff)})
 		}
 	}
 }
@@ -268,33 +292,35 @@ func (e *Engine) step(st *ruleState, at simtime.Duration, value float64, violate
 	st.pending = false
 	if st.firing {
 		st.firing = false
-		e.log = append(e.log, Alert{At: at, Rule: st.rule.Name, Firing: false, Value: value})
+		e.log = append(e.log, Alert{At: at, Rule: st.rule.Name, Firing: false, Value: emit.Float(value)})
 	}
 }
 
 // fire appends a fire edge, consulting the blamer for attribution.
 func (e *Engine) fire(st *ruleState, at simtime.Duration, value float64) {
-	a := Alert{At: at, Rule: st.rule.Name, Firing: true, Value: value}
+	a := Alert{At: at, Rule: st.rule.Name, Firing: true, Value: emit.Float(value)}
 	if e.blamer != nil {
 		a.Blame = e.blamer(st.rule.Name, at)
 	}
 	e.log = append(e.log, a)
 }
 
-// Alerts returns the fire/resolve edges in feed order (a copy).
+// Alerts returns the fire/resolve edges in feed order (a copy, non-nil
+// even when empty, so a dump spells an empty list []).
 func (e *Engine) Alerts() []Alert {
 	if e == nil {
 		return nil
 	}
-	return append([]Alert(nil), e.log...)
+	return append([]Alert{}, e.log...)
 }
 
-// Firing returns the names of rules currently firing, sorted.
+// Firing returns the names of rules currently firing, sorted (non-nil even
+// when empty, as Alerts).
 func (e *Engine) Firing() []string {
 	if e == nil {
 		return nil
 	}
-	var out []string
+	out := []string{}
 	for _, st := range e.states {
 		if st.firing {
 			out = append(out, st.rule.Name)
@@ -313,10 +339,11 @@ func (e *Engine) Evals() int64 {
 }
 
 // Result snapshots the engine into the exportable per-cell block: series
-// summaries, the alert log, and the rules still firing at the end.
+// summaries, the alert log, and the rules still firing at the end. A nil
+// engine's block holds empty lists, never nil ones.
 func (e *Engine) Result(cell string) Result {
 	if e == nil {
-		return Result{Cell: cell}
+		return Result{Cell: cell, Series: []SeriesSummary{}, Alerts: []Alert{}, Firing: []string{}}
 	}
 	return Result{
 		Cell:   cell,

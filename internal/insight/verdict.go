@@ -161,9 +161,9 @@ func DumpCells(d Dump) Cells {
 	}
 	for _, c := range d.Cells {
 		for _, s := range c.Series {
-			add(c.Cell, "series "+s.Name+" mean", s.Mean)
-			add(c.Cell, "series "+s.Name+" max", s.Max)
-			add(c.Cell, "series "+s.Name+" last", s.Last)
+			add(c.Cell, "series "+s.Name+" mean", float64(s.Mean))
+			add(c.Cell, "series "+s.Name+" max", float64(s.Max))
+			add(c.Cell, "series "+s.Name+" last", float64(s.Last))
 		}
 		fires := make(map[string]float64)
 		for _, a := range c.Alerts {

@@ -423,8 +423,8 @@ func overlapPages(a, b guest.Region) int64 {
 
 // WaitFor returns how long an execution arriving at `now` must wait for
 // in-flight migrations covering region r — zero when every overlapped
-// extent is settled. This is the stall ext11 charges to the xray
-// migrate.promote / migrate.demote segments.
+// extent is settled. ext11 adds this stall to each invocation's latency and
+// its stall column.
 func (e *Engine) WaitFor(r guest.Region, now simtime.Duration) simtime.Duration {
 	var wait simtime.Duration
 	lo, hi := e.clampExtents(r)

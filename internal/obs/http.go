@@ -48,7 +48,7 @@ func (r *Recorder) routes() []route {
 		}},
 		{"/xray.json", "aggregated attribution dump (tossctl report input)", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			doc := xray.RunDoc{Schema: xray.SchemaVersion}
+			doc := xray.RunDoc{Schema: xray.SchemaVersion, Reports: []*xray.Report{}}
 			if rep := r.XRayReport(); rep != nil {
 				doc.Reports = append(doc.Reports, rep)
 			}
@@ -77,7 +77,7 @@ func (r *Recorder) routes() []route {
 		}},
 		{"/alerts.json", "alert engine snapshot as an insight dump (tossctl report input)", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			dump := insight.Dump{Schema: insight.SchemaVersion}
+			dump := insight.Dump{Schema: insight.SchemaVersion, Cells: []insight.Result{}}
 			if res, ok := r.InsightResult(); ok {
 				dump.Cells = append(dump.Cells, res)
 			}

@@ -80,22 +80,7 @@ type Config struct {
 	Prewarm bool
 	// Predictor tunes the pre-warming predictor.
 	Predictor predict.Config
-	// Breaker tunes the per-function circuit breaker that guards the
-	// keep-alive cache under fault injection. Only consulted when
-	// Core.VM.Faults is set; zero fields take fault.DefaultBreakerConfig.
-	Breaker fault.BreakerConfig
-	// SnapshotTierStall, when set, is consulted on every cold start: the
-	// migration engine (internal/migrate) reports how long the restore must
-	// wait for in-flight tier moves covering the function's snapshot,
-	// split by direction. The stall lengthens Setup and is attributed to
-	// the xray migrate.promote / migrate.demote segments, keeping
-	// Sum()==Recorded(). See TIERS.md.
-	SnapshotTierStall TierStall
 }
-
-// TierStall reports migration-engine wait on a cold start of fn at virtual
-// time now: promotion wait and demotion/eviction wait (either may be zero).
-type TierStall func(fn string, now simtime.Duration) (promote, demote simtime.Duration)
 
 // DefaultConfig mirrors the paper's host: 20 cores, no keep-alive.
 func DefaultConfig() Config {
@@ -351,7 +336,7 @@ func New(cfg Config, functions []string) (*Sim, error) {
 		s.pred = predict.New(cfg.Predictor)
 	}
 	if cfg.Core.VM.Faults != nil {
-		s.breaker = fault.NewBreaker(cfg.Breaker)
+		s.breaker = fault.NewBreaker(fault.DefaultBreakerConfig())
 	}
 	return s, nil
 }
@@ -459,7 +444,6 @@ func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
 
 	kind := ColdStart
 	var setup, exec simtime.Duration
-	var migPromote, migDemote simtime.Duration
 	var faulted bool
 	if s.cache != nil {
 		s.expireIfIdle(a.Function)
@@ -482,16 +466,7 @@ func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
 			return err
 		}
 		setup, exec, faulted = st, e, f
-		// The keep-alive cost term stays the mechanism's own setup: tier
-		// stall is transient daemon state, not a property of the snapshot.
 		s.lastColdSetup[a.Function] = st
-		if stall := s.cfg.SnapshotTierStall; stall != nil {
-			migPromote, migDemote = stall(a.Function, s.now)
-			setup += migPromote + migDemote
-			if met := s.met(); met != nil && migPromote+migDemote > 0 {
-				met.Counter(telemetry.MetricMigrateStallTime).Add((migPromote + migDemote).Nanoseconds())
-			}
-		}
 	}
 	if faulted {
 		s.report.DegradedServes++
@@ -515,9 +490,7 @@ func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
 		bud := xray.New(a.Function + "/sched")
 		bud.Add(xray.SegQueueWait, rec.QueueDelay)
 		if kind == ColdStart {
-			bud.Add(xray.SegSchedSetup, setup-migPromote-migDemote)
-			bud.Add(xray.SegMigratePromote, migPromote)
-			bud.Add(xray.SegMigrateDemote, migDemote)
+			bud.Add(xray.SegSchedSetup, setup)
 		} else {
 			bud.Add(xray.SegResume, setup)
 		}

@@ -82,54 +82,6 @@ func TestSchedBudgetsBalance(t *testing.T) {
 	}
 }
 
-// TestSnapshotTierStallAttribution pins the migration-engine wiring: a
-// SnapshotTierStall hook lengthens cold setups by exactly the reported
-// stall, the stall lands in the migrate.promote / migrate.demote segments,
-// and every budget still seals Sum()==Recorded().
-func TestSnapshotTierStallAttribution(t *testing.T) {
-	const promote, demote = 3 * simtime.Millisecond, 1 * simtime.Millisecond
-	run := func(stall TierStall) *Report {
-		cfg := testConfig(MechDRAM)
-		col := xray.NewCollector()
-		cfg.Core.VM.XRay = col
-		cfg.SnapshotTierStall = stall
-		sim, err := New(cfg, []string{"pyaes"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sim.Run(steadyTrace(t, 10*simtime.Second, simtime.Second, "pyaes"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	base := run(nil)
-	stalled := run(func(fn string, now simtime.Duration) (simtime.Duration, simtime.Duration) {
-		return promote, demote
-	})
-	if len(base.Records) != len(stalled.Records) {
-		t.Fatalf("record counts diverge: %d vs %d", len(base.Records), len(stalled.Records))
-	}
-	for i, rec := range stalled.Records {
-		if rec.Start != ColdStart {
-			continue
-		}
-		if want := base.Records[i].Setup + promote + demote; rec.Setup != want {
-			t.Fatalf("record %d setup %v, want base %v + stall", i, rec.Setup, want)
-		}
-		if rec.XRay.Sum() != rec.Latency() || rec.XRay.Recorded() != rec.Latency() {
-			t.Fatalf("record %d unbalanced: sum %v recorded %v latency %v",
-				i, rec.XRay.Sum(), rec.XRay.Recorded(), rec.Latency())
-		}
-		if rec.XRay.Get(xray.SegMigratePromote) != promote ||
-			rec.XRay.Get(xray.SegMigrateDemote) != demote {
-			t.Fatalf("record %d migrate segments %v/%v, want %v/%v", i,
-				rec.XRay.Get(xray.SegMigratePromote), rec.XRay.Get(xray.SegMigrateDemote),
-				promote, demote)
-		}
-	}
-}
-
 // TestSchedBudgetsDisabled confirms the nil-safety invariant at this layer:
 // without a collector, records carry no budgets and nothing panics.
 func TestSchedBudgetsDisabled(t *testing.T) {

@@ -1,8 +1,6 @@
 package snapshot
 
 import (
-	"encoding/binary"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -39,13 +37,9 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 	if err := WriteTiered(tieredDir, ts); err != nil {
 		t.Fatal(err)
 	}
-	wsPath := filepath.Join(dir, "ws.toss")
-	if err := WriteWorkingSet(wsPath, []guest.Region{{Start: 0, Pages: 30}}); err != nil {
-		t.Fatal(err)
-	}
 
 	originals := map[string][]byte{}
-	for _, p := range []string{singlePath, wsPath, PathsIn(tieredDir).Layout,
+	for _, p := range []string{singlePath, PathsIn(tieredDir).Layout,
 		PathsIn(tieredDir).Fast, PathsIn(tieredDir).Slow} {
 		data, err := os.ReadFile(p)
 		if err != nil {
@@ -85,7 +79,6 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 		}
 		// Readers may error; they must not panic (a panic fails the test).
 		_, _ = ReadSingle(singlePath)
-		_, _ = ReadWorkingSet(wsPath)
 		_, _ = ReadTiered(tieredDir)
 	}
 }
@@ -110,30 +103,5 @@ func TestReadSingleBoundsHostileCounts(t *testing.T) {
 	}
 	if _, err := ReadSingle(path); err == nil {
 		t.Error("hostile page count accepted")
-	}
-}
-
-// TestReadWorkingSetBoundsHostileCounts patches the region count of a valid
-// work-set file: a count whose records cannot fit in the file must be
-// rejected as corrupt before anything is allocated for it. A count of
-// 2^30−1 once reserved 16 GiB and killed the process.
-func TestReadWorkingSetBoundsHostileCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ws.toss")
-	if err := WriteWorkingSet(path, []guest.Region{{Start: 0, Pages: 30}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int64{2, 1<<30 - 1, 1 << 30, 1<<63 - 1, -1} {
-		// The count follows the 16-byte header.
-		binary.LittleEndian.PutUint64(data[16:], uint64(n))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadWorkingSet(path); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("count %d: err = %v, want ErrCorrupt", n, err)
-		}
 	}
 }

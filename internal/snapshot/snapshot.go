@@ -3,7 +3,6 @@
 //
 //   - a single-tier snapshot: the guest memory image captured after the
 //     initial DRAM-only execution, plus the VM state blob;
-//   - a working-set file: the page regions REAP prefetches at restore;
 //   - a tiered snapshot: two memory files (one per tier) and a layout file
 //     recording, for every region, its tier, its offset within the tier
 //     file, its offset within guest memory, and its size — exactly the
@@ -35,10 +34,9 @@ import (
 
 // File magics and the format version.
 const (
-	magicSingle  = 0x544F5353_534E4150 // "TOSSSNAP"
-	magicLayout  = 0x544F5353_4C415954 // "TOSSLAYT"
-	magicWorkSet = 0x544F5353_574B5354 // "TOSSWKST"
-	version      = 1
+	magicSingle = 0x544F5353_534E4150 // "TOSSSNAP"
+	magicLayout = 0x544F5353_4C415954 // "TOSSLAYT"
+	version     = 1
 )
 
 // ErrCorrupt is wrapped by all decode failures.
@@ -377,32 +375,11 @@ func WriteTiered(dir string, t *Tiered) error {
 	}); err != nil {
 		return err
 	}
-	if err := writeFile(p.Fast, func(w *bufio.Writer) error {
-		if err := writeHeader(w, magicSingle); err != nil {
-			return err
-		}
-		if err := writeString(w, t.Function); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, int64(0)); err != nil {
-			return err
-		}
-		return writeMemory(w, t.FastMem)
-	}); err != nil {
+	// Each tier image is a single-tier snapshot file with no VM state.
+	if err := WriteSingle(p.Fast, &Single{Function: t.Function, Memory: t.FastMem}); err != nil {
 		return err
 	}
-	return writeFile(p.Slow, func(w *bufio.Writer) error {
-		if err := writeHeader(w, magicSingle); err != nil {
-			return err
-		}
-		if err := writeString(w, t.Function); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, int64(0)); err != nil {
-			return err
-		}
-		return writeMemory(w, t.SlowMem)
-	})
+	return WriteSingle(p.Slow, &Single{Function: t.Function, Memory: t.SlowMem})
 }
 
 // ReadTiered loads a tiered snapshot from dir.
@@ -479,60 +456,6 @@ func ReadTiered(dir string) (*Tiered, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WriteWorkingSet serializes REAP's working-set region list.
-func WriteWorkingSet(path string, ws []guest.Region) error {
-	ws = guest.NormalizeRegions(ws)
-	return writeFile(path, func(w *bufio.Writer) error {
-		if err := writeHeader(w, magicWorkSet); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, int64(len(ws))); err != nil {
-			return err
-		}
-		for _, r := range ws {
-			if err := binary.Write(w, binary.LittleEndian, []int64{int64(r.Start), r.Pages}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ReadWorkingSet loads a REAP working-set file.
-func ReadWorkingSet(path string) ([]guest.Region, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	if err := readHeader(r, magicWorkSet); err != nil {
-		return nil, err
-	}
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: region count: %v", ErrCorrupt, err)
-	}
-	// Bound the count by the bytes left (16 per region after the 24-byte
-	// header and count) before allocating for it.
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || n > (st.Size()-24)/16 {
-		return nil, fmt.Errorf("%w: region count %d does not fit in %d bytes", ErrCorrupt, n, st.Size())
-	}
-	out := make([]guest.Region, 0, n)
-	for i := int64(0); i < n; i++ {
-		var rec [2]int64
-		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
-			return nil, fmt.Errorf("%w: region %d: %v", ErrCorrupt, i, err)
-		}
-		out = append(out, guest.Region{Start: guest.PageID(rec[0]), Pages: rec[1]})
-	}
-	return out, nil
 }
 
 // --- low-level helpers ---

@@ -241,41 +241,6 @@ func TestReadTieredMissingFiles(t *testing.T) {
 	}
 }
 
-func TestWorkingSetRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ws.toss")
-	ws := []guest.Region{{Start: 100, Pages: 5}, {Start: 0, Pages: 2}}
-	if err := WriteWorkingSet(path, ws); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWorkingSet(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := guest.NormalizeRegions(ws)
-	if len(got) != len(want) {
-		t.Fatalf("ws = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ws = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestWorkingSetEmptyRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ws.toss")
-	if err := WriteWorkingSet(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWorkingSet(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty ws = %v", got)
-	}
-}
-
 // Property: for any placement, BuildTiered conserves pages (fast+slow =
 // resident), assigns each page to the tier the placement dictates, and emits
 // layout entries with dense per-tier file offsets covering exactly the

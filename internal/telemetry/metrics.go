@@ -595,8 +595,6 @@ const (
 	MetricRecoveryLatency = "platform.recovery_ns"
 	MetricBreakerTrips    = "sched.breaker_trips"
 	MetricEvictStorms     = "sched.evict_storms"
-	// tier migration time charged to sched's cold starts
-	MetricMigrateStallTime = "migrate.stall_ns"
 )
 
 // TierUtilization derives per-tier memory-time shares of total execution

@@ -52,8 +52,6 @@ const (
 	// invocation (initial / profiling / tiered), including Step III/IV
 	// work on the convergence invocation.
 	KindControllerPhase
-	// KindQueueWait is time an arrival spent waiting for a free core.
-	KindQueueWait
 	// KindExec is function execution (including fault stalls).
 	KindExec
 )
@@ -83,8 +81,6 @@ func (k SpanKind) String() string {
 		return "damon-aggregate"
 	case KindControllerPhase:
 		return "controller-phase"
-	case KindQueueWait:
-		return "queue-wait"
 	case KindExec:
 		return "exec"
 	default:

@@ -72,7 +72,7 @@ func TestSpanKindStrings(t *testing.T) {
 		KindInvocation, KindBoot, KindSnapshotCreate, KindSnapshotRestore,
 		KindMmap, KindPrefetch, KindPTEPopulate, KindDemandFault,
 		KindDAMONSample, KindDAMONAggregate, KindControllerPhase,
-		KindQueueWait, KindExec,
+		KindExec,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

@@ -71,11 +71,6 @@ type FunctionMix struct {
 	Pattern Pattern
 	// MeanIAT is the mean inter-arrival time (period for Fixed).
 	MeanIAT simtime.Duration
-	// LevelWeights weight the four input levels; zero-value means uniform.
-	LevelWeights [4]float64
-	// BurstFactor multiplies the rate inside bursts (Bursty only;
-	// default 10).
-	BurstFactor float64
 }
 
 // Config describes a whole trace.
@@ -103,14 +98,6 @@ func (c Config) Validate() error {
 		if m.MeanIAT <= 0 {
 			return fmt.Errorf("trace: mix[%d]: non-positive mean IAT", i)
 		}
-		for _, w := range m.LevelWeights {
-			if w < 0 {
-				return fmt.Errorf("trace: mix[%d]: negative level weight", i)
-			}
-		}
-		if m.BurstFactor < 0 {
-			return fmt.Errorf("trace: mix[%d]: negative burst factor", i)
-		}
 	}
 	return nil
 }
@@ -128,7 +115,7 @@ func Generate(c Config) ([]Arrival, error) {
 			all = append(all, Arrival{
 				At:       at,
 				Function: m.Function,
-				Level:    pickLevel(m.LevelWeights, fnRng),
+				Level:    workload.Level(fnRng.Intn(4)),
 				Seed:     fnRng.Int63n(1 << 40),
 			})
 		}
@@ -143,7 +130,7 @@ func arrivalTimes(m FunctionMix, horizon simtime.Duration, rng *rand.Rand) []sim
 	case Fixed:
 		return fixedTimes(m.MeanIAT, horizon, rng)
 	case Bursty:
-		return burstyTimes(m, horizon, rng)
+		return burstyTimes(m.MeanIAT, horizon, rng)
 	case Diurnal:
 		return diurnalTimes(m.MeanIAT, horizon, rng)
 	case Rare:
@@ -179,17 +166,16 @@ func fixedTimes(period, horizon simtime.Duration, rng *rand.Rand) []simtime.Dura
 	return out
 }
 
-// burstyTimes alternates on-periods (dense Poisson at BurstFactor x the
+// burstFactor multiplies the base rate inside a Bursty on-period.
+const burstFactor = 10
+
+// burstyTimes alternates on-periods (dense Poisson at burstFactor x the
 // base rate) and exponential off-periods sized so the long-run mean IAT is
-// approximately MeanIAT.
-func burstyTimes(m FunctionMix, horizon simtime.Duration, rng *rand.Rand) []simtime.Duration {
-	factor := m.BurstFactor
-	if factor <= 0 {
-		factor = 10
-	}
-	onIAT := simtime.Duration(float64(m.MeanIAT) / factor)
+// approximately meanIAT.
+func burstyTimes(meanIAT, horizon simtime.Duration, rng *rand.Rand) []simtime.Duration {
+	onIAT := simtime.Duration(float64(meanIAT) / burstFactor)
 	onLen := 20 * onIAT // ~20 requests per burst
-	offLen := simtime.Duration(float64(m.MeanIAT) * 20 * (1 - 1/factor))
+	offLen := simtime.Duration(float64(meanIAT) * 20 * (1 - 1.0/burstFactor))
 	var out []simtime.Duration
 	t := simtime.Duration(0)
 	for t < horizon {
@@ -231,25 +217,6 @@ func expIAT(mean simtime.Duration, rng *rand.Rand) simtime.Duration {
 		d = 1
 	}
 	return d
-}
-
-// pickLevel samples an input level from the weights (uniform if all zero).
-func pickLevel(weights [4]float64, rng *rand.Rand) workload.Level {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total == 0 {
-		return workload.Level(rng.Intn(4))
-	}
-	x := rng.Float64() * total
-	for i, w := range weights {
-		if x < w {
-			return workload.Level(i)
-		}
-		x -= w
-	}
-	return workload.IV
 }
 
 // Stats summarizes one function's arrivals in a trace.

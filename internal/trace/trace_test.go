@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"toss/internal/simtime"
-	"toss/internal/workload"
 )
 
 func steadyMix(fn string, iat simtime.Duration) FunctionMix {
@@ -39,8 +38,6 @@ func TestValidate(t *testing.T) {
 		{Horizon: simtime.Second},
 		{Horizon: simtime.Second, Mix: []FunctionMix{steadyMix("nope", simtime.Millisecond)}},
 		{Horizon: simtime.Second, Mix: []FunctionMix{steadyMix("pyaes", 0)}},
-		{Horizon: simtime.Second, Mix: []FunctionMix{{Function: "pyaes", MeanIAT: 1, LevelWeights: [4]float64{-1}}}},
-		{Horizon: simtime.Second, Mix: []FunctionMix{{Function: "pyaes", MeanIAT: 1, BurstFactor: -2}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -163,7 +160,7 @@ func TestFixedPatternPeriodicity(t *testing.T) {
 func TestBurstyHasBurstsAndGaps(t *testing.T) {
 	c := Config{
 		Horizon: 200 * simtime.Second,
-		Mix:     []FunctionMix{{Function: "pyaes", Pattern: Bursty, MeanIAT: simtime.Second, BurstFactor: 20}},
+		Mix:     []FunctionMix{{Function: "pyaes", Pattern: Bursty, MeanIAT: simtime.Second}},
 		Seed:    4,
 	}
 	arrivals, err := Generate(c)
@@ -227,26 +224,6 @@ func TestRarePatternIsSparse(t *testing.T) {
 	// ~3.3 expected arrivals; Poisson noise keeps it under 12 with margin.
 	if len(arrivals) > 12 {
 		t.Errorf("rare pattern produced %d arrivals, want few", len(arrivals))
-	}
-}
-
-func TestLevelWeights(t *testing.T) {
-	c := Config{
-		Horizon: 50 * simtime.Second,
-		Mix: []FunctionMix{{
-			Function: "pyaes", Pattern: Steady, MeanIAT: 20 * simtime.Millisecond,
-			LevelWeights: [4]float64{0, 0, 0, 1}, // only input IV
-		}},
-		Seed: 9,
-	}
-	arrivals, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range arrivals {
-		if a.Level != workload.IV {
-			t.Fatalf("weighted levels violated: got %v", a.Level)
-		}
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenDoc is the fixture both golden files render: two experiments, marks
+// goldenDoc is the fixture the golden file renders: two experiments, marks
 // present and absent, multi-function reports.
 func goldenDoc() RunDoc {
 	return RunDoc{
@@ -49,12 +50,18 @@ func TestWriteJSONGolden(t *testing.T) {
 	checkGolden(t, "rundoc.json", buf.Bytes())
 }
 
-func TestWriteCSVGolden(t *testing.T) {
+// TestWriteJSONEmptyReport pins an experiment that recorded no budgets: its
+// report still encodes "functions":[], never null.
+func TestWriteJSONEmptyReport(t *testing.T) {
+	doc := RunDoc{Schema: SchemaVersion, Reports: []*Report{Aggregate("table1", nil)}}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, goldenDoc()); err != nil {
+	if err := WriteJSON(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "rundoc.csv", buf.Bytes())
+	want := `{"schema_version":1,"experiments":[{"experiment":"table1","records":0,"total_ns":0,"functions":[]}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("empty report:\n got: %s\nwant: %s", got, want)
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -90,4 +97,52 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewReader([]byte("not json"))); err == nil {
 		t.Fatal("garbage input must error")
 	}
+}
+
+// TestReadJSONRejectsNullReport: a null entry in experiments is an error,
+// never a nil report for callers to dereference.
+func TestReadJSONRejectsNullReport(t *testing.T) {
+	if _, err := ReadJSON(strings.NewReader(nullReportDoc)); err == nil {
+		t.Fatal("null report accepted")
+	}
+}
+
+const nullReportDoc = `{"schema_version":1,"experiments":[null]}`
+
+// FuzzReadJSON: whatever ReadJSON accepts must re-encode and read back to
+// an equal document.
+func FuzzReadJSON(f *testing.F) {
+	for _, path := range []string{
+		filepath.Join("testdata", "rundoc.json"),
+		filepath.Join("..", "insight", "testdata", "dump.json"),
+		filepath.Join("..", "..", "BENCH_experiments.json"),
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(nullReportDoc))
+	// An empty marks list must read back as none, as Aggregate leaves it;
+	// the writer omits it, so it would not survive the round trip.
+	f.Add([]byte(`{"schema_version":1,"experiments":[{"experiment":"e","records":1,"total_ns":1,` +
+		`"functions":[{"label":"f","records":1,"total_ns":1,"segments":[],"marks":[]}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, doc); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-read %s: %v", buf.Bytes(), err)
+		}
+		if !reflect.DeepEqual(doc, again) {
+			t.Fatalf("round trip drifted:\nfirst  %+v\nsecond %+v", doc, again)
+		}
+	})
 }

@@ -8,29 +8,30 @@ import (
 
 // SegmentStat is one segment's aggregate across a set of budgets.
 type SegmentStat struct {
-	ID string
+	ID string `json:"id"`
 	// Total is the summed attributed time.
-	Total simtime.Duration
+	Total simtime.Duration `json:"total_ns"`
 	// Count is the number of budgets containing the segment.
-	Count int64
+	Count int64 `json:"count"`
 }
 
 // MarkStat is one mark's aggregate.
 type MarkStat struct {
-	ID string
-	N  int64
+	ID string `json:"id"`
+	N  int64  `json:"n"`
 }
 
 // FunctionReport is the per-label (per-function) budget table.
 type FunctionReport struct {
-	Label string
+	Label string `json:"label"`
 	// Records is the number of budgets aggregated under this label.
-	Records int64
+	Records int64 `json:"records"`
 	// Total is the summed end-to-end time across those budgets.
-	Total simtime.Duration
-	// Segments are sorted by id; Marks likewise.
-	Segments []SegmentStat
-	Marks    []MarkStat
+	Total simtime.Duration `json:"total_ns"`
+	// Segments are sorted by id; Marks likewise (nil when there are none,
+	// and then left out of the dump).
+	Segments []SegmentStat `json:"segments"`
+	Marks    []MarkStat    `json:"marks,omitempty"`
 }
 
 // MeanNs returns a segment's mean attributed nanoseconds per record.
@@ -49,13 +50,13 @@ func (fr *FunctionReport) MeanNs(segID string) float64 {
 // Report aggregates the budgets of one experiment (or replay).
 type Report struct {
 	// Experiment names the run the budgets came from.
-	Experiment string
+	Experiment string `json:"experiment"`
 	// Records is the total number of budgets.
-	Records int64
+	Records int64 `json:"records"`
 	// Total is the summed end-to-end time.
-	Total simtime.Duration
+	Total simtime.Duration `json:"total_ns"`
 	// Functions are sorted by label.
-	Functions []FunctionReport
+	Functions []FunctionReport `json:"functions"`
 }
 
 // Aggregate folds a set of budgets into a report. The fold is commutative:
@@ -102,9 +103,12 @@ func Aggregate(experiment string, budgets []*Budget) *Report {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
+	// Non-nil even when empty, so a dump spells an empty list [].
+	rep.Functions = make([]FunctionReport, 0, len(labels))
 	for _, l := range labels {
 		a := byLabel[l]
-		fr := FunctionReport{Label: l, Records: a.records, Total: a.total}
+		fr := FunctionReport{Label: l, Records: a.records, Total: a.total,
+			Segments: make([]SegmentStat, 0, len(a.segs))}
 		for _, st := range a.segs {
 			fr.Segments = append(fr.Segments, *st)
 		}

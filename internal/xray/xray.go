@@ -84,17 +84,10 @@ const (
 	SegProfilingDAMON = "profiling.damon"
 
 	// Cluster-path segments: the causally ordered phases a routed invocation
-	// crosses in internal/cluster — front-end router, then the chosen node.
-	// Together they provably sum to the cluster Record's end-to-end latency
-	// (the same Sum()==Recorded() invariant the single-host budgets carry).
+	// crosses on its chosen node in internal/cluster. Together they provably
+	// sum to the cluster Record's end-to-end latency (the same
+	// Sum()==Recorded() invariant the single-host budgets carry).
 
-	// SegRouterQueue is time an arrival waited for the (serial) front-end
-	// router to pick it up; only non-zero when cluster.Config.DecideCost
-	// backs the router up.
-	SegRouterQueue = "router.queue"
-	// SegRouterDecide is the front-end routing-decision cost charged to the
-	// invocation (cluster.Config.DecideCost; zero by default).
-	SegRouterDecide = "router.decide"
 	// SegSnapshotPull is fetching a snapshot onto the routed node's local
 	// store before a cold restore (cluster routing missed snapshot affinity).
 	SegSnapshotPull = "snapshot.pull"
@@ -105,16 +98,6 @@ const (
 	SegExecSetup  = "exec.setup"
 	SegExecResume = "exec.resume"
 	SegExecRun    = "exec.run"
-
-	// Migration-engine segments (internal/migrate, TIERS.md): stall time an
-	// invocation spent waiting for in-flight tier moves covering pages it
-	// needed. Promotion waits are the price of adapting to a drifting
-	// working set; demotion waits mean reclamation got in the way.
-
-	// SegMigratePromote is wait for an in-flight promotion to land.
-	SegMigratePromote = "migrate.promote"
-	// SegMigrateDemote is wait for an in-flight demotion/eviction to land.
-	SegMigrateDemote = "migrate.demote"
 )
 
 // Mark identifiers: named counters that ride on a budget without entering the
@@ -143,9 +126,6 @@ const (
 	// MarkRouterShed counts routes where every candidate was overloaded and
 	// the arrival was shed to the least-loaded node of the ranking.
 	MarkRouterShed = "cluster.router.shed"
-	// MarkMigrations counts tier moves (promote/demote/evict/prefetch) that
-	// landed during the invocation's window on its function's engine.
-	MarkMigrations = "migrate.moves"
 )
 
 // Segment is one attributed slice of an invocation's latency.

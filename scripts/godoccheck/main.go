@@ -1,16 +1,13 @@
-// Command godoccheck enforces godoc coverage on the packages whose APIs the
-// docs lean on (TIERS.md, DESIGN.md, OBSERVABILITY.md): every exported
-// top-level declaration — type, function, method on an exported type, and
-// const/var group — must carry a doc comment, and every package must have a
-// package comment on at least one file. CI runs it over the tiering core
-// (internal/mem, internal/migrate, internal/snapshot, internal/sched) and
-// the observability stack (internal/telemetry, internal/obs,
-// internal/fleetobs, internal/xray, internal/insight); it prints one line
-// per missing comment and exits non-zero if any are missing.
+// Command godoccheck enforces godoc coverage: every exported top-level
+// declaration — type, function, method on an exported type, and const/var
+// group — must carry a doc comment, and every package must have a package
+// comment on at least one file. CI runs it over every package under
+// internal/; it prints one line per missing comment and exits non-zero if
+// any are missing.
 //
 // Usage:
 //
-//	go run ./scripts/godoccheck ./internal/mem ./internal/migrate ...
+//	go run ./scripts/godoccheck $(go list -f '{{.Dir}}' ./internal/...)
 package main
 
 import (
