@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"toss/internal/access"
@@ -196,7 +197,7 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 		// tiered restore is attempted, modelling failures the restore path
 		// itself would hit: the slow tier's device being unreachable, the
 		// snapshot failing its checksum, or the DAMON profile having gone
-		// stale. Callers (internal/platform, internal/sched) own recovery.
+		// stale. Callers recover through Degrade.
 		if inj := c.cfg.VM.Faults; inj != nil {
 			name := c.spec.Name
 			if _, fired := inj.At(fault.SiteSlowOutage, name, 0); fired {
@@ -306,12 +307,50 @@ func (c *Controller) startReprofile() {
 	c.firePhase(PhaseTiered, PhaseProfiling)
 }
 
-// InvokeLazy serves one invocation from the single-tier snapshot with
-// on-demand paging, bypassing the tiered restore path entirely. It is the
-// degradation fallback when the slow tier is unreachable or the profile is
-// stale (FAULTS.md): correctness over placement — every page demand-faults
-// from disk, but no tier is touched. The lifecycle phase is unchanged.
-func (c *Controller) InvokeLazy(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
+// Degradation policy names (FAULTS.md), recorded in platform.Record.Degraded.
+const (
+	// DegradeLazy serves from the single-tier snapshot with on-demand
+	// paging — the fallback for slow-tier outages and stale profiles.
+	DegradeLazy = "lazy-fallback"
+	// DegradeResnapshot invalidates a corrupt snapshot, cold-boots, and
+	// re-captures — the fallback for checksum failures at restore.
+	DegradeResnapshot = "resnapshot"
+	// DegradeReprofile demotes a TOSS function back to the profiling phase
+	// before the lazy fallback — the response to a stale DAMON profile.
+	DegradeReprofile = "reprofile"
+)
+
+// Degrade serves an invocation whose tiered restore failed with cause
+// through the degradation policy for that failure (FAULTS.md), and returns
+// the result with the policy's name: a slow-tier outage falls back to a lazy
+// restore, a checksum failure re-snapshots, and a stale profile re-profiles,
+// then falls back to a lazy restore. Any other error passes through with no
+// policy.
+func (c *Controller) Degrade(cause error, lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, string, error) {
+	switch {
+	case errors.Is(cause, fault.ErrTierUnavailable):
+		res, err := c.invokeLazy(lv, seed, concurrency, parent)
+		return res, DegradeLazy, err
+	case errors.Is(cause, snapshot.ErrCorrupt):
+		res, err := c.recoverCorrupt(lv, seed, concurrency, parent)
+		return res, DegradeResnapshot, err
+	case errors.Is(cause, fault.ErrProfileStale):
+		// Serve from the single snapshot with DAMON re-attached until the
+		// pattern re-converges.
+		if c.phase == PhaseTiered {
+			c.startReprofile()
+		}
+		res, err := c.invokeLazy(lv, seed, concurrency, parent)
+		return res, DegradeReprofile, err
+	}
+	return Result{}, "", cause
+}
+
+// invokeLazy serves one invocation from the single-tier snapshot with
+// on-demand paging, bypassing the tiered restore path entirely:
+// correctness over placement — every page demand-faults from disk, but no
+// tier is touched. The lifecycle phase is unchanged.
+func (c *Controller) invokeLazy(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
 	if c.pd == nil || c.pd.Single == nil {
 		return Result{}, fmt.Errorf("core: no single snapshot for lazy fallback")
 	}
@@ -334,13 +373,13 @@ func (c *Controller) InvokeLazy(lv workload.Level, seed int64, concurrency int, 
 	return Result{Result: res, Phase: c.phase}, nil
 }
 
-// RecoverCorrupt handles an injected (or detected) snapshot corruption: it
+// recoverCorrupt handles an injected (or detected) snapshot corruption: it
 // invalidates the tiered snapshot, cold-boots the function to re-capture a
 // fresh single-tier snapshot, and — when an analysis already exists —
 // immediately rebuilds the tiered snapshot from it (FAULTS.md's
 // invalidate + cold boot + re-snapshot policy). The returned result is the
 // cold invocation, with the capture cost charged to its setup time.
-func (c *Controller) RecoverCorrupt(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
+func (c *Controller) recoverCorrupt(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
 	c.invocations++
 	tr, err := c.spec.Trace(lv, seed)
 	if err != nil {
@@ -368,14 +407,4 @@ func (c *Controller) RecoverCorrupt(lv workload.Level, seed int64, concurrency i
 	}
 	phaseSpan.EndAt(res.Total())
 	return Result{Result: res, Phase: c.phase}, nil
-}
-
-// ForceReprofile demotes a tiered function back to the profiling phase, the
-// stale-profile degradation policy (FAULTS.md): serve from the single
-// snapshot with DAMON re-attached until the pattern re-converges. No-op
-// outside the tiered phase.
-func (c *Controller) ForceReprofile() {
-	if c.phase == PhaseTiered {
-		c.startReprofile()
-	}
 }

@@ -258,8 +258,8 @@ type Analysis struct {
 	Curve []CurvePoint
 	// ChosenK is the selected number of offloaded bins.
 	ChosenK int
-	// Placement is the selected page placement.
-	Placement *mem.Placement
+	// Placement is the selected two-level page placement.
+	Placement *mem.MultiPlacement
 	// BaselineExec is the representative input's execution time with only
 	// zero pages offloaded.
 	BaselineExec simtime.Duration
@@ -334,8 +334,7 @@ func Analyze(cfg Config, pd *ProfileData) (*Analysis, error) {
 		return nil, err
 	}
 	run := func(slowRegions []guest.Region) (simtime.Duration, error) {
-		placement := mem.NewPlacement(slowRegions)
-		vm := microvm.NewResident(cfg.VM, pd.Layout, placement, 1)
+		vm := microvm.NewResident(cfg.VM, pd.Layout, slowRegions, 1)
 		vm.SetLabel(pd.Spec.Name + "/binprof")
 		vm.SetRecordTruth(false)
 		res, err := vm.Run(tr)
@@ -403,7 +402,10 @@ func Analyze(cfg Config, pd *ProfileData) (*Analysis, error) {
 	for k := 0; k < a.ChosenK; k++ {
 		chosen = append(chosen, a.Bins[k].Regions...)
 	}
-	a.Placement = mem.NewPlacement(chosen)
+	if a.Placement, err = mem.NewMultiPlacement(2, mem.Fast, guestPages); err != nil {
+		return nil, err
+	}
+	a.Placement.SetRegions(chosen, mem.Slow)
 
 	// Eq. 2: profiling overhead in invocation-equivalents.
 	a.ProfilingOverhead = float64(pd.Profiled) + overheadRuns

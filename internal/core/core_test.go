@@ -187,12 +187,12 @@ func TestAnalyzePlacementMatchesChosenK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Placement.SlowPages(); got != a.Curve[a.ChosenK].SlowPages {
+	if got := a.Placement.Occupancy()[mem.Slow]; got != a.Curve[a.ChosenK].SlowPages {
 		t.Errorf("placement slow pages %d != curve %d", got, a.Curve[a.ChosenK].SlowPages)
 	}
 	// Zero-accessed pages are always slow.
 	for _, r := range a.ZeroSlow {
-		if a.Placement.TierOf(r.Start) != mem.Slow {
+		if a.Placement.LevelOf(r.Start) != mem.Slow {
 			t.Errorf("zero region %v not slow", r)
 		}
 	}
@@ -240,7 +240,7 @@ func TestBuildSnapshotRoundTripsPlacement(t *testing.T) {
 	}
 	// Every resident page's tier in the snapshot matches the placement.
 	for p := range pd.Single.Memory.Pages {
-		want := a.Placement.TierOf(p)
+		want := a.Placement.LevelOf(p)
 		_, inSlow := ts.SlowMem.Pages[p]
 		if (want == mem.Slow) != inSlow {
 			t.Fatalf("page %d: placement %v but inSlow=%v", p, want, inSlow)

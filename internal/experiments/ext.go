@@ -200,7 +200,7 @@ func ExtTierTechnologies(s *Suite) (*Table, error) {
 	var cells []cell
 	for _, preset := range mem.Presets() {
 		cfg := s.Core
-		cfg.VM.Mem = preset.Config
+		cfg.VM.Mem = preset.Mem
 		m, err := costmodel.WithRatio(preset.CostRatio)
 		if err != nil {
 			return nil, err
@@ -265,7 +265,7 @@ func ExtBilling(s *Suite) (*Table, error) {
 		if err != nil {
 			return specRes{}, err
 		}
-		vm := microvm.NewResident(s.Core.VM, layout, mem.AllFast(), 1)
+		vm := microvm.NewResident(s.Core.VM, layout, nil, 1)
 		vm.SetLabel(spec.Name)
 		vm.SetRecordTruth(false)
 		r, err := vm.Run(tr)

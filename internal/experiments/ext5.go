@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/par"
 	"toss/internal/workload"
@@ -44,7 +43,7 @@ func ExtMemoryIntensity(s *Suite) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		vm := microvm.NewResident(s.Core.VM, layout, mem.AllFast(), 1)
+		vm := microvm.NewResident(s.Core.VM, layout, nil, 1)
 		vm.SetLabel(spec.Name)
 		vm.SetRecordTruth(false)
 		res, err := vm.Run(tr)

@@ -5,7 +5,6 @@ import (
 
 	"toss/internal/damon"
 	"toss/internal/guest"
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/par"
 	"toss/internal/reap"
@@ -118,11 +117,11 @@ func Fig2FullSlowTierSlowdown(s *Suite) (*Table, error) {
 		row := []any{spec.Name}
 		var sds []float64
 		for _, lv := range AllLevels {
-			fast, err := s.meanExecResident(spec, lv, s.BaseSeed, mem.AllFast(), 1)
+			fast, err := s.meanExecResident(spec, lv, s.BaseSeed, nil, 1)
 			if err != nil {
 				return specRes{}, err
 			}
-			slow, err := s.meanExecResident(spec, lv, s.BaseSeed, mem.AllSlow(layout.TotalPages), 1)
+			slow, err := s.meanExecResident(spec, lv, s.BaseSeed, []guest.Region{{Start: 0, Pages: layout.TotalPages}}, 1)
 			if err != nil {
 				return specRes{}, err
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"toss/internal/guest"
-	"toss/internal/mem"
 	"toss/internal/par"
 	"toss/internal/stats"
 	"toss/internal/workload"
@@ -139,8 +138,7 @@ func Fig6IncrementalBinOffload(s *Suite) (*Table, error) {
 		}
 		a := b.analysis
 		// Per-input baseline: only zero pages offloaded.
-		baseline, err := s.execResident(spec, lv, s.BaseSeed+5,
-			mem.NewPlacement(a.ZeroSlow), 1)
+		baseline, err := s.execResident(spec, lv, s.BaseSeed+5, a.ZeroSlow, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +148,7 @@ func Fig6IncrementalBinOffload(s *Suite) (*Table, error) {
 		for k := 1; k <= len(a.Bins); k++ {
 			cumulative = append(cumulative, a.Bins[k-1].Regions...)
 			slowPages += a.Bins[k-1].Pages
-			exec, err := s.execResident(spec, lv, s.BaseSeed+5,
-				mem.NewPlacement(cumulative), 1)
+			exec, err := s.execResident(spec, lv, s.BaseSeed+5, cumulative, 1)
 			if err != nil {
 				return nil, err
 			}

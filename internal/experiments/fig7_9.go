@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/par"
 	"toss/internal/reap"
@@ -26,7 +25,7 @@ func (s *Suite) dramInvocation(spec *workload.Spec, execLv workload.Level, seed 
 	if err != nil {
 		return 0, 0, err
 	}
-	vm := microvm.NewResident(s.Core.VM, layout, mem.AllFast(), conc)
+	vm := microvm.NewResident(s.Core.VM, layout, nil, conc)
 	vm.SetLabel(spec.Name)
 	vm.SetRecordTruth(false)
 	res, err := vm.Run(tr)

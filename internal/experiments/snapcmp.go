@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"toss/internal/core"
 	"toss/internal/guest"
 	"toss/internal/mem"
 	"toss/internal/par"
@@ -11,14 +12,15 @@ import (
 )
 
 // inputCost evaluates, for one execution input, the normalized memory cost
-// a given placement yields: measure the input's slowdown under the
+// an analysis' placement yields: measure the input's slowdown under the
 // placement relative to all-DRAM, then apply Eq. 1.
-func (s *Suite) inputCost(spec *workload.Spec, lv workload.Level, placement *mem.Placement, guestPages int64) (float64, float64, error) {
-	fast, err := s.meanExecResident(spec, lv, s.BaseSeed+17, mem.AllFast(), 1)
+func (s *Suite) inputCost(spec *workload.Spec, lv workload.Level, a *core.Analysis) (float64, float64, error) {
+	fast, err := s.meanExecResident(spec, lv, s.BaseSeed+17, nil, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	tiered, err := s.meanExecResident(spec, lv, s.BaseSeed+17, placement, 1)
+	slow := a.Placement.Regions(mem.Slow)
+	tiered, err := s.meanExecResident(spec, lv, s.BaseSeed+17, slow, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -26,7 +28,7 @@ func (s *Suite) inputCost(spec *workload.Spec, lv workload.Level, placement *mem
 	if sd < 1 {
 		sd = 1
 	}
-	return s.Core.Cost.Normalized(sd, placement.SlowPages(), guestPages), sd, nil
+	return s.Core.Cost.Normalized(sd, guest.TotalPages(slow), a.GuestPages), sd, nil
 }
 
 // SnapshotCostVariance reproduces §VI-C3 ("Input IV vs. All Inputs"): how
@@ -55,11 +57,11 @@ func SnapshotCostVariance(s *Suite) (*Table, error) {
 			return sr, err
 		}
 		for _, lv := range AllLevels {
-			cAll, _, err := s.inputCost(spec, lv, all.analysis.Placement, all.analysis.GuestPages)
+			cAll, _, err := s.inputCost(spec, lv, all.analysis)
 			if err != nil {
 				return sr, err
 			}
-			cIV, _, err := s.inputCost(spec, lv, ivOnly.analysis.Placement, ivOnly.analysis.GuestPages)
+			cIV, _, err := s.inputCost(spec, lv, ivOnly.analysis)
 			if err != nil {
 				return sr, err
 			}
@@ -130,13 +132,13 @@ func PlacementGeneralization(s *Suite) (*Table, error) {
 			return cellRes{}, err
 		}
 		a := b.analysis
-		cIV, _, err := s.inputCost(spec, lv, a.Placement, a.GuestPages)
+		cIV, _, err := s.inputCost(spec, lv, a)
 		if err != nil {
 			return cellRes{}, err
 		}
 		// Per-input optimum: sweep the same bins in the same order,
 		// but score each configuration on this input.
-		fast, err := s.meanExecResident(spec, lv, s.BaseSeed+17, mem.AllFast(), 1)
+		fast, err := s.meanExecResident(spec, lv, s.BaseSeed+17, nil, 1)
 		if err != nil {
 			return cellRes{}, err
 		}
@@ -144,8 +146,7 @@ func PlacementGeneralization(s *Suite) (*Table, error) {
 		cumulative := append([]guest.Region{}, a.ZeroSlow...)
 		slowPages := a.ZeroSlowPages
 		for k := 0; ; k++ {
-			placement := mem.NewPlacement(cumulative)
-			exec, err := s.meanExecResident(spec, lv, s.BaseSeed+17, placement, 1)
+			exec, err := s.meanExecResident(spec, lv, s.BaseSeed+17, cumulative, 1)
 			if err != nil {
 				return cellRes{}, err
 			}

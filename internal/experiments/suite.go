@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"toss/internal/core"
+	"toss/internal/guest"
 	"toss/internal/insight"
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/par"
 	"toss/internal/simtime"
@@ -194,8 +194,8 @@ func (s *Suite) runPipeline(spec *workload.Spec, levels []workload.Level) (*buil
 }
 
 // execResident measures execution time of (spec, lv, seed) fully resident
-// under a placement at a concurrency level.
-func (s *Suite) execResident(spec *workload.Spec, lv workload.Level, seed int64, placement *mem.Placement, conc int) (simtime.Duration, error) {
+// with the slow regions in the slow tier at a concurrency level.
+func (s *Suite) execResident(spec *workload.Spec, lv workload.Level, seed int64, slow []guest.Region, conc int) (simtime.Duration, error) {
 	layout, err := spec.Layout()
 	if err != nil {
 		return 0, err
@@ -204,7 +204,7 @@ func (s *Suite) execResident(spec *workload.Spec, lv workload.Level, seed int64,
 	if err != nil {
 		return 0, err
 	}
-	vm := microvm.NewResident(s.Core.VM, layout, placement, conc)
+	vm := microvm.NewResident(s.Core.VM, layout, slow, conc)
 	vm.SetLabel(spec.Name)
 	vm.SetRecordTruth(false)
 	res, err := vm.Run(tr)
@@ -216,10 +216,10 @@ func (s *Suite) execResident(spec *workload.Spec, lv workload.Level, seed int64,
 
 // meanExecResident averages execResident over the suite's iterations with
 // distinct seeds.
-func (s *Suite) meanExecResident(spec *workload.Spec, lv workload.Level, seedBase int64, placement *mem.Placement, conc int) (float64, error) {
+func (s *Suite) meanExecResident(spec *workload.Spec, lv workload.Level, seedBase int64, slow []guest.Region, conc int) (float64, error) {
 	var sum float64
 	for it := 0; it < s.Iterations; it++ {
-		d, err := s.execResident(spec, lv, seedBase+int64(it)*31, placement, conc)
+		d, err := s.execResident(spec, lv, seedBase+int64(it)*31, slow, conc)
 		if err != nil {
 			return 0, err
 		}

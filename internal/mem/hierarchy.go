@@ -8,17 +8,11 @@ import (
 	"toss/internal/simtime"
 )
 
-// This file generalizes the two-tier Config/Placement/Meter model to an
-// N-tier hierarchy. Levels are indexed 0 (fastest, most expensive) to
-// Levels()-1 (slowest, cheapest); the paper's DRAM+PMem pair is the N=2
-// degenerate case, built with TwoTier and pinned byte-identical by the
-// backward-compat tests. TIERS.md documents the full memory model.
-
-// TierDef is one level of an N-tier memory hierarchy: the per-line access
-// costs of the technology plus the provisioning and migration parameters the
+// TierDef is one level of a memory hierarchy: the per-line access costs of
+// the technology plus the provisioning and migration parameters the
 // background migration engine (internal/migrate) needs.
 type TierDef struct {
-	// Name identifies the tier ("dram", "cxl", "ssd", "object").
+	// Name identifies the tier ("fast", "slow", "dram", "cxl", ...).
 	Name string
 	// Spec gives the per-line access costs and contention sensitivity.
 	Spec TierSpec
@@ -39,10 +33,9 @@ type TierDef struct {
 	DemoteBytesPerSec int64
 }
 
-// Hierarchy is an N-tier memory model: an ordered list of tiers sharing one
-// CPU-cache-hit cost. It reuses the exact per-line cost arithmetic of the
-// two-tier Config, so TwoTier(cfg).LineCost(level, ...) ==
-// cfg.LineCost(tier, ...) bit for bit.
+// Hierarchy is the memory model: an ordered list of tiers, fastest first,
+// sharing one CPU-cache-hit cost. Levels are indexed 0 (fastest, most
+// expensive) to Levels()-1 (slowest, cheapest).
 type Hierarchy struct {
 	// CacheHit is the per-line cost of a touch served by the CPU caches,
 	// identical for all tiers.
@@ -68,8 +61,8 @@ func (h Hierarchy) Bottom() int { return len(h.Tiers) - 1 }
 
 // Validate reports whether the hierarchy is usable.
 func (h Hierarchy) Validate() error {
-	if len(h.Tiers) < 2 {
-		return fmt.Errorf("mem: hierarchy needs >= 2 tiers, have %d", len(h.Tiers))
+	if len(h.Tiers) < 2 || len(h.Tiers) > MaxLevels {
+		return fmt.Errorf("mem: hierarchy needs 2..%d tiers, have %d", MaxLevels, len(h.Tiers))
 	}
 	seen := make(map[string]bool, len(h.Tiers))
 	for i, t := range h.Tiers {
@@ -106,25 +99,20 @@ func (h Hierarchy) Unbounded(level int) bool {
 	return level == h.Bottom() && h.Tiers[level].CapacityPages <= 0
 }
 
-// Spec returns the TierSpec of a level.
-func (h Hierarchy) Spec(level int) TierSpec { return h.Tiers[level].Spec }
-
 // ContentionFactor returns the latency multiplier a level experiences when
 // shared by `concurrency` simultaneous invocations (>= 1).
 func (h Hierarchy) ContentionFactor(level, concurrency int) float64 {
-	return contentionOf(h.Tiers[level].Spec, concurrency)
+	if concurrency < 1 {
+		concurrency = 1
+	}
+	return 1 + h.Tiers[level].Spec.ContentionBeta*float64(concurrency-1)
 }
 
 // LineCost returns the effective per-line cost, in virtual nanoseconds, of a
-// miss served by a level under the given concurrency.
+// miss served by a level with the given stride/kind under the given
+// concurrency.
 func (h Hierarchy) LineCost(level int, p access.Pattern, k access.Kind, concurrency int) float64 {
-	return lineCostOf(h.Tiers[level].Spec, p, k, concurrency)
-}
-
-// EventPageCost returns the virtual time charged for the line touches one
-// page receives from the event when the page resides at the given level.
-func (h Hierarchy) EventPageCost(e access.Event, level, concurrency int) simtime.Duration {
-	return eventPageCostOf(h.CacheHit, h.Tiers[level].Spec, e, concurrency)
+	return float64(h.Tiers[level].Spec.lineCost(p, k)) * h.ContentionFactor(level, concurrency)
 }
 
 // MoveCost returns the virtual time needed to migrate `pages` pages into
@@ -146,18 +134,6 @@ func (h Hierarchy) MoveCost(from, to int, pages int64) simtime.Duration {
 	return simtime.Duration(float64(bytes) / float64(bw) * float64(simtime.Second))
 }
 
-// CostPages prices an occupancy vector (pages resident per level) in
-// DRAM-page-month units: sum of pages[l] x CostPerPage[l].
-func (h Hierarchy) CostPages(pages []int64) float64 {
-	var cost float64
-	for l, p := range pages {
-		if l < len(h.Tiers) && p > 0 {
-			cost += float64(p) * h.Tiers[l].CostPerPage
-		}
-	}
-	return cost
-}
-
 // ProvisionedCost prices the hierarchy's bounded capacities plus the given
 // occupancy of the unbounded bottom tier — the memory-cost axis of the
 // ext11 frontier.
@@ -173,50 +149,14 @@ func (h Hierarchy) ProvisionedCost(bottomPages int64) float64 {
 	return cost
 }
 
-// TwoTier builds the degenerate two-tier hierarchy from a two-tier Config:
-// level 0 is the Config's fast tier, level 1 its slow tier. costRatio is the
-// fast:slow per-GB price ratio (costmodel / Preset convention); the slow
-// tier's CostPerPage becomes 1/costRatio. Per-line costs are the Config's
-// own TierSpecs, so charging through the hierarchy is byte-identical to
-// charging through the Config (pinned by TestTwoTierDegenerateIdentical).
-func TwoTier(cfg Config, costRatio float64, fastCapacityPages, slowCapacityPages int64) Hierarchy {
-	slowCost := 0.0
-	if costRatio > 0 {
-		slowCost = 1 / costRatio
-	}
-	return Hierarchy{
-		CacheHit: cfg.CacheHit,
-		Tiers: []TierDef{
-			{Name: "fast", Spec: cfg.Fast, CapacityPages: fastCapacityPages, CostPerPage: 1,
-				PromoteBytesPerSec: 12 << 30, DemoteBytesPerSec: 12 << 30},
-			{Name: "slow", Spec: cfg.Slow, CapacityPages: slowCapacityPages, CostPerPage: slowCost,
-				PromoteBytesPerSec: 4 << 30, DemoteBytesPerSec: 2 << 30},
-		},
-	}
-}
-
 // DefaultHierarchy returns the four-tier production-shaped hierarchy of
 // TIERS.md: DRAM over CXL-attached DRAM over NVMe SSD over an object store.
-// Per-line costs reuse the calibrated presets (DefaultConfig DRAM, the
-// dram+cxl and dram+nvme preset slow tiers); the object tier models a
-// network hop per miss with streaming restore bandwidth. Capacities are
-// zero — callers size the tiers for their sweep (the bottom tier's zero
-// means unbounded).
+// The first three tiers reuse the calibrated technology specs of the
+// presets (DefaultConfig's DRAM, the dram+cxl and dram+nvme slow tiers);
+// the object tier models a network hop per miss with streaming restore
+// bandwidth. Capacities are zero — callers size the tiers for their sweep
+// (the bottom tier's zero means unbounded).
 func DefaultHierarchy() Hierarchy {
-	cxl := TierSpec{
-		ReadSeq:        8 * simtime.Nanosecond,
-		ReadRand:       170 * simtime.Nanosecond,
-		WriteSeq:       10 * simtime.Nanosecond,
-		WriteRand:      180 * simtime.Nanosecond,
-		ContentionBeta: 0.02,
-	}
-	ssd := TierSpec{
-		ReadSeq:        40 * simtime.Nanosecond,
-		ReadRand:       1500 * simtime.Nanosecond,
-		WriteSeq:       80 * simtime.Nanosecond,
-		WriteRand:      2500 * simtime.Nanosecond,
-		ContentionBeta: 0.12,
-	}
 	object := TierSpec{
 		ReadSeq:        300 * simtime.Nanosecond,
 		ReadRand:       20000 * simtime.Nanosecond,
@@ -227,279 +167,14 @@ func DefaultHierarchy() Hierarchy {
 	return Hierarchy{
 		CacheHit: 1 * simtime.Nanosecond,
 		Tiers: []TierDef{
-			{Name: "dram", Spec: DefaultConfig().Fast, CostPerPage: 1,
+			{Name: "dram", Spec: dram, CostPerPage: 1,
 				PromoteBytesPerSec: 12 << 30, DemoteBytesPerSec: 12 << 30},
 			{Name: "cxl", Spec: cxl, CostPerPage: 0.4,
 				PromoteBytesPerSec: 8 << 30, DemoteBytesPerSec: 8 << 30},
-			{Name: "ssd", Spec: ssd, CostPerPage: 0.1,
+			{Name: "ssd", Spec: nvme, CostPerPage: 0.1,
 				PromoteBytesPerSec: 2 << 30, DemoteBytesPerSec: 1 << 30},
 			{Name: "object", Spec: object, CostPerPage: 0.01,
 				PromoteBytesPerSec: 256 << 20, DemoteBytesPerSec: 256 << 20},
 		},
 	}
-}
-
-// LevelSegment is a run of pages with a uniform hierarchy level.
-type LevelSegment struct {
-	Region guest.Region
-	Level  int
-}
-
-// leveledRun is one sorted, coalesced run of a MultiPlacement.
-type leveledRun struct {
-	region guest.Region
-	level  int
-}
-
-// MultiPlacement maps guest pages to hierarchy levels — the N-tier analogue
-// of Placement. Pages not covered by any run sit at the default level (the
-// level non-resident snapshot pages live at, typically the bottom tier).
-// The zero MultiPlacement is not usable; build with NewMultiPlacement.
-type MultiPlacement struct {
-	levels     int
-	defLevel   int
-	totalPages int64
-	runs       []leveledRun // sorted, non-overlapping, level != defLevel
-}
-
-// NewMultiPlacement returns a placement over a guest of totalPages pages
-// with every page at defaultLevel.
-func NewMultiPlacement(levels, defaultLevel int, totalPages int64) (*MultiPlacement, error) {
-	if levels < 2 {
-		return nil, fmt.Errorf("mem: placement needs >= 2 levels, got %d", levels)
-	}
-	if defaultLevel < 0 || defaultLevel >= levels {
-		return nil, fmt.Errorf("mem: default level %d out of [0,%d)", defaultLevel, levels)
-	}
-	if totalPages <= 0 {
-		return nil, fmt.Errorf("mem: non-positive guest size %d", totalPages)
-	}
-	return &MultiPlacement{levels: levels, defLevel: defaultLevel, totalPages: totalPages}, nil
-}
-
-// Levels returns the number of hierarchy levels the placement spans.
-func (mp *MultiPlacement) Levels() int { return mp.levels }
-
-// DefaultLevel returns the level of pages not explicitly placed.
-func (mp *MultiPlacement) DefaultLevel() int { return mp.defLevel }
-
-// TotalPages returns the guest size the placement covers.
-func (mp *MultiPlacement) TotalPages() int64 { return mp.totalPages }
-
-// Set assigns every page of r to the given level, splitting and coalescing
-// runs as needed. Out-of-range regions are clipped to the guest.
-func (mp *MultiPlacement) Set(r guest.Region, level int) {
-	if level < 0 || level >= mp.levels {
-		panic(fmt.Sprintf("mem: level %d out of [0,%d)", level, mp.levels))
-	}
-	if r.Start < 0 {
-		r = guest.Region{Start: 0, Pages: r.Pages + int64(r.Start)}
-	}
-	if r.End() > guest.PageID(mp.totalPages) {
-		r.Pages = mp.totalPages - int64(r.Start)
-	}
-	if r.Empty() {
-		return
-	}
-	out := make([]leveledRun, 0, len(mp.runs)+2)
-	inserted := false
-	insert := func() {
-		if inserted {
-			return
-		}
-		inserted = true
-		if level != mp.defLevel {
-			out = appendRun(out, leveledRun{region: r, level: level})
-		}
-	}
-	for _, run := range mp.runs {
-		if run.region.End() <= r.Start {
-			out = appendRun(out, run)
-			continue
-		}
-		if run.region.Start >= r.End() {
-			insert()
-			out = appendRun(out, run)
-			continue
-		}
-		// Overlap: keep the non-overlapping edges of the existing run.
-		if run.region.Start < r.Start {
-			out = appendRun(out, leveledRun{
-				region: guest.Region{Start: run.region.Start, Pages: int64(r.Start - run.region.Start)},
-				level:  run.level,
-			})
-		}
-		if run.region.End() > r.End() {
-			insert()
-			out = appendRun(out, leveledRun{
-				region: guest.Region{Start: r.End(), Pages: int64(run.region.End() - r.End())},
-				level:  run.level,
-			})
-		}
-	}
-	insert()
-	mp.runs = out
-}
-
-// appendRun appends a run, coalescing it with the previous run when adjacent
-// and same-level.
-func appendRun(runs []leveledRun, r leveledRun) []leveledRun {
-	if n := len(runs); n > 0 && runs[n-1].level == r.level && runs[n-1].region.End() == r.region.Start {
-		runs[n-1].region.Pages += r.region.Pages
-		return runs
-	}
-	return append(runs, r)
-}
-
-// LevelOf returns the level holding page p.
-func (mp *MultiPlacement) LevelOf(p guest.PageID) int {
-	lo, hi := 0, len(mp.runs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r := mp.runs[mid].region
-		switch {
-		case p < r.Start:
-			hi = mid
-		case p >= r.End():
-			lo = mid + 1
-		default:
-			return mp.runs[mid].level
-		}
-	}
-	return mp.defLevel
-}
-
-// AppendSegments appends the maximal uniform-level sub-runs of r to dst in
-// address order and returns the extended slice — the N-tier analogue of
-// Placement.AppendSegments.
-func (mp *MultiPlacement) AppendSegments(dst []LevelSegment, r guest.Region) []LevelSegment {
-	out := dst
-	cur := r
-	for !cur.Empty() {
-		lv := mp.LevelOf(cur.Start)
-		end := cur.End()
-		for _, run := range mp.runs {
-			if run.region.Contains(cur.Start) {
-				if e := run.region.End(); e < end {
-					end = e
-				}
-				break
-			}
-			if run.region.Start > cur.Start {
-				if run.region.Start < end {
-					end = run.region.Start
-				}
-				break
-			}
-		}
-		out = append(out, LevelSegment{
-			Region: guest.Region{Start: cur.Start, Pages: int64(end - cur.Start)},
-			Level:  lv,
-		})
-		cur = guest.Region{Start: end, Pages: int64(cur.End() - end)}
-	}
-	return out
-}
-
-// Segments splits r into maximal uniform-level sub-runs in address order.
-func (mp *MultiPlacement) Segments(r guest.Region) []LevelSegment {
-	return mp.AppendSegments(nil, r)
-}
-
-// Occupancy returns the number of pages at each level. The default level
-// absorbs every page not explicitly placed.
-func (mp *MultiPlacement) Occupancy() []int64 {
-	occ := make([]int64, mp.levels)
-	var covered int64
-	for _, run := range mp.runs {
-		occ[run.level] += run.region.Pages
-		covered += run.region.Pages
-	}
-	occ[mp.defLevel] += mp.totalPages - covered
-	return occ
-}
-
-// Clone returns an independent copy of the placement.
-func (mp *MultiPlacement) Clone() *MultiPlacement {
-	cp := *mp
-	cp.runs = append([]leveledRun(nil), mp.runs...)
-	return &cp
-}
-
-// FromTwoTier lifts a two-tier Placement into an N-level MultiPlacement
-// over a guest of totalPages pages: fast pages land at fastLevel, slow
-// pages at slowLevel, and the default level is fastLevel (matching
-// Placement's pages-default-to-Fast rule).
-func FromTwoTier(pl *Placement, totalPages int64, levels, fastLevel, slowLevel int) (*MultiPlacement, error) {
-	mp, err := NewMultiPlacement(levels, fastLevel, totalPages)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range pl.SlowRegions() {
-		mp.Set(r, slowLevel)
-	}
-	return mp, nil
-}
-
-// MultiMeter accumulates where an execution's time went across an N-tier
-// hierarchy — the N-tier analogue of Meter, using the same Charge formulas.
-type MultiMeter struct {
-	// CPUTime is time attributed to computation (and cache hits).
-	CPUTime simtime.Duration
-	// MemTime is time attributed to memory service, per level.
-	MemTime []simtime.Duration
-	// LineTouches counts line touches routed to each level.
-	LineTouches []int64
-}
-
-// NewMultiMeter returns a meter over a hierarchy with the given level count.
-func NewMultiMeter(levels int) *MultiMeter {
-	return &MultiMeter{
-		MemTime:     make([]simtime.Duration, levels),
-		LineTouches: make([]int64, levels),
-	}
-}
-
-// ChargePages records the cost of an event hitting `pages` pages that all
-// reside at the same level, mirroring Meter.ChargePages.
-func (m *MultiMeter) ChargePages(h Hierarchy, e access.Event, level, concurrency int, pages int64) simtime.Duration {
-	if pages <= 0 {
-		return 0
-	}
-	touches := float64(e.TouchesPerPage()) * float64(pages)
-	miss := h.LineCost(level, e.Pattern, e.Kind, concurrency)
-	hit := float64(h.CacheHit)
-	memsvc := simtime.Duration(touches*(1-e.HitRatio)*miss + 0.5)
-	cpu := simtime.Duration(touches*(e.CPUPerLine+e.HitRatio*hit) + 0.5)
-	m.CPUTime += cpu
-	m.MemTime[level] += memsvc
-	m.LineTouches[level] += e.TouchesPerPage() * pages
-	return cpu + memsvc
-}
-
-// ChargeStall attributes a pure wait (a migration the execution had to sit
-// out, an injected stall) to a level's memory service time without counting
-// line touches.
-func (m *MultiMeter) ChargeStall(level int, d simtime.Duration) {
-	if d > 0 {
-		m.MemTime[level] += d
-	}
-}
-
-// Total returns all time accumulated by the meter.
-func (m *MultiMeter) Total() simtime.Duration {
-	t := m.CPUTime
-	for _, d := range m.MemTime {
-		t += d
-	}
-	return t
-}
-
-// StallFraction returns the fraction of total time spent waiting on memory.
-func (m *MultiMeter) StallFraction() float64 {
-	total := m.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(total-m.CPUTime) / float64(total)
 }

@@ -3,70 +3,9 @@ package mem
 import (
 	"testing"
 
-	"toss/internal/access"
 	"toss/internal/guest"
 	"toss/internal/simtime"
 )
-
-// TestTwoTierDegenerateIdentical pins the tentpole invariant: a two-tier
-// Hierarchy built from a Config charges exactly — bit for bit — what the
-// Config charges, for every pattern/kind/concurrency cell and through both
-// meters. The paper experiments keep running on Config; this test is what
-// lets TIERS.md call them the N=2 degenerate case of the hierarchy.
-func TestTwoTierDegenerateIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	h := TwoTier(cfg, 2.5, 1024, 4096)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	patterns := []access.Pattern{access.Sequential, access.Random}
-	kinds := []access.Kind{access.Read, access.Write}
-	concs := []int{1, 2, 8, 20}
-	for tier := Tier(0); tier <= Slow; tier++ {
-		level := int(tier)
-		for _, p := range patterns {
-			for _, k := range kinds {
-				for _, c := range concs {
-					want := cfg.LineCost(tier, p, k, c)
-					got := h.LineCost(level, p, k, c)
-					if got != want {
-						t.Fatalf("LineCost(%v,%v,%v,%d): hierarchy %v != config %v", tier, p, k, c, got, want)
-					}
-					if got, want := h.ContentionFactor(level, c), cfg.ContentionFactor(tier, c); got != want {
-						t.Fatalf("ContentionFactor(%v,%d): %v != %v", tier, c, got, want)
-					}
-				}
-			}
-		}
-	}
-
-	events := []access.Event{
-		{Region: guest.Region{Start: 0, Pages: 64}, LinesPerPage: 64, Repeat: 2,
-			Kind: access.Read, Pattern: access.Sequential, HitRatio: 0.3, CPUPerLine: 0.7},
-		{Region: guest.Region{Start: 128, Pages: 16}, LinesPerPage: 8, Repeat: 1,
-			Kind: access.Write, Pattern: access.Random, HitRatio: 0.9, CPUPerLine: 2},
-	}
-	for _, e := range events {
-		for tier := Tier(0); tier <= Slow; tier++ {
-			for _, c := range []int{1, 6} {
-				if got, want := h.EventPageCost(e, int(tier), c), cfg.EventPageCost(e, tier, c); got != want {
-					t.Fatalf("EventPageCost(%v,%d): %v != %v", tier, c, got, want)
-				}
-				var m Meter
-				mm := NewMultiMeter(2)
-				want := m.ChargePages(cfg, e, tier, c, e.Region.Pages)
-				got := mm.ChargePages(h, e, int(tier), c, e.Region.Pages)
-				if got != want {
-					t.Fatalf("ChargePages(%v,%d): %v != %v", tier, c, got, want)
-				}
-				if m.CPUTime != mm.CPUTime || m.MemTime[tier] != mm.MemTime[tier] ||
-					m.LineTouches[tier] != mm.LineTouches[tier] {
-					t.Fatalf("meter split diverged: %+v vs %+v", m, *mm)
-				}
-			}
-		}
-	}
-}
 
 func TestHierarchyCapacitySemantics(t *testing.T) {
 	h := DefaultHierarchy()
@@ -191,22 +130,5 @@ func TestMultiPlacementCloneIndependent(t *testing.T) {
 	cp.Set(guest.Region{Start: 0, Pages: 50}, 1)
 	if mp.LevelOf(0) != 0 || cp.LevelOf(0) != 1 {
 		t.Fatalf("clone shares state: orig %d clone %d", mp.LevelOf(0), cp.LevelOf(0))
-	}
-}
-
-func TestFromTwoTierMatchesPlacement(t *testing.T) {
-	pl := NewPlacement([]guest.Region{{Start: 10, Pages: 5}, {Start: 40, Pages: 10}})
-	mp, err := FromTwoTier(pl, 100, 4, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := guest.PageID(0); p < 100; p++ {
-		want := 0
-		if pl.TierOf(p) == Slow {
-			want = 2
-		}
-		if got := mp.LevelOf(p); got != want {
-			t.Fatalf("page %d: level %d, want %d", p, got, want)
-		}
 	}
 }

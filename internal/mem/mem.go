@@ -1,19 +1,16 @@
-// Package mem models tiered main memory.
+// Package mem models tiered main memory as a hierarchy of tiers, fastest
+// first.
 //
-// The original (and still primary) model is the paper's two-tier split: a
-// small fast tier (DRAM) and a large cheap slow tier (Intel Optane PMem; the
-// model works for CXL-attached DRAM or any technology with comparable
-// semantics, as the paper argues in §III). Config, Placement, and Meter are
-// that two-tier model, and every paper experiment runs on them unchanged.
-//
-// On top of it, Hierarchy generalizes the pair to an N-tier hierarchy
-// (DRAM / CXL-or-PMem / SSD / object store — see TIERS.md): each tier is a
-// TierDef row with per-line costs, a capacity, a relative $ cost, and
-// promote/demote bandwidths. MultiPlacement and MultiMeter are the N-tier
-// analogues of Placement and Meter. Both models share the same per-line cost
-// arithmetic (lineCostOf, contentionOf, the Charge formulas), so a two-tier
-// Hierarchy built from a Config via TwoTier is byte-identical to the Config
-// itself — the degenerate case the backward-compat tests pin.
+// The paper's split — a small fast tier (DRAM) over a large cheap slow tier
+// (Intel Optane PMem; the model works for CXL-attached DRAM or any
+// technology with comparable semantics, as the paper argues in §III) — is a
+// Hierarchy two levels deep: DefaultConfig, and the technology pairs of
+// Presets, whose levels Fast and Slow are named "fast" and "slow".
+// DefaultHierarchy stacks four (DRAM / CXL / SSD / object store — see
+// TIERS.md). Each tier is a TierDef row with per-line costs, a capacity, a
+// relative $ cost, and promote/demote bandwidths. MultiPlacement maps guest
+// pages to levels, and MultiMeter books where an execution's time went, per
+// level, splitting out the wait concurrent sharers add.
 //
 // The model charges virtual time per cache-line touch, with costs that depend
 // on tier, stride pattern (sequential bursts are bandwidth-bound, random
@@ -23,34 +20,22 @@
 package mem
 
 import (
-	"fmt"
-
 	"toss/internal/access"
-	"toss/internal/guest"
 	"toss/internal/simtime"
 )
 
-// Tier identifies one of the two memory tiers.
-type Tier uint8
-
+// The paper's two tiers, as the levels of a two-level hierarchy.
 const (
-	// Fast is the expensive low-latency tier (DRAM).
-	Fast Tier = iota
-	// Slow is the cheap high-latency tier (PMem / CXL memory).
-	Slow
+	// Fast is the expensive low-latency tier (DRAM), level 0.
+	Fast = 0
+	// Slow is the cheap high-latency tier (PMem / CXL memory), level 1.
+	Slow = 1
 )
 
-// String names the tier the way the paper does.
-func (t Tier) String() string {
-	switch t {
-	case Fast:
-		return "fast"
-	case Slow:
-		return "slow"
-	default:
-		return fmt.Sprintf("Tier(%d)", uint8(t))
-	}
-}
+// MaxLevels bounds a hierarchy's depth, so a MultiMeter keeps its per-level
+// accounts in fixed arrays: its zero value is ready to use, and charging
+// allocates nothing. Hierarchy.Validate and NewMultiPlacement enforce it.
+const MaxLevels = 4
 
 // TierSpec gives one tier's per-line access costs and its sensitivity to
 // concurrent sharers.
@@ -84,16 +69,7 @@ func (s TierSpec) lineCost(p access.Pattern, k access.Kind) simtime.Duration {
 	}
 }
 
-// Config holds the full memory-system model.
-type Config struct {
-	Fast TierSpec
-	Slow TierSpec
-	// CacheHit is the per-line cost of a touch served by the CPU caches,
-	// identical for both tiers.
-	CacheHit simtime.Duration
-}
-
-// DefaultConfig returns latencies calibrated to the paper's platform: DDR4
+// DefaultConfig returns the paper's platform as a two-level hierarchy: DDR4
 // DRAM as the fast tier and Intel Optane DC PMem (Apache Pass) as the slow
 // tier. Values are per 64-byte line:
 //
@@ -105,292 +81,90 @@ type Config struct {
 //
 // ContentionBeta values make the slow tier and especially its write path
 // degrade under concurrency, matching the paper's scalability observations,
-// while DRAM stays nearly flat.
-func DefaultConfig() Config {
-	return Config{
+// while DRAM stays nearly flat. Capacities and $ costs are left unset: the
+// paper's cost axis is costmodel's fast:slow price ratio.
+func DefaultConfig() Hierarchy { return twoLevel(dram, optane) }
+
+// twoLevel returns the hierarchy of one fast:slow technology pair.
+func twoLevel(fast, slow TierSpec) Hierarchy {
+	return Hierarchy{
 		CacheHit: 1 * simtime.Nanosecond,
-		Fast: TierSpec{
-			ReadSeq:        5 * simtime.Nanosecond,
-			ReadRand:       80 * simtime.Nanosecond,
-			WriteSeq:       6 * simtime.Nanosecond,
-			WriteRand:      90 * simtime.Nanosecond,
-			ContentionBeta: 0.004,
-		},
-		Slow: TierSpec{
-			ReadSeq:        15 * simtime.Nanosecond,
-			ReadRand:       300 * simtime.Nanosecond,
-			WriteSeq:       45 * simtime.Nanosecond,
-			WriteRand:      500 * simtime.Nanosecond,
-			ContentionBeta: 0.05,
-		},
+		Tiers:    []TierDef{{Name: "fast", Spec: fast}, {Name: "slow", Spec: slow}},
 	}
 }
 
-// Spec returns the TierSpec for a tier.
-func (c Config) Spec(t Tier) TierSpec {
-	if t == Fast {
-		return c.Fast
-	}
-	return c.Slow
-}
-
-// contentionOf returns the latency multiplier a tier spec experiences when
-// shared by `concurrency` simultaneous invocations (>= 1). Shared by the
-// two-tier Config and the N-tier Hierarchy so the degenerate case stays
-// arithmetic-identical.
-func contentionOf(s TierSpec, concurrency int) float64 {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	return 1 + s.ContentionBeta*float64(concurrency-1)
-}
-
-// lineCostOf returns the effective per-line cost, in virtual nanoseconds, of
-// a miss served by a tier spec under the given concurrency level.
-func lineCostOf(s TierSpec, p access.Pattern, k access.Kind, concurrency int) float64 {
-	return float64(s.lineCost(p, k)) * contentionOf(s, concurrency)
-}
-
-// eventPageCostOf returns the virtual time charged for the line touches one
-// page receives from the event when served by a tier spec. The mix is:
-//
-//	touches * (HitRatio*cacheHit + (1-HitRatio)*lineCost(tier)) + touches*CPUPerLine
-func eventPageCostOf(cacheHit simtime.Duration, s TierSpec, e access.Event, concurrency int) simtime.Duration {
-	touches := float64(e.TouchesPerPage())
-	miss := lineCostOf(s, e.Pattern, e.Kind, concurrency)
-	hit := float64(cacheHit)
-	memsvc := touches * (e.HitRatio*hit + (1-e.HitRatio)*miss)
-	cpu := touches * e.CPUPerLine
-	return simtime.Duration(memsvc + cpu + 0.5)
-}
-
-// ContentionFactor returns the latency multiplier a tier experiences when
-// shared by `concurrency` simultaneous invocations (>= 1).
-func (c Config) ContentionFactor(t Tier, concurrency int) float64 {
-	return contentionOf(c.Spec(t), concurrency)
-}
-
-// LineCost returns the effective per-line cost, in virtual nanoseconds, of a
-// miss that reaches the given tier with the given stride/kind under the
-// given concurrency level.
-func (c Config) LineCost(t Tier, p access.Pattern, k access.Kind, concurrency int) float64 {
-	return lineCostOf(c.Spec(t), p, k, concurrency)
-}
-
-// EventPageCost returns the virtual time charged for the line touches one
-// page receives from the event, given that page's tier.
-func (c Config) EventPageCost(e access.Event, t Tier, concurrency int) simtime.Duration {
-	return eventPageCostOf(c.CacheHit, c.Spec(t), e, concurrency)
-}
-
-// Meter accumulates where an execution's time went, mirroring the perf
-// LLC-stall measurement the paper uses to rank memory intensity (§VI-C1).
-type Meter struct {
+// MultiMeter accumulates where an execution's time went, per hierarchy
+// level, mirroring the perf LLC-stall measurement the paper uses to rank
+// memory intensity (§VI-C1). The zero value is ready to use.
+type MultiMeter struct {
 	// CPUTime is time attributed to computation (and cache hits).
 	CPUTime simtime.Duration
-	// MemTime is time attributed to memory service, per tier.
-	MemTime [2]simtime.Duration
+	// MemTime is time attributed to memory service, per level.
+	MemTime [MaxLevels]simtime.Duration
 	// Contended is the part of MemTime caused by bandwidth contention with
 	// concurrent invocations: the exact difference between the charged
 	// service time and what the same touches would have cost at
 	// concurrency 1 (identical rounding, so the split is lossless). Always
-	// zero at concurrency 1. Injected stalls (ChargeStall) are excluded.
-	Contended [2]simtime.Duration
-	// LineTouches counts line touches routed to each tier.
-	LineTouches [2]int64
+	// zero at concurrency 1. Stalls (ChargeStall) are excluded.
+	Contended [MaxLevels]simtime.Duration
+	// LineTouches counts line touches routed to each level.
+	LineTouches [MaxLevels]int64
 }
 
-// Charge records an event's cost split for one page.
-func (m *Meter) Charge(c Config, e access.Event, t Tier, concurrency int) simtime.Duration {
-	touches := float64(e.TouchesPerPage())
-	miss := c.LineCost(t, e.Pattern, e.Kind, concurrency)
-	hit := float64(c.CacheHit)
-	memsvc := simtime.Duration(touches*(1-e.HitRatio)*miss + 0.5)
-	cpu := simtime.Duration(touches*(e.CPUPerLine+e.HitRatio*hit) + 0.5)
-	m.CPUTime += cpu
-	m.MemTime[t] += memsvc
-	if concurrency > 1 {
-		base := simtime.Duration(touches*(1-e.HitRatio)*c.LineCost(t, e.Pattern, e.Kind, 1) + 0.5)
-		m.Contended[t] += memsvc - base
-	}
-	m.LineTouches[t] += e.TouchesPerPage()
-	return cpu + memsvc
-}
+// NewMultiMeter returns a zeroed meter for a hierarchy `levels` deep, which
+// Hierarchy.Validate bounds by MaxLevels. The zero MultiMeter is equally
+// ready to use.
+func NewMultiMeter(levels int) *MultiMeter { return &MultiMeter{} }
 
 // ChargePages records the cost of an event hitting `pages` pages that all
-// reside in the same tier, in one step. Equivalent to calling Charge once
-// per page up to rounding.
-func (m *Meter) ChargePages(c Config, e access.Event, t Tier, concurrency int, pages int64) simtime.Duration {
+// reside at the same level and returns it. The mix is
+//
+//	touches * ((1-HitRatio)*LineCost(level) + HitRatio*CacheHit + CPUPerLine)
+//
+// with the memory-service and CPU parts rounded separately; above
+// concurrency 1 the level's Contended share is booked too.
+func (m *MultiMeter) ChargePages(h Hierarchy, e access.Event, level, concurrency int, pages int64) simtime.Duration {
 	if pages <= 0 {
 		return 0
 	}
 	touches := float64(e.TouchesPerPage()) * float64(pages)
-	miss := c.LineCost(t, e.Pattern, e.Kind, concurrency)
-	hit := float64(c.CacheHit)
-	memsvc := simtime.Duration(touches*(1-e.HitRatio)*miss + 0.5)
+	hit := float64(h.CacheHit)
+	memsvc := simtime.Duration(touches*(1-e.HitRatio)*h.LineCost(level, e.Pattern, e.Kind, concurrency) + 0.5)
 	cpu := simtime.Duration(touches*(e.CPUPerLine+e.HitRatio*hit) + 0.5)
 	m.CPUTime += cpu
-	m.MemTime[t] += memsvc
-	m.LineTouches[t] += e.TouchesPerPage() * pages
+	m.MemTime[level] += memsvc
+	if concurrency > 1 {
+		base := simtime.Duration(touches*(1-e.HitRatio)*h.LineCost(level, e.Pattern, e.Kind, 1) + 0.5)
+		m.Contended[level] += memsvc - base
+	}
+	m.LineTouches[level] += e.TouchesPerPage() * pages
 	return cpu + memsvc
 }
 
-// ChargeStall attributes an injected device/tier stall to a tier's memory
-// service time. The stall is pure wait, not work, so no line touches are
-// counted — tier hit ratios stay a function of the placement alone.
-func (m *Meter) ChargeStall(t Tier, d simtime.Duration) {
+// ChargeStall attributes a pure wait (an injected device stall) to a level's
+// memory service time. The stall is wait, not work, so no line touches are
+// counted — hit ratios stay a function of the placement alone.
+func (m *MultiMeter) ChargeStall(level int, d simtime.Duration) {
 	if d > 0 {
-		m.MemTime[t] += d
+		m.MemTime[level] += d
 	}
 }
 
 // Total returns all time accumulated by the meter.
-func (m *Meter) Total() simtime.Duration {
-	return m.CPUTime + m.MemTime[Fast] + m.MemTime[Slow]
+func (m *MultiMeter) Total() simtime.Duration {
+	t := m.CPUTime
+	for _, d := range m.MemTime {
+		t += d
+	}
+	return t
 }
 
 // StallFraction returns the fraction of total time spent waiting on memory —
 // the paper's proxy for memory intensiveness.
-func (m *Meter) StallFraction() float64 {
+func (m *MultiMeter) StallFraction() float64 {
 	total := m.Total()
 	if total == 0 {
 		return 0
 	}
-	return float64(m.MemTime[Fast]+m.MemTime[Slow]) / float64(total)
-}
-
-// Placement maps guest pages to tiers. Pages not covered by any entry
-// default to Fast, matching a freshly booted DRAM-only guest.
-type Placement struct {
-	// regions are sorted, non-overlapping runs with an assigned tier.
-	regions []placedRegion
-}
-
-type placedRegion struct {
-	region guest.Region
-	tier   Tier
-}
-
-// NewPlacement builds a placement from (region, tier) pairs. Regions must
-// not overlap; they are sorted internally.
-func NewPlacement(slowRegions []guest.Region) *Placement {
-	p := &Placement{}
-	for _, r := range guest.NormalizeRegions(slowRegions) {
-		p.regions = append(p.regions, placedRegion{r, Slow})
-	}
-	return p
-}
-
-// AllFast returns a placement with every page in the fast tier.
-func AllFast() *Placement { return &Placement{} }
-
-// AllSlow returns a placement with the region [0, pages) in the slow tier.
-func AllSlow(pages int64) *Placement {
-	return NewPlacement([]guest.Region{{Start: 0, Pages: pages}})
-}
-
-// TierOf returns the tier holding page p.
-func (pl *Placement) TierOf(p guest.PageID) Tier {
-	// Binary search over sorted slow regions.
-	lo, hi := 0, len(pl.regions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r := pl.regions[mid].region
-		switch {
-		case p < r.Start:
-			hi = mid
-		case p >= r.End():
-			lo = mid + 1
-		default:
-			return pl.regions[mid].tier
-		}
-	}
-	return Fast
-}
-
-// Segment is a run of pages with a uniform tier.
-type Segment struct {
-	Region guest.Region
-	Tier   Tier
-}
-
-// Segments splits an arbitrary guest region into maximal sub-runs of uniform
-// tier, in address order. The microVM uses this to charge one event across a
-// tier boundary without per-page lookups.
-func (pl *Placement) Segments(r guest.Region) []Segment {
-	return pl.AppendSegments(nil, r)
-}
-
-// AppendSegments is Segments with a caller-supplied destination: the
-// uniform-tier sub-runs of r are appended to dst and the extended slice is
-// returned. Replay loops pass a reused scratch slice (dst[:0]) so the
-// per-event split allocates nothing in steady state.
-func (pl *Placement) AppendSegments(dst []Segment, r guest.Region) []Segment {
-	out := dst
-	cur := r
-	for !cur.Empty() {
-		t := pl.TierOf(cur.Start)
-		// Find where the tier changes: either the end of the slow region
-		// containing cur.Start, or the start of the next slow region.
-		end := cur.End()
-		for _, pr := range pl.regions {
-			if pr.region.Contains(cur.Start) {
-				if e := pr.region.End(); e < end {
-					end = e
-				}
-				break
-			}
-			if pr.region.Start > cur.Start {
-				if pr.region.Start < end {
-					end = pr.region.Start
-				}
-				break
-			}
-		}
-		seg := guest.Region{Start: cur.Start, Pages: int64(end - cur.Start)}
-		out = append(out, Segment{Region: seg, Tier: t})
-		cur = guest.Region{Start: end, Pages: int64(cur.End() - end)}
-	}
-	return out
-}
-
-// SlowRegions returns the regions assigned to the slow tier.
-func (pl *Placement) SlowRegions() []guest.Region {
-	out := make([]guest.Region, 0, len(pl.regions))
-	for _, pr := range pl.regions {
-		if pr.tier == Slow {
-			out = append(out, pr.region)
-		}
-	}
-	return out
-}
-
-// SlowPages returns the number of pages placed in the slow tier.
-func (pl *Placement) SlowPages() int64 {
-	var n int64
-	for _, pr := range pl.regions {
-		if pr.tier == Slow {
-			n += pr.region.Pages
-		}
-	}
-	return n
-}
-
-// SlowShare returns the fraction of a guest with totalPages pages that this
-// placement keeps in the slow tier.
-func (pl *Placement) SlowShare(totalPages int64) float64 {
-	if totalPages <= 0 {
-		return 0
-	}
-	return float64(pl.SlowPages()) / float64(totalPages)
-}
-
-// FastShare returns the fraction of a guest with totalPages pages that this
-// placement keeps in the fast tier — the complement of SlowShare, which the
-// tier-residency heatmaps shade by.
-func (pl *Placement) FastShare(totalPages int64) float64 {
-	if totalPages <= 0 {
-		return 0
-	}
-	return 1 - pl.SlowShare(totalPages)
+	return float64(total-m.CPUTime) / float64(total)
 }

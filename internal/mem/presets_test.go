@@ -23,11 +23,15 @@ func TestPresetsWellFormed(t *testing.T) {
 		if p.CostRatio < 1 {
 			t.Errorf("%s: cost ratio %v < 1", p.Name, p.CostRatio)
 		}
+		if err := p.Mem.Validate(); err != nil || p.Mem.Levels() != 2 ||
+			p.Mem.Tiers[Fast].Name != "fast" || p.Mem.Tiers[Slow].Name != "slow" {
+			t.Errorf("%s: not a fast/slow pair: %+v (%v)", p.Name, p.Mem.Tiers, err)
+		}
 		// Slow tier must actually be slower for every access class.
 		for _, pat := range []access.Pattern{access.Sequential, access.Random} {
 			for _, k := range []access.Kind{access.Read, access.Write} {
-				f := p.Config.LineCost(Fast, pat, k, 1)
-				s := p.Config.LineCost(Slow, pat, k, 1)
+				f := p.Mem.LineCost(Fast, pat, k, 1)
+				s := p.Mem.LineCost(Slow, pat, k, 1)
 				if s <= f {
 					t.Errorf("%s: slow %v/%v (%v) not above fast (%v)", p.Name, pat, k, s, f)
 				}
@@ -36,25 +40,17 @@ func TestPresetsWellFormed(t *testing.T) {
 	}
 }
 
-func TestPresetByName(t *testing.T) {
-	p, ok := PresetByName("dram+cxl")
-	if !ok || p.Name != "dram+cxl" {
-		t.Fatalf("PresetByName failed: %+v, %v", p, ok)
-	}
-	if _, ok := PresetByName("nope"); ok {
-		t.Error("unknown preset found")
-	}
-}
-
 func TestPresetLatencyOrdering(t *testing.T) {
 	// Random-read gap ordering across technologies: cxl < optane < nvme.
 	gap := func(name string) float64 {
-		p, ok := PresetByName(name)
-		if !ok {
-			t.Fatalf("missing preset %s", name)
+		for _, p := range Presets() {
+			if p.Name == name {
+				return p.Mem.LineCost(Slow, access.Random, access.Read, 1) /
+					p.Mem.LineCost(Fast, access.Random, access.Read, 1)
+			}
 		}
-		return p.Config.LineCost(Slow, access.Random, access.Read, 1) /
-			p.Config.LineCost(Fast, access.Random, access.Read, 1)
+		t.Fatalf("missing preset %s", name)
+		return 0
 	}
 	cxl, optane, nvme := gap("dram+cxl"), gap("dram+optane"), gap("dram+nvme")
 	if !(cxl < optane && optane < nvme) {

@@ -37,7 +37,10 @@ import (
 // models. The VMM-side constants are calibrated to published Firecracker and
 // REAP measurements.
 type Config struct {
-	Mem  mem.Config
+	// Mem is the memory model: a two-level hierarchy, fast tier first
+	// (restore modes, snapshot files and attribution segments are
+	// two-tier).
+	Mem  mem.Hierarchy
 	Disk disk.Config
 	// BootTime is a fresh microVM boot (kernel + runtime init).
 	BootTime simtime.Duration
@@ -101,10 +104,10 @@ type Observer interface {
 	// "restore-tiered", or "resident"); slow lists the slow-tier regions of
 	// the machine's placement (shared — do not mutate).
 	MachineRestored(label, kind string, slow []guest.Region, totalPages int64, setup simtime.Duration)
-	// FaultStall fires once per demand-fault burst with the tier that served
-	// it and the stall cost; at is the burst's start on the machine-local
-	// virtual timeline (0 = setup start).
-	FaultStall(label string, tier mem.Tier, region guest.Region, major, minor int64, cost, at simtime.Duration)
+	// FaultStall fires once per demand-fault burst with the tier level
+	// (mem.Fast or mem.Slow) that served it and the stall cost; at is the
+	// burst's start on the machine-local virtual timeline (0 = setup start).
+	FaultStall(label string, level int, region guest.Region, major, minor int64, cost, at simtime.Duration)
 }
 
 // DefaultConfig returns the calibrated platform.
@@ -126,6 +129,12 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	if err := c.Mem.Validate(); err != nil {
+		return err
+	}
+	if c.Mem.Levels() != 2 {
+		return fmt.Errorf("microvm: memory model has %d tiers, want fast and slow", c.Mem.Levels())
+	}
 	if err := c.Disk.Validate(); err != nil {
 		return err
 	}
@@ -160,7 +169,7 @@ const (
 type Machine struct {
 	cfg       Config
 	layout    guest.Layout
-	placement *mem.Placement
+	placement *mem.MultiPlacement
 	backing   Backing
 	// resident is the set of mapped pages as extents, so a restore costs
 	// O(layout entries), not O(guest pages).
@@ -195,7 +204,7 @@ type Machine struct {
 	// segbuf and gapbuf are reusable scratch slices for per-event tier
 	// splits and freshly touched runs; a machine serves one invocation on
 	// one goroutine, so reuse is safe.
-	segbuf []mem.Segment
+	segbuf []mem.LevelSegment
 	gapbuf []guest.Region
 }
 
@@ -224,7 +233,7 @@ func NewBooted(cfg Config, layout guest.Layout) *Machine {
 	m := &Machine{
 		cfg:         cfg,
 		layout:      layout,
-		placement:   mem.AllFast(),
+		placement:   twoTier(layout, nil),
 		backing:     BackingAnon,
 		resident:    guest.NormalizeRegions([]guest.Region{layout.BootImage}), // boot leaves it resident
 		setup:       cfg.BootTime,
@@ -243,7 +252,7 @@ func RestoreLazy(cfg Config, layout guest.Layout, snap *snapshot.Single, concurr
 	m := &Machine{
 		cfg:         cfg,
 		layout:      layout,
-		placement:   mem.AllFast(),
+		placement:   twoTier(layout, nil),
 		backing:     BackingDisk,
 		stored:      snap.Memory.ResidentRegions(),
 		concurrency: clampConc(concurrency),
@@ -308,7 +317,7 @@ func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurr
 		recordTruth: true,
 		label:       ts.Function,
 	}
-	m.placement = mem.NewPlacement(slow)
+	m.placement = twoTier(layout, slow)
 	m.prefetched = guest.TotalPages(slow)
 	m.setup = cfg.VMLoadBase + simtime.Duration(len(ts.Entries))*cfg.MmapCost
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-tiered"
@@ -323,20 +332,31 @@ func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurr
 	return m
 }
 
-// NewResident returns a machine whose memory is fully resident under an
-// explicit page placement — no demand paging, pure tiered execution. TOSS's
-// bin-profiling step (§V-C) uses this to measure how a candidate
-// fast/slow split affects execution time in steady state.
-func NewResident(cfg Config, layout guest.Layout, placement *mem.Placement, concurrency int) *Machine {
+// NewResident returns a machine whose memory is fully resident with the slow
+// regions in the slow tier and every other page in the fast tier — no
+// demand paging, pure tiered execution. TOSS's bin-profiling step (§V-C)
+// uses this to measure how a candidate fast/slow split affects execution
+// time in steady state.
+func NewResident(cfg Config, layout guest.Layout, slow []guest.Region, concurrency int) *Machine {
 	return &Machine{
 		cfg:         cfg,
 		layout:      layout,
-		placement:   placement,
+		placement:   twoTier(layout, slow),
 		backing:     BackingAnon,
 		resident:    guest.NormalizeRegions([]guest.Region{{Start: 0, Pages: layout.TotalPages}}),
 		concurrency: clampConc(concurrency),
 		recordTruth: true,
 	}
+}
+
+// twoTier places the slow regions of a guest in the slow tier and every
+// other page in the fast tier. Two levels over a fast default always
+// validate, so only a pageless layout, which guest.NewLayout never returns,
+// could fail.
+func twoTier(layout guest.Layout, slow []guest.Region) *mem.MultiPlacement {
+	mp, _ := mem.NewMultiPlacement(2, mem.Fast, layout.TotalPages)
+	mp.SetRegions(slow, mem.Slow)
+	return mp
 }
 
 func clampConc(c int) int {
@@ -350,7 +370,7 @@ func clampConc(c int) int {
 func (m *Machine) SetupTime() simtime.Duration { return m.setup }
 
 // Placement exposes the machine's page-to-tier mapping.
-func (m *Machine) Placement() *mem.Placement { return m.placement }
+func (m *Machine) Placement() *mem.MultiPlacement { return m.placement }
 
 // Result is the outcome of running one invocation on a machine.
 type Result struct {
@@ -359,7 +379,7 @@ type Result struct {
 	// Exec is the function execution time, including demand-fault stalls.
 	Exec simtime.Duration
 	// Meter breaks execution down by CPU vs per-tier memory time.
-	Meter mem.Meter
+	Meter mem.MultiMeter
 	// MajorFaults and MinorFaults count first-touch events.
 	MajorFaults int64
 	MinorFaults int64
@@ -430,7 +450,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 		if kind == "" {
 			kind = "resident"
 		}
-		ob.MachineRestored(m.label, kind, m.placement.SlowRegions(), m.layout.TotalPages, m.setup)
+		ob.MachineRestored(m.label, kind, m.placement.Regions(mem.Slow), m.layout.TotalPages, m.setup)
 	}
 	var execSpan *telemetry.Span
 	if span != nil {
@@ -456,7 +476,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 			// Demand paging for first touches of this segment.
 			newStored, newZero := m.touch(seg.Region)
 			if newStored+newZero > 0 {
-				cost, major, minor := m.faultCost(e, seg.Tier, newStored, newZero)
+				cost, major, minor := m.faultCost(e, newStored, newZero)
 				baseCost := cost
 				if inj != nil && newStored > 0 && m.backing != BackingAnon {
 					// An injected SSD hiccup stalls this demand-read burst;
@@ -475,25 +495,25 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 						telemetry.I64("major", major),
 						telemetry.I64("minor", minor),
 						telemetry.I64("pages", newStored+newZero),
-						telemetry.Str("tier", seg.Tier.String()))
+						telemetry.Str("tier", m.cfg.Mem.Tiers[seg.Level].Name))
 					fs.EndAt(m.setup + clock.Now() + cost)
 				}
 				faultHist.Observe(cost.Nanoseconds())
 				if ob != nil {
-					ob.FaultStall(m.label, seg.Tier, seg.Region, major, minor, cost, m.setup+clock.Now())
+					ob.FaultStall(m.label, seg.Level, seg.Region, major, minor, cost, m.setup+clock.Now())
 				}
 				clock.Advance(cost)
 				res.FaultTime += cost
 				res.MajorFaults += major
 				res.MinorFaults += minor
 				if bud != nil {
-					faultTier[seg.Tier] += baseCost
+					faultTier[seg.Level] += baseCost
 					injDisk += cost - baseCost
 				}
 			}
 			// Memory service.
-			clock.Advance(res.Meter.ChargePages(m.cfg.Mem, e, seg.Tier, m.concurrency, seg.Region.Pages))
-			if inj != nil && seg.Tier == mem.Slow {
+			clock.Advance(res.Meter.ChargePages(m.cfg.Mem, e, seg.Level, m.concurrency, seg.Region.Pages))
+			if inj != nil && seg.Level == mem.Slow {
 				// An injected slow-tier device stall delays this DAX access
 				// burst, scaled by the tier's contention factor and charged
 				// to slow-tier memory time.
@@ -589,9 +609,9 @@ func (m *Machine) touch(r guest.Region) (newStored, newZero int64) {
 	return newStored, newZero
 }
 
-// faultCost prices first touches of new pages of the given tier under event
-// e's access pattern, returning (cost, majorFaults, minorFaults).
-func (m *Machine) faultCost(e access.Event, t mem.Tier, newStored, newZero int64) (simtime.Duration, int64, int64) {
+// faultCost prices first touches of new pages under event e's access
+// pattern, returning (cost, majorFaults, minorFaults).
+func (m *Machine) faultCost(e access.Event, newStored, newZero int64) (simtime.Duration, int64, int64) {
 	switch m.backing {
 	case BackingAnon:
 		return simtime.Duration(newStored+newZero) * m.cfg.MinorFaultTrap, 0, newStored + newZero

@@ -8,6 +8,7 @@ import (
 	"toss/internal/mem"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
+	"toss/internal/xray"
 )
 
 func testLayout(t *testing.T) guest.Layout {
@@ -53,6 +54,11 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	c.FaultAroundPages = 0
 	if err := c.Validate(); err == nil {
 		t.Error("zero fault-around accepted")
+	}
+	c = DefaultConfig()
+	c.Mem = mem.DefaultHierarchy()
+	if err := c.Validate(); err == nil {
+		t.Error("four-tier memory model accepted")
 	}
 }
 
@@ -167,7 +173,7 @@ func TestREAPMissingPagesFault(t *testing.T) {
 func buildTiered(t *testing.T, l guest.Layout, resident, slow []guest.Region) *snapshot.Tiered {
 	t.Helper()
 	s := &snapshot.Single{Function: "f", Memory: snapshot.NewMemory("f", l.TotalPages, resident)}
-	return snapshot.BuildTiered(s, mem.NewPlacement(slow))
+	return snapshot.BuildTiered(s, twoTier(l, slow))
 }
 
 func TestRestoreTieredPlacementAndResidency(t *testing.T) {
@@ -178,10 +184,10 @@ func TestRestoreTieredPlacementAndResidency(t *testing.T) {
 	ts := buildTiered(t, l, resident, slow)
 	m := RestoreTiered(cfg, l, ts, 1)
 
-	if got := m.Placement().TierOf(60); got != mem.Slow {
+	if got := m.Placement().LevelOf(60); got != mem.Slow {
 		t.Errorf("page 60 tier = %v, want slow", got)
 	}
-	if got := m.Placement().TierOf(10); got != mem.Fast {
+	if got := m.Placement().LevelOf(10); got != mem.Fast {
 		t.Errorf("page 10 tier = %v, want fast", got)
 	}
 	wantSetup := cfg.VMLoadBase + simtime.Duration(ts.Regions())*cfg.MmapCost
@@ -252,6 +258,39 @@ func TestConcurrencySlowsExecution(t *testing.T) {
 	}
 	if twenty.Exec <= one.Exec {
 		t.Errorf("20-way exec %v not slower than 1-way %v", twenty.Exec, one.Exec)
+	}
+}
+
+// TestContentionBookedInXRay pins the contention split of the attribution
+// budget: above concurrency 1 the slow tier's extra service time is booked
+// as exec.contend.slow, and exec.mem.slow stays the uncontended cost.
+func TestContentionBookedInXRay(t *testing.T) {
+	l := testLayout(t)
+	allSlow := []guest.Region{{Start: 0, Pages: l.TotalPages}}
+	tr := randTrace(guest.Region{Start: 0, Pages: 256}, 16)
+	tr.Append(access.Event{
+		Region: guest.Region{Start: 512, Pages: 128}, LinesPerPage: 64, Repeat: 2,
+		Kind: access.Write, Pattern: access.Sequential, HitRatio: 0.2, CPUPerLine: 1,
+	})
+	run := func(conc int) Result {
+		cfg := DefaultConfig()
+		cfg.XRay = xray.NewCollector()
+		res, err := NewResident(cfg, l, allSlow, conc).Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := res.Budget; b == nil || b.Sum() != b.Recorded() {
+			t.Fatalf("concurrency %d: budget does not balance: %+v", conc, b)
+		}
+		return res
+	}
+	one, twenty := run(1), run(20)
+	contend := twenty.Budget.Get(xray.SegExecContendSlow)
+	if want := twenty.Meter.MemTime[mem.Slow] - one.Meter.MemTime[mem.Slow]; contend <= 0 || contend != want {
+		t.Errorf("exec.contend.slow = %v, want %v > 0", contend, want)
+	}
+	if got, want := twenty.Budget.Get(xray.SegExecMemSlow), one.Budget.Get(xray.SegExecMemSlow); got != want {
+		t.Errorf("exec.mem.slow = %v at concurrency 20, want its concurrency-1 value %v", got, want)
 	}
 }
 

@@ -21,7 +21,7 @@ func benchTrace(b *testing.B) (*Machine, func() *Machine) {
 	}
 	cfg := DefaultConfig()
 	mk := func() *Machine {
-		return NewResident(cfg, layout, mem.AllSlow(layout.TotalPages/2), 1)
+		return NewResident(cfg, layout, []guest.Region{{Start: 0, Pages: layout.TotalPages / 2}}, 1)
 	}
 	return mk(), mk
 }
@@ -69,7 +69,7 @@ func BenchmarkTraceReplayTruth(b *testing.B) {
 // hotPlacement keeps a trace's random-access regions, the latency-bound ones
 // TOSS keeps in DRAM, in the fast tier and puts the rest of the guest in
 // the slow tier — the shape of a converged layout.
-func hotPlacement(tr *access.Trace, pages int64) *mem.Placement {
+func hotPlacement(tr *access.Trace, layout guest.Layout) *mem.MultiPlacement {
 	var fast, slow []guest.Region
 	for _, e := range tr.Events {
 		if e.Pattern == access.Random {
@@ -81,7 +81,7 @@ func hotPlacement(tr *access.Trace, pages int64) *mem.Placement {
 		slow = append(slow, guest.Region{Start: next, Pages: int64(r.Start - next)})
 		next = r.End()
 	}
-	return mem.NewPlacement(append(slow, guest.Region{Start: next, Pages: pages - int64(next)}))
+	return twoTier(layout, append(slow, guest.Region{Start: next, Pages: layout.TotalPages - int64(next)}))
 }
 
 // BenchmarkRestoreTieredRun measures the serving hot path: a tiered restore
@@ -103,7 +103,7 @@ func BenchmarkRestoreTieredRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	single, _ := booted.Snapshot(spec.Name)
-	ts := snapshot.BuildTiered(single, hotPlacement(first, layout.TotalPages))
+	ts := snapshot.BuildTiered(single, hotPlacement(first, layout))
 	tr, err := spec.Trace(workload.IV, 2)
 	if err != nil {
 		b.Fatal(err)

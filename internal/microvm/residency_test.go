@@ -156,7 +156,7 @@ func replayPerPage(m *Machine, tr *access.Trace, resident, stored pageModel) (ma
 				resident[p] = true
 			}
 			if newStored+newZero > 0 {
-				cost, maj, mnr := m.faultCost(e, seg.Tier, newStored, newZero)
+				cost, maj, mnr := m.faultCost(e, newStored, newZero)
 				major, minor, faultTime = major+maj, minor+mnr, faultTime+cost
 			}
 		}
@@ -180,11 +180,11 @@ func TestResidencyMatchesPerPageReference(t *testing.T) {
 		tr := randTraceIn(rng, n, 1+rng.Intn(60))
 		snap := &snapshot.Single{Function: "f", Memory: snapshot.NewMemory("f", n, captured)}
 		ts := buildTiered(t, l, captured, slow)
-		placement := mem.NewPlacement(slow)
+		placement := twoTier(l, slow)
 		stored := newPageModel(n, captured...)
 		slowStored := newPageModel(n)
 		for p, in := range stored {
-			slowStored[p] = in && placement.TierOf(guest.PageID(p)) == mem.Slow
+			slowStored[p] = in && placement.LevelOf(guest.PageID(p)) == mem.Slow
 		}
 		for _, c := range []struct {
 			name             string
@@ -195,7 +195,7 @@ func TestResidencyMatchesPerPageReference(t *testing.T) {
 			{"lazy", func() *Machine { return RestoreLazy(cfg, l, snap, 2) }, newPageModel(n), stored},
 			{"reap", func() *Machine { return RestoreREAP(cfg, l, snap, ws, 3) }, newPageModel(n, ws...), stored},
 			{"tiered", func() *Machine { return RestoreTiered(cfg, l, ts, 1) }, slowStored, stored},
-			{"resident", func() *Machine { return NewResident(cfg, l, placement, 1) }, newPageModel(n, guest.Region{Pages: n}), newPageModel(n)},
+			{"resident", func() *Machine { return NewResident(cfg, l, slow, 1) }, newPageModel(n, guest.Region{Pages: n}), newPageModel(n)},
 		} {
 			vm := c.mk()
 			vm.SetRecordTruth(false)

@@ -186,6 +186,10 @@ func (e TierEvent) FastShare() float64 {
 	return 1 - float64(e.SlowPages)/float64(e.TotalPages)
 }
 
+// tierNames labels a machine's two tiers, by level, the way the memory
+// model names them.
+var tierNames = [2]string{mem.Fast: "fast", mem.Slow: "slow"}
+
 // timeline is one function's residency history plus cached derived
 // instruments, so the hot fault path never re-formats label strings.
 type timeline struct {
@@ -223,9 +227,9 @@ func (r *Recorder) timelineLocked(fn string) *timeline {
 			phaseCtr:    m.Counter(telemetry.Labeled(MetricPhaseTransitions, "fn", fn)),
 			restoreCtrs: make(map[string]*telemetry.Counter),
 		}
-		for _, t := range []mem.Tier{mem.Fast, mem.Slow} {
-			tl.faultCtr[t] = m.Counter(telemetry.Labeled(MetricFaults, "fn", fn, "tier", t.String()))
-			tl.faultCostCtr[t] = m.Counter(telemetry.Labeled(MetricFaultCost, "fn", fn, "tier", t.String()))
+		for level, tier := range tierNames {
+			tl.faultCtr[level] = m.Counter(telemetry.Labeled(MetricFaults, "fn", fn, "tier", tier))
+			tl.faultCostCtr[level] = m.Counter(telemetry.Labeled(MetricFaultCost, "fn", fn, "tier", tier))
 		}
 		r.timelines[fn] = tl
 	}
@@ -417,20 +421,20 @@ func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, tota
 
 // FaultStall implements microvm.Observer: every demand-fault burst attributes
 // its stall cost to the tier that served it.
-func (r *Recorder) FaultStall(label string, tier mem.Tier, region guest.Region, major, minor int64, cost, at simtime.Duration) {
+func (r *Recorder) FaultStall(label string, level int, region guest.Region, major, minor int64, cost, at simtime.Duration) {
 	if r == nil {
 		return
 	}
-	if tier != mem.Fast && tier != mem.Slow {
+	if level != mem.Fast && level != mem.Slow {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tl := r.timelineLocked(fnName(label))
-	tl.faults[tier] += major + minor
-	tl.faultCost[tier] += cost
-	tl.faultCtr[tier].Add(major + minor)
-	tl.faultCostCtr[tier].Add(cost.Nanoseconds())
+	tl.faults[level] += major + minor
+	tl.faultCost[level] += cost
+	tl.faultCtr[level].Add(major + minor)
+	tl.faultCostCtr[level].Add(cost.Nanoseconds())
 	_, _ = region, at
 }
 

@@ -12,19 +12,6 @@ import (
 	"toss/internal/workload"
 )
 
-// Degradation policy names recorded in Record.Degraded (see FAULTS.md).
-const (
-	// DegradeLazy serves from the single-tier snapshot with on-demand
-	// paging — the fallback for slow-tier outages and stale profiles.
-	DegradeLazy = "lazy-fallback"
-	// DegradeResnapshot invalidates a corrupt snapshot, cold-boots, and
-	// re-captures — the fallback for checksum failures at restore.
-	DegradeResnapshot = "resnapshot"
-	// DegradeReprofile demotes a TOSS function back to the profiling phase
-	// before the lazy fallback — the response to a stale DAMON profile.
-	DegradeReprofile = "reprofile"
-)
-
 // FaultPolicy governs how the platform reacts to injected (or real)
 // restore-path failures: how often to retry retryable errors, how long to
 // back off between attempts (virtual time, so byte-deterministic), and
@@ -86,33 +73,13 @@ func (p *Platform) retry(rec *Record, invoke func() (microvm.Result, error)) (mi
 	return res, err
 }
 
-// degradeTOSS maps a TOSS restore failure to its degradation policy
-// (FAULTS.md): outage → lazy fallback, corruption → invalidate and
-// re-snapshot, stale profile → demote to profiling and serve lazily.
-// Unrecognized errors pass through.
-func (p *Platform) degradeTOSS(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (core.Result, error) {
-	switch {
-	case errors.Is(cause, fault.ErrTierUnavailable):
-		rec.Degraded = DegradeLazy
-		return fs.toss.InvokeLazy(lv, seed, conc, span)
-	case errors.Is(cause, snapshot.ErrCorrupt):
-		rec.Degraded = DegradeResnapshot
-		return fs.toss.RecoverCorrupt(lv, seed, conc, span)
-	case errors.Is(cause, fault.ErrProfileStale):
-		rec.Degraded = DegradeReprofile
-		fs.toss.ForceReprofile()
-		return fs.toss.InvokeLazy(lv, seed, conc, span)
-	}
-	return core.Result{}, cause
-}
-
 // degradeSlow maps a slow-only restore failure to its fallback: outage →
 // lazy restore from the single snapshot, corruption → rebuild the all-slow
 // snapshot from a fresh boot.
 func (p *Platform) degradeSlow(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
 	switch {
 	case errors.Is(cause, fault.ErrTierUnavailable):
-		rec.Degraded = DegradeLazy
+		rec.Degraded = core.DegradeLazy
 		layout, err := fs.spec.Layout()
 		if err != nil {
 			return microvm.Result{}, err
@@ -126,7 +93,7 @@ func (p *Platform) degradeSlow(fs *functionState, rec *Record, cause error, lv w
 		vm.SetRecordTruth(false)
 		return vm.RunTraced(tr, span)
 	case errors.Is(cause, snapshot.ErrCorrupt):
-		rec.Degraded = DegradeResnapshot
+		rec.Degraded = core.DegradeResnapshot
 		fs.slowSnap = nil
 		return p.invokeSlow(fs, lv, seed, conc, span)
 	}
@@ -138,7 +105,7 @@ func (p *Platform) degradeSlow(fs *functionState, rec *Record, cause error, lv w
 // cold boot.
 func (p *Platform) degradeDRAM(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
 	if errors.Is(cause, snapshot.ErrCorrupt) {
-		rec.Degraded = DegradeResnapshot
+		rec.Degraded = core.DegradeResnapshot
 		fs.dramSnap = nil
 		return p.invokeDRAM(fs, lv, seed, conc, span)
 	}

@@ -186,7 +186,7 @@ func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
 					r.AuditDAMON(name, seq, pat, truth)
 				},
 				OnConverged: func(_ *core.ProfileData, a *core.Analysis, ts *snapshot.Tiered) {
-					r.ObservePlacement(name, a.Placement.SlowRegions(), ts.GuestPages, "converged")
+					r.ObservePlacement(name, a.Placement.Regions(mem.Slow), ts.GuestPages, "converged")
 				},
 			})
 		}
@@ -234,7 +234,7 @@ type Record struct {
 	Faults   int64
 	// Meter is the invocation's per-tier time/touch accounting (zero on
 	// error); ext8 derives fast-tier hit ratios from its LineTouches.
-	Meter mem.Meter
+	Meter mem.MultiMeter
 	// Retries counts fault-policy retries; their backoff is in Setup.
 	Retries int
 	// Degraded names the degradation policy that served this invocation
@@ -301,7 +301,7 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 			rec.FaultSite = string(fault.SiteOf(err))
 			if p.policy.Degrade {
 				var dres core.Result
-				dres, err = p.degradeTOSS(fs, &rec, err, lv, seed, conc, span)
+				dres, rec.Degraded, err = fs.toss.Degrade(err, lv, seed, conc, span)
 				res, phase = dres.Result, dres.Phase
 			}
 		}
@@ -330,7 +330,7 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 			return p.finish(fs, rec, span)
 		}
 		if res.PrefetchFailed {
-			rec.Degraded = DegradeLazy
+			rec.Degraded = core.DegradeLazy
 			rec.FaultSite = string(fault.SitePrefetch)
 		}
 		rec.Setup, rec.Exec, rec.Faults, rec.Meter = res.Setup, res.Exec, res.MajorFaults, res.Meter
@@ -342,7 +342,7 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 			return p.finish(fs, rec, span)
 		}
 		if res.PrefetchFailed {
-			rec.Degraded = DegradeLazy
+			rec.Degraded = core.DegradeLazy
 			rec.FaultSite = string(fault.SitePrefetch)
 		}
 		rec.Setup, rec.Exec, rec.Faults, rec.Meter = res.Setup, res.Exec, res.MajorFaults, res.Meter
@@ -503,7 +503,11 @@ func (p *Platform) invokeSlow(fs *functionState, lv workload.Level, seed int64, 
 		}
 		single, cost := vm.SnapshotTraced(fs.spec.Name, span, res.Setup+res.Exec)
 		fs.slowSingle = single
-		fs.slowSnap = snapshot.BuildTiered(single, mem.AllSlow(layout.TotalPages))
+		allSlow, err := mem.NewMultiPlacement(2, mem.Slow, layout.TotalPages)
+		if err != nil {
+			return microvm.Result{}, err
+		}
+		fs.slowSnap = snapshot.BuildTiered(single, allSlow)
 		res.Setup += cost
 		res.Budget.Extend(xray.SegSnapshotWrite, cost)
 		return res, nil

@@ -115,11 +115,11 @@ func TestBudgetBalancesThroughDegradation(t *testing.T) {
 
 	rec := p.Invoke("json_load_dump", workload.IV, 7)
 	checkBalanced(t, rec, "degrade-lazy")
-	if rec.Degraded != DegradeLazy {
-		t.Fatalf("Degraded = %q, want %q", rec.Degraded, DegradeLazy)
+	if rec.Degraded != core.DegradeLazy {
+		t.Fatalf("Degraded = %q, want %q", rec.Degraded, core.DegradeLazy)
 	}
-	if rec.XRay.MarkCount("degraded."+DegradeLazy) != 1 {
-		t.Errorf("missing degraded.%s mark", DegradeLazy)
+	if rec.XRay.MarkCount("degraded."+core.DegradeLazy) != 1 {
+		t.Errorf("missing degraded.%s mark", core.DegradeLazy)
 	}
 	if rec.XRay.MarkCount("fault.site."+rec.FaultSite) != 1 {
 		t.Errorf("missing fault.site.%s mark", rec.FaultSite)
@@ -131,7 +131,7 @@ func TestBudgetBalancesThroughDegradation(t *testing.T) {
 
 // TestBudgetBalancesThroughResnapshot covers corruption recovery, whose
 // re-capture cost is added to Setup after the machine sealed its budget —
-// the snapshot.write Extend site in RecoverCorrupt.
+// the snapshot.write Extend site in core's corrupt-snapshot recovery.
 func TestBudgetBalancesThroughResnapshot(t *testing.T) {
 	p := faultPlatform(t, fault.Plan{Seed: 1, Sites: map[fault.Site]fault.Spec{
 		fault.SiteRestoreCorrupt: {Rate: 1, MaxFires: 1},
@@ -142,8 +142,8 @@ func TestBudgetBalancesThroughResnapshot(t *testing.T) {
 
 	rec := p.Invoke("json_load_dump", workload.IV, 7)
 	checkBalanced(t, rec, "degrade-resnapshot")
-	if rec.Degraded != DegradeResnapshot {
-		t.Fatalf("Degraded = %q, want %q", rec.Degraded, DegradeResnapshot)
+	if rec.Degraded != core.DegradeResnapshot {
+		t.Fatalf("Degraded = %q, want %q", rec.Degraded, core.DegradeResnapshot)
 	}
 	if rec.XRay.Get(xray.SegSnapshotWrite) == 0 {
 		t.Error("re-snapshot recovery should charge a snapshot.write segment")

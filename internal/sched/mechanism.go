@@ -1,13 +1,10 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 
 	"toss/internal/core"
-	"toss/internal/fault"
 	"toss/internal/guest"
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/reap"
 	"toss/internal/simtime"
@@ -88,28 +85,11 @@ func (m *tossMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simt
 	if err == nil {
 		return res.Setup, res.Exec, false, nil
 	}
-	res, err = m.recover(err, a, conc)
+	res, _, err = m.ctrl.Degrade(err, a.Level, a.Seed, conc, nil)
 	if err != nil {
 		return 0, 0, true, err
 	}
 	return res.Setup, res.Exec, true, nil
-}
-
-// recover applies the same degradation policies internal/platform uses
-// (FAULTS.md): outage → lazy fallback, corruption → invalidate and
-// re-snapshot, stale profile → demote to profiling and serve lazily.
-// Unrecognized errors pass through.
-func (m *tossMech) recover(cause error, a trace.Arrival, conc int) (core.Result, error) {
-	switch {
-	case errors.Is(cause, fault.ErrTierUnavailable):
-		return m.ctrl.InvokeLazy(a.Level, a.Seed, conc, nil)
-	case errors.Is(cause, snapshot.ErrCorrupt):
-		return m.ctrl.RecoverCorrupt(a.Level, a.Seed, conc, nil)
-	case errors.Is(cause, fault.ErrProfileStale):
-		m.ctrl.ForceReprofile()
-		return m.ctrl.InvokeLazy(a.Level, a.Seed, conc, nil)
-	}
-	return core.Result{}, cause
 }
 
 // invokeWarm still routes through the controller so profiling-phase
@@ -124,7 +104,7 @@ func (m *tossMech) invokeWarm(a trace.Arrival, conc int) (simtime.Duration, bool
 		// VM was resumed; recover exactly like a cold start so the warm
 		// path never errors out under injection.
 		faulted = true
-		res, err = m.recover(err, a, conc)
+		res, _, err = m.ctrl.Degrade(err, a.Level, a.Seed, conc, nil)
 		if err != nil {
 			return 0, true, err
 		}
@@ -306,7 +286,7 @@ func residentExec(cfg Config, spec *workload.Spec, layout guest.Layout, a trace.
 	if err != nil {
 		return 0, err
 	}
-	vm := microvm.NewResident(cfg.Core.VM, layout, mem.AllFast(), conc)
+	vm := microvm.NewResident(cfg.Core.VM, layout, nil, conc)
 	vm.SetLabel(spec.Name)
 	vm.SetRecordTruth(false)
 	res, err := vm.Run(tr)

@@ -13,7 +13,7 @@ import (
 
 func TestChecksumStableAndSensitive(t *testing.T) {
 	s := buildTestSingle()
-	placement := mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}})
+	placement := slowPlacement(s, guest.Region{Start: 5, Pages: 20})
 	a := BuildTiered(s, placement)
 	b := BuildTiered(s, placement)
 	if a.Sum == 0 {
@@ -26,7 +26,7 @@ func TestChecksumStableAndSensitive(t *testing.T) {
 		t.Fatal("Checksum() disagrees with BuildTiered's Sum")
 	}
 	// Any content change moves the sum.
-	c := BuildTiered(s, mem.AllFast())
+	c := BuildTiered(s, slowPlacement(s))
 	if c.Sum == a.Sum {
 		t.Fatal("different placement, same sum")
 	}
@@ -34,7 +34,7 @@ func TestChecksumStableAndSensitive(t *testing.T) {
 
 func TestVerifyDetectsTamper(t *testing.T) {
 	s := buildTestSingle()
-	tiered := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}}))
+	tiered := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
 	if err := tiered.Verify(tiered.Sum); err != nil {
 		t.Fatalf("clean snapshot failed verify: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestVerifyDetectsTamper(t *testing.T) {
 func TestReadTieredRejectsTamperedTierFile(t *testing.T) {
 	dir := t.TempDir()
 	s := buildTestSingle()
-	tiered := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}}))
+	tiered := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
 	if err := WriteTiered(dir, tiered); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestReadTieredRejectsTamperedTierFile(t *testing.T) {
 func TestReadTieredRejectsTruncatedTrailer(t *testing.T) {
 	dir := t.TempDir()
 	s := buildTestSingle()
-	tiered := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}}))
+	tiered := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
 	if err := WriteTiered(dir, tiered); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestReadTieredRejectsTruncatedTrailer(t *testing.T) {
 func TestReadTieredPreservesSum(t *testing.T) {
 	dir := t.TempDir()
 	s := buildTestSingle()
-	want := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}}))
+	want := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
 	if err := WriteTiered(dir, want); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReadRejectsOutOfGuestContents(t *testing.T) {
 		{"empty", LayoutEntry{Tier: mem.Fast, GuestStart: 3, Pages: 0}},
 		{"negative size", LayoutEntry{Tier: mem.Fast, GuestStart: 3, Pages: -4}},
 		{"end overflows", LayoutEntry{Tier: mem.Slow, GuestStart: 1, Pages: math.MaxInt64}},
-		{"unknown tier", LayoutEntry{Tier: mem.Tier(2), GuestStart: 0, Pages: 1}},
+		{"unknown tier", LayoutEntry{Tier: 2, GuestStart: 0, Pages: 1}},
 	} {
 		dir := t.TempDir()
 		ts := &Tiered{Function: "f", GuestPages: guestPages, Entries: []LayoutEntry{c.e},

@@ -34,7 +34,7 @@ func (d TieredDiff) ReuseFraction() float64 {
 }
 
 // tierOfPage reports which tier image of t holds page p, if any.
-func tierOfPage(t *Tiered, p guest.PageID) (mem.Tier, bool) {
+func tierOfPage(t *Tiered, p guest.PageID) (int, bool) {
 	if _, ok := t.FastMem.Pages[p]; ok {
 		return mem.Fast, true
 	}
@@ -48,7 +48,7 @@ func tierOfPage(t *Tiered, p guest.PageID) (mem.Tier, bool) {
 func DiffTiered(old, new *Tiered) TieredDiff {
 	var d TieredDiff
 	seen := make(map[guest.PageID]bool, len(new.FastMem.Pages)+len(new.SlowMem.Pages))
-	scan := func(pages map[guest.PageID]PageDigest, tier mem.Tier) {
+	scan := func(pages map[guest.PageID]PageDigest, tier int) {
 		for p := range pages {
 			seen[p] = true
 			oldTier, existed := tierOfPage(old, p)

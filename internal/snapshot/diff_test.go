@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"toss/internal/guest"
-	"toss/internal/mem"
 )
 
 func tieredFrom(t *testing.T, resident, slow []guest.Region) *Tiered {
@@ -13,7 +12,7 @@ func tieredFrom(t *testing.T, resident, slow []guest.Region) *Tiered {
 		t.Helper()
 	}
 	s := &Single{Function: "f", Memory: NewMemory("f", 128, resident)}
-	return BuildTiered(s, mem.NewPlacement(slow))
+	return BuildTiered(s, slowPlacement(s, slow...))
 }
 
 func TestDiffTieredIdentical(t *testing.T) {

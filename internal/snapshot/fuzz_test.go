@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"toss/internal/guest"
-	"toss/internal/mem"
 )
 
 // TestReadersNeverPanicOnMutatedFiles writes valid artifacts, then applies
@@ -33,7 +32,7 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 	if err := os.MkdirAll(tieredDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ts := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 50}}))
+	ts := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 50}))
 	if err := WriteTiered(tieredDir, ts); err != nil {
 		t.Fatal(err)
 	}

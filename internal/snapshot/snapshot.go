@@ -169,7 +169,8 @@ func ReadSingle(path string) (*Single, error) {
 // holds it, where within that file, where it sits in guest memory, and its
 // size — the paper's memory-layout record (§V-D).
 type LayoutEntry struct {
-	Tier mem.Tier
+	// Tier is the level holding the region: mem.Fast or mem.Slow.
+	Tier int
 	// FileOffsetPages is the region's offset within its tier's memory
 	// file, in pages.
 	FileOffsetPages int64
@@ -246,10 +247,10 @@ func (t *Tiered) Verify(want uint64) error {
 }
 
 // BuildTiered partitions a single-tier snapshot between the two tiers
-// according to placement, copying each region serially into the appropriate
-// tier image and recording the layout, exactly as §V-D describes. Resident
-// pages not covered by any slow region stay in the fast tier.
-func BuildTiered(s *Single, placement *mem.Placement) *Tiered {
+// according to a two-level placement, copying each region serially into the
+// appropriate tier image and recording the layout, exactly as §V-D
+// describes.
+func BuildTiered(s *Single, placement *mem.MultiPlacement) *Tiered {
 	t := &Tiered{
 		Function:   s.Function,
 		GuestPages: s.Memory.GuestPages,
@@ -267,7 +268,7 @@ func BuildTiered(s *Single, placement *mem.Placement) *Tiered {
 	}
 	for _, r := range resident {
 		for p := r.Start; p < r.End(); p++ {
-			tier := placement.TierOf(p)
+			tier := placement.LevelOf(p)
 			img, off := t.FastMem, &fastOff
 			if tier == mem.Slow {
 				img, off = t.SlowMem, &slowOff
@@ -427,7 +428,7 @@ func ReadTiered(dir string) (*Tiered, error) {
 				ErrCorrupt, i, rec[0], rec[3], rec[2], t.GuestPages)
 		}
 		t.Entries = append(t.Entries, LayoutEntry{
-			Tier:            mem.Tier(rec[0]),
+			Tier:            int(rec[0]),
 			FileOffsetPages: rec[1],
 			GuestStart:      guest.PageID(rec[2]),
 			Pages:           rec[3],

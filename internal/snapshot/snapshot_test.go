@@ -119,10 +119,21 @@ func buildTestSingle() *Single {
 	}
 }
 
+// slowPlacement places the slow regions of s's guest in the slow tier and
+// every other page in the fast tier.
+func slowPlacement(s *Single, slow ...guest.Region) *mem.MultiPlacement {
+	mp, err := mem.NewMultiPlacement(2, mem.Fast, s.Memory.GuestPages)
+	if err != nil {
+		panic(err)
+	}
+	mp.SetRegions(slow, mem.Slow)
+	return mp
+}
+
 func TestBuildTieredPartition(t *testing.T) {
 	s := buildTestSingle()
 	// Slow: [5,25) -> resident slow pages are [5,10) and [20,25).
-	placement := mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}})
+	placement := slowPlacement(s, guest.Region{Start: 5, Pages: 20})
 	tiered := BuildTiered(s, placement)
 
 	if len(tiered.FastMem.Pages) != 10 || len(tiered.SlowMem.Pages) != 10 {
@@ -158,7 +169,7 @@ func TestBuildTieredPartition(t *testing.T) {
 // the bottom.
 func TestSeedPlacement(t *testing.T) {
 	s := buildTestSingle()
-	tiered := BuildTiered(s, mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}}))
+	tiered := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
 	mp, err := tiered.SeedPlacement(4, 0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +193,7 @@ func TestSeedPlacement(t *testing.T) {
 
 func TestBuildTieredAllFast(t *testing.T) {
 	s := buildTestSingle()
-	tiered := BuildTiered(s, mem.AllFast())
+	tiered := BuildTiered(s, slowPlacement(s))
 	if len(tiered.SlowMem.Pages) != 0 {
 		t.Error("AllFast placement put pages in slow tier")
 	}
@@ -196,7 +207,7 @@ func TestBuildTieredAllFast(t *testing.T) {
 
 func TestBuildTieredEmptySnapshot(t *testing.T) {
 	s := &Single{Function: "f", Memory: NewMemory("f", 10, nil)}
-	tiered := BuildTiered(s, mem.AllFast())
+	tiered := BuildTiered(s, slowPlacement(s))
 	if tiered.Regions() != 0 || tiered.SlowShare() != 0 {
 		t.Errorf("empty snapshot produced %d regions", tiered.Regions())
 	}
@@ -205,7 +216,7 @@ func TestBuildTieredEmptySnapshot(t *testing.T) {
 func TestTieredRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := buildTestSingle()
-	placement := mem.NewPlacement([]guest.Region{{Start: 5, Pages: 20}})
+	placement := slowPlacement(s, guest.Region{Start: 5, Pages: 20})
 	want := BuildTiered(s, placement)
 	if err := WriteTiered(dir, want); err != nil {
 		t.Fatal(err)
@@ -255,14 +266,14 @@ func TestBuildTieredConservationProperty(t *testing.T) {
 			return rs
 		}
 		s := &Single{Function: "f", Memory: NewMemory("f", 64, toRegions(residentRaw))}
-		placement := mem.NewPlacement(toRegions(slowRaw))
+		placement := slowPlacement(s, toRegions(slowRaw)...)
 		tiered := BuildTiered(s, placement)
 
 		if len(tiered.FastMem.Pages)+len(tiered.SlowMem.Pages) != len(s.Memory.Pages) {
 			return false
 		}
 		for p := range s.Memory.Pages {
-			if placement.TierOf(p) == mem.Slow {
+			if placement.LevelOf(p) == mem.Slow {
 				if _, ok := tiered.SlowMem.Pages[p]; !ok {
 					return false
 				}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"toss/internal/guest"
-	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/simtime"
 )
@@ -201,7 +200,7 @@ func TestFootprintScales(t *testing.T) {
 }
 
 // runOn executes a trace fully resident under a placement and returns exec time.
-func runOn(t *testing.T, s *Spec, lv Level, seed int64, placement *mem.Placement) simtime.Duration {
+func runOn(t *testing.T, s *Spec, lv Level, seed int64, slow []guest.Region) simtime.Duration {
 	t.Helper()
 	layout, err := s.Layout()
 	if err != nil {
@@ -211,7 +210,7 @@ func runOn(t *testing.T, s *Spec, lv Level, seed int64, placement *mem.Placement
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := microvm.NewResident(microvm.DefaultConfig(), layout, placement, 1)
+	m := microvm.NewResident(microvm.DefaultConfig(), layout, slow, 1)
 	res, err := m.Run(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +223,8 @@ func TestFullSlowSlowdownShapes(t *testing.T) {
 	// when fully offloaded; pagerank suffers the most.
 	slowdown := func(s *Spec) float64 {
 		layout, _ := s.Layout()
-		fast := runOn(t, s, IV, 5, mem.AllFast())
-		slow := runOn(t, s, IV, 5, mem.AllSlow(layout.TotalPages))
+		fast := runOn(t, s, IV, 5, nil)
+		slow := runOn(t, s, IV, 5, []guest.Region{{Start: 0, Pages: layout.TotalPages}})
 		return float64(slow) / float64(fast)
 	}
 	cheap := slowdown(Compress)
@@ -245,7 +244,7 @@ func TestExecutionTimesPlausible(t *testing.T) {
 	// All functions at input IV should execute within the serverless window
 	// the paper cites (most functions < 10 s, none < 1 ms at input IV).
 	for _, s := range Registry() {
-		exec := runOn(t, s, IV, 9, mem.AllFast())
+		exec := runOn(t, s, IV, 9, nil)
 		if exec < simtime.Millisecond {
 			t.Errorf("%s IV exec = %v, implausibly fast", s.Name, exec)
 		}

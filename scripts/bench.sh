@@ -49,12 +49,11 @@ if ! cmp -s "$tmp/serial.txt" "$tmp/parallel.txt"; then
 fi
 echo "serial ${serial}s, parallel(${workers}) ${par}s, outputs byte-identical" >&2
 
-# Per-experiment wall-clock of every ext experiment, ext9 included (ext8
-# doubles as the fault machinery's end-to-end cost benchmark and keeps its
-# own field; ext9 times the cluster simulator end to end, profiling plus the
-# full fleet x router x arrival ladder sweep).
+# Per-experiment wall-clock of every ext experiment (ext8 doubles as the
+# fault machinery's end-to-end cost benchmark; ext9 times the cluster
+# simulator end to end, profiling plus the full fleet x router x arrival
+# ladder sweep).
 ext_flags=()
-ext8=0
 for id in $("$tmp/tossctl" list | grep '^ext'); do
     t_start=$(date +%s.%N)
     "$tmp/tossctl" -parallel 1 "$id" > /dev/null
@@ -62,7 +61,6 @@ for id in $("$tmp/tossctl" list | grep '^ext'); do
     secs=$(echo "$t_end $t_start" | awk '{printf "%.2f", $1 - $2}')
     echo "$id ${secs}s" >&2
     ext_flags+=(-ext "$id=$secs")
-    if [ "$id" = ext8 ]; then ext8="$secs"; fi
 done
 
 # Fleet observability export cost: ext9 again with the attribution dump and
@@ -84,7 +82,7 @@ insight=$(echo "$in_end $in_start" | awk '{printf "%.2f", $1 - $2}')
 echo "ext11 with -alerts/-insight ${insight}s" >&2
 
 go run ./scripts/benchjson -serial "$serial" -parallel "$par" -workers "$workers" \
-    -ext8 "$ext8" -fleetobs "$fleetobs" -insight "$insight" "${ext_flags[@]}" < "$tmp/bench.txt" > "$out"
+    -fleetobs "$fleetobs" -insight "$insight" "${ext_flags[@]}" < "$tmp/bench.txt" > "$out"
 echo "wrote $out" >&2
 
 # Run-to-run regression diff against the checked-in baseline: warn-only (CI

@@ -44,12 +44,11 @@ type Suite struct {
 	ParallelSeconds float64 `json:"parallel_seconds"`
 	Workers         int     `json:"workers"`
 	Speedup         float64 `json:"speedup"`
-	// Ext8Seconds is the wall-clock of the ext8 fault-tolerance sweep on
-	// its own — the fault machinery's end-to-end cost benchmark.
-	Ext8Seconds float64 `json:"ext8_seconds,omitempty"`
 	// ExtSeconds is the per-experiment wall-clock of each ext experiment,
 	// passed via repeated -ext name=seconds flags. Maps marshal with sorted
-	// keys, so the report stays byte-deterministic for given inputs.
+	// keys, so the report stays byte-deterministic for given inputs. ext8
+	// times the fault machinery and ext11 the N-tier migration engine end
+	// to end.
 	ExtSeconds map[string]float64 `json:"ext_seconds,omitempty"`
 	// FleetObsSeconds is the wall-clock of the ext9 cluster sweep with the
 	// full observability export on (-xray attribution dump plus -fleetlog
@@ -64,10 +63,6 @@ type Suite struct {
 	// the checked-in baseline both read these fields.
 	ClusterInvPerSec           float64 `json:"cluster_invocations_per_second,omitempty"`
 	ClusterAllocsPerInvocation float64 `json:"cluster_allocs_per_invocation,omitempty"`
-	// Ext11Seconds is the wall-clock of the ext11 migration-frontier sweep
-	// on its own (hoisted from ExtSeconds): the N-tier migration engine's
-	// end-to-end cost benchmark.
-	Ext11Seconds float64 `json:"ext11_seconds,omitempty"`
 	// MigrationsPerSecond is derived from BenchmarkMigrationEngine's
 	// "migrations/s" metric: how fast the engine folds heat and repacks
 	// tiers on a drifting working set.
@@ -112,7 +107,6 @@ func main() {
 	serial := flag.Float64("serial", 0, "wall-clock seconds of `tossctl all -parallel 1` (0 omits the suite block)")
 	parallel := flag.Float64("parallel", 0, "wall-clock seconds of `tossctl all -parallel N`")
 	workers := flag.Int("workers", 0, "worker count N used for the parallel run")
-	ext8 := flag.Float64("ext8", 0, "wall-clock seconds of the ext8 fault sweep alone (0 omits)")
 	fleetobs := flag.Float64("fleetobs", 0, "wall-clock seconds of ext9 with -xray and -fleetlog exports on (0 omits)")
 	insight := flag.Float64("insight", 0, "wall-clock seconds of ext11 with -alerts and -insight exports on (0 omits)")
 	exts := extFlag{}
@@ -126,13 +120,11 @@ func main() {
 			ParallelSeconds: *parallel,
 			Workers:         *workers,
 			Speedup:         *serial / *parallel,
-			Ext8Seconds:     *ext8,
 			FleetObsSeconds: *fleetobs,
 			InsightSeconds:  *insight,
 		}
 		if len(exts) > 0 {
 			report.Suite.ExtSeconds = exts
-			report.Suite.Ext11Seconds = exts["ext11"]
 		}
 	}
 
