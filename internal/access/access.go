@@ -12,7 +12,11 @@
 package access
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"toss/internal/guest"
@@ -182,80 +186,70 @@ func (t *Trace) FootprintPages() int64 {
 // every profiler (DAMON, wstrack) and every truth-recording replay derives.
 // The histogram is memoized and shared between callers — treat it as
 // read-only; use Clone before mutating.
+//
+// Each event adds its touches per page over its region, so the counts
+// change only at event boundaries: one sort of the 2×events boundary
+// deltas and a sweep over them build the runs, whatever the guest size.
 func (t *Trace) Counts() *Histogram {
 	t.memoMu.Lock()
 	defer t.memoMu.Unlock()
 	if t.counts != nil && t.countsAt == len(t.Events) {
 		return t.counts
 	}
-	var end guest.PageID
+	type edge struct {
+		at    guest.PageID
+		delta int64
+	}
+	edges := make([]edge, 0, 2*len(t.Events))
 	for _, e := range t.Events {
-		if e.Region.End() > end {
-			end = e.Region.End()
+		if per := e.TouchesPerPage(); per != 0 && !e.Region.Empty() {
+			edges = append(edges, edge{e.Region.Start, per}, edge{e.Region.End(), -per})
 		}
 	}
-	h := NewHistogramSized(int64(end))
-	for _, e := range t.Events {
-		h.AddEvent(e)
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	h := NewHistogram()
+	var count int64
+	for i, e := range edges {
+		count += e.delta
+		if i+1 < len(edges) && edges[i+1].at > e.at {
+			h.runs = appendRun(h.runs, Run{Region: guest.Region{Start: e.at, Pages: int64(edges[i+1].at - e.at)}, Count: count})
+		}
 	}
 	t.counts = h
 	t.countsAt = len(t.Events)
 	return h
 }
 
+// Run is a maximal run of pages sharing one nonzero access count.
+type Run struct {
+	Region guest.Region
+	Count  int64
+}
+
 // Histogram accumulates per-page access counts — the ground truth that the
 // DAMON simulator samples from and that analysis code reasons about.
 //
-// The representation is a dense slice indexed by page id: guest address
-// spaces here are at most a few hundred thousand pages, profiling touches a
-// large fraction of them every invocation, and the dense form makes the
-// per-invocation fold linear with no hashing or sorting. Pages with a zero
-// count are indistinguishable from untouched pages.
+// The representation is run-length: sorted, disjoint runs of pages with a
+// nonzero count, neighbours with equal counts coalesced, so two histograms
+// with the same counts hold the same runs. Traces are region bursts, so a
+// trace's histogram has a few runs per event however large the guest is.
+// Pages with a zero count are indistinguishable from untouched pages.
 type Histogram struct {
-	counts  []int64 // index: PageID
-	nonzero int
+	runs []Run
+	// spare is the rebuild buffer splice reuses between writes.
+	spare []Run
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// NewHistogramSized returns an empty histogram whose backing store already
-// covers pages [0, pages), avoiding the grow-doubling copies when the
-// caller knows the address-space bound up front.
-func NewHistogramSized(pages int64) *Histogram {
-	if pages <= 0 {
-		return &Histogram{}
-	}
-	return &Histogram{counts: make([]int64, pages)}
-}
-
-// grow ensures the backing slice covers page p.
-func (h *Histogram) grow(p guest.PageID) {
-	if int64(p) < int64(len(h.counts)) {
-		return
-	}
-	n := int64(p) + 1
-	if n < int64(2*len(h.counts)) {
-		n = int64(2 * len(h.counts))
-	}
-	bigger := make([]int64, n)
-	copy(bigger, h.counts)
-	h.counts = bigger
-}
+// Runs returns the histogram's runs in address order. The slice is shared —
+// treat it as read-only; it is invalidated by the next write.
+func (h *Histogram) Runs() []Run { return h.runs }
 
 // AddEvent credits every page in the event with its touch count.
 func (h *Histogram) AddEvent(e Event) {
-	per := e.TouchesPerPage()
-	if per == 0 || e.Region.Empty() {
-		return
-	}
-	h.grow(e.Region.End() - 1)
-	for p := e.Region.Start; p < e.Region.End(); p++ {
-		if h.counts[p] == 0 {
-			h.nonzero++
-		}
-		h.counts[p] += per
-	}
+	h.AddRegion(e.Region, e.TouchesPerPage())
 }
 
 // AddTrace accumulates a whole trace.
@@ -267,62 +261,173 @@ func (h *Histogram) AddTrace(t *Trace) {
 
 // Add credits a single page with n touches. Adding zero is a no-op.
 func (h *Histogram) Add(p guest.PageID, n int64) {
-	if n == 0 {
+	h.AddRegion(guest.Region{Start: p, Pages: 1}, n)
+}
+
+// AddRegion credits every page of r with n touches. Adding zero or to an
+// empty region is a no-op.
+func (h *Histogram) AddRegion(r guest.Region, n int64) {
+	if n == 0 || r.Empty() {
 		return
 	}
-	h.grow(p)
-	if h.counts[p] == 0 {
-		h.nonzero++
-	}
-	h.counts[p] += n
-	if h.counts[p] == 0 {
-		h.nonzero--
-	}
-}
-
-// Count returns the accumulated touches for a page (0 if untouched).
-func (h *Histogram) Count(p guest.PageID) int64 {
-	if int64(p) >= int64(len(h.counts)) || p < 0 {
-		return 0
-	}
-	return h.counts[p]
-}
-
-// Len returns the number of distinct touched pages.
-func (h *Histogram) Len() int { return h.nonzero }
-
-// Total returns the sum of all counts.
-func (h *Histogram) Total() int64 {
-	var sum int64
-	for _, c := range h.counts {
-		sum += c
-	}
-	return sum
+	one := [1]Run{{Region: r, Count: n}}
+	h.Update(one[:], sum)
 }
 
 // Merge adds all counts from o into h.
 func (h *Histogram) Merge(o *Histogram) {
-	for p, c := range o.counts {
-		if c != 0 {
-			h.Add(guest.PageID(p), c)
+	if o == h {
+		o = o.Clone()
+	}
+	h.Update(o.runs, sum)
+}
+
+// MergeMax folds o into h keeping, for each page o touches, the larger of
+// the two counts. TOSS's unified access-pattern file uses max-merge so the
+// pattern reflects the most intense behaviour seen for each page across
+// invocations.
+func (h *Histogram) MergeMax(o *Histogram) {
+	if o == h {
+		return
+	}
+	h.Update(o.runs, larger)
+}
+
+func sum(old, v int64) int64    { return old + v }
+func larger(old, v int64) int64 { return max(old, v) }
+
+// Update sets every page p that a run of src covers to f(h.Count(p),
+// run.Count), taking the runs in order, so a run overlapping an earlier one
+// sees its result; a result of 0 clears the page. src must not share
+// memory with h's own runs. It is the histogram's one write path. Each
+// sorted, disjoint stretch of src costs a binary search, one pass over the
+// runs it overlaps and one splice, so appending at or past the last run
+// copies amortized O(1) runs.
+func (h *Histogram) Update(src []Run, f func(old, v int64) int64) {
+	for len(src) > 0 {
+		n, end := 0, guest.PageID(math.MinInt64)
+		for ; n < len(src); n++ {
+			if r := src[n].Region; !r.Empty() {
+				if r.Start < end {
+					break
+				}
+				end = r.End()
+			}
 		}
+		h.splice(src[:n], end, f)
+		src = src[n:]
 	}
 }
 
-// MergeMax folds o into h keeping, for each page, the larger of the two
-// counts. TOSS's unified access-pattern file uses max-merge so the pattern
-// reflects the most intense behaviour seen for each page across invocations.
-func (h *Histogram) MergeMax(o *Histogram) {
-	for p, c := range o.counts {
-		if c > h.Count(guest.PageID(p)) {
-			h.Add(guest.PageID(p), c-h.Count(guest.PageID(p)))
+// splice applies Update to sorted, disjoint src whose last region ends at
+// end. It rebuilds the window of runs that overlap or touch the span of src
+// — touching, so the edges coalesce — and splices the window back.
+func (h *Histogram) splice(src []Run, end guest.PageID, f func(old, v int64) int64) {
+	start := end
+	for _, s := range src {
+		if !s.Region.Empty() {
+			start = s.Region.Start
+			break
 		}
 	}
+	if start == end {
+		return
+	}
+	runs := h.runs
+	lo := sort.Search(len(runs), func(i int) bool { return runs[i].Region.End() >= start })
+	hi := lo + sort.Search(len(runs)-lo, func(i int) bool { return runs[lo+i].Region.Start > end })
+	out := h.spare[:0]
+	i := lo
+	for _, s := range src {
+		if s.Region.Empty() {
+			continue
+		}
+		p, e := s.Region.Start, s.Region.End()
+		for ; i < hi && runs[i].Region.End() <= p; i++ {
+			out = appendRun(out, runs[i])
+		}
+		// A run straddling p keeps its head; the window is rebuilt from
+		// out, so its tail may be trimmed in place.
+		if i < hi && runs[i].Region.Start < p {
+			r := runs[i].Region
+			out = appendRun(out, Run{Region: guest.Region{Start: r.Start, Pages: int64(p - r.Start)}, Count: runs[i].Count})
+			runs[i].Region = guest.Region{Start: p, Pages: int64(r.End() - p)}
+		}
+		for p < e {
+			if i < hi && runs[i].Region.Start == p {
+				r := runs[i].Region
+				next := min(r.End(), e)
+				out = appendRun(out, Run{Region: guest.Region{Start: p, Pages: int64(next - p)}, Count: f(runs[i].Count, s.Count)})
+				if next == r.End() {
+					i++
+				} else {
+					runs[i].Region = guest.Region{Start: next, Pages: int64(r.End() - next)}
+				}
+				p = next
+				continue
+			}
+			next := e
+			if i < hi {
+				next = min(next, runs[i].Region.Start)
+			}
+			out = appendRun(out, Run{Region: guest.Region{Start: p, Pages: int64(next - p)}, Count: f(0, s.Count)})
+			p = next
+		}
+	}
+	for ; i < hi; i++ {
+		out = appendRun(out, runs[i])
+	}
+	if lo == 0 && hi == len(runs) {
+		h.runs, h.spare = out, runs[:0]
+		return
+	}
+	h.runs = slices.Replace(runs, lo, hi, out...)
+	h.spare = out[:0]
+}
+
+// appendRun appends r to runs, dropping it when empty or zero and
+// coalescing it into the last run when adjacent with an equal count.
+func appendRun(runs []Run, r Run) []Run {
+	if r.Count == 0 || r.Region.Empty() {
+		return runs
+	}
+	if n := len(runs); n > 0 && runs[n-1].Count == r.Count && runs[n-1].Region.End() == r.Region.Start {
+		runs[n-1].Region.Pages += r.Region.Pages
+		return runs
+	}
+	return append(runs, r)
+}
+
+// Count returns the accumulated touches for a page (0 if untouched).
+func (h *Histogram) Count(p guest.PageID) int64 {
+	i := sort.Search(len(h.runs), func(i int) bool { return h.runs[i].Region.End() > p })
+	if i < len(h.runs) && h.runs[i].Region.Start <= p {
+		return h.runs[i].Count
+	}
+	return 0
+}
+
+// Len returns the number of distinct touched pages.
+func (h *Histogram) Len() int {
+	var n int64
+	for _, r := range h.runs {
+		n += r.Region.Pages
+	}
+	return int(n)
+}
+
+// Total returns the sum of all counts.
+func (h *Histogram) Total() int64 {
+	var total int64
+	for _, r := range h.runs {
+		total += r.Count * r.Region.Pages
+	}
+	return total
 }
 
 // Clone returns a deep copy.
 func (h *Histogram) Clone() *Histogram {
-	return &Histogram{counts: append([]int64(nil), h.counts...), nonzero: h.nonzero}
+	return &Histogram{runs: slices.Clone(h.runs)}
 }
 
 // PageCount pairs a page with its access count.
@@ -331,12 +436,13 @@ type PageCount struct {
 	Count int64
 }
 
-// Sorted returns all touched (page, count) pairs in ascending page order.
+// Sorted returns all touched (page, count) pairs in ascending page order:
+// the per-page view, for callers that join pages one by one.
 func (h *Histogram) Sorted() []PageCount {
-	out := make([]PageCount, 0, h.nonzero)
-	for p, c := range h.counts {
-		if c != 0 {
-			out = append(out, PageCount{guest.PageID(p), c})
+	out := make([]PageCount, 0, h.Len())
+	for _, r := range h.runs {
+		for p := r.Region.Start; p < r.Region.End(); p++ {
+			out = append(out, PageCount{p, r.Count})
 		}
 	}
 	return out
@@ -345,40 +451,15 @@ func (h *Histogram) Sorted() []PageCount {
 // TouchedRegions returns the touched pages as a normalized region list.
 func (h *Histogram) TouchedRegions() []guest.Region {
 	var regions []guest.Region
-	var cur *guest.Region
-	for p, c := range h.counts {
-		if c == 0 {
-			cur = nil
+	for _, r := range h.runs {
+		if n := len(regions); n > 0 && regions[n-1].End() == r.Region.Start {
+			regions[n-1].Pages += r.Region.Pages
 			continue
 		}
-		if cur != nil && cur.End() == guest.PageID(p) {
-			cur.Pages++
-			continue
-		}
-		regions = append(regions, guest.Region{Start: guest.PageID(p), Pages: 1})
-		cur = &regions[len(regions)-1]
+		regions = append(regions, r.Region)
 	}
 	return regions
 }
 
 // Equal reports whether two histograms hold identical counts.
-func (h *Histogram) Equal(o *Histogram) bool {
-	if h.nonzero != o.nonzero {
-		return false
-	}
-	long, short := h.counts, o.counts
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	for p := range short {
-		if short[p] != long[p] {
-			return false
-		}
-	}
-	for _, c := range long[len(short):] {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (h *Histogram) Equal(o *Histogram) bool { return slices.Equal(h.runs, o.runs) }

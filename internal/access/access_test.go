@@ -25,7 +25,7 @@ func TestEventValidate(t *testing.T) {
 	}
 	bad := []func(*Event){
 		func(e *Event) { e.Region.Pages = 0 },
-		// Trace.Counts would index its per-page histogram at -4.
+		// A region starting at page -4 names pages outside the guest.
 		func(e *Event) { e.Region = guest.Region{Start: -4, Pages: 8} },
 		func(e *Event) { e.LinesPerPage = 0 },
 		func(e *Event) { e.LinesPerPage = guest.LinesPerPage + 1 },

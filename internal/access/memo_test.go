@@ -43,22 +43,3 @@ func TestTracePagesMemoInvalidatedByAppend(t *testing.T) {
 		t.Fatalf("footprint after append = %d, want 5", got)
 	}
 }
-
-func TestNewHistogramSized(t *testing.T) {
-	h := NewHistogramSized(64)
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", h.Len())
-	}
-	h.Add(63, 2)
-	if h.Count(63) != 2 || h.Len() != 1 {
-		t.Fatalf("count=%d len=%d", h.Count(63), h.Len())
-	}
-	// Still grows past the preallocated bound.
-	h.Add(1000, 1)
-	if h.Count(1000) != 1 {
-		t.Fatalf("count(1000) = %d", h.Count(1000))
-	}
-	if NewHistogramSized(-3).Len() != 0 {
-		t.Error("negative size should yield empty histogram")
-	}
-}

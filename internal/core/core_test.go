@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"toss/internal/guest"
 	"toss/internal/mem"
 	"toss/internal/workload"
 )
@@ -238,13 +240,22 @@ func TestBuildSnapshotRoundTripsPlacement(t *testing.T) {
 	if ts.Function != s.Name {
 		t.Errorf("snapshot function = %q", ts.Function)
 	}
-	// Every resident page's tier in the snapshot matches the placement.
-	for p := range pd.Single.Memory.Pages {
-		want := a.Placement.LevelOf(p)
-		_, inSlow := ts.SlowMem.Pages[p]
-		if (want == mem.Slow) != inSlow {
-			t.Fatalf("page %d: placement %v but inSlow=%v", p, want, inSlow)
+	// Every resident page's tier in the snapshot matches the placement:
+	// the slow image holds exactly the resident pages placed slow.
+	var wantSlow []guest.Region
+	for _, r := range pd.Single.Memory.Regions {
+		for _, sg := range a.Placement.Segments(r) {
+			if sg.Level == mem.Slow {
+				wantSlow = append(wantSlow, sg.Region)
+			}
 		}
+	}
+	if got := ts.SlowMem.Regions; !slices.Equal(got, guest.NormalizeRegions(wantSlow)) {
+		t.Fatalf("slow image holds %v, placement puts %v slow", got, wantSlow)
+	}
+	if len(ts.FastMem.Pages)+len(ts.SlowMem.Pages) != len(pd.Single.Memory.Pages) {
+		t.Fatalf("tier images hold %d+%d pages of %d resident",
+			len(ts.FastMem.Pages), len(ts.SlowMem.Pages), len(pd.Single.Memory.Pages))
 	}
 }
 

@@ -18,10 +18,10 @@
 package damon
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"toss/internal/access"
 	"toss/internal/guest"
@@ -131,39 +131,75 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 func (p Pattern) ToHistogram() *access.Histogram {
 	h := access.NewHistogram()
 	for _, rec := range p.Records {
-		for pg := rec.Region.Start; pg < rec.Region.End(); pg++ {
-			h.Add(pg, rec.NrAccesses)
-		}
+		h.AddRegion(rec.Region, rec.NrAccesses)
 	}
 	return h
 }
 
 // Profile runs the monitor over one invocation's ground-truth histogram and
-// returns the observed access pattern. totalPages bounds the monitored
-// address space; seed drives the deterministic sampling noise.
+// returns the observed access pattern. The monitored address space is
+// [0, totalPages): touched pages outside it are ignored. seed drives the
+// deterministic sampling noise.
+//
+// One pass over the truth's runs does DAMON's three steps per granule:
+//
+//   - granulate: chunk the touched address space into minimum-size
+//     granules, averaging counts within each (DAMON cannot see below its
+//     minimum region size). Untouched pages are not reported (DAMON only
+//     tracks populated VMAs), but a granule starts at a touched page and
+//     absorbs up to MinRegionPages-1 untouched neighbours, blurring the
+//     truth exactly like a real region-based monitor;
+//   - sample: apply sampling noise, one draw per granule in address order;
+//   - aggregate: merge the granule into the previous region when adjacent
+//     with a similar access count.
+//
+// Then MaxRegions is enforced by merging the most similar adjacent pairs.
 func (c Config) Profile(truth *access.Histogram, totalPages int64, seed int64) Pattern {
-	rng := rand.New(rand.NewSource(seed))
-	counts := truth.Sorted()
-	if len(counts) == 0 {
+	runs := truth.Runs()
+	if len(runs) == 0 {
 		return Pattern{}
 	}
-
-	// Pass 1: chunk the touched address space into minimum-size granules,
-	// averaging counts within each granule (DAMON cannot see below its
-	// minimum region size).
-	granules := c.granulate(counts, totalPages)
-
-	// Pass 2: apply sampling noise per granule.
-	for i := range granules {
-		granules[i].NrAccesses = c.sample(granules[i].NrAccesses, rng)
+	rng := rand.New(rand.NewSource(seed))
+	granule := guest.PageID(max(c.MinRegionPages, 1))
+	limit := guest.PageID(totalPages)
+	var records []RegionRecord
+	// next is the first page no granule has covered yet; runs[i] is the
+	// first run that ends after it.
+	i, next := 0, guest.PageID(0)
+	for {
+		for i < len(runs) && runs[i].Region.End() <= next {
+			i++
+		}
+		if i == len(runs) {
+			break
+		}
+		start := max(runs[i].Region.Start, next)
+		if start >= limit {
+			break
+		}
+		end := min(start+granule, limit)
+		var sum int64
+		for _, r := range runs[i:] {
+			if r.Region.Start >= end {
+				break
+			}
+			sum += r.Count * int64(min(r.Region.End(), end)-max(r.Region.Start, start))
+		}
+		next = end
+		pages := int64(end - start)
+		avg := sum / pages
+		if avg < 1 && sum > 0 {
+			avg = 1 // a touched granule always samples at least one access
+		}
+		rec := RegionRecord{Region: guest.Region{Start: start, Pages: pages}, NrAccesses: c.sample(avg, rng)}
+		if n := len(records); n > 0 && records[n-1].Region.Adjacent(rec.Region) &&
+			similar(records[n-1].NrAccesses, rec.NrAccesses, similarityThreshold) {
+			records[n-1] = weightedMerge(records[n-1], rec)
+			continue
+		}
+		records = append(records, rec)
 	}
-
-	// Pass 3: merge adjacent granules with similar counts (DAMON's
-	// aggregation), then enforce MaxRegions by merging the most similar
-	// adjacent pairs until under the cap.
-	records := mergeSimilar(granules, similarityThreshold)
-	records = capRegions(records, c.MaxRegions)
-	return Pattern{Records: records}
+	return Pattern{Records: capRegions(records, c.MaxRegions)}
 }
 
 // ProfileTraced is Profile plus telemetry: when parent is non-nil it emits a
@@ -191,43 +227,6 @@ func (c Config) ProfileTraced(truth *access.Histogram, totalPages int64, seed in
 // regions are considered to have "similar access frequency" and are merged.
 const similarityThreshold = 0.2
 
-// granulate groups the sorted per-page counts into contiguous granules of at
-// least MinRegionPages pages, averaging counts within a granule. Pages never
-// touched are not reported (DAMON only tracks populated VMAs), but a touched
-// granule absorbs up to MinRegionPages-1 untouched neighbours, slightly
-// blurring the truth exactly like a real region-based monitor.
-func (c Config) granulate(counts []access.PageCount, totalPages int64) []RegionRecord {
-	var out []RegionRecord
-	i := 0
-	for i < len(counts) {
-		start := counts[i].Page
-		end := start + guest.PageID(c.MinRegionPages)
-		if int64(end) > totalPages {
-			end = guest.PageID(totalPages)
-		}
-		var sum int64
-		j := i
-		for j < len(counts) && counts[j].Page < end {
-			sum += counts[j].Count
-			j++
-		}
-		pages := int64(end - start)
-		if pages < 1 {
-			pages = 1
-		}
-		avg := sum / pages
-		if avg < 1 && sum > 0 {
-			avg = 1 // a touched granule always samples at least one access
-		}
-		out = append(out, RegionRecord{
-			Region:     guest.Region{Start: start, Pages: pages},
-			NrAccesses: avg,
-		})
-		i = j
-	}
-	return out
-}
-
 // sample perturbs a true count by the configured noise amplitude.
 func (c Config) sample(trueCount int64, rng *rand.Rand) int64 {
 	if trueCount <= 0 || c.NoiseAmplitude == 0 {
@@ -239,25 +238,6 @@ func (c Config) sample(trueCount int64, rng *rand.Rand) int64 {
 		v = 1
 	}
 	return v
-}
-
-// mergeSimilar folds adjacent regions whose per-page counts differ by less
-// than threshold (relative to the larger count).
-func mergeSimilar(in []RegionRecord, threshold float64) []RegionRecord {
-	if len(in) == 0 {
-		return nil
-	}
-	out := []RegionRecord{in[0]}
-	for _, r := range in[1:] {
-		last := &out[len(out)-1]
-		if last.Region.Adjacent(r.Region) && similar(last.NrAccesses, r.NrAccesses, threshold) {
-			merged := weightedMerge(*last, r)
-			*last = merged
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // similar reports whether two counts are within threshold of each other.
@@ -282,34 +262,92 @@ func weightedMerge(a, b RegionRecord) RegionRecord {
 	}
 }
 
-// capRegions merges the most similar adjacent pairs until len <= max.
-func capRegions(in []RegionRecord, max int) []RegionRecord {
-	out := append([]RegionRecord(nil), in...)
-	for len(out) > max {
-		// Find the adjacent pair with minimal absolute count difference.
-		best, bestDiff := -1, int64(math.MaxInt64)
-		for i := 0; i+1 < len(out); i++ {
-			if !out[i].Region.Adjacent(out[i+1].Region) {
-				continue
-			}
-			d := out[i].NrAccesses - out[i+1].NrAccesses
-			if d < 0 {
-				d = -d
-			}
-			if d < bestDiff {
-				best, bestDiff = i, d
-			}
+// capRegions merges the most similar adjacent pairs until len <= max,
+// reusing recs. Each step merges the adjacent pair with the smallest
+// absolute count difference, ties going to the lowest address (records are
+// in address order); pairs that are not adjacent never merge, so it stops
+// early when none is left. A min-heap of candidate pairs keyed (difference,
+// left record) finds each step's pair, and an entry a merge made stale is
+// skipped when popped, so the cost is O(n log n), not a rescan per merge.
+func capRegions(recs []RegionRecord, max int) []RegionRecord {
+	n := len(recs)
+	if n <= max {
+		return recs
+	}
+	// The records form a linked list; a merged-away record's next is -1.
+	next, prev := make([]int, n), make([]int, n)
+	for i := range recs {
+		next[i], prev[i] = i+1, i-1
+	}
+	// diff returns the count difference between record l and the one
+	// after it, and whether the two may merge.
+	diff := func(l int) (int64, bool) {
+		r := next[l]
+		if r < 0 || r == n || !recs[l].Region.Adjacent(recs[r].Region) {
+			return 0, false
 		}
-		if best < 0 {
-			// No adjacent pairs left to merge; merge the two records with
-			// the closest counts regardless of adjacency is not something
-			// DAMON does, so stop here.
-			break
+		d := recs[l].NrAccesses - recs[r].NrAccesses
+		if d < 0 {
+			d = -d
 		}
-		out[best] = weightedMerge(out[best], out[best+1])
-		out = append(out[:best+1], out[best+2:]...)
+		// A pair MaxInt64 apart never merges: the merge order picks the
+		// smallest difference below MaxInt64 (refCapRegions in the tests
+		// spells the order out as a rescanning loop).
+		return d, d != math.MaxInt64
+	}
+	pairs := &pairHeap{}
+	push := func(l int) {
+		if d, ok := diff(l); ok {
+			heap.Push(pairs, pair{d, l})
+		}
+	}
+	for i := 0; i+1 < n; i++ {
+		push(i)
+	}
+	for live := n; live > max && pairs.Len() > 0; {
+		p := heap.Pop(pairs).(pair)
+		if d, ok := diff(p.left); !ok || d != p.diff {
+			continue // stale: a merge changed this pair since the push
+		}
+		l, r := p.left, next[p.left]
+		recs[l] = weightedMerge(recs[l], recs[r])
+		next[l], next[r] = next[r], -1
+		if next[l] < n {
+			prev[next[l]] = l
+		}
+		live--
+		if prev[l] >= 0 {
+			push(prev[l])
+		}
+		push(l)
+	}
+	out := recs[:0]
+	for i := 0; i < n; i = next[i] {
+		out = append(out, recs[i])
 	}
 	return out
+}
+
+// pair is a candidate merge of record left with the record after it.
+type pair struct {
+	diff int64
+	left int
+}
+
+// pairHeap is a container/heap min-heap of pairs ordered by (diff, left).
+type pairHeap []pair
+
+func (h pairHeap) Len() int { return len(h) }
+func (h pairHeap) Less(i, j int) bool {
+	return h[i].diff < h[j].diff || h[i].diff == h[j].diff && h[i].left < h[j].left
+}
+func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pair)) }
+func (h *pairHeap) Pop() any {
+	old := *h
+	p := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return p
 }
 
 // Unified is TOSS's unified access-pattern file: the max-merge of every
@@ -317,6 +355,8 @@ func capRegions(in []RegionRecord, max int) []RegionRecord {
 // convergence test that ends profiling.
 type Unified struct {
 	perPage *access.Histogram
+	// batch is Fold's reused buffer of the pattern's records as runs.
+	batch []access.Run
 }
 
 // NewUnified returns an empty unified pattern.
@@ -330,17 +370,19 @@ func NewUnified() *Unified {
 // does not count as change, otherwise noise alone would keep profiling open
 // forever.
 func (u *Unified) Fold(p Pattern) (changed bool) {
+	u.batch = u.batch[:0]
 	for _, rec := range p.Records {
-		for pg := rec.Region.Start; pg < rec.Region.End(); pg++ {
-			old := u.perPage.Count(pg)
-			if rec.NrAccesses > old {
-				if Bucket(rec.NrAccesses) != Bucket(old) {
-					changed = true
-				}
-				u.perPage.Add(pg, rec.NrAccesses-old) // max-merge
-			}
-		}
+		u.batch = append(u.batch, access.Run{Region: rec.Region, Count: rec.NrAccesses})
 	}
+	u.perPage.Update(u.batch, func(old, v int64) int64 {
+		if v <= old {
+			return old
+		}
+		if Bucket(v) != Bucket(old) {
+			changed = true
+		}
+		return v // max-merge
+	})
 	return changed
 }
 
@@ -362,35 +404,42 @@ func (u *Unified) Pages() int { return u.perPage.Len() }
 // adjacent pages whose counts differ by less than mergeDelta absolute
 // accesses (the paper's "Access count Merging" with a 100-access threshold).
 func (u *Unified) Regions(mergeDelta int64) []RegionRecord {
-	counts := u.perPage.Sorted()
-	if len(counts) == 0 {
-		return nil
-	}
+	return coalesce(u.perPage.Runs(), func(mean, count int64) bool {
+		d := count - mean
+		if d < 0 {
+			d = -d
+		}
+		return d < mergeDelta
+	})
+}
+
+// coalesce turns per-page counts, given as runs, into region records by a
+// walk in page order: a page joins the record before it when adjacent and
+// near(the record's count, the page's count), and the record's count
+// becomes the truncated page-weighted mean. Within one run the mean moves
+// monotonically toward the run's count, so once a page joins, the rest of
+// the run does too; once a join leaves the mean unchanged, it stays
+// unchanged for the rest of the run. A run therefore costs the pages until
+// that fixed point, not its length.
+func coalesce(runs []access.Run, near func(mean, count int64) bool) []RegionRecord {
 	var out []RegionRecord
-	cur := RegionRecord{
-		Region:     guest.Region{Start: counts[0].Page, Pages: 1},
-		NrAccesses: counts[0].Count,
-	}
-	for _, pc := range counts[1:] {
-		adjacent := pc.Page == cur.Region.End()
-		delta := pc.Count - cur.NrAccesses
-		if delta < 0 {
-			delta = -delta
-		}
-		if adjacent && delta < mergeDelta {
-			// Extend, keeping the weighted mean count.
-			total := cur.NrAccesses*cur.Region.Pages + pc.Count
+	for _, r := range runs {
+		c := r.Count
+		for p, end := r.Region.Start, r.Region.End(); p < end; p++ {
+			n := len(out)
+			if n == 0 || out[n-1].Region.End() != p || !near(out[n-1].NrAccesses, c) {
+				out = append(out, RegionRecord{Region: guest.Region{Start: p, Pages: 1}, NrAccesses: c})
+				continue
+			}
+			cur := &out[n-1]
+			mean := (cur.NrAccesses*cur.Region.Pages + c) / (cur.Region.Pages + 1)
+			if mean == cur.NrAccesses {
+				cur.Region.Pages += int64(end - p)
+				break
+			}
 			cur.Region.Pages++
-			cur.NrAccesses = total / cur.Region.Pages
-			continue
-		}
-		out = append(out, cur)
-		cur = RegionRecord{
-			Region:     guest.Region{Start: pc.Page, Pages: 1},
-			NrAccesses: pc.Count,
+			cur.NrAccesses = mean
 		}
 	}
-	out = append(out, cur)
-	sort.Slice(out, func(i, j int) bool { return out[i].Region.Start < out[j].Region.Start })
 	return out
 }

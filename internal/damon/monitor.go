@@ -25,6 +25,8 @@ type Monitor struct {
 	// accumulated nr_accesses across all aggregation windows, per region
 	// identity; folded into the final pattern.
 	total *access.Histogram
+	// hits is AggregationWindow's reused buffer of touched runs.
+	hits []access.Run
 }
 
 // MonitoredRegion is one adaptive region with its current-window counter.
@@ -64,14 +66,25 @@ func (m *Monitor) Regions() []MonitoredRegion {
 // DAMON's sampling only sees the accessed bit, so the counts are reduced to
 // a touched-fraction per region.
 func (m *Monitor) AggregationWindow(touched *access.Histogram) {
+	runs := touched.Runs()
+	m.hits = m.hits[:0]
+	j := 0 // regions are sorted and disjoint, so one cursor walks the runs
 	for i := range m.regions {
 		r := &m.regions[i]
-		// Count touched pages inside the region.
+		// The touched pages inside the region, as clipped runs.
+		for j < len(runs) && runs[j].Region.End() <= r.Region.Start {
+			j++
+		}
+		first := len(m.hits)
 		var touchedPages int64
-		for p := r.Region.Start; p < r.Region.End(); p++ {
-			if touched.Count(p) > 0 {
-				touchedPages++
+		for k := j; k < len(runs) && runs[k].Region.Start < r.Region.End(); k++ {
+			if runs[k].Count <= 0 {
+				continue
 			}
+			start := max(runs[k].Region.Start, r.Region.Start)
+			in := guest.Region{Start: start, Pages: int64(min(runs[k].Region.End(), r.Region.End()) - start)}
+			touchedPages += in.Pages
+			m.hits = append(m.hits, access.Run{Region: in})
 		}
 		frac := float64(touchedPages) / float64(r.Region.Pages)
 		// Each sampling interval picks one random page; the sample is
@@ -83,16 +96,13 @@ func (m *Monitor) AggregationWindow(touched *access.Histogram) {
 			}
 		}
 		r.NrAccesses = hits
-		// Accumulate into the cross-window totals at page granularity.
-		if hits > 0 {
-			per := hits // per-page average equals region nr_accesses
-			for p := r.Region.Start; p < r.Region.End(); p++ {
-				if touched.Count(p) > 0 {
-					m.total.Add(p, per)
-				}
-			}
+		// Accumulate into the cross-window totals at page granularity:
+		// each touched page gains the region's nr_accesses.
+		for k := first; k < len(m.hits); k++ {
+			m.hits[k].Count = hits
 		}
 	}
+	m.total.Update(m.hits, func(old, v int64) int64 { return old + v })
 	m.adapt()
 }
 
@@ -144,27 +154,9 @@ func (m *Monitor) adapt() {
 // Snapshot returns the accumulated access pattern across all windows so
 // far, in the same format as Config.Profile.
 func (m *Monitor) Snapshot() Pattern {
-	counts := m.total.Sorted()
-	if len(counts) == 0 {
-		return Pattern{}
-	}
-	var records []RegionRecord
-	cur := RegionRecord{
-		Region:     guest.Region{Start: counts[0].Page, Pages: 1},
-		NrAccesses: counts[0].Count,
-	}
-	for _, pc := range counts[1:] {
-		if pc.Page == cur.Region.End() && similar(pc.Count, cur.NrAccesses, similarityThreshold) {
-			total := cur.NrAccesses*cur.Region.Pages + pc.Count
-			cur.Region.Pages++
-			cur.NrAccesses = total / cur.Region.Pages
-			continue
-		}
-		records = append(records, cur)
-		cur = RegionRecord{Region: guest.Region{Start: pc.Page, Pages: 1}, NrAccesses: pc.Count}
-	}
-	records = append(records, cur)
-	return Pattern{Records: records}
+	return Pattern{Records: coalesce(m.total.Runs(), func(mean, count int64) bool {
+		return similar(count, mean, similarityThreshold)
+	})}
 }
 
 // ProfileTimeline runs the time-driven monitor over an invocation's trace.

@@ -1,0 +1,448 @@
+package damon
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"toss/internal/access"
+	"toss/internal/guest"
+	"toss/internal/workload"
+)
+
+// This file keeps the per-page implementations that Profile, Unified and
+// Monitor replaced — one slot per guest page, three passes per profile — as
+// the references the run-based code must match record for record.
+
+// refProfile is Profile as separate granulate, sample and merge passes over
+// per-page counts. Pages outside [0, totalPages) are dropped first: the
+// per-page granulate never returned on them.
+func refProfile(c Config, truth []access.PageCount, totalPages int64, seed int64) Pattern {
+	rng := rand.New(rand.NewSource(seed))
+	var counts []access.PageCount
+	for _, pc := range truth {
+		if pc.Page >= 0 && int64(pc.Page) < totalPages {
+			counts = append(counts, pc)
+		}
+	}
+	if len(counts) == 0 {
+		return Pattern{}
+	}
+	granules := refGranulate(c, counts, totalPages)
+	for i := range granules {
+		granules[i].NrAccesses = c.sample(granules[i].NrAccesses, rng)
+	}
+	records := refMergeSimilar(granules, similarityThreshold)
+	records = refCapRegions(records, c.MaxRegions)
+	return Pattern{Records: records}
+}
+
+func refGranulate(c Config, counts []access.PageCount, totalPages int64) []RegionRecord {
+	var out []RegionRecord
+	i := 0
+	for i < len(counts) {
+		start := counts[i].Page
+		end := start + guest.PageID(c.MinRegionPages)
+		if int64(end) > totalPages {
+			end = guest.PageID(totalPages)
+		}
+		var sum int64
+		j := i
+		for j < len(counts) && counts[j].Page < end {
+			sum += counts[j].Count
+			j++
+		}
+		pages := int64(end - start)
+		if pages < 1 {
+			pages = 1
+		}
+		avg := sum / pages
+		if avg < 1 && sum > 0 {
+			avg = 1
+		}
+		out = append(out, RegionRecord{
+			Region:     guest.Region{Start: start, Pages: pages},
+			NrAccesses: avg,
+		})
+		i = j
+	}
+	return out
+}
+
+func refMergeSimilar(in []RegionRecord, threshold float64) []RegionRecord {
+	if len(in) == 0 {
+		return nil
+	}
+	out := []RegionRecord{in[0]}
+	for _, r := range in[1:] {
+		last := &out[len(out)-1]
+		if last.Region.Adjacent(r.Region) && similar(last.NrAccesses, r.NrAccesses, threshold) {
+			*last = weightedMerge(*last, r)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// refCapRegions is the rescanning merge loop capRegions replaced: every
+// merge scans all records for the closest adjacent pair and shifts the
+// slice.
+func refCapRegions(in []RegionRecord, max int) []RegionRecord {
+	out := append([]RegionRecord(nil), in...)
+	for len(out) > max {
+		best, bestDiff := -1, int64(math.MaxInt64)
+		for i := 0; i+1 < len(out); i++ {
+			if !out[i].Region.Adjacent(out[i+1].Region) {
+				continue
+			}
+			d := out[i].NrAccesses - out[i+1].NrAccesses
+			if d < 0 {
+				d = -d
+			}
+			if d < bestDiff {
+				best, bestDiff = i, d
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out[best] = weightedMerge(out[best], out[best+1])
+		out = append(out[:best+1], out[best+2:]...)
+	}
+	return out
+}
+
+// densePages is a per-page count store indexed by page id.
+type densePages []int64
+
+func (d *densePages) add(p guest.PageID, n int64) {
+	if int(p) >= len(*d) {
+		*d = append(*d, make([]int64, int(p)+1-len(*d))...)
+	}
+	(*d)[p] += n
+}
+
+func (d densePages) count(p guest.PageID) int64 {
+	if p < 0 || int(p) >= len(d) {
+		return 0
+	}
+	return d[p]
+}
+
+func (d densePages) sorted() []access.PageCount {
+	var out []access.PageCount
+	for p, c := range d {
+		if c != 0 {
+			out = append(out, access.PageCount{Page: guest.PageID(p), Count: c})
+		}
+	}
+	return out
+}
+
+// refUnified is Unified with a per-page store: Fold max-merges page by page
+// and Regions walks every page.
+type refUnified struct{ pages densePages }
+
+func (u *refUnified) fold(p Pattern) (changed bool) {
+	for _, rec := range p.Records {
+		for pg := rec.Region.Start; pg < rec.Region.End(); pg++ {
+			old := u.pages.count(pg)
+			if rec.NrAccesses > old {
+				if Bucket(rec.NrAccesses) != Bucket(old) {
+					changed = true
+				}
+				u.pages.add(pg, rec.NrAccesses-old)
+			}
+		}
+	}
+	return changed
+}
+
+func (u *refUnified) regions(mergeDelta int64) []RegionRecord {
+	counts := u.pages.sorted()
+	if len(counts) == 0 {
+		return nil
+	}
+	var out []RegionRecord
+	cur := RegionRecord{Region: guest.Region{Start: counts[0].Page, Pages: 1}, NrAccesses: counts[0].Count}
+	for _, pc := range counts[1:] {
+		adjacent := pc.Page == cur.Region.End()
+		delta := pc.Count - cur.NrAccesses
+		if delta < 0 {
+			delta = -delta
+		}
+		if adjacent && delta < mergeDelta {
+			total := cur.NrAccesses*cur.Region.Pages + pc.Count
+			cur.Region.Pages++
+			cur.NrAccesses = total / cur.Region.Pages
+			continue
+		}
+		out = append(out, cur)
+		cur = RegionRecord{Region: guest.Region{Start: pc.Page, Pages: 1}, NrAccesses: pc.Count}
+	}
+	out = append(out, cur)
+	sort.Slice(out, func(i, j int) bool { return out[i].Region.Start < out[j].Region.Start })
+	return out
+}
+
+// refProfileTimeline is ProfileTimeline with the per-page aggregation
+// window and snapshot walk; the region adaptation is the monitor's own.
+func refProfileTimeline(c Config, tr *access.Trace, totalPages int64, totalWindows, samplesPerWindow int, seed int64) Pattern {
+	var totalTouches int64
+	for _, e := range tr.Events {
+		totalTouches += e.LineTouches()
+	}
+	if totalTouches == 0 {
+		return Pattern{}
+	}
+	mon := NewMonitor(c, []guest.Region{{Start: 0, Pages: totalPages}}, samplesPerWindow, seed)
+	windows := make([]*access.Histogram, totalWindows)
+	for i := range windows {
+		windows[i] = access.NewHistogram()
+	}
+	var consumed int64
+	for _, e := range tr.Events {
+		startW := int(consumed * int64(totalWindows) / totalTouches)
+		consumed += e.LineTouches()
+		endW := min(int(consumed*int64(totalWindows)/totalTouches), totalWindows-1)
+		for w := startW; w <= endW; w++ {
+			windows[w].AddEvent(e)
+		}
+	}
+	var total densePages
+	for _, touched := range windows {
+		for i := range mon.regions {
+			r := &mon.regions[i]
+			var touchedPages int64
+			for p := r.Region.Start; p < r.Region.End(); p++ {
+				if touched.Count(p) > 0 {
+					touchedPages++
+				}
+			}
+			frac := float64(touchedPages) / float64(r.Region.Pages)
+			var hits int64
+			for s := 0; s < mon.samplesPerWindow; s++ {
+				if mon.rng.Float64() < frac {
+					hits++
+				}
+			}
+			r.NrAccesses = hits
+			if hits > 0 {
+				for p := r.Region.Start; p < r.Region.End(); p++ {
+					if touched.Count(p) > 0 {
+						total.add(p, hits)
+					}
+				}
+			}
+		}
+		mon.adapt()
+	}
+	counts := total.sorted()
+	if len(counts) == 0 {
+		return Pattern{}
+	}
+	var records []RegionRecord
+	cur := RegionRecord{Region: guest.Region{Start: counts[0].Page, Pages: 1}, NrAccesses: counts[0].Count}
+	for _, pc := range counts[1:] {
+		if pc.Page == cur.Region.End() && similar(pc.Count, cur.NrAccesses, similarityThreshold) {
+			total := cur.NrAccesses*cur.Region.Pages + pc.Count
+			cur.Region.Pages++
+			cur.NrAccesses = total / cur.Region.Pages
+			continue
+		}
+		records = append(records, cur)
+		cur = RegionRecord{Region: guest.Region{Start: pc.Page, Pages: 1}, NrAccesses: pc.Count}
+	}
+	return Pattern{Records: append(records, cur)}
+}
+
+func samePattern(t *testing.T, what string, got, want Pattern) {
+	t.Helper()
+	if !slices.Equal(got.Records, want.Records) {
+		t.Fatalf("%s:\n got  %v\n want %v", what, got.Records, want.Records)
+	}
+}
+
+func sameRecords(t *testing.T, what string, got, want []RegionRecord) {
+	t.Helper()
+	samePattern(t, what, Pattern{Records: got}, Pattern{Records: want})
+}
+
+// checkFoldAndRegions folds p into both unified files and compares the
+// change flag, the per-page counts and the merged regions.
+func checkFoldAndRegions(t *testing.T, u *Unified, ref *refUnified, p Pattern, deltas ...int64) {
+	t.Helper()
+	if got, want := u.Fold(p), ref.fold(p); got != want {
+		t.Fatalf("Fold changed = %t, reference %t", got, want)
+	}
+	if got, want := u.perPage.Sorted(), ref.pages.sorted(); !slices.Equal(got, want) {
+		t.Fatalf("unified counts differ from the reference: %d vs %d pages", len(got), len(want))
+	}
+	for _, d := range deltas {
+		sameRecords(t, "Regions", u.Regions(d), ref.regions(d))
+	}
+}
+
+// FuzzProfile checks Profile, then Fold and Regions, against the per-page
+// references on arbitrary truths. The input is a config byte, a seed byte,
+// a guest-size byte, then five-byte adds (start, length, signed count):
+// negative and zero-crossing counts included, since Add accepts them, and
+// pages past the guest, which Profile must ignore.
+func FuzzProfile(f *testing.F) {
+	f.Add([]byte{0x3b, 1, 16, 10, 1, 5, 0, 0, 100, 1, 5, 0, 0})     // pages 10 and 100 of a 64-page guest
+	f.Add([]byte{0x7b, 7, 255, 0, 64, 100, 0, 0, 8, 8, 0x9c, 0, 0}) // a hot run with a zeroed dip
+	f.Add([]byte{0x13, 3, 200, 4, 4, 1, 0, 0, 8, 4, 127, 0, 0, 12, 4, 1, 0, 0, 16, 4, 127, 0, 0})
+	f.Add([]byte{0x83, 9, 128, 0, 40, 0xfe, 0, 0, 2, 30, 3, 0, 0}) // negative counts
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		c := DefaultConfig()
+		c.MinRegionPages = int64(data[0]&7) + 1
+		c.MaxRegions = int(data[0]>>3&7) + 1
+		c.NoiseAmplitude = []float64{0, 0.05, 0.3, 0.05}[data[0]>>6]
+		seed := int64(data[1])
+		totalPages := int64(data[2]) * 4
+		truth := access.NewHistogram()
+		for rest := data[3:]; len(rest) >= 5; rest = rest[5:] {
+			start := guest.PageID(rest[0]) | guest.PageID(rest[4]&3)<<8
+			truth.AddRegion(guest.Region{Start: start, Pages: int64(rest[1] % 64)}, int64(int8(rest[2]))*int64(rest[3]%4+1))
+		}
+		got := c.Profile(truth, totalPages, seed)
+		samePattern(t, "Profile", got, refProfile(c, truth.Sorted(), totalPages, seed))
+
+		u, ref := NewUnified(), &refUnified{}
+		checkFoldAndRegions(t, u, ref, got, 1, 100)
+		again := c.Profile(truth, totalPages, seed+1)
+		checkFoldAndRegions(t, u, ref, again, 0, 1, 3, 100)
+	})
+}
+
+// TestProfileMatchesReferenceOnCatalog runs every catalog function at every
+// input level and seeds 0, 1 and 4242 through Profile, Fold and Regions and
+// the per-page references, and requires identical records and change
+// flags throughout.
+func TestProfileMatchesReferenceOnCatalog(t *testing.T) {
+	c := DefaultConfig()
+	for _, spec := range workload.Registry() {
+		layout, err := spec.Layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ref := NewUnified(), &refUnified{}
+		for _, lv := range workload.Levels {
+			for _, seed := range []int64{0, 1, 4242} {
+				tr, err := spec.Trace(lv, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				truth := tr.Counts()
+				got := c.Profile(truth, layout.TotalPages, seed)
+				samePattern(t, spec.Name, got, refProfile(c, truth.Sorted(), layout.TotalPages, seed))
+				checkFoldAndRegions(t, u, ref, got)
+			}
+		}
+		sameRecords(t, spec.Name+" Regions", u.Regions(100), ref.regions(100))
+	}
+}
+
+// TestProfileTimelineMatchesReference compares the time-driven monitor's
+// run-based window accumulation and snapshot with the per-page ones.
+func TestProfileTimelineMatchesReference(t *testing.T) {
+	c := DefaultConfig()
+	c.MaxRegions = 40
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 30; i++ {
+		var tr access.Trace
+		for j := rng.Intn(12); j >= 0; j-- {
+			tr.Append(access.Event{
+				Region:       guest.Region{Start: guest.PageID(rng.Intn(900)), Pages: int64(1 + rng.Intn(120))},
+				LinesPerPage: 1 + rng.Intn(guest.LinesPerPage),
+				Repeat:       1 + rng.Intn(4),
+			})
+		}
+		seed := int64(i)
+		samePattern(t, "ProfileTimeline", c.ProfileTimeline(&tr, 1024, 20, 10, seed),
+			refProfileTimeline(c, &tr, 1024, 20, 10, seed))
+	}
+}
+
+// TestProfileIgnoresPagesPastGuest is the regression test for a truth with
+// a page at or past totalPages: the monitored space is [0, totalPages), so
+// page 100 of a 64-page guest is ignored instead of looping forever.
+func TestProfileIgnoresPagesPastGuest(t *testing.T) {
+	c := DefaultConfig()
+	c.NoiseAmplitude = 0
+	truth := access.NewHistogram()
+	truth.Add(10, 5)
+	truth.Add(100, 5)
+	p := c.Profile(truth, 64, 1)
+	want := []RegionRecord{{Region: guest.Region{Start: 10, Pages: 4}, NrAccesses: 1}}
+	sameRecords(t, "Profile", p.Records, want)
+	if got := c.Profile(truth, 0, 1); len(got.Records) != 0 {
+		t.Fatalf("empty guest produced %v", got.Records)
+	}
+}
+
+// randomRecords returns n records in address order with counts drawn from
+// a small range, so equal differences (ties) are common, and a gap before
+// about one record in five, so some neighbours are not adjacent.
+func randomRecords(rng *rand.Rand, n int) []RegionRecord {
+	recs := make([]RegionRecord, n)
+	next := guest.PageID(0)
+	for i := range recs {
+		if rng.Intn(5) == 0 {
+			next += guest.PageID(1 + rng.Intn(3))
+		}
+		pages := int64(1 + rng.Intn(6))
+		recs[i] = RegionRecord{Region: guest.Region{Start: next, Pages: pages}, NrAccesses: int64(rng.Intn(40))}
+		next += guest.PageID(pages)
+	}
+	return recs
+}
+
+// TestCapRegionsMatchesRescanLoop checks the heap-driven capRegions against
+// the rescanning loop on random record lists and caps.
+func TestCapRegionsMatchesRescanLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		recs := randomRecords(rng, rng.Intn(80))
+		max := 1 + rng.Intn(len(recs)+2)
+		want := refCapRegions(recs, max)
+		sameRecords(t, "capRegions", capRegions(slices.Clone(recs), max), want)
+	}
+	// Differences at the int64 extremes: a MaxInt64 difference never merges.
+	extreme := []RegionRecord{
+		{Region: guest.Region{Start: 0, Pages: 1}, NrAccesses: math.MaxInt64},
+		{Region: guest.Region{Start: 1, Pages: 1}, NrAccesses: 0},
+		{Region: guest.Region{Start: 2, Pages: 1}, NrAccesses: math.MinInt64 + 1},
+	}
+	sameRecords(t, "capRegions", capRegions(slices.Clone(extreme), 1), refCapRegions(extreme, 1))
+}
+
+// alternatingTruth is granules of 4 pages whose counts alternate between 1
+// and 1000, so no two neighbours are similar and every granule reaches
+// capRegions as its own record.
+func alternatingTruth(granules int) *access.Histogram {
+	h := access.NewHistogram()
+	for g := 0; g < granules; g++ {
+		h.AddRegion(guest.Region{Start: guest.PageID(4 * g), Pages: 4}, int64(1+999*(g%2)))
+	}
+	return h
+}
+
+// BenchmarkProfileAlternating65536 profiles a 1 GiB guest (pagerank's size)
+// of alternating granules: 65,536 records capped to MaxRegions.
+func BenchmarkProfileAlternating65536(b *testing.B) {
+	c := DefaultConfig()
+	truth := alternatingTruth(65536)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := c.Profile(truth, 4*65536, int64(i)); len(p.Records) > c.MaxRegions {
+			b.Fatalf("%d records over the cap", len(p.Records))
+		}
+	}
+}

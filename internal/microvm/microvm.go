@@ -176,7 +176,7 @@ type Machine struct {
 	resident extents
 	// stored marks pages with backing-file contents; non-stored pages are
 	// snapshot holes (zero pages) that only need zero-fill on first touch.
-	// Lazy and REAP restores share the snapshot's memoized regions here:
+	// Lazy and REAP restores share the snapshot's resident regions here:
 	// the set is read-only.
 	stored extents
 	// uffd marks REAP-style restores where every miss is served by a

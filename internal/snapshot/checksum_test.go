@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"toss/internal/guest"
@@ -38,10 +39,7 @@ func TestVerifyDetectsTamper(t *testing.T) {
 	if err := tiered.Verify(tiered.Sum); err != nil {
 		t.Fatalf("clean snapshot failed verify: %v", err)
 	}
-	for p := range tiered.SlowMem.Pages {
-		tiered.SlowMem.Pages[p]++
-		break
-	}
+	tiered.SlowMem.Pages[0]++
 	err := tiered.Verify(tiered.Sum)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tampered page passed verify: %v", err)
@@ -114,9 +112,10 @@ func TestReadTieredPreservesSum(t *testing.T) {
 func TestReadRejectsOutOfGuestContents(t *testing.T) {
 	const guestPages = 256
 	image := func(pages ...guest.PageID) *Memory {
-		m := &Memory{GuestPages: guestPages, Pages: map[guest.PageID]PageDigest{}}
+		m := &Memory{GuestPages: guestPages}
+		slices.Sort(pages)
 		for _, p := range pages {
-			m.Pages[p] = DigestFor("f", p)
+			m.appendPages(guest.Region{Start: p, Pages: 1}, []PageDigest{DigestFor("f", p)})
 		}
 		return m
 	}

@@ -1,9 +1,6 @@
 package snapshot
 
-import (
-	"toss/internal/guest"
-	"toss/internal/mem"
-)
+import "toss/internal/guest"
 
 // TieredDiff summarizes what changes between two generations of a tiered
 // snapshot — the basis for incremental regeneration after re-profiling
@@ -33,46 +30,40 @@ func (d TieredDiff) ReuseFraction() float64 {
 	return float64(d.ReusedPages) / float64(total)
 }
 
-// tierOfPage reports which tier image of t holds page p, if any.
-func tierOfPage(t *Tiered, p guest.PageID) (int, bool) {
-	if _, ok := t.FastMem.Pages[p]; ok {
-		return mem.Fast, true
-	}
-	if _, ok := t.SlowMem.Pages[p]; ok {
-		return mem.Slow, true
-	}
-	return 0, false
-}
-
-// DiffTiered computes the per-page difference between two generations.
+// DiffTiered computes the per-page difference between two generations. A
+// page's tier is the image that holds it; BuildTiered puts each resident
+// page in exactly one, so the counts come from intersecting the images'
+// regions.
 func DiffTiered(old, new *Tiered) TieredDiff {
 	var d TieredDiff
-	seen := make(map[guest.PageID]bool, len(new.FastMem.Pages)+len(new.SlowMem.Pages))
-	scan := func(pages map[guest.PageID]PageDigest, tier int) {
-		for p := range pages {
-			seen[p] = true
-			oldTier, existed := tierOfPage(old, p)
-			switch {
-			case !existed:
-				d.AddedPages++
-			case oldTier == tier:
-				d.ReusedPages++
-			default:
-				d.MovedPages++
+	for i, n := range [2]*Memory{new.FastMem, new.SlowMem} {
+		for j, o := range [2]*Memory{old.FastMem, old.SlowMem} {
+			shared := sharedPages(n.Regions, o.Regions)
+			if i == j {
+				d.ReusedPages += shared
+			} else {
+				d.MovedPages += shared
 			}
 		}
 	}
-	scan(new.FastMem.Pages, mem.Fast)
-	scan(new.SlowMem.Pages, mem.Slow)
-	for p := range old.FastMem.Pages {
-		if !seen[p] {
-			d.RemovedPages++
-		}
-	}
-	for p := range old.SlowMem.Pages {
-		if !seen[p] {
-			d.RemovedPages++
-		}
-	}
+	kept := d.ReusedPages + d.MovedPages
+	d.AddedPages = int64(len(new.FastMem.Pages)+len(new.SlowMem.Pages)) - kept
+	d.RemovedPages = int64(len(old.FastMem.Pages)+len(old.SlowMem.Pages)) - kept
 	return d
+}
+
+// sharedPages counts the pages two normalized region lists have in common.
+func sharedPages(a, b []guest.Region) int64 {
+	var n int64
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		if lo, hi := max(a[i].Start, b[j].Start), min(a[i].End(), b[j].End()); lo < hi {
+			n += int64(hi - lo)
+		}
+		if a[i].End() < b[j].End() {
+			i++
+		} else {
+			j++
+		}
+	}
+	return n
 }

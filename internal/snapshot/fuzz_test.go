@@ -1,6 +1,10 @@
 package snapshot
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +13,25 @@ import (
 
 	"toss/internal/guest"
 )
+
+// mutate returns a copy of data with random bytes flipped, truncated, or
+// with junk appended.
+func mutate(rng *rand.Rand, data []byte) []byte {
+	out := append([]byte(nil), data...)
+	switch rng.Intn(3) {
+	case 0: // flip random bytes
+		for i := 0; i < 1+rng.Intn(8); i++ {
+			out[rng.Intn(len(out))] ^= byte(1 + rng.Intn(255))
+		}
+	case 1: // truncate
+		out = out[:rng.Intn(len(out))]
+	case 2: // append junk
+		junk := make([]byte, 1+rng.Intn(64))
+		rng.Read(junk)
+		out = append(out, junk...)
+	}
+	return out
+}
 
 // TestReadersNeverPanicOnMutatedFiles writes valid artifacts, then applies
 // hundreds of random byte mutations and truncations; every reader must
@@ -47,23 +70,6 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 		originals[p] = data
 	}
 
-	mutate := func(data []byte) []byte {
-		out := append([]byte(nil), data...)
-		switch rng.Intn(3) {
-		case 0: // flip random bytes
-			for i := 0; i < 1+rng.Intn(8); i++ {
-				out[rng.Intn(len(out))] ^= byte(1 + rng.Intn(255))
-			}
-		case 1: // truncate
-			out = out[:rng.Intn(len(out))]
-		case 2: // append junk
-			junk := make([]byte, 1+rng.Intn(64))
-			rng.Read(junk)
-			out = append(out, junk...)
-		}
-		return out
-	}
-
 	// Mutate the files in path order, so the seeded sequence reproduces.
 	paths := make([]string, 0, len(originals))
 	for p := range originals {
@@ -72,7 +78,7 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 	sort.Strings(paths)
 	for round := 0; round < 300; round++ {
 		for _, path := range paths {
-			if err := os.WriteFile(path, mutate(originals[path]), 0o644); err != nil {
+			if err := os.WriteFile(path, mutate(rng, originals[path]), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -102,5 +108,112 @@ func TestReadSingleBoundsHostileCounts(t *testing.T) {
 	}
 	if _, err := ReadSingle(path); err == nil {
 		t.Error("hostile page count accepted")
+	}
+}
+
+func encodeSingleBytes(t testing.TB, s *Single) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := encodeSingle(w, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzDecodeSingle feeds arbitrary bytes to the single-tier decoder. It
+// must never panic, every error must wrap ErrCorrupt, and an accepted input
+// must re-encode to exactly the bytes the decoder consumed.
+func FuzzDecodeSingle(f *testing.F) {
+	rng := rand.New(rand.NewSource(99))
+	for _, s := range []*Single{
+		{Function: "fuzz", Memory: NewMemory("fuzz", 256, []guest.Region{{Start: 0, Pages: 30}, {Start: 100, Pages: 10}}), VMStateBytes: 4096},
+		{Function: "f", Memory: NewMemory("f", 8, []guest.Region{{Start: 3, Pages: 2}})},
+		{Function: "", Memory: NewMemory("", 0, nil)},
+	} {
+		data := encodeSingleBytes(f, s)
+		f.Add(data)
+		for i := 0; i < 4; i++ {
+			f.Add(mutate(rng, data))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		s, err := decodeSingle(r)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		if again := encodeSingleBytes(t, s); !bytes.Equal(again, consumed) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(consumed), len(again))
+		}
+	})
+}
+
+// TestDecodeRejectsUnorderedPageIDs patches the second page record of a
+// two-page image to repeat the first id, or swaps the two ids. A decoder
+// that took them would build a one-page image under a two-page header, or
+// pair digests with the wrong pages; both must fail as ErrCorrupt, from a
+// single-tier file and from a tier file whose layout checksum vouches for
+// what such a decoder would build.
+func TestDecodeRejectsUnorderedPageIDs(t *testing.T) {
+	d3, d4 := DigestFor("f", 3), DigestFor("f", 4)
+	patches := []struct {
+		name     string
+		ids      [2]uint64
+		accepted *Memory // what a decoder ignoring id order would build
+	}{
+		{"repeated id", [2]uint64{3, 3}, &Memory{GuestPages: 8, Regions: []guest.Region{{Start: 3, Pages: 1}}, Pages: []PageDigest{d4}}},
+		{"swapped ids", [2]uint64{4, 3}, &Memory{GuestPages: 8, Regions: []guest.Region{{Start: 3, Pages: 2}}, Pages: []PageDigest{d4, d3}}},
+	}
+	patch := func(data []byte, ids [2]uint64) {
+		// The image ends with its two 16-byte (id, digest) records.
+		binary.LittleEndian.PutUint64(data[len(data)-32:], ids[0])
+		binary.LittleEndian.PutUint64(data[len(data)-16:], ids[1])
+	}
+	for _, c := range patches {
+		dir := t.TempDir()
+		single := filepath.Join(dir, "single.toss")
+		s := &Single{Function: "f", Memory: NewMemory("f", 8, []guest.Region{{Start: 3, Pages: 2}})}
+		data := encodeSingleBytes(t, s)
+		patch(data, c.ids)
+		if err := os.WriteFile(single, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadSingle(single); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: single-tier file read back as %+v, err %v; want ErrCorrupt", c.name, got, err)
+		}
+
+		ts := BuildTiered(s, slowPlacement(s))
+		if err := WriteTiered(dir, ts); err != nil {
+			t.Fatal(err)
+		}
+		p := PathsIn(dir)
+		fast, err := os.ReadFile(p.Fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch(fast, c.ids)
+		layout, err := os.ReadFile(p.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := *ts
+		forged.FastMem = c.accepted
+		binary.LittleEndian.PutUint64(layout[len(layout)-8:], forged.Checksum())
+		if err := os.WriteFile(p.Fast, fast, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p.Layout, layout, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: tier file read back as %+v, err %v; want ErrCorrupt", c.name, got, err)
+		}
 	}
 }

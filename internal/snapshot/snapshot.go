@@ -25,8 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
-	"sync"
 
 	"toss/internal/guest"
 	"toss/internal/mem"
@@ -45,77 +43,86 @@ var ErrCorrupt = errors.New("snapshot: corrupt file")
 // PageDigest is the synthetic 8-byte stand-in for a page's 4 KiB contents.
 type PageDigest uint64
 
+// fnv-64a's parameters. DigestFor runs the hash inline, so a captured image
+// hashes its function name once and each page's id without a hasher.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // DigestFor deterministically derives a page's digest from the owning
 // function and page id, so round-trip tests can verify content integrity.
+// It is fnv-64a over the function name and the id's 8 little-endian bytes.
 func DigestFor(function string, p guest.PageID) PageDigest {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, function)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(p))
-	_, _ = h.Write(buf[:])
-	return PageDigest(h.Sum64())
+	return digestFrom(digestSeed(function), p)
+}
+
+// digestSeed is fnv-64a's state after the function name.
+func digestSeed(function string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(function); i++ {
+		h ^= uint64(function[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// digestFrom continues a digestSeed state with page p's id.
+func digestFrom(h uint64, p guest.PageID) PageDigest {
+	for v, i := uint64(p), 0; i < 8; i, v = i+1, v>>8 {
+		h ^= v & 0xff
+		h *= fnvPrime64
+	}
+	return PageDigest(h)
 }
 
 // Memory is a captured guest-memory image: the resident pages and their
-// digests. Pages absent from the map were never touched (zero pages) and
-// are not stored, mirroring Firecracker's sparse memory files.
+// digests. Pages outside Regions were never touched (zero pages) and are
+// not stored, mirroring Firecracker's sparse memory files.
 type Memory struct {
 	// GuestPages is the configured guest size in pages.
 	GuestPages int64
-	// Pages maps each resident page to its content digest.
-	Pages map[guest.PageID]PageDigest
-
-	// ResidentRegions cache. Pages only ever grows (capture, decode, and
-	// tier partitioning all append), so a stale cache is detectable from
-	// the map length alone.
-	regionMu    sync.Mutex
-	regions     []guest.Region
-	regionPages int
+	// Regions are the resident pages, normalized: sorted, disjoint and
+	// never adjacent.
+	Regions []guest.Region
+	// Pages holds one content digest per resident page, in page order:
+	// Regions[0]'s pages first, then Regions[1]'s, and so on. Its length
+	// is the resident page count.
+	Pages []PageDigest
 }
 
 // NewMemory captures an image for `function` covering the given resident
 // regions of a guest with guestPages total pages.
 func NewMemory(function string, guestPages int64, resident []guest.Region) *Memory {
-	m := &Memory{GuestPages: guestPages, Pages: make(map[guest.PageID]PageDigest)}
-	for _, r := range guest.NormalizeRegions(resident) {
+	regions := guest.NormalizeRegions(resident)
+	m := &Memory{GuestPages: guestPages, Regions: regions, Pages: make([]PageDigest, 0, guest.TotalPages(regions))}
+	seed := digestSeed(function)
+	for _, r := range regions {
 		for p := r.Start; p < r.End(); p++ {
-			m.Pages[p] = DigestFor(function, p)
+			m.Pages = append(m.Pages, digestFrom(seed, p))
 		}
 	}
 	return m
 }
 
-// ResidentRegions returns the stored pages as normalized regions.
-//
-// The result is memoized and shared between callers — treat it as
-// read-only. Every lazy restore walks these regions, so recomputing the
-// sort per restore used to dominate the restore-heavy sweeps.
-func (m *Memory) ResidentRegions() []guest.Region {
-	m.regionMu.Lock()
-	defer m.regionMu.Unlock()
-	if m.regions != nil && m.regionPages == len(m.Pages) {
-		return m.regions
-	}
-	ids := make([]int64, 0, len(m.Pages))
-	for p := range m.Pages {
-		ids = append(ids, int64(p))
-	}
-	slices.Sort(ids)
-	var regions []guest.Region
-	for _, id := range ids {
-		if n := len(regions); n > 0 && regions[n-1].End() == guest.PageID(id) {
-			regions[n-1].Pages++
-		} else {
-			regions = append(regions, guest.Region{Start: guest.PageID(id), Pages: 1})
-		}
-	}
-	m.regions = regions
-	m.regionPages = len(m.Pages)
-	return regions
-}
+// ResidentRegions returns the stored pages as normalized regions — the
+// Regions field, shared: treat it as read-only.
+func (m *Memory) ResidentRegions() []guest.Region { return m.Regions }
 
 // ResidentBytes returns the represented (uncompressed) resident size.
 func (m *Memory) ResidentBytes() int64 { return int64(len(m.Pages)) * guest.PageSize }
+
+// appendPages appends pages r of a guest, with their digests, to m. r must
+// start at or past the end of m's last region; it coalesces with that
+// region when adjacent, keeping Regions normalized.
+func (m *Memory) appendPages(r guest.Region, digests []PageDigest) {
+	if n := len(m.Regions); n > 0 && m.Regions[n-1].End() == r.Start {
+		m.Regions[n-1].Pages += r.Pages
+	} else {
+		m.Regions = append(m.Regions, r)
+	}
+	m.Pages = append(m.Pages, digests...)
+}
 
 // Single is a single-tier snapshot: the full memory image of a DRAM-only
 // guest plus an opaque VM-state size (device model, registers, ...).
@@ -127,18 +134,20 @@ type Single struct {
 
 // WriteSingle serializes a single-tier snapshot to path.
 func WriteSingle(path string, s *Single) error {
-	return writeFile(path, func(w *bufio.Writer) error {
-		if err := writeHeader(w, magicSingle); err != nil {
-			return err
-		}
-		if err := writeString(w, s.Function); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, s.VMStateBytes); err != nil {
-			return err
-		}
-		return writeMemory(w, s.Memory)
-	})
+	return writeFile(path, func(w *bufio.Writer) error { return encodeSingle(w, s) })
+}
+
+func encodeSingle(w *bufio.Writer, s *Single) error {
+	if err := writeHeader(w, magicSingle); err != nil {
+		return err
+	}
+	if err := writeString(w, s.Function); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, s.VMStateBytes); err != nil {
+		return err
+	}
+	return writeMemory(w, s.Memory)
 }
 
 // ReadSingle deserializes a single-tier snapshot.
@@ -148,11 +157,17 @@ func ReadSingle(path string) (*Single, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return decodeSingle(bufio.NewReader(f))
+}
+
+// decodeSingle reads one single-tier snapshot from r, consuming exactly its
+// bytes. Every decode failure wraps ErrCorrupt.
+func decodeSingle(r io.Reader) (*Single, error) {
 	if err := readHeader(r, magicSingle); err != nil {
 		return nil, err
 	}
 	s := &Single{}
+	var err error
 	if s.Function, err = readString(r); err != nil {
 		return nil, err
 	}
@@ -202,15 +217,18 @@ type Tiered struct {
 }
 
 // Checksum computes the snapshot's content checksum: an fnv-64a over the
-// function name, guest size, every layout entry, and every page digest of
-// both tier images in region order. Region order makes it deterministic
-// for a given content regardless of map iteration.
+// function name, guest size, every layout entry, and every page id and
+// digest of both tier images in page order. The words go to the hash in
+// chunks of a few kilobytes.
 func (t *Tiered) Checksum() uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
+	buf := make([]byte, 0, 4096)
 	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
+		if len(buf) == cap(buf) {
+			_, _ = h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	_, _ = io.WriteString(h, t.Function)
 	w(uint64(t.GuestPages))
@@ -227,14 +245,25 @@ func (t *Tiered) Checksum() uint64 {
 			continue
 		}
 		w(uint64(len(img.Pages)))
-		for _, r := range img.ResidentRegions() {
-			for p := r.Start; p < r.End(); p++ {
-				w(uint64(p))
-				w(uint64(img.Pages[p]))
-			}
+		img.eachPage(func(p guest.PageID, d PageDigest) {
+			w(uint64(p))
+			w(uint64(d))
+		})
+	}
+	_, _ = h.Write(buf)
+	return h.Sum64()
+}
+
+// eachPage calls fn for every resident page and its digest in page order,
+// stopping early if Pages holds fewer digests than Regions has pages.
+func (m *Memory) eachPage(fn func(guest.PageID, PageDigest)) {
+	i := 0
+	for _, r := range m.Regions {
+		for p := r.Start; p < r.End() && i < len(m.Pages); p++ {
+			fn(p, m.Pages[i])
+			i++
 		}
 	}
-	return h.Sum64()
 }
 
 // Verify recomputes the checksum and compares it against want, returning a
@@ -251,47 +280,42 @@ func (t *Tiered) Verify(want uint64) error {
 // appropriate tier image and recording the layout, exactly as §V-D
 // describes.
 func BuildTiered(s *Single, placement *mem.MultiPlacement) *Tiered {
+	src := s.Memory
 	t := &Tiered{
 		Function:   s.Function,
-		GuestPages: s.Memory.GuestPages,
-		FastMem:    &Memory{GuestPages: s.Memory.GuestPages, Pages: make(map[guest.PageID]PageDigest)},
-		SlowMem:    &Memory{GuestPages: s.Memory.GuestPages, Pages: make(map[guest.PageID]PageDigest)},
+		GuestPages: src.GuestPages,
+		FastMem:    &Memory{GuestPages: src.GuestPages},
+		SlowMem:    &Memory{GuestPages: src.GuestPages},
 	}
-	resident := s.Memory.ResidentRegions()
 	var fastOff, slowOff int64
-	var pending *LayoutEntry
-	flush := func() {
-		if pending != nil {
-			t.Entries = append(t.Entries, *pending)
-			pending = nil
-		}
-	}
-	for _, r := range resident {
-		for p := r.Start; p < r.End(); p++ {
-			tier := placement.LevelOf(p)
+	var segs []mem.LevelSegment
+	base := 0 // index in src.Pages of the current region's first page
+	for _, r := range src.Regions {
+		segs = placement.AppendSegments(segs[:0], r)
+		for _, sg := range segs {
 			img, off := t.FastMem, &fastOff
-			if tier == mem.Slow {
+			if sg.Level == mem.Slow {
 				img, off = t.SlowMem, &slowOff
 			}
-			img.Pages[p] = s.Memory.Pages[p]
-			// Extend the pending entry when contiguous in both guest and
+			i := base + int(sg.Region.Start-r.Start)
+			img.appendPages(sg.Region, src.Pages[i:i+int(sg.Region.Pages)])
+			// Extend the last entry when contiguous in both guest and
 			// file space and same tier ("Bins Merging", §V-F).
-			if pending != nil && pending.Tier == tier &&
-				pending.GuestStart+guest.PageID(pending.Pages) == p {
-				pending.Pages++
+			if n := len(t.Entries); n > 0 && t.Entries[n-1].Tier == sg.Level &&
+				t.Entries[n-1].GuestRegion().End() == sg.Region.Start {
+				t.Entries[n-1].Pages += sg.Region.Pages
 			} else {
-				flush()
-				pending = &LayoutEntry{
-					Tier:            tier,
+				t.Entries = append(t.Entries, LayoutEntry{
+					Tier:            sg.Level,
 					FileOffsetPages: *off,
-					GuestStart:      p,
-					Pages:           1,
-				}
+					GuestStart:      sg.Region.Start,
+					Pages:           sg.Region.Pages,
+				})
 			}
-			*off++
+			*off += sg.Region.Pages
 		}
+		base += int(r.Pages)
 	}
-	flush()
 	t.Sum = t.Checksum()
 	return t
 }
@@ -504,7 +528,7 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
+func readString(r io.Reader) (string, error) {
 	var n int64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return "", fmt.Errorf("%w: string length: %v", ErrCorrupt, err)
@@ -520,46 +544,59 @@ func readString(r *bufio.Reader) (string, error) {
 }
 
 func writeMemory(w *bufio.Writer, m *Memory) error {
-	if err := binary.Write(w, binary.LittleEndian, m.GuestPages); err != nil {
+	if resident := guest.TotalPages(m.Regions); resident != int64(len(m.Pages)) {
+		return fmt.Errorf("snapshot: memory image has %d digests for %d resident pages", len(m.Pages), resident)
+	}
+	var rec [16]byte
+	binary.LittleEndian.PutUint64(rec[:8], uint64(m.GuestPages))
+	binary.LittleEndian.PutUint64(rec[8:], uint64(len(m.Pages)))
+	if _, err := w.Write(rec[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(m.Pages))); err != nil {
-		return err
-	}
-	// Serialize in page order for deterministic files.
-	regions := m.ResidentRegions()
-	for _, r := range regions {
-		for p := r.Start; p < r.End(); p++ {
-			rec := []uint64{uint64(p), uint64(m.Pages[p])}
-			if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
-				return err
-			}
+	// Records go out in page order, so files are deterministic.
+	var err error
+	m.eachPage(func(p guest.PageID, d PageDigest) {
+		binary.LittleEndian.PutUint64(rec[:8], uint64(p))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(d))
+		if err == nil {
+			_, err = w.Write(rec[:])
 		}
-	}
-	return nil
+	})
+	return err
 }
 
-func readMemory(r *bufio.Reader) (*Memory, error) {
-	m := &Memory{Pages: make(map[guest.PageID]PageDigest)}
-	if err := binary.Read(r, binary.LittleEndian, &m.GuestPages); err != nil {
+// readMemory decodes a memory image. Page ids must be inside the guest and
+// strictly increasing, as the writer emits them, so the image decodes by
+// appending and re-encodes to the same bytes.
+func readMemory(r io.Reader) (*Memory, error) {
+	var guestPages, n int64
+	if err := binary.Read(r, binary.LittleEndian, &guestPages); err != nil {
 		return nil, fmt.Errorf("%w: memory header: %v", ErrCorrupt, err)
 	}
-	var n int64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: page count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || (m.GuestPages >= 0 && n > m.GuestPages) {
-		return nil, fmt.Errorf("%w: implausible page count %d for %d guest pages", ErrCorrupt, n, m.GuestPages)
+	if n < 0 || (guestPages >= 0 && n > guestPages) {
+		return nil, fmt.Errorf("%w: implausible page count %d for %d guest pages", ErrCorrupt, n, guestPages)
 	}
+	// The count is only plausible, not proven: size the digest slice from
+	// what actually decodes.
+	m := &Memory{GuestPages: guestPages, Pages: make([]PageDigest, 0, min(n, 1<<12))}
+	var rec [16]byte
+	prev := int64(-1)
 	for i := int64(0); i < n; i++ {
-		var rec [2]uint64
-		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
+		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: page %d: %v", ErrCorrupt, i, err)
 		}
-		if p := int64(rec[0]); p < 0 || p >= m.GuestPages {
-			return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, m.GuestPages)
+		p := int64(binary.LittleEndian.Uint64(rec[:8]))
+		if p < 0 || p >= guestPages {
+			return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, guestPages)
 		}
-		m.Pages[guest.PageID(rec[0])] = PageDigest(rec[1])
+		if p <= prev {
+			return nil, fmt.Errorf("%w: page id %d after %d: ids must increase", ErrCorrupt, p, prev)
+		}
+		prev = p
+		m.appendPages(guest.Region{Start: guest.PageID(p), Pages: 1}, []PageDigest{PageDigest(binary.LittleEndian.Uint64(rec[8:]))})
 	}
 	return m, nil
 }

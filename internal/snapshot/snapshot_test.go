@@ -3,6 +3,7 @@ package snapshot
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,7 @@ func TestNewMemory(t *testing.T) {
 	if len(m.Pages) != 4 { // [5,9) after normalization
 		t.Fatalf("resident pages = %d, want 4", len(m.Pages))
 	}
-	if m.Pages[5] != DigestFor("fn", 5) {
+	if m.Pages[0] != DigestFor("fn", 5) || m.Pages[3] != DigestFor("fn", 8) {
 		t.Error("digest mismatch")
 	}
 	regs := m.ResidentRegions()
@@ -37,6 +38,30 @@ func TestNewMemory(t *testing.T) {
 	}
 	if m.ResidentBytes() != 4*guest.PageSize {
 		t.Errorf("ResidentBytes = %d", m.ResidentBytes())
+	}
+}
+
+func TestResidentRegionsMergesAdjacent(t *testing.T) {
+	// Regions given out of order and adjacently must still yield one
+	// merged, sorted region, with digests in page order.
+	m := NewMemory("f", 64, []guest.Region{{Start: 7, Pages: 1}, {Start: 5, Pages: 1},
+		{Start: 6, Pages: 1}, {Start: 20, Pages: 1}, {Start: 8, Pages: 1}})
+	got := m.ResidentRegions()
+	want := []guest.Region{{Start: 5, Pages: 4}, {Start: 20, Pages: 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("regions = %v, want %v", got, want)
+	}
+	for i, p := range []guest.PageID{5, 6, 7, 8, 20} {
+		if m.Pages[i] != DigestFor("f", p) {
+			t.Fatalf("digest %d is not page %d's", i, p)
+		}
+	}
+}
+
+func TestResidentRegionsEmpty(t *testing.T) {
+	m := NewMemory("f", 8, nil)
+	if got := m.ResidentRegions(); got != nil || len(m.Pages) != 0 {
+		t.Fatalf("empty memory regions = %v with %d digests, want none", got, len(m.Pages))
 	}
 }
 
@@ -58,13 +83,9 @@ func TestSingleRoundTrip(t *testing.T) {
 	if got.Function != "matmul" || got.VMStateBytes != 1<<20 || got.Memory.GuestPages != 65536 {
 		t.Errorf("header mismatch: %+v", got)
 	}
-	if len(got.Memory.Pages) != len(s.Memory.Pages) {
-		t.Fatalf("page count mismatch: %d vs %d", len(got.Memory.Pages), len(s.Memory.Pages))
-	}
-	for p, d := range s.Memory.Pages {
-		if got.Memory.Pages[p] != d {
-			t.Fatalf("page %d digest mismatch", p)
-		}
+	if !slices.Equal(got.Memory.Regions, s.Memory.Regions) || !slices.Equal(got.Memory.Pages, s.Memory.Pages) {
+		t.Fatalf("image %v (%d digests) read back as %v (%d digests)",
+			s.Memory.Regions, len(s.Memory.Pages), got.Memory.Regions, len(got.Memory.Pages))
 	}
 }
 
@@ -236,12 +257,9 @@ func TestTieredRoundTrip(t *testing.T) {
 			t.Errorf("entry %d: %+v vs %+v", i, got.Entries[i], want.Entries[i])
 		}
 	}
-	if len(got.FastMem.Pages) != len(want.FastMem.Pages) || len(got.SlowMem.Pages) != len(want.SlowMem.Pages) {
-		t.Error("memory images mismatch")
-	}
-	for p, d := range want.SlowMem.Pages {
-		if got.SlowMem.Pages[p] != d {
-			t.Fatalf("slow page %d digest mismatch", p)
+	for _, img := range [][2]*Memory{{got.FastMem, want.FastMem}, {got.SlowMem, want.SlowMem}} {
+		if !slices.Equal(img[0].Regions, img[1].Regions) || !slices.Equal(img[0].Pages, img[1].Pages) {
+			t.Fatalf("tier image %v read back as %v", img[1].Regions, img[0].Regions)
 		}
 	}
 }
@@ -272,12 +290,13 @@ func TestBuildTieredConservationProperty(t *testing.T) {
 		if len(tiered.FastMem.Pages)+len(tiered.SlowMem.Pages) != len(s.Memory.Pages) {
 			return false
 		}
-		for p := range s.Memory.Pages {
+		fast, slow := pageMap(tiered.FastMem).Pages, pageMap(tiered.SlowMem).Pages
+		for p, d := range pageMap(s.Memory).Pages {
+			img := fast
 			if placement.LevelOf(p) == mem.Slow {
-				if _, ok := tiered.SlowMem.Pages[p]; !ok {
-					return false
-				}
-			} else if _, ok := tiered.FastMem.Pages[p]; !ok {
+				img = slow
+			}
+			if got, ok := img[p]; !ok || got != d {
 				return false
 			}
 		}
