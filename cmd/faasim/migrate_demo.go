@@ -97,9 +97,13 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 		fmt.Fprintln(os.Stderr, "faasim:", err)
 		return 1
 	}
-	// Seeding may overfill the now-lean DRAM tier; the first tick's repack
-	// demotes the overflow, which is itself part of the show.
-	eng.LoadPlacement(mp)
+	// Each extent starts at the level of its first page. Seeding may
+	// overfill the now-lean DRAM tier; the first tick's repack demotes the
+	// overflow, which is itself part of the show.
+	for i := 0; i < eng.Extents(); i++ {
+		r := eng.ExtentRegion(i)
+		eng.SetLevel(r, mp.LevelOf(r.Start))
+	}
 	for _, hr := range pd.HeatRegions(cfg.MergeDelta) {
 		eng.Touch(hr.Region, hr.PerPage)
 	}

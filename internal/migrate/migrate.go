@@ -13,8 +13,12 @@
 // reclamation frees capacity before promotions need it — under a bandwidth
 // budget of one epoch of migration time per epoch. Every move costs virtual
 // time (mem.Hierarchy.MoveCost) and marks its extent busy until the move
-// completes; executions overlapping a busy extent wait (WaitFor), which is
-// exactly the time ext11 charges to the xray migrate.* segments.
+// completes; executions overlapping a busy extent wait (WaitFor), and ext11
+// and perfbench's fleet workload add that wait to the invocation's latency.
+//
+// Each Tick sorts the extents once, by (heat, tie-break hash, index); the
+// pack, the demotion and promotion orders and every tier's eviction order
+// are read off that one ranking.
 //
 // Determinism: the engine is a pure function of (config, seed, the Touch and
 // Tick sequence). Heat ties in the packing order are broken by a splitmix64
@@ -25,10 +29,11 @@
 package migrate
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"toss/internal/guest"
 	"toss/internal/mem"
@@ -247,21 +252,51 @@ type Engine struct {
 	level     []uint8   // current hierarchy level per extent
 	movedAt   []int32   // epoch of the extent's last move (hysteresis)
 	readyAt   []simtime.Duration
-	occupancy []int64 // pages per level
+	jit       []uint64 // tie-break hash of (Seed, extent), fixed at New
+	occupancy []int64  // pages per level
 
 	epoch     int32
 	busyUntil simtime.Duration
 	log       []Event
 	stats     Stats
 
-	// scratch buffers reused across Ticks.
-	order   []int
-	desired []uint8
+	// The epoch's ranking and the scratch derived from it, rebuilt every
+	// Tick and reused across Ticks.
+	hot      []rankKey // every extent, hottest first
+	cold     []int32   // every extent, coldest first
+	victims  [][]int32 // per bounded level: its extents at the epoch's start, coldest first
+	vnext    []int     // per bounded level: makeRoom's cursor into victims
+	inc      []rankKey // packDesired: one level's incumbents, keyed by scaled heat
+	cand     []int32   // demotion, then promotion candidates
+	promoted []int32
+	desired  []uint8
+}
+
+// rankKey is one extent's entry in an epoch's ranking.
+type rankKey struct {
+	heat float64
+	jit  uint64
+	i    int32
+}
+
+// hotter orders keys by (heat desc, jitter asc, index asc): the total order
+// every ranking of an epoch follows.
+func hotter(a, b rankKey) int {
+	switch {
+	case a.heat > b.heat:
+		return -1
+	case a.heat < b.heat:
+		return 1
+	case a.jit < b.jit:
+		return -1
+	case a.jit > b.jit:
+		return 1
+	}
+	return cmp.Compare(a.i, b.i)
 }
 
 // New builds an engine over a guest of totalPages pages with every extent at
-// the hierarchy's bottom tier (seed real placements with SetLevel or
-// LoadPlacement).
+// the hierarchy's bottom tier (seed real placements with SetLevel).
 func New(cfg Config, totalPages int64) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -280,11 +315,15 @@ func New(cfg Config, totalPages int64) (*Engine, error) {
 		movedAt:    make([]int32, n),
 		readyAt:    make([]simtime.Duration, n),
 		occupancy:  make([]int64, cfg.Hierarchy.Levels()),
+		jit:        make([]uint64, n),
+		victims:    make([][]int32, cfg.Hierarchy.Bottom()),
+		vnext:      make([]int, cfg.Hierarchy.Bottom()),
 	}
 	bottom := uint8(cfg.Hierarchy.Bottom())
 	for i := range e.level {
 		e.level[i] = bottom
 		e.movedAt[i] = -1 << 30
+		e.jit[i] = jitter(cfg.Seed, i)
 	}
 	e.occupancy[bottom] = totalPages
 	return e, nil
@@ -339,15 +378,6 @@ func (e *Engine) SetLevel(r guest.Region, level int) {
 	for i := lo; i < hi; i++ {
 		e.moveOccupancy(i, level)
 		e.level[i] = uint8(level)
-	}
-}
-
-// LoadPlacement seeds the placement from a MultiPlacement (each extent takes
-// the level of its first page — extents are the engine's granularity).
-func (e *Engine) LoadPlacement(mp *mem.MultiPlacement) {
-	for i := 0; i < e.nExt; i++ {
-		e.moveOccupancy(i, mp.LevelOf(e.ExtentRegion(i).Start))
-		e.level[i] = uint8(mp.LevelOf(e.ExtentRegion(i).Start))
 	}
 }
 
@@ -438,8 +468,8 @@ func (e *Engine) WaitFor(r guest.Region, now simtime.Duration) simtime.Duration 
 
 // jitter is the deterministic tie-break: a splitmix64 of (seed, extent),
 // stable across epochs so equal-heat extents do not churn between tiers.
-func (e *Engine) jitter(extent int) uint64 {
-	x := uint64(e.cfg.Seed)*0x9E3779B97F4A7C15 + uint64(extent)*0xBF58476D1CE4E5B9
+func jitter(seed int64, extent int) uint64 {
+	x := uint64(seed)*0x9E3779B97F4A7C15 + uint64(extent)*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -447,20 +477,41 @@ func (e *Engine) jitter(extent int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// less orders extents by (heat desc, jitter, index) given a heat vector.
-func (e *Engine) hotterFirst(order []int, heatOf func(int) float64) {
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		hi, hj := heatOf(i), heatOf(j)
-		if hi != hj {
-			return hi > hj
+// rank sorts the extents once for this epoch. hot is (heat desc, jitter
+// asc, index asc): the order of the pack and of promotions. cold is (heat
+// asc, jitter asc, index asc): the order of demotions and evictions. cold
+// is not hot reversed: it takes hot's equal-heat groups in reverse order,
+// each group as it stands, so ties keep the jitter order in both. Each
+// bounded level's victim list is cold filtered by the extents' levels at
+// the start of the epoch.
+func (e *Engine) rank() {
+	e.hot = slices.Grow(e.hot[:0], e.nExt)
+	for i, h := range e.heat {
+		e.hot = append(e.hot, rankKey{heat: h, jit: e.jit[i], i: int32(i)})
+	}
+	slices.SortFunc(e.hot, hotter)
+
+	e.cold = slices.Grow(e.cold[:0], e.nExt)
+	for end := len(e.hot); end > 0; {
+		start := end - 1
+		for start > 0 && e.hot[start-1].heat == e.hot[start].heat {
+			start--
 		}
-		ji, jj := e.jitter(i), e.jitter(j)
-		if ji != jj {
-			return ji < jj
+		for _, k := range e.hot[start:end] {
+			e.cold = append(e.cold, k.i)
 		}
-		return i < j
-	})
+		end = start
+	}
+
+	for l := range e.victims {
+		e.victims[l] = e.victims[l][:0]
+		e.vnext[l] = 0
+	}
+	for _, i := range e.cold {
+		if l := int(e.level[i]); l < len(e.victims) {
+			e.victims[l] = append(e.victims[l], i)
+		}
+	}
 }
 
 // Tick ends the current epoch at virtual time `now`: folds pending heat into
@@ -479,6 +530,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	}
 
 	oracle := e.cfg.Policy == PolicyOracle
+	e.rank()
 	desired := e.packDesired(oracle)
 
 	logStart := len(e.log)
@@ -537,7 +589,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 		return e.cfg.Hierarchy.Bottom()
 	}
 
-	cooled := func(i int) bool {
+	cooled := func(i int32) bool {
 		return oracle || int(e.epoch-e.movedAt[i]) >= e.cfg.MinResidencyEpochs
 	}
 
@@ -545,48 +597,47 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	// down, coldest first, so reclamation frees capacity before promotions
 	// need it.
 	if e.cfg.Policy == PolicyFull || oracle {
-		e.order = e.order[:0]
-		for i := 0; i < e.nExt; i++ {
-			if int(desired[i]) > int(e.level[i]) && cooled(i) {
-				e.order = append(e.order, i)
+		e.cand = e.cand[:0]
+		for _, i := range e.cold {
+			if desired[i] > e.level[i] && cooled(i) {
+				e.cand = append(e.cand, i)
 			}
 		}
-		e.hotterFirst(e.order, func(i int) float64 { return -e.heat[i] }) // coldest first
-		for _, i := range e.order {
+		for _, i := range e.cand {
 			if !budgetLeft() {
 				break
 			}
-			exec(i, roomAt(int(desired[i]), e.ExtentRegion(i).Pages), ReasonDemote)
+			exec(int(i), roomAt(int(desired[i]), e.ExtentRegion(int(i)).Pages), ReasonDemote)
 		}
 	}
 
 	// Promotions, hottest first. A full target tier evicts its coldest
 	// incumbent one level down (cascading past full tiers) to make room.
-	e.order = e.order[:0]
-	for i := 0; i < e.nExt; i++ {
-		if int(desired[i]) < int(e.level[i]) && cooled(i) {
-			e.order = append(e.order, i)
+	e.cand = e.cand[:0]
+	for _, k := range e.hot {
+		if desired[k.i] < e.level[k.i] && cooled(k.i) {
+			e.cand = append(e.cand, k.i)
 		}
 	}
-	e.hotterFirst(e.order, func(i int) float64 { return e.heat[i] })
-	promoted := e.order[:0:0]
-	for _, i := range e.order {
+	e.promoted = e.promoted[:0]
+	for _, i := range e.cand {
 		if !budgetLeft() {
 			break
 		}
 		target := int(desired[i])
-		if !e.makeRoom(target, e.ExtentRegion(i).Pages, exec, roomAt, budgetLeft) {
+		if !e.makeRoom(target, e.ExtentRegion(int(i)).Pages, exec, roomAt, budgetLeft) {
 			continue
 		}
-		exec(i, target, ReasonPromote)
-		promoted = append(promoted, i)
+		exec(int(i), target, ReasonPromote)
+		e.promoted = append(e.promoted, i)
 	}
 
 	// Prefetch-on-promote: pull each promoted extent's address-space
 	// successors to the same level — sequential access means they are the
 	// likely-next pages.
 	if e.cfg.PrefetchExtents > 0 {
-		for _, i := range promoted {
+		for _, pi := range e.promoted {
+			i := int(pi)
 			target := int(e.level[i])
 			for k := 1; k <= e.cfg.PrefetchExtents; k++ {
 				j := i + k
@@ -612,28 +663,28 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 
 // makeRoom evicts coldest incumbents of `target` (one level down, cascading
 // past full tiers) until `pages` fit, and reports whether it succeeded.
+// Victims come off target's coldest-first list through a forward-only
+// cursor. That is exact: heat does not change inside Tick, and an extent
+// that moves this epoch, out of target or into it, has movedAt == epoch and
+// is never a victim again this epoch, so an entry the cursor skips stays
+// ineligible.
 func (e *Engine) makeRoom(target int, pages int64,
 	exec func(i, to int, reason Reason), roomAt func(int, int64) int, budgetLeft func() bool) bool {
-	if e.cfg.Policy == PolicyStatic {
-		return false
-	}
+	victims := e.victims[target]
 	for e.occupancy[target]+pages > e.cfg.Hierarchy.Capacity(target) {
 		if !budgetLeft() {
 			return false
 		}
-		victim := -1
-		for i := 0; i < e.nExt; i++ {
-			if int(e.level[i]) != target || e.movedAt[i] == e.epoch {
-				continue
+		for e.vnext[target] < len(victims) {
+			if i := victims[e.vnext[target]]; int(e.level[i]) == target && e.movedAt[i] != e.epoch {
+				break
 			}
-			if victim < 0 || e.heat[i] < e.heat[victim] ||
-				(e.heat[i] == e.heat[victim] && e.jitter(i) < e.jitter(victim)) {
-				victim = i
-			}
+			e.vnext[target]++
 		}
-		if victim < 0 {
+		if e.vnext[target] == len(victims) {
 			return false // nothing evictable (everything moved this epoch)
 		}
+		victim := int(victims[e.vnext[target]])
 		exec(victim, roomAt(target+1, e.ExtentRegion(victim).Pages), ReasonEvict)
 	}
 	return true
@@ -642,7 +693,12 @@ func (e *Engine) makeRoom(target int, pages int64,
 // packDesired greedily assigns extents to tiers by heat under the capacity
 // vector. Unless `oracle`, incumbents of a tier compete with their heat
 // multiplied by PromoteMargin — the hysteresis that keeps near-ties from
-// churning.
+// churning. Each bounded level merges two streams, both in (score desc,
+// jitter, index) order: the unassigned extents that are not its incumbents,
+// in hot order (their score is their heat), and its unassigned incumbents,
+// sorted on their scaled heat. The incumbents need that sort of their own:
+// scaling can round two distinct heats to one score (4/3 and its successor
+// both become 2.0 at margin 1.5), and the tie then falls to the jitter.
 func (e *Engine) packDesired(oracle bool) []uint8 {
 	if cap(e.desired) < e.nExt {
 		e.desired = make([]uint8, e.nExt)
@@ -652,35 +708,42 @@ func (e *Engine) packDesired(oracle bool) []uint8 {
 	for i := range desired {
 		desired[i] = bottom
 	}
-	assigned := make([]bool, e.nExt)
-	order := make([]int, e.nExt)
-	for l := 0; l < e.cfg.Hierarchy.Levels()-1; l++ {
-		order = order[:0]
-		for i := 0; i < e.nExt; i++ {
-			if !assigned[i] {
-				order = append(order, i)
+	// An extent is assigned once desired[i] != bottom.
+	for l := uint8(0); l < bottom; l++ {
+		incumbent := func(i int32) bool { return !oracle && e.level[i] == l }
+		e.inc = e.inc[:0]
+		if !oracle {
+			for _, k := range e.hot {
+				if e.level[k.i] == l && desired[k.i] == bottom {
+					k.heat *= e.cfg.PromoteMargin
+					e.inc = append(e.inc, k)
+				}
 			}
+			slices.SortFunc(e.inc, hotter)
 		}
-		score := func(i int) float64 {
-			if !oracle && int(e.level[i]) == l {
-				return e.heat[i] * e.cfg.PromoteMargin
+		capLeft := e.cfg.Hierarchy.Capacity(int(l))
+		for a, b := 0, 0; ; {
+			for a < len(e.hot) && (desired[e.hot[a].i] != bottom || incumbent(e.hot[a].i)) {
+				a++
 			}
-			return e.heat[i]
-		}
-		e.hotterFirst(order, score)
-		capLeft := e.cfg.Hierarchy.Capacity(l)
-		for _, i := range order {
-			pages := e.ExtentRegion(i).Pages
+			var k rankKey
+			if a < len(e.hot) && (b == len(e.inc) || hotter(e.hot[a], e.inc[b]) < 0) {
+				k, a = e.hot[a], a+1
+			} else if b < len(e.inc) {
+				k, b = e.inc[b], b+1
+			} else {
+				break
+			}
+			pages := e.ExtentRegion(int(k.i)).Pages
 			if pages > capLeft {
 				break
 			}
 			// Cold extents never deserve a bounded tier: zero heat stays
 			// at the bottom so empty capacity is not filled with garbage.
-			if e.heat[i] <= 0 {
+			if e.heat[k.i] <= 0 {
 				break
 			}
-			desired[i] = uint8(l)
-			assigned[i] = true
+			desired[k.i] = l
 			capLeft -= pages
 		}
 	}

@@ -359,7 +359,9 @@ func (s *Sim) Run(arrivals []trace.Arrival) (*Report, error) {
 			}
 		case evCompletion:
 			s.free++
-			s.drainQueue()
+			if err := s.drainQueue(); err != nil {
+				return nil, err
+			}
 		case evPrewarm:
 			if err := s.onPrewarm(e.fn, e.expire); err != nil {
 				return nil, err
@@ -424,16 +426,17 @@ func (s *Sim) onArrival(a trace.Arrival) error {
 	return s.dispatch(a, s.now)
 }
 
-// drainQueue dispatches waiting arrivals onto freed cores.
-func (s *Sim) drainQueue() {
+// drainQueue dispatches waiting arrivals onto freed cores. It returns the
+// first dispatch error, as onArrival does for an arrival dispatched at once.
+func (s *Sim) drainQueue() error {
 	for s.free > 0 && len(s.waiting) > 0 {
 		a := s.waiting[0]
 		s.waiting = s.waiting[1:]
 		if err := s.dispatch(a, a.At); err != nil {
-			// Dispatch errors are programming errors; surface loudly.
-			panic(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // dispatch runs one invocation starting now.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"testing"
 
 	"toss/internal/simtime"
@@ -131,6 +132,52 @@ func TestDeterministicRuns(t *testing.T) {
 		if a.Records[i] != b.Records[i] {
 			t.Fatalf("records diverge at %d: %+v vs %+v", i, a.Records[i], b.Records[i])
 		}
+	}
+}
+
+// errSecondInvocation is what failSecond's second invocation returns.
+var errSecondInvocation = errors.New("second invocation fails")
+
+// failSecond is a mechanism whose second invocation, cold or warm, fails.
+type failSecond struct{ calls int }
+
+func (m *failSecond) invoke() error {
+	m.calls++
+	if m.calls == 2 {
+		return errSecondInvocation
+	}
+	return nil
+}
+
+func (m *failSecond) invokeCold(trace.Arrival, int) (simtime.Duration, simtime.Duration, bool, error) {
+	return simtime.Millisecond, simtime.Millisecond, false, m.invoke()
+}
+
+func (m *failSecond) invokeWarm(trace.Arrival, int) (simtime.Duration, bool, error) {
+	return simtime.Millisecond, false, m.invoke()
+}
+
+func (m *failSecond) prewarm() (simtime.Duration, error) { return 0, nil }
+func (m *failSecond) footprint() (int64, int64)          { return 0, 0 }
+func (m *failSecond) ready() bool                        { return true }
+
+// TestQueuedDispatchErrorReturned: an invocation that waited for a core and
+// fails when the core frees up fails Run with its error, the same as one
+// that fails on arrival.
+func TestQueuedDispatchErrorReturned(t *testing.T) {
+	cfg := testConfig(MechDRAM)
+	cfg.Cores = 1
+	s, err := New(cfg, []string{"pyaes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mechs["pyaes"] = &failSecond{}
+	arr := []trace.Arrival{
+		{At: 1, Function: "pyaes", Level: workload.I, Seed: 1},
+		{At: 1, Function: "pyaes", Level: workload.I, Seed: 2}, // queues behind the first
+	}
+	if _, err := s.Run(arr); !errors.Is(err, errSecondInvocation) {
+		t.Fatalf("Run returned %v, want %v", err, errSecondInvocation)
 	}
 }
 
