@@ -14,7 +14,7 @@ import (
 
 	"toss/internal/sched"
 	"toss/internal/simtime"
-	"toss/internal/trace"
+	"toss/internal/workload"
 )
 
 func main() {
@@ -23,13 +23,13 @@ func main() {
 	flag.Parse()
 
 	horizon := simtime.Duration(*horizonSec) * simtime.Second
-	arrivals, err := trace.Generate(trace.Config{
+	arrivals, err := workload.MixArrivals(workload.MixConfig{
 		Horizon: horizon,
-		Mix: []trace.FunctionMix{
-			{Function: "pyaes", Pattern: trace.Fixed, MeanIAT: 3 * simtime.Second},
-			{Function: "json_load_dump", Pattern: trace.Bursty, MeanIAT: 2 * simtime.Second},
-			{Function: "compress", Pattern: trace.Steady, MeanIAT: 4 * simtime.Second},
-			{Function: "image_processing", Pattern: trace.Diurnal, MeanIAT: 2 * simtime.Second},
+		Mix: []workload.FunctionMix{
+			{Function: "pyaes", Pattern: workload.Fixed, MeanIAT: 3 * simtime.Second},
+			{Function: "json_load_dump", Pattern: workload.Bursty, MeanIAT: 2 * simtime.Second},
+			{Function: "compress", Pattern: workload.Steady, MeanIAT: 4 * simtime.Second},
+			{Function: "image_processing", Pattern: workload.Diurnal, MeanIAT: 2 * simtime.Second},
 		},
 		Seed: 17,
 	})
@@ -39,9 +39,9 @@ func main() {
 	functions := []string{"pyaes", "json_load_dump", "compress", "image_processing"}
 
 	fmt.Printf("trace: %d arrivals over %v on %d cores\n", len(arrivals), horizon, *cores)
-	for fn, st := range trace.Summarize(arrivals) {
+	for _, st := range summarize(arrivals, functions) {
 		fmt.Printf("  %-18s %4d arrivals, mean IAT %v, max gap %v\n",
-			fn, st.Count, st.MeanIAT.Std().Round(1e6), st.MaxGap.Std().Round(1e6))
+			st.Function, st.Count, st.MeanIAT.Std().Round(1e6), st.MaxGap.Std().Round(1e6))
 	}
 	fmt.Println()
 	fmt.Printf("%-6s %-22s %7s %7s %10s %12s %12s\n",
@@ -85,4 +85,37 @@ func main() {
 		}
 	}
 	fmt.Println("\nTOSS's near-constant tiered restores make it the least cache-dependent mechanism (§VI-A).")
+}
+
+// stats summarizes one function's arrivals in a schedule.
+type stats struct {
+	Function string
+	Count    int
+	MeanIAT  simtime.Duration
+	MaxGap   simtime.Duration
+}
+
+// summarize computes per-function arrival statistics, one row per entry of
+// functions, in that order.
+func summarize(arrivals []workload.ArrivalSpec, functions []string) []stats {
+	perFn := map[string][]simtime.Duration{}
+	for _, a := range arrivals {
+		perFn[a.Function] = append(perFn[a.Function], a.At)
+	}
+	out := make([]stats, 0, len(functions))
+	for _, fn := range functions {
+		times := perFn[fn]
+		st := stats{Function: fn, Count: len(times)}
+		if len(times) > 1 {
+			var sum simtime.Duration
+			for i := 1; i < len(times); i++ {
+				gap := times[i] - times[i-1]
+				sum += gap
+				st.MaxGap = max(st.MaxGap, gap)
+			}
+			st.MeanIAT = sum / simtime.Duration(len(times)-1)
+		}
+		out = append(out, st)
+	}
+	return out
 }

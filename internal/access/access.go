@@ -115,12 +115,6 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// LineTouches returns the total number of line touches the event performs
-// across all pages and repeats.
-func (e Event) LineTouches() int64 {
-	return e.Region.Pages * int64(e.LinesPerPage) * int64(e.Repeat)
-}
-
 // TouchesPerPage returns the number of line touches each page receives.
 func (e Event) TouchesPerPage() int64 {
 	return int64(e.LinesPerPage) * int64(e.Repeat)
@@ -247,55 +241,6 @@ func NewHistogram() *Histogram { return &Histogram{} }
 // treat it as read-only; it is invalidated by the next write.
 func (h *Histogram) Runs() []Run { return h.runs }
 
-// AddEvent credits every page in the event with its touch count.
-func (h *Histogram) AddEvent(e Event) {
-	h.AddRegion(e.Region, e.TouchesPerPage())
-}
-
-// AddTrace accumulates a whole trace.
-func (h *Histogram) AddTrace(t *Trace) {
-	for _, e := range t.Events {
-		h.AddEvent(e)
-	}
-}
-
-// Add credits a single page with n touches. Adding zero is a no-op.
-func (h *Histogram) Add(p guest.PageID, n int64) {
-	h.AddRegion(guest.Region{Start: p, Pages: 1}, n)
-}
-
-// AddRegion credits every page of r with n touches. Adding zero or to an
-// empty region is a no-op.
-func (h *Histogram) AddRegion(r guest.Region, n int64) {
-	if n == 0 || r.Empty() {
-		return
-	}
-	one := [1]Run{{Region: r, Count: n}}
-	h.Update(one[:], sum)
-}
-
-// Merge adds all counts from o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == h {
-		o = o.Clone()
-	}
-	h.Update(o.runs, sum)
-}
-
-// MergeMax folds o into h keeping, for each page o touches, the larger of
-// the two counts. TOSS's unified access-pattern file uses max-merge so the
-// pattern reflects the most intense behaviour seen for each page across
-// invocations.
-func (h *Histogram) MergeMax(o *Histogram) {
-	if o == h {
-		return
-	}
-	h.Update(o.runs, larger)
-}
-
-func sum(old, v int64) int64    { return old + v }
-func larger(old, v int64) int64 { return max(old, v) }
-
 // Update sets every page p that a run of src covers to f(h.Count(p),
 // run.Count), taking the runs in order, so a run overlapping an earlier one
 // sees its result; a result of 0 clears the page. src must not share
@@ -416,20 +361,6 @@ func (h *Histogram) Len() int {
 	return int(n)
 }
 
-// Total returns the sum of all counts.
-func (h *Histogram) Total() int64 {
-	var total int64
-	for _, r := range h.runs {
-		total += r.Count * r.Region.Pages
-	}
-	return total
-}
-
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{runs: slices.Clone(h.runs)}
-}
-
 // PageCount pairs a page with its access count.
 type PageCount struct {
 	Page  guest.PageID
@@ -447,19 +378,3 @@ func (h *Histogram) Sorted() []PageCount {
 	}
 	return out
 }
-
-// TouchedRegions returns the touched pages as a normalized region list.
-func (h *Histogram) TouchedRegions() []guest.Region {
-	var regions []guest.Region
-	for _, r := range h.runs {
-		if n := len(regions); n > 0 && regions[n-1].End() == r.Region.Start {
-			regions[n-1].Pages += r.Region.Pages
-			continue
-		}
-		regions = append(regions, r.Region)
-	}
-	return regions
-}
-
-// Equal reports whether two histograms hold identical counts.
-func (h *Histogram) Equal(o *Histogram) bool { return slices.Equal(h.runs, o.runs) }

@@ -5,8 +5,6 @@
 // descending and repeatedly place the heaviest remaining item into the bin
 // with the smallest running sum — the classic greedy number-partitioning
 // (longest-processing-time) scheme.
-//
-// A capacity-driven first-fit-decreasing variant is included for ablations.
 package binpack
 
 import (
@@ -59,72 +57,4 @@ func ToConstantBins(weights []int64, n int) ([][]int, error) {
 		out[i] = bins[b]
 	}
 	return out, nil
-}
-
-// Sums returns each bin's total weight under the given assignment.
-func Sums(weights []int64, bins [][]int) []int64 {
-	out := make([]int64, len(bins))
-	for i, bin := range bins {
-		for _, idx := range bin {
-			out[i] += weights[idx]
-		}
-	}
-	return out
-}
-
-// Imbalance returns (max-min)/max over bin sums, a dimensionless measure of
-// how unequal the split is; 0 means perfectly balanced. Returns 0 when all
-// sums are zero.
-func Imbalance(sums []int64) float64 {
-	if len(sums) == 0 {
-		return 0
-	}
-	min, max := sums[0], sums[0]
-	for _, s := range sums[1:] {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	if max <= 0 {
-		return 0
-	}
-	return float64(max-min) / float64(max)
-}
-
-// FirstFitDecreasing packs items into the minimum number of bins of the
-// given capacity using the classic FFD heuristic. Items heavier than the
-// capacity get a dedicated bin each. Returned bins hold item indices.
-func FirstFitDecreasing(weights []int64, capacity int64) ([][]int, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("binpack: capacity %d < 1", capacity)
-	}
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	var bins [][]int
-	var sums []int64
-	for _, idx := range order {
-		w := weights[idx]
-		placed := false
-		for b := range bins {
-			if sums[b]+w <= capacity {
-				bins[b] = append(bins[b], idx)
-				sums[b] += w
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			bins = append(bins, []int{idx})
-			sums = append(sums, w)
-		}
-	}
-	return bins, nil
 }

@@ -101,46 +101,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestFirstFitDecreasing(t *testing.T) {
-	weights := []int64{8, 7, 6, 5, 4}
-	bins, err := FirstFitDecreasing(weights, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FFD: [8], [7], [6,4], [5] -> 4 bins; optimal is 3 ([8],[7],[6,4],[5]?
-	// total=30, cap 10 -> min 3 bins: 8+... 8,7,6,5,4 cannot make three 10s
-	// except {6,4},{5, ...}: 8+? no pair sums to 10 with 8 except 2; so
-	// min is indeed 4).
-	if len(bins) != 4 {
-		t.Errorf("FFD bins = %d, want 4", len(bins))
-	}
-	for _, bin := range bins {
-		var s int64
-		for _, i := range bin {
-			s += weights[i]
-		}
-		if s > 10 {
-			t.Errorf("bin over capacity: %d", s)
-		}
-	}
-}
-
-func TestFirstFitDecreasingOversizedItem(t *testing.T) {
-	bins, err := FirstFitDecreasing([]int64{50, 1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 2 {
-		t.Errorf("oversized item not isolated: %v", bins)
-	}
-}
-
-func TestFirstFitDecreasingRejectsBadCapacity(t *testing.T) {
-	if _, err := FirstFitDecreasing([]int64{1}, 0); err == nil {
-		t.Error("capacity 0 accepted")
-	}
-}
-
 // Property: every item is assigned exactly once and weight is conserved.
 func TestToConstantBinsPartitionProperty(t *testing.T) {
 	f := func(raw []uint16, nRaw uint8) bool {
@@ -205,36 +165,38 @@ func TestToConstantBinsBalanceBoundProperty(t *testing.T) {
 	}
 }
 
-// Property: FFD respects capacity for all items that fit.
-func TestFFDCapacityProperty(t *testing.T) {
-	f := func(raw []uint8, capRaw uint8) bool {
-		capacity := int64(capRaw%100) + 1
-		weights := make([]int64, len(raw))
-		for i, w := range raw {
-			weights[i] = int64(w)
+// Sums and Imbalance measure a split. ToConstantBins balances bins without
+// them; the tests and the package example use them to check its balance.
+
+// Sums returns each bin's total weight under the given assignment.
+func Sums(weights []int64, bins [][]int) []int64 {
+	out := make([]int64, len(bins))
+	for i, bin := range bins {
+		for _, idx := range bin {
+			out[i] += weights[idx]
 		}
-		bins, err := FirstFitDecreasing(weights, capacity)
-		if err != nil {
-			return false
-		}
-		assigned := 0
-		for _, bin := range bins {
-			var s int64
-			oversized := false
-			for _, idx := range bin {
-				s += weights[idx]
-				if weights[idx] > capacity {
-					oversized = true
-				}
-			}
-			assigned += len(bin)
-			if s > capacity && !(oversized && len(bin) == 1) {
-				return false
-			}
-		}
-		return assigned == len(weights)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	return out
+}
+
+// Imbalance returns (max-min)/max over bin sums, a dimensionless measure of
+// how unequal the split is; 0 means perfectly balanced. Returns 0 when all
+// sums are zero.
+func Imbalance(sums []int64) float64 {
+	if len(sums) == 0 {
+		return 0
 	}
+	min, max := sums[0], sums[0]
+	for _, s := range sums[1:] {
+		if s < min {
+			min = s
+		}
+		if s > max {
+			max = s
+		}
+	}
+	if max <= 0 {
+		return 0
+	}
+	return float64(max-min) / float64(max)
 }

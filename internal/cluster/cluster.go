@@ -32,7 +32,6 @@ import (
 	"toss/internal/fleetobs"
 	"toss/internal/keepalive"
 	"toss/internal/simtime"
-	"toss/internal/stats"
 	"toss/internal/workload"
 	"toss/internal/xray"
 )
@@ -274,20 +273,6 @@ func (r *Report) ColdFraction() float64 {
 		}
 	}
 	return float64(cold) / float64(n)
-}
-
-// LatencyPercentile returns the p-th percentile end-to-end latency
-// (nearest-rank convention).
-func (r *Report) LatencyPercentile(p float64) simtime.Duration {
-	n := r.Records.Len()
-	if n == 0 {
-		return 0
-	}
-	ls := make([]simtime.Duration, n)
-	for i := range ls {
-		ls[i] = r.Records.Latency(i)
-	}
-	return stats.NearestRankInPlace(ls, p)
 }
 
 // Throughput returns completed invocations per second of virtual time.

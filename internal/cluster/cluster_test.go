@@ -8,6 +8,7 @@ import (
 	"toss/internal/fleet"
 	"toss/internal/par"
 	"toss/internal/simtime"
+	"toss/internal/stats"
 	"toss/internal/workload"
 )
 
@@ -79,7 +80,7 @@ func renderReport(rep *Report) string {
 		rep.Records.Len(), int64(rep.Horizon), int64(rep.BusyCoreTime), rep.Pulls, int64(rep.PullTime))
 	fmt.Fprintf(&b, "router=%+v peak=%d final=%d\n", rep.Router, rep.PeakNodes, rep.FinalNodes)
 	for i := 0; i < rep.Records.Len(); i++ {
-		r := rep.Records.At(i)
+		r := rep.Records.at(i)
 		fmt.Fprintf(&b, "%s %s %s %d %d %d %d %d %v\n",
 			r.Function, r.Node, r.Route, int64(r.Arrival),
 			int64(r.QueueDelay), int64(r.Pull), int64(r.Setup), int64(r.Exec), r.Cold)
@@ -230,22 +231,23 @@ func TestAutoscaler(t *testing.T) {
 // deterministic, and removing one node only remaps the functions that
 // ranked it first.
 func TestRendezvousStability(t *testing.T) {
-	nodes := make([]*node, 5)
-	for i := range nodes {
-		nodes[i] = &node{id: fmt.Sprintf("n%02d", i+1)}
+	c := &Cluster{nodes: make([]*node, 5)}
+	for i := range c.nodes {
+		c.nodes[i] = &node{id: fmt.Sprintf("n%02d", i+1)}
 	}
-	primary := func(fn string, ns []*node) string { return rendezvousRank(fn, ns)[0].id }
+	primary := func(fn string, idxs []int32) string { return c.nodes[c.buildRanking(fn, idxs, nil)[0]].id }
 
+	all := []int32{0, 1, 2, 3, 4}
 	fns := []string{"float_operation", "pyaes", "compress", "matmul", "pagerank", "linpack", "lr_serving"}
 	before := map[string]string{}
 	for _, fn := range fns {
-		before[fn] = primary(fn, nodes)
-		if got := primary(fn, nodes); got != before[fn] {
-			t.Fatalf("rendezvous ranking for %s not deterministic", fn)
+		before[fn] = primary(fn, all)
+		if got := primary(fn, []int32{4, 3, 2, 1, 0}); got != before[fn] {
+			t.Fatalf("rendezvous ranking for %s depends on node order", fn)
 		}
 	}
-	removed := nodes[2].id
-	smaller := append(append([]*node{}, nodes[:2]...), nodes[3:]...)
+	removed := c.nodes[2].id
+	smaller := []int32{0, 1, 3, 4}
 	for _, fn := range fns {
 		after := primary(fn, smaller)
 		if before[fn] != removed && after != before[fn] {
@@ -300,4 +302,34 @@ func TestClusterValidate(t *testing.T) {
 	if _, err := c.Run([]workload.ArrivalSpec{{Function: "unprofiled"}}); err == nil {
 		t.Error("unprofiled arrival: expected error")
 	}
+}
+
+// at decodes invocation i into the struct view.
+func (r *Records) at(i int) Record {
+	return Record{
+		Function:   r.fnNames[r.fn[i]],
+		Node:       r.nodeNames[r.node[i]],
+		Level:      int(r.level[i]),
+		Arrival:    r.arrival[i],
+		Route:      routeReasons[r.route[i]],
+		QueueDelay: r.queueDelay[i],
+		Pull:       r.pull[i],
+		Setup:      r.setup[i],
+		Exec:       r.exec[i],
+		Cold:       r.cold[i],
+	}
+}
+
+// LatencyPercentile returns the p-th percentile end-to-end latency
+// (nearest-rank convention).
+func (r *Report) LatencyPercentile(p float64) simtime.Duration {
+	n := r.Records.Len()
+	if n == 0 {
+		return 0
+	}
+	ls := make([]simtime.Duration, n)
+	for i := range ls {
+		ls[i] = r.Records.Latency(i)
+	}
+	return stats.NearestRankInPlace(ls, p)
 }

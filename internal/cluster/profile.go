@@ -6,7 +6,6 @@ import (
 	"toss/internal/guest"
 	"toss/internal/sched"
 	"toss/internal/simtime"
-	"toss/internal/trace"
 	"toss/internal/workload"
 )
 
@@ -71,7 +70,7 @@ func profileOne(cfg sched.Config, fn string, fnIdx int64) (FnProfile, error) {
 	// snapshot captured).
 	for n := 0; n < maxProfileWarmups && !iv.Ready(); n++ {
 		lv := workload.Level(n % len(workload.Levels))
-		a := trace.Arrival{Function: fn, Level: lv, Seed: seed + int64(n)}
+		a := workload.ArrivalSpec{Function: fn, Level: lv, Seed: seed + int64(n)}
 		if _, _, err := iv.InvokeCold(a, 1); err != nil {
 			return FnProfile{}, err
 		}
@@ -85,7 +84,7 @@ func profileOne(cfg sched.Config, fn string, fnIdx int64) (FnProfile, error) {
 	// are the cluster loop's job, not the profile's.
 	for li := range workload.Levels {
 		lv := workload.Level(li)
-		a := trace.Arrival{Function: fn, Level: lv, Seed: seed + 10_000 + int64(li)}
+		a := workload.ArrivalSpec{Function: fn, Level: lv, Seed: seed + 10_000 + int64(li)}
 		setup, exec, err := iv.InvokeCold(a, 1)
 		if err != nil {
 			return FnProfile{}, err

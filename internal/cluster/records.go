@@ -37,22 +37,6 @@ type Records struct {
 // Len returns the number of recorded invocations.
 func (r *Records) Len() int { return len(r.fn) }
 
-// At decodes invocation i into the struct view.
-func (r *Records) At(i int) Record {
-	return Record{
-		Function:   r.fnNames[r.fn[i]],
-		Node:       r.nodeNames[r.node[i]],
-		Level:      int(r.level[i]),
-		Arrival:    r.arrival[i],
-		Route:      routeReasons[r.route[i]],
-		QueueDelay: r.queueDelay[i],
-		Pull:       r.pull[i],
-		Setup:      r.setup[i],
-		Exec:       r.exec[i],
-		Cold:       r.cold[i],
-	}
-}
-
 // Latency returns invocation i's end-to-end response time without decoding.
 func (r *Records) Latency(i int) simtime.Duration {
 	return r.queueDelay[i] + r.pull[i] + r.setup[i] + r.exec[i]
@@ -69,9 +53,6 @@ func (r *Records) Level(i int) int { return int(r.level[i]) }
 
 // Function returns invocation i's function name.
 func (r *Records) Function(i int) string { return r.fnNames[r.fn[i]] }
-
-// Node returns invocation i's node id.
-func (r *Records) Node(i int) string { return r.nodeNames[r.node[i]] }
 
 // push appends one invocation. Amortized allocation-free: ten slice
 // appends that each reallocate O(log n) times over a run.

@@ -203,9 +203,12 @@ func (c *Cluster) ranking(fid int32, fn string) []int32 {
 }
 
 // buildRanking appends idxs to dst ordered by highest-random-weight hash
-// for fn (weight descending, node id ascending on ties) — the same ranking
-// rendezvousRank produces, computed over node indexes with an inline hash
-// so rebuilds don't allocate beyond dst itself.
+// for fn (weight descending, node id ascending on ties), computed over node
+// indexes with an inline hash so rebuilds don't allocate beyond dst itself.
+// Every front-end computes the same ranking independently of fleet-change
+// order, and a node join/leave only moves the functions that hashed to it —
+// the property that keeps snapshot affinity stable while the autoscaler
+// works.
 func (c *Cluster) buildRanking(fn string, idxs []int32, dst []int32) []int32 {
 	w := c.rankW[:0]
 	for _, i := range idxs {
@@ -241,31 +244,4 @@ func rendezvousWeight(fn, id string) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// rendezvousRank orders nodes by highest-random-weight hash for fn. Every
-// front-end computes the same ranking independently of fleet-change order,
-// and a node join/leave only moves the functions that hashed to it — the
-// property that keeps snapshot affinity stable while the autoscaler works.
-func rendezvousRank(fn string, nodes []*node) []*node {
-	type scored struct {
-		n *node
-		w uint64
-	}
-	s := make([]scored, len(nodes))
-	for i, nd := range nodes {
-		s[i] = scored{nd, rendezvousWeight(fn, nd.id)}
-	}
-	// Insertion sort by weight desc, id asc on ties: node counts are small
-	// and the ranking must be deterministic.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && (s[j].w > s[j-1].w || (s[j].w == s[j-1].w && s[j].n.id < s[j-1].n.id)); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	out := make([]*node, len(s))
-	for i, sc := range s {
-		out[i] = sc.n
-	}
-	return out
 }

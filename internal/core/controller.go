@@ -126,9 +126,6 @@ func (c *Controller) Tiered() *snapshot.Tiered { return c.tiered }
 // Reprofiles returns how many re-profiling cycles have completed.
 func (c *Controller) Reprofiles() int { return c.reprofiles }
 
-// Invocations returns the total number of invocations served.
-func (c *Controller) Invocations() int64 { return c.invocations }
-
 // Result is one invocation's outcome plus controller bookkeeping.
 type Result struct {
 	microvm.Result
@@ -246,9 +243,6 @@ type RegenStats struct {
 	PagesReused    int64
 	PagesRewritten int64
 }
-
-// RegenStats returns the incremental-regeneration counters.
-func (c *Controller) RegenStats() RegenStats { return c.regen }
 
 // converge runs Step III and Step IV and switches to tiered serving. When a
 // span is given, analysis and the tier split are marked at virtual time `at`

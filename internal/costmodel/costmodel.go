@@ -72,7 +72,3 @@ func (m Model) Optimal() float64 { return m.CostSlow / m.CostFast }
 
 // Ratio returns the fast:slow cost ratio.
 func (m Model) Ratio() float64 { return m.CostFast / m.CostSlow }
-
-// Savings returns the relative saving of a normalized cost versus the
-// DRAM-only baseline (e.g. 0.15 for a 0.85 normalized cost).
-func Savings(normalizedCost float64) float64 { return 1 - normalizedCost }

@@ -86,12 +86,6 @@ func TestNormalizedPaperExample(t *testing.T) {
 	}
 }
 
-func TestSavings(t *testing.T) {
-	if got := Savings(0.85); math.Abs(got-0.15) > 1e-12 {
-		t.Errorf("Savings(0.85) = %v", got)
-	}
-}
-
 // Property: normalized cost is monotone — decreasing in slowPages (at fixed
 // slowdown) and increasing in slowdown (at fixed split).
 func TestNormalizedMonotoneProperty(t *testing.T) {

@@ -97,15 +97,6 @@ type Pattern struct {
 	Records []RegionRecord
 }
 
-// TotalPages returns the number of pages covered by the pattern.
-func (p Pattern) TotalPages() int64 {
-	var n int64
-	for _, r := range p.Records {
-		n += r.Region.Pages
-	}
-	return n
-}
-
 // CountAt returns the pattern's estimated per-page access count for page pg,
 // or 0 when no record covers it. Records are produced sorted by start
 // address (Profile and Unified.Regions both guarantee it), so the lookup is
@@ -125,15 +116,6 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 		}
 	}
 	return 0
-}
-
-// ToHistogram expands the region records back to per-page counts.
-func (p Pattern) ToHistogram() *access.Histogram {
-	h := access.NewHistogram()
-	for _, rec := range p.Records {
-		h.AddRegion(rec.Region, rec.NrAccesses)
-	}
-	return h
 }
 
 // Profile runs the monitor over one invocation's ground-truth histogram and
@@ -393,12 +375,6 @@ func Bucket(count int64) int {
 	}
 	return 1 + int(math.Log2(float64(count)))
 }
-
-// Histogram returns the unified per-page counts (a copy).
-func (u *Unified) Histogram() *access.Histogram { return u.perPage.Clone() }
-
-// Pages returns the number of distinct pages in the unified pattern.
-func (u *Unified) Pages() int { return u.perPage.Len() }
 
 // Regions converts the unified pattern into sorted region records, merging
 // adjacent pages whose counts differ by less than mergeDelta absolute

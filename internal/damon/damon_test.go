@@ -1,6 +1,7 @@
 package damon
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,10 +39,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 // flatHistogram builds a histogram where [start,start+pages) all have count n.
 func flatHistogram(start guest.PageID, pages int64, n int64) *access.Histogram {
 	h := access.NewHistogram()
-	for p := start; p < start+guest.PageID(pages); p++ {
-		h.Add(p, n)
-	}
+	addRegion(h, guest.Region{Start: start, Pages: pages}, n)
 	return h
+}
+
+// addRegion credits every page of r with n touches through Update, the
+// histogram's one write path.
+func addRegion(h *access.Histogram, r guest.Region, n int64) {
+	h.Update([]access.Run{{Region: r, Count: n}}, func(old, v int64) int64 { return old + v })
+}
+
+// addPage credits page p with n touches.
+func addPage(h *access.Histogram, p guest.PageID, n int64) {
+	addRegion(h, guest.Region{Start: p, Pages: 1}, n)
 }
 
 func TestProfileEmpty(t *testing.T) {
@@ -74,7 +84,7 @@ func TestProfileSeparatesDistinctIntensities(t *testing.T) {
 	c.NoiseAmplitude = 0
 	truth := flatHistogram(0, 16, 10)
 	hot := flatHistogram(16, 16, 10000)
-	truth.Merge(hot)
+	truth.Update(hot.Runs(), func(old, v int64) int64 { return old + v })
 	p := c.Profile(truth, 10000, 1)
 	if len(p.Records) != 2 {
 		t.Fatalf("two-intensity truth produced %d records: %v", len(p.Records), p.Records)
@@ -90,7 +100,7 @@ func TestProfileRespectsMinRegionGranularity(t *testing.T) {
 	// A single touched page: DAMON can't see below 4 pages, so the record
 	// covers the 4-page granule with the count averaged down.
 	truth := access.NewHistogram()
-	truth.Add(200, 400)
+	addPage(truth, 200, 400)
 	p := c.Profile(truth, 10000, 1)
 	if len(p.Records) != 1 {
 		t.Fatalf("records = %v", p.Records)
@@ -111,15 +121,19 @@ func TestProfileCapsRegions(t *testing.T) {
 	truth := access.NewHistogram()
 	for i := 0; i < 8; i++ {
 		for p := 0; p < 4; p++ {
-			truth.Add(guest.PageID(i*4+p), int64(1<<(4*i)))
+			addPage(truth, guest.PageID(i*4+p), int64(1<<(4*i)))
 		}
 	}
 	p := c.Profile(truth, 10000, 1)
 	if len(p.Records) > 3 {
 		t.Errorf("MaxRegions=3 but got %d records", len(p.Records))
 	}
-	if p.TotalPages() != 32 {
-		t.Errorf("TotalPages = %d, want 32 (coverage preserved)", p.TotalPages())
+	var pages int64
+	for _, r := range p.Records {
+		pages += r.Region.Pages
+	}
+	if pages != 32 {
+		t.Errorf("records cover %d pages, want 32 (coverage preserved)", pages)
 	}
 }
 
@@ -153,14 +167,17 @@ func TestProfileNoiseBounded(t *testing.T) {
 	}
 }
 
+// TestPatternToHistogram checks the per-page view of a pattern, CountAt:
+// every page of a record reads the record's count, and uncovered pages 0.
 func TestPatternToHistogram(t *testing.T) {
 	p := Pattern{Records: []RegionRecord{
 		{Region: guest.Region{Start: 0, Pages: 2}, NrAccesses: 7},
 		{Region: guest.Region{Start: 10, Pages: 1}, NrAccesses: 3},
 	}}
-	h := p.ToHistogram()
-	if h.Count(0) != 7 || h.Count(1) != 7 || h.Count(10) != 3 || h.Len() != 3 {
-		t.Errorf("ToHistogram wrong: %v", h.Sorted())
+	for pg, want := range map[guest.PageID]int64{0: 7, 1: 7, 2: 0, 9: 0, 10: 3, 11: 0} {
+		if got := p.CountAt(pg); got != want {
+			t.Errorf("CountAt(%d) = %d, want %d", pg, got, want)
+		}
 	}
 }
 
@@ -215,11 +232,11 @@ func TestUnifiedMaxMergeSemantics(t *testing.T) {
 	u := NewUnified()
 	u.Fold(Pattern{Records: []RegionRecord{{Region: guest.Region{Start: 0, Pages: 1}, NrAccesses: 100}}})
 	u.Fold(Pattern{Records: []RegionRecord{{Region: guest.Region{Start: 0, Pages: 1}, NrAccesses: 40}}})
-	if got := u.Histogram().Count(0); got != 100 {
+	if got := u.perPage.Count(0); got != 100 {
 		t.Errorf("max-merge lost the max: %d", got)
 	}
-	if u.Pages() != 1 {
-		t.Errorf("Pages = %d", u.Pages())
+	if u.perPage.Len() != 1 {
+		t.Errorf("pages = %d", u.perPage.Len())
 	}
 }
 
@@ -260,13 +277,13 @@ func TestProfileCoverageProperty(t *testing.T) {
 	f := func(pages []uint8, seed int64) bool {
 		truth := access.NewHistogram()
 		for _, pg := range pages {
-			truth.Add(guest.PageID(pg), int64(pg)+1)
+			addPage(truth, guest.PageID(pg), int64(pg)+1)
 		}
 		p := c.Profile(truth, 512, seed)
 		for _, pc := range truth.Sorted() {
 			found := false
 			for _, rec := range p.Records {
-				if rec.Region.Contains(pc.Page) {
+				if pc.Page >= rec.Region.Start && pc.Page < rec.Region.End() {
 					found = true
 					if rec.NrAccesses < 1 {
 						return false
@@ -303,7 +320,7 @@ func TestUnifiedFoldOrderInsensitiveProperty(t *testing.T) {
 		for i := len(pats) - 1; i >= 0; i-- {
 			b.Fold(pats[i])
 		}
-		return a.Histogram().Equal(b.Histogram())
+		return slices.Equal(a.perPage.Runs(), b.perPage.Runs())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,9 +12,9 @@ import (
 	"toss/internal/workload"
 )
 
-// This file keeps the per-page implementations that Profile, Unified and
-// Monitor replaced — one slot per guest page, three passes per profile — as
-// the references the run-based code must match record for record.
+// This file keeps the per-page implementations that Profile and Unified
+// replaced — one slot per guest page, three passes per profile — as the
+// references the run-based code must match record for record.
 
 // refProfile is Profile as separate granulate, sample and merge passes over
 // per-page counts. Pages outside [0, totalPages) are dropped first: the
@@ -188,77 +188,6 @@ func (u *refUnified) regions(mergeDelta int64) []RegionRecord {
 	return out
 }
 
-// refProfileTimeline is ProfileTimeline with the per-page aggregation
-// window and snapshot walk; the region adaptation is the monitor's own.
-func refProfileTimeline(c Config, tr *access.Trace, totalPages int64, totalWindows, samplesPerWindow int, seed int64) Pattern {
-	var totalTouches int64
-	for _, e := range tr.Events {
-		totalTouches += e.LineTouches()
-	}
-	if totalTouches == 0 {
-		return Pattern{}
-	}
-	mon := NewMonitor(c, []guest.Region{{Start: 0, Pages: totalPages}}, samplesPerWindow, seed)
-	windows := make([]*access.Histogram, totalWindows)
-	for i := range windows {
-		windows[i] = access.NewHistogram()
-	}
-	var consumed int64
-	for _, e := range tr.Events {
-		startW := int(consumed * int64(totalWindows) / totalTouches)
-		consumed += e.LineTouches()
-		endW := min(int(consumed*int64(totalWindows)/totalTouches), totalWindows-1)
-		for w := startW; w <= endW; w++ {
-			windows[w].AddEvent(e)
-		}
-	}
-	var total densePages
-	for _, touched := range windows {
-		for i := range mon.regions {
-			r := &mon.regions[i]
-			var touchedPages int64
-			for p := r.Region.Start; p < r.Region.End(); p++ {
-				if touched.Count(p) > 0 {
-					touchedPages++
-				}
-			}
-			frac := float64(touchedPages) / float64(r.Region.Pages)
-			var hits int64
-			for s := 0; s < mon.samplesPerWindow; s++ {
-				if mon.rng.Float64() < frac {
-					hits++
-				}
-			}
-			r.NrAccesses = hits
-			if hits > 0 {
-				for p := r.Region.Start; p < r.Region.End(); p++ {
-					if touched.Count(p) > 0 {
-						total.add(p, hits)
-					}
-				}
-			}
-		}
-		mon.adapt()
-	}
-	counts := total.sorted()
-	if len(counts) == 0 {
-		return Pattern{}
-	}
-	var records []RegionRecord
-	cur := RegionRecord{Region: guest.Region{Start: counts[0].Page, Pages: 1}, NrAccesses: counts[0].Count}
-	for _, pc := range counts[1:] {
-		if pc.Page == cur.Region.End() && similar(pc.Count, cur.NrAccesses, similarityThreshold) {
-			total := cur.NrAccesses*cur.Region.Pages + pc.Count
-			cur.Region.Pages++
-			cur.NrAccesses = total / cur.Region.Pages
-			continue
-		}
-		records = append(records, cur)
-		cur = RegionRecord{Region: guest.Region{Start: pc.Page, Pages: 1}, NrAccesses: pc.Count}
-	}
-	return Pattern{Records: append(records, cur)}
-}
-
 func samePattern(t *testing.T, what string, got, want Pattern) {
 	t.Helper()
 	if !slices.Equal(got.Records, want.Records) {
@@ -309,7 +238,7 @@ func FuzzProfile(f *testing.F) {
 		truth := access.NewHistogram()
 		for rest := data[3:]; len(rest) >= 5; rest = rest[5:] {
 			start := guest.PageID(rest[0]) | guest.PageID(rest[4]&3)<<8
-			truth.AddRegion(guest.Region{Start: start, Pages: int64(rest[1] % 64)}, int64(int8(rest[2]))*int64(rest[3]%4+1))
+			addRegion(truth, guest.Region{Start: start, Pages: int64(rest[1] % 64)}, int64(int8(rest[2]))*int64(rest[3]%4+1))
 		}
 		got := c.Profile(truth, totalPages, seed)
 		samePattern(t, "Profile", got, refProfile(c, truth.Sorted(), totalPages, seed))
@@ -349,27 +278,6 @@ func TestProfileMatchesReferenceOnCatalog(t *testing.T) {
 	}
 }
 
-// TestProfileTimelineMatchesReference compares the time-driven monitor's
-// run-based window accumulation and snapshot with the per-page ones.
-func TestProfileTimelineMatchesReference(t *testing.T) {
-	c := DefaultConfig()
-	c.MaxRegions = 40
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		var tr access.Trace
-		for j := rng.Intn(12); j >= 0; j-- {
-			tr.Append(access.Event{
-				Region:       guest.Region{Start: guest.PageID(rng.Intn(900)), Pages: int64(1 + rng.Intn(120))},
-				LinesPerPage: 1 + rng.Intn(guest.LinesPerPage),
-				Repeat:       1 + rng.Intn(4),
-			})
-		}
-		seed := int64(i)
-		samePattern(t, "ProfileTimeline", c.ProfileTimeline(&tr, 1024, 20, 10, seed),
-			refProfileTimeline(c, &tr, 1024, 20, 10, seed))
-	}
-}
-
 // TestProfileIgnoresPagesPastGuest is the regression test for a truth with
 // a page at or past totalPages: the monitored space is [0, totalPages), so
 // page 100 of a 64-page guest is ignored instead of looping forever.
@@ -377,8 +285,8 @@ func TestProfileIgnoresPagesPastGuest(t *testing.T) {
 	c := DefaultConfig()
 	c.NoiseAmplitude = 0
 	truth := access.NewHistogram()
-	truth.Add(10, 5)
-	truth.Add(100, 5)
+	addPage(truth, 10, 5)
+	addPage(truth, 100, 5)
 	p := c.Profile(truth, 64, 1)
 	want := []RegionRecord{{Region: guest.Region{Start: 10, Pages: 4}, NrAccesses: 1}}
 	sameRecords(t, "Profile", p.Records, want)
@@ -429,7 +337,7 @@ func TestCapRegionsMatchesRescanLoop(t *testing.T) {
 func alternatingTruth(granules int) *access.Histogram {
 	h := access.NewHistogram()
 	for g := 0; g < granules; g++ {
-		h.AddRegion(guest.Region{Start: guest.PageID(4 * g), Pages: 4}, int64(1+999*(g%2)))
+		addRegion(h, guest.Region{Start: guest.PageID(4 * g), Pages: 4}, int64(1+999*(g%2)))
 	}
 	return h
 }

@@ -16,7 +16,6 @@ package disk
 import (
 	"fmt"
 
-	"toss/internal/guest"
 	"toss/internal/simtime"
 )
 
@@ -120,19 +119,4 @@ func (c Config) StallCost(base simtime.Duration, concurrency int) simtime.Durati
 // FaultCost returns the time for demand-faulting `pages` guest pages.
 func (c Config) FaultCost(pages int64, concurrency int) simtime.Duration {
 	return c.RandomRead4K(pages, concurrency)
-}
-
-// PrefetchCost returns the time to bulk-load a set of regions (REAP's setup
-// path). Firecracker/REAP issue one sequential read per contiguous region, so
-// fragmented working sets pay a per-region seek in addition to bandwidth.
-func (c Config) PrefetchCost(regions []guest.Region, concurrency int) simtime.Duration {
-	var total simtime.Duration
-	const perRegionSeek = 60 * simtime.Microsecond
-	for _, r := range regions {
-		if r.Empty() {
-			continue
-		}
-		total += perRegionSeek + c.SequentialRead(r.Bytes(), concurrency)
-	}
-	return total
 }

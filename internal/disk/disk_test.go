@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"toss/internal/guest"
 	"toss/internal/simtime"
 )
 
@@ -93,25 +92,6 @@ func TestFaultCostMatchesRandomRead(t *testing.T) {
 	c := DefaultConfig()
 	if c.FaultCost(123, 3) != c.RandomRead4K(123, 3) {
 		t.Error("FaultCost != RandomRead4K")
-	}
-}
-
-func TestPrefetchCostPerRegionSeek(t *testing.T) {
-	c := DefaultConfig()
-	one := c.PrefetchCost([]guest.Region{{Start: 0, Pages: 1024}}, 1)
-	// Same bytes split into 4 regions costs 3 extra seeks.
-	four := c.PrefetchCost([]guest.Region{
-		{Start: 0, Pages: 256}, {Start: 1000, Pages: 256},
-		{Start: 2000, Pages: 256}, {Start: 3000, Pages: 256},
-	}, 1)
-	if four <= one {
-		t.Errorf("fragmented prefetch (%v) not costlier than contiguous (%v)", four, one)
-	}
-	if c.PrefetchCost(nil, 1) != 0 {
-		t.Error("empty prefetch should cost 0")
-	}
-	if c.PrefetchCost([]guest.Region{{Start: 0, Pages: 0}}, 1) != 0 {
-		t.Error("empty region should cost 0")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"toss/internal/reap"
 	"toss/internal/workload"
 )
 
@@ -417,4 +418,42 @@ func TestSuiteCachesBuilds(t *testing.T) {
 	if b3 == b1 {
 		t.Error("different input sets share a cache entry")
 	}
+}
+
+// faaSnapSanity asserts the invariant ext6's note claims: the mincore WS
+// always covers the uffd WS.
+func faaSnapSanity(s *Suite, fn string) (bool, error) {
+	spec := workload.ByNameMust(fn)
+	rm, err := reap.NewManager(s.Core.VM, spec)
+	if err != nil {
+		return false, err
+	}
+	fm, err := reap.NewFaaSnapManager(s.Core.VM, spec)
+	if err != nil {
+		return false, err
+	}
+	if _, err := rm.Invoke(workload.II, s.BaseSeed, 1); err != nil {
+		return false, err
+	}
+	if _, err := fm.Invoke(workload.II, s.BaseSeed, 1); err != nil {
+		return false, err
+	}
+	layout, err := spec.Layout()
+	if err != nil {
+		return false, err
+	}
+	covered := make([]bool, layout.TotalPages)
+	for _, r := range fm.WorkingSet() {
+		for p := r.Start; p < r.End(); p++ {
+			covered[p] = true
+		}
+	}
+	for _, r := range rm.WorkingSet() {
+		for p := r.Start; p < r.End(); p++ {
+			if !covered[p] {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }

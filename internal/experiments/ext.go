@@ -11,7 +11,6 @@ import (
 	"toss/internal/pricing"
 	"toss/internal/sched"
 	"toss/internal/simtime"
-	"toss/internal/trace"
 	"toss/internal/workload"
 )
 
@@ -31,12 +30,12 @@ func ExtKeepAlive(s *Suite) (*Table, error) {
 		Header: []string{"mechanism", "config", "cold %", "warm %", "prewarmed %",
 			"mean setup (ms)", "p99 latency (ms)", "evictions"},
 	}
-	arrivals, err := trace.Generate(trace.Config{
+	arrivals, err := workload.MixArrivals(workload.MixConfig{
 		Horizon: 120 * simtime.Second,
-		Mix: []trace.FunctionMix{
-			{Function: "pyaes", Pattern: trace.Fixed, MeanIAT: 3 * simtime.Second},
-			{Function: "json_load_dump", Pattern: trace.Bursty, MeanIAT: 2 * simtime.Second},
-			{Function: "compress", Pattern: trace.Steady, MeanIAT: 4 * simtime.Second},
+		Mix: []workload.FunctionMix{
+			{Function: "pyaes", Pattern: workload.Fixed, MeanIAT: 3 * simtime.Second},
+			{Function: "json_load_dump", Pattern: workload.Bursty, MeanIAT: 2 * simtime.Second},
+			{Function: "compress", Pattern: workload.Steady, MeanIAT: 4 * simtime.Second},
 		},
 		Seed: s.BaseSeed,
 	})
@@ -130,12 +129,12 @@ func ExtProfilingVsArrivalPattern(s *Suite) (*Table, error) {
 		Header: []string{"pattern", "invocations to converge", "virtual time to converge"},
 	}
 	const fn = "json_load_dump"
-	patterns := []trace.Pattern{trace.Steady, trace.Fixed, trace.Bursty, trace.Diurnal}
+	patterns := []workload.Pattern{workload.Steady, workload.Fixed, workload.Bursty, workload.Diurnal}
 	var counts []int
 	for _, pat := range patterns {
-		arrivals, err := trace.Generate(trace.Config{
+		arrivals, err := workload.MixArrivals(workload.MixConfig{
 			Horizon: 3000 * simtime.Second,
-			Mix: []trace.FunctionMix{{
+			Mix: []workload.FunctionMix{{
 				Function: fn, Pattern: pat, MeanIAT: 2 * simtime.Second,
 			}},
 			Seed: s.BaseSeed,

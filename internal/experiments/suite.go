@@ -326,19 +326,3 @@ func (s *Suite) RunTimed(ids []string) ([]Timed, error) {
 	}
 	return res[:pe.Index], err
 }
-
-// RunMany executes the given experiments through the suite's pool and
-// returns their tables in input order. See RunTimed for error semantics.
-func (s *Suite) RunMany(ids []string) ([]*Table, error) {
-	timed, err := s.RunTimed(ids)
-	out := make([]*Table, 0, len(timed))
-	for _, r := range timed {
-		out = append(out, r.Table)
-	}
-	return out, err
-}
-
-// RunAll executes every experiment in canonical order.
-func (s *Suite) RunAll() ([]*Table, error) {
-	return s.RunMany(IDs())
-}

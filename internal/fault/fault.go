@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sync"
 
@@ -131,22 +132,36 @@ func (p Plan) Enabled() bool {
 	return false
 }
 
-// LoadPlan reads a JSON plan from path. Unknown fields are rejected so typos
-// in site names or spec keys fail loudly instead of silently disabling
-// faults.
+// LoadPlan reads a JSON plan from path and parses it with ParsePlan.
 func LoadPlan(path string) (Plan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Plan{}, err
 	}
+	p, err := ParsePlan(data)
+	if err != nil {
+		return Plan{}, fmt.Errorf("fault: %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// ParsePlan decodes and validates a plan: exactly one JSON object, with
+// nothing but whitespace after it. Unknown fields are rejected so typos in
+// site names or spec keys fail loudly instead of silently disabling faults,
+// and so is trailing data, which would otherwise hide a second plan or a
+// stray brace.
+func ParsePlan(data []byte) (Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Plan
 	if err := dec.Decode(&p); err != nil {
-		return Plan{}, fmt.Errorf("fault: parse %s: %w", path, err)
+		return Plan{}, fmt.Errorf("parse: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Plan{}, fmt.Errorf("parse: data after the plan (offset %d)", dec.InputOffset())
 	}
 	if err := p.Validate(); err != nil {
-		return Plan{}, fmt.Errorf("fault: %s: %w", path, err)
+		return Plan{}, err
 	}
 	return p, nil
 }
@@ -199,14 +214,6 @@ func New(plan Plan) (*Injector, error) {
 		fires: make(map[siteFn]int64),
 		total: make(map[Site]int64),
 	}, nil
-}
-
-// Plan returns the injector's plan.
-func (i *Injector) Plan() Plan {
-	if i == nil {
-		return Plan{}
-	}
-	return i.plan
 }
 
 // At asks whether `site` fires for `fn` at virtual time `at`, returning the

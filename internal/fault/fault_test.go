@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"toss/internal/simtime"
@@ -17,9 +19,6 @@ func TestNilInjectorNeverFires(t *testing.T) {
 	}
 	if inj.Total() != 0 || inj.Counts() != nil {
 		t.Fatal("nil injector has counts")
-	}
-	if inj.Plan().Enabled() {
-		t.Fatal("nil injector plan enabled")
 	}
 }
 
@@ -174,12 +173,9 @@ func TestLoadPlanRoundTrip(t *testing.T) {
 		t.Fatalf("slow-outage spec = %+v", s)
 	}
 
-	// Unknown fields and unknown sites are rejected.
-	for _, bad := range []string{
-		`{"seed": 1, "sites": {"slow-read": {"rate": 0.5, "typo": 1}}}`,
-		`{"seed": 1, "sites": {"slow-reed": {"rate": 0.5}}}`,
-		`{"seed": 1, "sites": {"slow-read": {"rate": 2}}}`,
-	} {
+	// Unknown fields, unknown sites, bad rates and anything after the
+	// plan's JSON value are rejected.
+	for _, bad := range badPlans {
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +186,52 @@ func TestLoadPlanRoundTrip(t *testing.T) {
 	if _, err := LoadPlan(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("LoadPlan accepted a missing file")
 	}
+}
+
+// badPlans are plans ParsePlan must reject: the last three hold a valid
+// plan followed by trailing data, which the decoder alone would ignore.
+var badPlans = []string{
+	`{"seed": 1, "sites": {"slow-read": {"rate": 0.5, "typo": 1}}}`,
+	`{"seed": 1, "sites": {"slow-reed": {"rate": 0.5}}}`,
+	`{"seed": 1, "sites": {"slow-read": {"rate": 2}}}`,
+	`{"seed":1,"sites":{}} garbage`,
+	`{"seed":1,"sites":{}}}`,
+	`{"seed":1,"sites":{}} {"seed":2,"sites":{"bogus-site":{"rate":7}}}`,
+}
+
+// FuzzParsePlan feeds ParsePlan arbitrary bytes: it must never panic, and
+// a plan it accepts must validate and survive a marshal and parse round
+// trip unchanged.
+func FuzzParsePlan(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "faultplan.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	for _, bad := range badPlans {
+		f.Add([]byte(bad))
+	}
+	f.Add([]byte(`{"seed": 9, "sites": {"slow-read": {"rate": 0.5, "stall_ns": 1000000}, "slow-outage": {"rate": 0.1, "max_fires": 3}}}` + "\n\t "))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("accepted plan fails Validate: %v", err)
+		}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("re-parse of %s: %v", out, err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the plan: %+v -> %s -> %+v", p, out, q)
+		}
+	})
 }
 
 func TestSiteErrorWrapping(t *testing.T) {

@@ -9,7 +9,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 )
 
 // HostSpec is one server's per-tier memory capacity.
@@ -77,9 +76,6 @@ type VMFootprint struct {
 	SlowBytes int64
 }
 
-// Total returns the VM's total resident bytes.
-func (v VMFootprint) Total() int64 { return v.FastBytes + v.SlowBytes }
-
 // MaxResident returns how many copies of one VM the host can keep warm
 // simultaneously — the binding constraint is whichever tier fills first.
 func (h HostSpec) MaxResident(vm VMFootprint) int64 {
@@ -96,42 +92,6 @@ func (h HostSpec) MaxResident(vm VMFootprint) int64 {
 		}
 	}
 	return limit
-}
-
-// HostsNeeded packs a population of warm VMs onto identical hosts with
-// first-fit-decreasing (by total footprint) and returns the host count.
-func HostsNeeded(h HostSpec, vms []VMFootprint) (int, error) {
-	if err := h.Validate(); err != nil {
-		return 0, err
-	}
-	order := make([]int, len(vms))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return vms[order[a]].Total() > vms[order[b]].Total()
-	})
-	type hostState struct{ fast, slow int64 }
-	var hosts []hostState
-	for _, idx := range order {
-		vm := vms[idx]
-		if vm.FastBytes > h.FastBytes || vm.SlowBytes > h.SlowBytes {
-			return 0, fmt.Errorf("fleet: VM %q (%d/%d B) does not fit any host", vm.Function, vm.FastBytes, vm.SlowBytes)
-		}
-		placed := false
-		for i := range hosts {
-			if hosts[i].fast+vm.FastBytes <= h.FastBytes && hosts[i].slow+vm.SlowBytes <= h.SlowBytes {
-				hosts[i].fast += vm.FastBytes
-				hosts[i].slow += vm.SlowBytes
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			hosts = append(hosts, hostState{vm.FastBytes, vm.SlowBytes})
-		}
-	}
-	return len(hosts), nil
 }
 
 // DensityGain returns how many times more copies of a VM a tiered host

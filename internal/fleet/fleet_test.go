@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestHostSpecs(t *testing.T) {
@@ -54,72 +53,6 @@ func TestDensityGainPaperShape(t *testing.T) {
 	// Zero-capacity baseline guard.
 	if got := DensityGain(PaperHost(), HostSpec{FastBytes: 1}, tieredVM, dramVM); got != 0 {
 		t.Errorf("gain with unusable DRAM host = %v", got)
-	}
-}
-
-func TestHostsNeeded(t *testing.T) {
-	h := HostSpec{FastBytes: 100, SlowBytes: 100}
-	vms := []VMFootprint{
-		{Function: "a", FastBytes: 60, SlowBytes: 0},
-		{Function: "b", FastBytes: 60, SlowBytes: 0},
-		{Function: "c", FastBytes: 40, SlowBytes: 100},
-	}
-	n, err := HostsNeeded(h, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c (total 140) first -> host1 {40,100}; a (60) fits host1 fast -> {100,100};
-	// b (60) needs host2.
-	if n != 2 {
-		t.Errorf("HostsNeeded = %d, want 2", n)
-	}
-	if n, err := HostsNeeded(h, nil); err != nil || n != 0 {
-		t.Errorf("empty packing = %d, %v", n, err)
-	}
-}
-
-func TestHostsNeededRejectsOversized(t *testing.T) {
-	h := HostSpec{FastBytes: 10, SlowBytes: 10}
-	if _, err := HostsNeeded(h, []VMFootprint{{Function: "big", FastBytes: 20}}); err == nil {
-		t.Error("oversized VM accepted")
-	}
-	if _, err := HostsNeeded(HostSpec{}, nil); err == nil {
-		t.Error("invalid host accepted")
-	}
-}
-
-// Property: FFD packing never uses more hosts than VMs and respects both
-// tier capacities implicitly (verified by the lower bound: total bytes /
-// capacity, rounded up, never exceeds the packed host count).
-func TestHostsNeededBoundsProperty(t *testing.T) {
-	h := HostSpec{FastBytes: 1000, SlowBytes: 4000}
-	f := func(raw []uint16) bool {
-		var vms []VMFootprint
-		var totFast, totSlow int64
-		for _, x := range raw {
-			vm := VMFootprint{
-				FastBytes: int64(x%1000) + 1,
-				SlowBytes: int64(x) % 4000,
-			}
-			vms = append(vms, vm)
-			totFast += vm.FastBytes
-			totSlow += vm.SlowBytes
-		}
-		n, err := HostsNeeded(h, vms)
-		if err != nil {
-			return false
-		}
-		if n > len(vms) {
-			return false
-		}
-		lower := (totFast + h.FastBytes - 1) / h.FastBytes
-		if s := (totSlow + h.SlowBytes - 1) / h.SlowBytes; s > lower {
-			lower = s
-		}
-		return int64(n) >= lower
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

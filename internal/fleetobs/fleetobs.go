@@ -282,14 +282,6 @@ func (r *Recorder) SampleAt(now simtime.Duration, states func() []NodeSample) {
 	}
 }
 
-// Interval returns the grid-sampling cadence.
-func (r *Recorder) Interval() simtime.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.interval
-}
-
 // Events returns a copy of the decision trace in simulation order.
 func (r *Recorder) Events() []Event {
 	if r == nil {

@@ -76,7 +76,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.ScaleAction(Scale{Node: "n01"})
 	r.Invocation("n01", simtime.Second, true)
 	r.SampleAt(simtime.Second, func() []NodeSample { t.Fatal("states called on nil recorder"); return nil })
-	if r.Events() != nil || r.Samples() != nil || r.View() != nil || r.Interval() != 0 {
+	if r.Events() != nil || r.Samples() != nil || r.View() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	var b bytes.Buffer

@@ -33,9 +33,6 @@ const (
 // PageID identifies one guest physical page by index.
 type PageID int64
 
-// Addr returns the guest physical byte address of the page's first byte.
-func (p PageID) Addr() int64 { return int64(p) * PageSize }
-
 // Region is a contiguous run of guest pages [Start, Start+Pages).
 type Region struct {
 	Start PageID
@@ -47,12 +44,6 @@ func (r Region) End() PageID { return r.Start + PageID(r.Pages) }
 
 // Bytes returns the region size in bytes.
 func (r Region) Bytes() int64 { return r.Pages * PageSize }
-
-// Contains reports whether page p falls inside the region.
-func (r Region) Contains(p PageID) bool { return p >= r.Start && p < r.End() }
-
-// Overlaps reports whether two regions share at least one page.
-func (r Region) Overlaps(o Region) bool { return r.Start < o.End() && o.Start < r.End() }
 
 // Adjacent reports whether o begins exactly where r ends.
 func (r Region) Adjacent(o Region) bool { return r.End() == o.Start }
@@ -73,9 +64,6 @@ func (r Region) Split(offset int64) (Region, Region) {
 	}
 	return Region{r.Start, offset}, Region{r.Start + PageID(offset), r.Pages - offset}
 }
-
-// MiB converts a mebibyte count to bytes.
-func MiB(n int64) int64 { return n << 20 }
 
 // PagesForBytes returns the number of pages needed to hold n bytes.
 func PagesForBytes(n int64) int64 {
@@ -163,12 +151,6 @@ func (a *Allocator) Alloc(pages int64) (Region, error) {
 // AllocBytes reserves enough pages for n bytes.
 func (a *Allocator) AllocBytes(n int64) (Region, error) {
 	return a.Alloc(PagesForBytes(n))
-}
-
-// Remaining reports how many heap pages are still available (ignoring any
-// jitter gap the next allocation might insert).
-func (a *Allocator) Remaining() int64 {
-	return int64(a.heap.End() - a.next)
 }
 
 // NormalizeRegions sorts a region list by start page and merges adjacent or

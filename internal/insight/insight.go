@@ -132,32 +132,12 @@ type Series struct {
 	firstAt, lastAt simtime.Duration
 }
 
-// Points returns the number of observations the series absorbed.
-func (s *Series) Points() int64 { return s.points }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Series) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Series) Max() float64 { return s.max }
-
 // Mean returns the arithmetic mean observation (0 when empty).
 func (s *Series) Mean() float64 {
 	if s.points == 0 {
 		return 0
 	}
 	return s.sum / float64(s.points)
-}
-
-// Last returns the most recent observation and its virtual time.
-func (s *Series) Last() (float64, simtime.Duration) { return s.last, s.lastAt }
-
-// First returns the earliest observation and its virtual time.
-func (s *Series) First() (float64, simtime.Duration) { return s.first, s.firstAt }
-
-// End returns the right edge of the last live bucket.
-func (s *Series) End() simtime.Duration {
-	return s.Start + simtime.Duration(len(s.Buckets))*s.Width
 }
 
 // Store is the deterministic virtual-time time-series store. All methods are
@@ -246,42 +226,6 @@ func (s *Series) downsample() {
 	s.Buckets = s.Buckets[:n]
 	s.Width *= 2
 	s.Downsamples++
-}
-
-// Series returns the named series (nil when absent). The returned value is
-// live; callers must not mutate it while feeding continues.
-func (st *Store) Series(name string) *Series {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.series[name]
-}
-
-// Names returns every series name in sorted order.
-func (st *Store) Names() []string {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, 0, len(st.series))
-	for n := range st.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Now returns the store's virtual-time high-water mark.
-func (st *Store) Now() simtime.Duration {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.now
 }
 
 // SeriesSummary is one series' exported aggregate block — the regression

@@ -330,14 +330,6 @@ func (e *Engine) Firing() []string {
 	return out
 }
 
-// Evals returns the number of rule evaluations performed.
-func (e *Engine) Evals() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.evals
-}
-
 // Result snapshots the engine into the exportable per-cell block: series
 // summaries, the alert log, and the rules still firing at the end. A nil
 // engine's block holds empty lists, never nil ones.

@@ -178,16 +178,6 @@ func DumpCells(d Dump) Cells {
 	return m
 }
 
-// DiffDumps compares two insight dumps cell by cell at the given relative
-// threshold. Same-seed runs produce identical dumps and therefore an empty
-// section.
-func DiffDumps(title string, old, new Dump, threshold float64) (Section, error) {
-	if old.Schema != new.Schema {
-		return Section{}, fmt.Errorf("insight: schema mismatch: %d vs %d", old.Schema, new.Schema)
-	}
-	return Compare(title, "insight", DumpCells(old), DumpCells(new), threshold), nil
-}
-
 // verdictLine is the one-line summary shared by both renderers.
 func (v *Verdict) verdictLine() string {
 	compared := 0

@@ -42,8 +42,8 @@ func TestFlushWithOpenBreaker(t *testing.T) {
 	if len(names) != 2 || names[0] != "faulty" || names[1] != "healthy" {
 		t.Fatalf("Flush returned %v, want [faulty healthy]", names)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache not empty after flush: %d items", cache.Len())
+	if len(cache.items) != 0 {
+		t.Fatalf("cache not empty after flush: %d items", len(cache.items))
 	}
 	if f, s := cache.Occupancy(); f != 0 || s != 0 {
 		t.Fatalf("occupancy (%d, %d) after flush, want (0, 0)", f, s)

@@ -56,15 +56,6 @@ type Stats struct {
 	Rejected  int64
 }
 
-// HitRate returns hits / (hits + misses), 0 when empty.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache keeps warm VMs under per-tier capacity limits.
 type Cache struct {
 	fastCap, slowCap   int64
@@ -93,20 +84,6 @@ func New(fastCap, slowCap int64, cost costmodel.Model) (*Cache, error) {
 		cost:    cost,
 		items:   make(map[string]*Item),
 	}, nil
-}
-
-// Lookup reports whether a warm VM exists for the function, counting the
-// outcome and refreshing the item's priority on a hit.
-func (c *Cache) Lookup(fn string) bool {
-	it, ok := c.items[fn]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.stats.Hits++
-	it.freq++
-	it.priority = it.computePriority(c.clock, c.cost)
-	return true
 }
 
 // Contains reports presence without counting a lookup.
@@ -253,9 +230,6 @@ func (c *Cache) minPriority() string {
 	}
 	return best
 }
-
-// Len returns the number of warm VMs.
-func (c *Cache) Len() int { return len(c.items) }
 
 // Occupancy returns the used bytes per tier.
 func (c *Cache) Occupancy() (fast, slow int64) { return c.fastUsed, c.slowUsed }

@@ -28,8 +28,8 @@
 //
 // Both counts are maxima over 199 seeds × four levels of every function, so
 // the trace path never builds the register. Sources seeded once that then
-// draw thousands to millions of values (workload arrivals and streams,
-// trace.Config, DAMON profiling and monitors, faasim's request mix) stay on
+// draw thousands to millions of values (workload arrivals, streams and
+// per-function mixes, DAMON profiling, faasim's request mix) stay on
 // math/rand: seeding costs them little, and this source's steady-state draw
 // is no faster.
 //

@@ -123,12 +123,15 @@ func TestMultiPlacementSetAndLookup(t *testing.T) {
 	}
 }
 
-func TestMultiPlacementCloneIndependent(t *testing.T) {
-	mp, _ := NewMultiPlacement(3, 2, 100)
-	mp.Set(guest.Region{Start: 0, Pages: 50}, 0)
-	cp := mp.Clone()
-	cp.Set(guest.Region{Start: 0, Pages: 50}, 1)
-	if mp.LevelOf(0) != 0 || cp.LevelOf(0) != 1 {
-		t.Fatalf("clone shares state: orig %d clone %d", mp.LevelOf(0), cp.LevelOf(0))
+// Occupancy returns the number of pages at each level. The default level
+// absorbs every page not explicitly placed.
+func (mp *MultiPlacement) Occupancy() []int64 {
+	occ := make([]int64, mp.levels)
+	var covered int64
+	for _, run := range mp.runs {
+		occ[run.level] += run.region.Pages
+		covered += run.region.Pages
 	}
+	occ[mp.defLevel] += mp.totalPages - covered
+	return occ
 }

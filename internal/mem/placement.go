@@ -44,9 +44,6 @@ func NewMultiPlacement(levels, defaultLevel int, totalPages int64) (*MultiPlacem
 	return &MultiPlacement{levels: levels, defLevel: defaultLevel, totalPages: totalPages}, nil
 }
 
-// DefaultLevel returns the level of pages not explicitly placed.
-func (mp *MultiPlacement) DefaultLevel() int { return mp.defLevel }
-
 // Set assigns every page of r to the given level, splitting and coalescing
 // runs as needed. Out-of-range regions are clipped to the guest.
 func (mp *MultiPlacement) Set(r guest.Region, level int) {
@@ -173,24 +170,4 @@ func (mp *MultiPlacement) Regions(level int) []guest.Region {
 		}
 	}
 	return out
-}
-
-// Occupancy returns the number of pages at each level. The default level
-// absorbs every page not explicitly placed.
-func (mp *MultiPlacement) Occupancy() []int64 {
-	occ := make([]int64, mp.levels)
-	var covered int64
-	for _, run := range mp.runs {
-		occ[run.level] += run.region.Pages
-		covered += run.region.Pages
-	}
-	occ[mp.defLevel] += mp.totalPages - covered
-	return occ
-}
-
-// Clone returns an independent copy of the placement.
-func (mp *MultiPlacement) Clone() *MultiPlacement {
-	cp := *mp
-	cp.runs = append([]leveledRun(nil), mp.runs...)
-	return &cp
 }

@@ -225,9 +225,6 @@ func (m *Machine) SetRecordTruth(on bool) { m.recordTruth = on }
 // resident machines start unlabeled.
 func (m *Machine) SetLabel(label string) { m.label = label }
 
-// Label returns the observer label.
-func (m *Machine) Label() string { return m.label }
-
 // NewBooted returns a freshly booted DRAM-only machine (the paper's Step I).
 func NewBooted(cfg Config, layout guest.Layout) *Machine {
 	m := &Machine{
@@ -368,9 +365,6 @@ func clampConc(c int) int {
 
 // SetupTime reports the virtual time the restore (or boot) took.
 func (m *Machine) SetupTime() simtime.Duration { return m.setup }
-
-// Placement exposes the machine's page-to-tier mapping.
-func (m *Machine) Placement() *mem.MultiPlacement { return m.placement }
 
 // Result is the outcome of running one invocation on a machine.
 type Result struct {

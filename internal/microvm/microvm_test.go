@@ -13,7 +13,7 @@ import (
 
 func testLayout(t *testing.T) guest.Layout {
 	t.Helper()
-	l, err := guest.NewLayout(guest.MiB(16), guest.MiB(4))
+	l, err := guest.NewLayout(16<<20, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,10 @@ func TestRestoreTieredPlacementAndResidency(t *testing.T) {
 	ts := buildTiered(t, l, resident, slow)
 	m := RestoreTiered(cfg, l, ts, 1)
 
-	if got := m.Placement().LevelOf(60); got != mem.Slow {
+	if got := m.placement.LevelOf(60); got != mem.Slow {
 		t.Errorf("page 60 tier = %v, want slow", got)
 	}
-	if got := m.Placement().LevelOf(10); got != mem.Fast {
+	if got := m.placement.LevelOf(10); got != mem.Fast {
 		t.Errorf("page 10 tier = %v, want fast", got)
 	}
 	wantSetup := cfg.VMLoadBase + simtime.Duration(ts.Regions())*cfg.MmapCost
@@ -285,11 +285,11 @@ func TestContentionBookedInXRay(t *testing.T) {
 		return res
 	}
 	one, twenty := run(1), run(20)
-	contend := twenty.Budget.Get(xray.SegExecContendSlow)
+	contend := segment(twenty.Budget, xray.SegExecContendSlow)
 	if want := twenty.Meter.MemTime[mem.Slow] - one.Meter.MemTime[mem.Slow]; contend <= 0 || contend != want {
 		t.Errorf("exec.contend.slow = %v, want %v > 0", contend, want)
 	}
-	if got, want := twenty.Budget.Get(xray.SegExecMemSlow), one.Budget.Get(xray.SegExecMemSlow); got != want {
+	if got, want := segment(twenty.Budget, xray.SegExecMemSlow), segment(one.Budget, xray.SegExecMemSlow); got != want {
 		t.Errorf("exec.mem.slow = %v at concurrency 20, want its concurrency-1 value %v", got, want)
 	}
 }
@@ -377,4 +377,14 @@ func TestSnapshotCapturesResidentPages(t *testing.T) {
 	if snap.Function != "fn" {
 		t.Errorf("Function = %q", snap.Function)
 	}
+}
+
+// segment returns the duration b attributes to segment id (0 when absent).
+func segment(b *xray.Budget, id string) simtime.Duration {
+	for _, seg := range b.Segments {
+		if seg.ID == id {
+			return seg.Dur
+		}
+	}
+	return 0
 }

@@ -80,16 +80,6 @@ func Policies() []Policy {
 	return []Policy{PolicyStatic, PolicyPromoteOnly, PolicyFull, PolicyOracle}
 }
 
-// PolicyByName resolves a policy from its String form.
-func PolicyByName(name string) (Policy, bool) {
-	for _, p := range Policies() {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // Config tunes the engine. DefaultConfig documents each default.
 type Config struct {
 	// Hierarchy is the tier model: capacities, costs, bandwidths.
@@ -224,21 +214,6 @@ type Stats struct {
 // Moves returns the total executed migrations.
 func (s Stats) Moves() int64 { return s.Promotions + s.Demotions + s.Evictions + s.Prefetches }
 
-// Minus returns the per-field difference s - prev: the activity of one
-// epoch when s and prev are consecutive Stats() snapshots. insight's
-// per-epoch migration series feed on it.
-func (s Stats) Minus(prev Stats) Stats {
-	return Stats{
-		Promotions: s.Promotions - prev.Promotions,
-		Demotions:  s.Demotions - prev.Demotions,
-		Evictions:  s.Evictions - prev.Evictions,
-		Prefetches: s.Prefetches - prev.Prefetches,
-		MovedPages: s.MovedPages - prev.MovedPages,
-		BusyTime:   s.BusyTime - prev.BusyTime,
-		Epochs:     s.Epochs - prev.Epochs,
-	}
-}
-
 // Engine is one function's migration daemon. It is not safe for concurrent
 // use; run one engine per goroutine (the determinism tests fan engines out
 // over internal/par and pin byte-identical logs).
@@ -332,9 +307,6 @@ func New(cfg Config, totalPages int64) (*Engine, error) {
 // Extents returns the number of tracked extents.
 func (e *Engine) Extents() int { return e.nExt }
 
-// ExtentOf returns the extent index covering page p.
-func (e *Engine) ExtentOf(p guest.PageID) int { return int(int64(p) / e.cfg.ExtentPages) }
-
 // ExtentRegion returns the guest pages of extent i (the last extent may be
 // short).
 func (e *Engine) ExtentRegion(i int) guest.Region {
@@ -349,9 +321,6 @@ func (e *Engine) ExtentRegion(i int) guest.Region {
 // LevelOfExtent returns extent i's current hierarchy level.
 func (e *Engine) LevelOfExtent(i int) int { return int(e.level[i]) }
 
-// LevelOf returns the level currently holding page p.
-func (e *Engine) LevelOf(p guest.PageID) int { return int(e.level[e.ExtentOf(p)]) }
-
 // Levels returns a copy of the per-extent level vector — one row of the
 // migration timeline (RenderTimeline).
 func (e *Engine) Levels() []int {
@@ -361,9 +330,6 @@ func (e *Engine) Levels() []int {
 	}
 	return out
 }
-
-// Heat returns extent i's current EWMA heat.
-func (e *Engine) Heat(i int) float64 { return e.heat[i] }
 
 // Occupancy returns the pages resident per level.
 func (e *Engine) Occupancy() []int64 { return append([]int64(nil), e.occupancy...) }
@@ -379,21 +345,6 @@ func (e *Engine) SetLevel(r guest.Region, level int) {
 		e.moveOccupancy(i, level)
 		e.level[i] = uint8(level)
 	}
-}
-
-// Placement exports the current per-extent levels as a MultiPlacement with
-// the hierarchy's bottom tier as default level.
-func (e *Engine) Placement() *mem.MultiPlacement {
-	mp, err := mem.NewMultiPlacement(e.cfg.Hierarchy.Levels(), e.cfg.Hierarchy.Bottom(), e.totalPages)
-	if err != nil {
-		panic(err) // engine invariants guarantee valid arguments
-	}
-	for i := 0; i < e.nExt; i++ {
-		if lv := int(e.level[i]); lv != mp.DefaultLevel() {
-			mp.Set(e.ExtentRegion(i), lv)
-		}
-	}
-	return mp
 }
 
 // moveOccupancy re-books extent i's pages from its current level to level.
@@ -749,12 +700,6 @@ func (e *Engine) packDesired(oracle bool) []uint8 {
 	}
 	return desired
 }
-
-// Epochs returns the number of Ticks run.
-func (e *Engine) Epochs() int { return int(e.epoch) }
-
-// Log returns every executed migration in schedule order.
-func (e *Engine) Log() []Event { return e.log }
 
 // Stats returns the engine's activity summary.
 func (e *Engine) Stats() Stats { return e.stats }

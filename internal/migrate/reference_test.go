@@ -325,13 +325,13 @@ func runTickCase(t *testing.T, name string, c tickCase) {
 			ge, we := len(got.Tick(now)), len(want.Tick(now))
 			if ge != we || got.LogChecksum() != want.LogChecksum() {
 				t.Fatalf("%s, op %d (tick %d): %d events, checksum %x; reference %d events, checksum %x",
-					name, n, got.Epochs(), ge, got.LogChecksum(), we, want.LogChecksum())
+					name, n, got.epoch, ge, got.LogChecksum(), we, want.LogChecksum())
 			}
 			if g, w := got.Occupancy(), want.Occupancy(); !slices.Equal(g, w) {
-				t.Fatalf("%s, op %d (tick %d): occupancy %v, reference %v", name, n, got.Epochs(), g, w)
+				t.Fatalf("%s, op %d (tick %d): occupancy %v, reference %v", name, n, got.epoch, g, w)
 			}
 			if g, w := got.Levels(), want.Levels(); !slices.Equal(g, w) {
-				t.Fatalf("%s, op %d (tick %d): levels %v, reference %v", name, n, got.Epochs(), g, w)
+				t.Fatalf("%s, op %d (tick %d): levels %v, reference %v", name, n, got.epoch, g, w)
 			}
 		}
 	}

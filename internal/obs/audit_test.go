@@ -21,9 +21,11 @@ func pattern(recs ...damon.RegionRecord) damon.Pattern {
 // hist builds a ground-truth histogram from per-page counts starting at page 0.
 func hist(counts ...int64) *access.Histogram {
 	h := access.NewHistogram()
+	runs := make([]access.Run, len(counts))
 	for pg, n := range counts {
-		h.Add(guest.PageID(pg), n)
+		runs[pg] = access.Run{Region: guest.Region{Start: guest.PageID(pg), Pages: 1}, Count: n}
 	}
+	h.Update(runs, func(_, v int64) int64 { return v })
 	return h
 }
 

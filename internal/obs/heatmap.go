@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"toss/internal/guest"
 	"toss/internal/simtime"
 )
 
@@ -72,45 +71,6 @@ func eventAt(events []TierEvent, t simtime.Duration) *TierEvent {
 		return nil
 	}
 	return &events[i-1]
-}
-
-// RenderAddressMap draws one function's guest address space as a strip:
-// each column covers TotalPages/width pages, shaded '█' when the latest
-// placement keeps the column's pages fast and '░' when any land slow.
-func RenderAddressMap(tl TimelineData, width int) string {
-	if width < 8 {
-		width = 8
-	}
-	if len(tl.Events) == 0 || tl.Events[len(tl.Events)-1].TotalPages <= 0 {
-		return "(no placement recorded)\n"
-	}
-	last := tl.Events[len(tl.Events)-1]
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  pages 0..%d, slow regions marked ░\n", tl.Function, last.TotalPages-1)
-	for col := 0; col < width; col++ {
-		lo := last.TotalPages * int64(col) / int64(width)
-		hi := last.TotalPages * int64(col+1) / int64(width)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		if overlapsSlow(last.Slow, lo, hi) {
-			b.WriteRune('░')
-		} else {
-			b.WriteRune('█')
-		}
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// overlapsSlow reports whether any slow region intersects pages [lo, hi).
-func overlapsSlow(slow []guest.Region, lo, hi int64) bool {
-	for _, r := range slow {
-		if int64(r.Start) < hi && int64(r.End()) > lo {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteHeatmapHTML renders the snapshot as a self-contained HTML page (no

@@ -56,19 +56,6 @@ func TestShadeBoundaries(t *testing.T) {
 	}
 }
 
-func TestRenderAddressMap(t *testing.T) {
-	snap := heatmapFixture()
-	out := RenderAddressMap(snap.Timelines[0], 10)
-	// Pages 0-49 slow, 50-99 fast → first 5 columns '░', last 5 '█'.
-	strip := strings.Split(out, "\n")[1]
-	if strip != "░░░░░█████" {
-		t.Errorf("address map = %q", strip)
-	}
-	if out := RenderAddressMap(TimelineData{Function: "x"}, 10); !strings.Contains(out, "no placement") {
-		t.Errorf("empty address map = %q", out)
-	}
-}
-
 func TestWriteHeatmapHTMLEscapes(t *testing.T) {
 	m := telemetry.NewMetrics()
 	r := New(Config{Interval: simtime.Second, Metrics: m})

@@ -194,3 +194,25 @@ func TestSuffixed(t *testing.T) {
 		}
 	}
 }
+
+// Now returns the recorder's virtual-time high-water mark.
+func (r *Recorder) Now() simtime.Duration {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.now
+}
+
+// RecordAt advances the recorder's virtual clock to the absolute time now
+// (monotonic; earlier values are ignored) and samples every registered
+// instrument at each interval boundary crossed.
+func (r *Recorder) RecordAt(now simtime.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.advanceToLocked(now)
+	r.mu.Unlock()
+}

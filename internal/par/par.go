@@ -136,13 +136,3 @@ spawn:
 	}
 	return res, nil
 }
-
-// For applies fn to every index in [0, n), with the same scheduling and
-// error semantics as Map. Use it for loops whose results are written
-// into caller-owned, index-addressed storage.
-func For(p *Pool, n int, fn func(i int) error) error {
-	_, err := Map(p, make([]struct{}, n), func(i int, _ struct{}) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

@@ -158,35 +158,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestFor(t *testing.T) {
-	p := New(4)
-	out := make([]int, 50)
-	if err := For(p, len(out), func(i int) error {
-		out[i] = i * 2
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*2 {
-			t.Fatalf("out[%d]=%d want %d", i, v, i*2)
-		}
-	}
-	err := For(p, 10, func(i int) error {
-		if i >= 4 {
-			return fmt.Errorf("bad %d", i)
-		}
-		return nil
-	})
-	var pe *Error
-	if !errors.As(err, &pe) || pe.Index != 4 {
-		t.Fatalf("For error = %v, want *par.Error at index 4", err)
-	}
-}
-
-// TestSinkFoldsSorted records cells concurrently in scrambled orders: the
-// sorted fold must not depend on record order, the latest value of a cell
-// recorded twice wins, and a nil sink is a no-op.
 func TestSinkFoldsSorted(t *testing.T) {
 	fold := func(order []int) []string {
 		s := NewSink[string]()

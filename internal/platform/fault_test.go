@@ -180,7 +180,7 @@ func TestDegradeOffSurfacesTypedErrors(t *testing.T) {
 			}})
 			fp := DefaultFaultPolicy()
 			fp.Degrade = false
-			p.SetFaultPolicy(fp)
+			p.policy = fp
 			mustRegister(t, p, "json_load_dump", ModeTOSS)
 			warmToTiered(t, p, "json_load_dump")
 

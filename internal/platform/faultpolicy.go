@@ -56,10 +56,6 @@ func (fp FaultPolicy) Backoff(attempt int) simtime.Duration {
 	return d
 }
 
-// SetFaultPolicy replaces the platform's fault policy. Call before
-// invoking; the policy is read without synchronization.
-func (p *Platform) SetFaultPolicy(fp FaultPolicy) { p.policy = fp }
-
 // retry runs invoke, retrying retryable errors up to the policy's budget
 // with capped exponential backoff. The backoff is charged to the record's
 // setup time — the invocation really did take that much longer to start.

@@ -89,10 +89,6 @@ type Platform struct {
 // Call before invoking; the tracer is read without synchronization.
 func (p *Platform) SetTracer(t *telemetry.Tracer) { p.tracer = t }
 
-// Metrics returns the metrics registry invocations record into (nil unless
-// the configuration attached one via cfg.VM.Metrics).
-func (p *Platform) Metrics() *telemetry.Metrics { return p.cfg.VM.Metrics }
-
 // SetRecorder attaches a flight recorder; it also becomes the microvm
 // observer so demand faults and restores land on the residency timelines.
 // Call before Register — TOSS controllers wire their phase and audit hooks
@@ -210,17 +206,6 @@ func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
 	}
 	p.fns[spec.Name] = fs
 	return nil
-}
-
-// Functions lists registered function names.
-func (p *Platform) Functions() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, 0, len(p.fns))
-	for n := range p.fns {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Record is the outcome of one platform invocation.

@@ -66,8 +66,8 @@ func TestRegisterValidation(t *testing.T) {
 	if err := p.Register(mustSpec(t, "compress"), Mode(42)); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if len(p.Functions()) != 1 {
-		t.Errorf("Functions = %v", p.Functions())
+	if len(p.fns) != 1 {
+		t.Errorf("%d functions registered, want 1", len(p.fns))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"toss/internal/core"
 	"toss/internal/fault"
+	"toss/internal/simtime"
 	"toss/internal/workload"
 	"toss/internal/xray"
 )
@@ -67,7 +68,7 @@ func TestBudgetsBalanceAcrossModes(t *testing.T) {
 		}
 	}
 	// The collector saw every machine-level budget the platform handed back.
-	if cfg.VM.XRay.Len() == 0 {
+	if len(cfg.VM.XRay.Snapshot()) == 0 {
 		t.Fatal("collector observed no budgets")
 	}
 	for _, b := range cfg.VM.XRay.Drain() {
@@ -94,10 +95,10 @@ func TestBudgetBalancesThroughRetry(t *testing.T) {
 		t.Fatalf("Retries = %d, want 2", rec.Retries)
 	}
 	wantBackoff := p.policy.Backoff(0) + p.policy.Backoff(1)
-	if got := rec.XRay.Get(xray.SegRetryBackoff); got != wantBackoff {
+	if got := segment(rec.XRay, xray.SegRetryBackoff); got != wantBackoff {
 		t.Errorf("retry.backoff segment %v, want %v", got, wantBackoff)
 	}
-	if got := rec.XRay.MarkCount(xray.MarkRetries); got != 2 {
+	if got := markCount(rec.XRay, xray.MarkRetries); got != 2 {
 		t.Errorf("retry.count mark %d, want 2", got)
 	}
 }
@@ -118,13 +119,13 @@ func TestBudgetBalancesThroughDegradation(t *testing.T) {
 	if rec.Degraded != core.DegradeLazy {
 		t.Fatalf("Degraded = %q, want %q", rec.Degraded, core.DegradeLazy)
 	}
-	if rec.XRay.MarkCount("degraded."+core.DegradeLazy) != 1 {
+	if markCount(rec.XRay, "degraded."+core.DegradeLazy) != 1 {
 		t.Errorf("missing degraded.%s mark", core.DegradeLazy)
 	}
-	if rec.XRay.MarkCount("fault.site."+rec.FaultSite) != 1 {
+	if markCount(rec.XRay, "fault.site."+rec.FaultSite) != 1 {
 		t.Errorf("missing fault.site.%s mark", rec.FaultSite)
 	}
-	if rec.XRay.Get(xray.SegRetryBackoff) == 0 {
+	if segment(rec.XRay, xray.SegRetryBackoff) == 0 {
 		t.Error("exhausted retries should leave a retry.backoff segment")
 	}
 }
@@ -145,7 +146,27 @@ func TestBudgetBalancesThroughResnapshot(t *testing.T) {
 	if rec.Degraded != core.DegradeResnapshot {
 		t.Fatalf("Degraded = %q, want %q", rec.Degraded, core.DegradeResnapshot)
 	}
-	if rec.XRay.Get(xray.SegSnapshotWrite) == 0 {
+	if segment(rec.XRay, xray.SegSnapshotWrite) == 0 {
 		t.Error("re-snapshot recovery should charge a snapshot.write segment")
 	}
+}
+
+// markCount returns the count b records for mark id (0 when absent).
+func markCount(b *xray.Budget, id string) int64 {
+	for _, m := range b.Marks {
+		if m.ID == id {
+			return m.N
+		}
+	}
+	return 0
+}
+
+// segment returns the duration b attributes to segment id (0 when absent).
+func segment(b *xray.Budget, id string) simtime.Duration {
+	for _, seg := range b.Segments {
+		if seg.ID == id {
+			return seg.Dur
+		}
+	}
+	return 0
 }

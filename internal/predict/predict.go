@@ -97,14 +97,6 @@ func (p *Predictor) Observe(fn string, at simtime.Duration) {
 	h.seen = true
 }
 
-// Samples returns how many inter-arrival times are recorded for fn.
-func (p *Predictor) Samples(fn string) int {
-	if h, ok := p.fns[fn]; ok {
-		return len(h.iats)
-	}
-	return 0
-}
-
 // Next predicts fn's next arrival. ok is false when the function is
 // unknown, under-sampled, or too irregular.
 func (p *Predictor) Next(fn string) (Prediction, bool) {

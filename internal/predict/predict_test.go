@@ -144,3 +144,11 @@ func TestPredictionWindowProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Samples returns how many inter-arrival times are recorded for fn.
+func (p *Predictor) Samples(fn string) int {
+	if h, ok := p.fns[fn]; ok {
+		return len(h.iats)
+	}
+	return 0
+}

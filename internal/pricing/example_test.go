@@ -23,11 +23,7 @@ func Example() {
 
 	fmt.Printf("dram-only: $%.9f\n", dram)
 	fmt.Printf("toss tier: $%.9f\n", tiered)
-	saving, err := plan.Saving(mem, slow, exec, 1.065)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("saving: %.0f%%\n", saving*100)
+	fmt.Printf("saving: %.0f%%\n", (1-tiered/dram)*100)
 	// Output:
 	// dram-only: $0.000001042
 	// toss tier: $0.000000498

@@ -11,7 +11,6 @@ package pricing
 
 import (
 	"fmt"
-	"math"
 
 	"toss/internal/simtime"
 )
@@ -133,32 +132,4 @@ func (t Tiered) Invocation(fastBytes, slowBytes int64, d simtime.Duration) float
 // PerMillion bills one million identical tiered invocations.
 func (t Tiered) PerMillion(fastBytes, slowBytes int64, d simtime.Duration) float64 {
 	return t.Invocation(fastBytes, slowBytes, d)*1e6 + t.PerMillionRequests
-}
-
-// Saving returns the relative saving of the tiered bill versus the
-// DRAM-only bill for the same bundle: dram is billed at duration d, tiered
-// at d*slowdown with slowBytes offloaded.
-func (t Tiered) Saving(memBytes, slowBytes int64, d simtime.Duration, slowdown float64) (float64, error) {
-	if slowdown < 1 {
-		return 0, fmt.Errorf("pricing: slowdown %v < 1", slowdown)
-	}
-	if slowBytes < 0 || slowBytes > memBytes {
-		return 0, fmt.Errorf("pricing: slow bytes %d outside [0, %d]", slowBytes, memBytes)
-	}
-	dram := t.Plan.Invocation(memBytes, d)
-	tiered := t.Invocation(memBytes-slowBytes, slowBytes, d.Scale(slowdown))
-	if dram == 0 {
-		return 0, nil
-	}
-	return 1 - tiered/dram, nil
-}
-
-// BreakEvenSlowdown returns the slowdown at which a fully-offloaded
-// invocation costs the same as DRAM-only — the paper's cost-ratio bound
-// (2.5x at the default ratio). Rounding to billing quanta is ignored.
-func (t Tiered) BreakEvenSlowdown() float64 {
-	if t.SlowFactor == 0 {
-		return math.Inf(1)
-	}
-	return 1 / t.SlowFactor
 }

@@ -91,9 +91,6 @@ func TestNewTiered(t *testing.T) {
 	if tp.SlowFactor != 0.4 {
 		t.Errorf("SlowFactor = %v, want 0.4", tp.SlowFactor)
 	}
-	if got := tp.BreakEvenSlowdown(); !approx(got, 2.5, 1e-12) {
-		t.Errorf("BreakEvenSlowdown = %v", got)
-	}
 	if _, err := NewTiered(LambdaLike(), 0.5); err == nil {
 		t.Error("ratio < 1 accepted")
 	}
@@ -116,33 +113,6 @@ func TestTieredInvocationEndpoints(t *testing.T) {
 	// All slow, no slowdown == 0.4x.
 	if got := tp.Invocation(0, mem, d); !approx(got, dramOnly*0.4, 1e-12) {
 		t.Errorf("all-slow bill = %v, want %v", got, dramOnly*0.4)
-	}
-}
-
-func TestSaving(t *testing.T) {
-	tp, _ := NewTiered(LambdaLike(), 2.5)
-	mem := int64(1 << 30)
-	d := simtime.Second
-	// Full offload, no slowdown: 60% saving.
-	s, err := tp.Saving(mem, mem, d, 1)
-	if err != nil || !approx(s, 0.6, 1e-9) {
-		t.Errorf("Saving = %v, %v", s, err)
-	}
-	// Full offload at the break-even slowdown: ~0 saving.
-	s, err = tp.Saving(mem, mem, d, 2.5)
-	if err != nil || !approx(s, 0, 1e-9) {
-		t.Errorf("break-even saving = %v, %v", s, err)
-	}
-	// Worst case (nothing offloaded): zero saving, never negative.
-	s, err = tp.Saving(mem, 0, d, 1)
-	if err != nil || s != 0 {
-		t.Errorf("no-offload saving = %v, %v", s, err)
-	}
-	if _, err := tp.Saving(mem, mem+1, d, 1); err == nil {
-		t.Error("slow > total accepted")
-	}
-	if _, err := tp.Saving(mem, 0, d, 0.5); err == nil {
-		t.Error("slowdown < 1 accepted")
 	}
 }
 

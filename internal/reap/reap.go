@@ -60,9 +60,6 @@ func NewManager(cfg microvm.Config, spec *workload.Spec) (*Manager, error) {
 // HasSnapshot reports whether the first invocation has happened.
 func (m *Manager) HasSnapshot() bool { return m.snap != nil }
 
-// SnapshotInput returns the input level the snapshot was captured with.
-func (m *Manager) SnapshotInput() workload.Level { return m.snapshotInput }
-
 // WorkingSet returns the recorded working set (nil before the snapshot).
 func (m *Manager) WorkingSet() []guest.Region { return m.ws }
 
@@ -142,6 +139,3 @@ func (m *Manager) InvokeTraced(lv workload.Level, seed int64, concurrency int, s
 	m.invocations++
 	return Result{Result: res, PrefetchFailed: prefetchFailed}, nil
 }
-
-// Invocations returns the number of invocations served so far.
-func (m *Manager) Invocations() int64 { return m.invocations }

@@ -47,14 +47,14 @@ func TestFirstInvocationCapturesSnapshotAndWS(t *testing.T) {
 	if !m.HasSnapshot() {
 		t.Fatal("snapshot not captured")
 	}
-	if m.SnapshotInput() != workload.II {
-		t.Errorf("SnapshotInput = %v", m.SnapshotInput())
+	if m.snapshotInput != workload.II {
+		t.Errorf("SnapshotInput = %v", m.snapshotInput)
 	}
 	if m.WorkingSetPages() <= 0 {
 		t.Error("working set empty")
 	}
-	if m.Invocations() != 1 {
-		t.Errorf("Invocations = %d", m.Invocations())
+	if m.invocations != 1 {
+		t.Errorf("Invocations = %d", m.invocations)
 	}
 }
 

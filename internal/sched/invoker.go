@@ -2,7 +2,7 @@ package sched
 
 import (
 	"toss/internal/simtime"
-	"toss/internal/trace"
+	"toss/internal/workload"
 )
 
 // Invoker exposes one function's snapshot mechanism to callers outside the
@@ -28,19 +28,16 @@ func NewInvoker(cfg Config, fn string) (*Invoker, error) {
 	return &Invoker{fn: fn, mech: m}, nil
 }
 
-// Function returns the function name this invoker serves.
-func (iv *Invoker) Function() string { return iv.fn }
-
 // InvokeCold performs a cold start (restore from storage, then run) at the
 // given concurrency and returns the setup and execution costs.
-func (iv *Invoker) InvokeCold(a trace.Arrival, conc int) (setup, exec simtime.Duration, err error) {
+func (iv *Invoker) InvokeCold(a workload.ArrivalSpec, conc int) (setup, exec simtime.Duration, err error) {
 	setup, exec, _, err = iv.mech.invokeCold(a, conc)
 	return setup, exec, err
 }
 
 // InvokeWarm runs in a resumed kept-alive VM and returns the execution cost
 // (the caller prices the resume itself, mirroring Sim's ResumeCost).
-func (iv *Invoker) InvokeWarm(a trace.Arrival, conc int) (exec simtime.Duration, err error) {
+func (iv *Invoker) InvokeWarm(a workload.ArrivalSpec, conc int) (exec simtime.Duration, err error) {
 	exec, _, err = iv.mech.invokeWarm(a, conc)
 	return exec, err
 }

@@ -9,7 +9,6 @@ import (
 	"toss/internal/reap"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
-	"toss/internal/trace"
 	"toss/internal/workload"
 )
 
@@ -22,10 +21,10 @@ import (
 // simulator feeds it to the per-function circuit breaker.
 type mechanism interface {
 	// invokeCold restores from storage and runs.
-	invokeCold(a trace.Arrival, conc int) (setup, exec simtime.Duration, faulted bool, err error)
+	invokeCold(a workload.ArrivalSpec, conc int) (setup, exec simtime.Duration, faulted bool, err error)
 	// invokeWarm runs in a resumed kept-alive VM (no restore, memory
 	// resident in its tiers).
-	invokeWarm(a trace.Arrival, conc int) (exec simtime.Duration, faulted bool, err error)
+	invokeWarm(a workload.ArrivalSpec, conc int) (exec simtime.Duration, faulted bool, err error)
 	// prewarm performs a background restore, returning its cost.
 	prewarm() (simtime.Duration, error)
 	// footprint returns the warm VM's (fastPages, slowPages).
@@ -80,7 +79,7 @@ type tossMech struct {
 	ctrl   *core.Controller
 }
 
-func (m *tossMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simtime.Duration, bool, error) {
+func (m *tossMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
 	res, err := m.ctrl.Invoke(a.Level, a.Seed, conc)
 	if err == nil {
 		return res.Setup, res.Exec, false, nil
@@ -96,7 +95,7 @@ func (m *tossMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simt
 // bookkeeping (pattern folding, convergence, Eq. 4 counters) continues; the
 // restore cost inside the result is discarded because the VM was resumed,
 // not restored.
-func (m *tossMech) invokeWarm(a trace.Arrival, conc int) (simtime.Duration, bool, error) {
+func (m *tossMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
 	res, err := m.ctrl.Invoke(a.Level, a.Seed, conc)
 	faulted := false
 	if err != nil {
@@ -147,7 +146,7 @@ type reapMech struct {
 	mgr    *reap.Manager
 }
 
-func (m *reapMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simtime.Duration, bool, error) {
+func (m *reapMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
 	res, err := m.mgr.Invoke(a.Level, a.Seed, conc)
 	if err != nil {
 		return 0, 0, false, err
@@ -155,7 +154,7 @@ func (m *reapMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simt
 	return res.Setup, res.Exec, res.PrefetchFailed, nil
 }
 
-func (m *reapMech) invokeWarm(a trace.Arrival, conc int) (simtime.Duration, bool, error) {
+func (m *reapMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
 	exec, err := residentExec(m.cfg, m.spec, m.layout, a, conc)
 	return exec, false, err
 }
@@ -191,7 +190,7 @@ type faasnapMech struct {
 	mgr    *reap.FaaSnapManager
 }
 
-func (m *faasnapMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simtime.Duration, bool, error) {
+func (m *faasnapMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
 	res, err := m.mgr.Invoke(a.Level, a.Seed, conc)
 	if err != nil {
 		return 0, 0, false, err
@@ -199,7 +198,7 @@ func (m *faasnapMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, s
 	return res.Setup, res.Exec, res.PrefetchFailed, nil
 }
 
-func (m *faasnapMech) invokeWarm(a trace.Arrival, conc int) (simtime.Duration, bool, error) {
+func (m *faasnapMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
 	exec, err := residentExec(m.cfg, m.spec, m.layout, a, conc)
 	return exec, false, err
 }
@@ -234,7 +233,7 @@ type dramMech struct {
 // invokeCold never reports faulted: the simulated DRAM baseline is scoped
 // to in-execution fault sites (disk-read stalls, which fold into exec time);
 // restore-corruption recovery for DRAM lives in internal/platform.
-func (m *dramMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simtime.Duration, bool, error) {
+func (m *dramMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
 	tr, err := m.spec.Trace(a.Level, a.Seed)
 	if err != nil {
 		return 0, 0, false, err
@@ -261,7 +260,7 @@ func (m *dramMech) invokeCold(a trace.Arrival, conc int) (simtime.Duration, simt
 	return res.Setup, res.Exec, false, nil
 }
 
-func (m *dramMech) invokeWarm(a trace.Arrival, conc int) (simtime.Duration, bool, error) {
+func (m *dramMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
 	exec, err := residentExec(m.cfg, m.spec, m.layout, a, conc)
 	return exec, false, err
 }
@@ -281,7 +280,7 @@ func (m *dramMech) footprint() (int64, int64) {
 
 // residentExec runs an invocation fully resident in DRAM — the warm path
 // shared by the single-tier mechanisms.
-func residentExec(cfg Config, spec *workload.Spec, layout guest.Layout, a trace.Arrival, conc int) (simtime.Duration, error) {
+func residentExec(cfg Config, spec *workload.Spec, layout guest.Layout, a workload.ArrivalSpec, conc int) (simtime.Duration, error) {
 	tr, err := spec.Trace(a.Level, a.Seed)
 	if err != nil {
 		return 0, err

@@ -24,7 +24,7 @@ import (
 	"toss/internal/predict"
 	"toss/internal/simtime"
 	"toss/internal/telemetry"
-	"toss/internal/trace"
+	"toss/internal/workload"
 	"toss/internal/xray"
 )
 
@@ -217,18 +217,6 @@ func (r *Report) LatencyPercentile(p float64) simtime.Duration {
 	return ls[idx]
 }
 
-// MeanLatency returns the average end-to-end latency.
-func (r *Report) MeanLatency() simtime.Duration {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	var sum simtime.Duration
-	for _, rec := range r.Records {
-		sum += rec.Latency()
-	}
-	return sum / simtime.Duration(len(r.Records))
-}
-
 // Utilization returns busy core-time over total core-time.
 func (r *Report) Utilization(cores int) float64 {
 	if r.Horizon <= 0 || cores < 1 {
@@ -243,7 +231,7 @@ type event struct {
 	kind eventKind
 	seq  int64 // tie-breaker for determinism
 	// arrival payload
-	arr trace.Arrival
+	arr workload.ArrivalSpec
 	// prewarm payload
 	fn     string
 	expire simtime.Duration
@@ -282,7 +270,7 @@ type Sim struct {
 	seq     int64
 	now     simtime.Duration
 	free    int
-	waiting []trace.Arrival // FIFO queue for cores
+	waiting []workload.ArrivalSpec // FIFO queue for cores
 
 	report Report
 	// prewarmed tracks functions currently cached due to a pre-warm that
@@ -342,7 +330,7 @@ func New(cfg Config, functions []string) (*Sim, error) {
 }
 
 // Run replays the arrival trace to completion and returns the report.
-func (s *Sim) Run(arrivals []trace.Arrival) (*Report, error) {
+func (s *Sim) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
 	for _, a := range arrivals {
 		if _, ok := s.mechs[a.Function]; !ok {
 			return nil, fmt.Errorf("sched: arrival for unregistered function %q", a.Function)
@@ -395,7 +383,7 @@ func (s *Sim) push(e *event) {
 }
 
 // onArrival queues or dispatches an invocation.
-func (s *Sim) onArrival(a trace.Arrival) error {
+func (s *Sim) onArrival(a workload.ArrivalSpec) error {
 	// An injected eviction storm (fault.SiteEvictStorm) flushes the whole
 	// keep-alive cache — a host OOM kill or capacity reclaim — so this and
 	// every following arrival cold-starts until the cache refills.
@@ -440,7 +428,7 @@ func (s *Sim) drainQueue() error {
 }
 
 // dispatch runs one invocation starting now.
-func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
+func (s *Sim) dispatch(a workload.ArrivalSpec, arrivedAt simtime.Duration) error {
 	s.free--
 	conc := s.cfg.Cores - s.free
 	mech := s.mechs[a.Function]
@@ -551,7 +539,7 @@ func (s *Sim) dispatch(a trace.Arrival, arrivedAt simtime.Duration) error {
 
 // observeAndSchedulePrewarm feeds the predictor and schedules a pre-warm
 // restore for the predicted next arrival.
-func (s *Sim) observeAndSchedulePrewarm(a trace.Arrival) {
+func (s *Sim) observeAndSchedulePrewarm(a workload.ArrivalSpec) {
 	s.pred.Observe(a.Function, a.At)
 	pred, ok := s.pred.Next(a.Function)
 	if !ok {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"toss/internal/simtime"
-	"toss/internal/trace"
 	"toss/internal/workload"
 )
 
@@ -20,13 +19,13 @@ func testConfig(mech Mechanism) Config {
 }
 
 // steadyTrace generates a deterministic steady trace for the functions.
-func steadyTrace(t *testing.T, horizon simtime.Duration, iat simtime.Duration, fns ...string) []trace.Arrival {
+func steadyTrace(t *testing.T, horizon simtime.Duration, iat simtime.Duration, fns ...string) []workload.ArrivalSpec {
 	t.Helper()
-	var mix []trace.FunctionMix
+	var mix []workload.FunctionMix
 	for _, fn := range fns {
-		mix = append(mix, trace.FunctionMix{Function: fn, Pattern: trace.Steady, MeanIAT: iat})
+		mix = append(mix, workload.FunctionMix{Function: fn, Pattern: workload.Steady, MeanIAT: iat})
 	}
-	arr, err := trace.Generate(trace.Config{Horizon: horizon, Mix: mix, Seed: 11})
+	arr, err := workload.MixArrivals(workload.MixConfig{Horizon: horizon, Mix: mix, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestRunRejectsUnregisteredArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run([]trace.Arrival{{At: 1, Function: "compress"}}); err == nil {
+	if _, err := s.Run([]workload.ArrivalSpec{{At: 1, Function: "compress"}}); err == nil {
 		t.Error("unregistered arrival accepted")
 	}
 }
@@ -149,11 +148,11 @@ func (m *failSecond) invoke() error {
 	return nil
 }
 
-func (m *failSecond) invokeCold(trace.Arrival, int) (simtime.Duration, simtime.Duration, bool, error) {
+func (m *failSecond) invokeCold(workload.ArrivalSpec, int) (simtime.Duration, simtime.Duration, bool, error) {
 	return simtime.Millisecond, simtime.Millisecond, false, m.invoke()
 }
 
-func (m *failSecond) invokeWarm(trace.Arrival, int) (simtime.Duration, bool, error) {
+func (m *failSecond) invokeWarm(workload.ArrivalSpec, int) (simtime.Duration, bool, error) {
 	return simtime.Millisecond, false, m.invoke()
 }
 
@@ -172,7 +171,7 @@ func TestQueuedDispatchErrorReturned(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mechs["pyaes"] = &failSecond{}
-	arr := []trace.Arrival{
+	arr := []workload.ArrivalSpec{
 		{At: 1, Function: "pyaes", Level: workload.I, Seed: 1},
 		{At: 1, Function: "pyaes", Level: workload.I, Seed: 2}, // queues behind the first
 	}
@@ -185,9 +184,9 @@ func TestSingleCoreQueues(t *testing.T) {
 	cfg := testConfig(MechDRAM)
 	cfg.Cores = 1
 	// Burst of simultaneous-ish arrivals.
-	var arr []trace.Arrival
+	var arr []workload.ArrivalSpec
 	for i := 0; i < 5; i++ {
-		arr = append(arr, trace.Arrival{
+		arr = append(arr, workload.ArrivalSpec{
 			At: simtime.Duration(i + 1), Function: "pyaes",
 			Level: workload.I, Seed: int64(i + 1),
 		})
@@ -332,10 +331,10 @@ func TestREAPMechanismUnderTrace(t *testing.T) {
 func TestPrewarmingHitsPeriodicFunction(t *testing.T) {
 	// A fixed-period function is perfectly predictable: with pre-warming,
 	// most starts should be prewarmed.
-	mix := []trace.FunctionMix{{
-		Function: "pyaes", Pattern: trace.Fixed, MeanIAT: 2 * simtime.Second,
+	mix := []workload.FunctionMix{{
+		Function: "pyaes", Pattern: workload.Fixed, MeanIAT: 2 * simtime.Second,
 	}}
-	arr, err := trace.Generate(trace.Config{Horizon: 60 * simtime.Second, Mix: mix, Seed: 3})
+	arr, err := workload.MixArrivals(workload.MixConfig{Horizon: 60 * simtime.Second, Mix: mix, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +370,9 @@ func TestPrewarmingHitsPeriodicFunction(t *testing.T) {
 func TestKeepAliveTTLExpiresIdleVMs(t *testing.T) {
 	// Arrivals 5 s apart with a 1 s TTL: every warm VM expires before the
 	// next request, so everything cold-starts and expiries are counted.
-	var arr []trace.Arrival
+	var arr []workload.ArrivalSpec
 	for i := 0; i < 6; i++ {
-		arr = append(arr, trace.Arrival{
+		arr = append(arr, workload.ArrivalSpec{
 			At: simtime.Duration(i+1) * 5 * simtime.Second, Function: "pyaes",
 			Level: workload.I, Seed: int64(i + 1),
 		})
@@ -419,4 +418,16 @@ func TestReportEmptyEdgeCases(t *testing.T) {
 	if rep.Utilization(4) != 0 {
 		t.Error("empty utilization not zero")
 	}
+}
+
+// MeanLatency returns the average end-to-end latency.
+func (r *Report) MeanLatency() simtime.Duration {
+	if len(r.Records) == 0 {
+		return 0
+	}
+	var sum simtime.Duration
+	for _, rec := range r.Records {
+		sum += rec.Latency()
+	}
+	return sum / simtime.Duration(len(r.Records))
 }

@@ -47,11 +47,11 @@ func TestSchedBudgetsBalance(t *testing.T) {
 			t.Errorf("record %d: recorded %v, latency %v", i, rec.XRay.Recorded(), rec.Latency())
 		}
 		for _, k := range []StartKind{ColdStart, WarmStart, PrewarmedStart} {
-			kinds["start."+k.String()] += rec.XRay.MarkCount("start." + k.String())
+			kinds["start."+k.String()] += markCount(rec.XRay, "start."+k.String())
 		}
-		if rec.QueueDelay > 0 && rec.XRay.Get(xray.SegQueueWait) != rec.QueueDelay {
+		if rec.QueueDelay > 0 && segment(rec.XRay, xray.SegQueueWait) != rec.QueueDelay {
 			t.Errorf("record %d: queue.wait %v, QueueDelay %v",
-				i, rec.XRay.Get(xray.SegQueueWait), rec.QueueDelay)
+				i, segment(rec.XRay, xray.SegQueueWait), rec.QueueDelay)
 		}
 	}
 	// Start-kind marks must tally with the records' own start kinds.
@@ -98,4 +98,24 @@ func TestSchedBudgetsDisabled(t *testing.T) {
 			t.Fatalf("record %d carries a budget with attribution disabled", i)
 		}
 	}
+}
+
+// markCount returns the count b records for mark id (0 when absent).
+func markCount(b *xray.Budget, id string) int64 {
+	for _, m := range b.Marks {
+		if m.ID == id {
+			return m.N
+		}
+	}
+	return 0
+}
+
+// segment returns the duration b attributes to segment id (0 when absent).
+func segment(b *xray.Budget, id string) simtime.Duration {
+	for _, seg := range b.Segments {
+		if seg.ID == id {
+			return seg.Dur
+		}
+	}
+	return 0
 }

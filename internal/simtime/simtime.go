@@ -26,9 +26,6 @@ const (
 // Nanoseconds returns the duration as an integer nanosecond count.
 func (d Duration) Nanoseconds() int64 { return int64(d) }
 
-// Microseconds returns the duration in microseconds as a float.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
 // Milliseconds returns the duration in milliseconds as a float.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
@@ -79,18 +76,3 @@ func (c *Clock) Advance(d Duration) Duration {
 	c.now += d
 	return c.now
 }
-
-// Reset rewinds the clock to t=0 so an execution context can be reused.
-func (c *Clock) Reset() { c.now = 0 }
-
-// Stopwatch measures a span of virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start Duration
-}
-
-// StartStopwatch begins measuring from the clock's current time.
-func StartStopwatch(c *Clock) Stopwatch { return Stopwatch{clock: c, start: c.Now()} }
-
-// Elapsed reports the virtual time accumulated since the stopwatch started.
-func (s Stopwatch) Elapsed() Duration { return s.clock.Now() - s.start }

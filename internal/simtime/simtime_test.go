@@ -23,9 +23,6 @@ func TestDurationConversions(t *testing.T) {
 	if got := d.Nanoseconds(); got != 1_500_000 {
 		t.Errorf("Nanoseconds() = %d, want 1500000", got)
 	}
-	if got := d.Microseconds(); got != 1500 {
-		t.Errorf("Microseconds() = %v, want 1500", got)
-	}
 	if got := d.Milliseconds(); got != 1.5 {
 		t.Errorf("Milliseconds() = %v, want 1.5", got)
 	}
@@ -79,10 +76,6 @@ func TestClockAdvance(t *testing.T) {
 	if got := c.Now(); got != 15*Microsecond {
 		t.Errorf("Now() = %v, want 15µs", got)
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("Reset did not rewind clock: %v", c.Now())
-	}
 }
 
 func TestClockNegativeAdvancePanics(t *testing.T) {
@@ -93,18 +86,6 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 	}()
 	NewClock().Advance(-1)
 }
-
-func TestStopwatch(t *testing.T) {
-	c := NewClock()
-	c.Advance(time7())
-	sw := StartStopwatch(c)
-	c.Advance(42 * Millisecond)
-	if got := sw.Elapsed(); got != 42*Millisecond {
-		t.Errorf("Elapsed() = %v, want 42ms", got)
-	}
-}
-
-func time7() Duration { return 7 * Second }
 
 // Property: advancing by a then b equals advancing by a+b.
 func TestClockAdvanceAdditiveProperty(t *testing.T) {

@@ -20,16 +20,6 @@ type TieredDiff struct {
 // RewrittenPages returns how many pages an incremental regeneration writes.
 func (d TieredDiff) RewrittenPages() int64 { return d.MovedPages + d.AddedPages }
 
-// ReuseFraction returns the share of the new snapshot's pages that needed
-// no rewrite (1.0 when nothing changed; 0 for an empty snapshot).
-func (d TieredDiff) ReuseFraction() float64 {
-	total := d.ReusedPages + d.MovedPages + d.AddedPages
-	if total == 0 {
-		return 0
-	}
-	return float64(d.ReusedPages) / float64(total)
-}
-
 // DiffTiered computes the per-page difference between two generations. A
 // page's tier is the image that holds it; BuildTiered puts each resident
 // page in exactly one, so the counts come from intersecting the images'

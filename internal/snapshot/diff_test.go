@@ -22,9 +22,6 @@ func TestDiffTieredIdentical(t *testing.T) {
 	if d.ReusedPages != 40 || d.MovedPages != 0 || d.AddedPages != 0 || d.RemovedPages != 0 {
 		t.Errorf("identical diff = %+v", d)
 	}
-	if d.ReuseFraction() != 1 {
-		t.Errorf("ReuseFraction = %v", d.ReuseFraction())
-	}
 	if d.RewrittenPages() != 0 {
 		t.Errorf("RewrittenPages = %d", d.RewrittenPages())
 	}
@@ -62,12 +59,6 @@ func TestDiffTieredShrink(t *testing.T) {
 	d := DiffTiered(old, new)
 	if d.RemovedPages != 30 || d.ReusedPages != 20 {
 		t.Errorf("diff = %+v", d)
-	}
-}
-
-func TestReuseFractionEmpty(t *testing.T) {
-	if got := (TieredDiff{}).ReuseFraction(); got != 0 {
-		t.Errorf("empty ReuseFraction = %v", got)
 	}
 }
 

@@ -276,3 +276,11 @@ func TestDigestForMatchesHasher(t *testing.T) {
 		}
 	}
 }
+
+// DigestFor deterministically derives a page's digest from the owning
+// function and page id, so round-trip tests can verify content integrity.
+// It is fnv-64a over the function name and the id's 8 little-endian bytes:
+// the digest Capture and NewMemory store, one page at a time.
+func DigestFor(function string, p guest.PageID) PageDigest {
+	return digestFrom(digestSeed(function), p)
+}

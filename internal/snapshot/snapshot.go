@@ -43,19 +43,14 @@ var ErrCorrupt = errors.New("snapshot: corrupt file")
 // PageDigest is the synthetic 8-byte stand-in for a page's 4 KiB contents.
 type PageDigest uint64
 
-// fnv-64a's parameters. DigestFor runs the hash inline, so a captured image
-// hashes its function name once and each page's id without a hasher.
+// fnv-64a's parameters. A page's digest is fnv-64a over the function name
+// and the page id's 8 little-endian bytes, run inline (digestSeed, then
+// digestFrom), so a captured image hashes its function name once and each
+// page's id without a hasher.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// DigestFor deterministically derives a page's digest from the owning
-// function and page id, so round-trip tests can verify content integrity.
-// It is fnv-64a over the function name and the id's 8 little-endian bytes.
-func DigestFor(function string, p guest.PageID) PageDigest {
-	return digestFrom(digestSeed(function), p)
-}
 
 // digestSeed is fnv-64a's state after the function name.
 func digestSeed(function string) uint64 {

@@ -115,31 +115,3 @@ func NearestRankInPlace[T cmp.Ordered](xs []T, p float64) T {
 	slices.Sort(xs)
 	return xs[int(p/100*float64(len(xs)-1))]
 }
-
-// Variance returns the population variance of xs (0 for fewer than two
-// samples).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// RelRange returns (max-min)/mean, a scale-free spread measure the paper's
-// cost-variance discussion uses (0 for empty or zero-mean input).
-func RelRange(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return (Max(xs) - Min(xs)) / m
-}

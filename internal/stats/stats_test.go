@@ -72,31 +72,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !approx(Variance(xs), 4) {
-		t.Errorf("Variance = %v", Variance(xs))
-	}
-	if !approx(StdDev(xs), 2) {
-		t.Errorf("StdDev = %v", StdDev(xs))
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("single-sample variance != 0")
-	}
-}
-
-func TestRelRange(t *testing.T) {
-	if !approx(RelRange([]float64{1, 3}), 1) {
-		t.Errorf("RelRange = %v", RelRange([]float64{1, 3}))
-	}
-	if RelRange(nil) != 0 {
-		t.Error("RelRange(nil) != 0")
-	}
-	if RelRange([]float64{0, 0}) != 0 {
-		t.Error("RelRange zero-mean != 0")
-	}
-}
-
 // Property: mean lies within [min, max]; percentiles are monotone in p.
 func TestSummaryBoundsProperty(t *testing.T) {
 	f := func(raw []int8, pa, pb uint8) bool {

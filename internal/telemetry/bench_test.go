@@ -30,7 +30,7 @@ func BenchmarkSpanEnabled(b *testing.B) {
 		c.EndAt(simtime.Duration(i))
 		root.EndAt(simtime.Duration(i))
 		if i%4096 == 0 {
-			tr.Reset() // keep memory bounded
+			tr = NewTracer() // keep memory bounded
 		}
 	}
 }

@@ -83,26 +83,6 @@ func (g *Gauge) Set(v int64) {
 	g.mu.Unlock()
 }
 
-// Last returns the most recently set value.
-func (g *Gauge) Last() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.last
-}
-
-// Max returns the maximum value ever set.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.max
-}
-
 // Histogram is a fixed-bucket distribution of int64 observations (virtual
 // nanoseconds, page counts, queue depths). Bucket i counts observations
 // v <= Bounds[i]; the final implicit bucket counts overflows.
@@ -133,39 +113,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n++
 	h.sum += v
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the arithmetic mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
@@ -269,23 +216,6 @@ func ExpBuckets(first int64, factor float64, n int) []int64 {
 // LatencyBuckets is the default bucket layout for virtual-nanosecond
 // latencies: 24 exponential buckets from 100 ns to ~0.8 s.
 func LatencyBuckets() []int64 { return ExpBuckets(100, 2, 24) }
-
-// LinearBuckets returns up to n bounds first, first+step, ... — for small
-// counts like queue depths. Generation stops before an int64 overflow would
-// wrap, so the result may hold fewer than n bounds.
-func LinearBuckets(first, step int64, n int) []int64 {
-	out := make([]int64, 0, max(n, 0))
-	v := first
-	for i := 0; i < n; i++ {
-		out = append(out, v)
-		next := v + step
-		if (step > 0 && next < v) || (step < 0 && next > v) {
-			break
-		}
-		v = next
-	}
-	return out
-}
 
 // Counter returns (creating if needed) the named counter. Nil-safe.
 func (m *Metrics) Counter(name string) *Counter {

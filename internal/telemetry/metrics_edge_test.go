@@ -56,33 +56,6 @@ func TestExpBucketsOverflow(t *testing.T) {
 	}
 }
 
-func TestLinearBucketsEdgeCases(t *testing.T) {
-	if got := LinearBuckets(1, 1, 0); len(got) != 0 {
-		t.Errorf("n=0: got %v, want empty", got)
-	}
-	got := LinearBuckets(2, 3, 4)
-	want := []int64{2, 5, 8, 11}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	// Near-MaxInt64 starts stop before wrapping negative.
-	got = LinearBuckets(math.MaxInt64-5, 3, 10)
-	assertAscending(t, got)
-	if len(got) >= 10 {
-		t.Fatalf("expected truncation, got %d bounds", len(got))
-	}
-	for _, b := range got {
-		if b <= 0 {
-			t.Fatalf("overflowed bound %d in %v", b, got)
-		}
-	}
-	// Negative steps stop before wrapping positive.
-	got = LinearBuckets(math.MinInt64+5, -3, 10)
-	if len(got) >= 10 {
-		t.Fatalf("negative step: expected truncation, got %v", got)
-	}
-}
-
 func TestQuantileEmptyHistogram(t *testing.T) {
 	m := NewMetrics()
 	h := m.Histogram("empty", LatencyBuckets())

@@ -95,8 +95,8 @@ func TestXRayCollectorUnderParMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != n {
-		t.Fatalf("collector lost budgets: %d/%d", col.Len(), n)
+	if got := len(col.Snapshot()); got != n {
+		t.Fatalf("collector lost budgets: %d/%d", got, n)
 	}
 	// Aggregate is commutative, so the report must be exact regardless of
 	// the order the workers observed their budgets in.

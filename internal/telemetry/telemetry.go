@@ -155,9 +155,6 @@ type Tracer struct {
 // NewTracer returns an enabled tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Root opens a new span tree (one invocation) whose timeline starts at
 // `start`. Returns nil on a nil tracer.
 func (t *Tracer) Root(kind SpanKind, name string, start simtime.Duration, attrs ...Attr) *Span {
@@ -245,15 +242,4 @@ func (t *Tracer) Tracks() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.tracks
-}
-
-// Reset drops all recorded spans (tests reuse tracers across cases).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.tracks = 0
-	t.mu.Unlock()
 }

@@ -46,9 +46,6 @@ func TestSpanTree(t *testing.T) {
 
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer enabled")
-	}
 	root := tr.Root(KindInvocation, "fn", 0)
 	if root != nil {
 		t.Fatal("nil tracer produced a span")
@@ -64,7 +61,6 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if tr.Spans() != nil || tr.Tracks() != 0 {
 		t.Error("nil tracer recorded something")
 	}
-	tr.Reset()
 }
 
 func TestSpanKindStrings(t *testing.T) {
@@ -111,9 +107,5 @@ func TestAnnotateAndReset(t *testing.T) {
 	s.Annotate(I64("faults", 7), Str("phase", "tiered"))
 	if len(tr.Spans()[0].Attrs) != 2 {
 		t.Error("annotate failed")
-	}
-	tr.Reset()
-	if len(tr.Spans()) != 0 || tr.Tracks() != 0 {
-		t.Error("reset failed")
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the cluster-scale arrival-process generator family. Unlike
-// internal/trace, which shapes per-function traffic for a single host (each
-// FunctionMix is its own process), these generators model the *aggregate*
-// request stream a fleet front-end sees: one process for the whole cluster,
-// with functions sampled per request. The three shapes mirror what
+// the per-function mix in mix.go, which shapes traffic for a single host
+// (each FunctionMix is its own process), these generators model the
+// *aggregate* request stream a fleet front-end sees: one process for the
+// whole cluster, with functions sampled per request. The shapes mirror what
 // production serverless front-ends route — steady Poisson, diurnal day
 // curves, and flash crowds where a single function's traffic multiplies for
 // a short episode (the cold-start-heavy case snapshot-affinity routing is
@@ -69,8 +69,9 @@ func ParseProcess(s string) (Process, error) {
 	return 0, fmt.Errorf("workload: unknown arrival process %q (want poisson, diurnal, flash, or diurnalflash)", s)
 }
 
-// ArrivalSpec is one cluster-level invocation request: which function, which
-// input level, and the invocation seed, at a point in virtual time.
+// ArrivalSpec is one invocation request: which function, which input level,
+// and the invocation seed, at a point in virtual time. Both generator
+// families produce it.
 type ArrivalSpec struct {
 	At       simtime.Duration
 	Function string

@@ -61,10 +61,10 @@ func ByNameMust(name string) *Spec {
 func kib(n int64) int64 { return n << 10 }
 func mib(n int64) int64 { return n << 20 }
 
-// FloatOperation: floating point ops for N numbers. Tiny footprint, pure
+// floatOperation: floating point ops for N numbers. Tiny footprint, pure
 // interpreter loop — CPU-bound and short-running; the canonical "runs in the
 // slow tier for free" function (Fig. 2 observation #1).
-var FloatOperation = register(&Spec{
+var floatOperation = register(&Spec{
 	Name:        "float_operation",
 	Description: "Floating point ops for N numbers",
 	MemBytes:    mib(128),
@@ -81,9 +81,9 @@ var FloatOperation = register(&Spec{
 	},
 })
 
-// PyAES: pure-Python AES encryption of a text. Interpreter-dominated; the
+// pyAES: pure-Python AES encryption of a text. Interpreter-dominated; the
 // S-box tables live in cache. Footprint barely grows with input.
-var PyAES = register(&Spec{
+var pyAES = register(&Spec{
 	Name:        "pyaes",
 	Description: "AES text encryption",
 	MemBytes:    mib(128),
@@ -105,9 +105,9 @@ var PyAES = register(&Spec{
 	},
 })
 
-// JSONLoadDump: read-modify-write N JSON files. Footprint scales with the
+// jsonLoadDump: read-modify-write N JSON files. Footprint scales with the
 // file count; parsing scatters small objects over the heap.
-var JSONLoadDump = register(&Spec{
+var jsonLoadDump = register(&Spec{
 	Name:        "json_load_dump",
 	Description: "Read-Modify-Write JSON files",
 	MemBytes:    mib(128),
@@ -134,9 +134,9 @@ var JSONLoadDump = register(&Spec{
 	},
 })
 
-// Compress: stream compression of a file. Pure streaming with heavy
+// compress: stream compression of a file. Pure streaming with heavy
 // per-byte compute — negligible slowdown fully offloaded (Fig. 2).
-var Compress = register(&Spec{
+var compress = register(&Spec{
 	Name:        "compress",
 	Description: "File compression",
 	MemBytes:    mib(256),
@@ -156,9 +156,9 @@ var Compress = register(&Spec{
 	},
 })
 
-// Linpack: solve Ax=b. O(n^3) compute over an n^2 matrix with strong
+// linpack: solve Ax=b. O(n^3) compute over an n^2 matrix with strong
 // blocking — high reuse shields most latency.
-var Linpack = register(&Spec{
+var linpack = register(&Spec{
 	Name:        "linpack",
 	Description: "Solves Ax=b for matrix A",
 	MemBytes:    mib(256),
@@ -179,9 +179,9 @@ var Linpack = register(&Spec{
 	},
 })
 
-// MatMul: C = A x B. The output tiles and B panels are re-touched heavily —
+// matMul: C = A x B. The output tiles and B panels are re-touched heavily —
 // a clear hot subset that TOSS keeps in DRAM (Table II: 92% offloaded).
-var MatMul = register(&Spec{
+var matMul = register(&Spec{
 	Name:        "matmul",
 	Description: "Product of two 2D matrices",
 	MemBytes:    mib(256),
@@ -207,10 +207,10 @@ var MatMul = register(&Spec{
 	},
 })
 
-// ImageProcessing: flip an image. Decode streams, the flip walks rows in
+// imageProcessing: flip an image. Decode streams, the flip walks rows in
 // reverse order (cache-hostile), and run-to-run variability is high — the
 // paper calls out its latency variability repeatedly.
-var ImageProcessing = register(&Spec{
+var imageProcessing = register(&Spec{
 	Name:        "image_processing",
 	Description: "Flips the input image",
 	MemBytes:    mib(256),
@@ -237,10 +237,10 @@ var ImageProcessing = register(&Spec{
 	},
 })
 
-// PageRank: iterative rank computation over a large graph. Uniformly
+// pageRank: iterative rank computation over a large graph. Uniformly
 // intense random access across the whole footprint — the paper's worst case
 // (only 49.1% offloadable, 25% slowdown at min cost).
-var PageRank = register(&Spec{
+var pageRank = register(&Spec{
 	Name:        "pagerank",
 	Description: "Pagerank on a graph",
 	MemBytes:    mib(1024),
@@ -274,9 +274,9 @@ func lrSizes(lv Level) (int64, int64) {
 	return model, data
 }
 
-// LRServing: logistic regression inference. One streaming pass over the
+// lrServing: logistic regression inference. One streaming pass over the
 // dataset; the tiny model is white-hot.
-var LRServing = register(&Spec{
+var lrServing = register(&Spec{
 	Name:        "lr_serving",
 	Description: "Logistic regression inferencing",
 	MemBytes:    mib(1024),
@@ -296,9 +296,9 @@ var LRServing = register(&Spec{
 	},
 })
 
-// LRTraining: logistic regression training. Several epochs over the
+// lrTraining: logistic regression training. Several epochs over the
 // dataset with gradient writes into the model.
-var LRTraining = register(&Spec{
+var lrTraining = register(&Spec{
 	Name:        "lr_training",
 	Description: "Logistic regression training",
 	MemBytes:    mib(1024),

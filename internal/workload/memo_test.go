@@ -52,3 +52,10 @@ func TestLayoutMemoized(t *testing.T) {
 		t.Errorf("layout not stable: %+v vs %+v", l1, l2)
 	}
 }
+
+// len reports how many traces the cache holds.
+func (c *traceLRU) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.elems)
+}

@@ -202,13 +202,6 @@ func (c *traceLRU) store(k traceKey, tr *access.Trace) {
 	}
 }
 
-// len reports the number of cached traces (for tests).
-func (c *traceLRU) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.elems)
-}
-
 // runtimeProfile shapes the interpreter prologue.
 type runtimeProfile struct {
 	// warmBytes of the boot image are touched once or twice (imports,

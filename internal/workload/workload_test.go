@@ -74,7 +74,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestTraceRejectsInvalidLevel(t *testing.T) {
-	if _, err := FloatOperation.Trace(Level(7), 1); err == nil {
+	if _, err := floatOperation.Trace(Level(7), 1); err == nil {
 		t.Error("invalid level accepted")
 	}
 }
@@ -173,14 +173,14 @@ func TestFootprintGrowsWithInput(t *testing.T) {
 func TestFootprintScales(t *testing.T) {
 	// Spot-check absolute footprints: compress IV streams ~82+41 MB, so
 	// >= 120 MB touched; float_operation stays tiny (< 40 MB incl. runtime).
-	tr, err := Compress.Trace(IV, 3)
+	tr, err := compress.Trace(IV, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.FootprintPages() * guest.PageSize; got < 120<<20 {
 		t.Errorf("compress IV footprint = %d MB, want >= 120 MB", got>>20)
 	}
-	tr, err = FloatOperation.Trace(IV, 3)
+	tr, err = floatOperation.Trace(IV, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestFootprintScales(t *testing.T) {
 		t.Errorf("float_operation IV footprint = %d MB, want <= 40 MB", got>>20)
 	}
 	// pagerank IV must fill most of its 1 GiB guest.
-	tr, err = PageRank.Trace(IV, 3)
+	tr, err = pageRank.Trace(IV, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, _ := PageRank.Layout()
+	layout, _ := pageRank.Layout()
 	share := float64(tr.FootprintPages()) / float64(layout.TotalPages)
 	if share < 0.70 || share > 0.98 {
 		t.Errorf("pagerank IV touches %.0f%% of guest, want 70-98%%", share*100)
@@ -227,11 +227,11 @@ func TestFullSlowSlowdownShapes(t *testing.T) {
 		slow := runOn(t, s, IV, 5, []guest.Region{{Start: 0, Pages: layout.TotalPages}})
 		return float64(slow) / float64(fast)
 	}
-	cheap := slowdown(Compress)
+	cheap := slowdown(compress)
 	if cheap > 1.15 {
 		t.Errorf("compress full-slow slowdown = %.2f, want <= 1.15", cheap)
 	}
-	pr := slowdown(PageRank)
+	pr := slowdown(pageRank)
 	if pr < 1.8 {
 		t.Errorf("pagerank full-slow slowdown = %.2f, want >= 1.8", pr)
 	}

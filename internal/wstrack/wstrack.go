@@ -28,15 +28,6 @@ func WorkingSetPages(tr *access.Trace) int64 {
 	return tr.FootprintPages()
 }
 
-// AccessCounts returns the exact per-page access-count histogram of a trace
-// — the ground truth that DAMON's region-based estimate approximates. The
-// DAMON-accuracy audit (internal/obs) joins this against a damon.Pattern to
-// score the profiler. The histogram is the trace's shared memo — treat it
-// as read-only.
-func AccessCounts(tr *access.Trace) *access.Histogram {
-	return tr.Counts()
-}
-
 // WorkingSetMincore returns the mincore-style working set: the touched
 // pages inflated by host readahead. mincore() reports what sits in the host
 // page cache, and the kernel's readahead both rounds faults to small
@@ -103,14 +94,4 @@ func subtract(w guest.Region, have []guest.Region) []guest.Region {
 		out = append(out, cur)
 	}
 	return out
-}
-
-// Coverage returns the fraction of `want` pages covered by `have`.
-func Coverage(want, have []guest.Region) float64 {
-	wantPages := guest.TotalPages(guest.NormalizeRegions(want))
-	if wantPages == 0 {
-		return 1
-	}
-	missing := guest.TotalPages(Missing(want, have))
-	return 1 - float64(missing)/float64(wantPages)
 }

@@ -41,7 +41,7 @@ func TestWorkingSetMincoreInflates(t *testing.T) {
 		t.Errorf("mincore WS = %v, want [%v]", ws, want)
 	}
 	// Inflation never shrinks the true working set.
-	if Coverage(WorkingSet(tr), ws) != 1 {
+	if len(Missing(WorkingSet(tr), ws)) != 0 {
 		t.Error("mincore WS does not cover true WS")
 	}
 }
@@ -94,13 +94,15 @@ func TestMissingNoCoverage(t *testing.T) {
 	}
 }
 
+// TestCoverage checks how much of a wanted set a working set leaves to
+// demand-fault: half of it here, and nothing of an empty one.
 func TestCoverage(t *testing.T) {
 	want := []guest.Region{{Start: 0, Pages: 10}}
-	if got := Coverage(want, []guest.Region{{Start: 0, Pages: 5}}); got != 0.5 {
-		t.Errorf("Coverage = %v, want 0.5", got)
+	if got := guest.TotalPages(Missing(want, []guest.Region{{Start: 0, Pages: 5}})); got != 5 {
+		t.Errorf("%d pages missing, want 5", got)
 	}
-	if got := Coverage(nil, nil); got != 1 {
-		t.Errorf("Coverage(nil,nil) = %v, want 1", got)
+	if got := Missing(nil, nil); len(got) != 0 {
+		t.Errorf("Missing(nil, nil) = %v, want none", got)
 	}
 }
 
@@ -121,7 +123,7 @@ func TestMissingPartitionProperty(t *testing.T) {
 
 		inSet := func(p guest.PageID, set []guest.Region) bool {
 			for _, r := range set {
-				if r.Contains(p) {
+				if p >= r.Start && p < r.End() {
 					return true
 				}
 			}
@@ -154,7 +156,7 @@ func TestMincoreSupersetProperty(t *testing.T) {
 		}
 		tr := traceTouching(regions...)
 		inflated := WorkingSetMincore(tr, int64(ra%16)+1, 128)
-		return Coverage(WorkingSet(tr), inflated) == 1
+		return len(Missing(WorkingSet(tr), inflated)) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -122,15 +122,6 @@ func (t *BurnTracker) BurnRate() float64 {
 	return float64(t.violations) / float64(t.total)
 }
 
-// Peak returns the worst windowed burn rate seen and the virtual time it
-// occurred at.
-func (t *BurnTracker) Peak() (rate float64, at simtime.Duration) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.peakRate, t.peakAt
-}
-
 // Summary renders the one-paragraph SLO report faasim prints.
 func (t *BurnTracker) Summary() string {
 	if t == nil || t.total == 0 {

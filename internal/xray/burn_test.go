@@ -32,7 +32,7 @@ func TestBurnTrackerWindowPeak(t *testing.T) {
 	bt.Record(20*simtime.Second, 200*simtime.Millisecond)
 	bt.Record(21*simtime.Second, 200*simtime.Millisecond)
 	bt.Record(22*simtime.Second, 200*simtime.Millisecond)
-	rate, at := bt.Peak()
+	rate, at := bt.peakRate, bt.peakAt
 	if rate != 1.0 {
 		t.Fatalf("peak windowed burn: want 1.0 (all live points violated), got %v", rate)
 	}

@@ -58,13 +58,3 @@ func (c *Collector) Snapshot() []*Budget {
 	c.mu.Unlock()
 	return out
 }
-
-// Len reports how many budgets are currently held.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.budgets)
-}

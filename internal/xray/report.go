@@ -34,19 +34,6 @@ type FunctionReport struct {
 	Marks    []MarkStat    `json:"marks,omitempty"`
 }
 
-// MeanNs returns a segment's mean attributed nanoseconds per record.
-func (fr *FunctionReport) MeanNs(segID string) float64 {
-	if fr.Records == 0 {
-		return 0
-	}
-	for _, s := range fr.Segments {
-		if s.ID == segID {
-			return float64(s.Total.Nanoseconds()) / float64(fr.Records)
-		}
-	}
-	return 0
-}
-
 // Report aggregates the budgets of one experiment (or replay).
 type Report struct {
 	// Experiment names the run the budgets came from.

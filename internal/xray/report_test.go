@@ -71,9 +71,6 @@ func TestAggregateContents(t *testing.T) {
 	if alpha.Marks[0].ID != MarkMajorFaults || alpha.Marks[0].N != 9 {
 		t.Fatalf("marks aggregate: %+v", alpha.Marks)
 	}
-	if got := alpha.MeanNs(SegExecCPU); got != float64((21*simtime.Millisecond).Nanoseconds())/2 {
-		t.Fatalf("MeanNs: %v", got)
-	}
 }
 
 func TestAggregateSkipsNil(t *testing.T) {

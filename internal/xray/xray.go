@@ -28,7 +28,6 @@
 package xray
 
 import (
-	"sort"
 	"strings"
 
 	"toss/internal/simtime"
@@ -231,48 +230,6 @@ func (b *Budget) Recorded() simtime.Duration {
 		return 0
 	}
 	return b.recorded
-}
-
-// Get returns the duration attributed to segment id (0 when absent).
-func (b *Budget) Get(id string) simtime.Duration {
-	if b == nil {
-		return 0
-	}
-	for _, seg := range b.Segments {
-		if seg.ID == id {
-			return seg.Dur
-		}
-	}
-	return 0
-}
-
-// MarkCount returns the count of mark id (0 when absent).
-func (b *Budget) MarkCount(id string) int64 {
-	if b == nil {
-		return 0
-	}
-	for _, m := range b.Marks {
-		if m.ID == id {
-			return m.N
-		}
-	}
-	return 0
-}
-
-// Sorted returns the budget's segments ordered by decreasing duration (ties
-// by id) — the "most expensive segment first" view -explain prints.
-func (b *Budget) Sorted() []Segment {
-	if b == nil {
-		return nil
-	}
-	out := append([]Segment(nil), b.Segments...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dur != out[j].Dur {
-			return out[i].Dur > out[j].Dur
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // SplitClusterLabel recognizes attribution labels minted by the cluster

@@ -12,11 +12,8 @@ func TestNilBudgetIsNoOp(t *testing.T) {
 	b.Mark(MarkMajorFaults, 3)
 	b.Seal(simtime.Second)
 	b.Extend(SegRetryBackoff, simtime.Millisecond)
-	if b.Sum() != 0 || b.Recorded() != 0 || b.Get(SegExecCPU) != 0 || b.MarkCount(MarkMajorFaults) != 0 {
+	if b.Sum() != 0 || b.Recorded() != 0 {
 		t.Fatal("nil budget accessors must return zero")
-	}
-	if b.Sorted() != nil {
-		t.Fatal("nil budget Sorted must return nil")
 	}
 }
 
@@ -32,7 +29,7 @@ func TestAddAccumulatesAndKeepsCausalOrder(t *testing.T) {
 	if b.Segments[0].ID != SegRestoreVMLoad || b.Segments[1].ID != SegExecCPU {
 		t.Fatalf("causal order lost: %v", b.Segments)
 	}
-	if got := b.Get(SegRestoreVMLoad); got != 5*simtime.Millisecond {
+	if got := b.Segments[0].Dur; got != 5*simtime.Millisecond {
 		t.Fatalf("accumulate: want 5ms, got %v", got)
 	}
 	if b.Sum() != 15*simtime.Millisecond {
@@ -62,39 +59,18 @@ func TestMarks(t *testing.T) {
 	b.Mark(MarkMajorFaults, 2)
 	b.Mark(MarkMajorFaults, 3)
 	b.Mark(MarkRetries, 0) // dropped
-	if got := b.MarkCount(MarkMajorFaults); got != 5 {
-		t.Fatalf("mark accumulate: want 5, got %d", got)
-	}
-	if len(b.Marks) != 1 {
-		t.Fatalf("want 1 mark, got %v", b.Marks)
+	if len(b.Marks) != 1 || b.Marks[0].ID != MarkMajorFaults || b.Marks[0].N != 5 {
+		t.Fatalf("mark accumulate: want one %s mark of 5, got %v", MarkMajorFaults, b.Marks)
 	}
 	if b.Sum() != 0 {
 		t.Fatal("marks must not enter the duration sum")
 	}
 }
 
-func TestSortedByDurationThenID(t *testing.T) {
-	b := New("fn")
-	b.Add("b", 5)
-	b.Add("a", 9)
-	b.Add("c", 5)
-	got := b.Sorted()
-	want := []string{"a", "b", "c"}
-	for i, s := range got {
-		if s.ID != want[i] {
-			t.Fatalf("order: got %v", got)
-		}
-	}
-	// Sorted must not disturb causal order.
-	if b.Segments[0].ID != "b" {
-		t.Fatal("Sorted mutated the budget")
-	}
-}
-
 func TestNilCollector(t *testing.T) {
 	var c *Collector
 	c.Observe(New("fn")) // must not panic
-	if c.Drain() != nil || c.Snapshot() != nil || c.Len() != 0 {
+	if c.Drain() != nil || c.Snapshot() != nil {
 		t.Fatal("nil collector accessors must return zero values")
 	}
 }
@@ -104,15 +80,15 @@ func TestCollectorDrainAndSnapshot(t *testing.T) {
 	c.Observe(nil) // dropped
 	c.Observe(New("a"))
 	c.Observe(New("b"))
-	if c.Len() != 2 {
-		t.Fatalf("len: want 2, got %d", c.Len())
+	if len(c.budgets) != 2 {
+		t.Fatalf("len: want 2, got %d", len(c.budgets))
 	}
 	snap := c.Snapshot()
-	if len(snap) != 2 || c.Len() != 2 {
+	if len(snap) != 2 || len(c.budgets) != 2 {
 		t.Fatal("Snapshot must be non-destructive")
 	}
 	got := c.Drain()
-	if len(got) != 2 || c.Len() != 0 {
+	if len(got) != 2 || len(c.budgets) != 0 {
 		t.Fatal("Drain must return and clear")
 	}
 	if c.Drain() != nil {

@@ -1,0 +1,250 @@
+// Command deadcheck fails when a function or method in the module cannot be
+// reached from any binary, so that code only tests call stays gone. The
+// roots are main, init, package-level initializers, and the methods through
+// which a type implements one of stdInterfaces whose package the module
+// imports. Reached code reaches what it names; a call through an interface
+// or a type parameter reaches every method of that name. Test files are not
+// read, and a nested module (perfbench/) reaches code but is not reported.
+// It prints each unreachable function as "file:line pkg.Name" (pkg.Type.Name
+// for a method) and exits 1. scripts/deadcheck/allow.txt lists exceptions,
+// one "pkg.Name  reason" per line; an entry that names none fails too.
+//
+//	go run ./scripts/deadcheck .
+package main
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+func main() {
+	if len(os.Args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: deadcheck <module-root>")
+		os.Exit(2)
+	}
+	dead, err := scan(os.Args[1])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcheck:", err)
+		os.Exit(2)
+	}
+	allow, _ := os.ReadFile(filepath.Join(os.Args[1], "scripts", "deadcheck", "allow.txt")) // no file allows nothing
+	os.Exit(report(os.Stdout, dead, string(allow)))
+}
+
+// finding is one unreachable function.
+type finding struct {
+	pos  token.Pos
+	name string // pkg.Name, or pkg.Type.Name for a method
+	at   string // file:line, the file relative to the module root
+}
+
+// stdInterfaces are the interfaces the standard library calls methods
+// through. errors.Is and As call Unwrap() error, which scan adds too.
+var stdInterfaces = []string{"error", "fmt.Stringer", "sort.Interface",
+	"container/heap.Interface", "flag.Value", "math/rand.Source", "encoding/json.Marshaler",
+	"encoding/json.Unmarshaler", "io.Writer", "net/http.Handler"}
+
+// pkg is one package of the module.
+type pkg struct {
+	files      []*ast.File
+	info       *types.Info
+	types      *types.Package
+	callerOnly bool // it lies in a nested module
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// scan type-checks every package under root, and the standard library from
+// source, and returns the functions no root reaches in file order.
+func scan(root string) ([]finding, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	mod := strings.Fields(string(gomod) + " module")[1] // go.mod opens with its module line
+	fset := token.NewFileSet()
+	pkgs := map[string]*pkg{}        // by import path
+	paths, nested := []string{}, "/" // nested is the nested module the walk is in; "/" is none
+	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		rel, _ := filepath.Rel(root, file)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && rel != "." && (d.Name() == "testdata" || strings.ContainsAny(d.Name()[:1], "._")):
+			return filepath.SkipDir
+		case d.IsDir():
+			if _, err := os.Stat(filepath.Join(file, "go.mod")); err == nil && rel != "." {
+				nested = rel + "/"
+			}
+		case strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, "_test.go"):
+			if ok, err := build.Default.MatchFile(filepath.Dir(file), d.Name()); err != nil || !ok {
+				return err
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				return err
+			}
+			ip := strings.TrimSuffix(mod+"/"+path.Dir(rel), "/.")
+			if pkgs[ip] == nil {
+				info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+				pkgs[ip], paths = &pkg{info: info, callerOnly: strings.HasPrefix(rel, nested)}, append(paths, ip)
+			}
+			pkgs[ip].files = append(pkgs[ip].files, f)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	stdUsed := map[string]*types.Package{"": types.NewPackage("", "")}
+	var imp importerFunc
+	imp = func(ip string) (tp *types.Package, err error) {
+		if p, ok := pkgs[ip]; !ok {
+			tp, err = std.Import(ip)
+			stdUsed[ip] = tp
+		} else if tp = p.types; tp == nil {
+			conf := types.Config{Importer: imp}
+			tp, err = conf.Check(ip, fset, p.files, p.info)
+			p.types = tp
+		}
+		return tp, err
+	}
+	for _, ip := range paths {
+		if _, err := imp(ip); err != nil {
+			return nil, err
+		}
+	}
+	var ifaces []*types.Interface
+	for _, s := range stdInterfaces {
+		if i := strings.LastIndex(s, "."); stdUsed[s[:max(i, 0)]] != nil {
+			_, obj := stdUsed[s[:max(i, 0)]].Scope().LookupParent(s[i+1:], token.NoPos)
+			ifaces = append(ifaces, obj.Type().Underlying().(*types.Interface))
+		}
+	}
+	if stdUsed["errors"] != nil {
+		f, _ := parser.ParseFile(fset, "", "package p; type u interface{ Unwrap() error }", 0)
+		tp, _ := new(types.Config).Check("p", fset, []*ast.File{f}, nil)
+		ifaces = append(ifaces, tp.Scope().Lookup("u").Type().Underlying().(*types.Interface))
+	}
+	return reach(root, fset, paths, pkgs, ifaces), nil
+}
+
+// reach walks from the roots and returns, in file order, every function
+// declared outside a nested module that the walk never entered.
+func reach(root string, fset *token.FileSet, paths []string, pkgs map[string]*pkg, ifaces []*types.Interface) (dead []finding) {
+	type work struct {
+		node ast.Node
+		p    *pkg
+	}
+	decls, reached := map[*types.Func]work{}, map[*types.Func]bool{}
+	byName, dynamic := map[string][]*types.Func{}, map[string]bool{}
+	var queue []work
+	mark := func(fn *types.Func) {
+		if w, ok := decls[fn.Origin()]; ok && !reached[fn.Origin()] {
+			reached[fn.Origin()] = true
+			queue = append(queue, w)
+		}
+	}
+	for _, ip := range paths {
+		for _, f := range pkgs[ip].files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					queue = append(queue, work{d, pkgs[ip]}) // initializers; types and consts call nothing
+					continue
+				}
+				fn := pkgs[ip].info.Defs[fd.Name].(*types.Func)
+				decls[fn] = work{fd, pkgs[ip]}
+				if fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && f.Name.Name == "main") {
+					mark(fn)
+				} else if fd.Recv != nil {
+					byName[fn.Name()] = append(byName[fn.Name()], fn)
+					t := fn.Type().(*types.Signature).Recv().Type()
+					for _, iface := range ifaces {
+						if m, _, _ := types.LookupFieldOrMethod(iface, false, nil, fn.Name()); m != nil &&
+							(types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+							mark(fn)
+						}
+					}
+				}
+			}
+		}
+	}
+	for len(queue) > 0 {
+		w := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		ast.Inspect(w.node, func(n ast.Node) bool {
+			id, _ := n.(*ast.Ident)
+			fn, ok := w.p.info.Uses[id].(*types.Func)
+			if !ok {
+				return true
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !types.IsInterface(recv.Type()) {
+				mark(fn)
+			} else if !dynamic[fn.Name()] {
+				dynamic[fn.Name()] = true
+				for _, m := range byName[fn.Name()] {
+					mark(m)
+				}
+			}
+			return true
+		})
+	}
+	for fn, w := range decls {
+		if !reached[fn] && !w.p.callerOnly && fn.Name() != "_" {
+			name := path.Base(w.p.types.Path())
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				t, _, _ := strings.Cut(recv.Type().String(), "[") // *toss/internal/pkg.Type[T]
+				name = path.Base(t)
+			}
+			pos := fset.Position(w.node.Pos())
+			rel, _ := filepath.Rel(root, pos.Filename)
+			dead = append(dead, finding{w.node.Pos(), name + "." + fn.Name(), fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)})
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
+	return dead
+}
+
+// report prints each allowlist entry that gives no reason or names no
+// finding, then each finding the allowlist does not name, and returns the
+// exit code.
+func report(w io.Writer, dead []finding, allow string) (code int) {
+	named, allowed := map[string]bool{}, map[string]bool{}
+	for _, d := range dead {
+		named[d.name] = true
+	}
+	for n, line := range strings.Split(allow, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0][0] != '#' {
+			allowed[f[0]] = true
+			if len(f) == 1 || !named[f[0]] {
+				fmt.Fprintf(w, "allow.txt:%d: %s must name an unreachable function and give a reason\n", n+1, f[0])
+				code = 1
+			}
+		}
+	}
+	for _, d := range dead {
+		if !allowed[d.name] {
+			fmt.Fprintf(w, "%s %s\n", d.at, d.name)
+			code = 1
+		}
+	}
+	return code
+}

@@ -1,0 +1,13 @@
+// Command app is the fixture module's one binary.
+package main
+
+import (
+	"fmt"
+
+	"fixture/lib"
+)
+
+func main() {
+	var s lib.Shape = lib.Square{Side: 2}
+	fmt.Println(s.Area(), lib.Name("sq"))
+}

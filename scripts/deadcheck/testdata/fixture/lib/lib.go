@@ -1,0 +1,24 @@
+// Package lib holds one function no binary reaches, beside methods that
+// are reached only through an interface.
+package lib
+
+// Shape is called through by the binary.
+type Shape interface{ Area() float64 }
+
+// Square is a Shape.
+type Square struct{ Side float64 }
+
+// Area is reached only through Shape.
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+// Name is printed by the binary.
+type Name string
+
+// String is reached only through fmt.Stringer, inside fmt.
+func (n Name) String() string { return "name " + string(n) }
+
+// Unused is called by nothing.
+func Unused() int { return 1 }
+
+// BenchOnly is called only from the nested module.
+func BenchOnly() int { return 2 }
