@@ -63,9 +63,6 @@ type Controller struct {
 	accelFactor float64
 	// reprofiles counts completed re-profiling cycles.
 	reprofiles int
-	// regen accumulates incremental-regeneration statistics across
-	// snapshot generations (§V-E).
-	regen RegenStats
 	// invocations counts every invocation ever served.
 	invocations int64
 
@@ -234,16 +231,6 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 	}
 }
 
-// RegenStats tracks how much work snapshot re-generation avoided by
-// rewriting only the pages whose tier changed.
-type RegenStats struct {
-	// Generations counts tiered snapshots built (1 after first converge).
-	Generations int
-	// PagesReused / PagesRewritten accumulate across re-generations.
-	PagesReused    int64
-	PagesRewritten int64
-}
-
 // converge runs Step III and Step IV and switches to tiered serving. When a
 // span is given, analysis and the tier split are marked at virtual time `at`
 // (the converging invocation's end) as instantaneous control-plane events.
@@ -253,7 +240,6 @@ func (c *Controller) converge(span *telemetry.Span, at simtime.Duration) error {
 		return err
 	}
 	c.analysis = a
-	old := c.tiered
 	c.tiered = BuildSnapshot(c.pd, a)
 	if span != nil {
 		span.Child(telemetry.KindControllerPhase, "analyze", at,
@@ -264,12 +250,6 @@ func (c *Controller) converge(span *telemetry.Span, at simtime.Duration) error {
 		span.Child(telemetry.KindSnapshotCreate, "tier-split", at,
 			telemetry.I64("layout_entries", int64(len(c.tiered.Entries))),
 			telemetry.I64("slow_pages", a.Curve[a.ChosenK].SlowPages)).EndAt(at)
-	}
-	c.regen.Generations++
-	if old != nil {
-		diff := snapshot.DiffTiered(old, c.tiered)
-		c.regen.PagesReused += diff.ReusedPages
-		c.regen.PagesRewritten += diff.RewrittenPages()
 	}
 	c.phase = PhaseTiered
 	c.iterations = 0
@@ -397,7 +377,6 @@ func (c *Controller) recoverCorrupt(lv workload.Level, seed int64, concurrency i
 	c.pd.Single = single
 	if c.analysis != nil {
 		c.tiered = BuildSnapshot(c.pd, c.analysis)
-		c.regen.Generations++
 	}
 	phaseSpan.EndAt(res.Total())
 	return Result{Result: res, Phase: c.phase}, nil

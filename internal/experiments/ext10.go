@@ -6,9 +6,7 @@ import (
 	"toss/internal/cluster"
 	"toss/internal/insight"
 	"toss/internal/par"
-	"toss/internal/sched"
 	"toss/internal/simtime"
-	"toss/internal/stats"
 	"toss/internal/workload"
 )
 
@@ -24,22 +22,6 @@ const (
 	ext10IAT     = 120 * simtime.Millisecond
 	ext10Nodes   = 4
 )
-
-// ext10InflationP99 is ext9's steady-state inflation metric with the warmup
-// window scaled to the horizon (the first simulated hour at full scale):
-// the p99 of latency over a same-level warm hit, past the initial fill.
-func ext10InflationP99(rep *cluster.Report, profiles map[string]cluster.FnProfile, warmup simtime.Duration) simtime.Duration {
-	recs := &rep.Records
-	infl := make([]simtime.Duration, 0, recs.Len())
-	for i := 0; i < recs.Len(); i++ {
-		if recs.Arrival(i) < warmup {
-			continue
-		}
-		warm := profiles[recs.Function(i)].WarmExec[recs.Level(i)]
-		infl = append(infl, recs.Latency(i)-warm)
-	}
-	return stats.NearestRankInPlace(infl, 99)
-}
 
 // ExtMillionDay replays one simulated day — diurnal baseline, flash-crowd
 // episodes — through a fixed affinity-routed fleet, for a tiered (TOSS)
@@ -66,31 +48,12 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 		Header: []string{"fleet", "invocations", "inv/s", "p99 infl (ms)", "cold %", "pulls", "pull time (s)"},
 	}
 
-	// Measure function costs once per mechanism, exactly as ext9 does, and
-	// reuse its host/disk sizing so the two experiments describe the same
-	// hardware trade at different time scales.
-	scfg := sched.DefaultConfig()
-	scfg.Core = s.Core
-	scfg.Mechanism = sched.MechTOSS
-	tossProfiles, err := cluster.Profile(scfg, ext9Funcs)
+	// Measure and size the fleet exactly as ext9 does, so the two
+	// experiments describe the same hardware trade at different time scales.
+	hw, err := s.ext9Sizing()
 	if err != nil {
 		return nil, err
 	}
-	scfg.Mechanism = sched.MechDRAM
-	dramProfiles, err := cluster.Profile(scfg, ext9Funcs)
-	if err != nil {
-		return nil, err
-	}
-	slowPerFast := s.Core.Cost.CostSlow / s.Core.Cost.CostFast
-	tossHost, dramHost := ext9Hosts(tossProfiles, dramProfiles, slowPerFast)
-	var snapSum, snapMax int64
-	for _, fn := range ext9Funcs {
-		snapSum += tossProfiles[fn].SnapshotBytes
-		if b := tossProfiles[fn].SnapshotBytes; b > snapMax {
-			snapMax = b
-		}
-	}
-	disk := max64(snapSum*7/10, snapMax)
 
 	type row struct {
 		invocations int
@@ -103,14 +66,14 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 	}
 	mechs := []string{"toss", "dram"}
 	results, err := par.Map(s.Pool(), mechs, func(_ int, mech string) (row, error) {
-		profiles, host := tossProfiles, tossHost
+		profiles, host := hw.toss, hw.tossHost
 		if mech == "dram" {
-			profiles, host = dramProfiles, dramHost
+			profiles, host = hw.dram, hw.dramHost
 		}
 		cfg := cluster.Config{
 			Hosts:           host.Hosts(ext10Nodes),
 			Cores:           16,
-			DiskBytes:       disk,
+			DiskBytes:       hw.disk,
 			PullBytesPerSec: 2 << 30,
 			ResumeCost:      500 * simtime.Microsecond,
 			Router:          cluster.RouteAffinity,
@@ -140,7 +103,7 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		p99Ms := float64(ext10InflationP99(rep, profiles, warmup)) / float64(simtime.Millisecond)
+		p99Ms := float64(ext9InflationP99(rep, profiles, warmup)) / float64(simtime.Millisecond)
 		coldPct := rep.ColdFraction() * 100
 		return row{
 			invocations: rep.Records.Len(),

@@ -48,12 +48,12 @@ const (
 )
 
 // ext9InflationP99 returns the p99 of per-invocation latency inflation over
-// a warm hit, across the steady-state window (arrivals past ext9Warmup).
-func ext9InflationP99(rep *cluster.Report, profiles map[string]cluster.FnProfile) simtime.Duration {
+// a warm hit, across the steady-state window (arrivals past warmup).
+func ext9InflationP99(rep *cluster.Report, profiles map[string]cluster.FnProfile, warmup simtime.Duration) simtime.Duration {
 	recs := &rep.Records
 	infl := make([]simtime.Duration, 0, recs.Len())
 	for i := 0; i < recs.Len(); i++ {
-		if recs.Arrival(i) < ext9Warmup {
+		if recs.Arrival(i) < warmup {
 			continue
 		}
 		warm := profiles[recs.Function(i)].WarmExec[recs.Level(i)]
@@ -62,45 +62,60 @@ func ext9InflationP99(rep *cluster.Report, profiles map[string]cluster.FnProfile
 	return stats.NearestRankInPlace(infl, 99)
 }
 
-// ext9Hosts sizes one node's tier capacities from the measured warm
-// footprints: each node holds roughly three quarters of the function set
-// warm (so the fleet as a whole can, but any single node cannot), and the
-// equal-cost DRAM-only host converts the tiered host's slow-tier budget to
-// DRAM at the suite's price ratio — the paper's §I trade expressed as a
-// fleet purchase.
-func ext9Hosts(toss, dram map[string]cluster.FnProfile, slowPerFast float64) (tossHost, dramHost fleet.HostSpec) {
-	var fastSum, slowSum, fastMax, slowMax, dramMax int64
-	for _, fn := range ext9Funcs {
-		p := toss[fn]
-		f := p.FastPages * guest.PageSize
-		s := p.SlowPages * guest.PageSize
-		fastSum += f
-		slowSum += s
-		if f > fastMax {
-			fastMax = f
-		}
-		if s > slowMax {
-			slowMax = s
-		}
-		if d := dram[fn].FastPages * guest.PageSize; d > dramMax {
-			dramMax = d
-		}
-	}
-	tossHost = fleet.HostSpec{
-		FastBytes: max64(fastSum*3/4, fastMax),
-		SlowBytes: max64(slowSum*3/4, slowMax),
-	}
-	dramHost = fleet.HostSpec{
-		FastBytes: max64(tossHost.FastBytes+int64(slowPerFast*float64(tossHost.SlowBytes)), dramMax),
-	}
-	return tossHost, dramHost
+// ext9Fleet is the hardware ext9 and ext10 compare: each function's
+// measured TOSS and DRAM cost profile, the equal-cost host pair sized from
+// them, and the snapshot store.
+type ext9Fleet struct {
+	toss, dram         map[string]cluster.FnProfile
+	tossHost, dramHost fleet.HostSpec
+	disk               int64
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// ext9Sizing measures ext9Funcs once per mechanism through the single-host
+// machinery (cluster.Profile) and sizes the fleet from the profiles. Each
+// node holds roughly three quarters of the function set warm (so the fleet
+// as a whole can, but any single node cannot), and the equal-cost DRAM-only
+// host converts the tiered host's slow-tier budget to DRAM at the suite's
+// price ratio — the paper's §I trade expressed as a fleet purchase. The
+// snapshot store holds ~70% of the set: a node's affinity share (its
+// rendezvous-primary functions) fits, the full rotation a scattering router
+// forces through every node does not — so rr re-pulls in steady state while
+// affinity stops after the initial fill.
+func (s *Suite) ext9Sizing() (ext9Fleet, error) {
+	scfg := sched.DefaultConfig()
+	scfg.Core = s.Core
+	scfg.Mechanism = sched.MechTOSS
+	toss, err := cluster.Profile(scfg, ext9Funcs)
+	if err != nil {
+		return ext9Fleet{}, err
 	}
-	return b
+	scfg.Mechanism = sched.MechDRAM
+	dram, err := cluster.Profile(scfg, ext9Funcs)
+	if err != nil {
+		return ext9Fleet{}, err
+	}
+	var fastSum, slowSum, fastMax, slowMax, dramMax, snapSum, snapMax int64
+	for _, fn := range ext9Funcs {
+		p := toss[fn]
+		fast, slow := p.FastPages*guest.PageSize, p.SlowPages*guest.PageSize
+		fastSum += fast
+		slowSum += slow
+		fastMax = max(fastMax, fast)
+		slowMax = max(slowMax, slow)
+		dramMax = max(dramMax, dram[fn].FastPages*guest.PageSize)
+		snapSum += p.SnapshotBytes
+		snapMax = max(snapMax, p.SnapshotBytes)
+	}
+	tossHost := fleet.HostSpec{
+		FastBytes: max(fastSum*3/4, fastMax),
+		SlowBytes: max(slowSum*3/4, slowMax),
+	}
+	slowPerFast := s.Core.Cost.CostSlow / s.Core.Cost.CostFast
+	dramHost := fleet.HostSpec{
+		FastBytes: max(tossHost.FastBytes+int64(slowPerFast*float64(tossHost.SlowBytes)), dramMax),
+	}
+	return ext9Fleet{toss: toss, dram: dram, tossHost: tossHost, dramHost: dramHost,
+		disk: max(snapSum*7/10, snapMax)}, nil
 }
 
 // recordFleet files one cell's decision log in the suite's fleet sink. A
@@ -146,7 +161,7 @@ func ext9Sustained(cfg cluster.Config, profiles map[string]cluster.FnProfile, pr
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		if ext9InflationP99(rep, profiles) > ext9SLO {
+		if ext9InflationP99(rep, profiles, ext9Warmup) > ext9SLO {
 			break // offered load only grows up the ladder
 		}
 		bestRate, best, bestObs = rate, rep, cfg.FleetObs
@@ -171,33 +186,10 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 	}
 
 	// Measure once per mechanism; the sweep below only does arithmetic.
-	scfg := sched.DefaultConfig()
-	scfg.Core = s.Core
-	scfg.Mechanism = sched.MechTOSS
-	tossProfiles, err := cluster.Profile(scfg, ext9Funcs)
+	hw, err := s.ext9Sizing()
 	if err != nil {
 		return nil, err
 	}
-	scfg.Mechanism = sched.MechDRAM
-	dramProfiles, err := cluster.Profile(scfg, ext9Funcs)
-	if err != nil {
-		return nil, err
-	}
-	slowPerFast := s.Core.Cost.CostSlow / s.Core.Cost.CostFast
-	tossHost, dramHost := ext9Hosts(tossProfiles, dramProfiles, slowPerFast)
-
-	// The snapshot store holds ~70% of the set: a node's affinity share (its
-	// rendezvous-primary functions) fits, the full rotation a scattering
-	// router forces through every node does not — so rr re-pulls in steady
-	// state while affinity stops after the initial fill.
-	var snapSum, snapMax int64
-	for _, fn := range ext9Funcs {
-		snapSum += tossProfiles[fn].SnapshotBytes
-		if b := tossProfiles[fn].SnapshotBytes; b > snapMax {
-			snapMax = b
-		}
-	}
-	disk := max64(snapSum*7/10, snapMax)
 
 	type cell struct {
 		nodes  int
@@ -214,7 +206,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 		return cluster.Config{
 			Hosts:           hosts,
 			Cores:           16,
-			DiskBytes:       disk,
+			DiskBytes:       hw.disk,
 			PullBytesPerSec: 2 << 30,
 			ResumeCost:      500 * simtime.Microsecond,
 			Router:          c.router,
@@ -243,12 +235,12 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 	results, err := par.Map(s.Pool(), cells, func(_ int, c cell) (result, error) {
 		seed := s.BaseSeed*1000 + int64(c.proc) + 1
 		tossRate, tossRep, tossObs, err := ext9Sustained(
-			baseConfig(tossHost.Hosts(c.nodes), c, "toss"), tossProfiles, c.proc, seed, trace)
+			baseConfig(hw.tossHost.Hosts(c.nodes), c, "toss"), hw.toss, c.proc, seed, trace)
 		if err != nil {
 			return result{}, err
 		}
 		dramRate, dramRep, dramObs, err := ext9Sustained(
-			baseConfig(dramHost.Hosts(c.nodes), c, "dram"), dramProfiles, c.proc, seed, trace)
+			baseConfig(hw.dramHost.Hosts(c.nodes), c, "dram"), hw.dram, c.proc, seed, trace)
 		if err != nil {
 			return result{}, err
 		}
@@ -257,7 +249,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 		s.recordFleet(cellName+"/dram", dramObs)
 		res := result{tossRate: tossRate, dramRate: dramRate}
 		if tossRep != nil {
-			res.tossP99 = float64(ext9InflationP99(tossRep, tossProfiles)) / float64(simtime.Millisecond)
+			res.tossP99 = float64(ext9InflationP99(tossRep, hw.toss, ext9Warmup)) / float64(simtime.Millisecond)
 			res.tossCold = tossRep.ColdFraction() * 100
 			res.perNode = tossRep.Router.PerNode
 		}

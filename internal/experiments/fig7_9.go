@@ -17,22 +17,11 @@ import (
 // single-tier invocation — both TOSS and REAP pay extra relative to it
 // (demand faults, prefetch time, slow-tier latency).
 func (s *Suite) dramInvocation(spec *workload.Spec, execLv workload.Level, seed int64, conc int) (setup, exec simtime.Duration, err error) {
-	layout, err := spec.Layout()
+	exec, err = s.execResident(spec, execLv, seed, nil, conc)
 	if err != nil {
 		return 0, 0, err
 	}
-	tr, err := spec.Trace(execLv, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	vm := microvm.NewResident(s.Core.VM, layout, nil, conc)
-	vm.SetLabel(spec.Name)
-	vm.SetRecordTruth(false)
-	res, err := vm.Run(tr)
-	if err != nil {
-		return 0, 0, err
-	}
-	return s.Core.VM.VMLoadBase + s.Core.VM.MmapCost, res.Exec, nil
+	return s.Core.VM.VMLoadBase + s.Core.VM.MmapCost, exec, nil
 }
 
 // Fig7SetupTime reproduces Fig. 7: setup time of REAP (min/avg/max over

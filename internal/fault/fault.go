@@ -294,8 +294,6 @@ var (
 	// ErrTierUnavailable is a slow-tier outage at restore — transient,
 	// worth retrying.
 	ErrTierUnavailable = errors.New("fault: slow tier unavailable")
-	// ErrPrefetchFailed is a dead REAP prefetch thread.
-	ErrPrefetchFailed = errors.New("fault: working-set prefetch failed")
 	// ErrProfileStale marks a DAMON-derived placement as stale.
 	ErrProfileStale = errors.New("fault: access profile stale")
 )

@@ -1,13 +1,10 @@
 package platform
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"toss/internal/core"
 	"toss/internal/fault"
-	"toss/internal/snapshot"
 	"toss/internal/workload"
 )
 
@@ -71,21 +68,23 @@ func TestTOSSRetryRecoversTransientOutage(t *testing.T) {
 	if rec.Degraded != "" {
 		t.Errorf("Degraded = %q, want primary-path success", rec.Degraded)
 	}
-	if backoff := p.policy.Backoff(0) + p.policy.Backoff(1); rec.Setup < backoff {
-		t.Errorf("Setup %v does not include the %v retry backoff", rec.Setup, backoff)
+	if wait := backoff(0) + backoff(1); rec.Setup < wait {
+		t.Errorf("Setup %v does not include the %v retry backoff", rec.Setup, wait)
 	}
 }
 
 func TestBackoffCapped(t *testing.T) {
-	fp := DefaultFaultPolicy()
-	if got := fp.Backoff(0); got != fp.BackoffBase {
-		t.Errorf("Backoff(0) = %v, want %v", got, fp.BackoffBase)
+	if got := backoff(0); got != backoffBase {
+		t.Errorf("backoff(0) = %v, want %v", got, backoffBase)
 	}
-	if got := fp.Backoff(10); got != fp.BackoffCap {
-		t.Errorf("Backoff(10) = %v, want cap %v", got, fp.BackoffCap)
+	if got := backoff(1); got != 2*backoffBase {
+		t.Errorf("backoff(1) = %v, want %v", got, 2*backoffBase)
 	}
-	if got := fp.Backoff(1000); got != fp.BackoffCap {
-		t.Errorf("Backoff(1000) = %v, want cap %v (shift must clamp)", got, fp.BackoffCap)
+	if got := backoff(10); got != backoffCap {
+		t.Errorf("backoff(10) = %v, want cap %v", got, backoffCap)
+	}
+	if got := backoff(1000); got != backoffCap {
+		t.Errorf("backoff(1000) = %v, want cap %v (shift must clamp)", got, backoffCap)
 	}
 }
 
@@ -106,8 +105,8 @@ func TestTOSSDegradesToLazyOnPersistentOutage(t *testing.T) {
 	if rec.FaultSite != string(fault.SiteSlowOutage) {
 		t.Errorf("FaultSite = %q, want %q", rec.FaultSite, fault.SiteSlowOutage)
 	}
-	if rec.Retries != DefaultFaultPolicy().MaxRetries {
-		t.Errorf("Retries = %d, want the full budget %d", rec.Retries, DefaultFaultPolicy().MaxRetries)
+	if rec.Retries != maxRetries {
+		t.Errorf("Retries = %d, want the full budget %d", rec.Retries, maxRetries)
 	}
 	// The lazy fallback serves without touching the tiers; the phase is
 	// untouched.
@@ -162,50 +161,6 @@ func TestTOSSStaleProfileReprofiles(t *testing.T) {
 		t.Errorf("phase = %v after stale profile, want profiling", st.Phase)
 	}
 	warmToTiered(t, p, "json_load_dump")
-}
-
-func TestDegradeOffSurfacesTypedErrors(t *testing.T) {
-	cases := []struct {
-		site     fault.Site
-		sentinel error
-	}{
-		{fault.SiteSlowOutage, fault.ErrTierUnavailable},
-		{fault.SiteRestoreCorrupt, snapshot.ErrCorrupt},
-		{fault.SiteProfileStale, fault.ErrProfileStale},
-	}
-	for _, tc := range cases {
-		t.Run(string(tc.site), func(t *testing.T) {
-			p := faultPlatform(t, fault.Plan{Seed: 1, Sites: map[fault.Site]fault.Spec{
-				tc.site: {Rate: 1},
-			}})
-			fp := DefaultFaultPolicy()
-			fp.Degrade = false
-			p.policy = fp
-			mustRegister(t, p, "json_load_dump", ModeTOSS)
-			warmToTiered(t, p, "json_load_dump")
-
-			rec := p.Invoke("json_load_dump", workload.IV, 7)
-			if rec.Err == nil {
-				t.Fatal("expected the fault to surface with Degrade off")
-			}
-			if !errors.Is(rec.Err, tc.sentinel) {
-				t.Errorf("errors.Is(%v, %v) = false", rec.Err, tc.sentinel)
-			}
-			var se *fault.SiteError
-			if !errors.As(rec.Err, &se) {
-				t.Fatalf("errors.As(%v, *fault.SiteError) = false", rec.Err)
-			}
-			if se.Site != tc.site || se.Function != "json_load_dump" {
-				t.Errorf("SiteError = {%s %s}, want {%s json_load_dump}", se.Site, se.Function, tc.site)
-			}
-			if rec.FaultSite != string(tc.site) {
-				t.Errorf("FaultSite = %q, want %q", rec.FaultSite, tc.site)
-			}
-			if !strings.Contains(rec.Err.Error(), "platform: unrecovered fault") {
-				t.Errorf("error %v lacks the platform context prefix", rec.Err)
-			}
-		})
-	}
 }
 
 func TestREAPPrefetchFailureFallsBackToLazy(t *testing.T) {

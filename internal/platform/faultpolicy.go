@@ -12,98 +12,72 @@ import (
 	"toss/internal/workload"
 )
 
-// FaultPolicy governs how the platform reacts to injected (or real)
-// restore-path failures: how often to retry retryable errors, how long to
-// back off between attempts (virtual time, so byte-deterministic), and
-// whether to degrade gracefully instead of surfacing the error.
-type FaultPolicy struct {
-	// MaxRetries bounds retries of retryable errors (fault.Retryable)
-	// after the initial attempt.
-	MaxRetries int
-	// BackoffBase is the wait before the first retry; attempt n waits
-	// Base<<n, capped at BackoffCap.
-	BackoffBase simtime.Duration
-	// BackoffCap caps the exponential backoff.
-	BackoffCap simtime.Duration
-	// Degrade enables graceful degradation once retries are exhausted.
-	// When false the typed error surfaces in Record.Err instead.
-	Degrade bool
+// The fault policy (FAULTS.md): a retryable restore failure is retried up
+// to maxRetries times after the first attempt, with capped exponential
+// backoff in virtual time (so byte-deterministic), and a fault-site error
+// that outlives the retries is served through its mode's degradation
+// policy.
+const (
+	maxRetries = 2
+	// backoffBase is the wait before the first retry; attempt n waits
+	// backoffBase<<n, capped at backoffCap.
+	backoffBase = simtime.Millisecond
+	backoffCap  = 8 * simtime.Millisecond
+)
+
+// backoff returns the virtual-time wait before retry attempt (0-based).
+func backoff(attempt int) simtime.Duration {
+	return min(backoffBase<<min(attempt, 30), backoffCap)
 }
 
-// DefaultFaultPolicy returns the policy the platform starts with: two
-// retries at 1 ms/2 ms, degradation on.
-func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{
-		MaxRetries:  2,
-		BackoffBase: simtime.Millisecond,
-		BackoffCap:  8 * simtime.Millisecond,
-		Degrade:     true,
-	}
-}
-
-// Backoff returns the virtual-time wait before retry `attempt` (0-based).
-func (fp FaultPolicy) Backoff(attempt int) simtime.Duration {
-	if fp.BackoffBase <= 0 {
-		return 0
-	}
-	if attempt > 30 {
-		attempt = 30
-	}
-	d := fp.BackoffBase << attempt
-	if fp.BackoffCap > 0 && d > fp.BackoffCap {
-		d = fp.BackoffCap
-	}
-	return d
-}
-
-// retry runs invoke, retrying retryable errors up to the policy's budget
-// with capped exponential backoff. The backoff is charged to the record's
-// setup time — the invocation really did take that much longer to start.
-func (p *Platform) retry(rec *Record, invoke func() (microvm.Result, error)) (microvm.Result, error) {
+// retry runs invoke, retrying retryable errors up to maxRetries times with
+// capped exponential backoff. The backoff is charged to the record's setup
+// time — the invocation really did take that much longer to start.
+func retry(rec *Record, invoke func() (microvm.Result, error)) (microvm.Result, error) {
 	res, err := invoke()
-	for attempt := 0; err != nil && fault.Retryable(err) && attempt < p.policy.MaxRetries; attempt++ {
+	for attempt := 0; err != nil && fault.Retryable(err) && attempt < maxRetries; attempt++ {
 		rec.Retries++
-		rec.Setup += p.policy.Backoff(attempt)
+		rec.Setup += backoff(attempt)
 		res, err = invoke()
 	}
 	return res, err
 }
 
-// degradeSlow maps a slow-only restore failure to its fallback: outage →
-// lazy restore from the single snapshot, corruption → rebuild the all-slow
-// snapshot from a fresh boot.
-func (p *Platform) degradeSlow(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
+// degrade serves an invocation whose primary path failed with the
+// fault-site error cause through fs's mode's degradation policy, and names
+// the policy ("" with cause returned when the mode has none for it). TOSS
+// delegates to core.Controller.Degrade. Slow-only falls back from an outage
+// to a lazy restore of its single snapshot, and both all-DRAM and
+// slow-only re-capture a corrupt snapshot from a cold boot.
+func (p *Platform) degrade(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, string, error) {
+	corrupt := errors.Is(cause, snapshot.ErrCorrupt)
 	switch {
-	case errors.Is(cause, fault.ErrTierUnavailable):
-		rec.Degraded = core.DegradeLazy
+	case fs.mode == ModeTOSS:
+		res, policy, err := fs.toss.Degrade(cause, lv, seed, conc, span)
+		rec.Phase = res.Phase
+		return res.Result, policy, err
+	case fs.mode == ModeDRAM && corrupt:
+		fs.dramSnap = nil
+		res, err := p.invokeDRAM(fs, lv, seed, conc, span)
+		return res, core.DegradeResnapshot, err
+	case fs.mode == ModeSlow && corrupt:
+		fs.slowSnap = nil
+		res, err := p.invokeSlow(fs, lv, seed, conc, span)
+		return res, core.DegradeResnapshot, err
+	case fs.mode == ModeSlow && errors.Is(cause, fault.ErrTierUnavailable):
 		layout, err := fs.spec.Layout()
 		if err != nil {
-			return microvm.Result{}, err
+			return microvm.Result{}, core.DegradeLazy, err
 		}
 		tr, err := fs.spec.Trace(lv, seed)
 		if err != nil {
-			return microvm.Result{}, err
+			return microvm.Result{}, core.DegradeLazy, err
 		}
 		vm := microvm.RestoreLazy(p.cfg.VM, layout, fs.slowSingle, conc)
 		vm.SetLabel(fs.spec.Name)
 		vm.SetRecordTruth(false)
-		return vm.RunTraced(tr, span)
-	case errors.Is(cause, snapshot.ErrCorrupt):
-		rec.Degraded = core.DegradeResnapshot
-		fs.slowSnap = nil
-		return p.invokeSlow(fs, lv, seed, conc, span)
+		res, err := vm.RunTraced(tr, span)
+		return res, core.DegradeLazy, err
 	}
-	return microvm.Result{}, cause
-}
-
-// degradeDRAM handles the one failure the all-DRAM baseline can hit — a
-// corrupt lazy-restore snapshot — by dropping it and re-capturing from a
-// cold boot.
-func (p *Platform) degradeDRAM(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
-	if errors.Is(cause, snapshot.ErrCorrupt) {
-		rec.Degraded = core.DegradeResnapshot
-		fs.dramSnap = nil
-		return p.invokeDRAM(fs, lv, seed, conc, span)
-	}
-	return microvm.Result{}, cause
+	return microvm.Result{}, "", cause
 }

@@ -17,6 +17,7 @@ import (
 	"toss/internal/core"
 	"toss/internal/damon"
 	"toss/internal/fault"
+	"toss/internal/guest"
 	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/obs"
@@ -78,10 +79,6 @@ type Platform struct {
 	// controller phase/placement transitions, and DAMON-accuracy audits, and
 	// has its virtual clock advanced by each invocation's duration.
 	recorder *obs.Recorder
-
-	// policy governs retry and graceful degradation when restore-path
-	// faults (cfg.VM.Faults) fire. See FAULTS.md.
-	policy FaultPolicy
 }
 
 // SetTracer attaches a tracer; each invocation becomes one root span with
@@ -107,9 +104,9 @@ type functionState struct {
 	spec *workload.Spec
 	mode Mode
 
-	toss    *core.Controller
-	reap    *reap.Manager
-	faasnap *reap.FaaSnapManager
+	toss *core.Controller
+	// reap serves ModeREAP, and ModeFaaSnap with a mincore tracker.
+	reap *reap.Manager
 	// dramSnap backs ModeDRAM after its first invocation.
 	dramSnap *snapshot.Single
 	// slowSnap/slowSingle back ModeSlow after its first invocation: the
@@ -152,7 +149,7 @@ func New(cfg core.Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Platform{cfg: cfg, fns: make(map[string]*functionState), policy: DefaultFaultPolicy()}, nil
+	return &Platform{cfg: cfg, fns: make(map[string]*functionState)}, nil
 }
 
 // Register adds a function under the given serving mode.
@@ -187,18 +184,16 @@ func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
 			})
 		}
 		fs.toss = c
-	case ModeREAP:
-		m, err := reap.NewManager(p.cfg.VM, spec)
+	case ModeREAP, ModeFaaSnap:
+		newManager := reap.NewManager
+		if mode == ModeFaaSnap {
+			newManager = reap.NewFaaSnapManager
+		}
+		m, err := newManager(p.cfg.VM, spec)
 		if err != nil {
 			return err
 		}
 		fs.reap = m
-	case ModeFaaSnap:
-		m, err := reap.NewFaaSnapManager(p.cfg.VM, spec)
-		if err != nil {
-			return err
-		}
-		fs.faasnap = m
 	case ModeDRAM, ModeSlow:
 		// Lazily capture their snapshots on first invocation.
 	default:
@@ -227,10 +222,10 @@ type Record struct {
 	Degraded string
 	// FaultSite is the injection site that caused the retry/degradation.
 	FaultSite string
-	// Err is non-nil when the invocation failed outright. With the fault
-	// policy's Degrade disabled, injected faults surface here as typed
-	// errors: errors.Is sees fault.ErrTierUnavailable, snapshot.ErrCorrupt,
-	// or fault.ErrProfileStale, and errors.As extracts *fault.SiteError.
+	// Err is non-nil when the invocation failed outright: the function is
+	// unknown, or neither the retries nor a degradation policy recovered
+	// it. A fault-site error keeps its typed chain (errors.As extracts
+	// *fault.SiteError).
 	Err error
 	// XRay is the invocation's attribution budget (nil unless the config
 	// has an XRay collector, or when the invocation failed). Its segments
@@ -251,7 +246,9 @@ func (p *Platform) Invoke(name string, lv workload.Level, seed int64) Record {
 }
 
 // invoke serves one invocation charged the disk and slow-tier contention of
-// conc invocations in flight.
+// conc invocations in flight. Every mode runs one sequence: retry the mode's
+// serve step, hand a fault-site error that outlives the retries to the
+// mode's degrade step, then account the result.
 func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) Record {
 	p.mu.RLock()
 	fs := p.fns[name]
@@ -274,102 +271,31 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 		telemetry.I64("seed", seed),
 		telemetry.I64("concurrency", int64(conc)))
 
-	switch fs.mode {
-	case ModeTOSS:
-		var phase core.Phase
-		res, err := p.retry(&rec, func() (microvm.Result, error) {
-			r, e := fs.toss.InvokeTraced(lv, seed, conc, span)
-			phase = r.Phase
-			return r.Result, e
-		})
-		if err != nil && fault.SiteOf(err) != "" {
-			rec.FaultSite = string(fault.SiteOf(err))
-			if p.policy.Degrade {
-				var dres core.Result
-				dres, rec.Degraded, err = fs.toss.Degrade(err, lv, seed, conc, span)
-				res, phase = dres.Result, dres.Phase
-			}
-		}
-		if err != nil {
-			rec.Err = p.wrapFault(err)
-			return p.finish(fs, rec, span)
-		}
-		rec.Phase = phase
-		backoff := rec.Setup // retry backoff accumulated before the machine ran
-		rec.Setup += res.Setup
-		rec.Exec, rec.Faults, rec.Meter = res.Exec, res.MajorFaults, res.Meter
-		rec.XRay = res.Budget
-		rec.XRay.Extend(xray.SegRetryBackoff, backoff)
-		fs.stats.Phase = fs.toss.Phase()
-		if a := fs.toss.Analysis(); a != nil {
+	res, err := retry(&rec, func() (microvm.Result, error) {
+		return p.serve(fs, &rec, lv, seed, conc, span)
+	})
+	if err != nil && fault.SiteOf(err) != "" {
+		rec.FaultSite = string(fault.SiteOf(err))
+		res, rec.Degraded, err = p.degrade(fs, &rec, err, lv, seed, conc, span)
+	}
+	if err != nil {
+		rec.Err = wrapFault(err)
+		return p.finish(fs, rec, span)
+	}
+	waited := rec.Setup // retry backoff accumulated before the machine ran
+	rec.Setup += res.Setup
+	rec.Exec, rec.Faults, rec.Meter = res.Exec, res.MajorFaults, res.Meter
+	rec.XRay = res.Budget
+	rec.XRay.Extend(xray.SegRetryBackoff, waited)
+	if c := fs.toss; c != nil {
+		fs.stats.Phase = c.Phase()
+		if a := c.Analysis(); a != nil {
 			fs.stats.NormCost = a.MinCost()
 			fs.stats.SlowShare = a.SlowShare()
 		}
 		if span != nil {
-			span.Annotate(telemetry.Str("phase", phase.String()))
+			span.Annotate(telemetry.Str("phase", rec.Phase.String()))
 		}
-	case ModeREAP:
-		res, err := fs.reap.InvokeTraced(lv, seed, conc, span)
-		if err != nil {
-			rec.Err = err
-			return p.finish(fs, rec, span)
-		}
-		if res.PrefetchFailed {
-			rec.Degraded = core.DegradeLazy
-			rec.FaultSite = string(fault.SitePrefetch)
-		}
-		rec.Setup, rec.Exec, rec.Faults, rec.Meter = res.Setup, res.Exec, res.MajorFaults, res.Meter
-		rec.XRay = res.Budget
-	case ModeFaaSnap:
-		res, err := fs.faasnap.InvokeTraced(lv, seed, conc, span)
-		if err != nil {
-			rec.Err = err
-			return p.finish(fs, rec, span)
-		}
-		if res.PrefetchFailed {
-			rec.Degraded = core.DegradeLazy
-			rec.FaultSite = string(fault.SitePrefetch)
-		}
-		rec.Setup, rec.Exec, rec.Faults, rec.Meter = res.Setup, res.Exec, res.MajorFaults, res.Meter
-		rec.XRay = res.Budget
-	case ModeDRAM:
-		res, err := p.retry(&rec, func() (microvm.Result, error) {
-			return p.invokeDRAM(fs, lv, seed, conc, span)
-		})
-		if err != nil && fault.SiteOf(err) != "" {
-			rec.FaultSite = string(fault.SiteOf(err))
-			if p.policy.Degrade {
-				res, err = p.degradeDRAM(fs, &rec, err, lv, seed, conc, span)
-			}
-		}
-		if err != nil {
-			rec.Err = p.wrapFault(err)
-			return p.finish(fs, rec, span)
-		}
-		backoff := rec.Setup
-		rec.Setup += res.Setup
-		rec.Exec, rec.Faults, rec.Meter = res.Exec, res.MajorFaults, res.Meter
-		rec.XRay = res.Budget
-		rec.XRay.Extend(xray.SegRetryBackoff, backoff)
-	case ModeSlow:
-		res, err := p.retry(&rec, func() (microvm.Result, error) {
-			return p.invokeSlow(fs, lv, seed, conc, span)
-		})
-		if err != nil && fault.SiteOf(err) != "" {
-			rec.FaultSite = string(fault.SiteOf(err))
-			if p.policy.Degrade {
-				res, err = p.degradeSlow(fs, &rec, err, lv, seed, conc, span)
-			}
-		}
-		if err != nil {
-			rec.Err = p.wrapFault(err)
-			return p.finish(fs, rec, span)
-		}
-		backoff := rec.Setup
-		rec.Setup += res.Setup
-		rec.Exec, rec.Faults, rec.Meter = res.Exec, res.MajorFaults, res.Meter
-		rec.XRay = res.Budget
-		rec.XRay.Extend(xray.SegRetryBackoff, backoff)
 	}
 
 	fs.stats.Invocations++
@@ -382,10 +308,33 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 	return p.finish(fs, rec, span)
 }
 
+// serve runs the primary path of fs's mode once. TOSS records the phase it
+// served in, and a REAP or FaaSnap restore whose prefetch failed records
+// its lazy fallback.
+func (p *Platform) serve(fs *functionState, rec *Record, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
+	switch fs.mode {
+	case ModeTOSS:
+		res, err := fs.toss.InvokeTraced(lv, seed, conc, span)
+		rec.Phase = res.Phase
+		return res.Result, err
+	case ModeREAP, ModeFaaSnap:
+		res, err := fs.reap.InvokeTraced(lv, seed, conc, span)
+		if res.PrefetchFailed {
+			rec.Degraded = core.DegradeLazy
+			rec.FaultSite = string(fault.SitePrefetch)
+		}
+		return res.Result, err
+	case ModeDRAM:
+		return p.invokeDRAM(fs, lv, seed, conc, span)
+	default:
+		return p.invokeSlow(fs, lv, seed, conc, span)
+	}
+}
+
 // wrapFault adds platform context to a fault-site error while preserving
 // the typed chain (errors.Is/As still see the sentinel and *SiteError).
 // Non-fault errors pass through unchanged.
-func (p *Platform) wrapFault(err error) error {
+func wrapFault(err error) error {
 	if fault.SiteOf(err) == "" {
 		return err
 	}
@@ -434,6 +383,22 @@ func (p *Platform) finish(fs *functionState, rec Record, span *telemetry.Span) R
 	return rec
 }
 
+// capture serves a first invocation on a freshly booted machine and
+// captures its single-tier snapshot, charging the capture to setup and to
+// the budget's snapshot.write segment.
+func (p *Platform) capture(fs *functionState, layout guest.Layout, tr *access.Trace, span *telemetry.Span) (microvm.Result, *snapshot.Single, error) {
+	vm := microvm.NewBooted(p.cfg.VM, layout)
+	vm.SetLabel(fs.spec.Name)
+	res, err := vm.RunTraced(tr, span)
+	if err != nil {
+		return microvm.Result{}, nil, err
+	}
+	snap, cost := vm.SnapshotTraced(fs.spec.Name, span, res.Setup+res.Exec)
+	res.Setup += cost
+	res.Budget.Extend(xray.SegSnapshotWrite, cost)
+	return res, snap, nil
+}
+
 // invokeDRAM serves the all-DRAM lazy-restore baseline.
 func (p *Platform) invokeDRAM(fs *functionState, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
 	layout, err := fs.spec.Layout()
@@ -445,17 +410,9 @@ func (p *Platform) invokeDRAM(fs *functionState, lv workload.Level, seed int64, 
 		return microvm.Result{}, err
 	}
 	if fs.dramSnap == nil {
-		vm := microvm.NewBooted(p.cfg.VM, layout)
-		vm.SetLabel(fs.spec.Name)
-		res, err := vm.RunTraced(tr, span)
-		if err != nil {
-			return microvm.Result{}, err
-		}
-		snap, cost := vm.SnapshotTraced(fs.spec.Name, span, res.Setup+res.Exec)
+		res, snap, err := p.capture(fs, layout, tr, span)
 		fs.dramSnap = snap
-		res.Setup += cost
-		res.Budget.Extend(xray.SegSnapshotWrite, cost)
-		return res, nil
+		return res, err
 	}
 	// Restore-time corruption fault (FAULTS.md): the lazy-restore snapshot
 	// can rot on disk just like a tiered one.
@@ -480,21 +437,16 @@ func (p *Platform) invokeSlow(fs *functionState, lv workload.Level, seed int64, 
 		return microvm.Result{}, err
 	}
 	if fs.slowSnap == nil {
-		vm := microvm.NewBooted(p.cfg.VM, layout)
-		vm.SetLabel(fs.spec.Name)
-		res, err := vm.RunTraced(tr, span)
+		res, single, err := p.capture(fs, layout, tr, span)
 		if err != nil {
 			return microvm.Result{}, err
 		}
-		single, cost := vm.SnapshotTraced(fs.spec.Name, span, res.Setup+res.Exec)
-		fs.slowSingle = single
 		allSlow, err := mem.NewMultiPlacement(2, mem.Slow, layout.TotalPages)
 		if err != nil {
 			return microvm.Result{}, err
 		}
+		fs.slowSingle = single
 		fs.slowSnap = snapshot.BuildTiered(single, allSlow)
-		res.Setup += cost
-		res.Budget.Extend(xray.SegSnapshotWrite, cost)
 		return res, nil
 	}
 	// Restore-time faults (FAULTS.md): the slow tier can be unreachable,

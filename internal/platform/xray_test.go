@@ -94,7 +94,7 @@ func TestBudgetBalancesThroughRetry(t *testing.T) {
 	if rec.Retries != 2 {
 		t.Fatalf("Retries = %d, want 2", rec.Retries)
 	}
-	wantBackoff := p.policy.Backoff(0) + p.policy.Backoff(1)
+	wantBackoff := backoff(0) + backoff(1)
 	if got := segment(rec.XRay, xray.SegRetryBackoff); got != wantBackoff {
 		t.Errorf("retry.backoff segment %v, want %v", got, wantBackoff)
 	}

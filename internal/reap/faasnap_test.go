@@ -9,7 +9,7 @@ import (
 	"toss/internal/wstrack"
 )
 
-func newFaaSnap(t *testing.T, name string) *FaaSnapManager {
+func newFaaSnap(t *testing.T, name string) *Manager {
 	t.Helper()
 	spec, ok := workload.ByName(name)
 	if !ok {
@@ -72,23 +72,36 @@ func TestFaaSnapSetupCostlierFaultsFewer(t *testing.T) {
 }
 
 func TestFaaSnapSubsequentInvocationsDelegate(t *testing.T) {
+	// After the first invocation FaaSnap restores exactly as REAP does:
+	// prefetch the recorded (mincore) working set, demand-fault the rest.
 	fs := newFaaSnap(t, "pyaes")
 	first, err := fs.Invoke(workload.I, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.FirstInvocation {
-		t.Error("first invocation not flagged")
+	if !fs.HasSnapshot() {
+		t.Fatal("first invocation captured no snapshot")
 	}
 	second, err := fs.Invoke(workload.I, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.FirstInvocation {
-		t.Error("second invocation flagged as first")
+	if second.Setup >= first.Setup {
+		t.Errorf("restore setup %v not below boot setup %v", second.Setup, first.Setup)
 	}
-	if fs.invocations != 2 {
-		t.Errorf("Invocations = %d", fs.invocations)
+	tr, err := fs.spec.Trace(workload.I, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := microvm.RestoreREAP(fs.cfg, fs.layout, fs.Snapshot(), fs.WorkingSet(), 1)
+	vm.SetRecordTruth(false)
+	want, err := vm.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Setup != want.Setup || second.Exec != want.Exec || second.MajorFaults != want.MajorFaults {
+		t.Errorf("second invocation (setup %v, exec %v, %d faults) differs from a REAP restore of the mincore WS (setup %v, exec %v, %d faults)",
+			second.Setup, second.Exec, second.MajorFaults, want.Setup, want.Exec, want.MajorFaults)
 	}
 }
 

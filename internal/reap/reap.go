@@ -16,6 +16,9 @@
 // setup time grows with the recorded working set (Fig. 7), and an execution
 // input that diverges from the snapshot input faults on every page the
 // recorded WS missed (Fig. 3).
+//
+// FaaSnap (NewFaaSnapManager) runs the same lifecycle with the working set
+// recorded by mincore() rather than userfaultfd (§III-C).
 package reap
 
 import (
@@ -24,14 +27,15 @@ import (
 	"toss/internal/fault"
 	"toss/internal/guest"
 	"toss/internal/microvm"
-	"toss/internal/simtime"
 	"toss/internal/snapshot"
 	"toss/internal/telemetry"
 	"toss/internal/workload"
 	"toss/internal/wstrack"
 )
 
-// Manager drives REAP for one function.
+// Manager drives REAP for one function, or FaaSnap when built by
+// NewFaaSnapManager: the two systems restore the same way and differ only in
+// the tracker that records the working set.
 type Manager struct {
 	cfg    microvm.Config
 	spec   *workload.Spec
@@ -39,10 +43,10 @@ type Manager struct {
 
 	snap *snapshot.Single
 	ws   []guest.Region
-	// snapshotInput remembers which input produced the snapshot.
-	snapshotInput workload.Level
-	// invocations counts all invocations served.
-	invocations int64
+	// readahead, when positive, records the working set with mincore()
+	// under a host readahead window of that many pages (FaaSnap); zero
+	// records it with userfaultfd (REAP).
+	readahead int64
 }
 
 // NewManager returns a REAP manager for the given function.
@@ -55,6 +59,22 @@ func NewManager(cfg microvm.Config, spec *workload.Spec) (*Manager, error) {
 		return nil, err
 	}
 	return &Manager{cfg: cfg, spec: spec, layout: layout}, nil
+}
+
+// NewFaaSnapManager returns a manager for the FaaSnap baseline (Ao et al.,
+// EuroSys'22), the other snapshot system the paper analyzes (§II-C): REAP's
+// restore strategy, with the working set captured by mincore() instead of
+// userfaultfd(). mincore also reports pages the host page cache prefetched
+// around every fault, so the recorded WS is inflated by the 128 KiB
+// readahead window: FaaSnap prefetches more than the function touched,
+// trading setup time for fewer residual faults (§III-C).
+func NewFaaSnapManager(cfg microvm.Config, spec *workload.Spec) (*Manager, error) {
+	m, err := NewManager(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	m.readahead = 32
+	return m, nil
 }
 
 // HasSnapshot reports whether the first invocation has happened.
@@ -73,13 +93,20 @@ func (m *Manager) Layout() guest.Layout { return m.layout }
 // WorkingSetPages returns the recorded working set size in pages.
 func (m *Manager) WorkingSetPages() int64 { return guest.TotalPages(m.ws) }
 
+// InflationFactor reports how much larger the recorded working set is than
+// trueWSPages, in pages per page (1.0 = no inflation): FaaSnap's mincore
+// inflation when trueWSPages is REAP's working set for the same snapshot
+// input (§III-C). Returns 0 before the first invocation.
+func (m *Manager) InflationFactor(trueWSPages int64) float64 {
+	if m.snap == nil || trueWSPages <= 0 {
+		return 0
+	}
+	return float64(m.WorkingSetPages()) / float64(trueWSPages)
+}
+
 // Result augments the microVM result with REAP bookkeeping.
 type Result struct {
 	microvm.Result
-	// FirstInvocation is true for the snapshot-capturing run.
-	FirstInvocation bool
-	// SnapshotCost is the time spent writing the snapshot (first run only).
-	SnapshotCost simtime.Duration
 	// PrefetchFailed is true when an injected prefetch-thread failure
 	// (fault.SitePrefetch) degraded this restore to lazy on-demand paging.
 	PrefetchFailed bool
@@ -107,24 +134,23 @@ func (m *Manager) InvokeTraced(lv workload.Level, seed int64, concurrency int, s
 		if err != nil {
 			return Result{}, fmt.Errorf("reap: initial invocation: %w", err)
 		}
-		snap, cost := vm.SnapshotTraced(m.spec.Name, span, res.Setup+res.Exec)
-		m.snap = snap
-		// userfaultfd-style WS: pages touched during the invocation.
-		m.ws = wstrack.WorkingSet(tr)
+		// The capture cost is charged to neither setup nor the budget: this
+		// invocation's setup is the boot alone.
+		m.snap, _ = vm.SnapshotTraced(m.spec.Name, span, res.Setup+res.Exec)
+		if m.readahead > 0 {
+			m.ws = wstrack.WorkingSetMincore(tr, m.readahead, m.layout.TotalPages)
+		} else {
+			m.ws = wstrack.WorkingSet(tr)
+		}
 		if span != nil {
 			span.Annotate(telemetry.I64("ws_pages", guest.TotalPages(m.ws)))
 		}
-		m.snapshotInput = lv
-		m.invocations++
-		return Result{Result: res, FirstInvocation: true, SnapshotCost: cost}, nil
+		return Result{Result: res}, nil
 	}
 	// An injected prefetch-thread failure degrades this restore to lazy
 	// on-demand paging: the snapshot is intact, only the eager working-set
 	// read is lost, so every WS page demand-faults instead (FAULTS.md).
-	prefetchFailed := false
-	if _, fired := m.cfg.Faults.At(fault.SitePrefetch, m.spec.Name, 0); fired {
-		prefetchFailed = true
-	}
+	_, prefetchFailed := m.cfg.Faults.At(fault.SitePrefetch, m.spec.Name, 0)
 	var vm *microvm.Machine
 	if prefetchFailed {
 		vm = microvm.RestoreLazy(m.cfg, m.layout, m.snap, concurrency)
@@ -136,6 +162,5 @@ func (m *Manager) InvokeTraced(lv workload.Level, seed int64, concurrency int, s
 	if err != nil {
 		return Result{}, fmt.Errorf("reap: invocation: %w", err)
 	}
-	m.invocations++
 	return Result{Result: res, PrefetchFailed: prefetchFailed}, nil
 }

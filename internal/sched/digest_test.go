@@ -1,0 +1,83 @@
+package sched
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+
+	"toss/internal/fault"
+	"toss/internal/simtime"
+	"toss/internal/workload"
+)
+
+// simDigestGolden pins every record and counter the REAP and FaaSnap
+// simulations produce with keep-alive and pre-warming on, with and without
+// a fault plan.
+const simDigestGolden uint64 = 0xb40c4b1fdfe470a0
+
+// TestSimDigestGolden runs one mixed arrival trace through MechREAP and
+// MechFaaSnap, each once fault-free and once under a 10% uniform fault
+// plan, and hashes every record and the report's counters with FNV-64a.
+func TestSimDigestGolden(t *testing.T) {
+	arr, err := workload.MixArrivals(workload.MixConfig{
+		Horizon: 60 * simtime.Second,
+		Mix: []workload.FunctionMix{
+			{Function: "pyaes", Pattern: workload.Fixed, MeanIAT: 2 * simtime.Second},
+			{Function: "json_load_dump", Pattern: workload.Steady, MeanIAT: 700 * simtime.Millisecond},
+			{Function: "compress", Pattern: workload.Bursty, MeanIAT: 900 * simtime.Millisecond},
+		},
+		Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	fns := []string{"pyaes", "json_load_dump", "compress"}
+	for _, mech := range []Mechanism{MechREAP, MechFaaSnap} {
+		for _, rate := range []float64{0, 0.1} {
+			cfg := testConfig(mech)
+			cfg.KeepAliveFastBytes = 256 << 20
+			cfg.KeepAliveTTL = simtime.Second
+			cfg.Prewarm = true
+			if rate > 0 {
+				inj, err := fault.New(fault.UniformPlan(rate, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Core.VM.Faults = inj
+			}
+			s, err := New(cfg, fns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run(arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(int64(len(rep.Records)))
+			for _, r := range rep.Records {
+				put(int64(len(r.Function)))
+				h.Write([]byte(r.Function))
+				put(int64(r.Arrival))
+				put(int64(r.QueueDelay))
+				put(int64(r.Setup))
+				put(int64(r.Exec))
+				put(int64(r.Start))
+			}
+			for _, v := range []int64{int64(rep.Horizon), rep.PrewarmsIssued, rep.PrewarmsWasted,
+				int64(rep.BusyCoreTime), rep.Expirations, rep.Storms, rep.DegradedServes,
+				rep.BreakerTrips, rep.CacheStats.Hits, rep.CacheStats.Misses,
+				rep.CacheStats.Evictions, rep.CacheStats.Rejected} {
+				put(v)
+			}
+		}
+	}
+	if got := h.Sum64(); got != simDigestGolden {
+		t.Errorf("sim digest = %#016x, want %#016x", got, simDigestGolden)
+	}
+}

@@ -11,7 +11,6 @@ import (
 // mechanism, then drives its multi-node event loop off those measurements
 // instead of embedding a full Sim per node.
 type Invoker struct {
-	fn   string
 	mech mechanism
 }
 
@@ -25,7 +24,7 @@ func NewInvoker(cfg Config, fn string) (*Invoker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Invoker{fn: fn, mech: m}, nil
+	return &Invoker{mech: m}, nil
 }
 
 // InvokeCold performs a cold start (restore from storage, then run) at the

@@ -50,19 +50,17 @@ func newMechanism(cfg Config, fn string) (mechanism, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &tossMech{cfg: cfg, spec: spec, layout: layout, ctrl: ctrl}, nil
-	case MechREAP:
-		mgr, err := reap.NewManager(cfg.Core.VM, spec)
+		return &tossMech{cfg: cfg, layout: layout, ctrl: ctrl}, nil
+	case MechREAP, MechFaaSnap:
+		newManager := reap.NewManager
+		if cfg.Mechanism == MechFaaSnap {
+			newManager = reap.NewFaaSnapManager
+		}
+		mgr, err := newManager(cfg.Core.VM, spec)
 		if err != nil {
 			return nil, err
 		}
 		return &reapMech{cfg: cfg, spec: spec, layout: layout, mgr: mgr}, nil
-	case MechFaaSnap:
-		mgr, err := reap.NewFaaSnapManager(cfg.Core.VM, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &faasnapMech{cfg: cfg, spec: spec, layout: layout, mgr: mgr}, nil
 	case MechDRAM:
 		return &dramMech{cfg: cfg, spec: spec, layout: layout}, nil
 	default:
@@ -74,39 +72,39 @@ func newMechanism(cfg Config, fn string) (mechanism, error) {
 
 type tossMech struct {
 	cfg    Config
-	spec   *workload.Spec
 	layout guest.Layout
 	ctrl   *core.Controller
 }
 
-func (m *tossMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
-	res, err := m.ctrl.Invoke(a.Level, a.Seed, conc)
-	if err == nil {
-		return res.Setup, res.Exec, false, nil
-	}
-	res, _, err = m.ctrl.Degrade(err, a.Level, a.Seed, conc, nil)
+// serve runs one invocation through the controller and recovers a failed
+// restore through its degradation policy; faulted reports the recovery.
+func (m *tossMech) serve(a workload.ArrivalSpec, conc int) (res core.Result, faulted bool, err error) {
+	res, err = m.ctrl.Invoke(a.Level, a.Seed, conc)
 	if err != nil {
-		return 0, 0, true, err
+		res, _, err = m.ctrl.Degrade(err, a.Level, a.Seed, conc, nil)
+		return res, true, err
 	}
-	return res.Setup, res.Exec, true, nil
+	return res, false, nil
+}
+
+func (m *tossMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
+	res, faulted, err := m.serve(a, conc)
+	if err != nil {
+		return 0, 0, faulted, err
+	}
+	return res.Setup, res.Exec, faulted, nil
 }
 
 // invokeWarm still routes through the controller so profiling-phase
 // bookkeeping (pattern folding, convergence, Eq. 4 counters) continues; the
 // restore cost inside the result is discarded because the VM was resumed,
-// not restored.
+// not restored. The controller's restore-time fault queries fire even
+// though this VM was resumed, so it recovers exactly like a cold start and
+// the warm path never errors out under injection.
 func (m *tossMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
-	res, err := m.ctrl.Invoke(a.Level, a.Seed, conc)
-	faulted := false
+	res, faulted, err := m.serve(a, conc)
 	if err != nil {
-		// The controller's restore-time fault queries fire even though this
-		// VM was resumed; recover exactly like a cold start so the warm
-		// path never errors out under injection.
-		faulted = true
-		res, _, err = m.ctrl.Degrade(err, a.Level, a.Seed, conc, nil)
-		if err != nil {
-			return 0, true, err
-		}
+		return 0, faulted, err
 	}
 	exec := res.Exec
 	// A warm tiered VM has no fast-tier demand faults left to take.
@@ -137,7 +135,7 @@ func (m *tossMech) footprint() (int64, int64) {
 	return m.layout.BootImage.Pages + m.layout.Heap.Pages/2, 0
 }
 
-// --- REAP ---
+// --- REAP and FaaSnap ---
 
 type reapMech struct {
 	cfg    Config
@@ -174,46 +172,6 @@ func (m *reapMech) ready() bool { return m.mgr.HasSnapshot() }
 func (m *reapMech) footprint() (int64, int64) {
 	// REAP keeps everything in DRAM: WS plus faulted pages; approximate
 	// with the recorded working set.
-	ws := m.mgr.WorkingSetPages()
-	if ws == 0 {
-		ws = m.layout.BootImage.Pages
-	}
-	return ws, 0
-}
-
-// --- FaaSnap ---
-
-type faasnapMech struct {
-	cfg    Config
-	spec   *workload.Spec
-	layout guest.Layout
-	mgr    *reap.FaaSnapManager
-}
-
-func (m *faasnapMech) invokeCold(a workload.ArrivalSpec, conc int) (simtime.Duration, simtime.Duration, bool, error) {
-	res, err := m.mgr.Invoke(a.Level, a.Seed, conc)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return res.Setup, res.Exec, res.PrefetchFailed, nil
-}
-
-func (m *faasnapMech) invokeWarm(a workload.ArrivalSpec, conc int) (simtime.Duration, bool, error) {
-	exec, err := residentExec(m.cfg, m.spec, m.layout, a, conc)
-	return exec, false, err
-}
-
-func (m *faasnapMech) prewarm() (simtime.Duration, error) {
-	if !m.mgr.HasSnapshot() {
-		return m.cfg.Core.VM.VMLoadBase, nil
-	}
-	vm := microvm.RestoreREAP(m.cfg.Core.VM, m.layout, m.mgr.Snapshot(), m.mgr.WorkingSet(), 1)
-	return vm.SetupTime(), nil
-}
-
-func (m *faasnapMech) ready() bool { return m.mgr.HasSnapshot() }
-
-func (m *faasnapMech) footprint() (int64, int64) {
 	ws := m.mgr.WorkingSetPages()
 	if ws == 0 {
 		ws = m.layout.BootImage.Pages

@@ -17,7 +17,7 @@ import (
 
 // This file keeps the per-page Memory that the run-based image replaced —
 // a map from each resident page to its digest, sorted again for every walk —
-// with its writer, checksum, tiering and diff, as the reference the
+// with its writer, checksum and tiering, as the reference the
 // run-based code must match bit for bit.
 
 // mapMemory is the per-page memory image.
@@ -162,45 +162,6 @@ func (t *refTiered) checksum() uint64 {
 	return h.Sum64()
 }
 
-// refDiffTiered classifies every page by looking it up in the old tiers.
-func refDiffTiered(old, new *refTiered) TieredDiff {
-	tierOf := func(p guest.PageID) (int, bool) {
-		if _, ok := old.fast.Pages[p]; ok {
-			return mem.Fast, true
-		}
-		if _, ok := old.slow.Pages[p]; ok {
-			return mem.Slow, true
-		}
-		return 0, false
-	}
-	var d TieredDiff
-	seen := make(map[guest.PageID]bool)
-	scan := func(pages map[guest.PageID]PageDigest, tier int) {
-		for p := range pages {
-			seen[p] = true
-			oldTier, existed := tierOf(p)
-			switch {
-			case !existed:
-				d.AddedPages++
-			case oldTier == tier:
-				d.ReusedPages++
-			default:
-				d.MovedPages++
-			}
-		}
-	}
-	scan(new.fast.Pages, mem.Fast)
-	scan(new.slow.Pages, mem.Slow)
-	for _, img := range []*mapMemory{old.fast, old.slow} {
-		for p := range img.Pages {
-			if !seen[p] {
-				d.RemovedPages++
-			}
-		}
-	}
-	return d
-}
-
 func sameImage(t *testing.T, what string, got *Memory, want *mapMemory) {
 	t.Helper()
 	if got.GuestPages != want.GuestPages || !maps.Equal(pageMap(got).Pages, want.Pages) ||
@@ -220,12 +181,10 @@ func randomRegions(rng *rand.Rand, n int) []guest.Region {
 }
 
 // TestMemoryMatchesMapReference builds random images and placements and
-// compares the run-based image, its file bytes, its tiering, checksum and
-// generation diff with the per-page reference.
+// compares the run-based image, its file bytes, its tiering and checksum
+// with the per-page reference.
 func TestMemoryMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var prev *Tiered
-	var prevRef *refTiered
 	for i := 0; i < 300; i++ {
 		resident := randomRegions(rng, 12)
 		s := &Single{Function: "fn", Memory: NewMemory("fn", 256, resident)}
@@ -258,12 +217,6 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 		if ts.Sum != rt.checksum() {
 			t.Fatalf("checksum %#x, reference %#x", ts.Sum, rt.checksum())
 		}
-		if prev != nil {
-			if got, want := DiffTiered(prev, ts), refDiffTiered(prevRef, rt); got != want {
-				t.Fatalf("DiffTiered = %+v, reference %+v", got, want)
-			}
-		}
-		prev, prevRef = ts, rt
 	}
 }
 

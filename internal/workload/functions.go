@@ -61,10 +61,10 @@ func ByNameMust(name string) *Spec {
 func kib(n int64) int64 { return n << 10 }
 func mib(n int64) int64 { return n << 20 }
 
-// floatOperation: floating point ops for N numbers. Tiny footprint, pure
+// float_operation: floating point ops for N numbers. Tiny footprint, pure
 // interpreter loop — CPU-bound and short-running; the canonical "runs in the
 // slow tier for free" function (Fig. 2 observation #1).
-var floatOperation = register(&Spec{
+var _ = register(&Spec{
 	Name:        "float_operation",
 	Description: "Floating point ops for N numbers",
 	MemBytes:    mib(128),
@@ -81,9 +81,9 @@ var floatOperation = register(&Spec{
 	},
 })
 
-// pyAES: pure-Python AES encryption of a text. Interpreter-dominated; the
+// pyaes: pure-Python AES encryption of a text. Interpreter-dominated; the
 // S-box tables live in cache. Footprint barely grows with input.
-var pyAES = register(&Spec{
+var _ = register(&Spec{
 	Name:        "pyaes",
 	Description: "AES text encryption",
 	MemBytes:    mib(128),
@@ -105,9 +105,9 @@ var pyAES = register(&Spec{
 	},
 })
 
-// jsonLoadDump: read-modify-write N JSON files. Footprint scales with the
+// json_load_dump: read-modify-write N JSON files. Footprint scales with the
 // file count; parsing scatters small objects over the heap.
-var jsonLoadDump = register(&Spec{
+var _ = register(&Spec{
 	Name:        "json_load_dump",
 	Description: "Read-Modify-Write JSON files",
 	MemBytes:    mib(128),
@@ -136,7 +136,7 @@ var jsonLoadDump = register(&Spec{
 
 // compress: stream compression of a file. Pure streaming with heavy
 // per-byte compute — negligible slowdown fully offloaded (Fig. 2).
-var compress = register(&Spec{
+var _ = register(&Spec{
 	Name:        "compress",
 	Description: "File compression",
 	MemBytes:    mib(256),
@@ -158,7 +158,7 @@ var compress = register(&Spec{
 
 // linpack: solve Ax=b. O(n^3) compute over an n^2 matrix with strong
 // blocking — high reuse shields most latency.
-var linpack = register(&Spec{
+var _ = register(&Spec{
 	Name:        "linpack",
 	Description: "Solves Ax=b for matrix A",
 	MemBytes:    mib(256),
@@ -179,9 +179,9 @@ var linpack = register(&Spec{
 	},
 })
 
-// matMul: C = A x B. The output tiles and B panels are re-touched heavily —
+// matmul: C = A x B. The output tiles and B panels are re-touched heavily —
 // a clear hot subset that TOSS keeps in DRAM (Table II: 92% offloaded).
-var matMul = register(&Spec{
+var _ = register(&Spec{
 	Name:        "matmul",
 	Description: "Product of two 2D matrices",
 	MemBytes:    mib(256),
@@ -207,10 +207,10 @@ var matMul = register(&Spec{
 	},
 })
 
-// imageProcessing: flip an image. Decode streams, the flip walks rows in
+// image_processing: flip an image. Decode streams, the flip walks rows in
 // reverse order (cache-hostile), and run-to-run variability is high — the
 // paper calls out its latency variability repeatedly.
-var imageProcessing = register(&Spec{
+var _ = register(&Spec{
 	Name:        "image_processing",
 	Description: "Flips the input image",
 	MemBytes:    mib(256),
@@ -237,10 +237,10 @@ var imageProcessing = register(&Spec{
 	},
 })
 
-// pageRank: iterative rank computation over a large graph. Uniformly
+// pagerank: iterative rank computation over a large graph. Uniformly
 // intense random access across the whole footprint — the paper's worst case
 // (only 49.1% offloadable, 25% slowdown at min cost).
-var pageRank = register(&Spec{
+var _ = register(&Spec{
 	Name:        "pagerank",
 	Description: "Pagerank on a graph",
 	MemBytes:    mib(1024),
@@ -274,9 +274,9 @@ func lrSizes(lv Level) (int64, int64) {
 	return model, data
 }
 
-// lrServing: logistic regression inference. One streaming pass over the
+// lr_serving: logistic regression inference. One streaming pass over the
 // dataset; the tiny model is white-hot.
-var lrServing = register(&Spec{
+var _ = register(&Spec{
 	Name:        "lr_serving",
 	Description: "Logistic regression inferencing",
 	MemBytes:    mib(1024),
@@ -296,9 +296,9 @@ var lrServing = register(&Spec{
 	},
 })
 
-// lrTraining: logistic regression training. Several epochs over the
+// lr_training: logistic regression training. Several epochs over the
 // dataset with gradient writes into the model.
-var lrTraining = register(&Spec{
+var _ = register(&Spec{
 	Name:        "lr_training",
 	Description: "Logistic regression training",
 	MemBytes:    mib(1024),

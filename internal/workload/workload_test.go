@@ -73,8 +73,18 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// mustSpec looks a Table I function up by name.
+func mustSpec(t *testing.T, name string) *Spec {
+	t.Helper()
+	s, ok := ByName(name)
+	if !ok {
+		t.Fatalf("unknown function %q", name)
+	}
+	return s
+}
+
 func TestTraceRejectsInvalidLevel(t *testing.T) {
-	if _, err := floatOperation.Trace(Level(7), 1); err == nil {
+	if _, err := mustSpec(t, "float_operation").Trace(Level(7), 1); err == nil {
 		t.Error("invalid level accepted")
 	}
 }
@@ -173,14 +183,15 @@ func TestFootprintGrowsWithInput(t *testing.T) {
 func TestFootprintScales(t *testing.T) {
 	// Spot-check absolute footprints: compress IV streams ~82+41 MB, so
 	// >= 120 MB touched; float_operation stays tiny (< 40 MB incl. runtime).
-	tr, err := compress.Trace(IV, 3)
+	pageRank := mustSpec(t, "pagerank")
+	tr, err := mustSpec(t, "compress").Trace(IV, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.FootprintPages() * guest.PageSize; got < 120<<20 {
 		t.Errorf("compress IV footprint = %d MB, want >= 120 MB", got>>20)
 	}
-	tr, err = floatOperation.Trace(IV, 3)
+	tr, err = mustSpec(t, "float_operation").Trace(IV, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +238,11 @@ func TestFullSlowSlowdownShapes(t *testing.T) {
 		slow := runOn(t, s, IV, 5, []guest.Region{{Start: 0, Pages: layout.TotalPages}})
 		return float64(slow) / float64(fast)
 	}
-	cheap := slowdown(compress)
+	cheap := slowdown(mustSpec(t, "compress"))
 	if cheap > 1.15 {
 		t.Errorf("compress full-slow slowdown = %.2f, want <= 1.15", cheap)
 	}
-	pr := slowdown(pageRank)
+	pr := slowdown(mustSpec(t, "pagerank"))
 	if pr < 1.8 {
 		t.Errorf("pagerank full-slow slowdown = %.2f, want >= 1.8", pr)
 	}

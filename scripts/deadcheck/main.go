@@ -1,13 +1,16 @@
 // Command deadcheck fails when a function or method in the module cannot be
-// reached from any binary, so that code only tests call stays gone. The
-// roots are main, init, package-level initializers, and the methods through
-// which a type implements one of stdInterfaces whose package the module
-// imports. Reached code reaches what it names; a call through an interface
-// or a type parameter reaches every method of that name. Test files are not
-// read, and a nested module (perfbench/) reaches code but is not reported.
-// It prints each unreachable function as "file:line pkg.Name" (pkg.Type.Name
-// for a method) and exits 1. scripts/deadcheck/allow.txt lists exceptions,
-// one "pkg.Name  reason" per line; an entry that names none fails too.
+// reached from any binary, or a package-level const, var or type is named
+// nowhere, so that code only tests use stays gone. The roots are main, init,
+// package-level initializers, and the methods through which a type
+// implements one of stdInterfaces whose package the module imports. Reached
+// code reaches what it names; a call through an interface or a type
+// parameter reaches every method of that name. A declaration counts as
+// named when any identifier outside its own name refers to it. Test files
+// are not read, and a nested module (perfbench/) reaches and names code but
+// is not reported. It prints each finding as "file:line pkg.Name"
+// (pkg.Type.Name for a method) and exits 1. scripts/deadcheck/allow.txt
+// lists exceptions, one "pkg.Name  reason" per line; an entry that names
+// no finding fails too.
 //
 //	go run ./scripts/deadcheck .
 package main
@@ -43,7 +46,7 @@ func main() {
 	os.Exit(report(os.Stdout, dead, string(allow)))
 }
 
-// finding is one unreachable function.
+// finding is one unreachable function or unnamed declaration.
 type finding struct {
 	pos  token.Pos
 	name string // pkg.Name, or pkg.Type.Name for a method
@@ -70,7 +73,8 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // scan type-checks every package under root, and the standard library from
-// source, and returns the functions no root reaches in file order.
+// source, and returns in file order the functions no root reaches and the
+// declarations nothing names.
 func scan(root string) ([]finding, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -143,12 +147,59 @@ func scan(root string) ([]finding, error) {
 		tp, _ := new(types.Config).Check("p", fset, []*ast.File{f}, nil)
 		ifaces = append(ifaces, tp.Scope().Lookup("u").Type().Underlying().(*types.Interface))
 	}
-	return reach(root, fset, paths, pkgs, ifaces), nil
+	dead := append(reach(fset, paths, pkgs, ifaces), unnamed(paths, pkgs)...)
+	for i, d := range dead {
+		pos := fset.Position(d.pos)
+		rel, _ := filepath.Rel(root, pos.Filename)
+		dead[i].at = fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
+	return dead, nil
 }
 
-// reach walks from the roots and returns, in file order, every function
-// declared outside a nested module that the walk never entered.
-func reach(root string, fset *token.FileSet, paths []string, pkgs map[string]*pkg, ifaces []*types.Interface) (dead []finding) {
+// unnamed returns every package-level const, var and type declared outside
+// a nested module that no identifier in the module refers to.
+func unnamed(paths []string, pkgs map[string]*pkg) (dead []finding) {
+	used := map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			used[obj] = true
+		}
+	}
+	for _, ip := range paths {
+		p := pkgs[ip]
+		if p.callerOnly {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					var names []*ast.Ident
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						names = spec.Names
+					case *ast.TypeSpec:
+						names = []*ast.Ident{spec.Name}
+					}
+					for _, id := range names {
+						if obj := p.info.Defs[id]; obj != nil && !used[obj] && id.Name != "_" {
+							dead = append(dead, finding{pos: id.Pos(), name: path.Base(p.types.Path()) + "." + id.Name})
+						}
+					}
+				}
+			}
+		}
+	}
+	return dead
+}
+
+// reach walks from the roots and returns every function declared outside a
+// nested module that the walk never entered.
+func reach(fset *token.FileSet, paths []string, pkgs map[string]*pkg, ifaces []*types.Interface) (dead []finding) {
 	type work struct {
 		node ast.Node
 		p    *pkg
@@ -214,12 +265,9 @@ func reach(root string, fset *token.FileSet, paths []string, pkgs map[string]*pk
 				t, _, _ := strings.Cut(recv.Type().String(), "[") // *toss/internal/pkg.Type[T]
 				name = path.Base(t)
 			}
-			pos := fset.Position(w.node.Pos())
-			rel, _ := filepath.Rel(root, pos.Filename)
-			dead = append(dead, finding{w.node.Pos(), name + "." + fn.Name(), fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)})
+			dead = append(dead, finding{pos: w.node.Pos(), name: name + "." + fn.Name()})
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].pos < dead[j].pos })
 	return dead
 }
 
@@ -235,7 +283,7 @@ func report(w io.Writer, dead []finding, allow string) (code int) {
 		if f := strings.Fields(line); len(f) > 0 && f[0][0] != '#' {
 			allowed[f[0]] = true
 			if len(f) == 1 || !named[f[0]] {
-				fmt.Fprintf(w, "allow.txt:%d: %s must name an unreachable function and give a reason\n", n+1, f[0])
+				fmt.Fprintf(w, "allow.txt:%d: %s must name a finding and give a reason\n", n+1, f[0])
 				code = 1
 			}
 		}

@@ -1,5 +1,5 @@
-// Package lib holds one function no binary reaches, beside methods that
-// are reached only through an interface.
+// Package lib holds one function no binary reaches and one const nothing
+// names, beside methods that are reached only through an interface.
 package lib
 
 // Shape is called through by the binary.
@@ -22,3 +22,9 @@ func Unused() int { return 1 }
 
 // BenchOnly is called only from the nested module.
 func BenchOnly() int { return 2 }
+
+// Sides is named only by the nested module.
+const Sides = 4
+
+// Spare is named by nothing.
+const Spare = 0
