@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"toss/internal/cliutil"
+	"toss/internal/costmodel"
 	"toss/internal/experiments"
 	"toss/internal/fault"
 	"toss/internal/insight"
@@ -106,6 +107,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "tossctl: -iters must be at least 1 (got %d)\n", *iters)
 		return 2
 	}
+	cost, err := costmodel.WithRatio(*ratio)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tossctl: -ratio %v: %v\n", *ratio, err)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -137,11 +143,7 @@ func run() int {
 	suite.Core.SlowdownThreshold = *threshold
 	suite.Workers = *parallel
 	suite.ClusterScale = *clusterScale
-	if *ratio != 2.5 {
-		m := suite.Core.Cost
-		m.CostSlow = m.CostFast / *ratio
-		suite.Core.Cost = m
-	}
+	suite.Core.Cost = cost
 
 	if *faults != "" {
 		plan, err := fault.LoadPlan(*faults)

@@ -5,6 +5,7 @@ import (
 
 	"toss/internal/simtime"
 	"toss/internal/workload"
+	"toss/internal/xray"
 )
 
 // millionArrivals is the day-shaped arrival stream BenchmarkClusterRun
@@ -125,13 +126,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := testProfiles(testFns...)
-
-	cl1, err := New(testConfig(3, RouteAffinity), profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := cl1.Run(arrivals)
+	materialized, err := runRendered(testConfig(3, RouteAffinity), arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +135,19 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl2, err := New(testConfig(3, RouteAffinity), profiles)
+	cfg := testConfig(3, RouteAffinity)
+	col := &xray.Collector{}
+	cfg.XRay = col
+	cl, err := New(cfg, testProfiles(testFns...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := cl2.RunStream(src)
+	rep, err := cl.RunStream(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if a, b := renderReport(rep1), renderReport(rep2); a != b {
+	if a, b := materialized, renderReport(rep)+renderBudgets(col.Drain()); a != b {
 		t.Fatalf("streaming run diverged from materialized run:\nmaterialized:\n%s\nstreaming:\n%s", a, b)
 	}
 }

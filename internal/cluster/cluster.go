@@ -12,15 +12,18 @@
 // steer each function to the nodes whose disks and warm caches already hold
 // it, and cold starts shrink without any per-node change.
 //
-// The event core is built for million-invocation scale (ROADMAP item 2):
-// the hot path — pop event, route, dispatch, record — performs no steady-
-// state heap allocation. Events live by value in a slice-backed 4-ary heap,
-// per-invocation outcomes go to columnar storage (Records), function and
-// node names are interned to dense ids at construction, the routable set
-// and per-function rendezvous rankings are cached between topology changes,
-// and arrivals stream from a pull-based workload.Source so a day-long trace
-// never materializes. BenchmarkClusterRun pins the budget: >=1M invocations
-// simulated in <5s on one core at <=2 amortized allocations per invocation.
+// The event core is built for million-invocation scale: the hot path —
+// take the next event, route, dispatch, record — performs no steady-state
+// heap allocation. Arrivals stream from a pull-based workload.Source, and
+// the one pending arrival waits beside the event heap rather than in it, so
+// a day-long trace never materializes. Completions and autoscaler ticks
+// live by value in a slice-backed 4-ary heap; per-invocation outcomes go to
+// a five-column log (Records) that also notes completion order; function
+// and node names are interned to dense ids at construction; each node's
+// keep-alive cache is a short value slice; and the routable set and
+// per-function rendezvous rankings are cached between topology changes.
+// BenchmarkClusterRun pins the budget: >=1M invocations simulated in <5s on
+// one core at <=2 amortized allocations per invocation.
 package cluster
 
 import (
@@ -117,6 +120,9 @@ func (c Config) Validate() error {
 	if c.SLO < 0 || c.BurnWindow < 0 {
 		return fmt.Errorf("cluster: negative SLO or burn window")
 	}
+	if err := c.Cost.Validate(); err != nil {
+		return err
+	}
 	return c.Autoscale.validate(len(c.Hosts))
 }
 
@@ -125,7 +131,7 @@ func (c Config) Validate() error {
 // so the dispatch path runs on slice indexing instead of string-keyed maps.
 type node struct {
 	id   string
-	idx  int32 // index into Cluster.nodes and Records.nodeNames
+	idx  int32 // index into Cluster.nodes
 	host fleet.HostSpec
 
 	cores   int
@@ -155,12 +161,14 @@ type node struct {
 	alive    bool
 }
 
+// queued is one routed arrival waiting for a core: its arrival (= enqueue)
+// time, interned function id and input level.
 type queued struct {
-	a   workload.ArrivalSpec
-	fid int32
-	enq simtime.Duration
+	enq   simtime.Duration
+	fid   int32
+	level uint8
 	// route is the routing reason (a routeReasons code); it rides to
-	// dispatch so the Record and its budget carry it.
+	// dispatch so the invocation's budget carries it.
 	route uint8
 }
 
@@ -189,7 +197,6 @@ func (r *waitRing) push(q queued) {
 
 func (r *waitRing) pop() queued {
 	q := r.buf[r.head]
-	r.buf[r.head] = queued{} // release the spec's string reference
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return q
@@ -200,16 +207,11 @@ func (n *node) inflight() int {
 	return n.waiting.len() + (n.cores - n.free)
 }
 
-// Record is the decoded (struct) view of one routed invocation's outcome.
-// The run stores outcomes columnar (see Records); Record materializes at
-// the observer and report boundaries.
+// Record is one dispatched invocation's outcome as its xray budget reads
+// it: the routing reason and the latency segments. The run's own log keeps
+// only the columns binaries read (see Records).
 type Record struct {
 	Function string
-	Node     string
-	// Level is the input level the invocation ran at (indexes the profile's
-	// per-level cost arrays, e.g. for computing inflation over a warm hit).
-	Level   int
-	Arrival simtime.Duration
 	// Route is the routing reason (fleetobs.Reason*: rr, least, affinity,
 	// spill, shed).
 	Route string
@@ -305,11 +307,14 @@ type Cluster struct {
 	heap eventHeap
 	seq  uint64
 	now  simtime.Duration
+	// next is the source's one pending arrival (enq is its arrival time),
+	// valid while !exhausted.
+	next queued
 
 	report Report
 	burn   *xray.BurnTracker
 
-	// remaining counts pushed-but-not-completed arrivals and exhausted
+	// remaining counts pulled-but-not-completed arrivals and exhausted
 	// marks the source dry; the autoscaler stops ticking when both say the
 	// run is over, so runs terminate.
 	remaining int64
@@ -396,7 +401,6 @@ func (c *Cluster) addNode(h fleet.HostSpec) *node {
 	}
 	n.cache = cache
 	c.nodes = append(c.nodes, n)
-	c.report.Records.nodeNames = append(c.report.Records.nodeNames, n.id)
 	c.rebuildTopo()
 	if live := len(c.liveIdx); live > c.report.PeakNodes {
 		c.report.PeakNodes = live
@@ -436,49 +440,57 @@ func (c *Cluster) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
 	return c.RunStream(workload.SliceSource(arrivals))
 }
 
-// RunStream drives the simulation from a pull-based arrival source: at most
-// one pending arrival lives in the event heap at a time, so a day-long
-// schedule is simulated in O(fleet) memory plus the columnar record log.
-// The result is byte-identical to Run on the materialized equivalent (the
-// event heap orders arrivals ahead of same-time simulation events, exactly
-// as the materialized pre-push did — see the priority comment in heap.go).
-// An arrival for an unprofiled function fails the run at pull time.
+// RunStream drives the simulation from a pull-based arrival source, so a
+// day-long schedule is simulated in O(fleet) memory plus the columnar
+// record log. The source's one pending arrival waits beside the event heap
+// and is handled as soon as its time is no later than the heap's top:
+// arrivals go ahead of same-time completions and ticks, exactly as when
+// the whole schedule was pushed before the first event. The result is
+// byte-identical to Run on the materialized equivalent. An arrival for an
+// unprofiled function, or one earlier than the arrival before it, fails
+// the run at pull time.
 func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 	if err := c.pullArrival(src); err != nil {
 		return nil, err
 	}
 	if c.cfg.Autoscale.Enabled {
-		c.pushEvent(event{at: c.cfg.Autoscale.Tick, kind: evScaleTick, pri: priLoop})
+		c.pushEvent(event{at: c.cfg.Autoscale.Tick, kind: evScaleTick})
 	}
-	for c.heap.len() > 0 {
-		e := c.heap.pop()
-		c.now = e.at
-		switch e.kind {
-		case evArrival:
+	for !c.exhausted || c.heap.len() > 0 {
+		if !c.exhausted && (c.heap.len() == 0 || c.next.enq <= c.heap.es[0].at) {
+			a := c.next
+			c.now = a.enq
 			// Replenish the pending arrival before handling this one; the
-			// next arrival is strictly later in heap order (same time still
-			// sorts after by sequence), so it cannot affect this event.
+			// next arrival is no earlier, so it cannot affect this one.
 			if err := c.pullArrival(src); err != nil {
 				return nil, err
 			}
-			c.routeArrival(e.a, e.fid)
-		case evCompletion:
-			n := c.nodes[e.node]
-			n.free++
-			c.burn.Record(c.now, e.latency)
-			c.remaining--
-			// The horizon is the last completion, not the last event, so a
-			// trailing autoscaler tick does not dilute Throughput.
-			if c.now > c.report.Horizon {
-				c.report.Horizon = c.now
-			}
-			for n.free > 0 && n.waiting.len() > 0 {
-				c.dispatch(n, n.waiting.pop())
-			}
-		case evScaleTick:
-			c.onScaleTick()
-			if c.remaining > 0 || !c.exhausted {
-				c.pushEvent(event{at: c.now + c.cfg.Autoscale.Tick, kind: evScaleTick, pri: priLoop})
+			c.routeArrival(a)
+		} else {
+			e := c.heap.pop()
+			c.now = e.at
+			switch e.kind {
+			case evCompletion:
+				n := c.nodes[e.node]
+				n.free++
+				// complete appends to the completion log whether or not a
+				// burn tracker (nil without an SLO) reads the latency.
+				lat := c.report.Records.complete(e.rec)
+				c.burn.Record(c.now, lat)
+				c.remaining--
+				// The horizon is the last completion, not the last event, so
+				// a trailing autoscaler tick does not dilute Throughput.
+				if c.now > c.report.Horizon {
+					c.report.Horizon = c.now
+				}
+				for n.free > 0 && n.waiting.len() > 0 {
+					c.dispatch(n, n.waiting.pop())
+				}
+			case evScaleTick:
+				c.onScaleTick()
+				if c.remaining > 0 || !c.exhausted {
+					c.pushEvent(event{at: c.now + c.cfg.Autoscale.Tick, kind: evScaleTick})
+				}
 			}
 		}
 		if c.cfg.FleetObs != nil {
@@ -500,8 +512,8 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 	return &c.report, nil
 }
 
-// pullArrival moves the source's next arrival into the event heap (no-op
-// once the source is dry).
+// pullArrival makes the source's next arrival the pending one, or marks
+// the source dry.
 func (c *Cluster) pullArrival(src workload.Source) error {
 	if c.exhausted {
 		return nil
@@ -515,27 +527,30 @@ func (c *Cluster) pullArrival(src workload.Source) error {
 	if !ok {
 		return fmt.Errorf("cluster: arrival for unprofiled function %q", a.Function)
 	}
+	if a.At < c.now {
+		return fmt.Errorf("cluster: arrival at %v is out of time order (clock at %v)", a.At, c.now)
+	}
 	c.remaining++
-	c.pushEvent(event{at: a.At, kind: evArrival, pri: priArrival, a: a, fid: fid})
+	c.next = queued{enq: a.At, fid: fid, level: uint8(a.Level)}
 	return nil
 }
 
-// routeArrival routes one arrival and dispatches or enqueues it on the
-// chosen node.
-func (c *Cluster) routeArrival(a workload.ArrivalSpec, fid int32) {
-	res := c.route(fid, a.Function)
-	hit := c.countRoute(res, fid)
+// routeArrival routes one arrival (enq = now) and dispatches or enqueues
+// it on the chosen node.
+func (c *Cluster) routeArrival(q queued) {
+	res := c.route(q.fid)
+	hit := c.countRoute(res, q.fid)
 	if f := c.cfg.FleetObs; f != nil {
 		f.RouteDecision(fleetobs.Decision{
 			At:         c.now,
-			Function:   a.Function,
+			Function:   c.fnNames[q.fid],
 			Node:       res.n.id,
 			Reason:     routeReasons[res.reason],
 			Hit:        hit,
 			Candidates: res.cands,
 		})
 	}
-	q := queued{a: a, fid: fid, enq: c.now, route: res.reason}
+	q.route = res.reason
 	if res.n.free == 0 {
 		res.n.waiting.push(q)
 	} else {
@@ -621,14 +636,14 @@ func (c *Cluster) perNodeStats() []NodeRouterStats {
 // dispatch runs one queued invocation on node n starting now.
 func (c *Cluster) dispatch(n *node, q queued) {
 	n.free--
-	a := q.a
 	fid := q.fid
+	fn := c.fnNames[fid]
 	prof := &c.profs[fid]
-	lv := int(a.Level)
+	lv := int(q.level)
 
 	var pull, setup, exec simtime.Duration
 	var cold bool
-	if _, warm := n.cache.Take(a.Function); warm {
+	if _, warm := n.cache.Take(fn); warm {
 		setup = c.cfg.ResumeCost
 		exec = prof.WarmExec[lv]
 	} else {
@@ -646,20 +661,15 @@ func (c *Cluster) dispatch(n *node, q queued) {
 
 	qd := c.now - q.enq
 	work := pull + setup + exec
-	finish := c.now + work
 	latency := qd + work
 	n.busy += work
 	c.report.BusyCoreTime += work
-	c.report.Records.push(fid, n.idx, uint8(lv), q.route, cold,
-		q.enq, qd, pull, setup, exec)
-	c.pushEvent(event{at: finish, kind: evCompletion, pri: priLoop, node: n.idx, latency: latency})
+	i := c.report.Records.push(fid, q.level, cold, q.enq, latency)
+	c.pushEvent(event{at: c.now + work, kind: evCompletion, node: n.idx, rec: i})
 
 	if c.hasObservers {
 		rec := Record{
-			Function:   a.Function,
-			Node:       n.id,
-			Level:      lv,
-			Arrival:    q.enq,
+			Function:   fn,
 			Route:      routeReasons[q.route],
 			QueueDelay: qd,
 			Pull:       pull,
@@ -678,7 +688,7 @@ func (c *Cluster) dispatch(n *node, q queued) {
 	if coldSetup == 0 {
 		coldSetup = setup
 	}
-	n.cache.AdmitQuiet(keepalive.ItemFor(a.Function, prof.FastPages, prof.SlowPages, coldSetup))
+	n.cache.AdmitQuiet(keepalive.ItemFor(fn, prof.FastPages, prof.SlowPages, coldSetup))
 }
 
 // pullSnapshot fetches fn's snapshot onto n's local store, evicting LRU

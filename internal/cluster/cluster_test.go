@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"toss/internal/costmodel"
 	"toss/internal/fleet"
 	"toss/internal/par"
 	"toss/internal/simtime"
 	"toss/internal/stats"
 	"toss/internal/workload"
+	"toss/internal/xray"
 )
 
 // testProfiles builds synthetic per-function profiles with footprints the
@@ -79,11 +81,13 @@ func renderReport(rep *Report) string {
 	fmt.Fprintf(&b, "records=%d horizon=%d busy=%d pulls=%d pulltime=%d\n",
 		rep.Records.Len(), int64(rep.Horizon), int64(rep.BusyCoreTime), rep.Pulls, int64(rep.PullTime))
 	fmt.Fprintf(&b, "router=%+v peak=%d final=%d\n", rep.Router, rep.PeakNodes, rep.FinalNodes)
-	for i := 0; i < rep.Records.Len(); i++ {
-		r := rep.Records.at(i)
-		fmt.Fprintf(&b, "%s %s %s %d %d %d %d %d %v\n",
-			r.Function, r.Node, r.Route, int64(r.Arrival),
-			int64(r.QueueDelay), int64(r.Pull), int64(r.Setup), int64(r.Exec), r.Cold)
+	recs := &rep.Records
+	for i := 0; i < recs.Len(); i++ {
+		fmt.Fprintf(&b, "%s %d %d %d %v\n",
+			recs.Function(i), recs.Level(i), int64(recs.Arrival(i)), int64(recs.Latency(i)), recs.Cold(i))
+	}
+	for _, cp := range recs.Completions() {
+		fmt.Fprintf(&b, "done %d %s\n", int64(cp.At), cp.Function)
 	}
 	for _, ev := range rep.ScaleEvents {
 		fmt.Fprintf(&b, "scale %d %s %s %.6f %.6f %d\n", int64(ev.At), ev.Action, ev.Node, ev.Util, ev.Burn, ev.Fleet)
@@ -93,6 +97,44 @@ func renderReport(rep *Report) string {
 			ns.ID, ns.Invocations, ns.ColdStarts, int64(ns.Busy), ns.Cache, ns.Final)
 	}
 	return b.String()
+}
+
+// renderBudgets serializes a run's xray budgets in observation order: the
+// fn@node label, segments and marks carry each invocation's node, route
+// and time split, which Records does not keep.
+func renderBudgets(buds []*xray.Budget) string {
+	var b strings.Builder
+	for _, bud := range buds {
+		b.WriteString(bud.Label)
+		for _, s := range bud.Segments {
+			fmt.Fprintf(&b, " %s=%d", s.ID, int64(s.Dur))
+		}
+		for _, m := range bud.Marks {
+			fmt.Fprintf(&b, " %s#%d", m.ID, m.N)
+		}
+		fmt.Fprintf(&b, " recorded=%d\n", int64(bud.Recorded()))
+	}
+	return b.String()
+}
+
+// runRendered runs cfg over arrivals with an xray collector attached and
+// renders the report followed by every invocation's budget.
+func runRendered(cfg Config, arrivals []workload.ArrivalSpec) (string, error) {
+	col := &xray.Collector{}
+	cfg.XRay = col
+	c, err := New(cfg, testProfiles(testFns...))
+	if err != nil {
+		return "", err
+	}
+	rep, err := c.Run(arrivals)
+	if err != nil {
+		return "", err
+	}
+	buds := col.Drain()
+	if len(buds) != rep.Records.Len() {
+		return "", fmt.Errorf("%d budgets for %d invocations", len(buds), rep.Records.Len())
+	}
+	return renderReport(rep) + renderBudgets(buds), nil
 }
 
 func runOnce(t *testing.T, cfg Config, arrivals []workload.ArrivalSpec) *Report {
@@ -109,29 +151,28 @@ func runOnce(t *testing.T, cfg Config, arrivals []workload.ArrivalSpec) *Report 
 }
 
 // TestClusterDeterminism runs the same fleet serially, repeatedly, and on a
-// 4-worker pool, and requires byte-identical reports — the property ext9
-// and the CI serial-vs-parallel check stand on.
+// 4-worker pool, and requires byte-identical reports and per-invocation
+// budgets — the property ext9 and the CI serial-vs-parallel check stand on.
 func TestClusterDeterminism(t *testing.T) {
 	arrivals := testArrivals(t, workload.ProcFlash, 40*simtime.Millisecond)
 	cfg := testConfig(3, RouteAffinity)
 	cfg.Autoscale = Autoscaler{Enabled: true, Tick: 2 * simtime.Second, Min: 2, Max: 6}
 
-	base := renderReport(runOnce(t, cfg, arrivals))
+	base, err := runRendered(cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for run := 0; run < 2; run++ {
-		if got := renderReport(runOnce(t, cfg, arrivals)); got != base {
+		got, err := runRendered(cfg, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != base {
 			t.Fatalf("run %d differs from first run", run)
 		}
 	}
 	rendered, err := par.Map(par.New(4), make([]struct{}, 8), func(i int, _ struct{}) (string, error) {
-		c, err := New(cfg, testProfiles(testFns...))
-		if err != nil {
-			return "", err
-		}
-		rep, err := c.Run(arrivals)
-		if err != nil {
-			return "", err
-		}
-		return renderReport(rep), nil
+		return runRendered(cfg, arrivals)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +310,8 @@ func TestClusterValidate(t *testing.T) {
 		{"zero disk", func(c *Config) { c.DiskBytes = 0 }},
 		{"zero pull bandwidth", func(c *Config) { c.PullBytesPerSec = 0 }},
 		{"negative resume", func(c *Config) { c.ResumeCost = -1 }},
+		{"zero cost model", func(c *Config) { c.Cost = costmodel.Model{} }},
+		{"slow tier above fast", func(c *Config) { c.Cost = costmodel.Model{CostFast: 0.4, CostSlow: 1} }},
 		{"autoscaler bounds", func(c *Config) {
 			c.Autoscale = Autoscaler{Enabled: true, Tick: simtime.Second, Min: 3, Max: 2}
 		}},
@@ -302,21 +345,13 @@ func TestClusterValidate(t *testing.T) {
 	if _, err := c.Run([]workload.ArrivalSpec{{Function: "unprofiled"}}); err == nil {
 		t.Error("unprofiled arrival: expected error")
 	}
-}
-
-// at decodes invocation i into the struct view.
-func (r *Records) at(i int) Record {
-	return Record{
-		Function:   r.fnNames[r.fn[i]],
-		Node:       r.nodeNames[r.node[i]],
-		Level:      int(r.level[i]),
-		Arrival:    r.arrival[i],
-		Route:      routeReasons[r.route[i]],
-		QueueDelay: r.queueDelay[i],
-		Pull:       r.pull[i],
-		Setup:      r.setup[i],
-		Exec:       r.exec[i],
-		Cold:       r.cold[i],
+	c, err = New(good, testProfiles(testFns...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backwards := []workload.ArrivalSpec{{At: 2 * simtime.Second, Function: testFns[0]}, {At: simtime.Second, Function: testFns[0]}}
+	if _, err := c.Run(backwards); err == nil {
+		t.Error("arrivals out of time order: expected error")
 	}
 }
 
@@ -332,4 +367,30 @@ func (r *Report) LatencyPercentile(p float64) simtime.Duration {
 		ls[i] = r.Records.Latency(i)
 	}
 	return stats.NearestRankInPlace(ls, p)
+}
+
+// TestArrivalPrecedesSameTimeCompletions pins the event order at a shared
+// instant: an arrival is routed before the completions due at its time, so
+// it sees their cores as still busy. Four arrivals fill the affinity
+// primary's four cores; three of them are warm and finish together, and a
+// fifth arrival due at exactly that instant finds the primary full and
+// spills to the other node, where it cold-starts.
+func TestArrivalPrecedesSameTimeCompletions(t *testing.T) {
+	cfg := testConfig(2, RouteAffinity)
+	fn := testFns[0]
+	warm := cfg.ResumeCost + testProfiles(fn)[fn].WarmExec[0]
+	arrivals := []workload.ArrivalSpec{
+		{Function: fn}, {Function: fn}, {Function: fn}, {Function: fn},
+		{At: warm, Function: fn},
+	}
+	rep := runOnce(t, cfg, arrivals)
+	for i := 1; i < 4; i++ {
+		if rep.Records.Cold(i) || rep.Records.Latency(i) != warm {
+			t.Fatalf("record %d: cold=%v latency %v, want a warm %v", i, rep.Records.Cold(i), rep.Records.Latency(i), warm)
+		}
+	}
+	if rep.Router.Spills != 1 || !rep.Records.Cold(4) {
+		t.Fatalf("same-time arrival: spills=%d cold=%v, want it spilled off the full primary and cold-started",
+			rep.Router.Spills, rep.Records.Cold(4))
+	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"toss/internal/fleetobs"
@@ -14,7 +15,7 @@ import (
 // TestClusterBudgetsBalance pins the cluster x-ray invariant at the unit
 // level: every routed invocation's budget decomposes into the causally
 // ordered node.queue / snapshot.pull / exec.* segments and Sum() equals the
-// independently computed record latency.
+// latency the record log holds for the same invocation.
 func TestClusterBudgetsBalance(t *testing.T) {
 	arrivals := testArrivals(t, workload.ProcFlash, 40*simtime.Millisecond)
 	col := &xray.Collector{}
@@ -35,15 +36,14 @@ func TestClusterBudgetsBalance(t *testing.T) {
 			t.Fatalf("budget %q missing exec.run", b.Label)
 		}
 	}
-	// The record's own arithmetic agrees with the budget decomposition.
-	for i := 0; i < rep.Records.Len(); i++ {
-		rec := rep.Records.at(i)
-		want := rec.QueueDelay + rec.Pull + rec.Setup + rec.Exec
-		if rec.Latency() != want {
-			t.Fatalf("record %d latency %v != field sum %v", i, rec.Latency(), want)
+	// Budgets are observed at dispatch, in record order: each one's label
+	// and sealed total match its record.
+	for i, b := range buds {
+		if fn := rep.Records.Function(i); !strings.HasPrefix(b.Label, fn+"@") {
+			t.Fatalf("budget %d label %q, record function %q", i, b.Label, fn)
 		}
-		if got := rep.Records.Latency(i); got != want {
-			t.Fatalf("record %d columnar latency %v != field sum %v", i, got, want)
+		if got, want := b.Recorded(), rep.Records.Latency(i); got != want {
+			t.Fatalf("budget %d recorded %v != record latency %v", i, got, want)
 		}
 	}
 	tagged := buds[0].Label
@@ -180,5 +180,21 @@ func TestScaleEventsIdenticalUnderObservers(t *testing.T) {
 	}
 	if len(observed.FleetObs.Events()) == 0 {
 		t.Fatal("fleetobs observed nothing")
+	}
+
+	// Per invocation (node, route, time split): the fleetobs recorder must
+	// not move a single budget against an xray-only run.
+	xrayOnly, err := runRendered(cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFleet := cfg
+	withFleet.FleetObs = fleetobs.New(fleetobs.Config{})
+	both, err := runRendered(withFleet, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if both != xrayOnly {
+		t.Fatal("budgets differ with the fleetobs recorder attached")
 	}
 }

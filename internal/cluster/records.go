@@ -1,46 +1,35 @@
 package cluster
 
-import (
-	"sort"
-
-	"toss/internal/simtime"
-)
+import "toss/internal/simtime"
 
 // Records is the run's per-invocation outcome log in columnar
-// (struct-of-arrays) form. A million-invocation run stores ten dense
-// parallel slices — function and node interned to small ints, level and
-// routing reason as single bytes — instead of a million ~120-byte Record
-// structs full of repeated strings. Consumers that want the struct view
-// (report rendering, ext9's decode boundary, the faasim CLI) call At(i),
-// which materializes one Record lazily; hot aggregation paths read the
-// columns they need via the typed accessors and never decode at all.
+// (struct-of-arrays) form, holding only what binaries read: function
+// (interned to a small int), level, cold flag, arrival and end-to-end
+// latency, plus the order in which invocations completed. A record costs
+// 26 bytes. An invocation's node, routing reason and latency segments go
+// to the observers at dispatch (xray budgets, the fleetobs decision trace)
+// and are not kept here.
 type Records struct {
-	// fnNames / nodeNames are the interning dictionaries: fnNames is the
-	// profiled function set in sorted order (so function-id order is name
-	// order), nodeNames every node ever created in creation (= id) order.
-	fnNames   []string
-	nodeNames []string
+	// fnNames is the interning dictionary: the profiled function set in
+	// sorted order, so function-id order is name order.
+	fnNames []string
 
-	fn    []int32
-	node  []int32
-	level []uint8
-	route []uint8
-	cold  []bool
+	fn      []int32
+	level   []uint8
+	cold    []bool
+	arrival []simtime.Duration
+	latency []simtime.Duration
 
-	arrival    []simtime.Duration
-	queueDelay []simtime.Duration
-	pull       []simtime.Duration
-	setup      []simtime.Duration
-	exec       []simtime.Duration
+	// done lists record indexes in the order the event loop popped their
+	// completions.
+	done []int32
 }
 
 // Len returns the number of recorded invocations.
 func (r *Records) Len() int { return len(r.fn) }
 
-// Latency returns invocation i's end-to-end response time without decoding.
-func (r *Records) Latency(i int) simtime.Duration {
-	return r.queueDelay[i] + r.pull[i] + r.setup[i] + r.exec[i]
-}
+// Latency returns invocation i's end-to-end response time.
+func (r *Records) Latency(i int) simtime.Duration { return r.latency[i] }
 
 // Arrival returns invocation i's arrival time.
 func (r *Records) Arrival(i int) simtime.Duration { return r.arrival[i] }
@@ -54,20 +43,22 @@ func (r *Records) Level(i int) int { return int(r.level[i]) }
 // Function returns invocation i's function name.
 func (r *Records) Function(i int) string { return r.fnNames[r.fn[i]] }
 
-// push appends one invocation. Amortized allocation-free: ten slice
-// appends that each reallocate O(log n) times over a run.
-func (r *Records) push(fid, node int32, level, route uint8, cold bool,
-	arrival, qd, pull, setup, exec simtime.Duration) {
+// push appends one dispatched invocation and returns its index. Amortized
+// allocation-free: five slice appends that each reallocate O(log n) times
+// over a run.
+func (r *Records) push(fid int32, level uint8, cold bool, arrival, latency simtime.Duration) int32 {
 	r.fn = append(r.fn, fid)
-	r.node = append(r.node, node)
 	r.level = append(r.level, level)
-	r.route = append(r.route, route)
 	r.cold = append(r.cold, cold)
 	r.arrival = append(r.arrival, arrival)
-	r.queueDelay = append(r.queueDelay, qd)
-	r.pull = append(r.pull, pull)
-	r.setup = append(r.setup, setup)
-	r.exec = append(r.exec, exec)
+	r.latency = append(r.latency, latency)
+	return int32(len(r.fn) - 1)
+}
+
+// complete logs invocation i's completion and returns its latency.
+func (r *Records) complete(i int32) simtime.Duration {
+	r.done = append(r.done, i)
+	return r.latency[i]
 }
 
 // Completion is one finished invocation in completion-time order — the
@@ -86,13 +77,15 @@ type Completion struct {
 
 // Completions returns every recorded invocation sorted by completion time,
 // ties broken by record order, so replaying the slice feeds virtual time
-// forward deterministically. Purely derived from the columnar log: calling
-// it cannot affect a run.
+// forward deterministically. It walks the completion log in pop order:
+// the event loop pops completions by (time, sequence), and a completion's
+// sequence number follows dispatch order, which is record order. Purely
+// derived from the log: calling it cannot affect a run.
 func (r *Records) Completions() []Completion {
-	out := make([]Completion, r.Len())
-	for i := range out {
-		lat := r.Latency(i)
-		out[i] = Completion{
+	out := make([]Completion, len(r.done))
+	for k, i := range r.done {
+		lat := r.latency[i]
+		out[k] = Completion{
 			At:       r.arrival[i] + lat,
 			Latency:  lat,
 			Function: r.fnNames[r.fn[i]],
@@ -100,6 +93,5 @@ func (r *Records) Completions() []Completion {
 			Cold:     r.cold[i],
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }

@@ -1,36 +1,85 @@
 package cluster
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"toss/internal/simtime"
+	"toss/internal/workload"
 )
 
-func TestCompletionsSortedByCompletionTime(t *testing.T) {
-	r := &Records{fnNames: []string{"a", "b"}, nodeNames: []string{"n0"}}
-	ms := func(n int) simtime.Duration { return simtime.Duration(n) * simtime.Millisecond }
-	// Three invocations whose completion order differs from arrival order:
-	// #0 arrives first but runs long; #1 arrives later and finishes first;
-	// #2 ties #0's completion time and must keep record order (stable sort).
-	r.push(0, 0, 1, 0, true, ms(0), 0, 0, ms(10), ms(90)) // completes at 100ms
-	r.push(1, 0, 2, 0, false, ms(50), 0, 0, 0, ms(20))    // completes at 70ms
-	r.push(0, 0, 1, 0, false, ms(60), 0, 0, 0, ms(40))    // completes at 100ms
-	got := r.Completions()
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	if got[0].Function != "b" || got[0].At != ms(70) || got[0].Latency != ms(20) || got[0].Cold || got[0].Level != 2 {
-		t.Fatalf("first completion = %+v", got[0])
-	}
-	if got[1].At != ms(100) || !got[1].Cold || got[1].Latency != ms(100) {
-		t.Fatalf("tie order lost: %+v", got[1])
-	}
-	if got[2].At != ms(100) || got[2].Cold {
-		t.Fatalf("tie order lost: %+v", got[2])
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].At < got[i-1].At {
-			t.Fatalf("completions not nondecreasing at %d", i)
+// sortedCompletions is the reference Completions reads against: every
+// record in record order, stable-sorted by completion time.
+func sortedCompletions(r *Records) []Completion {
+	out := make([]Completion, r.Len())
+	for i := range out {
+		out[i] = Completion{
+			At:       r.Arrival(i) + r.Latency(i),
+			Latency:  r.Latency(i),
+			Function: r.Function(i),
+			Level:    r.Level(i),
+			Cold:     r.Cold(i),
 		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
+
+// ties counts adjacent completions that share a time, and how many of
+// those differ in some field, so their order is visible in the feed.
+func ties(cs []Completion) (same, distinct int) {
+	for i := 1; i < len(cs); i++ {
+		if cs[i].At == cs[i-1].At {
+			same++
+			if cs[i] != cs[i-1] {
+				distinct++
+			}
+		}
+	}
+	return same, distinct
+}
+
+// TestCompletionsSortedByCompletionTime holds the completion log, which the
+// event loop appends as completions pop, to a stable sort of the records by
+// arrival+latency: on seeded runs under every router, and on a hand-built
+// schedule of simultaneous arrivals whose completions tie, where the sort's
+// record-order rule decides.
+func TestCompletionsSortedByCompletionTime(t *testing.T) {
+	check := func(name string, rep *Report) []Completion {
+		t.Helper()
+		got := rep.Records.Completions()
+		if want := sortedCompletions(&rep.Records); !slices.Equal(got, want) {
+			t.Fatalf("%s: completion log differs from the stable sort by completion time", name)
+		}
+		return got
+	}
+	for _, policy := range Policies() {
+		for _, proc := range []workload.Process{workload.ProcFlash, workload.ProcDiurnalFlash} {
+			cfg := testConfig(3, policy)
+			cfg.Autoscale = Autoscaler{Enabled: true, Tick: 2 * simtime.Second, Min: 2, Max: 8}
+			check(policy.String()+"/"+proc.String(), runOnce(t, cfg, testArrivals(t, proc, 25*simtime.Millisecond)))
+		}
+	}
+	// Without an SLO there is no burn tracker, and the log must still fill.
+	noSLO := testConfig(3, RouteAffinity)
+	noSLO.SLO = 0
+	check("no SLO", runOnce(t, noSLO, testArrivals(t, workload.ProcFlash, 25*simtime.Millisecond)))
+
+	// Three waves of one function a millisecond apart onto one 4-core
+	// node: warm invocations dispatched together finish together, and
+	// arrivals from different waves queued behind them start together on
+	// the cores those completions free, so completions tie between records
+	// with different arrival times.
+	var burst []workload.ArrivalSpec
+	for wave := 0; wave < 3; wave++ {
+		for k := 0; k < 4; k++ {
+			burst = append(burst, workload.ArrivalSpec{At: simtime.Duration(wave) * simtime.Millisecond, Function: testFns[0]})
+		}
+	}
+	got := check("simultaneous arrivals", runOnce(t, testConfig(1, RouteAffinity), burst))
+	same, distinct := ties(got)
+	if distinct == 0 {
+		t.Fatalf("simultaneous arrivals produced %d completion-time ties, none between distinguishable records; the tie-break is untested", same)
 	}
 }

@@ -130,7 +130,8 @@ func (c *Cluster) candidates(fid int32, idxs []int32) []fleetobs.Candidate {
 // routable node. The candidate sets are the cached topology indexes, and
 // affinity rankings are cached per function between topology changes, so a
 // steady-state decision performs no allocation.
-func (c *Cluster) route(fid int32, fn string) routeResult {
+func (c *Cluster) route(fid int32) routeResult {
+	fn := c.fnNames[fid]
 	cands := c.routableIdx
 	fallback := false
 	if len(cands) == 0 {

@@ -13,7 +13,10 @@
 // paper's 2.5x tier cost ratio) is the optimum.
 package costmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model holds the per-MB (equivalently per-page) prices of the two tiers.
 type Model struct {
@@ -30,16 +33,22 @@ func Default() Model {
 }
 
 // WithRatio returns a model with CostFast = 1 and the given fast:slow cost
-// ratio (e.g. 2.5 gives CostSlow = 0.4).
+// ratio (e.g. 2.5 gives CostSlow = 0.4). A ratio that yields no valid
+// model (non-positive, non-finite, or below 1, which prices the slow tier
+// above the fast one) is an error.
 func WithRatio(ratio float64) (Model, error) {
-	if ratio <= 0 {
-		return Model{}, fmt.Errorf("costmodel: non-positive cost ratio %v", ratio)
+	m := Model{CostFast: 1, CostSlow: 1 / ratio}
+	if err := m.Validate(); err != nil {
+		return Model{}, err
 	}
-	return Model{CostFast: 1, CostSlow: 1 / ratio}, nil
+	return m, nil
 }
 
 // Validate reports whether the model is usable.
 func (m Model) Validate() error {
+	if math.IsNaN(m.CostFast) || math.IsNaN(m.CostSlow) || math.IsInf(m.CostFast, 0) || math.IsInf(m.CostSlow, 0) {
+		return fmt.Errorf("costmodel: non-finite tier cost (%v, %v)", m.CostFast, m.CostSlow)
+	}
 	if m.CostFast <= 0 || m.CostSlow <= 0 {
 		return fmt.Errorf("costmodel: non-positive tier cost (%v, %v)", m.CostFast, m.CostSlow)
 	}

@@ -27,11 +27,16 @@ func TestWithRatio(t *testing.T) {
 	if m.CostSlow != 0.25 {
 		t.Errorf("CostSlow = %v, want 0.25", m.CostSlow)
 	}
-	if _, err := WithRatio(0); err == nil {
-		t.Error("ratio 0 accepted")
+	// Ratios no model can mean: zero (infinite slow cost), negative, NaN,
+	// infinite (free slow tier), and below 1 (slow priced above fast).
+	for _, r := range []float64{0, -2, math.NaN(), math.Inf(1), math.Inf(-1), 0.5} {
+		if m, err := WithRatio(r); err == nil {
+			t.Errorf("ratio %v accepted as %+v", r, m)
+		}
 	}
-	if _, err := WithRatio(-2); err == nil {
-		t.Error("negative ratio accepted")
+	// The boundary: equal prices are a valid (if pointless) model.
+	if _, err := WithRatio(1); err != nil {
+		t.Errorf("ratio 1 rejected: %v", err)
 	}
 }
 
@@ -40,6 +45,10 @@ func TestValidate(t *testing.T) {
 		{CostFast: 0, CostSlow: 0.4},
 		{CostFast: 1, CostSlow: 0},
 		{CostFast: 0.4, CostSlow: 1}, // slow pricier than fast
+		{CostFast: 1, CostSlow: math.NaN()},
+		{CostFast: math.NaN(), CostSlow: 0.4},
+		{CostFast: math.Inf(1), CostSlow: 0.4},
+		{CostFast: math.Inf(1), CostSlow: math.Inf(1)},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {

@@ -347,11 +347,24 @@ func TestExt6FaaSnapCoversREAP(t *testing.T) {
 	if len(tab.Rows) != 10 {
 		t.Fatalf("ext6 rows = %d", len(tab.Rows))
 	}
+	// The table's note says FaaSnap never faults more than REAP but always
+	// prefetches at least as much; hold every row to it.
+	num := func(row []string, col int) float64 {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatalf("%s: column %q: %v", row[0], tab.Header[col], err)
+		}
+		return v
+	}
 	for _, row := range tab.Rows {
-		uffd, _ := strconv.ParseFloat(row[1], 64)
-		mincore, _ := strconv.ParseFloat(row[2], 64)
-		if mincore < uffd {
+		if uffd, mincore := num(row, 1), num(row, 2); mincore < uffd {
 			t.Errorf("%s: mincore WS %v below uffd %v", row[0], mincore, uffd)
+		}
+		if reap, faasnap := num(row, 4), num(row, 5); faasnap < reap {
+			t.Errorf("%s: faasnap setup %vms below reap %vms", row[0], faasnap, reap)
+		}
+		if reap, faasnap := num(row, 6), num(row, 7); faasnap > reap {
+			t.Errorf("%s: faasnap faults %v above reap %v", row[0], faasnap, reap)
 		}
 	}
 }

@@ -56,18 +56,17 @@ type Stats struct {
 	Rejected  int64
 }
 
-// Cache keeps warm VMs under per-tier capacity limits.
+// Cache keeps warm VMs under per-tier capacity limits. Its items live by
+// value in a slice, at most one per function, and lookups scan it: a host
+// holds at most one warm VM per function and the catalog has ten, so the
+// scan is short and admit/take churn never allocates.
 type Cache struct {
 	fastCap, slowCap   int64
 	fastUsed, slowUsed int64
 	cost               costmodel.Model
 	clock              float64
-	items              map[string]*Item
+	items              []Item
 	stats              Stats
-	// free recycles Item slots removed from the map so steady-state
-	// admit/remove churn (one admit per dispatch in the cluster core) does
-	// not allocate.
-	free []*Item
 }
 
 // New returns a cache with the given per-tier byte capacities.
@@ -78,45 +77,46 @@ func New(fastCap, slowCap int64, cost costmodel.Model) (*Cache, error) {
 	if err := cost.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{
-		fastCap: fastCap,
-		slowCap: slowCap,
-		cost:    cost,
-		items:   make(map[string]*Item),
-	}, nil
+	return &Cache{fastCap: fastCap, slowCap: slowCap, cost: cost}, nil
+}
+
+// find returns the index of fn's warm VM, or -1.
+func (c *Cache) find(fn string) int {
+	for i := range c.items {
+		if c.items[i].Function == fn {
+			return i
+		}
+	}
+	return -1
 }
 
 // Contains reports presence without counting a lookup.
-func (c *Cache) Contains(fn string) bool {
-	_, ok := c.items[fn]
-	return ok
-}
+func (c *Cache) Contains(fn string) bool { return c.find(fn) >= 0 }
 
 // Take removes and returns the warm VM for a hit that consumes it (the
 // invocation runs in the cached VM; re-admit it afterwards with Admit).
 // Take counts as a lookup for the hit/miss statistics.
 func (c *Cache) Take(fn string) (Item, bool) {
-	it, ok := c.items[fn]
-	if !ok {
+	i := c.find(fn)
+	if i < 0 {
 		c.stats.Misses++
 		return Item{}, false
 	}
 	c.stats.Hits++
-	it.freq++
-	// Copy before remove: remove recycles *it onto the free list, and a
-	// later admit may overwrite that slot.
-	out := *it
-	c.remove(fn)
+	c.items[i].freq++
+	out := c.items[i]
+	c.removeAt(i)
 	return out, true
 }
 
 // Drop removes an item without counting a lookup (idle expiry, teardown).
 // It reports whether the item existed.
 func (c *Cache) Drop(fn string) bool {
-	if _, ok := c.items[fn]; !ok {
+	i := c.find(fn)
+	if i < 0 {
 		return false
 	}
-	c.remove(fn)
+	c.removeAt(i)
 	return true
 }
 
@@ -128,15 +128,14 @@ func (c *Cache) Flush() []string {
 	if len(c.items) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(c.items))
-	for fn := range c.items {
-		names = append(names, fn)
+	names := make([]string, len(c.items))
+	for i := range c.items {
+		names[i] = c.items[i].Function
 	}
 	sort.Strings(names)
-	for _, fn := range names {
-		c.remove(fn)
-		c.stats.Evictions++
-	}
+	c.stats.Evictions += int64(len(c.items))
+	c.items = c.items[:0]
+	c.fastUsed, c.slowUsed = 0, 0
 	return names
 }
 
@@ -163,69 +162,59 @@ func (c *Cache) admit(it Item, collect *[]string) (evictions int, admitted bool)
 		c.stats.Rejected++
 		return 0, false
 	}
-	if old, ok := c.items[it.Function]; ok {
-		it.freq = old.freq
-		c.remove(it.Function)
+	if i := c.find(it.Function); i >= 0 {
+		it.freq = c.items[i].freq
+		c.removeAt(i)
 	}
 	if it.freq == 0 {
 		it.freq = 1
 	}
 	for c.fastUsed+it.FastBytes > c.fastCap || c.slowUsed+it.SlowBytes > c.slowCap {
-		victim := c.minPriority()
-		if victim == "" {
+		v := c.minPriority()
+		if v < 0 {
 			c.stats.Rejected++
 			return evictions, false
 		}
 		// Greedy-dual: the clock advances to the evicted priority, aging
 		// the rest of the cache.
-		c.clock = c.items[victim].priority
-		c.remove(victim)
+		c.clock = c.items[v].priority
+		if collect != nil {
+			*collect = append(*collect, c.items[v].Function)
+		}
+		c.removeAt(v)
 		c.stats.Evictions++
 		evictions++
-		if collect != nil {
-			*collect = append(*collect, victim)
-		}
 	}
-	slot := c.slot()
-	*slot = it
-	slot.priority = slot.computePriority(c.clock, c.cost)
-	c.items[it.Function] = slot
+	it.priority = it.computePriority(c.clock, c.cost)
+	c.items = append(c.items, it)
 	c.fastUsed += it.FastBytes
 	c.slowUsed += it.SlowBytes
 	return evictions, true
 }
 
-// slot pops a recycled Item or allocates a fresh one.
-func (c *Cache) slot() *Item {
-	if n := len(c.free); n > 0 {
-		s := c.free[n-1]
-		c.free = c.free[:n-1]
-		return s
-	}
-	return new(Item)
+// removeAt drops item i and releases its capacity. The last item moves
+// into its slot; the order of items carries no meaning.
+func (c *Cache) removeAt(i int) {
+	c.fastUsed -= c.items[i].FastBytes
+	c.slowUsed -= c.items[i].SlowBytes
+	last := len(c.items) - 1
+	c.items[i] = c.items[last]
+	c.items = c.items[:last]
 }
 
-// remove drops an item, releases its capacity, and recycles its slot.
-func (c *Cache) remove(fn string) {
-	it, ok := c.items[fn]
-	if !ok {
-		return
+// minPriority returns the index of the lowest-priority item (-1 if
+// empty). Priority ties break by function name so the eviction order never
+// depends on where items sit in the slice — the whole simulation must be
+// bit-reproducible.
+func (c *Cache) minPriority() int {
+	if len(c.items) == 0 {
+		return -1
 	}
-	c.fastUsed -= it.FastBytes
-	c.slowUsed -= it.SlowBytes
-	delete(c.items, fn)
-	c.free = append(c.free, it)
-}
-
-// minPriority returns the function with the lowest priority ("" if empty).
-// Priority ties break by function name so eviction order never depends on
-// map iteration order — the whole simulation must be bit-reproducible.
-func (c *Cache) minPriority() string {
-	best := ""
-	var bestP float64
-	for fn, it := range c.items {
-		if best == "" || it.priority < bestP || (it.priority == bestP && fn < best) {
-			best, bestP = fn, it.priority
+	best := 0
+	for i := 1; i < len(c.items); i++ {
+		it, b := &c.items[i], &c.items[best]
+		if it.priority < b.priority || (it.priority == b.priority && it.Function < b.Function) {
+			best = i
 		}
 	}
 	return best

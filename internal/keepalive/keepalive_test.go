@@ -270,12 +270,13 @@ func TestFlushEvictsEverythingSorted(t *testing.T) {
 // outcome and refreshing the item's priority on a hit: a hit that keeps the
 // VM cached, where Take hands it out.
 func (c *Cache) Lookup(fn string) bool {
-	it, ok := c.items[fn]
-	if !ok {
+	i := c.find(fn)
+	if i < 0 {
 		c.stats.Misses++
 		return false
 	}
 	c.stats.Hits++
+	it := &c.items[i]
 	it.freq++
 	it.priority = it.computePriority(c.clock, c.cost)
 	return true
