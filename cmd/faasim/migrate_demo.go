@@ -2,8 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
 	"toss/internal/core"
 	"toss/internal/mem"
@@ -19,43 +18,35 @@ import (
 // bucket, glyph = tier. The walkthrough in the README ("Watching a region
 // migrate") narrates the output. Everything is seeded, so the bytes are
 // reproducible for a given -seed and function.
-func runMigrateDemo(fnName string, window int, seed int64) int {
+func runMigrateDemo(o *options, w io.Writer) error {
 	const (
 		epochs    = 24
 		heatTouch = 64 // per-page touches an epoch of window residency earns
 	)
-	spec, ok := workload.ByName(strings.TrimSpace(fnName))
-	if !ok {
-		fmt.Fprintf(os.Stderr, "faasim: unknown function %q (known: %v)\n", fnName, workload.Names())
-		return 2
-	}
+	spec, seed := o.fns[0], o.seed
 
 	cfg := core.DefaultConfig()
-	cfg.ConvergenceWindow = window
+	cfg.ConvergenceWindow = o.window
 	pd, _, err := core.NewProfileData(cfg, spec, workload.Levels[0], seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasim:", err)
-		return 1
+		return err
 	}
 	for i := 0; i < cfg.ConvergenceWindow; i++ {
 		lv := workload.Levels[i%len(workload.Levels)]
 		if _, _, err := pd.ProfileInvocation(cfg, lv, seed+int64(i)+1, 1); err != nil {
-			fmt.Fprintln(os.Stderr, "faasim:", err)
-			return 1
+			return err
 		}
 	}
 	analysis, err := core.Analyze(cfg, pd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasim:", err)
-		return 1
+		return err
 	}
 	tiered := core.BuildSnapshot(pd, analysis)
 
 	h := mem.DefaultHierarchy()
 	mp, err := tiered.SeedPlacement(h.Levels(), 0, 1, h.Bottom())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasim:", err)
-		return 1
+		return err
 	}
 
 	// Probe pass: find the resident extents so the tiers can be sized
@@ -63,8 +54,7 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 	// that the window's drift forces real promotion/demotion traffic).
 	probe, err := migrate.New(migrate.DefaultConfig(h), tiered.GuestPages)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasim:", err)
-		return 1
+		return err
 	}
 	var resident []int
 	for i := 0; i < probe.Extents(); i++ {
@@ -73,8 +63,7 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 		}
 	}
 	if len(resident) < 8 {
-		fmt.Fprintf(os.Stderr, "faasim: only %d resident extents in %s's snapshot\n", len(resident), spec.Name)
-		return 1
+		return fmt.Errorf("only %d resident extents in %s's snapshot", len(resident), spec.Name)
 	}
 	windowExtents := len(resident) / 4
 	extPages := probe.ExtentRegion(resident[0]).Pages
@@ -94,8 +83,7 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 	mcfg.Seed = seed
 	eng, err := migrate.New(mcfg, tiered.GuestPages)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faasim:", err)
-		return 1
+		return err
 	}
 	// Each extent starts at the level of its first page. Seeding may
 	// overfill the now-lean DRAM tier; the first tick's repack demotes the
@@ -108,9 +96,9 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 		eng.Touch(hr.Region, hr.PerPage)
 	}
 
-	fmt.Printf("migrate demo: %s, %d guest pages, %d resident extents (%d pages each)\n",
+	fmt.Fprintf(w, "migrate demo: %s, %d guest pages, %d resident extents (%d pages each)\n",
 		spec.Name, tiered.GuestPages, len(resident), extPages)
-	fmt.Printf("window %d extents drifting %d/epoch, policy %s, epoch %v\n\n",
+	fmt.Fprintf(w, "window %d extents drifting %d/epoch, policy %s, epoch %v\n\n",
 		windowExtents, drift, mcfg.Policy, mcfg.Epoch)
 
 	tl := migrate.NewTimeline(eng)
@@ -124,7 +112,7 @@ func runMigrateDemo(fnName string, window int, seed int64) int {
 		tl.Capture(eng, fmt.Sprintf("e%02d", ep+1))
 	}
 
-	fmt.Print(tl.Render(96))
-	fmt.Printf("\n%s", migrate.Summary(eng))
-	return 0
+	fmt.Fprint(w, tl.Render(96))
+	fmt.Fprintf(w, "\n%s", migrate.Summary(eng))
+	return nil
 }

@@ -55,7 +55,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -113,28 +112,16 @@ func run() int {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	prof, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tossctl:", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			if err := cliutil.WriteFile(*memprofile, func(w io.Writer) error {
-				runtime.GC()
-				return pprof.WriteHeapProfile(w)
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "tossctl:", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "tossctl:", err)
+		}
+	}()
 
 	suite := experiments.NewSuite()
 	suite.Iterations = *iters

@@ -63,8 +63,6 @@ type Controller struct {
 	accelFactor float64
 	// reprofiles counts completed re-profiling cycles.
 	reprofiles int
-	// invocations counts every invocation ever served.
-	invocations int64
 
 	// hooks receive pipeline artifacts as they are produced.
 	hooks Hooks
@@ -77,12 +75,11 @@ type Hooks struct {
 	// pattern alongside the invocation's exact ground-truth access counts —
 	// the join the DAMON-accuracy audit (internal/obs) consumes.
 	OnProfiled func(seq int, p damon.Pattern, truth *access.Histogram)
-	// OnConverged fires after Step IV with the full artifact set (also on
-	// re-profiling convergences).
-	OnConverged func(pd *ProfileData, a *Analysis, ts *snapshot.Tiered)
-	// OnPhase observes lifecycle transitions with the total invocation count
-	// at the moment of the transition.
-	OnPhase func(from, to Phase, invocation int64)
+	// OnConverged fires after Step IV with the analysis and the tiered
+	// snapshot built from it (also on re-profiling convergences).
+	OnConverged func(a *Analysis, ts *snapshot.Tiered)
+	// OnPhase observes lifecycle transitions.
+	OnPhase func(from, to Phase)
 }
 
 // SetHooks installs artifact hooks; call before the first invocation.
@@ -96,7 +93,7 @@ func (c *Controller) SetHooks(h Hooks) {
 // firePhase notifies the OnPhase hook of a transition.
 func (c *Controller) firePhase(from, to Phase) {
 	if c.hooks.OnPhase != nil {
-		c.hooks.OnPhase(from, to, c.invocations)
+		c.hooks.OnPhase(from, to)
 	}
 }
 
@@ -143,7 +140,6 @@ func (c *Controller) Invoke(lv workload.Level, seed int64, concurrency int) (Res
 // lifecycle phase becomes a child span annotating which controller path
 // served it, with the machine-level spans nested below.
 func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
-	c.invocations++
 	var phaseSpan *telemetry.Span
 	if parent != nil {
 		phaseSpan = parent.Child(telemetry.KindControllerPhase, "phase:"+c.phase.String(), 0)
@@ -256,7 +252,7 @@ func (c *Controller) converge(span *telemetry.Span, at simtime.Duration) error {
 	c.accelFactor = 0
 	c.firePhase(PhaseProfiling, PhaseTiered)
 	if c.hooks.OnConverged != nil {
-		c.hooks.OnConverged(c.pd, a, c.tiered)
+		c.hooks.OnConverged(a, c.tiered)
 	}
 	return nil
 }
@@ -328,7 +324,6 @@ func (c *Controller) invokeLazy(lv workload.Level, seed int64, concurrency int, 
 	if c.pd == nil || c.pd.Single == nil {
 		return Result{}, fmt.Errorf("core: no single snapshot for lazy fallback")
 	}
-	c.invocations++
 	tr, err := c.spec.Trace(lv, seed)
 	if err != nil {
 		return Result{}, err
@@ -354,7 +349,6 @@ func (c *Controller) invokeLazy(lv workload.Level, seed int64, concurrency int, 
 // invalidate + cold boot + re-snapshot policy). The returned result is the
 // cold invocation, with the capture cost charged to its setup time.
 func (c *Controller) recoverCorrupt(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
-	c.invocations++
 	tr, err := c.spec.Trace(lv, seed)
 	if err != nil {
 		return Result{}, err

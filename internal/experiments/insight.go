@@ -105,7 +105,9 @@ func (f *ext11InsightFeed) invocation(at simtime.Duration, lat simtime.Duration)
 func (f *ext11InsightFeed) epoch(at simtime.Duration, fetch, wait simtime.Duration, cur migrate.Stats) {
 	f.eng.Observe("epoch_fetch_ms", at, float64(fetch)/float64(simtime.Millisecond))
 	f.eng.Observe("epoch_stall_ms", at, float64(wait)/float64(simtime.Millisecond))
-	f.eng.Store().IngestMigrate(at, f.prev, cur)
+	f.eng.Observe("migrate.moves", at, float64(cur.Moves()-f.prev.Moves()))
+	f.eng.Observe("migrate.moved_pages", at, float64(cur.MovedPages-f.prev.MovedPages))
+	f.eng.Observe("migrate.busy_ms", at, float64(cur.BusyTime-f.prev.BusyTime)/float64(simtime.Millisecond))
 	f.prev = cur
 }
 

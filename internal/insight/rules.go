@@ -219,14 +219,6 @@ func (e *Engine) SetBlamer(b Blamer) {
 	}
 }
 
-// Store returns the engine's backing time-series store.
-func (e *Engine) Store() *Store {
-	if e == nil {
-		return nil
-	}
-	return e.store
-}
-
 // Observe records a value on a named series: it lands in the store and
 // drives every threshold rule watching that series. Feed observations in
 // nondecreasing virtual time per series for deterministic edges.

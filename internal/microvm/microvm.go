@@ -103,11 +103,10 @@ type Observer interface {
 	// kind names the setup flavor ("boot", "restore-lazy", "restore-reap",
 	// "restore-tiered", or "resident"); slow lists the slow-tier regions of
 	// the machine's placement (shared — do not mutate).
-	MachineRestored(label, kind string, slow []guest.Region, totalPages int64, setup simtime.Duration)
+	MachineRestored(label, kind string, slow []guest.Region, totalPages int64)
 	// FaultStall fires once per demand-fault burst with the tier level
-	// (mem.Fast or mem.Slow) that served it and the stall cost; at is the
-	// burst's start on the machine-local virtual timeline (0 = setup start).
-	FaultStall(label string, level int, region guest.Region, major, minor int64, cost, at simtime.Duration)
+	// (mem.Fast or mem.Slow) that served it and the stall cost.
+	FaultStall(label string, level int, major, minor int64, cost simtime.Duration)
 }
 
 // DefaultConfig returns the calibrated platform.
@@ -444,7 +443,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 		if kind == "" {
 			kind = "resident"
 		}
-		ob.MachineRestored(m.label, kind, m.placement.Regions(mem.Slow), m.layout.TotalPages, m.setup)
+		ob.MachineRestored(m.label, kind, m.placement.Regions(mem.Slow), m.layout.TotalPages)
 	}
 	var execSpan *telemetry.Span
 	if span != nil {
@@ -494,7 +493,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 				}
 				faultHist.Observe(cost.Nanoseconds())
 				if ob != nil {
-					ob.FaultStall(m.label, seg.Level, seg.Region, major, minor, cost, m.setup+clock.Now())
+					ob.FaultStall(m.label, seg.Level, major, minor, cost)
 				}
 				clock.Advance(cost)
 				res.FaultTime += cost

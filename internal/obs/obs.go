@@ -33,13 +33,10 @@ import (
 
 	"toss/internal/access"
 	"toss/internal/damon"
-	"toss/internal/fleetobs"
 	"toss/internal/guest"
-	"toss/internal/insight"
 	"toss/internal/mem"
 	"toss/internal/simtime"
 	"toss/internal/telemetry"
-	"toss/internal/xray"
 )
 
 // Derived series the recorder registers in the telemetry registry, so
@@ -103,15 +100,6 @@ type Recorder struct {
 	series    map[string]*series
 	timelines map[string]*timeline
 	audits    []AuditResult
-	// xray, when non-nil, is the attribution collector behind the
-	// dashboard's latency-budget panel (SetXRay).
-	xray *xray.Collector
-	// fleet, when non-nil, is the fleet recorder behind the dashboard's
-	// node-grid panel (SetFleet).
-	fleet *fleetobs.Recorder
-	// insight, when non-nil, is the alert engine behind the dashboard's
-	// SLO alert panel (SetInsight).
-	insight *insight.Engine
 }
 
 // New returns an enabled recorder. Use a nil *Recorder for the disabled one.
@@ -360,7 +348,7 @@ func (r *Recorder) observeLocked(tl *timeline, cause string, slow []guest.Region
 
 // ObservePhase records a controller phase transition for fn. The event
 // carries the last known placement forward so heatmaps can shade through it.
-func (r *Recorder) ObservePhase(fn, from, to string, invocation int64) {
+func (r *Recorder) ObservePhase(fn, from, to string) {
 	if r == nil {
 		return
 	}
@@ -373,12 +361,11 @@ func (r *Recorder) ObservePhase(fn, from, to string, invocation int64) {
 	}
 	tl.appendEvent(ev, r.cfg.Capacity)
 	tl.phaseCtr.Add(1)
-	_ = invocation
 }
 
 // MachineRestored implements microvm.Observer: every machine run reports its
 // restore flavor and placement before executing.
-func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, totalPages int64, setup simtime.Duration) {
+func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, totalPages int64) {
 	if r == nil {
 		return
 	}
@@ -394,12 +381,11 @@ func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, tota
 	}
 	ctr.Add(1)
 	r.observeLocked(tl, "restore:"+kind, slow, totalPages)
-	_ = setup
 }
 
 // FaultStall implements microvm.Observer: every demand-fault burst attributes
 // its stall cost to the tier that served it.
-func (r *Recorder) FaultStall(label string, level int, region guest.Region, major, minor int64, cost, at simtime.Duration) {
+func (r *Recorder) FaultStall(label string, level int, major, minor int64, cost simtime.Duration) {
 	if r == nil {
 		return
 	}
@@ -413,7 +399,6 @@ func (r *Recorder) FaultStall(label string, level int, region guest.Region, majo
 	tl.faultCost[level] += cost
 	tl.faultCtr[level].Add(major + minor)
 	tl.faultCostCtr[level].Add(cost.Nanoseconds())
-	_, _ = region, at
 }
 
 // AuditDAMON scores one profiling invocation's DAMON pattern against the

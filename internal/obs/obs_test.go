@@ -14,9 +14,9 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.RecordAt(simtime.Second)
 	r.Advance(simtime.Second)
 	r.ObservePlacement("f", nil, 10, "test")
-	r.ObservePhase("f", "initial", "profiling", 1)
-	r.MachineRestored("f", "boot", nil, 10, 0)
-	r.FaultStall("f", mem.Slow, guest.Region{}, 1, 0, simtime.Microsecond, 0)
+	r.ObservePhase("f", "initial", "profiling")
+	r.MachineRestored("f", "boot", nil, 10)
+	r.FaultStall("f", mem.Slow, 1, 0, simtime.Microsecond)
 	r.AuditDAMON("f", 0, pattern(rec(0, 4, 1)), nil)
 	if got := r.Now(); got != 0 {
 		t.Fatalf("nil Now() = %v", got)
@@ -119,7 +119,7 @@ func TestTimelineDedupAndPhaseCarry(t *testing.T) {
 	r.ObservePlacement("f", slow, 100, "converged")
 	r.ObservePlacement("f", slow, 100, "converged") // identical — dedup
 	r.Advance(simtime.Second)
-	r.ObservePhase("f", "tiered", "profiling", 9)
+	r.ObservePhase("f", "tiered", "profiling")
 	r.ObservePlacement("f", []guest.Region{{Start: 10, Pages: 30}}, 100, "reconverged")
 
 	snap := r.Snapshot()
@@ -154,9 +154,9 @@ func TestMachineRestoredAndFaultStall(t *testing.T) {
 	r := New(Config{Interval: simtime.Second, Metrics: m})
 	slow := []guest.Region{{Start: 0, Pages: 5}}
 
-	r.MachineRestored("f", "restore-tiered", slow, 10, simtime.Millisecond)
-	r.FaultStall("f", mem.Slow, guest.Region{Start: 1, Pages: 2}, 2, 1, 30*simtime.Microsecond, 0)
-	r.FaultStall("f", mem.Fast, guest.Region{Start: 7, Pages: 1}, 0, 4, simtime.Microsecond, 0)
+	r.MachineRestored("f", "restore-tiered", slow, 10)
+	r.FaultStall("f", mem.Slow, 2, 1, 30*simtime.Microsecond)
+	r.FaultStall("f", mem.Fast, 0, 4, simtime.Microsecond)
 
 	tl := r.Snapshot().Timelines[0]
 	if tl.Restores != 1 {
@@ -176,7 +176,7 @@ func TestMachineRestoredAndFaultStall(t *testing.T) {
 		t.Fatalf("restore counter = %d", got)
 	}
 	// Unlabeled machines map to "unlabeled", not an empty key.
-	r.FaultStall("", mem.Slow, guest.Region{}, 1, 0, simtime.Microsecond, 0)
+	r.FaultStall("", mem.Slow, 1, 0, simtime.Microsecond)
 	snap := r.Snapshot()
 	if len(snap.Timelines) != 2 || snap.Timelines[1].Function != "unlabeled" {
 		t.Fatalf("timelines = %+v", snap.Timelines)

@@ -172,13 +172,13 @@ func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
 		if r := p.recorder; r != nil {
 			name := spec.Name
 			c.SetHooks(core.Hooks{
-				OnPhase: func(from, to core.Phase, inv int64) {
-					r.ObservePhase(name, from.String(), to.String(), inv)
+				OnPhase: func(from, to core.Phase) {
+					r.ObservePhase(name, from.String(), to.String())
 				},
 				OnProfiled: func(seq int, pat damon.Pattern, truth *access.Histogram) {
 					r.AuditDAMON(name, seq, pat, truth)
 				},
-				OnConverged: func(_ *core.ProfileData, a *core.Analysis, ts *snapshot.Tiered) {
+				OnConverged: func(a *core.Analysis, ts *snapshot.Tiered) {
 					r.ObservePlacement(name, a.Placement.Regions(mem.Slow), ts.GuestPages, "converged")
 				},
 			})
@@ -375,7 +375,7 @@ func (p *Platform) finish(fs *functionState, rec Record, span *telemetry.Span) R
 		}
 	}
 	if rec.Degraded != "" && rec.Err == nil {
-		p.recorder.ObservePhase(rec.Function, "fault:"+rec.FaultSite, "degraded:"+rec.Degraded, fs.stats.Invocations)
+		p.recorder.ObservePhase(rec.Function, "fault:"+rec.FaultSite, "degraded:"+rec.Degraded)
 	}
 	if rec.Err == nil {
 		p.recorder.Advance(rec.Total())

@@ -5,10 +5,11 @@
 // keep-alive caching of warm VMs on both tiers and prediction-driven
 // pre-warming — cut cold starts.
 //
-// Unlike package platform (real goroutines, approximate timing), sched runs
-// entirely in virtual time: arrivals, completions, and pre-warm timers are
-// events in a priority queue, queueing delay is explicit, and results are
-// bit-for-bit reproducible. It exists to answer the capacity questions the
+// Package platform replays requests in order and charges each one the
+// contention of a modeled concurrency; sched instead simulates the host's
+// timeline: arrivals, completions, and pre-warm timers are events in a
+// priority queue on the virtual clock, queueing delay is explicit, and
+// results are bit-for-bit reproducible. It exists to answer the capacity questions the
 // paper leaves to "serverless providers": end-to-end latency distributions,
 // cold-start fractions, and memory occupancy under realistic traffic.
 package sched
@@ -16,13 +17,13 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"toss/internal/core"
 	"toss/internal/fault"
 	"toss/internal/keepalive"
 	"toss/internal/predict"
 	"toss/internal/simtime"
+	"toss/internal/stats"
 	"toss/internal/telemetry"
 	"toss/internal/workload"
 	"toss/internal/xray"
@@ -205,16 +206,11 @@ func (r *Report) ColdFraction() float64 {
 
 // LatencyPercentile returns the p-th percentile end-to-end latency.
 func (r *Report) LatencyPercentile(p float64) simtime.Duration {
-	if len(r.Records) == 0 {
-		return 0
-	}
 	ls := make([]simtime.Duration, len(r.Records))
 	for i, rec := range r.Records {
 		ls[i] = rec.Latency()
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	idx := int(p / 100 * float64(len(ls)-1))
-	return ls[idx]
+	return stats.NearestRankInPlace(ls, p)
 }
 
 // Utilization returns busy core-time over total core-time.
