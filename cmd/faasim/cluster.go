@@ -10,7 +10,6 @@ import (
 	"toss/internal/fleet"
 	"toss/internal/fleetobs"
 	"toss/internal/insight"
-	"toss/internal/obs"
 	"toss/internal/platform"
 	"toss/internal/sched"
 	"toss/internal/simtime"
@@ -121,13 +120,17 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 			insight.BurnRule("latency-slo", "latency", simtime.FromStd(o.slo), window, 4*window, 0.10, 0.05),
 			insight.BurnRule("cold-start-rate", "cold", 0, window, 4*window, 0.25, 0.10))
 		eng.SetBlamer(insight.BlameTop(xray.Aggregate("cluster", budgets)))
-		for _, c := range rep.Records.Completions() {
-			eng.ObserveLatency("latency", c.At, c.Latency)
+		recs := &rep.Records
+		for k := 0; k < recs.Len(); k++ {
+			i := recs.Completed(k)
+			lat := recs.Latency(i)
+			at := recs.Arrival(i) + lat
+			eng.ObserveLatency("latency", at, lat)
 			var coldLat simtime.Duration
-			if c.Cold {
+			if recs.Cold(i) {
 				coldLat = simtime.Millisecond // any value > the 0 objective
 			}
-			eng.ObserveLatency("cold", c.At, coldLat)
+			eng.ObserveLatency("cold", at, coldLat)
 		}
 		if err := writeInsight(w, o, eng, "cluster/"+mech.String()); err != nil {
 			return nil, err
@@ -147,10 +150,9 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	if o.httpAddr == "" {
 		return nil, nil
 	}
-	// The fleet simulator drives no microVMs, so the dashboard's flight
-	// recorder is empty; its panels are the node grid and the attribution.
-	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz",
-		obs.New(obs.Config{Interval: simtime.FromStd(o.recordInterval)}), xcol, fr, eng), nil
+	// The fleet simulator drives no microVMs, so there is no flight
+	// recorder; the panels are the node grid, the attribution and alerts.
+	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, fr, eng), nil
 }
 
 // printClusterReport renders the per-function table, the per-node table, and

@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -44,7 +43,8 @@ func serveRun(t *testing.T, args string) *httptest.Server {
 // TestDashboardDigests pins the body of every dashboard route but the
 // pprof ones, in both modes, to FNV-64a digests recorded when each request
 // recomputed its panel from the recorder; the dashboard now computes them
-// once after the run, and must serve the same bytes.
+// once after the run, and must serve the same bytes. Cluster mode has no
+// flight recorder: its index lists no recorder panel, and their paths 404.
 func TestDashboardDigests(t *testing.T) {
 	contentType := map[string]string{
 		"/":                "text/html; charset=utf-8",
@@ -59,44 +59,43 @@ func TestDashboardDigests(t *testing.T) {
 		"/alerts.json":     "application/json",
 		"/healthz":         "text/plain; charset=utf-8",
 	}
-	// Pages that do not depend on the run.
-	same := map[string]uint64{"/": 0xa933bf0e150ad128, "/healthz": 0x1a19f91921d9561f}
-	// The cluster modes' flight recorder is empty.
-	emptyRecorder := map[string]uint64{
-		"/metrics": 0xcbf29ce484222325, "/timeseries.json": 0x48e9fe5f9589b69e, "/heatmap": 0x7b62bf5b74a71829,
-	}
+	// Pages that do not depend on the run, within a mode.
+	const healthz, replayIndex, clusterIndex = 0x1a19f91921d9561f, 0xa933bf0e150ad128, 0xab75c4066f998b70
 	for _, c := range []struct {
 		args string
 		want map[string]uint64
 	}{
-		{"-requests 40 -window 8 -slo 60ms -alerts", map[string]uint64{
+		{"-requests 40 -window 8 -slo 60ms -alerts", map[string]uint64{"/": replayIndex,
 			"/metrics": 0x36e3539cb9abd068, "/timeseries.json": 0x5f5e87750056beeb, "/heatmap": 0xf734a66136435a0d,
 			"/xray": 0x96069a98234b8237, "/xray.json": 0x508a5ae21d53d378,
 			"/fleet": 0xbce1df577811c7f7, "/fleet.json": 0x7679a3dcdd8a6515,
 			"/alerts": 0x36601a0c264011d1, "/alerts.json": 0x591ac93b80608e18}},
-		{"-nodes 3 -horizon 5s", map[string]uint64{
+		{"-nodes 3 -horizon 5s", map[string]uint64{"/": clusterIndex,
 			"/xray": 0x704f360f66cdd09c, "/xray.json": 0xd4d6d1c8c1953dbf,
 			"/fleet": 0x7409544b2021810e, "/fleet.json": 0x782d028c1ce1c484,
 			"/alerts": 0xd3dfc9fee6827202, "/alerts.json": 0x634a53155ec9a1a5}},
-		{"-nodes 3 -horizon 5s -router affinity -arrival flash -autoscale -slo 120ms -alerts", map[string]uint64{
+		{"-nodes 3 -horizon 5s -router affinity -arrival flash -autoscale -slo 120ms -alerts", map[string]uint64{"/": clusterIndex,
 			"/xray": 0x82069f1a6724c362, "/xray.json": 0xe44224b9cc22c48a,
 			"/fleet": 0x9d0302891d90f643, "/fleet.json": 0x55550e3814d92a99,
 			"/alerts": 0x290e2164ca755f7e, "/alerts.json": 0x83477c482419f72b}},
 	} {
 		srv := serveRun(t, c.args)
-		want := maps.Clone(same)
-		maps.Copy(want, c.want)
-		if _, ok := want["/metrics"]; !ok {
-			maps.Copy(want, emptyRecorder)
-		}
+		c.want["/healthz"] = healthz
 		for path, ct := range contentType {
 			code, body, hdr := get(t, srv, path)
+			want, ok := c.want[path]
+			if !ok {
+				if code != http.StatusNotFound {
+					t.Errorf("faasim %s: %s: code %d, want 404", c.args, path, code)
+				}
+				continue
+			}
 			if code != http.StatusOK || hdr.Get("Content-Type") != ct {
 				t.Errorf("faasim %s: %s: code %d, content-type %q; want 200 and %q",
 					c.args, path, code, hdr.Get("Content-Type"), ct)
 			}
-			if got := digest([]byte(body)); got != want[path] {
-				t.Errorf("faasim %s: %s digest %#x, want %#x", c.args, path, got, want[path])
+			if got := digest([]byte(body)); got != want {
+				t.Errorf("faasim %s: %s digest %#x, want %#x", c.args, path, got, want)
 			}
 		}
 	}
@@ -156,28 +155,44 @@ func TestDashboardEndpoints(t *testing.T) {
 	}
 }
 
-// TestIndexListsRegisteredEndpoints pins the index to the mux: every link
-// the index renders must serve 200, so the endpoint list can never drift
-// from what is actually registered.
+// TestIndexListsRegisteredEndpoints pins the index to the mux in both
+// modes: every link the index renders must serve 200, so the endpoint list
+// can never drift from what is actually registered. The replay index lists
+// the flight recorder's panels; the cluster index, which has no recorder,
+// must not.
 func TestIndexListsRegisteredEndpoints(t *testing.T) {
-	srv := replayServer(t)
-
-	code, body, _ := get(t, srv, "/")
-	if code != http.StatusOK {
-		t.Fatalf("index: code=%d", code)
-	}
-	links := regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(body, -1)
-	if len(links) < 10 {
-		t.Fatalf("index lists only %d endpoints:\n%s", len(links), body)
-	}
-	for _, m := range links {
-		if code, _, _ := get(t, srv, m[1]); code != http.StatusOK {
-			t.Errorf("index links %s but it serves %d", m[1], code)
+	recorder := []string{`href="/metrics"`, `href="/timeseries.json"`, `href="/heatmap"`}
+	common := []string{`href="/alerts"`, `href="/alerts.json"`, `href="/fleet"`, `href="/fleet.json"`, `href="/healthz"`}
+	for _, c := range []struct {
+		name  string
+		srv   *httptest.Server
+		links int
+	}{
+		{"replay", replayServer(t), 11},
+		{"cluster", serveRun(t, "-nodes 2 -horizon 2s"), 8},
+	} {
+		code, body, _ := get(t, c.srv, "/")
+		if code != http.StatusOK {
+			t.Fatalf("%s index: code=%d", c.name, code)
 		}
-	}
-	for _, want := range []string{`href="/alerts"`, `href="/alerts.json"`, `href="/fleet"`, `href="/fleet.json"`, `href="/healthz"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("index missing %s", want)
+		links := regexp.MustCompile(`href="([^"]+)"`).FindAllStringSubmatch(body, -1)
+		if len(links) != c.links {
+			t.Errorf("%s index lists %d endpoints, want %d:\n%s", c.name, len(links), c.links, body)
+		}
+		for _, m := range links {
+			if code, _, _ := get(t, c.srv, m[1]); code != http.StatusOK {
+				t.Errorf("%s index links %s but it serves %d", c.name, m[1], code)
+			}
+		}
+		for _, want := range common {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s index missing %s", c.name, want)
+			}
+		}
+		for _, link := range recorder {
+			if got, want := strings.Contains(body, link), c.name == "replay"; got != want {
+				t.Errorf("%s index lists %s: %v, want %v", c.name, link, got, want)
+			}
 		}
 	}
 }

@@ -122,6 +122,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-nodes 2 -functions pyaes,bogus", `faasim: unknown function "bogus" ` + known},
 		{"-migrate-demo -functions bogus", `faasim: unknown function "bogus" ` + known},
 		{"-trace x.json -trace-format xml", `faasim: unknown trace format "xml" (want chrome or jsonl)`},
+		{"-fault-rate 2", "faasim: fault: site slow-read rate 2 outside [0, 1]"},
 		{"-alerts", "faasim: -alerts requires -slo (alert rules burn against the -slo latency objective)"},
 		{"-report r.json", "faasim: -report requires -slo (alert rules burn against the -slo latency objective)"},
 		{"-router rr", "faasim: -router requires -nodes (cluster mode routes through the fleet simulator)"},

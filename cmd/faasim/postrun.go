@@ -81,14 +81,14 @@ func writeExport(w io.Writer, path, done string, write func(io.Writer) error) er
 type dashboard struct {
 	// title and panels name the dashboard in the serve banner.
 	title, panels string
-	rec           *obs.Recorder
+	rec           *obs.Recorder       // nil: no flight recorder (cluster mode)
 	xray          *xray.Report        // nil: no attribution collector
 	fleet         *fleetobs.FleetView // nil: no fleet recorder
 	alerts        *insight.Result     // nil: no alert engine
 }
 
-// newDashboard builds the dashboard over a finished run; any of xcol, fr and
-// eng may be nil.
+// newDashboard builds the dashboard over a finished run; any of rec, xcol,
+// fr and eng may be nil.
 func newDashboard(title, panels string, rec *obs.Recorder, xcol *xray.Collector, fr *fleetobs.Recorder, eng *insight.Engine) *dashboard {
 	d := &dashboard{title: title, panels: panels, rec: rec, fleet: fr.View()}
 	if xcol != nil {
@@ -120,22 +120,28 @@ func render(contentType string, write func(io.Writer) error) http.HandlerFunc {
 	}
 }
 
-// routes returns the dashboard's endpoint table in index order.
+// routes returns the dashboard's endpoint table in index order. The flight
+// recorder's three routes are there only when the run has a recorder.
 func (d *dashboard) routes() []route {
 	const (
 		htmlType = "text/html; charset=utf-8"
 		jsonType = "application/json"
 	)
-	return []route{
-		{"/metrics", "Prometheus text exposition", render("text/plain; version=0.0.4; charset=utf-8", func(w io.Writer) error {
-			return obs.WritePrometheus(w, d.rec.Metrics())
-		})},
-		{"/timeseries.json", "sampled series, residency timelines, DAMON audits", render(jsonType, func(w io.Writer) error {
-			return obs.WriteTimeseriesJSON(w, d.rec.Snapshot())
-		})},
-		{"/heatmap", "tier-residency heatmap", render(htmlType, func(w io.Writer) error {
-			return obs.WriteHeatmapHTML(w, d.rec.Snapshot())
-		})},
+	var rs []route
+	if d.rec != nil {
+		rs = []route{
+			{"/metrics", "Prometheus text exposition", render("text/plain; version=0.0.4; charset=utf-8", func(w io.Writer) error {
+				return obs.WritePrometheus(w, d.rec.Metrics())
+			})},
+			{"/timeseries.json", "sampled series, residency timelines, DAMON audits", render(jsonType, func(w io.Writer) error {
+				return obs.WriteTimeseriesJSON(w, d.rec.Snapshot())
+			})},
+			{"/heatmap", "tier-residency heatmap", render(htmlType, func(w io.Writer) error {
+				return obs.WriteHeatmapHTML(w, d.rec.Snapshot())
+			})},
+		}
+	}
+	return append(rs, []route{
 		{"/xray", "per-function latency budgets (attribution waterfalls)", render(htmlType, func(w io.Writer) error {
 			return xray.WriteWaterfallHTML(w, d.xray)
 		})},
@@ -167,7 +173,7 @@ func (d *dashboard) routes() []route {
 			return err
 		})},
 		{"/debug/pprof/", "Go runtime profiles", pprof.Index},
-	}
+	}...)
 }
 
 // handler returns the dashboard's mux: an index at / listing every route

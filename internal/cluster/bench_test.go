@@ -33,7 +33,7 @@ func benchClusterConfig() Config {
 // BenchmarkClusterRun is the event core's headline number: one full
 // million-invocation day-shape simulation per op, streaming arrivals, no
 // observers attached. The acceptance budget is >=1M invocations simulated
-// in under 5s of wall clock on one core with <=2 amortized heap
+// in under 5s of wall clock, the loop on one core, with <=2 amortized heap
 // allocations per invocation; allocs/op divided by the reported
 // "invocations" metric gives the per-invocation figure the CI guard
 // watches.

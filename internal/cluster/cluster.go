@@ -14,16 +14,19 @@
 //
 // The event core is built for million-invocation scale: the hot path —
 // take the next event, route, dispatch, record — performs no steady-state
-// heap allocation. Arrivals stream from a pull-based workload.Source, and
-// the one pending arrival waits beside the event heap rather than in it, so
-// a day-long trace never materializes. Completions and autoscaler ticks
-// live by value in a slice-backed 4-ary heap; per-invocation outcomes go to
-// a five-column log (Records) that also notes completion order; function
-// and node names are interned to dense ids at construction; each node's
-// keep-alive cache is a short value slice; and the routable set and
-// per-function rendezvous rankings are cached between topology changes.
-// BenchmarkClusterRun pins the budget: >=1M invocations simulated in <5s on
-// one core at <=2 amortized allocations per invocation.
+// heap allocation. Arrivals stream from a pull-based workload.Source, so a
+// day-long trace never materializes: a producer goroutine pulls the source,
+// checks time order and interns function names on a second core, and hands
+// the loop recycled batches of arrivals; the next arrival waits beside the
+// event heap rather than in it. Completions and autoscaler ticks live by
+// value in a slice-backed 4-ary heap; per-invocation outcomes go to a
+// five-column log (Records) in fixed-size chunks that also notes completion
+// order, which readers walk by index; function and node names are interned
+// to dense ids at construction; each node's keep-alive cache is a short
+// value slice; and the routable set and per-function rendezvous rankings
+// are cached between topology changes. BenchmarkClusterRun pins the
+// budget: >=1M invocations simulated in <5s at <=2 amortized allocations
+// per invocation.
 package cluster
 
 import (
@@ -269,8 +272,8 @@ func (r *Report) ColdFraction() float64 {
 		return 0
 	}
 	cold := 0
-	for _, c := range r.Records.cold {
-		if c {
+	for i := 0; i < n; i++ {
+		if r.Records.Cold(i) {
 			cold++
 		}
 	}
@@ -307,9 +310,13 @@ type Cluster struct {
 	heap eventHeap
 	seq  uint64
 	now  simtime.Duration
-	// next is the source's one pending arrival (enq is its arrival time),
-	// valid while !exhausted.
-	next queued
+	// next is the pending arrival (enq is its arrival time), valid while
+	// !exhausted. It came from batch, the producer's hand-off the loop is
+	// reading, at pos-1.
+	next  queued
+	prod  *producer
+	batch *arrivalBatch
+	pos   int
 
 	report Report
 	burn   *xray.BurnTracker
@@ -365,6 +372,7 @@ func New(cfg Config, profiles map[string]FnProfile) (*Cluster, error) {
 	c.rankEpoch = make([]uint64, len(c.fnNames))
 	c.rankCache = make([][]int32, len(c.fnNames))
 	c.report.Records.fnNames = c.fnNames
+	c.report.Records.profs = c.profs
 	c.hasObservers = cfg.XRay != nil || cfg.FleetObs != nil
 	for _, h := range cfg.Hosts {
 		c.addNode(h)
@@ -442,15 +450,21 @@ func (c *Cluster) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
 
 // RunStream drives the simulation from a pull-based arrival source, so a
 // day-long schedule is simulated in O(fleet) memory plus the columnar
-// record log. The source's one pending arrival waits beside the event heap
-// and is handled as soon as its time is no later than the heap's top:
-// arrivals go ahead of same-time completions and ticks, exactly as when
-// the whole schedule was pushed before the first event. The result is
-// byte-identical to Run on the materialized equivalent. An arrival for an
-// unprofiled function, or one earlier than the arrival before it, fails
-// the run at pull time.
+// record log. A producer goroutine pulls the source ahead of the loop
+// (producer.go); the next arrival waits beside the event heap and is
+// handled as soon as its time is no later than the heap's top: arrivals go
+// ahead of same-time completions and ticks, exactly as when the whole
+// schedule was pushed before the first event. The result is byte-identical
+// to Run on the materialized equivalent. An arrival for an unprofiled
+// function, or one earlier than the arrival before it, fails the run, and
+// a panic in the source is raised again here. The producer has returned
+// by the time RunStream does.
 func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
-	if err := c.pullArrival(src); err != nil {
+	p := startProducer(src, c.fnIdx)
+	defer p.stop()
+	c.prod = p
+	c.batch, c.pos = <-p.full, 0
+	if err := c.pullArrival(); err != nil {
 		return nil, err
 	}
 	if c.cfg.Autoscale.Enabled {
@@ -462,7 +476,7 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 			c.now = a.enq
 			// Replenish the pending arrival before handling this one; the
 			// next arrival is no earlier, so it cannot affect this one.
-			if err := c.pullArrival(src); err != nil {
+			if err := c.pullArrival(); err != nil {
 				return nil, err
 			}
 			c.routeArrival(a)
@@ -512,26 +526,28 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 	return &c.report, nil
 }
 
-// pullArrival makes the source's next arrival the pending one, or marks
-// the source dry.
-func (c *Cluster) pullArrival(src workload.Source) error {
-	if c.exhausted {
-		return nil
+// pullArrival makes the producer's next arrival the pending one, or marks
+// the source dry, or returns the error of the arrival the source failed
+// at. A batch the loop has read goes back to the producer.
+func (c *Cluster) pullArrival() error {
+	for c.pos == c.batch.n {
+		b := c.batch
+		if b.final {
+			if b.panicValue != nil {
+				panic(b.panicValue)
+			}
+			if b.failure != nil {
+				return b.failure
+			}
+			c.exhausted = true
+			return nil
+		}
+		c.prod.free <- b
+		c.batch, c.pos = <-c.prod.full, 0
 	}
-	a, ok := src.Next()
-	if !ok {
-		c.exhausted = true
-		return nil
-	}
-	fid, ok := c.fnIdx[a.Function]
-	if !ok {
-		return fmt.Errorf("cluster: arrival for unprofiled function %q", a.Function)
-	}
-	if a.At < c.now {
-		return fmt.Errorf("cluster: arrival at %v is out of time order (clock at %v)", a.At, c.now)
-	}
+	c.next = c.batch.qs[c.pos]
+	c.pos++
 	c.remaining++
-	c.next = queued{enq: a.At, fid: fid, level: uint8(a.Level)}
 	return nil
 }
 

@@ -86,8 +86,9 @@ func renderReport(rep *Report) string {
 		fmt.Fprintf(&b, "%s %d %d %d %v\n",
 			recs.Function(i), recs.Level(i), int64(recs.Arrival(i)), int64(recs.Latency(i)), recs.Cold(i))
 	}
-	for _, cp := range recs.Completions() {
-		fmt.Fprintf(&b, "done %d %s\n", int64(cp.At), cp.Function)
+	for k := 0; k < recs.Len(); k++ {
+		i := recs.Completed(k)
+		fmt.Fprintf(&b, "done %d %s\n", int64(recs.Arrival(i)+recs.Latency(i)), recs.Function(i))
 	}
 	for _, ev := range rep.ScaleEvents {
 		fmt.Fprintf(&b, "scale %d %s %s %.6f %.6f %d\n", int64(ev.At), ev.Action, ev.Node, ev.Util, ev.Burn, ev.Fleet)

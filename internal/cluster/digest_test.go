@@ -77,11 +77,11 @@ func TestClusterDigestGolden(t *testing.T) {
 					str(recs.Function(i))
 					put(int64(recs.Level(i)), int64(recs.Arrival(i)), int64(recs.Latency(i)), b2i(recs.Cold(i)))
 				}
-				comps := recs.Completions()
-				put(int64(len(comps)))
-				for _, cp := range comps {
-					str(cp.Function)
-					put(int64(cp.At), int64(cp.Latency), int64(cp.Level), b2i(cp.Cold))
+				put(int64(recs.Len()))
+				for k := 0; k < recs.Len(); k++ {
+					i := recs.Completed(k)
+					str(recs.Function(i))
+					put(int64(recs.Arrival(i)+recs.Latency(i)), int64(recs.Latency(i)), int64(recs.Level(i)), b2i(recs.Cold(i)))
 				}
 				buds := col.Drain()
 				put(int64(len(buds)))

@@ -9,89 +9,100 @@ import "toss/internal/simtime"
 // 26 bytes. An invocation's node, routing reason and latency segments go
 // to the observers at dispatch (xray budgets, the fleetobs decision trace)
 // and are not kept here.
+//
+// The columns live in fixed-size chunks that are allocated once and never
+// regrown, so a day-long log costs its own size and no copying. The
+// completion order shares the chunks: the k-th completion's record index
+// sits in chunk k>>chunkBits, which exists because an invocation completes
+// only after it was recorded.
 type Records struct {
 	// fnNames is the interning dictionary: the profiled function set in
-	// sorted order, so function-id order is name order.
+	// sorted order, so function-id order is name order. profs is parallel
+	// to it.
 	fnNames []string
+	profs   []FnProfile
 
-	fn      []int32
-	level   []uint8
-	cold    []bool
-	arrival []simtime.Duration
-	latency []simtime.Duration
+	chunks []*recChunk
+	// n counts records, done counts completions.
+	n, done int
+}
 
+// chunkBits sizes a Records chunk: 4096 records, 104 KiB.
+const (
+	chunkBits = 12
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
+// recChunk holds chunkLen records' columns and chunkLen entries of the
+// completion order.
+type recChunk struct {
+	fn      [chunkLen]int32
+	level   [chunkLen]uint8
+	cold    [chunkLen]bool
+	arrival [chunkLen]simtime.Duration
+	latency [chunkLen]simtime.Duration
 	// done lists record indexes in the order the event loop popped their
 	// completions.
-	done []int32
+	done [chunkLen]int32
 }
 
 // Len returns the number of recorded invocations.
-func (r *Records) Len() int { return len(r.fn) }
+func (r *Records) Len() int { return r.n }
 
 // Latency returns invocation i's end-to-end response time.
-func (r *Records) Latency(i int) simtime.Duration { return r.latency[i] }
+func (r *Records) Latency(i int) simtime.Duration { return r.chunks[i>>chunkBits].latency[i&chunkMask] }
 
 // Arrival returns invocation i's arrival time.
-func (r *Records) Arrival(i int) simtime.Duration { return r.arrival[i] }
+func (r *Records) Arrival(i int) simtime.Duration { return r.chunks[i>>chunkBits].arrival[i&chunkMask] }
 
 // Cold reports whether invocation i cold-started.
-func (r *Records) Cold(i int) bool { return r.cold[i] }
+func (r *Records) Cold(i int) bool { return r.chunks[i>>chunkBits].cold[i&chunkMask] }
 
 // Level returns invocation i's input level.
-func (r *Records) Level(i int) int { return int(r.level[i]) }
+func (r *Records) Level(i int) int { return int(r.chunks[i>>chunkBits].level[i&chunkMask]) }
 
 // Function returns invocation i's function name.
-func (r *Records) Function(i int) string { return r.fnNames[r.fn[i]] }
+func (r *Records) Function(i int) string { return r.fnNames[r.chunks[i>>chunkBits].fn[i&chunkMask]] }
 
-// push appends one dispatched invocation and returns its index. Amortized
-// allocation-free: five slice appends that each reallocate O(log n) times
-// over a run.
+// WarmExec returns the execution time invocation i's function has at its
+// level in a resumed kept-alive VM (FnProfile.WarmExec), read from the
+// profiles by function id and level, so a reader needs no lookup by name.
+func (r *Records) WarmExec(i int) simtime.Duration {
+	ch := r.chunks[i>>chunkBits]
+	return r.profs[ch.fn[i&chunkMask]].WarmExec[ch.level[i&chunkMask]]
+}
+
+// Completed returns the record index of the k-th completion, for k in
+// [0, Len()) once the run has finished. Walking k upward visits every
+// record sorted by completion time (arrival plus latency), ties broken by
+// record order: the event loop pops completions by (time, sequence), and a
+// completion's sequence number follows dispatch order, which is record
+// order. That is the nondecreasing virtual-time feed insight's alert rules
+// replay. Purely derived from the log: reading it cannot affect a run.
+func (r *Records) Completed(k int) int { return int(r.chunks[k>>chunkBits].done[k&chunkMask]) }
+
+// push appends one dispatched invocation and returns its index. A new
+// chunk is the only allocation, once per chunkLen records.
 func (r *Records) push(fid int32, level uint8, cold bool, arrival, latency simtime.Duration) int32 {
-	r.fn = append(r.fn, fid)
-	r.level = append(r.level, level)
-	r.cold = append(r.cold, cold)
-	r.arrival = append(r.arrival, arrival)
-	r.latency = append(r.latency, latency)
-	return int32(len(r.fn) - 1)
+	i := r.n
+	if i>>chunkBits == len(r.chunks) {
+		r.chunks = append(r.chunks, new(recChunk))
+	}
+	ch, j := r.chunks[i>>chunkBits], i&chunkMask
+	ch.fn[j] = fid
+	ch.level[j] = level
+	ch.cold[j] = cold
+	ch.arrival[j] = arrival
+	ch.latency[j] = latency
+	r.n++
+	return int32(i)
 }
 
 // complete logs invocation i's completion and returns its latency.
 func (r *Records) complete(i int32) simtime.Duration {
-	r.done = append(r.done, i)
-	return r.latency[i]
-}
-
-// Completion is one finished invocation in completion-time order — the
-// nondecreasing virtual-time feed shape insight's alert rules replay.
-type Completion struct {
-	// At is the completion time: arrival plus end-to-end latency.
-	At simtime.Duration
-	// Latency is the end-to-end response time.
-	Latency simtime.Duration
-	// Function / Level identify the invocation's profile cell.
-	Function string
-	Level    int
-	// Cold reports whether the invocation cold-started.
-	Cold bool
-}
-
-// Completions returns every recorded invocation sorted by completion time,
-// ties broken by record order, so replaying the slice feeds virtual time
-// forward deterministically. It walks the completion log in pop order:
-// the event loop pops completions by (time, sequence), and a completion's
-// sequence number follows dispatch order, which is record order. Purely
-// derived from the log: calling it cannot affect a run.
-func (r *Records) Completions() []Completion {
-	out := make([]Completion, len(r.done))
-	for k, i := range r.done {
-		lat := r.latency[i]
-		out[k] = Completion{
-			At:       r.arrival[i] + lat,
-			Latency:  lat,
-			Function: r.fnNames[r.fn[i]],
-			Level:    int(r.level[i]),
-			Cold:     r.cold[i],
-		}
-	}
-	return out
+	k := r.done
+	r.chunks[k>>chunkBits].done[k&chunkMask] = i
+	r.done++
+	return r.Latency(int(i))
 }

@@ -9,18 +9,39 @@ import (
 	"toss/internal/workload"
 )
 
-// sortedCompletions is the reference Completions reads against: every
-// record in record order, stable-sorted by completion time.
-func sortedCompletions(r *Records) []Completion {
-	out := make([]Completion, r.Len())
+// completion is one record as the completion walk visits it.
+type completion struct {
+	At, Latency simtime.Duration
+	Function    string
+	Level       int
+	Cold        bool
+}
+
+func completionOf(r *Records, i int) completion {
+	return completion{
+		At:       r.Arrival(i) + r.Latency(i),
+		Latency:  r.Latency(i),
+		Function: r.Function(i),
+		Level:    r.Level(i),
+		Cold:     r.Cold(i),
+	}
+}
+
+// walkCompletions visits the records through Completed, in completion order.
+func walkCompletions(r *Records) []completion {
+	out := make([]completion, r.Len())
+	for k := range out {
+		out[k] = completionOf(r, r.Completed(k))
+	}
+	return out
+}
+
+// sortedCompletions is the reference the walk reads against: every record
+// in record order, stable-sorted by completion time.
+func sortedCompletions(r *Records) []completion {
+	out := make([]completion, r.Len())
 	for i := range out {
-		out[i] = Completion{
-			At:       r.Arrival(i) + r.Latency(i),
-			Latency:  r.Latency(i),
-			Function: r.Function(i),
-			Level:    r.Level(i),
-			Cold:     r.Cold(i),
-		}
+		out[i] = completionOf(r, i)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
@@ -28,7 +49,7 @@ func sortedCompletions(r *Records) []Completion {
 
 // ties counts adjacent completions that share a time, and how many of
 // those differ in some field, so their order is visible in the feed.
-func ties(cs []Completion) (same, distinct int) {
+func ties(cs []completion) (same, distinct int) {
 	for i := 1; i < len(cs); i++ {
 		if cs[i].At == cs[i-1].At {
 			same++
@@ -46,9 +67,9 @@ func ties(cs []Completion) (same, distinct int) {
 // schedule of simultaneous arrivals whose completions tie, where the sort's
 // record-order rule decides.
 func TestCompletionsSortedByCompletionTime(t *testing.T) {
-	check := func(name string, rep *Report) []Completion {
+	check := func(name string, rep *Report) []completion {
 		t.Helper()
-		got := rep.Records.Completions()
+		got := walkCompletions(&rep.Records)
 		if want := sortedCompletions(&rep.Records); !slices.Equal(got, want) {
 			t.Fatalf("%s: completion log differs from the stable sort by completion time", name)
 		}

@@ -103,7 +103,7 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 		if err != nil {
 			return row{}, err
 		}
-		p99Ms := float64(ext9InflationP99(rep, profiles, warmup)) / float64(simtime.Millisecond)
+		p99Ms := float64(ext9InflationP99(rep, warmup)) / float64(simtime.Millisecond)
 		coldPct := rep.ColdFraction() * 100
 		return row{
 			invocations: rep.Records.Len(),
@@ -114,7 +114,7 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 			pullSecs:    float64(rep.PullTime) / float64(simtime.Second),
 			// Alerting replays the columnar record log after the run; the
 			// hot loop above still ran observer-free.
-			ins: ext10Insight(mech, rep, profiles, horizon, warmup, p99Ms, coldPct),
+			ins: ext10Insight(mech, rep, horizon, warmup, p99Ms, coldPct),
 		}, nil
 	})
 	if err != nil {

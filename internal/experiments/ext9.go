@@ -49,15 +49,14 @@ const (
 
 // ext9InflationP99 returns the p99 of per-invocation latency inflation over
 // a warm hit, across the steady-state window (arrivals past warmup).
-func ext9InflationP99(rep *cluster.Report, profiles map[string]cluster.FnProfile, warmup simtime.Duration) simtime.Duration {
+func ext9InflationP99(rep *cluster.Report, warmup simtime.Duration) simtime.Duration {
 	recs := &rep.Records
 	infl := make([]simtime.Duration, 0, recs.Len())
 	for i := 0; i < recs.Len(); i++ {
 		if recs.Arrival(i) < warmup {
 			continue
 		}
-		warm := profiles[recs.Function(i)].WarmExec[recs.Level(i)]
-		infl = append(infl, recs.Latency(i)-warm)
+		infl = append(infl, recs.Latency(i)-recs.WarmExec(i))
 	}
 	return stats.NearestRankInPlace(infl, 99)
 }
@@ -161,7 +160,7 @@ func ext9Sustained(cfg cluster.Config, profiles map[string]cluster.FnProfile, pr
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		if ext9InflationP99(rep, profiles, ext9Warmup) > ext9SLO {
+		if ext9InflationP99(rep, ext9Warmup) > ext9SLO {
 			break // offered load only grows up the ladder
 		}
 		bestRate, best, bestObs = rate, rep, cfg.FleetObs
@@ -249,7 +248,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 		s.recordFleet(cellName+"/dram", dramObs)
 		res := result{tossRate: tossRate, dramRate: dramRate}
 		if tossRep != nil {
-			res.tossP99 = float64(ext9InflationP99(tossRep, hw.toss, ext9Warmup)) / float64(simtime.Millisecond)
+			res.tossP99 = float64(ext9InflationP99(tossRep, ext9Warmup)) / float64(simtime.Millisecond)
 			res.tossCold = tossRep.ColdFraction() * 100
 			res.perNode = tossRep.Router.PerNode
 		}

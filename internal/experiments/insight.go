@@ -31,29 +31,32 @@ const (
 
 // ext10Insight replays one fleet cell's completions through the two ext10
 // SLO rules — warm-hit-inflation burn and cold-start-rate burn — and
-// returns the cell's insight result. The feed walks completions in
-// completion-time order, the nondecreasing virtual-time shape the burn
-// windows require, and starts after the steady-state warmup window so the
+// returns the cell's insight result. The feed walks the records in
+// completion order, the nondecreasing virtual-time shape the burn windows
+// require, and starts after the steady-state warmup window so the
 // unavoidable fleet-fill cold burst does not page anyone — the same cutoff
 // the table's p99 inflation metric applies.
-func ext10Insight(mech string, rep *cluster.Report, profiles map[string]cluster.FnProfile, horizon, warmup simtime.Duration, p99Ms, coldPct float64) insight.Result {
+func ext10Insight(mech string, rep *cluster.Report, horizon, warmup simtime.Duration, p99Ms, coldPct float64) insight.Result {
 	fast, slow := horizon/288, horizon/24
 	eng := insight.NewEngine(
 		insight.NewStore(insight.Config{Resolution: horizon / insight.DefaultMaxBuckets}),
 		insight.BurnRule("warm-hit-inflation-slo", "inflation", ext10InflObjective, fast, slow, ext10FastBurn, ext10SlowBurn),
 		insight.BurnRule("cold-start-rate", "cold", 0, fast, slow, ext10FastBurn, ext10SlowBurn),
 	)
-	for _, c := range rep.Records.Completions() {
-		if c.At < warmup {
+	recs := &rep.Records
+	for k := 0; k < recs.Len(); k++ {
+		i := recs.Completed(k)
+		lat := recs.Latency(i)
+		at := recs.Arrival(i) + lat
+		if at < warmup {
 			continue
 		}
-		warm := profiles[c.Function].WarmExec[c.Level]
-		eng.ObserveLatency("inflation", c.At, c.Latency-warm)
+		eng.ObserveLatency("inflation", at, lat-recs.WarmExec(i))
 		var coldLat simtime.Duration
-		if c.Cold {
+		if recs.Cold(i) {
 			coldLat = simtime.Millisecond // any value > the 0 objective
 		}
-		eng.ObserveLatency("cold", c.At, coldLat)
+		eng.ObserveLatency("cold", at, coldLat)
 	}
 	// Whole-run summary points give the regression sentinel the table's own
 	// headline numbers as named (cell, metric) comparison units.

@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"toss/internal/simtime"
@@ -103,11 +104,14 @@ type Plan struct {
 	Sites map[Site]Spec `json:"sites"`
 }
 
-// Validate checks rates, stalls, and site names.
+// Validate checks rates, stalls, and site names. It checks the known sites
+// in Sites() order, then reports the first unknown site by name, so a plan
+// with several faults always names the same one.
 func (p Plan) Validate() error {
-	for site, spec := range p.Sites {
-		if !knownSite(site) {
-			return fmt.Errorf("fault: unknown site %q (known: %v)", site, Sites())
+	for _, site := range Sites() {
+		spec, ok := p.Sites[site]
+		if !ok {
+			continue
 		}
 		if spec.Rate < 0 || spec.Rate > 1 {
 			return fmt.Errorf("fault: site %s rate %v outside [0, 1]", site, spec.Rate)
@@ -118,6 +122,15 @@ func (p Plan) Validate() error {
 		if spec.MaxFires < 0 {
 			return fmt.Errorf("fault: site %s negative max_fires", site)
 		}
+	}
+	var unknown []Site
+	for site := range p.Sites {
+		if !knownSite(site) {
+			unknown = append(unknown, site)
+		}
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("fault: unknown site %q (known: %v)", slices.Min(unknown), Sites())
 	}
 	return nil
 }

@@ -144,6 +144,23 @@ func TestPlanValidate(t *testing.T) {
 	if err := UniformPlan(0.1, 1).Validate(); err != nil {
 		t.Fatalf("uniform plan invalid: %v", err)
 	}
+	// Every site is bad, so the diagnostic depends only on the order
+	// Validate checks them in: Sites() first, then unknown names sorted.
+	for run := 0; run < 20; run++ {
+		plan := UniformPlan(2, 1)
+		plan.Sites["zz"], plan.Sites["aa"] = Spec{}, Spec{}
+		const want = "fault: site slow-read rate 2 outside [0, 1]"
+		if err := plan.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("uniform rate-2 plan: %v, want %q", err, want)
+		}
+		for _, site := range Sites() {
+			plan.Sites[site] = Spec{Rate: 0.5}
+		}
+		const unknown = `fault: unknown site "aa" (known: [slow-read slow-outage disk-read restore-corrupt prefetch profile-stale evict-storm])`
+		if err := plan.Validate(); err == nil || err.Error() != unknown {
+			t.Fatalf("plan with two unknown sites: %v, want %q", err, unknown)
+		}
+	}
 	if UniformPlan(0, 1).Enabled() {
 		t.Fatal("zero-rate uniform plan enabled")
 	}

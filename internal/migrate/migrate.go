@@ -16,9 +16,14 @@
 // completes; executions overlapping a busy extent wait (WaitFor), and ext11
 // and perfbench's fleet workload add that wait to the invocation's latency.
 //
-// Each Tick sorts the extents once, by (heat, tie-break hash, index); the
+// Each Tick ranks the extents once, by (heat, tie-break hash, index); the
 // pack, the demotion and promotion orders and every tier's eviction order
-// are read off that one ranking.
+// are read off that one ranking. The ranking starts from the previous
+// epoch's: only the extents touched since then are sorted, and merged in.
+//
+// The engine keeps no event log. It folds each event into a running
+// FNV-1a checksum as it schedules it (LogChecksum), and Tick returns the
+// epoch's events in a buffer the next Tick reuses.
 //
 // Determinism: the engine is a pure function of (config, seed, the Touch and
 // Tick sequence). Heat ties in the packing order are broken by a splitmix64
@@ -30,9 +35,7 @@ package migrate
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"toss/internal/guest"
@@ -224,6 +227,7 @@ type Engine struct {
 
 	heat      []float64 // EWMA per extent
 	pending   []float64 // heat accumulated since the last Tick
+	touched   []bool    // pending was non-zero at the last Tick's fold
 	level     []uint8   // current hierarchy level per extent
 	movedAt   []int32   // epoch of the extent's last move (hysteresis)
 	readyAt   []simtime.Duration
@@ -232,12 +236,17 @@ type Engine struct {
 
 	epoch     int32
 	busyUntil simtime.Duration
-	log       []Event
-	stats     Stats
+	// events are the current epoch's migrations; sum is the FNV-1a of
+	// every epoch's events in schedule order.
+	events []Event
+	sum    uint64
+	stats  Stats
 
-	// The epoch's ranking and the scratch derived from it, rebuilt every
+	// The epoch's ranking and the scratch derived from it, updated every
 	// Tick and reused across Ticks.
 	hot      []rankKey // every extent, hottest first
+	spare    []rankKey // rerank's merge target, swapped with hot
+	fresh    []rankKey // rerank: the touched extents' keys
 	cold     []int32   // every extent, coldest first
 	victims  [][]int32 // per bounded level: its extents at the epoch's start, coldest first
 	vnext    []int     // per bounded level: makeRoom's cursor into victims
@@ -286,6 +295,7 @@ func New(cfg Config, totalPages int64) (*Engine, error) {
 		nExt:       n,
 		heat:       make([]float64, n),
 		pending:    make([]float64, n),
+		touched:    make([]bool, n),
 		level:      make([]uint8, n),
 		movedAt:    make([]int32, n),
 		readyAt:    make([]simtime.Duration, n),
@@ -293,6 +303,7 @@ func New(cfg Config, totalPages int64) (*Engine, error) {
 		jit:        make([]uint64, n),
 		victims:    make([][]int32, cfg.Hierarchy.Bottom()),
 		vnext:      make([]int, cfg.Hierarchy.Bottom()),
+		sum:        fnvOffset64,
 	}
 	bottom := uint8(cfg.Hierarchy.Bottom())
 	for i := range e.level {
@@ -428,19 +439,23 @@ func jitter(seed int64, extent int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// rank sorts the extents once for this epoch. hot is (heat desc, jitter
-// asc, index asc): the order of the pack and of promotions. cold is (heat
-// asc, jitter asc, index asc): the order of demotions and evictions. cold
-// is not hot reversed: it takes hot's equal-heat groups in reverse order,
-// each group as it stands, so ties keep the jitter order in both. Each
-// bounded level's victim list is cold filtered by the extents' levels at
-// the start of the epoch.
+// rank orders the extents for this epoch. hot is (heat desc, jitter asc,
+// index asc): the order of the pack and of promotions. cold is (heat asc,
+// jitter asc, index asc): the order of demotions and evictions. cold is not
+// hot reversed: it takes hot's equal-heat groups in reverse order, each
+// group as it stands, so ties keep the jitter order in both. Each bounded
+// level's victim list is cold filtered by the extents' levels at the start
+// of the epoch. The first epoch sorts every extent; later ones rerank.
 func (e *Engine) rank() {
-	e.hot = slices.Grow(e.hot[:0], e.nExt)
-	for i, h := range e.heat {
-		e.hot = append(e.hot, rankKey{heat: h, jit: e.jit[i], i: int32(i)})
+	if len(e.hot) == e.nExt {
+		e.rerank()
+	} else {
+		e.hot = slices.Grow(e.hot[:0], e.nExt)
+		for i, h := range e.heat {
+			e.hot = append(e.hot, rankKey{heat: h, jit: e.jit[i], i: int32(i)})
+		}
+		slices.SortFunc(e.hot, hotter)
 	}
-	slices.SortFunc(e.hot, hotter)
 
 	e.cold = slices.Grow(e.cold[:0], e.nExt)
 	for end := len(e.hot); end > 0; {
@@ -465,16 +480,57 @@ func (e *Engine) rank() {
 	}
 }
 
+// rerank turns the previous epoch's hot order into this epoch's. An
+// untouched extent only decayed, and scaling by Decay keeps the order of
+// distinct heats unless rounding (or Decay 0) makes two of them equal,
+// when the tie falls to the jitter. So the untouched extents keep their places, one
+// linear pass checks their order, and they get a full sort only if it
+// broke. The touched extents are sorted on their own and merged in. The
+// result is the same total order a full sort gives.
+func (e *Engine) rerank() {
+	kept, sorted := e.hot[:0], true
+	e.fresh = e.fresh[:0]
+	for _, k := range e.hot {
+		k.heat = e.heat[k.i]
+		if e.touched[k.i] {
+			e.fresh = append(e.fresh, k)
+			continue
+		}
+		if n := len(kept); n > 0 && hotter(kept[n-1], k) > 0 {
+			sorted = false
+		}
+		kept = append(kept, k)
+	}
+	if !sorted {
+		slices.SortFunc(kept, hotter)
+	}
+	slices.SortFunc(e.fresh, hotter)
+	out := slices.Grow(e.spare[:0], e.nExt)
+	a, b := 0, 0
+	for a < len(kept) && b < len(e.fresh) {
+		if hotter(kept[a], e.fresh[b]) < 0 {
+			out = append(out, kept[a])
+			a++
+		} else {
+			out = append(out, e.fresh[b])
+			b++
+		}
+	}
+	out = append(append(out, kept[a:]...), e.fresh[b:]...)
+	e.spare, e.hot = e.hot, out
+}
+
 // Tick ends the current epoch at virtual time `now`: folds pending heat into
 // the EWMA, computes the desired packing, and executes migrations under the
 // policy and this epoch's bandwidth budget. It returns the events scheduled
-// by this tick (also appended to Log).
+// by this tick, in a buffer the next Tick reuses.
 func (e *Engine) Tick(now simtime.Duration) []Event {
 	e.epoch++
 	e.stats.Epochs++
-	for i := range e.heat {
-		e.heat[i] = e.cfg.Decay*e.heat[i] + e.pending[i]
+	for i, p := range e.pending {
+		e.heat[i] = e.cfg.Decay*e.heat[i] + p
 		e.pending[i] = 0
+		e.touched[i] = p != 0
 	}
 	if e.cfg.Policy == PolicyStatic {
 		return nil
@@ -484,7 +540,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	e.rank()
 	desired := e.packDesired(oracle)
 
-	logStart := len(e.log)
+	e.events = e.events[:0]
 	// The daemon's schedule cursor: migrations serialize on the daemon and
 	// this epoch may schedule at most one epoch of moving time.
 	cursor := e.busyUntil
@@ -522,7 +578,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 		case ReasonPrefetch:
 			e.stats.Prefetches++
 		}
-		e.log = append(e.log, Event{
+		e.logEvent(Event{
 			At: at, Done: done, Extent: i, Region: region,
 			From: from, To: to, Reason: reason, Heat: e.heat[i],
 		})
@@ -609,7 +665,7 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	if !oracle && cursor > e.busyUntil {
 		e.busyUntil = cursor
 	}
-	return e.log[logStart:]
+	return e.events
 }
 
 // makeRoom evicts coldest incumbents of `target` (one level down, cascading
@@ -704,25 +760,31 @@ func (e *Engine) packDesired(oracle bool) []uint8 {
 // Stats returns the engine's activity summary.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// LogChecksum returns an fnv-64a over the full migration log — the
-// byte-determinism witness the serial-vs-parallel tests compare.
-func (e *Engine) LogChecksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, _ = h.Write(buf[:])
+// FNV-1a, 64-bit: the log checksum's offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// logEvent appends ev to the epoch's events and folds its fields into the
+// log checksum as little-endian words, the heat in millionths.
+func (e *Engine) logEvent(ev Event) {
+	e.events = append(e.events, ev)
+	for _, v := range [...]uint64{
+		uint64(ev.At), uint64(ev.Done), uint64(ev.Extent),
+		uint64(ev.Region.Start), uint64(ev.Region.Pages),
+		uint64(ev.From), uint64(ev.To), uint64(ev.Reason),
+		uint64(int64(ev.Heat * 1e6)),
+	} {
+		for k := 0; k < 8; k++ {
+			e.sum ^= v & 0xff
+			e.sum *= fnvPrime64
+			v >>= 8
+		}
 	}
-	for _, ev := range e.log {
-		w(uint64(ev.At))
-		w(uint64(ev.Done))
-		w(uint64(ev.Extent))
-		w(uint64(ev.Region.Start))
-		w(uint64(ev.Region.Pages))
-		w(uint64(ev.From))
-		w(uint64(ev.To))
-		w(uint64(ev.Reason))
-		w(uint64(int64(ev.Heat * 1e6)))
-	}
-	return h.Sum64()
 }
+
+// LogChecksum returns the FNV-1a 64 of every migration the engine has
+// scheduled, in schedule order — the byte-determinism witness the
+// serial-vs-parallel tests compare.
+func (e *Engine) LogChecksum() uint64 { return e.sum }

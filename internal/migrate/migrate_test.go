@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"slices"
 	"testing"
 
 	"toss/internal/guest"
@@ -69,6 +70,76 @@ func TestDeterminismSerialVsParallel(t *testing.T) {
 	// Different seeds must not all collapse to one log.
 	if serial[0] == serial[1] && serial[1] == serial[2] {
 		t.Fatalf("checksums do not vary with seed: %x", serial[0])
+	}
+}
+
+// TestLogChecksumStreamsTickEvents holds the running log checksum to a hash
+// of the log the engine no longer keeps: FNV-1a over every Tick's returned
+// events, concatenated in order. Each Tick's buffer is copied before the
+// next Tick reuses it.
+func TestLogChecksumStreamsTickEvents(t *testing.T) {
+	for _, policy := range Policies() {
+		cfg := DefaultConfig(testHierarchy(256, 512, 1024))
+		cfg.Policy = policy
+		cfg.Seed = 11
+		e, err := New(cfg, 64*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []Event
+		for epoch := 0; epoch < 24; epoch++ {
+			base := (epoch / 3) * 7 % e.Extents()
+			for k := 0; k < 6; k++ {
+				e.TouchExtent((base+k)%e.Extents(), float64(20-k))
+			}
+			all = append(all, e.Tick(simtime.Duration(epoch+1)*cfg.Epoch)...)
+		}
+		if policy != PolicyStatic && len(all) == 0 {
+			t.Fatalf("%s: no migrations to hash", policy)
+		}
+		if got, want := e.LogChecksum(), checksumEvents(all); got != want {
+			t.Fatalf("%s: LogChecksum %x, FNV-1a of the %d returned events %x", policy, got, len(all), want)
+		}
+	}
+}
+
+// TestRerankResortsDecayTies drives rank down its full-sort path: at Decay
+// 0 every untouched extent decays to heat 0, so the previous epoch's order
+// by heat no longer holds and the ties fall to the jitter. The check runs
+// on the previous order the test saved, and the new ranking must equal a
+// full sort.
+func TestRerankResortsDecayTies(t *testing.T) {
+	cfg := DefaultConfig(testHierarchy(256, 512, 1024))
+	cfg.Decay = 0
+	cfg.Seed = 5
+	e, err := New(cfg, 64*32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < e.Extents(); i++ {
+		e.TouchExtent(i, float64(1+i))
+	}
+	e.Tick(cfg.Epoch)
+	prev := slices.Clone(e.hot)
+	e.TouchExtent(7, 3)
+	e.Tick(2 * cfg.Epoch)
+
+	var untouched []rankKey
+	for _, k := range prev {
+		if k.i != 7 {
+			untouched = append(untouched, rankKey{heat: e.heat[k.i], jit: k.jit, i: k.i})
+		}
+	}
+	if slices.IsSortedFunc(untouched, hotter) {
+		t.Fatal("decay kept the untouched extents in order; the full-sort path is not exercised")
+	}
+	want := make([]rankKey, e.nExt)
+	for i := range want {
+		want[i] = rankKey{heat: e.heat[i], jit: e.jit[i], i: int32(i)}
+	}
+	slices.SortFunc(want, hotter)
+	if !slices.Equal(e.hot, want) {
+		t.Fatalf("reranked order differs from a full sort:\n got %v\nwant %v", e.hot, want)
 	}
 }
 
@@ -278,14 +349,14 @@ func TestOracleInstantAndGreedy(t *testing.T) {
 	e.SetLevel(e.ExtentRegion(0), 0)
 	e.TouchExtent(0, 10)
 	e.TouchExtent(1, 11) // barely hotter: oracle has no margin, so it wins dram
-	e.Tick(cfg.Epoch)
+	evs := e.Tick(cfg.Epoch)
 	if got := e.LevelOfExtent(1); got != 0 {
 		t.Fatalf("oracle kept the colder incumbent: challenger at %d", got)
 	}
 	if e.Stats().BusyTime != 0 {
 		t.Fatalf("oracle paid busy time: %v", e.Stats().BusyTime)
 	}
-	for _, ev := range e.log {
+	for _, ev := range evs {
 		if ev.Done != ev.At {
 			t.Fatalf("oracle move has duration: %+v", ev)
 		}

@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -16,14 +18,43 @@ import (
 // refEngine runs the migration epoch the direct way: packDesired re-sorts
 // the unassigned extents once per bounded level, each candidate list gets a
 // sort of its own, every comparison recomputes the jitter, and makeRoom
-// scans every extent for each eviction victim. It shares the Engine's state
-// and its non-epoch methods (SetLevel, Touch, LogChecksum, ...), and it is
+// scans every extent for each eviction victim. It keeps the full event log
+// and hashes all of it on every LogChecksum, where the Engine folds each
+// event into a running checksum as it schedules it. It shares the Engine's
+// state and its other non-epoch methods (SetLevel, Touch, ...), and it is
 // the differential reference FuzzTick and TestTickMatchesReference hold the
 // ranked epoch to.
 type refEngine struct {
 	*Engine
+	log     []Event
 	order   []int
 	desired []uint8
+}
+
+// LogChecksum hashes the whole log.
+func (e *refEngine) LogChecksum() uint64 { return checksumEvents(e.log) }
+
+// checksumEvents is the FNV-1a 64 over evs, each event's fields written as
+// little-endian words with the heat in millionths.
+func checksumEvents(evs []Event) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = h.Write(buf[:])
+	}
+	for _, ev := range evs {
+		w(uint64(ev.At))
+		w(uint64(ev.Done))
+		w(uint64(ev.Extent))
+		w(uint64(ev.Region.Start))
+		w(uint64(ev.Region.Pages))
+		w(uint64(ev.From))
+		w(uint64(ev.To))
+		w(uint64(ev.Reason))
+		w(uint64(int64(ev.Heat * 1e6)))
+	}
+	return h.Sum64()
 }
 
 func newRefEngine(cfg Config, totalPages int64) (*refEngine, error) {

@@ -19,7 +19,9 @@ import (
 
 // Source yields a time-ordered arrival sequence one spec at a time. Next
 // returns ok=false when the sequence is exhausted; implementations are not
-// safe for concurrent use (the cluster core pulls from a single goroutine).
+// safe for concurrent use. The cluster core pulls from a single goroutine
+// of its own, ahead of its event loop, so a Source must not depend on the
+// simulation's state.
 type Source interface {
 	Next() (ArrivalSpec, bool)
 }
