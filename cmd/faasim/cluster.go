@@ -24,18 +24,9 @@ import (
 // of the profile is a serial event loop, so the output is byte-deterministic
 // for a given flag set.
 func runCluster(o *options, w io.Writer) (*dashboard, error) {
-	var mech sched.Mechanism
-	switch o.mode {
-	case platform.ModeTOSS:
-		mech = sched.MechTOSS
-	case platform.ModeREAP:
-		mech = sched.MechREAP
-	case platform.ModeFaaSnap:
-		mech = sched.MechFaaSnap
-	case platform.ModeDRAM:
-		mech = sched.MechDRAM
-	default:
-		return nil, usagef("-mode %s has no cluster profile (cluster mode supports toss, reap, faasnap, dram)", o.mode)
+	mech := o.mode
+	if mech == platform.ModeSlow {
+		return nil, usagef("-mode %s has no cluster profile (cluster mode supports toss, reap, faasnap, dram)", mech)
 	}
 
 	pol, err := cluster.ParsePolicy(o.router)

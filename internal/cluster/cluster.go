@@ -1,10 +1,11 @@
 // Package cluster simulates a fleet of tiered serverless hosts behind a
-// front-end router and a virtual-time autoscaler — the layer ROADMAP open
-// item 1 asks for above the single-host simulator. Each node owns its own
-// cores, tier capacities, keep-alive cache, and local snapshot store;
-// invocation costs come from per-function profiles measured once through
-// sched.Invoker (the calibrated single-host machinery), so fleet-scale runs
-// stay cheap, deterministic, and anchored to the paper's model.
+// front-end router and a virtual-time autoscaler — the fleet layer above
+// the single-host simulator. Each node owns its own cores, tier capacities,
+// keep-alive cache, and local snapshot store; invocation costs come from
+// per-function profiles measured once through a platform.Function (the
+// mechanism the platform and the single-host simulator serve through, fault
+// policy included), so fleet-scale runs stay cheap, deterministic, and
+// anchored to the paper's model.
 //
 // The cluster-level question mirrors TOSS's page-level one: restore latency
 // is dominated by where snapshot state already lives, so the router's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"toss/internal/guest"
+	"toss/internal/platform"
 	"toss/internal/sched"
 	"toss/internal/simtime"
 	"toss/internal/workload"
@@ -12,10 +13,10 @@ import (
 // FnProfile is one function's measured steady-state cost profile under a
 // mechanism: the numbers the cluster event loop charges per invocation
 // instead of embedding a whole single-host simulator in every node. The
-// profile is measured once per (mechanism, function) through sched.Invoker
-// — the same microVM machinery the single-host simulator runs — so cluster
-// results stay anchored to the calibrated model rather than hand-picked
-// constants.
+// profile is measured once per (mechanism, function) through a
+// platform.Function — the mechanism the platform and the single-host
+// simulator serve through, fault policy included — so cluster results stay
+// anchored to the calibrated model rather than hand-picked constants.
 type FnProfile struct {
 	Name string
 	// ColdSetup / ColdExec are the steady-state cold-start restore and
@@ -45,6 +46,9 @@ const maxProfileWarmups = 400
 // the profiles — and everything the cluster computes from them — are
 // reproducible from the config alone.
 func Profile(cfg sched.Config, fns []string) (map[string]FnProfile, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	out := make(map[string]FnProfile, len(fns))
 	for i, fn := range fns {
 		p, err := profileOne(cfg, fn, int64(i))
@@ -57,26 +61,29 @@ func Profile(cfg sched.Config, fns []string) (map[string]FnProfile, error) {
 }
 
 // profileOne warms one mechanism to steady state and measures its costs.
-func profileOne(cfg sched.Config, fn string, fnIdx int64) (FnProfile, error) {
-	iv, err := sched.NewInvoker(cfg, fn)
+func profileOne(cfg sched.Config, name string, fnIdx int64) (FnProfile, error) {
+	spec, ok := workload.ByName(name)
+	if !ok {
+		return FnProfile{}, fmt.Errorf("unknown function %q", name)
+	}
+	fn, err := platform.NewFunction(cfg.Core, spec, cfg.Mechanism)
 	if err != nil {
 		return FnProfile{}, err
 	}
-	p := FnProfile{Name: fn}
+	p := FnProfile{Name: name}
 	seed := 7001 + fnIdx*131
 
 	// Warm up: invoke cold across the levels until the mechanism reports
 	// steady state (TOSS tiered, REAP/FaaSnap working set recorded, DRAM
 	// snapshot captured).
-	for n := 0; n < maxProfileWarmups && !iv.Ready(); n++ {
+	for n := 0; n < maxProfileWarmups && !fn.Ready(); n++ {
 		lv := workload.Level(n % len(workload.Levels))
-		a := workload.ArrivalSpec{Function: fn, Level: lv, Seed: seed + int64(n)}
-		if _, _, err := iv.InvokeCold(a, 1); err != nil {
-			return FnProfile{}, err
+		if rec := fn.Cold(lv, seed+int64(n), 1, nil); rec.Err != nil {
+			return FnProfile{}, rec.Err
 		}
 		p.Warmups++
 	}
-	if !iv.Ready() {
+	if !fn.Ready() {
 		return FnProfile{}, fmt.Errorf("not at steady state after %d warm-ups", p.Warmups)
 	}
 
@@ -84,19 +91,19 @@ func profileOne(cfg sched.Config, fn string, fnIdx int64) (FnProfile, error) {
 	// are the cluster loop's job, not the profile's.
 	for li := range workload.Levels {
 		lv := workload.Level(li)
-		a := workload.ArrivalSpec{Function: fn, Level: lv, Seed: seed + 10_000 + int64(li)}
-		setup, exec, err := iv.InvokeCold(a, 1)
-		if err != nil {
-			return FnProfile{}, err
+		lvSeed := seed + 10_000 + int64(li)
+		rec := fn.Cold(lv, lvSeed, 1, nil)
+		if rec.Err != nil {
+			return FnProfile{}, rec.Err
 		}
-		p.ColdSetup[li], p.ColdExec[li] = setup, exec
-		warm, err := iv.InvokeWarm(a, 1)
+		p.ColdSetup[li], p.ColdExec[li] = rec.Setup, rec.Exec
+		warm, _, err := fn.Warm(lv, lvSeed, 1)
 		if err != nil {
 			return FnProfile{}, err
 		}
 		p.WarmExec[li] = warm
 	}
-	p.FastPages, p.SlowPages = iv.Footprint()
+	p.FastPages, p.SlowPages = fn.Footprint()
 	p.SnapshotBytes = (p.FastPages + p.SlowPages) * guest.PageSize
 	return p, nil
 }

@@ -1,16 +1,19 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"toss/internal/sched"
+	"toss/internal/workload"
 )
 
-// TestProfileMeasures runs the real measurement path (sched.Invoker over
-// the microVM machinery) for one function under TOSS and DRAM and checks
-// the profile shapes: steady state reached, tiered footprints for TOSS,
-// all-fast for DRAM, warm execution never above cold end-to-end cost, and
-// byte-identical numbers on re-measurement.
+// TestProfileMeasures runs the real measurement path (a platform.Function
+// over the microVM machinery) for one function under TOSS and DRAM and
+// checks the profile shapes: steady state reached, tiered footprints for
+// TOSS, all-fast for DRAM, warm execution never above cold end-to-end cost,
+// and byte-identical numbers on re-measurement.
 func TestProfileMeasures(t *testing.T) {
 	base := sched.DefaultConfig() // ConvergenceWindow 12, like the suite
 
@@ -63,5 +66,44 @@ func TestProfileMeasures(t *testing.T) {
 	}
 	if again["json_load_dump"] != p {
 		t.Errorf("re-measured TOSS profile differs:\n first %+v\nsecond %+v", p, again["json_load_dump"])
+	}
+}
+
+// profileDigestGolden pins every field of every fault-free profile that
+// Profile measures for the four mechanisms over all ten functions.
+const profileDigestGolden uint64 = 0x13b9acb4e0506752
+
+// TestProfileDigestGolden profiles every function under each mechanism and
+// hashes the profiles with FNV-64a, so a change to any mechanism's cold,
+// warm or footprint path that moves a profile fails here by digest.
+func TestProfileDigestGolden(t *testing.T) {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(vs ...int64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+	}
+	fns := workload.Names()
+	for _, mech := range []sched.Mechanism{sched.MechTOSS, sched.MechREAP, sched.MechDRAM, sched.MechFaaSnap} {
+		cfg := sched.DefaultConfig()
+		cfg.Mechanism = mech
+		profiles, err := Profile(cfg, fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range fns {
+			p := profiles[fn]
+			put(int64(len(p.Name)))
+			h.Write([]byte(p.Name))
+			for lv := range p.ColdSetup {
+				put(int64(p.ColdSetup[lv]), int64(p.ColdExec[lv]), int64(p.WarmExec[lv]))
+			}
+			put(p.FastPages, p.SlowPages, p.SnapshotBytes, int64(p.Warmups))
+		}
+	}
+	if got := h.Sum64(); got != profileDigestGolden {
+		t.Errorf("profile digest = %#016x, want %#016x", got, profileDigestGolden)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"toss/internal/snapshot"
 	"toss/internal/telemetry"
 	"toss/internal/workload"
-	"toss/internal/xray"
 )
 
 // Phase is the controller's lifecycle state for one function.
@@ -358,16 +357,10 @@ func (c *Controller) recoverCorrupt(lv workload.Level, seed int64, concurrency i
 		phaseSpan = parent.Child(telemetry.KindControllerPhase, "phase:recover-corrupt", 0)
 	}
 	c.tiered = nil
-	vm := microvm.NewBooted(c.cfg.VM, c.pd.Layout)
-	vm.SetLabel(c.spec.Name)
-	vm.SetRecordTruth(false)
-	res, err := vm.RunTraced(tr, phaseSpan)
+	res, single, err := microvm.Capture(c.cfg.VM, c.pd.Layout, c.spec.Name, tr, phaseSpan)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: corrupt recovery boot: %w", err)
 	}
-	single, snapCost := vm.SnapshotTraced(c.spec.Name, phaseSpan, res.Setup+res.Exec)
-	res.Setup += snapCost
-	res.Budget.Extend(xray.SegSnapshotWrite, snapCost)
 	c.pd.Single = single
 	if c.analysis != nil {
 		c.tiered = BuildSnapshot(c.pd, c.analysis)

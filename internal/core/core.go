@@ -156,16 +156,10 @@ func NewProfileDataTraced(cfg Config, spec *workload.Spec, lv workload.Level, se
 	if err != nil {
 		return nil, microvm.Result{}, err
 	}
-	vm := microvm.NewBooted(cfg.VM, layout)
-	vm.SetLabel(spec.Name)
-	vm.SetRecordTruth(false) // profiling starts with the second invocation
-	res, err := vm.RunTraced(tr, span)
+	res, single, err := microvm.Capture(cfg.VM, layout, spec.Name, tr, span)
 	if err != nil {
 		return nil, microvm.Result{}, fmt.Errorf("core: initial execution: %w", err)
 	}
-	single, snapCost := vm.SnapshotTraced(spec.Name, span, res.Setup+res.Exec)
-	res.Setup += snapCost // charge capture to the first invocation
-	res.Budget.Extend(xray.SegSnapshotWrite, snapCost)
 	return &ProfileData{
 		Spec:    spec,
 		Layout:  layout,

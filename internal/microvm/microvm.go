@@ -647,16 +647,30 @@ func (m *Machine) majorFaultCost(e access.Event, pages int64) simtime.Duration {
 		m.cfg.Disk.FaultCost(pages, m.concurrency)
 }
 
-// Snapshot captures the machine's resident memory as a single-tier snapshot
-// after an invocation (the paper's Step I) and prices the capture.
-func (m *Machine) Snapshot(function string) (*snapshot.Single, simtime.Duration) {
-	return m.SnapshotTraced(function, nil, 0)
+// Capture boots a fresh machine, runs tr on it and captures its single-tier
+// snapshot (the paper's Step I). The capture is charged to the result's
+// setup time and to its budget's snapshot.write segment. label names the
+// machine and the snapshot, normally the function; a non-nil span receives
+// the boot, execution and snapshot-write spans.
+func Capture(cfg Config, layout guest.Layout, label string, tr *access.Trace, span *telemetry.Span) (Result, *snapshot.Single, error) {
+	m := NewBooted(cfg, layout)
+	m.SetLabel(label)
+	m.SetRecordTruth(false)
+	res, err := m.RunTraced(tr, span)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	snap, cost := m.SnapshotTraced(label, span, res.Total())
+	res.Setup += cost
+	res.Budget.Extend(xray.SegSnapshotWrite, cost)
+	return res, snap, nil
 }
 
-// SnapshotTraced is Snapshot plus telemetry: when parent is non-nil it emits
-// a KindSnapshotCreate span starting at `at` on the parent's timeline, and
-// the capture cost lands in the snapshot-create histogram when metrics are
-// configured.
+// SnapshotTraced captures the machine's resident memory as a single-tier
+// snapshot after an invocation and prices the capture. When parent is
+// non-nil it emits a KindSnapshotCreate span starting at `at` on the
+// parent's timeline, and the capture cost lands in the snapshot-create
+// histogram when metrics are configured.
 func (m *Machine) SnapshotTraced(function string, parent *telemetry.Span, at simtime.Duration) (*snapshot.Single, simtime.Duration) {
 	memImg := snapshot.NewMemory(function, m.layout.TotalPages, m.resident)
 	const vmStateBytes = 1 << 20

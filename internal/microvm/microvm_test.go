@@ -366,7 +366,7 @@ func TestSnapshotCapturesResidentPages(t *testing.T) {
 	if _, err := m.Run(seqTrace(r, 1)); err != nil {
 		t.Fatal(err)
 	}
-	snap, cost := m.Snapshot("fn")
+	snap, cost := m.SnapshotTraced("fn", nil, 0)
 	if cost <= 0 {
 		t.Error("snapshot capture cost not positive")
 	}

@@ -102,7 +102,7 @@ func BenchmarkRestoreTieredRun(b *testing.B) {
 	if _, err := booted.Run(first); err != nil {
 		b.Fatal(err)
 	}
-	single, _ := booted.Snapshot(spec.Name)
+	single, _ := booted.SnapshotTraced(spec.Name, nil, 0)
 	ts := snapshot.BuildTiered(single, hotPlacement(first, layout))
 	tr, err := spec.Trace(workload.IV, 2)
 	if err != nil {

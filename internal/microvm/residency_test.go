@@ -208,7 +208,7 @@ func TestResidencyMatchesPerPageReference(t *testing.T) {
 				t.Errorf("seed %d %s: faults %d/%d in %v, per-page reference %d/%d in %v",
 					seed, c.name, res.MajorFaults, res.MinorFaults, res.FaultTime, major, minor, faultTime)
 			}
-			snapAfter, _ := vm.Snapshot("f")
+			snapAfter, _ := vm.SnapshotTraced("f", nil, 0)
 			if got, want := snapAfter.Memory.ResidentRegions(), c.resident.regions(); !slices.Equal(got, want) {
 				t.Errorf("seed %d %s: snapshot regions %v, per-page reference %v", seed, c.name, got, want)
 			}

@@ -29,7 +29,7 @@ func tracedFixture(t testing.TB, tracer *telemetry.Tracer, met *telemetry.Metric
 	if _, err := boot.Run(tr); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := boot.Snapshot("pyaes")
+	snap, _ := boot.SnapshotTraced("pyaes", nil, 0)
 
 	root := tracer.Root(telemetry.KindInvocation, "pyaes", 0)
 	vm := RestoreLazy(cfg, layout, snap, 1)
@@ -154,7 +154,7 @@ func BenchmarkRunTracedOverhead(b *testing.B) {
 	if _, err := boot.Run(tr); err != nil {
 		b.Fatal(err)
 	}
-	snap, _ := boot.Snapshot("pyaes")
+	snap, _ := boot.SnapshotTraced("pyaes", nil, 0)
 
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

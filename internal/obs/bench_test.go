@@ -23,7 +23,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 	if _, err := boot.Run(tr); err != nil {
 		b.Fatal(err)
 	}
-	snap, _ := boot.Snapshot("pyaes")
+	snap, _ := boot.SnapshotTraced("pyaes", nil, 0)
 
 	b.Run("disabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -44,37 +44,32 @@ func retry(rec *Record, invoke func() (microvm.Result, error)) (microvm.Result, 
 }
 
 // degrade serves an invocation whose primary path failed with the
-// fault-site error cause through fs's mode's degradation policy, and names
+// fault-site error cause through f's mode's degradation policy, and names
 // the policy ("" with cause returned when the mode has none for it). TOSS
 // delegates to core.Controller.Degrade. Slow-only falls back from an outage
 // to a lazy restore of its single snapshot, and both all-DRAM and
 // slow-only re-capture a corrupt snapshot from a cold boot.
-func (p *Platform) degrade(fs *functionState, rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, string, error) {
+func (f *Function) degrade(rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, string, error) {
 	corrupt := errors.Is(cause, snapshot.ErrCorrupt)
 	switch {
-	case fs.mode == ModeTOSS:
-		res, policy, err := fs.toss.Degrade(cause, lv, seed, conc, span)
+	case f.mode == ModeTOSS:
+		res, policy, err := f.toss.Degrade(cause, lv, seed, conc, span)
 		rec.Phase = res.Phase
 		return res.Result, policy, err
-	case fs.mode == ModeDRAM && corrupt:
-		fs.dramSnap = nil
-		res, err := p.invokeDRAM(fs, lv, seed, conc, span)
+	case f.mode == ModeDRAM && corrupt:
+		f.dramSnap = nil
+		res, err := f.invokeDRAM(lv, seed, conc, span)
 		return res, core.DegradeResnapshot, err
-	case fs.mode == ModeSlow && corrupt:
-		fs.slowSnap = nil
-		res, err := p.invokeSlow(fs, lv, seed, conc, span)
+	case f.mode == ModeSlow && corrupt:
+		f.slowSnap = nil
+		res, err := f.invokeSlow(lv, seed, conc, span)
 		return res, core.DegradeResnapshot, err
-	case fs.mode == ModeSlow && errors.Is(cause, fault.ErrTierUnavailable):
-		layout, err := fs.spec.Layout()
+	case f.mode == ModeSlow && errors.Is(cause, fault.ErrTierUnavailable):
+		tr, err := f.spec.Trace(lv, seed)
 		if err != nil {
 			return microvm.Result{}, core.DegradeLazy, err
 		}
-		tr, err := fs.spec.Trace(lv, seed)
-		if err != nil {
-			return microvm.Result{}, core.DegradeLazy, err
-		}
-		vm := microvm.RestoreLazy(p.cfg.VM, layout, fs.slowSingle, conc)
-		vm.SetLabel(fs.spec.Name)
+		vm := microvm.RestoreLazy(f.cfg.VM, f.layout, f.slowSingle, conc)
 		vm.SetRecordTruth(false)
 		res, err := vm.RunTraced(tr, span)
 		return res, core.DegradeLazy, err

@@ -1,7 +1,10 @@
 // Package platform assembles the pieces into a serverless platform: a
-// function registry, per-function snapshot managers (TOSS, REAP, or plain
-// lazy-restore DRAM), a trace replayer, and per-function billing statistics
-// based on the paper's memory cost formula.
+// function registry, a trace replayer, and per-function billing statistics
+// based on the paper's memory cost formula, over one snapshot mechanism per
+// function (Function: TOSS, REAP, FaaSnap, all-DRAM lazy restore or
+// all-slow). Function is the repository's only mechanism layer, fault policy
+// included: the discrete-event host simulator (internal/sched) and the
+// cluster profiler serve through it too.
 //
 // Concurrency is a model input, not an observation: Replay serves a trace
 // in request order and charges every invocation the memory/disk contention
@@ -16,12 +19,8 @@ import (
 	"toss/internal/access"
 	"toss/internal/core"
 	"toss/internal/damon"
-	"toss/internal/fault"
-	"toss/internal/guest"
 	"toss/internal/mem"
-	"toss/internal/microvm"
 	"toss/internal/obs"
-	"toss/internal/reap"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
 	"toss/internal/telemetry"
@@ -88,8 +87,9 @@ func (p *Platform) SetTracer(t *telemetry.Tracer) { p.tracer = t }
 
 // SetRecorder attaches a flight recorder; it also becomes the microvm
 // observer so demand faults and restores land on the residency timelines.
-// Call before Register — TOSS controllers wire their phase and audit hooks
-// to the recorder at registration time. Pass nil to detach.
+// Call before Register: each function's mechanism copies the config, and
+// TOSS controllers wire their phase and audit hooks to the recorder at
+// registration time. Pass nil to detach.
 func (p *Platform) SetRecorder(r *obs.Recorder) {
 	p.recorder = r
 	if r == nil {
@@ -100,21 +100,8 @@ func (p *Platform) SetRecorder(r *obs.Recorder) {
 }
 
 type functionState struct {
-	mu   sync.Mutex
-	spec *workload.Spec
-	mode Mode
-
-	toss *core.Controller
-	// reap serves ModeREAP, and ModeFaaSnap with a mincore tracker.
-	reap *reap.Manager
-	// dramSnap backs ModeDRAM after its first invocation.
-	dramSnap *snapshot.Single
-	// slowSnap/slowSingle back ModeSlow after its first invocation: the
-	// all-slow tiered snapshot and the single image it was built from
-	// (kept for the lazy outage fallback).
-	slowSnap   *snapshot.Tiered
-	slowSingle *snapshot.Single
-
+	mu    sync.Mutex
+	fn    *Function
 	stats Stats
 }
 
@@ -154,56 +141,35 @@ func New(cfg core.Config) (*Platform, error) {
 
 // Register adds a function under the given serving mode.
 func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
-	if spec == nil {
-		return fmt.Errorf("platform: nil spec")
+	fn, err := NewFunction(p.cfg, spec, mode)
+	if err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, dup := p.fns[spec.Name]; dup {
 		return fmt.Errorf("platform: function %q already registered", spec.Name)
 	}
-	fs := &functionState{spec: spec, mode: mode, stats: Stats{NormCost: 1}}
-	switch mode {
-	case ModeTOSS:
-		c, err := core.NewController(p.cfg, spec)
-		if err != nil {
-			return err
-		}
-		if r := p.recorder; r != nil {
-			name := spec.Name
-			c.SetHooks(core.Hooks{
-				OnPhase: func(from, to core.Phase) {
-					r.ObservePhase(name, from.String(), to.String())
-				},
-				OnProfiled: func(seq int, pat damon.Pattern, truth *access.Histogram) {
-					r.AuditDAMON(name, seq, pat, truth)
-				},
-				OnConverged: func(a *core.Analysis, ts *snapshot.Tiered) {
-					r.ObservePlacement(name, a.Placement.Regions(mem.Slow), ts.GuestPages, "converged")
-				},
-			})
-		}
-		fs.toss = c
-	case ModeREAP, ModeFaaSnap:
-		newManager := reap.NewManager
-		if mode == ModeFaaSnap {
-			newManager = reap.NewFaaSnapManager
-		}
-		m, err := newManager(p.cfg.VM, spec)
-		if err != nil {
-			return err
-		}
-		fs.reap = m
-	case ModeDRAM, ModeSlow:
-		// Lazily capture their snapshots on first invocation.
-	default:
-		return fmt.Errorf("platform: unknown mode %v", mode)
+	if c, r := fn.toss, p.recorder; c != nil && r != nil {
+		name := spec.Name
+		c.SetHooks(core.Hooks{
+			OnPhase: func(from, to core.Phase) {
+				r.ObservePhase(name, from.String(), to.String())
+			},
+			OnProfiled: func(seq int, pat damon.Pattern, truth *access.Histogram) {
+				r.AuditDAMON(name, seq, pat, truth)
+			},
+			OnConverged: func(a *core.Analysis, ts *snapshot.Tiered) {
+				r.ObservePlacement(name, a.Placement.Regions(mem.Slow), ts.GuestPages, "converged")
+			},
+		})
 	}
-	p.fns[spec.Name] = fs
+	p.fns[spec.Name] = &functionState{fn: fn, stats: Stats{NormCost: 1}}
 	return nil
 }
 
-// Record is the outcome of one platform invocation.
+// Record is the outcome of one platform invocation, as Function.Cold
+// returns it.
 type Record struct {
 	Function string
 	Level    workload.Level
@@ -246,48 +212,33 @@ func (p *Platform) Invoke(name string, lv workload.Level, seed int64) Record {
 }
 
 // invoke serves one invocation charged the disk and slow-tier contention of
-// conc invocations in flight. Every mode runs one sequence: retry the mode's
-// serve step, hand a fault-site error that outlives the retries to the
-// mode's degrade step, then account the result.
+// conc invocations in flight through the function's Cold sequence, and
+// accounts it: the root span, the function's stats, platform metrics and
+// the flight recorder.
 func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) Record {
 	p.mu.RLock()
 	fs := p.fns[name]
 	p.mu.RUnlock()
-	rec := Record{Function: name, Level: lv}
 	if fs == nil {
-		rec.Err = fmt.Errorf("platform: unknown function %q", name)
-		return rec
+		return Record{Function: name, Level: lv, Err: fmt.Errorf("platform: unknown function %q", name)}
 	}
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	rec.Mode = fs.mode
 
 	// One root span per invocation, on its own track, with the invocation's
 	// virtual timeline starting at 0.
 	span := p.tracer.Root(telemetry.KindInvocation, name, 0,
-		telemetry.Str("mode", fs.mode.String()),
+		telemetry.Str("mode", fs.fn.mode.String()),
 		telemetry.Str("level", lv.String()),
 		telemetry.I64("seed", seed),
 		telemetry.I64("concurrency", int64(conc)))
 
-	res, err := retry(&rec, func() (microvm.Result, error) {
-		return p.serve(fs, &rec, lv, seed, conc, span)
-	})
-	if err != nil && fault.SiteOf(err) != "" {
-		rec.FaultSite = string(fault.SiteOf(err))
-		res, rec.Degraded, err = p.degrade(fs, &rec, err, lv, seed, conc, span)
+	rec := fs.fn.Cold(lv, seed, conc, span)
+	if rec.Err != nil {
+		return p.finish(rec, span)
 	}
-	if err != nil {
-		rec.Err = wrapFault(err)
-		return p.finish(fs, rec, span)
-	}
-	waited := rec.Setup // retry backoff accumulated before the machine ran
-	rec.Setup += res.Setup
-	rec.Exec, rec.Faults, rec.Meter = res.Exec, res.MajorFaults, res.Meter
-	rec.XRay = res.Budget
-	rec.XRay.Extend(xray.SegRetryBackoff, waited)
-	if c := fs.toss; c != nil {
+	if c := fs.fn.toss; c != nil {
 		fs.stats.Phase = c.Phase()
 		if a := c.Analysis(); a != nil {
 			fs.stats.NormCost = a.MinCost()
@@ -305,46 +256,13 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 	if rec.Exec > fs.stats.MaxExec {
 		fs.stats.MaxExec = rec.Exec
 	}
-	return p.finish(fs, rec, span)
-}
-
-// serve runs the primary path of fs's mode once. TOSS records the phase it
-// served in, and a REAP or FaaSnap restore whose prefetch failed records
-// its lazy fallback.
-func (p *Platform) serve(fs *functionState, rec *Record, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
-	switch fs.mode {
-	case ModeTOSS:
-		res, err := fs.toss.InvokeTraced(lv, seed, conc, span)
-		rec.Phase = res.Phase
-		return res.Result, err
-	case ModeREAP, ModeFaaSnap:
-		res, err := fs.reap.InvokeTraced(lv, seed, conc, span)
-		if res.PrefetchFailed {
-			rec.Degraded = core.DegradeLazy
-			rec.FaultSite = string(fault.SitePrefetch)
-		}
-		return res.Result, err
-	case ModeDRAM:
-		return p.invokeDRAM(fs, lv, seed, conc, span)
-	default:
-		return p.invokeSlow(fs, lv, seed, conc, span)
-	}
-}
-
-// wrapFault adds platform context to a fault-site error while preserving
-// the typed chain (errors.Is/As still see the sentinel and *SiteError).
-// Non-fault errors pass through unchanged.
-func wrapFault(err error) error {
-	if fault.SiteOf(err) == "" {
-		return err
-	}
-	return fmt.Errorf("platform: unrecovered fault: %w", err)
+	return p.finish(rec, span)
 }
 
 // finish closes the invocation's root span and records platform metrics,
 // then advances the flight recorder's virtual clock by the invocation's
 // duration so samples land on the platform's accumulated timeline.
-func (p *Platform) finish(fs *functionState, rec Record, span *telemetry.Span) Record {
+func (p *Platform) finish(rec Record, span *telemetry.Span) Record {
 	span.EndAt(rec.Total())
 	if rec.XRay != nil {
 		rec.XRay.Mark(xray.MarkRetries, int64(rec.Retries))
@@ -381,88 +299,6 @@ func (p *Platform) finish(fs *functionState, rec Record, span *telemetry.Span) R
 		p.recorder.Advance(rec.Total())
 	}
 	return rec
-}
-
-// capture serves a first invocation on a freshly booted machine and
-// captures its single-tier snapshot, charging the capture to setup and to
-// the budget's snapshot.write segment.
-func (p *Platform) capture(fs *functionState, layout guest.Layout, tr *access.Trace, span *telemetry.Span) (microvm.Result, *snapshot.Single, error) {
-	vm := microvm.NewBooted(p.cfg.VM, layout)
-	vm.SetLabel(fs.spec.Name)
-	res, err := vm.RunTraced(tr, span)
-	if err != nil {
-		return microvm.Result{}, nil, err
-	}
-	snap, cost := vm.SnapshotTraced(fs.spec.Name, span, res.Setup+res.Exec)
-	res.Setup += cost
-	res.Budget.Extend(xray.SegSnapshotWrite, cost)
-	return res, snap, nil
-}
-
-// invokeDRAM serves the all-DRAM lazy-restore baseline.
-func (p *Platform) invokeDRAM(fs *functionState, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
-	layout, err := fs.spec.Layout()
-	if err != nil {
-		return microvm.Result{}, err
-	}
-	tr, err := fs.spec.Trace(lv, seed)
-	if err != nil {
-		return microvm.Result{}, err
-	}
-	if fs.dramSnap == nil {
-		res, snap, err := p.capture(fs, layout, tr, span)
-		fs.dramSnap = snap
-		return res, err
-	}
-	// Restore-time corruption fault (FAULTS.md): the lazy-restore snapshot
-	// can rot on disk just like a tiered one.
-	if _, fired := p.cfg.VM.Faults.At(fault.SiteRestoreCorrupt, fs.spec.Name, 0); fired {
-		return microvm.Result{}, fault.Errorf(fault.SiteRestoreCorrupt, fs.spec.Name,
-			fmt.Errorf("%w: injected checksum mismatch", snapshot.ErrCorrupt))
-	}
-	vm := microvm.RestoreLazy(p.cfg.VM, layout, fs.dramSnap, conc)
-	return vm.RunTraced(tr, span)
-}
-
-// invokeSlow serves the slow-only baseline: every resident page lives in
-// the slow tier via an all-slow tiered snapshot, captured (like ModeDRAM's)
-// on the first invocation.
-func (p *Platform) invokeSlow(fs *functionState, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
-	layout, err := fs.spec.Layout()
-	if err != nil {
-		return microvm.Result{}, err
-	}
-	tr, err := fs.spec.Trace(lv, seed)
-	if err != nil {
-		return microvm.Result{}, err
-	}
-	if fs.slowSnap == nil {
-		res, single, err := p.capture(fs, layout, tr, span)
-		if err != nil {
-			return microvm.Result{}, err
-		}
-		allSlow, err := mem.NewMultiPlacement(2, mem.Slow, layout.TotalPages)
-		if err != nil {
-			return microvm.Result{}, err
-		}
-		fs.slowSingle = single
-		fs.slowSnap = snapshot.BuildTiered(single, allSlow)
-		return res, nil
-	}
-	// Restore-time faults (FAULTS.md): the slow tier can be unreachable,
-	// and the snapshot can fail its checksum.
-	if inj := p.cfg.VM.Faults; inj != nil {
-		if _, fired := inj.At(fault.SiteSlowOutage, fs.spec.Name, 0); fired {
-			return microvm.Result{}, fault.Errorf(fault.SiteSlowOutage, fs.spec.Name, fault.ErrTierUnavailable)
-		}
-		if _, fired := inj.At(fault.SiteRestoreCorrupt, fs.spec.Name, 0); fired {
-			return microvm.Result{}, fault.Errorf(fault.SiteRestoreCorrupt, fs.spec.Name,
-				fmt.Errorf("%w: injected checksum mismatch (sum %#x)", snapshot.ErrCorrupt, fs.slowSnap.Sum))
-		}
-	}
-	vm := microvm.RestoreTiered(p.cfg.VM, layout, fs.slowSnap, conc)
-	vm.SetRecordTruth(false)
-	return vm.RunTraced(tr, span)
 }
 
 // Stats returns a snapshot of the function's statistics.

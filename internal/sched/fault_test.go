@@ -96,6 +96,41 @@ func TestBreakerTripsOnPersistentFaults(t *testing.T) {
 	}
 }
 
+// TestDRAMCorruptSnapshotResnapshots pins the DRAM path's restore-corrupt
+// site: with every restore failing its checksum, each arrival after the
+// first re-captures the snapshot through the platform's degradation policy,
+// so every arrival is served, each of those counts as a degraded serve, and
+// the breaker trips.
+func TestDRAMCorruptSnapshotResnapshots(t *testing.T) {
+	arr := steadyTrace(t, 30*simtime.Second, 400*simtime.Millisecond, "pyaes")
+	cfg := testConfig(MechDRAM)
+	inj, err := fault.New(fault.Plan{Seed: 1, Sites: map[fault.Site]fault.Spec{
+		fault.SiteRestoreCorrupt: {Rate: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Core.VM.Faults = inj
+	s, err := New(cfg, []string{"pyaes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != len(arr) {
+		t.Errorf("served %d of %d arrivals", len(rep.Records), len(arr))
+	}
+	// The first arrival captures the snapshot and restores nothing.
+	if want := int64(len(arr) - 1); rep.DegradedServes != want {
+		t.Errorf("degraded serves = %d, want %d", rep.DegradedServes, want)
+	}
+	if rep.BreakerTrips == 0 {
+		t.Error("persistent corruption never tripped the breaker")
+	}
+}
+
 // TestFaultRunsDeterministic pins byte-level determinism under faults: two
 // simulations over the same arrivals and plan produce identical records.
 func TestFaultRunsDeterministic(t *testing.T) {

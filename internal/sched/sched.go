@@ -1,9 +1,15 @@
 // Package sched is a deterministic discrete-event simulator of a serverless
 // host: a fixed pool of cores serves an arrival trace, each invocation
-// restores its function through a snapshot mechanism (TOSS, REAP, or plain
-// DRAM lazy restore), and two optional orthogonal mechanisms from §VI-A —
-// keep-alive caching of warm VMs on both tiers and prediction-driven
+// restores its function through a snapshot mechanism (TOSS, REAP, FaaSnap,
+// or plain DRAM lazy restore), and two optional orthogonal mechanisms from
+// §VI-A — keep-alive caching of warm VMs on both tiers and prediction-driven
 // pre-warming — cut cold starts.
+//
+// The mechanisms live in package platform: the simulator holds one
+// platform.Function per function and serves through its retry→degrade
+// sequence, so the snapshot systems and their fault policy exist once. sched
+// owns what a host adds on top: queueing for cores, the keep-alive cache,
+// pre-warming and the per-function circuit breaker.
 //
 // Package platform replays requests in order and charges each one the
 // contention of a modeled concurrency; sched instead simulates the host's
@@ -21,6 +27,7 @@ import (
 	"toss/internal/core"
 	"toss/internal/fault"
 	"toss/internal/keepalive"
+	"toss/internal/platform"
 	"toss/internal/predict"
 	"toss/internal/simtime"
 	"toss/internal/stats"
@@ -29,35 +36,20 @@ import (
 	"toss/internal/xray"
 )
 
-// Mechanism selects the snapshot system serving a function.
-type Mechanism int
+// Mechanism selects the snapshot system serving a function: a platform
+// serving mode. The simulator accepts the four modes with a warm path.
+type Mechanism = platform.Mode
 
 const (
 	// MechTOSS serves via the TOSS controller (profiling then tiered).
-	MechTOSS Mechanism = iota
+	MechTOSS = platform.ModeTOSS
 	// MechREAP serves via REAP working-set prefetching.
-	MechREAP
+	MechREAP = platform.ModeREAP
 	// MechDRAM serves via plain lazy restore, all in DRAM.
-	MechDRAM
+	MechDRAM = platform.ModeDRAM
 	// MechFaaSnap serves via FaaSnap's mincore-inflated working sets.
-	MechFaaSnap
+	MechFaaSnap = platform.ModeFaaSnap
 )
-
-// String names the mechanism.
-func (m Mechanism) String() string {
-	switch m {
-	case MechTOSS:
-		return "toss"
-	case MechREAP:
-		return "reap"
-	case MechDRAM:
-		return "dram"
-	case MechFaaSnap:
-		return "faasnap"
-	default:
-		return fmt.Sprintf("Mechanism(%d)", int(m))
-	}
-}
 
 // Config describes the simulated host.
 type Config struct {
@@ -103,6 +95,12 @@ func (c Config) Validate() error {
 	}
 	if err := c.Core.Validate(); err != nil {
 		return err
+	}
+	switch c.Mechanism {
+	case MechTOSS, MechREAP, MechDRAM, MechFaaSnap:
+	default:
+		// ModeSlow, the all-slow bookend, has no warm path to keep alive.
+		return fmt.Errorf("sched: unsupported mechanism %v (want toss, reap, faasnap or dram)", c.Mechanism)
 	}
 	if c.KeepAliveFastBytes < 0 || c.KeepAliveSlowBytes < 0 {
 		return fmt.Errorf("sched: negative keep-alive capacity")
@@ -258,7 +256,7 @@ func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q
 // Sim is one simulation instance.
 type Sim struct {
 	cfg   Config
-	mechs map[string]mechanism
+	fns   map[string]*platform.Function
 	cache *keepalive.Cache
 	pred  *predict.Predictor
 
@@ -296,18 +294,22 @@ func New(cfg Config, functions []string) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:           cfg,
-		mechs:         make(map[string]mechanism),
+		fns:           make(map[string]*platform.Function),
 		free:          cfg.Cores,
 		prewarmed:     make(map[string]bool),
 		lastColdSetup: make(map[string]simtime.Duration),
 		lastWarmAt:    make(map[string]simtime.Duration),
 	}
-	for _, fn := range functions {
-		m, err := newMechanism(cfg, fn)
+	for _, name := range functions {
+		spec, ok := workload.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("sched: unknown function %q", name)
+		}
+		fn, err := platform.NewFunction(cfg.Core, spec, cfg.Mechanism)
 		if err != nil {
 			return nil, err
 		}
-		s.mechs[fn] = m
+		s.fns[name] = fn
 	}
 	if cfg.KeepAliveFastBytes > 0 || cfg.KeepAliveSlowBytes > 0 {
 		cache, err := keepalive.New(cfg.KeepAliveFastBytes, cfg.KeepAliveSlowBytes, cfg.Core.Cost)
@@ -328,7 +330,7 @@ func New(cfg Config, functions []string) (*Sim, error) {
 // Run replays the arrival trace to completion and returns the report.
 func (s *Sim) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
 	for _, a := range arrivals {
-		if _, ok := s.mechs[a.Function]; !ok {
+		if _, ok := s.fns[a.Function]; !ok {
 			return nil, fmt.Errorf("sched: arrival for unregistered function %q", a.Function)
 		}
 		s.push(&event{at: a.At, kind: evArrival, arr: a})
@@ -347,9 +349,7 @@ func (s *Sim) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
 				return nil, err
 			}
 		case evPrewarm:
-			if err := s.onPrewarm(e.fn, e.expire); err != nil {
-				return nil, err
-			}
+			s.onPrewarm(e.fn, e.expire)
 		}
 		if s.now > s.report.Horizon {
 			s.report.Horizon = s.now
@@ -427,11 +427,11 @@ func (s *Sim) drainQueue() error {
 func (s *Sim) dispatch(a workload.ArrivalSpec, arrivedAt simtime.Duration) error {
 	s.free--
 	conc := s.cfg.Cores - s.free
-	mech := s.mechs[a.Function]
+	fn := s.fns[a.Function]
 
 	kind := ColdStart
 	var setup, exec simtime.Duration
-	var faulted bool
+	var degraded bool
 	if s.cache != nil {
 		s.expireIfIdle(a.Function)
 		if _, hit := s.cache.Take(a.Function); hit {
@@ -440,25 +440,25 @@ func (s *Sim) dispatch(a workload.ArrivalSpec, arrivedAt simtime.Duration) error
 				kind = PrewarmedStart
 				delete(s.prewarmed, a.Function)
 			}
-			e, f, err := mech.invokeWarm(a, conc)
+			e, d, err := fn.Warm(a.Level, a.Seed, conc)
 			if err != nil {
 				return err
 			}
-			setup, exec, faulted = s.cfg.ResumeCost, e, f
+			setup, exec, degraded = s.cfg.ResumeCost, e, d
 		}
 	}
 	if kind == ColdStart {
-		st, e, f, err := mech.invokeCold(a, conc)
-		if err != nil {
-			return err
+		res := fn.Cold(a.Level, a.Seed, conc, nil)
+		if res.Err != nil {
+			return res.Err
 		}
-		setup, exec, faulted = st, e, f
-		s.lastColdSetup[a.Function] = st
+		setup, exec, degraded = res.Setup, res.Exec, res.Degraded != ""
+		s.lastColdSetup[a.Function] = setup
 	}
-	if faulted {
+	if degraded {
 		s.report.DegradedServes++
 	}
-	s.breaker.Record(a.Function, faulted)
+	s.breaker.Record(a.Function, degraded)
 
 	finish := s.now + setup + exec
 	s.report.BusyCoreTime += setup + exec
@@ -512,7 +512,7 @@ func (s *Sim) dispatch(a workload.ArrivalSpec, arrivedAt simtime.Duration) error
 	// warm VM cached until a half-open trial succeeds.
 	if s.cache != nil {
 		if s.breaker.Allow(a.Function) {
-			fast, slow := mech.footprint()
+			fast, slow := fn.Footprint()
 			cold := s.lastColdSetup[a.Function]
 			if cold == 0 {
 				cold = setup
@@ -551,36 +551,29 @@ func (s *Sim) observeAndSchedulePrewarm(a workload.ArrivalSpec) {
 // onPrewarm restores a VM ahead of the predicted arrival and parks it in
 // the cache. The restore happens off the worker cores (Firecracker restores
 // are I/O-bound and the paper's pre-warming idea assumes background load).
-func (s *Sim) onPrewarm(fn string, expire simtime.Duration) error {
+func (s *Sim) onPrewarm(name string, expire simtime.Duration) {
 	if s.cache == nil {
-		return nil
+		return
 	}
-	s.expireIfIdle(fn)
-	if s.cache.Contains(fn) {
-		return nil
+	s.expireIfIdle(name)
+	if s.cache.Contains(name) || expire <= s.now {
+		return
 	}
-	if expire <= s.now {
-		return nil
-	}
-	mech := s.mechs[fn]
-	setup, err := mech.prewarm()
-	if err != nil {
-		return err
-	}
-	_ = setup // background restore: priced but not occupying a core
+	fn := s.fns[name]
+	// A background restore: priced, but occupying no core.
+	setup := fn.Prewarm()
 	s.report.PrewarmsIssued++
-	fast, slow := mech.footprint()
-	cold := s.lastColdSetup[fn]
+	fast, slow := fn.Footprint()
+	cold := s.lastColdSetup[name]
 	if cold == 0 {
 		cold = setup
 	}
-	if _, ok := s.cache.Admit(keepalive.ItemFor(fn, fast, slow, cold)); ok {
-		s.prewarmed[fn] = true
-		s.lastWarmAt[fn] = s.now
+	if _, ok := s.cache.Admit(keepalive.ItemFor(name, fast, slow, cold)); ok {
+		s.prewarmed[name] = true
+		s.lastWarmAt[name] = s.now
 	} else {
 		s.report.PrewarmsWasted++
 	}
-	return nil
 }
 
 // expireIfIdle enforces the idle TTL on one function's cached VM.

@@ -1,9 +1,9 @@
 package sched
 
 import (
-	"errors"
 	"testing"
 
+	"toss/internal/platform"
 	"toss/internal/simtime"
 	"toss/internal/workload"
 )
@@ -51,6 +51,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ResumeCost = -1 },
 		func(c *Config) { c.Prewarm = true }, // without cache
 		func(c *Config) { c.Core.Bins = 0 },
+		func(c *Config) { c.Mechanism = platform.ModeSlow }, // no warm path
+		func(c *Config) { c.Mechanism = Mechanism(9) },
 	}
 	for i, m := range bad {
 		cfg := DefaultConfig()
@@ -134,32 +136,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// errSecondInvocation is what failSecond's second invocation returns.
-var errSecondInvocation = errors.New("second invocation fails")
-
-// failSecond is a mechanism whose second invocation, cold or warm, fails.
-type failSecond struct{ calls int }
-
-func (m *failSecond) invoke() error {
-	m.calls++
-	if m.calls == 2 {
-		return errSecondInvocation
-	}
-	return nil
-}
-
-func (m *failSecond) invokeCold(workload.ArrivalSpec, int) (simtime.Duration, simtime.Duration, bool, error) {
-	return simtime.Millisecond, simtime.Millisecond, false, m.invoke()
-}
-
-func (m *failSecond) invokeWarm(workload.ArrivalSpec, int) (simtime.Duration, bool, error) {
-	return simtime.Millisecond, false, m.invoke()
-}
-
-func (m *failSecond) prewarm() (simtime.Duration, error) { return 0, nil }
-func (m *failSecond) footprint() (int64, int64)          { return 0, 0 }
-func (m *failSecond) ready() bool                        { return true }
-
 // TestQueuedDispatchErrorReturned: an invocation that waited for a core and
 // fails when the core frees up fails Run with its error, the same as one
 // that fails on arrival.
@@ -170,13 +146,14 @@ func TestQueuedDispatchErrorReturned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mechs["pyaes"] = &failSecond{}
 	arr := []workload.ArrivalSpec{
 		{At: 1, Function: "pyaes", Level: workload.I, Seed: 1},
-		{At: 1, Function: "pyaes", Level: workload.I, Seed: 2}, // queues behind the first
+		// Queues behind the first, then has no trace to run.
+		{At: 1, Function: "pyaes", Level: workload.Level(9), Seed: 2},
 	}
-	if _, err := s.Run(arr); !errors.Is(err, errSecondInvocation) {
-		t.Fatalf("Run returned %v, want %v", err, errSecondInvocation)
+	const want = "workload: invalid input level 9"
+	if _, err := s.Run(arr); err == nil || err.Error() != want {
+		t.Fatalf("Run returned %v, want %q", err, want)
 	}
 }
 

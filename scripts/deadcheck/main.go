@@ -8,14 +8,23 @@
 // named when any identifier outside its own name refers to it. Test files
 // are not read, and a nested module (perfbench/) reaches and names code but
 // is not reported. It prints each finding as "file:line pkg.Name"
-// (pkg.Type.Name for a method) and exits 1. scripts/deadcheck/allow.txt
-// lists exceptions, one "pkg.Name  reason" per line; an entry that names
-// no finding fails too.
+// (pkg.Type.Name for a method) and exits 1.
+//
+// A docs pass holds the design documents (docFiles) to the code the same
+// way: a backticked pkg.Name or pkg.Type.Name whose pkg is the base name of
+// a module directory with Go files must name an exported declaration (a
+// method or field for Type.Name) in that directory, test files included,
+// and a backticked bare TestX, BenchmarkX or FuzzX must be declared in some
+// _test.go file. Each stale citation prints as "doc:line pkg.Name" and
+// fails like dead code. scripts/deadcheck/allow.txt lists exceptions to
+// both passes, one "pkg.Name  reason" per line; an entry that names no
+// finding fails too.
 //
 //	go run ./scripts/deadcheck .
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -28,6 +37,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -42,11 +52,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "deadcheck:", err)
 		os.Exit(2)
 	}
+	stale, err := docs(os.Args[1])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcheck:", err)
+		os.Exit(2)
+	}
 	allow, _ := os.ReadFile(filepath.Join(os.Args[1], "scripts", "deadcheck", "allow.txt")) // no file allows nothing
-	os.Exit(report(os.Stdout, dead, string(allow)))
+	os.Exit(report(os.Stdout, append(dead, stale...), string(allow)))
 }
 
-// finding is one unreachable function or unnamed declaration.
+// finding is one unreachable function, unnamed declaration or stale doc
+// citation.
 type finding struct {
 	pos  token.Pos
 	name string // pkg.Name, or pkg.Type.Name for a method
@@ -269,6 +285,133 @@ func reach(fset *token.FileSet, paths []string, pkgs map[string]*pkg, ifaces []*
 		}
 	}
 	return dead
+}
+
+// docFiles are the documents whose code citations must resolve. CHANGES.md
+// and ROADMAP.md are history: they name code that is gone on purpose.
+var docFiles = []string{"README.md", "DESIGN.md", "FAULTS.md", "TIERS.md", "OBSERVABILITY.md", "EXPERIMENTS.md"}
+
+var (
+	// spanRE finds a backticked code span on one line.
+	spanRE = regexp.MustCompile("`([^`]+)`")
+	// citeRE matches a span that opens with pkg.Name or pkg.Type.Name, the
+	// names exported, as in `pkg.Name`, `pkg.Name(args)` or `pkg.Name[T]`.
+	citeRE = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Z]\w*)?)(?:$|[^\w.])`)
+	// testRE matches a span that is a bare test, benchmark or fuzz target.
+	testRE = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*$`)
+)
+
+// docs returns, in docFiles order, every citation in root's documents that
+// names nothing: a pkg.Name or pkg.Type.Name citation whose pkg is the base
+// name of a module directory with Go files and that the directory does not
+// declare, and a bare test name no _test.go file declares.
+func docs(root string) (stale []finding, err error) {
+	decls := map[string]map[string]bool{} // by directory base name: Name, and Type.Name for methods and fields
+	tests := map[string]bool{}
+	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && file != root && (d.Name() == "testdata" || strings.ContainsAny(d.Name()[:1], "._")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(file, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Base(filepath.Dir(file))
+		if filepath.Dir(file) == filepath.Clean(root) {
+			dir = "" // the root's base name is the checkout's, not a package's
+		}
+		names := decls[dir]
+		if names == nil {
+			names = map[string]bool{}
+			decls[dir] = names
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					names[recvName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+					continue
+				}
+				names[d.Name.Name] = true
+				if strings.HasSuffix(file, "_test.go") {
+					tests[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							names[id.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						var members []*ast.Field
+						switch t := spec.Type.(type) {
+						case *ast.StructType:
+							members = t.Fields.List
+						case *ast.InterfaceType:
+							members = t.Methods.List
+						}
+						for _, m := range members {
+							for _, id := range m.Names {
+								names[spec.Name.Name+"."+id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, doc := range docFiles {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return nil, err
+		}
+		for n, line := range strings.Split(string(b), "\n") {
+			for _, span := range spanRE.FindAllStringSubmatch(line, -1) {
+				name := ""
+				if m := citeRE.FindStringSubmatch(span[1]); m != nil && decls[m[1]] != nil && !decls[m[1]][m[2]] {
+					name = m[1] + "." + m[2]
+				} else if testRE.MatchString(span[1]) && !tests[span[1]] {
+					name = span[1]
+				}
+				if name != "" {
+					stale = append(stale, finding{name: name, at: fmt.Sprintf("%s:%d", doc, n+1)})
+				}
+			}
+		}
+	}
+	return stale, nil
+}
+
+// recvName returns the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func recvName(t ast.Expr) string {
+	for {
+		switch e := t.(type) {
+		case *ast.StarExpr:
+			t = e.X
+		case *ast.IndexExpr:
+			t = e.X
+		case *ast.IndexListExpr:
+			t = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // report prints each allowlist entry that gives no reason or names no

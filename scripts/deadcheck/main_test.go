@@ -36,3 +36,24 @@ func TestFixture(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsFixture checks the fixture's README citations: a method, an
+// interface, a field, a type, a test and a test-file-only function resolve,
+// spans that are not citations are skipped, and the deleted function,
+// method and test are the three findings, which the allowlist can exempt.
+func TestDocsFixture(t *testing.T) {
+	stale, err := docs("testdata/fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "README.md:4 lib.Gone\nREADME.md:5 lib.Square.Perimeter\nREADME.md:6 TestPerimeter\n"
+	var out bytes.Buffer
+	if code := report(&out, stale, ""); code != 1 || out.String() != want {
+		t.Fatalf("no allowlist: exit %d, output %q; want exit 1 and %q", code, out.String(), want)
+	}
+	out.Reset()
+	allow := "lib.Gone  deleted\nlib.Square.Perimeter  deleted\nTestPerimeter  deleted\n"
+	if code := report(&out, stale, allow); code != 0 || out.Len() != 0 {
+		t.Errorf("full allowlist: exit %d, output %q; want exit 0 and nothing", code, out.String())
+	}
+}
