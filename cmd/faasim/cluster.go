@@ -48,7 +48,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 		return nil, err
 	}
 
-	arrivals, err := workload.Arrivals(workload.ArrivalsConfig{
+	src, err := workload.NewStream(workload.ArrivalsConfig{
 		Process:   proc,
 		Horizon:   simtime.FromStd(o.horizon),
 		MeanIAT:   simtime.FromStd(o.meanIAT),
@@ -79,12 +79,8 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 	// The fleet observability surfaces (the ASCII dashboard, the decision
 	// log, the per-node Chrome trace and the dashboard's node grid) all
-	// render from one recorder attached to the run.
-	var fr *fleetobs.Recorder
-	if o.fleetview || o.decisionLog != "" || o.fleetTrace != "" || o.httpAddr != "" {
-		fr = fleetobs.New(fleetobs.Config{})
-		ccfg.FleetObs = fr
-	}
+	// render from the finished run's trace.
+	ccfg.Trace = o.fleetview || o.decisionLog != "" || o.fleetTrace != "" || o.httpAddr != ""
 
 	cl, err := cluster.New(ccfg, profiles)
 	if err != nil {
@@ -92,7 +88,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 	fmt.Fprintf(w, "cluster: %d nodes (%s router), %s arrivals over %s (mean IAT %s)\n\n",
 		o.nodes, pol, proc, o.horizon, o.meanIAT)
-	rep, err := cl.Run(arrivals)
+	rep, err := cl.RunStream(src)
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +125,16 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 
 	if o.fleetview {
-		fmt.Fprintf(w, "\n%s", fleetobs.RenderFleet(fr.View(), 32))
+		fmt.Fprintf(w, "\n%s", fleetobs.RenderFleet(rep, 32))
 	}
-	if err := writeExport(w, o.decisionLog, "fleet: wrote decision log to "+o.decisionLog, fr.WriteDecisionLog); err != nil {
+	if err := writeExport(w, o.decisionLog, "fleet: wrote decision log to "+o.decisionLog, func(w io.Writer) error {
+		return fleetobs.WriteDecisionLog(w, rep)
+	}); err != nil {
 		return nil, err
 	}
-	if err := writeExport(w, o.fleetTrace, "fleet: wrote Chrome trace to "+o.fleetTrace, fr.WriteChromeTrace); err != nil {
+	if err := writeExport(w, o.fleetTrace, "fleet: wrote Chrome trace to "+o.fleetTrace, func(w io.Writer) error {
+		return fleetobs.WriteChromeTrace(w, rep)
+	}); err != nil {
 		return nil, err
 	}
 
@@ -143,7 +143,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 	// The fleet simulator drives no microVMs, so there is no flight
 	// recorder; the panels are the node grid, the attribution and alerts.
-	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, fr, eng), nil
+	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, rep, eng), nil
 }
 
 // printClusterReport renders the per-function table, the per-node table, and

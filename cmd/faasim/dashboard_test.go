@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"toss/internal/fleetobs"
+	"toss/internal/cluster"
 	"toss/internal/insight"
 	"toss/internal/simtime"
 )
@@ -240,31 +240,33 @@ func TestAlertEndpoints(t *testing.T) {
 }
 
 // TestFleetEndpoints covers the node-grid panel: the empty banner without a
-// fleet recorder, and the grid and its JSON view with one.
+// fleet, and the grid and its JSON view for a traced fleet run.
 func TestFleetEndpoints(t *testing.T) {
 	code, body, hdr := get(t, replayServer(t), "/fleet")
 	if code != http.StatusOK || !strings.Contains(body, "no fleet attached") {
-		t.Errorf("/fleet without recorder: code=%d body=%q", code, body)
+		t.Errorf("/fleet without a fleet: code=%d body=%q", code, body)
 	}
 	if ct := hdr.Get("Content-Type"); ct != "text/html; charset=utf-8" {
 		t.Errorf("/fleet content-type = %q", ct)
 	}
 
-	fr := fleetobs.New(fleetobs.Config{Interval: simtime.Second})
-	fr.SampleAt(0, func() []fleetobs.NodeSample {
-		return []fleetobs.NodeSample{{Node: "n01", Cores: 4, Running: 2, Alive: true}}
-	})
-	fr.RouteDecision(fleetobs.Decision{
-		At: simtime.Millisecond, Function: "pyaes", Node: "n01",
-		Reason: fleetobs.ReasonAffinity, Hit: true,
-	})
-	fr.Invocation("n01", 10*simtime.Millisecond, false)
-	srv := httptest.NewServer(newDashboard("", "", nil, nil, fr, nil).handler())
+	rep := &cluster.Report{
+		Nodes: []cluster.NodeStats{{ID: "n01", Invocations: 1}},
+		Trace: &cluster.Trace{
+			Decisions: []cluster.Decision{{
+				At: simtime.Millisecond, Function: "pyaes", Node: "n01",
+				Reason: cluster.ReasonAffinity, Hit: true,
+			}},
+			Samples:   []cluster.NodeSample{{Node: "n01", Cores: 4, Running: 2, Alive: true}},
+			Latencies: [][]simtime.Duration{{10 * simtime.Millisecond}},
+		},
+	}
+	srv := httptest.NewServer(newDashboard("", "", nil, nil, rep, nil).handler())
 	defer srv.Close()
 
 	code, body, _ = get(t, srv, "/fleet")
 	if code != http.StatusOK || !strings.Contains(body, "n01") || !strings.Contains(body, "<!DOCTYPE html>") {
-		t.Errorf("/fleet with recorder: code=%d", code)
+		t.Errorf("/fleet with a fleet: code=%d", code)
 	}
 	if strings.Contains(body, "<script") {
 		t.Error("/fleet must be self-contained with no scripts")

@@ -41,8 +41,9 @@
 // candidate ranking) and autoscaler action as JSON lines; -fleet-trace
 // writes the same trace as a Chrome trace_event file with one track per
 // node; -http serves the node grid at /fleet and /fleet.json. All four
-// render from the same virtual-time recorder (internal/fleetobs), so the
-// artifacts are byte-deterministic for a given flag set.
+// are rendered (internal/fleetobs) from the finished run's report, whose
+// virtual-time decision trace the cluster records, so the artifacts are
+// byte-deterministic for a given flag set.
 //
 // With -alerts (requires -slo), the insight layer (internal/insight)
 // evaluates multi-window multi-burn-rate alert rules over the run's virtual

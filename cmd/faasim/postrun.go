@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"toss/internal/cliutil"
+	"toss/internal/cluster"
 	"toss/internal/fleetobs"
 	"toss/internal/insight"
 	"toss/internal/obs"
@@ -81,16 +82,16 @@ func writeExport(w io.Writer, path, done string, write func(io.Writer) error) er
 type dashboard struct {
 	// title and panels name the dashboard in the serve banner.
 	title, panels string
-	rec           *obs.Recorder       // nil: no flight recorder (cluster mode)
-	xray          *xray.Report        // nil: no attribution collector
-	fleet         *fleetobs.FleetView // nil: no fleet recorder
-	alerts        *insight.Result     // nil: no alert engine
+	rec           *obs.Recorder   // nil: no flight recorder (cluster mode)
+	xray          *xray.Report    // nil: no attribution collector
+	fleet         *cluster.Report // nil: no fleet (replay mode)
+	alerts        *insight.Result // nil: no alert engine
 }
 
 // newDashboard builds the dashboard over a finished run; any of rec, xcol,
-// fr and eng may be nil.
-func newDashboard(title, panels string, rec *obs.Recorder, xcol *xray.Collector, fr *fleetobs.Recorder, eng *insight.Engine) *dashboard {
-	d := &dashboard{title: title, panels: panels, rec: rec, fleet: fr.View()}
+// fleet and eng may be nil.
+func newDashboard(title, panels string, rec *obs.Recorder, xcol *xray.Collector, fleet *cluster.Report, eng *insight.Engine) *dashboard {
+	d := &dashboard{title: title, panels: panels, rec: rec, fleet: fleet}
 	if xcol != nil {
 		d.xray = xray.Aggregate("live", xcol.Snapshot())
 	}

@@ -29,10 +29,11 @@
 // Composes with -metrics.
 //
 // -fleetlog <out.jsonl> collects the cluster experiments' fleet decision
-// traces (internal/fleetobs): every routing decision with its candidate
-// ranking and every autoscaler action of each swept cell's best sustained
-// run, as JSON lines tagged with the cell name. Like the attribution dump,
-// the log is byte-identical for any -parallel value. Composes with -xray.
+// logs: each swept cell traces its runs (cluster.Config.Trace), and
+// internal/fleetobs renders the best sustained run's report — every routing
+// decision with its candidate ranking and every autoscaler action — as JSON
+// lines tagged with the cell name. Like the attribution dump, the log is
+// byte-identical for any -parallel value. Composes with -xray.
 //
 // -alerts <out.txt> writes the alert-wired experiments' (ext10, ext11)
 // virtual-time SLO alert log — fire/resolve edges per cell — and -insight

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"toss/internal/fleetobs"
 	"toss/internal/simtime"
 )
 
@@ -11,9 +10,10 @@ import (
 // virtual time it inspects two fleet-wide signals — mean core utilization
 // since the last tick and the SLO burn fraction among completions since the
 // last tick (fed by the same xray.BurnTracker the report exposes) — and
-// grows the fleet when either runs hot, or drains the least-loaded node
-// when both run cold. Decisions depend only on virtual-time state, so they
-// replay identically from the seed.
+// grows the fleet when utilization tops utilHigh or the burn fraction tops
+// burnHigh, or drains the least-loaded node when utilization is under
+// utilLow and the burn fraction at most half burnHigh. Decisions depend
+// only on virtual-time state, so they replay identically from the seed.
 type Autoscaler struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
@@ -21,13 +21,17 @@ type Autoscaler struct {
 	Tick simtime.Duration
 	// Min / Max bound the fleet size (defaults: initial size, 4x initial).
 	Min, Max int
-	// UtilHigh / UtilLow are the utilization thresholds for scaling up /
-	// initiating a drain (defaults 0.80 / 0.25).
-	UtilHigh, UtilLow float64
-	// BurnHigh is the per-tick SLO violation fraction that forces a scale
-	// up regardless of utilization (default 0.10). Requires Config.SLO.
-	BurnHigh float64
 }
+
+// The autoscaler's thresholds: the utilization above which it scales up and
+// below which it starts a drain, and the per-tick SLO violation fraction
+// that forces a scale up regardless of utilization (a burn fraction needs
+// Config.SLO).
+const (
+	utilHigh = 0.80
+	utilLow  = 0.25
+	burnHigh = 0.10
+)
 
 // withDefaults fills zero fields relative to the initial fleet size.
 func (a Autoscaler) withDefaults(initial int) Autoscaler {
@@ -42,15 +46,6 @@ func (a Autoscaler) withDefaults(initial int) Autoscaler {
 	}
 	if a.Max == 0 {
 		a.Max = 4 * initial
-	}
-	if a.UtilHigh == 0 {
-		a.UtilHigh = 0.80
-	}
-	if a.UtilLow == 0 {
-		a.UtilLow = 0.25
-	}
-	if a.BurnHigh == 0 {
-		a.BurnHigh = 0.10
 	}
 	return a
 }
@@ -68,9 +63,6 @@ func (a Autoscaler) validate(initial int) error {
 	}
 	if initial < a.Min || initial > a.Max {
 		return fmt.Errorf("cluster: initial fleet size %d outside autoscaler bounds [%d, %d]", initial, a.Min, a.Max)
-	}
-	if a.UtilHigh <= a.UtilLow {
-		return fmt.Errorf("cluster: UtilHigh %.2f must exceed UtilLow %.2f", a.UtilHigh, a.UtilLow)
 	}
 	return nil
 }
@@ -127,11 +119,11 @@ func (c *Cluster) onScaleTick() {
 	}
 
 	switch {
-	case (util > as.UtilHigh || burn > as.BurnHigh) && routable < as.Max:
+	case (util > utilHigh || burn > burnHigh) && routable < as.Max:
 		h := c.cfg.Hosts[(c.nextID)%len(c.cfg.Hosts)]
 		n := c.addNode(h) // rebuilds the topology caches
 		c.recordScale("up", n, util, burn)
-	case util < as.UtilLow && burn <= as.BurnHigh/2 && routable > as.Min:
+	case util < utilLow && burn <= burnHigh/2 && routable > as.Min:
 		// Drain the routable node with the least in flight; ties prefer
 		// the newest node so the original fleet persists.
 		victim := c.nodes[c.routableIdx[0]]
@@ -147,18 +139,15 @@ func (c *Cluster) onScaleTick() {
 	}
 }
 
-// recordScale logs one decision on every surface.
+// recordScale logs one decision in the report and queues its xray mark.
 func (c *Cluster) recordScale(action string, n *node, util, burn float64) {
-	before := len(c.routableIdx)
 	switch action {
 	case "up":
 		c.pendingUp++
 	case "down":
 		c.pendingDown++
 	}
-	ev := ScaleEvent{At: c.now, Action: action, Node: n.id, Util: util, Burn: burn, Fleet: before}
-	c.report.ScaleEvents = append(c.report.ScaleEvents, ev)
-	c.cfg.FleetObs.ScaleAction(fleetobs.Scale{
-		At: c.now, Action: action, Node: n.id, Util: util, Burn: burn, Fleet: before,
+	c.report.ScaleEvents = append(c.report.ScaleEvents, ScaleEvent{
+		At: c.now, Action: action, Node: n.id, Util: util, Burn: burn, Fleet: len(c.routableIdx),
 	})
 }

@@ -110,28 +110,24 @@ func TestClusterRunAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun pins that driving the cluster from a streaming
-// source is byte-identical to replaying the materialized schedule — the
+// TestRunStreamMatchesRun pins that a run fed by the lazy generator stream
+// is byte-identical to a run replaying the same schedule from a slice — the
 // cluster-level half of the streaming-equals-materialized contract (the
 // workload-level half lives in workload's stream tests).
 func TestRunStreamMatchesRun(t *testing.T) {
-	acfg := workload.ArrivalsConfig{
+	materialized, err := runRendered(testConfig(3, RouteAffinity),
+		testArrivals(t, workload.ProcDiurnalFlash, 40*simtime.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src, err := workload.NewStream(workload.ArrivalsConfig{
 		Process:   workload.ProcDiurnalFlash,
 		Horizon:   60 * simtime.Second,
 		MeanIAT:   40 * simtime.Millisecond,
 		Functions: testFns,
 		Seed:      42,
-	}
-	arrivals, err := workload.Arrivals(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	materialized, err := runRendered(testConfig(3, RouteAffinity), arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := workload.NewStream(acfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

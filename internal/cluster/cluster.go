@@ -13,6 +13,13 @@
 // steer each function to the nodes whose disks and warm caches already hold
 // it, and cold starts shrink without any per-node change.
 //
+// A run has one way in, RunStream over a workload.Source, and one record
+// out, the Report. With Config.Trace on, the event loop also writes the
+// run's decision trace into Report.Trace (routing decisions with their
+// candidate rankings, node-grid samples, per-node latencies); the
+// autoscaler's actions are Report.ScaleEvents either way. internal/fleetobs
+// renders a finished report; this package imports no observer.
+//
 // The event core is built for million-invocation scale: the hot path —
 // take the next event, route, dispatch, record — performs no steady-state
 // heap allocation. Arrivals stream from a pull-based workload.Source, so a
@@ -36,7 +43,6 @@ import (
 
 	"toss/internal/costmodel"
 	"toss/internal/fleet"
-	"toss/internal/fleetobs"
 	"toss/internal/keepalive"
 	"toss/internal/simtime"
 	"toss/internal/workload"
@@ -80,11 +86,11 @@ type Config struct {
 	// different fleet shapes (node count, policy, arrival process) compare
 	// as distinct cells in tossctl report.
 	XRayTag string
-	// FleetObs, when set, receives the run's decision trace — every
-	// routing decision with its candidate ranking, every autoscaler
-	// action with its triggering signals — plus node-grid samples on the
-	// recorder's virtual-time cadence and per-invocation outcomes.
-	FleetObs *fleetobs.Recorder
+	// Trace, when set, records the run's decision trace in Report.Trace:
+	// every routing decision with its candidate ranking, the node grid at
+	// every SampleInterval boundary, and each node's invocation latencies.
+	// The autoscaler's actions are Report.ScaleEvents either way.
+	Trace bool
 }
 
 // DefaultConfig returns a small fleet of paper hosts: 3 nodes, 20 cores
@@ -154,6 +160,10 @@ type node struct {
 
 	lastColdSetup []simtime.Duration
 
+	// latencies holds the end-to-end latency of every invocation
+	// dispatched here, in dispatch order; only a traced run fills it.
+	latencies []simtime.Duration
+
 	busy        simtime.Duration
 	invocations int64
 	cold        int64
@@ -216,7 +226,7 @@ func (n *node) inflight() int {
 // only the columns binaries read (see Records).
 type Record struct {
 	Function string
-	// Route is the routing reason (fleetobs.Reason*: rr, least, affinity,
+	// Route is the routing reason (a Reason* constant: rr, least, affinity,
 	// spill, shed).
 	Route string
 	// QueueDelay is time waiting for a core on the routed node.
@@ -264,6 +274,8 @@ type Report struct {
 	Burn *xray.BurnTracker
 	// Nodes lists per-node statistics in node-id order.
 	Nodes []NodeStats
+	// Trace is the run's decision trace; nil unless Config.Trace is set.
+	Trace *Trace
 }
 
 // ColdFraction returns the fraction of invocations that cold-started.
@@ -321,6 +333,10 @@ type Cluster struct {
 
 	report Report
 	burn   *xray.BurnTracker
+	// trace is report.Trace, and nextSample the next grid boundary it
+	// samples.
+	trace      *Trace
+	nextSample simtime.Duration
 
 	// remaining counts pulled-but-not-completed arrivals and exhausted
 	// marks the source dry; the autoscaler stops ticking when both say the
@@ -343,10 +359,6 @@ type Cluster struct {
 	rankEpoch   []uint64
 	rankCache   [][]int32
 	rankW       []uint64 // ranking-sort scratch
-
-	// hasObservers gates materializing a Record for the observer surfaces;
-	// without observers the dispatch path only touches columns.
-	hasObservers bool
 }
 
 // New builds a cluster from measured function profiles (see Profile).
@@ -374,7 +386,10 @@ func New(cfg Config, profiles map[string]FnProfile) (*Cluster, error) {
 	c.rankCache = make([][]int32, len(c.fnNames))
 	c.report.Records.fnNames = c.fnNames
 	c.report.Records.profs = c.profs
-	c.hasObservers = cfg.XRay != nil || cfg.FleetObs != nil
+	if cfg.Trace {
+		c.trace = &Trace{}
+		c.report.Trace = c.trace
+	}
 	for _, h := range cfg.Hosts {
 		c.addNode(h)
 	}
@@ -436,27 +451,13 @@ func (c *Cluster) rebuildTopo() {
 	}
 }
 
-// Run replays a materialized arrival schedule to completion and returns the
-// report. The schedule is validated upfront (an arrival for an unprofiled
-// function fails before any simulation), then fed through the streaming
-// core.
-func (c *Cluster) Run(arrivals []workload.ArrivalSpec) (*Report, error) {
-	for i := range arrivals {
-		if _, ok := c.fnIdx[arrivals[i].Function]; !ok {
-			return nil, fmt.Errorf("cluster: arrival for unprofiled function %q", arrivals[i].Function)
-		}
-	}
-	return c.RunStream(workload.SliceSource(arrivals))
-}
-
 // RunStream drives the simulation from a pull-based arrival source, so a
 // day-long schedule is simulated in O(fleet) memory plus the columnar
 // record log. A producer goroutine pulls the source ahead of the loop
 // (producer.go); the next arrival waits beside the event heap and is
 // handled as soon as its time is no later than the heap's top: arrivals go
 // ahead of same-time completions and ticks, exactly as when the whole
-// schedule was pushed before the first event. The result is byte-identical
-// to Run on the materialized equivalent. An arrival for an unprofiled
+// schedule was pushed before the first event. An arrival for an unprofiled
 // function, or one earlier than the arrival before it, fails the run, and
 // a panic in the source is raised again here. The producer has returned
 // by the time RunStream does.
@@ -508,8 +509,8 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 				}
 			}
 		}
-		if c.cfg.FleetObs != nil {
-			c.cfg.FleetObs.SampleAt(c.now, c.nodeStates)
+		if c.trace != nil && c.now >= c.nextSample {
+			c.sample()
 		}
 	}
 	for _, n := range c.nodes {
@@ -521,6 +522,9 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 			Cache:       n.cache.Stats(),
 			Final:       n.alive,
 		})
+		if c.trace != nil {
+			c.trace.Latencies = append(c.trace.Latencies, n.latencies)
+		}
 	}
 	c.report.FinalNodes = len(c.liveIdx)
 	c.report.Router.PerNode = c.perNodeStats()
@@ -557,8 +561,8 @@ func (c *Cluster) pullArrival() error {
 func (c *Cluster) routeArrival(q queued) {
 	res := c.route(q.fid)
 	hit := c.countRoute(res, q.fid)
-	if f := c.cfg.FleetObs; f != nil {
-		f.RouteDecision(fleetobs.Decision{
+	if c.trace != nil {
+		c.trace.Decisions = append(c.trace.Decisions, Decision{
 			At:         c.now,
 			Function:   c.fnNames[q.fid],
 			Node:       res.n.id,
@@ -573,31 +577,6 @@ func (c *Cluster) routeArrival(q queued) {
 	} else {
 		c.dispatch(res.n, q)
 	}
-}
-
-// nodeStates snapshots every node ever created for the fleet grid, in
-// creation (= id) order. Retired nodes keep their row so the heatmap stays
-// square over autoscaler churn.
-func (c *Cluster) nodeStates() []fleetobs.NodeSample {
-	out := make([]fleetobs.NodeSample, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		s := fleetobs.NodeSample{
-			Node:     n.id,
-			Cores:    n.cores,
-			Alive:    n.alive,
-			Draining: n.draining,
-		}
-		if n.alive {
-			fast, slow := n.cache.Occupancy()
-			s.Running = n.cores - n.free
-			s.Queued = n.waiting.len()
-			s.DiskUsed, s.DiskCap = n.diskUsed, c.cfg.DiskBytes
-			s.FastUsed, s.FastCap = fast, n.host.FastBytes
-			s.SlowUsed, s.SlowCap = slow, n.host.SlowBytes
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 func (c *Cluster) pushEvent(e event) {
@@ -684,8 +663,8 @@ func (c *Cluster) dispatch(n *node, q queued) {
 	i := c.report.Records.push(fid, q.level, cold, q.enq, latency)
 	c.pushEvent(event{at: c.now + work, kind: evCompletion, node: n.idx, rec: i})
 
-	if c.hasObservers {
-		rec := Record{
+	if c.cfg.XRay != nil {
+		c.observeInvocation(n, Record{
 			Function:   fn,
 			Route:      routeReasons[q.route],
 			QueueDelay: qd,
@@ -693,9 +672,10 @@ func (c *Cluster) dispatch(n *node, q queued) {
 			Setup:      setup,
 			Exec:       exec,
 			Cold:       cold,
-		}
-		c.cfg.FleetObs.Invocation(n.id, latency, cold)
-		c.observeInvocation(n, rec)
+		})
+	}
+	if c.trace != nil {
+		n.latencies = append(n.latencies, latency)
 	}
 
 	// Keep the finished VM warm on the node's tiers until evicted; the
@@ -747,42 +727,39 @@ func (c *Cluster) pullSnapshot(n *node, fid int32, bytes int64) simtime.Duration
 // observeInvocation lands one dispatched invocation's attribution budget on
 // the xray collector.
 func (c *Cluster) observeInvocation(n *node, rec Record) {
-	if xr := c.cfg.XRay; xr != nil {
-		label := rec.Function + "@" + n.id + "/cluster"
-		if c.cfg.XRayTag != "" {
-			label += "/" + c.cfg.XRayTag
-		}
-		// The segments are added in causal order — node queue, snapshot
-		// pull, then execution — and decompose the
-		// independently computed Record.Latency() exactly (zero segments
-		// are dropped by Budget.Add), so Sum()==Recorded() stays a real
-		// cross-check at fleet scale.
-		bud := xray.New(label)
-		bud.Add(xray.SegNodeQueue, rec.QueueDelay)
-		bud.Add(xray.SegSnapshotPull, rec.Pull)
-		if rec.Cold {
-			bud.Add(xray.SegExecSetup, rec.Setup)
-			bud.Mark("start.cold", 1)
-		} else {
-			bud.Add(xray.SegExecResume, rec.Setup)
-			bud.Mark("start.warm", 1)
-		}
-		bud.Add(xray.SegExecRun, rec.Exec)
-		switch rec.Route {
-		case fleetobs.ReasonSpill:
-			bud.Mark(xray.MarkRouterSpill, 1)
-		case fleetobs.ReasonShed:
-			bud.Mark(xray.MarkRouterShed, 1)
-		}
-		if c.pendingUp > 0 {
-			bud.Mark(xray.MarkScaleUp, c.pendingUp)
-			c.pendingUp = 0
-		}
-		if c.pendingDown > 0 {
-			bud.Mark(xray.MarkScaleDown, c.pendingDown)
-			c.pendingDown = 0
-		}
-		bud.Seal(rec.Latency())
-		xr.Observe(bud)
+	label := rec.Function + "@" + n.id + "/cluster"
+	if c.cfg.XRayTag != "" {
+		label += "/" + c.cfg.XRayTag
 	}
+	// The segments are added in causal order — node queue, snapshot pull,
+	// then execution — and decompose the independently computed
+	// Record.Latency() exactly (zero segments are dropped by Budget.Add),
+	// so Sum()==Recorded() stays a real cross-check at fleet scale.
+	bud := xray.New(label)
+	bud.Add(xray.SegNodeQueue, rec.QueueDelay)
+	bud.Add(xray.SegSnapshotPull, rec.Pull)
+	if rec.Cold {
+		bud.Add(xray.SegExecSetup, rec.Setup)
+		bud.Mark("start.cold", 1)
+	} else {
+		bud.Add(xray.SegExecResume, rec.Setup)
+		bud.Mark("start.warm", 1)
+	}
+	bud.Add(xray.SegExecRun, rec.Exec)
+	switch rec.Route {
+	case ReasonSpill:
+		bud.Mark(xray.MarkRouterSpill, 1)
+	case ReasonShed:
+		bud.Mark(xray.MarkRouterShed, 1)
+	}
+	if c.pendingUp > 0 {
+		bud.Mark(xray.MarkScaleUp, c.pendingUp)
+		c.pendingUp = 0
+	}
+	if c.pendingDown > 0 {
+		bud.Mark(xray.MarkScaleDown, c.pendingDown)
+		c.pendingDown = 0
+	}
+	bud.Seal(rec.Latency())
+	c.cfg.XRay.Observe(bud)
 }

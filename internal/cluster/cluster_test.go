@@ -59,9 +59,11 @@ func testConfig(nodes int, router Policy) Config {
 	return cfg
 }
 
+// testArrivals materializes a seeded 60 s stream, so tests can count it
+// and replay it through several runs.
 func testArrivals(t *testing.T, proc workload.Process, meanIAT simtime.Duration) []workload.ArrivalSpec {
 	t.Helper()
-	specs, err := workload.Arrivals(workload.ArrivalsConfig{
+	src, err := workload.NewStream(workload.ArrivalsConfig{
 		Process:   proc,
 		Horizon:   60 * simtime.Second,
 		MeanIAT:   meanIAT,
@@ -71,7 +73,25 @@ func testArrivals(t *testing.T, proc workload.Process, meanIAT simtime.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var specs []workload.ArrivalSpec
+	for a, ok := src.Next(); ok; a, ok = src.Next() {
+		specs = append(specs, a)
+	}
 	return specs
+}
+
+// sliceSource replays a materialized schedule as a workload.Source.
+type sliceSource struct {
+	xs []workload.ArrivalSpec
+	i  int
+}
+
+func (s *sliceSource) Next() (workload.ArrivalSpec, bool) {
+	if s.i == len(s.xs) {
+		return workload.ArrivalSpec{}, false
+	}
+	s.i++
+	return s.xs[s.i-1], true
 }
 
 // renderReport serializes everything decision-dependent about a run so the
@@ -127,7 +147,7 @@ func runRendered(cfg Config, arrivals []workload.ArrivalSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rep, err := c.Run(arrivals)
+	rep, err := c.RunStream(&sliceSource{xs: arrivals})
 	if err != nil {
 		return "", err
 	}
@@ -144,7 +164,7 @@ func runOnce(t *testing.T, cfg Config, arrivals []workload.ArrivalSpec) *Report 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Run(arrivals)
+	rep, err := c.RunStream(&sliceSource{xs: arrivals})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +363,7 @@ func TestClusterValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run([]workload.ArrivalSpec{{Function: "unprofiled"}}); err == nil {
+	if _, err := c.RunStream(&sliceSource{xs: []workload.ArrivalSpec{{Function: "unprofiled"}}}); err == nil {
 		t.Error("unprofiled arrival: expected error")
 	}
 	c, err = New(good, testProfiles(testFns...))
@@ -351,7 +371,7 @@ func TestClusterValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	backwards := []workload.ArrivalSpec{{At: 2 * simtime.Second, Function: testFns[0]}, {At: simtime.Second, Function: testFns[0]}}
-	if _, err := c.Run(backwards); err == nil {
+	if _, err := c.RunStream(&sliceSource{xs: backwards}); err == nil {
 		t.Error("arrivals out of time order: expected error")
 	}
 }

@@ -85,7 +85,7 @@ func TestRunStreamMidStreamErrors(t *testing.T) {
 		{"out of order", backwards, "cluster: arrival at 1s is out of time order (clock at 42m27s)"},
 		{"unprofiled", unprofiled, `cluster: arrival for unprofiled function "unprofiled"`},
 	} {
-		err, dispatched, leaked := runStreamGoroutines(t, workload.SliceSource(c.arrivals))
+		err, dispatched, leaked := runStreamGoroutines(t, &sliceSource{xs: c.arrivals})
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
 		}
@@ -96,7 +96,7 @@ func TestRunStreamMidStreamErrors(t *testing.T) {
 			t.Errorf("%s: %d goroutines outlived RunStream", c.name, leaked)
 		}
 	}
-	err, dispatched, leaked := runStreamGoroutines(t, workload.SliceSource(spacedArrivals(good)))
+	err, dispatched, leaked := runStreamGoroutines(t, &sliceSource{xs: spacedArrivals(good)})
 	if err != nil || dispatched != good || leaked != 0 {
 		t.Errorf("clean stream: error %v, %d of %d dispatched, %d goroutines outlived RunStream", err, dispatched, good, leaked)
 	}
@@ -127,7 +127,7 @@ func TestRunStreamReraisesSourcePanic(t *testing.T) {
 // a free batch. stop must still return, with the producer gone.
 func TestRunStreamProducerStops(t *testing.T) {
 	before := runtime.NumGoroutine()
-	p := startProducer(workload.SliceSource(spacedArrivals(10*batchLen)), map[string]int32{testFns[0]: 0})
+	p := startProducer(&sliceSource{xs: spacedArrivals(10 * batchLen)}, map[string]int32{testFns[0]: 0})
 	if b := <-p.full; b.n != batchLen || b.final {
 		t.Fatalf("first batch: %d arrivals, final %v; want a full batch", b.n, b.final)
 	}

@@ -97,7 +97,7 @@ func profileOne(cfg sched.Config, name string, fnIdx int64) (FnProfile, error) {
 			return FnProfile{}, rec.Err
 		}
 		p.ColdSetup[li], p.ColdExec[li] = rec.Setup, rec.Exec
-		warm, _, err := fn.Warm(lv, lvSeed, 1)
+		warm, err := fn.Warm(lv, lvSeed, 1)
 		if err != nil {
 			return FnProfile{}, err
 		}

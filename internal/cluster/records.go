@@ -7,8 +7,8 @@ import "toss/internal/simtime"
 // (interned to a small int), level, cold flag, arrival and end-to-end
 // latency, plus the order in which invocations completed. A record costs
 // 26 bytes. An invocation's node, routing reason and latency segments go
-// to the observers at dispatch (xray budgets, the fleetobs decision trace)
-// and are not kept here.
+// to the xray budgets at dispatch, and a traced run's decisions and
+// per-node latencies to Report.Trace; they are not kept here.
 //
 // The columns live in fixed-size chunks that are allocated once and never
 // regrown, so a day-long log costs its own size and no copying. The

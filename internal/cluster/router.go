@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"toss/internal/fleetobs"
-)
+import "fmt"
 
 // Policy selects the front-end routing policy.
 type Policy int
@@ -48,9 +44,27 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("cluster: unknown router policy %q (want rr, least, or affinity)", s)
 }
 
+// Routing reasons recorded on decisions and xray budgets. RouteRoundRobin
+// and RouteLeastLoaded report their policy name; the affinity policy splits
+// into primary hit, spill, and shed.
+const (
+	// ReasonRoundRobin: the round-robin cursor picked the node.
+	ReasonRoundRobin = "rr"
+	// ReasonLeastLoaded: the node had the fewest in-flight invocations.
+	ReasonLeastLoaded = "least"
+	// ReasonAffinity: the node is the arrival's rendezvous-hash primary.
+	ReasonAffinity = "affinity"
+	// ReasonSpill: the primary was overloaded; the arrival moved down the
+	// hash ranking to the first node with a free core.
+	ReasonSpill = "spill"
+	// ReasonShed: every candidate was overloaded; the arrival was shed to
+	// the least-loaded node of the ranking.
+	ReasonShed = "shed"
+)
+
 // Routing reasons are stored as single-byte codes on the hot path (queued
-// arrivals, the Records route column) and decoded to the fleetobs.Reason*
-// strings at the observer and report boundaries.
+// arrivals) and decoded to the Reason* strings at the trace and xray
+// boundaries.
 const (
 	routeRR uint8 = iota
 	routeLeast
@@ -59,13 +73,13 @@ const (
 	routeShed
 )
 
-// routeReasons decodes a reason code to its fleetobs string.
+// routeReasons decodes a reason code to its Reason* string.
 var routeReasons = [...]string{
-	routeRR:       fleetobs.ReasonRoundRobin,
-	routeLeast:    fleetobs.ReasonLeastLoaded,
-	routeAffinity: fleetobs.ReasonAffinity,
-	routeSpill:    fleetobs.ReasonSpill,
-	routeShed:     fleetobs.ReasonShed,
+	routeRR:       ReasonRoundRobin,
+	routeLeast:    ReasonLeastLoaded,
+	routeAffinity: ReasonAffinity,
+	routeSpill:    ReasonSpill,
+	routeShed:     ReasonShed,
 }
 
 // RouterStats counts front-end routing decisions.
@@ -96,27 +110,27 @@ type NodeRouterStats struct {
 
 // routeResult is one routing decision: the chosen node, the reason code
 // (routeReasons index), whether the choice was diverted off the affinity
-// primary, and — only when a fleetobs recorder is attached — the ranked
-// candidate list the router considered.
+// primary, and — only in a traced run — the ranked candidate list the
+// router considered.
 type routeResult struct {
 	n        *node
 	reason   uint8
 	diverted bool
-	cands    []fleetobs.Candidate
+	cands    []Candidate
 }
 
 // candidates snapshots the considered nodes for the decision trace; nil
-// unless a fleetobs recorder is attached (the hot path stays
-// allocation-free without one).
-func (c *Cluster) candidates(fid int32, idxs []int32) []fleetobs.Candidate {
-	if c.cfg.FleetObs == nil {
+// unless the run is traced (the hot path stays allocation-free without a
+// trace).
+func (c *Cluster) candidates(fid int32, idxs []int32) []Candidate {
+	if c.trace == nil {
 		return nil
 	}
 	fn := c.fnNames[fid]
-	out := make([]fleetobs.Candidate, len(idxs))
+	out := make([]Candidate, len(idxs))
 	for i, idx := range idxs {
 		nd := c.nodes[idx]
-		out[i] = fleetobs.Candidate{
+		out[i] = Candidate{
 			Node:     nd.id,
 			Inflight: nd.inflight(),
 			Hit:      nd.cache.Contains(fn) || nd.resident[fid] > 0,

@@ -178,10 +178,6 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 		return out, nil
 
 	case PhaseTiered:
-		tr, err := c.spec.Trace(lv, seed)
-		if err != nil {
-			return Result{}, err
-		}
 		// Restore-time fault queries (see FAULTS.md). These fire before the
 		// tiered restore is attempted, modelling failures the restore path
 		// itself would hit: the slow tier's device being unreachable, the
@@ -200,30 +196,51 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 				return Result{}, fault.Errorf(fault.SiteProfileStale, name, fault.ErrProfileStale)
 			}
 		}
-		vm := microvm.RestoreTiered(c.cfg.VM, c.pd.Layout, c.tiered, concurrency)
-		vm.SetRecordTruth(false) // profiling is detached in the tiered phase
-		res, err := vm.RunTraced(tr, phaseSpan)
-		if err != nil {
-			return Result{}, fmt.Errorf("core: tiered invocation: %w", err)
-		}
-		c.iterations++
-		// Eq. 3: every invocation longer than the profiling phase's
-		// longest-running invocation accelerates re-profiling.
-		// FullSlowSlowdown is already the ratio (1 + Slowdown_Slow).
-		if lri := c.pd.Largest.Exec; lri > 0 && res.Exec > lri {
-			c.accelFactor += float64(res.Exec) / float64(lri) * c.analysis.FullSlowSlowdown
-		}
-		out := Result{Result: res, Phase: PhaseTiered}
-		if c.shouldReprofile() {
-			c.startReprofile()
-			out.ReprofileTriggered = true
-		}
-		phaseSpan.EndAt(res.Total())
-		return out, nil
+		return c.invokeTiered(lv, seed, concurrency, phaseSpan)
 
 	default:
 		return Result{}, fmt.Errorf("core: invalid phase %v", c.phase)
 	}
+}
+
+// InvokeWarm serves one invocation in a kept-alive VM: it runs the
+// lifecycle exactly as Invoke does, but a tiered-phase invocation queries
+// none of the restore-time fault sites, because a warm VM restores nothing.
+// The tiered path's Eq. 3/4 re-profiling bookkeeping runs as usual.
+func (c *Controller) InvokeWarm(lv workload.Level, seed int64, concurrency int) (Result, error) {
+	if c.phase == PhaseTiered {
+		return c.invokeTiered(lv, seed, concurrency, nil)
+	}
+	return c.InvokeTraced(lv, seed, concurrency, nil)
+}
+
+// invokeTiered serves one tiered-phase invocation from the tiered snapshot
+// and keeps the Eq. 3/4 re-profiling bookkeeping.
+func (c *Controller) invokeTiered(lv workload.Level, seed int64, concurrency int, phaseSpan *telemetry.Span) (Result, error) {
+	tr, err := c.spec.Trace(lv, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	vm := microvm.RestoreTiered(c.cfg.VM, c.pd.Layout, c.tiered, concurrency)
+	vm.SetRecordTruth(false) // profiling is detached in the tiered phase
+	res, err := vm.RunTraced(tr, phaseSpan)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: tiered invocation: %w", err)
+	}
+	c.iterations++
+	// Eq. 3: every invocation longer than the profiling phase's
+	// longest-running invocation accelerates re-profiling.
+	// FullSlowSlowdown is already the ratio (1 + Slowdown_Slow).
+	if lri := c.pd.Largest.Exec; lri > 0 && res.Exec > lri {
+		c.accelFactor += float64(res.Exec) / float64(lri) * c.analysis.FullSlowSlowdown
+	}
+	out := Result{Result: res, Phase: PhaseTiered}
+	if c.shouldReprofile() {
+		c.startReprofile()
+		out.ReprofileTriggered = true
+	}
+	phaseSpan.EndAt(res.Total())
+	return out, nil
 }
 
 // converge runs Step III and Step IV and switches to tiered serving. When a

@@ -78,10 +78,10 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 			ResumeCost:      500 * simtime.Microsecond,
 			Router:          cluster.RouteAffinity,
 			Cost:            s.Core.Cost,
-			// Deliberately no XRay/FleetObs: at a million invocations the
+			// Deliberately no XRay or Trace: at a million invocations the
 			// per-invocation budget/trace surfaces would dwarf the run
-			// itself, and with no observers attached the cluster skips
-			// Record materialization entirely.
+			// itself, and with neither on the cluster skips Record
+			// materialization entirely.
 		}
 		src, err := workload.NewStream(workload.ArrivalsConfig{
 			Process:   workload.ProcDiurnalFlash,

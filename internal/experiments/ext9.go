@@ -118,25 +118,23 @@ func (s *Suite) ext9Sizing() (ext9Fleet, error) {
 }
 
 // recordFleet files one cell's decision log in the suite's fleet sink. A
-// cell with no sustained run has no recorder and records nothing.
-func (s *Suite) recordFleet(cell string, rec *fleetobs.Recorder) {
-	if rec != nil {
-		s.FleetSink.Record(cell, rec.DecisionLog(cell))
+// cell with no sustained run has no report and records nothing.
+func (s *Suite) recordFleet(cell string, rep *cluster.Report) {
+	if rep != nil {
+		s.FleetSink.Record(cell, fleetobs.DecisionLog(rep, cell))
 	}
 }
 
 // ext9Sustained walks the rate ladder and returns the highest offered rate
 // (inv/s) whose p99 meets the SLO, with that run's report. A nil report
-// means even the lowest rung missed the objective. With trace set, every
-// rung runs under a fresh fleet recorder and the best run's recorder is
-// returned alongside its report, so the exported decision log explains
-// exactly the run the table quotes.
-func ext9Sustained(cfg cluster.Config, profiles map[string]cluster.FnProfile, proc workload.Process, seed int64, trace bool) (int64, *cluster.Report, *fleetobs.Recorder, error) {
+// means even the lowest rung missed the objective. With cfg.Trace set, the
+// report carries its run's decision trace, so the exported decision log
+// explains exactly the run the table quotes.
+func ext9Sustained(cfg cluster.Config, profiles map[string]cluster.FnProfile, proc workload.Process, seed int64) (int64, *cluster.Report, error) {
 	var bestRate int64
 	var best *cluster.Report
-	var bestObs *fleetobs.Recorder
 	for _, rate := range ext9Rates {
-		arrivals, err := workload.Arrivals(workload.ArrivalsConfig{
+		src, err := workload.NewStream(workload.ArrivalsConfig{
 			Process:   proc,
 			Horizon:   ext9Horizon,
 			MeanIAT:   simtime.Second / simtime.Duration(rate),
@@ -147,25 +145,22 @@ func ext9Sustained(cfg cluster.Config, profiles map[string]cluster.FnProfile, pr
 			FlashFactor: 4,
 		})
 		if err != nil {
-			return 0, nil, nil, err
-		}
-		if trace {
-			cfg.FleetObs = fleetobs.New(fleetobs.Config{})
+			return 0, nil, err
 		}
 		cl, err := cluster.New(cfg, profiles)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
-		rep, err := cl.Run(arrivals)
+		rep, err := cl.RunStream(src)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, nil, err
 		}
 		if ext9InflationP99(rep, ext9Warmup) > ext9SLO {
 			break // offered load only grows up the ladder
 		}
-		bestRate, best, bestObs = rate, rep, cfg.FleetObs
+		bestRate, best = rate, rep
 	}
-	return bestRate, best, bestObs, nil
+	return bestRate, best, nil
 }
 
 // ExtClusterScaling sweeps fleet size x routing policy x arrival process
@@ -212,6 +207,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 			Cost:            s.Core.Cost,
 			XRay:            s.Core.VM.XRay,
 			XRayTag:         fmt.Sprintf("%dn/%s/%s/%s", c.nodes, c.router, c.proc, mech),
+			Trace:           s.FleetSink != nil,
 			// No burn tracker: the SLO here is on warm-hit inflation, which
 			// ext9InflationP99 computes from the records directly.
 		}
@@ -230,22 +226,21 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 		tossCold, dramCold float64
 		perNode            []cluster.NodeRouterStats
 	}
-	trace := s.FleetSink != nil
 	results, err := par.Map(s.Pool(), cells, func(_ int, c cell) (result, error) {
 		seed := s.BaseSeed*1000 + int64(c.proc) + 1
-		tossRate, tossRep, tossObs, err := ext9Sustained(
-			baseConfig(hw.tossHost.Hosts(c.nodes), c, "toss"), hw.toss, c.proc, seed, trace)
+		tossRate, tossRep, err := ext9Sustained(
+			baseConfig(hw.tossHost.Hosts(c.nodes), c, "toss"), hw.toss, c.proc, seed)
 		if err != nil {
 			return result{}, err
 		}
-		dramRate, dramRep, dramObs, err := ext9Sustained(
-			baseConfig(hw.dramHost.Hosts(c.nodes), c, "dram"), hw.dram, c.proc, seed, trace)
+		dramRate, dramRep, err := ext9Sustained(
+			baseConfig(hw.dramHost.Hosts(c.nodes), c, "dram"), hw.dram, c.proc, seed)
 		if err != nil {
 			return result{}, err
 		}
 		cellName := fmt.Sprintf("ext9/%dn/%s/%s", c.nodes, c.router, c.proc)
-		s.recordFleet(cellName+"/toss", tossObs)
-		s.recordFleet(cellName+"/dram", dramObs)
+		s.recordFleet(cellName+"/toss", tossRep)
+		s.recordFleet(cellName+"/dram", dramRep)
 		res := result{tossRate: tossRate, dramRate: dramRate}
 		if tossRep != nil {
 			res.tossP99 = float64(ext9InflationP99(tossRep, ext9Warmup)) / float64(simtime.Millisecond)

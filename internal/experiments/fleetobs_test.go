@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -9,13 +10,22 @@ import (
 	"toss/internal/xray"
 )
 
+// ext9XRayDigest and ext9FleetLogDigest are the FNV-64a digests of the
+// serial run's attribution dump and folded decision log: a refactor of the
+// cluster loop or of the fleet renderers must leave both artifacts
+// byte-identical.
+const (
+	ext9XRayDigest     uint64 = 0xd9c9f8e3c1cef24e
+	ext9FleetLogDigest uint64 = 0x23305349092338f9
+)
+
 // TestExt9FleetLogParallelIdentical pins the fleet-observability parallelism
 // invariant at the suite level: running the cluster sweep (ext9) with both an
 // attribution collector and a fleet decision-trace sink attached must yield a
 // byte-identical attribution dump AND a byte-identical folded decision log
-// between a serial and an 8-worker run. The sink receives cells in
-// nondeterministic completion order; sorted folding is what makes the
-// artifact diffable across CI runs.
+// between a serial and an 8-worker run, and both must match their recorded
+// digests. The sink receives cells in nondeterministic completion order;
+// sorted folding is what makes the artifact diffable across CI runs.
 func TestExt9FleetLogParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full cluster sweep twice")
@@ -43,6 +53,20 @@ func TestExt9FleetLogParallelIdentical(t *testing.T) {
 		return xb.Bytes(), fb.Bytes()
 	}
 	serialX, serialF := run(1)
+	for _, a := range []struct {
+		name string
+		body []byte
+		want uint64
+	}{
+		{"attribution dump", serialX, ext9XRayDigest},
+		{"fleet decision log", serialF, ext9FleetLogDigest},
+	} {
+		h := fnv.New64a()
+		h.Write(a.body)
+		if got := h.Sum64(); got != a.want {
+			t.Errorf("ext9 %s digest = %#016x, want %#016x", a.name, got, a.want)
+		}
+	}
 	parX, parF := run(8)
 	if !bytes.Equal(serialX, parX) {
 		t.Error("ext9 attribution dump differs between serial and 8-worker runs")

@@ -32,31 +32,21 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes the circuit breaker. The counters are event counts,
-// not wall-clock windows, so breaker behaviour is deterministic in virtual
-// time.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive faulted invocations that
-	// trips the breaker open.
-	Threshold int
-	// Cooldown is the number of rejected Allow queries an open breaker
-	// absorbs before letting one trial through (half-open).
-	Cooldown int
-}
-
-// DefaultBreakerConfig returns the defaults: trip after 3 consecutive
-// faults, let a trial through after 16 rejections.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{Threshold: 3, Cooldown: 16}
-}
+// The breaker's counters are event counts, not wall-clock windows, so its
+// behaviour is deterministic in virtual time: breakerThreshold consecutive
+// faulted invocations trip it open, and an open breaker absorbs
+// breakerCooldown rejected Allow queries before letting one trial through
+// (half-open).
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 16
+)
 
 // Breaker is a per-function circuit breaker: a function whose invocations
 // keep faulting stops being admitted to the keep-alive cache, so a failing
 // function cannot pin fast-tier pages that healthy functions could use.
 // Nil-safe: a nil breaker allows everything.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu    sync.Mutex
 	fns   map[string]*breakerFn
 	trips int64
@@ -68,16 +58,9 @@ type breakerFn struct {
 	cooldown    int
 }
 
-// NewBreaker returns a breaker, applying defaults for zero config fields.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	def := DefaultBreakerConfig()
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = def.Threshold
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = def.Cooldown
-	}
-	return &Breaker{cfg: cfg, fns: make(map[string]*breakerFn)}
+// NewBreaker returns a breaker with every function closed.
+func NewBreaker() *Breaker {
+	return &Breaker{fns: make(map[string]*breakerFn)}
 }
 
 // Allow reports whether the function may be admitted (to the keep-alive
@@ -131,7 +114,7 @@ func (b *Breaker) Record(fn string, faulted bool) {
 	switch st.state {
 	case BreakerClosed:
 		st.consecutive++
-		if st.consecutive >= b.cfg.Threshold {
+		if st.consecutive >= breakerThreshold {
 			b.open(st)
 		}
 	case BreakerHalfOpen:
@@ -144,7 +127,7 @@ func (b *Breaker) Record(fn string, faulted bool) {
 
 func (b *Breaker) open(st *breakerFn) {
 	st.state = BreakerOpen
-	st.cooldown = b.cfg.Cooldown
+	st.cooldown = breakerCooldown
 	st.consecutive = 0
 	b.trips++
 }

@@ -2,15 +2,33 @@ package fault
 
 import "testing"
 
+// trip records breakerThreshold consecutive faults for fn.
+func trip(b *Breaker, fn string) {
+	for i := 0; i < breakerThreshold; i++ {
+		b.Record(fn, true)
+	}
+}
+
+// burnCooldown makes the breakerCooldown-1 Allow queries an open breaker
+// rejects, failing t if one is allowed.
+func burnCooldown(t *testing.T, b *Breaker, fn string) {
+	t.Helper()
+	for i := 1; i < breakerCooldown; i++ {
+		if b.Allow(fn) {
+			t.Fatalf("allowed during cooldown (query %d)", i)
+		}
+	}
+}
+
 func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 2})
-	for i := 0; i < 2; i++ {
+	b := NewBreaker()
+	for i := 0; i < breakerThreshold-1; i++ {
 		b.Record("f", true)
 		if !b.Allow("f") {
 			t.Fatalf("rejected before threshold (fault %d)", i+1)
 		}
 	}
-	b.Record("f", true) // third consecutive fault trips it
+	b.Record("f", true) // the threshold-th consecutive fault trips it
 	if b.State("f") != BreakerOpen {
 		t.Fatalf("state = %v, want open", b.State("f"))
 	}
@@ -27,24 +45,26 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 2})
-	b.Record("f", true)
+	b := NewBreaker()
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.Record("f", true)
+	}
 	b.Record("f", false) // streak broken
-	b.Record("f", true)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.Record("f", true)
+	}
 	if b.State("f") != BreakerClosed {
 		t.Fatalf("state = %v, want closed", b.State("f"))
 	}
 }
 
 func TestBreakerHalfOpenTrial(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 2})
-	b.Record("f", true)
+	b := NewBreaker()
+	trip(b, "f")
 	if b.State("f") != BreakerOpen {
 		t.Fatal("did not trip")
 	}
-	if b.Allow("f") {
-		t.Fatal("allowed during cooldown")
-	}
+	burnCooldown(t, b, "f")
 	if !b.Allow("f") { // cooldown spent → half-open trial
 		t.Fatal("no trial after cooldown")
 	}
@@ -58,14 +78,17 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 	}
 
 	// Trip again; a faulted trial reopens with a fresh cooldown.
-	b.Record("f", true)
-	b.Allow("f")
+	trip(b, "f")
+	burnCooldown(t, b, "f")
 	if !b.Allow("f") {
 		t.Fatal("no second trial")
 	}
 	b.Record("f", true)
 	if b.State("f") != BreakerOpen {
 		t.Fatalf("state = %v, want reopen", b.State("f"))
+	}
+	if b.Allow("f") {
+		t.Fatal("reopened breaker allowed at once")
 	}
 	if b.Trips() != 3 {
 		t.Fatalf("trips = %d, want 3", b.Trips())
@@ -80,13 +103,5 @@ func TestBreakerNilSafe(t *testing.T) {
 	b.Record("f", true)
 	if b.State("f") != BreakerClosed || b.Trips() != 0 {
 		t.Fatal("nil breaker has state")
-	}
-}
-
-func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	def := DefaultBreakerConfig()
-	if b.cfg.Threshold != def.Threshold || b.cfg.Cooldown != def.Cooldown {
-		t.Fatalf("defaults not applied: %+v", b.cfg)
 	}
 }

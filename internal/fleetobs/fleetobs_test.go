@@ -10,115 +10,69 @@ import (
 	"sync"
 	"testing"
 
+	"toss/internal/cluster"
 	"toss/internal/par"
 	"toss/internal/simtime"
 )
 
 var update = flag.Bool("update", false, "rewrite golden export files")
 
-// sampleRecorder builds a small deterministic two-node trace by hand: four
-// routing decisions spanning every affinity reason, one scale-up, and three
-// sampling boundaries. Every golden file renders from this fixture.
-func sampleRecorder() *Recorder {
-	r := New(Config{Interval: simtime.Second})
-	grid := func(running1, queued1, running2 int) func() []NodeSample {
-		return func() []NodeSample {
-			return []NodeSample{
-				{Node: "n01", Cores: 2, Running: running1, Queued: queued1,
-					DiskUsed: 192 << 20, DiskCap: 1 << 30,
-					FastUsed: 24 << 20, FastCap: 48 << 20,
-					SlowUsed: 300 << 20, SlowCap: 1536 << 20, Alive: true},
-				{Node: "n02", Cores: 2, Running: running2,
-					DiskUsed: 64 << 20, DiskCap: 1 << 30,
-					FastUsed: 8 << 20, FastCap: 48 << 20,
-					SlowUsed: 100 << 20, SlowCap: 1536 << 20, Alive: true},
-			}
+// sampleReport builds a small deterministic two-node traced run by hand:
+// four routing decisions spanning every affinity reason, one scale-up, and
+// three sampling boundaries. Every golden file renders from this fixture.
+func sampleReport() *cluster.Report {
+	grid := func(at simtime.Duration, running1, queued1, running2 int) []cluster.NodeSample {
+		return []cluster.NodeSample{
+			{At: at, Node: "n01", Cores: 2, Running: running1, Queued: queued1,
+				DiskUsed: 192 << 20, DiskCap: 1 << 30,
+				FastUsed: 24 << 20, FastCap: 48 << 20,
+				SlowUsed: 300 << 20, SlowCap: 1536 << 20, Alive: true},
+			{At: at, Node: "n02", Cores: 2, Running: running2,
+				DiskUsed: 64 << 20, DiskCap: 1 << 30,
+				FastUsed: 8 << 20, FastCap: 48 << 20,
+				SlowUsed: 100 << 20, SlowCap: 1536 << 20, Alive: true},
 		}
 	}
-	r.SampleAt(0, grid(0, 0, 0))
-	r.RouteDecision(Decision{
-		At: 100 * simtime.Millisecond, Function: "pyaes", Node: "n01",
-		Reason: ReasonAffinity, Hit: true,
-		Candidates: []Candidate{{Node: "n01", Hit: true}, {Node: "n02", Inflight: 1}},
-	})
-	r.Invocation("n01", 12*simtime.Millisecond, false)
-	r.RouteDecision(Decision{
-		At: 200 * simtime.Millisecond, Function: "pyaes", Node: "n02",
-		Reason: ReasonSpill, RouterQueue: 3 * simtime.Microsecond, Decide: simtime.Microsecond,
-		Candidates: []Candidate{{Node: "n01", Inflight: 2, Hit: true}, {Node: "n02", Inflight: 1}},
-	})
-	r.Invocation("n02", 230*simtime.Millisecond, true)
-	r.RouteDecision(Decision{
-		At: 300 * simtime.Millisecond, Function: "compress", Node: "n01",
-		Reason: ReasonShed,
-		Candidates: []Candidate{
-			{Node: "n02", Inflight: 2}, {Node: "n01", Inflight: 2, Hit: true},
+	var samples []cluster.NodeSample
+	samples = append(samples, grid(0, 0, 0, 0)...)
+	samples = append(samples, grid(simtime.Second, 2, 1, 1)...)
+	samples = append(samples, grid(2*simtime.Second, 1, 0, 0)...)
+	return &cluster.Report{
+		Nodes: []cluster.NodeStats{
+			{ID: "n01", Invocations: 3, ColdStarts: 1},
+			{ID: "n02", Invocations: 1, ColdStarts: 1},
 		},
-	})
-	r.Invocation("n01", 480*simtime.Millisecond, true)
-	r.SampleAt(1300*simtime.Millisecond, grid(2, 1, 1))
-	r.ScaleAction(Scale{
-		At: 2 * simtime.Second, Action: "up", Node: "n03",
-		Util: 0.9125, Burn: 0.125, Fleet: 3,
-	})
-	r.RouteDecision(Decision{
-		At: 2100 * simtime.Millisecond, Function: "pyaes", Node: "n01",
-		Reason: ReasonRoundRobin,
-	})
-	r.Invocation("n01", 15*simtime.Millisecond, false)
-	r.SampleAt(2500*simtime.Millisecond, grid(1, 0, 0))
-	return r
-}
-
-func TestNilRecorderIsNoOp(t *testing.T) {
-	var r *Recorder
-	r.RouteDecision(Decision{Node: "n01"})
-	r.ScaleAction(Scale{Node: "n01"})
-	r.Invocation("n01", simtime.Second, true)
-	r.SampleAt(simtime.Second, func() []NodeSample { t.Fatal("states called on nil recorder"); return nil })
-	if r.Events() != nil || r.Samples() != nil || r.View() != nil {
-		t.Fatal("nil recorder leaked state")
-	}
-	var b bytes.Buffer
-	if err := r.WriteDecisionLog(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleBoundaries(t *testing.T) {
-	r := New(Config{Interval: simtime.Second})
-	calls := 0
-	states := func() []NodeSample {
-		calls++
-		return []NodeSample{{Node: "n01", Cores: 1, Running: 1, Alive: true}}
-	}
-	// A jump over several boundaries stamps the held state at each one.
-	r.SampleAt(2500*simtime.Millisecond, states)
-	if calls != 1 {
-		t.Fatalf("states called %d times, want once per SampleAt crossing", calls)
-	}
-	got := r.Samples()
-	want := []simtime.Duration{0, simtime.Second, 2 * simtime.Second}
-	if len(got) != len(want) {
-		t.Fatalf("got %d samples, want %d", len(got), len(want))
-	}
-	for i, s := range got {
-		if s.At != want[i] {
-			t.Fatalf("sample %d at %v, want %v", i, s.At, want[i])
-		}
-	}
-	// Time before the next boundary records nothing and does not call back.
-	r.SampleAt(2900*simtime.Millisecond, func() []NodeSample { t.Fatal("no boundary crossed"); return nil })
-	if len(r.Samples()) != len(want) {
-		t.Fatal("sample recorded without a boundary crossing")
+		ScaleEvents: []cluster.ScaleEvent{{
+			At: 2 * simtime.Second, Action: "up", Node: "n03",
+			Util: 0.9125, Burn: 0.125, Fleet: 3,
+		}},
+		Trace: &cluster.Trace{
+			Decisions: []cluster.Decision{
+				{At: 100 * simtime.Millisecond, Function: "pyaes", Node: "n01",
+					Reason: cluster.ReasonAffinity, Hit: true,
+					Candidates: []cluster.Candidate{{Node: "n01", Hit: true}, {Node: "n02", Inflight: 1}}},
+				{At: 200 * simtime.Millisecond, Function: "pyaes", Node: "n02",
+					Reason:     cluster.ReasonSpill,
+					Candidates: []cluster.Candidate{{Node: "n01", Inflight: 2, Hit: true}, {Node: "n02", Inflight: 1}}},
+				{At: 300 * simtime.Millisecond, Function: "compress", Node: "n01",
+					Reason: cluster.ReasonShed,
+					Candidates: []cluster.Candidate{
+						{Node: "n02", Inflight: 2}, {Node: "n01", Inflight: 2, Hit: true},
+					}},
+				{At: 2100 * simtime.Millisecond, Function: "pyaes", Node: "n01",
+					Reason: cluster.ReasonRoundRobin},
+			},
+			Samples: samples,
+			Latencies: [][]simtime.Duration{
+				{12 * simtime.Millisecond, 480 * simtime.Millisecond, 15 * simtime.Millisecond},
+				{230 * simtime.Millisecond},
+			},
+		},
 	}
 }
 
 func TestViewAggregates(t *testing.T) {
-	v := sampleRecorder().View()
+	v := view(sampleReport())
 	if v == nil || len(v.Nodes) != 2 {
 		t.Fatalf("want 2 node rows, got %+v", v)
 	}
@@ -135,8 +89,8 @@ func TestViewAggregates(t *testing.T) {
 	if v.Nodes[1].Spills != 1 {
 		t.Fatalf("n02 spills = %d, want 1", v.Nodes[1].Spills)
 	}
-	// Same nearest-rank convention as cluster.Report.LatencyPercentile:
-	// with 3 samples both p50 and p99 truncate to sorted index 1.
+	// Same nearest-rank convention as the cluster's reports: with 3
+	// samples both p50 and p99 truncate to sorted index 1.
 	if n1.P50 != 15*simtime.Millisecond || n1.P99 != 15*simtime.Millisecond {
 		t.Fatalf("n01 p50/p99 = %v/%v", n1.P50, n1.P99)
 	}
@@ -158,36 +112,36 @@ func TestViewAggregates(t *testing.T) {
 // TestGoldenExports pins every rendering byte-for-byte; refresh with
 // `go test ./internal/fleetobs -update` only if the change is intended.
 func TestGoldenExports(t *testing.T) {
-	r := sampleRecorder()
+	r := sampleReport()
 	goldens := []struct {
 		file   string
 		render func() string
 	}{
 		{"decision_log.jsonl", func() string {
 			var b bytes.Buffer
-			if err := r.WriteDecisionLog(&b); err != nil {
+			if err := WriteDecisionLog(&b, r); err != nil {
 				t.Fatal(err)
 			}
 			return b.String()
 		}},
 		{"chrome_trace.json", func() string {
 			var b bytes.Buffer
-			if err := r.WriteChromeTrace(&b); err != nil {
+			if err := WriteChromeTrace(&b, r); err != nil {
 				t.Fatal(err)
 			}
 			return b.String()
 		}},
-		{"fleet_view.txt", func() string { return RenderFleet(r.View(), 0) }},
+		{"fleet_view.txt", func() string { return RenderFleet(r, 0) }},
 		{"fleet_view.json", func() string {
 			var b bytes.Buffer
-			if err := WriteFleetJSON(&b, r.View()); err != nil {
+			if err := WriteFleetJSON(&b, r); err != nil {
 				t.Fatal(err)
 			}
 			return b.String()
 		}},
 		{"fleet_view.html", func() string {
 			var b bytes.Buffer
-			if err := WriteFleetHTML(&b, r.View()); err != nil {
+			if err := WriteFleetHTML(&b, r); err != nil {
 				t.Fatal(err)
 			}
 			return b.String()
@@ -212,31 +166,66 @@ func TestGoldenExports(t *testing.T) {
 	}
 }
 
+// untracedReports are the two shapes of a run without a trace: no report
+// at all, and a report whose run had Config.Trace off (it still carries
+// its scale actions).
+func untracedReports() []*cluster.Report {
+	return []*cluster.Report{nil, {ScaleEvents: sampleReport().ScaleEvents}}
+}
+
+// TestRenderEmptyViews: a nil report and a report without a trace render
+// the empty banners.
 func TestRenderEmptyViews(t *testing.T) {
-	if !strings.Contains(RenderFleet(nil, 0), "no nodes observed") {
-		t.Fatal("nil view should render the empty banner")
+	for _, rep := range untracedReports() {
+		if !strings.Contains(RenderFleet(rep, 0), "no nodes observed") {
+			t.Fatal("untraced run should render the empty banner")
+		}
+		var b bytes.Buffer
+		if err := WriteFleetJSON(&b, rep); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != "{\"schema_version\":1,\"nodes\":[]}\n" {
+			t.Fatalf("untraced run JSON = %q", b.String())
+		}
+		b.Reset()
+		if err := WriteFleetHTML(&b, rep); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "no fleet attached") {
+			t.Fatal("untraced run HTML should render the empty banner")
+		}
 	}
-	var b bytes.Buffer
-	if err := WriteFleetJSON(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "{\"schema_version\":1,\"nodes\":[]}\n" {
-		t.Fatalf("nil view JSON = %q", b.String())
-	}
-	b.Reset()
-	if err := WriteFleetHTML(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "no fleet attached") {
-		t.Fatal("nil view HTML should render the empty banner")
+}
+
+// TestUntracedReportExportsNothing: a run without a trace has no fleet
+// view, and its exports succeed empty: no decision-log line (its scale
+// actions included) and a Chrome trace with no events.
+func TestUntracedReportExportsNothing(t *testing.T) {
+	for _, rep := range untracedReports() {
+		if view(rep) != nil {
+			t.Fatal("untraced run built a fleet view")
+		}
+		if log := DecisionLog(rep, "cell"); log != "" {
+			t.Fatalf("untraced run tagged decision log = %q", log)
+		}
+		var b bytes.Buffer
+		if err := WriteDecisionLog(&b, rep); err != nil || b.Len() != 0 {
+			t.Fatalf("untraced run decision log = %q, %v", b.String(), err)
+		}
+		if err := WriteChromeTrace(&b, rep); err != nil {
+			t.Fatal(err)
+		}
+		if want := "{\"traceEvents\":[\n],\"displayTimeUnit\":\"ms\"}\n"; b.String() != want {
+			t.Fatalf("untraced run Chrome trace = %q, want %q", b.String(), want)
+		}
 	}
 }
 
 // TestDecisionLogCellTag: a cell-tagged log leads every line with the
 // cell, so the logs of many cells concatenate into one self-describing
-// document; a nil recorder renders nothing.
+// document; a nil report renders nothing.
 func TestDecisionLogCellTag(t *testing.T) {
-	log := sampleRecorder().DecisionLog("ext9/2n/affinity/flash/toss")
+	log := DecisionLog(sampleReport(), "ext9/2n/affinity/flash/toss")
 	lines := strings.Split(strings.TrimSuffix(log, "\n"), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("want 5 lines (4 decisions, 1 scale), got %d:\n%s", len(lines), log)
@@ -246,9 +235,27 @@ func TestDecisionLogCellTag(t *testing.T) {
 			t.Fatalf("line not cell-tagged: %s", l)
 		}
 	}
-	var nilRec *Recorder
-	if nilRec.DecisionLog("x") != "" {
-		t.Fatal("nil recorder rendered a log")
+	if DecisionLog(nil, "x") != "" {
+		t.Fatal("nil report rendered a log")
+	}
+}
+
+// TestDecisionLogTieOrder: a routing decision and an autoscaler action at
+// the same instant log the decision first, the order the cluster loop makes
+// them in (it routes an arrival before a tick due at the same time).
+func TestDecisionLogTieOrder(t *testing.T) {
+	rep := &cluster.Report{
+		ScaleEvents: []cluster.ScaleEvent{{At: 2 * simtime.Second, Action: "up", Node: "n02"}},
+		Trace: &cluster.Trace{Decisions: []cluster.Decision{
+			{At: 2 * simtime.Second, Function: "fn", Node: "n01", Reason: cluster.ReasonAffinity},
+			{At: 3 * simtime.Second, Function: "fn", Node: "n01", Reason: cluster.ReasonAffinity},
+		}},
+	}
+	lines := strings.Split(DecisionLog(rep, ""), "\n")
+	for i, want := range []string{`"at_ns":2000000000,"kind":"route"`, `"at_ns":2000000000,"kind":"scale"`, `"at_ns":3000000000,"kind":"route"`} {
+		if !strings.Contains(lines[i], want) {
+			t.Fatalf("line %d = %s, want %s", i, lines[i], want)
+		}
 	}
 }
 
@@ -263,13 +270,12 @@ func TestSinkDeterministic(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r := New(Config{})
-				r.RouteDecision(Decision{
+				rep := &cluster.Report{Trace: &cluster.Trace{Decisions: []cluster.Decision{{
 					At:       simtime.Duration(i) * simtime.Millisecond,
-					Function: "fn", Node: fmt.Sprintf("n%02d", i), Reason: ReasonAffinity,
-				})
+					Function: "fn", Node: fmt.Sprintf("n%02d", i), Reason: cluster.ReasonAffinity,
+				}}}}
 				cell := fmt.Sprintf("cell-%02d", i)
-				s.Record(cell, r.DecisionLog(cell))
+				s.Record(cell, DecisionLog(rep, cell))
 			}(i)
 		}
 		wg.Wait()
@@ -287,7 +293,7 @@ func TestSinkDeterministic(t *testing.T) {
 		t.Fatal("cells not sorted by name")
 	}
 	var nilSink *par.Sink[string]
-	nilSink.Record("x", New(Config{}).DecisionLog("x"))
+	nilSink.Record("x", DecisionLog(sampleReport(), "x"))
 	if nilSink.Len() != 0 || nilSink.Sorted() != nil {
 		t.Fatal("nil sink should be a no-op")
 	}

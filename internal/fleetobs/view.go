@@ -7,13 +7,14 @@ import (
 	"strconv"
 	"strings"
 
+	"toss/internal/cluster"
 	"toss/internal/emit"
 	"toss/internal/simtime"
 )
 
-// NodeView is one node's row in the fleet view: lifetime aggregates plus
-// the most recent grid sample.
-type NodeView struct {
+// nodeView is one node's row in the fleet view: lifetime aggregates plus
+// the last grid sample.
+type nodeView struct {
 	Node string
 	// Alive / Draining are the node's state at the last sampled boundary.
 	Alive    bool
@@ -35,8 +36,8 @@ type NodeView struct {
 	ColdStarts  int64
 	P50         simtime.Duration
 	P99         simtime.Duration
-	// Decisions / AffinityHits / Spills / Sheds are the router's per-node
-	// counters.
+	// Decisions / AffinityHits / Spills / Sheds tally the decisions that
+	// chose the node; a spill is a decision with reason spill only.
 	Decisions    int64
 	AffinityHits int64
 	Spills       int64
@@ -47,8 +48,8 @@ type NodeView struct {
 	QueueHeat []int
 }
 
-// MeanUtil is the mean sampled core utilization over the run.
-func (n NodeView) MeanUtil() float64 {
+// meanUtil is the mean sampled core utilization over the run.
+func (n nodeView) meanUtil() float64 {
 	if len(n.UtilHeat) == 0 {
 		return 0
 	}
@@ -59,77 +60,69 @@ func (n NodeView) MeanUtil() float64 {
 	return s / float64(len(n.UtilHeat))
 }
 
-// FleetView is a point-in-time view of the whole recorder: the node grid
-// plus trace totals. Views are value snapshots — safe to render while the
-// run continues.
-type FleetView struct {
+// fleetView is a traced run's node grid plus trace totals, the one input
+// of the three fleet-view renderers.
+type fleetView struct {
 	// Now is the latest virtual time the view covers (last boundary or
 	// event, whichever is later).
 	Now simtime.Duration
-	// Interval is the grid-sampling cadence.
-	Interval simtime.Duration
 	// Decisions / Scales count trace events by kind.
 	Decisions int64
 	Scales    int64
-	// Nodes holds one row per node ever seen, in id order.
-	Nodes []NodeView
+	// Nodes holds one row per node the trace names, in id order.
+	Nodes []nodeView
 	// ScaleEvents lists every autoscaler action in order.
-	ScaleEvents []Scale
+	ScaleEvents []cluster.ScaleEvent
 }
 
-// View materializes the recorder into a FleetView. Nil recorders return nil.
-func (r *Recorder) View() *FleetView {
-	if r == nil {
+// view builds the fleet view of a finished run; nil when the run has no
+// trace.
+func view(rep *cluster.Report) *fleetView {
+	if rep == nil || rep.Trace == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := &FleetView{Interval: r.interval}
-	for _, e := range r.events {
-		if at := e.At(); at > v.Now {
-			v.Now = at
-		}
-		if e.Route != nil {
-			v.Decisions++
-		}
-		if e.Scale != nil {
-			v.Scales++
-			v.ScaleEvents = append(v.ScaleEvents, *e.Scale)
+	tr := rep.Trace
+	v := &fleetView{Decisions: int64(len(tr.Decisions)), Scales: int64(len(rep.ScaleEvents)), ScaleEvents: rep.ScaleEvents}
+	rows := map[string]*nodeView{}
+	for _, id := range nodeIDs(tr) {
+		v.Nodes = append(v.Nodes, nodeView{Node: id})
+	}
+	for i := range v.Nodes {
+		rows[v.Nodes[i].Node] = &v.Nodes[i]
+	}
+	for i, ns := range rep.Nodes {
+		if n := rows[ns.ID]; n != nil {
+			n.Invocations, n.ColdStarts = ns.Invocations, ns.ColdStarts
+			n.P50, n.P99 = percentile(tr.Latencies[i], 50), percentile(tr.Latencies[i], 99)
 		}
 	}
-	heatU := make(map[string][]float64)
-	heatQ := make(map[string][]int)
-	for _, s := range r.samples {
-		heatU[s.Node] = append(heatU[s.Node], s.Util())
-		heatQ[s.Node] = append(heatQ[s.Node], s.Queued)
-		if s.At > v.Now {
-			v.Now = s.At
+	for _, d := range tr.Decisions {
+		n := rows[d.Node]
+		n.Decisions++
+		if d.Hit {
+			n.AffinityHits++
 		}
+		switch d.Reason {
+		case cluster.ReasonSpill:
+			n.Spills++
+		case cluster.ReasonShed:
+			n.Sheds++
+		}
+		v.Now = max(v.Now, d.At)
 	}
-	for _, id := range r.nodeIDsLocked() {
-		a := r.nodes[id]
-		nv := NodeView{
-			Node:         id,
-			Invocations:  a.invocations,
-			ColdStarts:   a.cold,
-			P50:          percentile(a.latencies, 50),
-			P99:          percentile(a.latencies, 99),
-			Decisions:    a.decisions,
-			AffinityHits: a.hits,
-			Spills:       a.spills,
-			Sheds:        a.sheds,
-			UtilHeat:     heatU[id],
-			QueueHeat:    heatQ[id],
-		}
-		if a.hasLast {
-			s := a.last
-			nv.Alive, nv.Draining = s.Alive, s.Draining
-			nv.Cores, nv.Running, nv.Queued = s.Cores, s.Running, s.Queued
-			nv.DiskUsed, nv.DiskCap = s.DiskUsed, s.DiskCap
-			nv.FastUsed, nv.FastCap = s.FastUsed, s.FastCap
-			nv.SlowUsed, nv.SlowCap = s.SlowUsed, s.SlowCap
-		}
-		v.Nodes = append(v.Nodes, nv)
+	for _, s := range rep.ScaleEvents {
+		v.Now = max(v.Now, s.At)
+	}
+	for _, s := range tr.Samples {
+		n := rows[s.Node]
+		n.UtilHeat = append(n.UtilHeat, s.Util())
+		n.QueueHeat = append(n.QueueHeat, s.Queued)
+		n.Alive, n.Draining = s.Alive, s.Draining
+		n.Cores, n.Running, n.Queued = s.Cores, s.Running, s.Queued
+		n.DiskUsed, n.DiskCap = s.DiskUsed, s.DiskCap
+		n.FastUsed, n.FastCap = s.FastUsed, s.FastCap
+		n.SlowUsed, n.SlowCap = s.SlowUsed, s.SlowCap
+		v.Now = max(v.Now, s.At)
 	}
 	return v
 }
@@ -203,7 +196,7 @@ func ms(d simtime.Duration) string {
 }
 
 // nodeState names the node's lifecycle state for rendering.
-func nodeState(n NodeView) string {
+func nodeState(n nodeView) string {
 	switch {
 	case !n.Alive:
 		return "gone"
@@ -214,12 +207,13 @@ func nodeState(n NodeView) string {
 	}
 }
 
-// RenderFleet renders the view as the -fleetview ASCII grid: one row per
-// node with a utilization heat strip (one cell per sampling boundary), a
+// RenderFleet renders a traced run as the -fleetview ASCII grid: one row
+// per node with a utilization heat strip (one cell per sampling boundary), a
 // queue-depth strip, snapshot-tier occupancy, and per-node percentiles,
 // followed by the autoscaler's actions. Byte-deterministic for a given
-// view; width bounds the heat strips (0 means the default 32).
-func RenderFleet(v *FleetView, width int) string {
+// run; width bounds the heat strips (0 means the default 32).
+func RenderFleet(rep *cluster.Report, width int) string {
+	v := view(rep)
 	if width <= 0 {
 		width = 32
 	}
@@ -229,7 +223,7 @@ func RenderFleet(v *FleetView, width int) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "fleet @ %v: %d nodes, %d decisions, %d scale events (heat cell = %v)\n",
-		v.Now, len(v.Nodes), v.Decisions, v.Scales, v.Interval)
+		v.Now, len(v.Nodes), v.Decisions, v.Scales, cluster.SampleInterval)
 	fmt.Fprintf(&b, "%-5s %-5s %5s  %-*s  %-*s %5s %9s %9s %7s %5s %11s %11s %11s\n",
 		"node", "state", "util", width, "heat(util)", width, "queue", "inv", "p50", "p99",
 		"cold%", "dec", "disk", "fast", "slow")
@@ -239,7 +233,7 @@ func RenderFleet(v *FleetView, width int) string {
 			coldPct = 100 * float64(n.ColdStarts) / float64(n.Invocations)
 		}
 		fmt.Fprintf(&b, "%-5s %-5s %4.0f%%  %-*s  %-*s %5d %9s %9s %6.1f%% %5d %11s %11s %11s\n",
-			n.Node, nodeState(n), 100*n.MeanUtil(),
+			n.Node, nodeState(n), 100*n.meanUtil(),
 			width, heatRow(n.UtilHeat, width),
 			width, queueRow(n.QueueHeat, width),
 			n.Invocations, ms(n.P50), ms(n.P99), coldPct, n.Decisions,
@@ -260,9 +254,10 @@ func RenderFleet(v *FleetView, width int) string {
 	return b.String()
 }
 
-// WriteFleetJSON writes the view as the /fleet.json document:
-// hand-serialized, fixed field order, byte-deterministic.
-func WriteFleetJSON(w io.Writer, v *FleetView) error {
+// WriteFleetJSON writes a traced run's fleet view as the /fleet.json
+// document: hand-serialized, fixed field order, byte-deterministic.
+func WriteFleetJSON(w io.Writer, rep *cluster.Report) error {
+	v := view(rep)
 	var b strings.Builder
 	if v == nil {
 		b.WriteString("{\"schema_version\":1,\"nodes\":[]}\n")
@@ -270,7 +265,7 @@ func WriteFleetJSON(w io.Writer, v *FleetView) error {
 		return err
 	}
 	fmt.Fprintf(&b, "{\"schema_version\":1,\"now_ns\":%d,\"interval_ns\":%d,\"decisions\":%d,\"scales\":%d,\"nodes\":[",
-		v.Now.Nanoseconds(), v.Interval.Nanoseconds(), v.Decisions, v.Scales)
+		v.Now.Nanoseconds(), cluster.SampleInterval.Nanoseconds(), v.Decisions, v.Scales)
 	for i, n := range v.Nodes {
 		if i > 0 {
 			b.WriteByte(',')
@@ -313,10 +308,12 @@ func WriteFleetJSON(w io.Writer, v *FleetView) error {
 	return err
 }
 
-// WriteFleetHTML renders the view as the /fleet dashboard page: a
-// self-contained dark HTML node grid (no external assets, no scripts) with
-// utilization bars, heat strips, occupancy, and the scale-event list.
-func WriteFleetHTML(w io.Writer, v *FleetView) error {
+// WriteFleetHTML renders a traced run's fleet view as the /fleet dashboard
+// page: a self-contained dark HTML node grid (no external assets, no
+// scripts) with utilization bars, heat strips, occupancy, and the
+// scale-event list.
+func WriteFleetHTML(w io.Writer, rep *cluster.Report) error {
+	v := view(rep)
 	var b strings.Builder
 	b.WriteString(`<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>toss fleet</title>
@@ -342,7 +339,7 @@ td.heat { letter-spacing: 1px; color: #fa4; }
 		len(v.Nodes), v.Now, v.Decisions, v.Scales)
 	b.WriteString("<tr><th>node</th><th>state</th><th>util</th><th></th><th>heat</th><th>queue</th><th>inv</th><th>cold</th><th>p50</th><th>p99</th><th>dec</th><th>hits</th><th>spill</th><th>shed</th><th>disk</th><th>fast</th><th>slow</th></tr>\n")
 	for _, n := range v.Nodes {
-		u := n.MeanUtil()
+		u := n.meanUtil()
 		fmt.Fprintf(&b, `<tr><td class="id">%s</td><td>%s</td><td>%.0f%%</td><td class="bar"><div style="width:%.1f%%"></div></td>`,
 			html.EscapeString(n.Node), nodeState(n), 100*u, 100*u)
 		fmt.Fprintf(&b, `<td class="heat">%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td><td>%s</td>`,

@@ -17,7 +17,7 @@ import (
 // keeping the VM warm again.
 func TestFlushWithOpenBreaker(t *testing.T) {
 	cache := newCache(t, 1<<20, 8<<20)
-	br := fault.NewBreaker(fault.BreakerConfig{Threshold: 3, Cooldown: 4})
+	br := fault.NewBreaker()
 
 	bad := item("faulty", 100, 800, 50*simtime.Millisecond)
 	good := item("healthy", 100, 800, 30*simtime.Millisecond)
@@ -59,16 +59,16 @@ func TestFlushWithOpenBreaker(t *testing.T) {
 		t.Fatal("healthy function rejected after flush")
 	}
 	vetoes := 0
-	for br.State("faulty") == fault.BreakerOpen && vetoes < 10 {
+	for br.State("faulty") == fault.BreakerOpen && vetoes < 100 {
 		if br.Allow("faulty") {
 			break
 		}
 		vetoes++
 	}
-	if vetoes != 3 {
-		// Cooldown 4 means three rejected queries, then the fourth flips to
-		// half-open and is allowed.
-		t.Fatalf("breaker absorbed %d vetoes before half-open, want 3", vetoes)
+	if vetoes != 15 {
+		// Cooldown 16 means fifteen rejected queries, then the sixteenth
+		// flips to half-open and is allowed.
+		t.Fatalf("breaker absorbed %d vetoes before half-open, want 15", vetoes)
 	}
 	if st := br.State("faulty"); st != fault.BreakerHalfOpen {
 		t.Fatalf("after cooldown: state %v, want half-open", st)
@@ -102,7 +102,7 @@ func TestFlushWithOpenBreaker(t *testing.T) {
 // cache for another full cooldown.
 func TestFlushTrialReopens(t *testing.T) {
 	cache := newCache(t, 1<<20, 8<<20)
-	br := fault.NewBreaker(fault.BreakerConfig{Threshold: 3, Cooldown: 2})
+	br := fault.NewBreaker()
 
 	if _, ok := cache.Admit(item("faulty", 100, 800, 50*simtime.Millisecond)); !ok {
 		t.Fatal("initial admit rejected")

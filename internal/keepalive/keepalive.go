@@ -1,11 +1,11 @@
 // Package keepalive implements function keep-alive caching — the orthogonal
 // cold-start mechanism the paper positions TOSS alongside (§VI-A): "TOSS can
-// keep the VM alive on both tiers until evicted". The policy is the
-// greedy-dual keep-alive of FaasCache (Fuerst & Sharma, ASPLOS'21), extended
-// to be tier-aware: a warm TOSS VM occupies its fast and slow footprints in
-// separate capacity pools, and its eviction priority weighs the cold-start
-// time it saves against the *billed* memory it pins, using the paper's
-// per-tier prices.
+// keep the VM alive on both tiers until evicted". The policy is
+// greedy-dual-size, the keep-alive policy family of FaasCache (Fuerst &
+// Sharma, ASPLOS'21) without its frequency term, extended to be tier-aware:
+// a warm TOSS VM occupies its fast and slow footprints in separate capacity
+// pools, and its eviction priority weighs the cold-start time it saves
+// against the *billed* memory it pins, using the paper's per-tier prices.
 package keepalive
 
 import (
@@ -25,9 +25,7 @@ type Item struct {
 	SlowBytes int64
 	// ColdStart is the setup time a hit saves.
 	ColdStart simtime.Duration
-	// freq counts hits since admission (greedy-dual frequency term).
-	freq int64
-	// priority is the greedy-dual keep-alive priority.
+	// priority is the greedy-dual-size keep-alive priority.
 	priority float64
 }
 
@@ -37,15 +35,14 @@ func (it *Item) weightedSize(m costmodel.Model) float64 {
 	return float64(it.FastBytes) + float64(it.SlowBytes)*(m.CostSlow/m.CostFast)
 }
 
-// computePriority is the greedy-dual-size-frequency form used by FaasCache:
-// clock + freq * cost / size, with cost = saved cold-start nanoseconds and
-// size = billed bytes.
+// computePriority is the greedy-dual-size priority clock + cost / size,
+// with cost = saved cold-start nanoseconds and size = billed bytes.
 func (it *Item) computePriority(clock float64, m costmodel.Model) float64 {
 	size := it.weightedSize(m)
 	if size <= 0 {
 		size = 1
 	}
-	return clock + float64(it.freq)*float64(it.ColdStart)/size
+	return clock + float64(it.ColdStart)/size
 }
 
 // Stats counts cache outcomes.
@@ -103,7 +100,6 @@ func (c *Cache) Take(fn string) (Item, bool) {
 		return Item{}, false
 	}
 	c.stats.Hits++
-	c.items[i].freq++
 	out := c.items[i]
 	c.removeAt(i)
 	return out, true
@@ -163,11 +159,7 @@ func (c *Cache) admit(it Item, collect *[]string) (evictions int, admitted bool)
 		return 0, false
 	}
 	if i := c.find(it.Function); i >= 0 {
-		it.freq = c.items[i].freq
 		c.removeAt(i)
-	}
-	if it.freq == 0 {
-		it.freq = 1
 	}
 	for c.fastUsed+it.FastBytes > c.fastCap || c.slowUsed+it.SlowBytes > c.slowCap {
 		v := c.minPriority()

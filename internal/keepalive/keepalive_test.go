@@ -33,19 +33,25 @@ func TestNewValidation(t *testing.T) {
 
 func TestAdmitAndLookup(t *testing.T) {
 	c := newCache(t, 1000, 1000)
-	if c.Lookup("a") {
+	if c.Contains("a") {
 		t.Error("hit on empty cache")
+	}
+	if _, ok := c.Take("a"); ok {
+		t.Error("Take hit on empty cache")
 	}
 	evicted, ok := c.Admit(item("a", 100, 200, simtime.Millisecond))
 	if !ok || len(evicted) != 0 {
 		t.Fatalf("Admit = %v, %v", evicted, ok)
 	}
-	if !c.Lookup("a") || !c.Contains("a") {
+	if !c.Contains("a") {
 		t.Error("miss after admit")
 	}
 	fast, slow := c.Occupancy()
 	if fast != 100 || slow != 200 {
 		t.Errorf("occupancy = %d/%d", fast, slow)
+	}
+	if _, ok := c.Take("a"); !ok {
+		t.Error("Take missed after admit")
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -92,24 +98,6 @@ func TestEvictionPrefersLowValue(t *testing.T) {
 	}
 }
 
-func TestFrequencyProtectsHotFunctions(t *testing.T) {
-	c := newCache(t, 1000, 0)
-	c.Admit(item("hot", 500, 0, simtime.Millisecond))
-	c.Admit(item("cold", 400, 0, simtime.Millisecond))
-	for i := 0; i < 50; i++ {
-		c.Lookup("hot")
-	}
-	evicted, ok := c.Admit(item("new", 500, 0, simtime.Millisecond))
-	if !ok {
-		t.Fatal("admission failed")
-	}
-	for _, fn := range evicted {
-		if fn == "hot" {
-			t.Error("frequently-hit function evicted before cold one")
-		}
-	}
-}
-
 func TestOversizedItemRejected(t *testing.T) {
 	c := newCache(t, 100, 100)
 	if _, ok := c.Admit(item("big", 200, 0, simtime.Second)); ok {
@@ -126,7 +114,6 @@ func TestOversizedItemRejected(t *testing.T) {
 func TestReadmitRefreshesNotDuplicates(t *testing.T) {
 	c := newCache(t, 1000, 1000)
 	c.Admit(item("a", 100, 100, simtime.Millisecond))
-	c.Lookup("a")
 	c.Admit(item("a", 150, 100, simtime.Millisecond)) // grew
 	if len(c.items) != 1 {
 		t.Fatalf("Len = %d after re-admit", len(c.items))
@@ -213,7 +200,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 					delete(resident, fn)
 				}
 			case 1:
-				c.Lookup(fn)
+				c.Contains(fn)
 			case 2:
 				if _, ok := c.Take(fn); ok {
 					delete(resident, fn)
@@ -264,20 +251,4 @@ func TestFlushEvictsEverythingSorted(t *testing.T) {
 	if got := c.Flush(); got != nil {
 		t.Errorf("Flush of empty cache = %v, want nil", got)
 	}
-}
-
-// Lookup reports whether a warm VM exists for the function, counting the
-// outcome and refreshing the item's priority on a hit: a hit that keeps the
-// VM cached, where Take hands it out.
-func (c *Cache) Lookup(fn string) bool {
-	i := c.find(fn)
-	if i < 0 {
-		c.stats.Misses++
-		return false
-	}
-	c.stats.Hits++
-	it := &c.items[i]
-	it.freq++
-	it.priority = it.computePriority(c.clock, c.cost)
-	return true
 }

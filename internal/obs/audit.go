@@ -10,14 +10,6 @@ import (
 	"toss/internal/simtime"
 )
 
-// AuditConfig parameterizes the DAMON-accuracy audit.
-type AuditConfig struct {
-	// HotThreshold splits pages into hot (truth count >= threshold) and
-	// cold. 0 derives it from the data: the median of the nonzero
-	// ground-truth counts.
-	HotThreshold int64
-}
-
 // AuditResult scores one sample window's DAMON estimate against ground
 // truth.
 type AuditResult struct {
@@ -27,7 +19,8 @@ type AuditResult struct {
 	At       simtime.Duration
 	// Pages is the number of distinct pages in the union of both views.
 	Pages int
-	// Threshold is the hot/cold split actually used (after defaulting).
+	// Threshold splits the pages into hot (count >= Threshold) and cold:
+	// the median of the nonzero ground-truth counts (1 if there are none).
 	Threshold int64
 	// RankCorrelation is Spearman's rho between DAMON's per-page estimated
 	// access counts and the exact counts, over the page union. 1 means
@@ -66,7 +59,7 @@ type pagePair struct {
 // Audit joins a DAMON pattern against exact access counts and scores the
 // estimate. The page universe is the union of pages either view knows about;
 // a page one side missed scores as count 0 there.
-func Audit(cfg AuditConfig, p damon.Pattern, truth *access.Histogram) AuditResult {
+func Audit(p damon.Pattern, truth *access.Histogram) AuditResult {
 	pairs := joinPages(p, truth)
 	res := AuditResult{Pages: len(pairs)}
 	if len(pairs) == 0 {
@@ -81,10 +74,7 @@ func Audit(cfg AuditConfig, p damon.Pattern, truth *access.Histogram) AuditResul
 	}
 	res.RankCorrelation = spearman(est, tru)
 
-	res.Threshold = cfg.HotThreshold
-	if res.Threshold <= 0 {
-		res.Threshold = medianNonzero(tru)
-	}
+	res.Threshold = medianNonzero(tru)
 	for i := range pairs {
 		trulyHot := tru[i] >= res.Threshold
 		estHot := est[i] >= res.Threshold

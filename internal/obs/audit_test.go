@@ -35,18 +35,19 @@ func hist(counts ...int64) *access.Histogram {
 //
 // Average ranks with ties: truth = [6.5 6.5 6.5 6.5 2.5 2.5 2.5 2.5],
 // estimate = [6.5 6.5 6.5 2.5 6.5 2.5 2.5 2.5]. Pearson over the ranks:
-// cov = 16, var = 32 each, so rho = 16/32 = 0.5 exactly. With threshold 50,
+// cov = 16, var = 32 each, so rho = 16/32 = 0.5 exactly. The threshold is
+// the median of the nonzero truth counts [2 2 2 2 100 100 100 100], 100, so
 // page 3 is hot-called-cold and page 4 cold-called-hot.
 func TestAuditHandBuilt(t *testing.T) {
 	truth := hist(100, 100, 100, 100, 2, 2, 2, 2)
 	est := pattern(rec(0, 3, 100), rec(3, 1, 2), rec(4, 1, 100), rec(5, 3, 2))
 
-	res := Audit(AuditConfig{HotThreshold: 50}, est, truth)
+	res := Audit(est, truth)
 	if res.Pages != 8 {
 		t.Fatalf("pages = %d, want 8", res.Pages)
 	}
-	if res.Threshold != 50 {
-		t.Fatalf("threshold = %d", res.Threshold)
+	if res.Threshold != 100 {
+		t.Fatalf("threshold = %d, want 100", res.Threshold)
 	}
 	if math.Abs(res.RankCorrelation-0.5) > 1e-12 {
 		t.Fatalf("rho = %v, want exactly 0.5", res.RankCorrelation)
@@ -65,24 +66,24 @@ func TestAuditHandBuilt(t *testing.T) {
 func TestAuditPerfectEstimate(t *testing.T) {
 	truth := hist(9, 7, 5, 3, 1)
 	est := pattern(rec(0, 1, 9), rec(1, 1, 7), rec(2, 1, 5), rec(3, 1, 3), rec(4, 1, 1))
-	res := Audit(AuditConfig{}, est, truth)
+	res := Audit(est, truth)
 	if res.RankCorrelation != 1 {
 		t.Fatalf("rho = %v, want 1", res.RankCorrelation)
 	}
 	if res.HotAsCold != 0 || res.ColdAsHot != 0 {
 		t.Fatalf("misclass = %d/%d", res.HotAsCold, res.ColdAsHot)
 	}
-	// Default threshold is the median of nonzero truth counts: [1 3 5 7 9]
+	// The threshold is the median of nonzero truth counts: [1 3 5 7 9]
 	// -> 5.
 	if res.Threshold != 5 {
-		t.Fatalf("default threshold = %d, want 5", res.Threshold)
+		t.Fatalf("threshold = %d, want 5", res.Threshold)
 	}
 }
 
 func TestAuditReversedEstimate(t *testing.T) {
 	truth := hist(1, 2, 3, 4)
 	est := pattern(rec(0, 1, 4), rec(1, 1, 3), rec(2, 1, 2), rec(3, 1, 1))
-	res := Audit(AuditConfig{}, est, truth)
+	res := Audit(est, truth)
 	if res.RankCorrelation != -1 {
 		t.Fatalf("rho = %v, want -1", res.RankCorrelation)
 	}
@@ -90,10 +91,11 @@ func TestAuditReversedEstimate(t *testing.T) {
 
 func TestAuditUnionIncludesDAMONOnlyPages(t *testing.T) {
 	// Truth touched pages 0-1; DAMON also claims heat on pages 4-5 (which
-	// the truth never touched — they must enter the union with truth 0).
+	// the truth never touched — they must enter the union with truth 0),
+	// above the threshold of 10 the truth's counts set.
 	truth := hist(10, 10)
-	est := pattern(rec(0, 2, 10), rec(4, 2, 8))
-	res := Audit(AuditConfig{HotThreshold: 5}, est, truth)
+	est := pattern(rec(0, 2, 10), rec(4, 2, 12))
+	res := Audit(est, truth)
 	if res.Pages != 4 {
 		t.Fatalf("pages = %d, want 4", res.Pages)
 	}
@@ -104,17 +106,17 @@ func TestAuditUnionIncludesDAMONOnlyPages(t *testing.T) {
 
 func TestAuditDegenerate(t *testing.T) {
 	// Empty join is vacuously perfect.
-	if res := Audit(AuditConfig{}, damon.Pattern{}, access.NewHistogram()); res.RankCorrelation != 1 {
+	if res := Audit(damon.Pattern{}, access.NewHistogram()); res.RankCorrelation != 1 {
 		t.Fatalf("empty rho = %v", res.RankCorrelation)
 	}
 	// All counts equal on both sides: identical rank vectors -> 1.
 	truth := hist(5, 5, 5)
-	if res := Audit(AuditConfig{}, pattern(rec(0, 3, 7)), truth); res.RankCorrelation != 1 {
+	if res := Audit(pattern(rec(0, 3, 7)), truth); res.RankCorrelation != 1 {
 		t.Fatalf("constant-agreeing rho = %v", res.RankCorrelation)
 	}
 	// One side constant, the other not: no monotone signal -> 0.
 	varied := pattern(rec(0, 1, 1), rec(1, 1, 2), rec(2, 1, 3))
-	if res := Audit(AuditConfig{}, varied, truth); res.RankCorrelation != 0 {
+	if res := Audit(varied, truth); res.RankCorrelation != 0 {
 		t.Fatalf("degenerate rho = %v", res.RankCorrelation)
 	}
 }

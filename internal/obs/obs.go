@@ -409,7 +409,7 @@ func (r *Recorder) AuditDAMON(fn string, seq int, p damon.Pattern, truth *access
 		return
 	}
 	name := fnName(fn)
-	res := Audit(AuditConfig{}, p, truth)
+	res := Audit(p, truth)
 	res.Function, res.Seq = name, seq
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -83,7 +83,13 @@ func NewFunction(cfg core.Config, spec *workload.Spec, mode Mode) (*Function, er
 // invocation's span tree.
 func (f *Function) Cold(lv workload.Level, seed int64, conc int, span *telemetry.Span) Record {
 	rec := Record{Function: f.spec.Name, Level: lv, Mode: f.mode}
-	res, err := f.serveOrDegrade(&rec, lv, seed, conc, span)
+	res, err := retry(&rec, func() (microvm.Result, error) {
+		return f.serve(&rec, lv, seed, conc, span)
+	})
+	if err != nil && fault.SiteOf(err) != "" {
+		rec.FaultSite = string(fault.SiteOf(err))
+		res, rec.Degraded, err = f.degrade(&rec, err, lv, seed, conc, span)
+	}
 	if err != nil {
 		rec.Err = wrapFault(err)
 		return rec
@@ -94,19 +100,6 @@ func (f *Function) Cold(lv workload.Level, seed int64, conc int, span *telemetry
 	rec.XRay = res.Budget
 	rec.XRay.Extend(xray.SegRetryBackoff, waited)
 	return rec
-}
-
-// serveOrDegrade runs Cold's serve→retry→degrade sequence and returns the
-// machine result that served the invocation.
-func (f *Function) serveOrDegrade(rec *Record, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, error) {
-	res, err := retry(rec, func() (microvm.Result, error) {
-		return f.serve(rec, lv, seed, conc, span)
-	})
-	if err != nil && fault.SiteOf(err) != "" {
-		rec.FaultSite = string(fault.SiteOf(err))
-		res, rec.Degraded, err = f.degrade(rec, err, lv, seed, conc, span)
-	}
-	return res, err
 }
 
 // serve runs the primary path of f's mode once. TOSS records the phase it
@@ -204,34 +197,31 @@ func (f *Function) invokeSlow(lv workload.Level, seed int64, conc int, span *tel
 // Warm serves an invocation in a resumed kept-alive VM, with no restore and
 // its memory resident in its tiers, and returns the execution time; the
 // caller prices the resume. A single-tier mode's VM runs all in DRAM. TOSS
-// still serves through Cold's sequence so the controller's profiling
-// bookkeeping (pattern folding, convergence, Eq. 4 counters) continues and
-// its restore-time faults recover as a cold start's do; the restore inside
-// is discarded, and a warm tiered VM has no demand faults left to take.
-// degraded reports that the invocation was served through a degradation
-// policy.
-func (f *Function) Warm(lv workload.Level, seed int64, conc int) (exec simtime.Duration, degraded bool, err error) {
+// still serves through the controller (Controller.InvokeWarm) so its
+// profiling bookkeeping (pattern folding, convergence, Eq. 3/4 counters)
+// continues; the restore inside is discarded, so it queries no restore-time
+// fault site, and a warm tiered VM has no demand faults left to take.
+func (f *Function) Warm(lv workload.Level, seed int64, conc int) (simtime.Duration, error) {
 	if f.toss == nil {
 		tr, err := f.spec.Trace(lv, seed)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		vm := microvm.NewResident(f.cfg.VM, f.layout, nil, conc)
 		vm.SetLabel(f.spec.Name)
 		vm.SetRecordTruth(false)
 		res, err := vm.Run(tr)
-		return res.Exec, false, err
+		return res.Exec, err
 	}
-	var rec Record
-	res, err := f.serveOrDegrade(&rec, lv, seed, conc, nil)
+	res, err := f.toss.InvokeWarm(lv, seed, conc)
 	if err != nil {
-		return 0, false, wrapFault(err)
+		return 0, err
 	}
-	exec = res.Exec
+	exec := res.Exec
 	if f.toss.Phase() == core.PhaseTiered {
 		exec = max(exec-res.FaultTime, 0)
 	}
-	return exec, rec.Degraded != "", nil
+	return exec, nil
 }
 
 // Prewarm returns the cost of a background restore that parks a VM in the

@@ -14,31 +14,18 @@ import (
 	"toss/internal/simtime"
 )
 
-// Config tunes the predictor.
-type Config struct {
-	// MinSamples is the number of observed inter-arrival times required
-	// before predicting.
-	MinSamples int
-	// MaxCV is the maximum coefficient of variation (stddev/mean) of the
-	// IAT distribution for a prediction to be emitted.
-	MaxCV float64
-	// WindowFraction sizes the pre-warm window as a fraction of the
-	// predicted IAT on each side (bounded below by one millisecond).
-	WindowFraction float64
-	// History caps the number of IATs remembered per function.
-	History int
-}
-
-// DefaultConfig returns a conservative predictor: it only fires for
-// clearly regular (fixed-period or steady high-rate) functions.
-func DefaultConfig() Config {
-	return Config{
-		MinSamples:     4,
-		MaxCV:          0.5,
-		WindowFraction: 0.25,
-		History:        64,
-	}
-}
+// The predictor is conservative: it only fires for clearly regular
+// (fixed-period or steady high-rate) functions. It needs minSamples observed
+// inter-arrival times (IATs) before predicting and a coefficient of
+// variation (stddev/mean) of at most maxCV; the pre-warm window spans
+// windowFraction of the predicted IAT on each side (at least one
+// millisecond); and it remembers the last history IATs per function.
+const (
+	minSamples     = 4
+	maxCV          = 0.5
+	windowFraction = 0.25
+	history        = 64
+)
 
 // Prediction is a forecast next arrival with a pre-warm window.
 type Prediction struct {
@@ -52,28 +39,19 @@ type Prediction struct {
 
 // Predictor tracks per-function arrival history.
 type Predictor struct {
-	cfg Config
-	fns map[string]*history
+	fns map[string]*arrivals
 }
 
-type history struct {
+// arrivals is one function's arrival history.
+type arrivals struct {
 	last simtime.Duration
 	seen bool
 	iats []simtime.Duration
 }
 
-// New returns a predictor with the given configuration.
-func New(cfg Config) *Predictor {
-	if cfg.MinSamples < 2 {
-		cfg.MinSamples = 2
-	}
-	if cfg.History < cfg.MinSamples {
-		cfg.History = cfg.MinSamples
-	}
-	if cfg.WindowFraction <= 0 {
-		cfg.WindowFraction = 0.25
-	}
-	return &Predictor{cfg: cfg, fns: make(map[string]*history)}
+// New returns a predictor that has seen no arrivals.
+func New() *Predictor {
+	return &Predictor{fns: make(map[string]*arrivals)}
 }
 
 // Observe records an arrival of fn at virtual time `at`. Out-of-order
@@ -81,7 +59,7 @@ func New(cfg Config) *Predictor {
 func (p *Predictor) Observe(fn string, at simtime.Duration) {
 	h, ok := p.fns[fn]
 	if !ok {
-		h = &history{}
+		h = &arrivals{}
 		p.fns[fn] = h
 	}
 	if h.seen {
@@ -89,8 +67,8 @@ func (p *Predictor) Observe(fn string, at simtime.Duration) {
 			return
 		}
 		h.iats = append(h.iats, at-h.last)
-		if len(h.iats) > p.cfg.History {
-			h.iats = h.iats[len(h.iats)-p.cfg.History:]
+		if len(h.iats) > history {
+			h.iats = h.iats[len(h.iats)-history:]
 		}
 	}
 	h.last = at
@@ -101,16 +79,16 @@ func (p *Predictor) Observe(fn string, at simtime.Duration) {
 // unknown, under-sampled, or too irregular.
 func (p *Predictor) Next(fn string) (Prediction, bool) {
 	h, ok := p.fns[fn]
-	if !ok || len(h.iats) < p.cfg.MinSamples {
+	if !ok || len(h.iats) < minSamples {
 		return Prediction{}, false
 	}
 	mean, std := meanStd(h.iats)
-	if mean <= 0 || std/mean > p.cfg.MaxCV {
+	if mean <= 0 || std/mean > maxCV {
 		return Prediction{}, false
 	}
 	med := median(h.iats)
 	at := h.last + med
-	margin := simtime.Duration(float64(med) * p.cfg.WindowFraction)
+	margin := simtime.Duration(float64(med) * windowFraction)
 	if margin < simtime.Millisecond {
 		margin = simtime.Millisecond
 	}

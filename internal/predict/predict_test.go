@@ -8,17 +8,17 @@ import (
 )
 
 func TestUnknownFunctionNoPrediction(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	if _, ok := p.Next("nope"); ok {
 		t.Error("prediction for unknown function")
 	}
 }
 
 func TestUnderSampledNoPrediction(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	p.Observe("f", 1*simtime.Second)
 	p.Observe("f", 2*simtime.Second)
-	// Only 1 IAT recorded; MinSamples is 4.
+	// Only 1 IAT recorded; minSamples is 4.
 	if _, ok := p.Next("f"); ok {
 		t.Error("prediction with too few samples")
 	}
@@ -31,7 +31,7 @@ func TestUnderSampledNoPrediction(t *testing.T) {
 }
 
 func TestPeriodicFunctionPredicted(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	period := 10 * simtime.Second
 	var last simtime.Duration
 	for i := 1; i <= 6; i++ {
@@ -54,7 +54,7 @@ func TestPeriodicFunctionPredicted(t *testing.T) {
 }
 
 func TestIrregularFunctionNotPredicted(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Wildly varying IATs: 1s, 100s, 2s, 400s, 1s...
 	times := []simtime.Duration{1, 2, 102, 104, 504, 505, 905}
 	for _, at := range times {
@@ -66,7 +66,7 @@ func TestIrregularFunctionNotPredicted(t *testing.T) {
 }
 
 func TestOutOfOrderObservationsIgnored(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	p.Observe("f", 10*simtime.Second)
 	p.Observe("f", 5*simtime.Second) // ignored
 	if p.Samples("f") != 0 {
@@ -79,30 +79,17 @@ func TestOutOfOrderObservationsIgnored(t *testing.T) {
 }
 
 func TestHistoryBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.History = 8
-	p := New(cfg)
-	for i := 1; i <= 100; i++ {
+	p := New()
+	for i := 1; i <= 2*history; i++ {
 		p.Observe("f", simtime.Duration(i)*simtime.Second)
 	}
-	if got := p.Samples("f"); got != 8 {
-		t.Errorf("history = %d, want 8", got)
-	}
-}
-
-func TestConfigClamps(t *testing.T) {
-	p := New(Config{MinSamples: 0, History: 0, WindowFraction: -1, MaxCV: 0.5})
-	// Clamped MinSamples=2, History>=2: two IATs allow a prediction.
-	p.Observe("f", 1*simtime.Second)
-	p.Observe("f", 2*simtime.Second)
-	p.Observe("f", 3*simtime.Second)
-	if _, ok := p.Next("f"); !ok {
-		t.Error("clamped config cannot predict")
+	if got := p.Samples("f"); got != history {
+		t.Errorf("history = %d, want %d", got, history)
 	}
 }
 
 func TestDriftingPeriodFollowsMedian(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New()
 	// Period shifts from 10s to 12s; median over the window follows.
 	at := simtime.Duration(0)
 	for i := 0; i < 4; i++ {
@@ -127,7 +114,7 @@ func TestDriftingPeriodFollowsMedian(t *testing.T) {
 // and its window brackets the prediction.
 func TestPredictionWindowProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		p := New(DefaultConfig())
+		p := New()
 		at := simtime.Duration(0)
 		for _, gap := range raw {
 			at += simtime.Duration(gap)*simtime.Millisecond + simtime.Millisecond

@@ -161,3 +161,36 @@ func TestFaultRunsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmTOSSServeQueriesNoRestoreSite pins that a warm TOSS serve
+// restores nothing and so meets no restore-time fault: under a plan where
+// 30% of restores find a corrupt snapshot, a keep-alive run that serves
+// nearly every arrival warm counts no more degraded serves than it has
+// cold starts, the only serves that restore.
+func TestWarmTOSSServeQueriesNoRestoreSite(t *testing.T) {
+	arr := steadyTrace(t, 30*simtime.Second, 150*simtime.Millisecond, "pyaes")
+	cfg := faultConfig(t, MechTOSS, fault.Plan{Seed: 1, Sites: map[fault.Site]fault.Spec{
+		fault.SiteRestoreCorrupt: {Rate: 0.3},
+	}})
+	s, err := New(cfg, []string{"pyaes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cold int64
+	for _, r := range rep.Records {
+		if r.Start == ColdStart {
+			cold++
+		}
+	}
+	if int(cold) > len(rep.Records)/10 {
+		t.Fatalf("%d of %d arrivals cold-started; the check needs a mostly warm run", cold, len(rep.Records))
+	}
+	if rep.DegradedServes > cold {
+		t.Fatalf("%d degraded serves for %d cold starts (%d arrivals): warm serves met restore-time faults",
+			rep.DegradedServes, cold, len(rep.Records))
+	}
+}

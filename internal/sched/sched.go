@@ -71,8 +71,6 @@ type Config struct {
 	KeepAliveTTL simtime.Duration
 	// Prewarm enables prediction-driven pre-warming (requires keep-alive).
 	Prewarm bool
-	// Predictor tunes the pre-warming predictor.
-	Predictor predict.Config
 }
 
 // DefaultConfig mirrors the paper's host: 20 cores, no keep-alive.
@@ -84,7 +82,6 @@ func DefaultConfig() Config {
 		Core:       c,
 		Mechanism:  MechTOSS,
 		ResumeCost: 500 * simtime.Microsecond,
-		Predictor:  predict.DefaultConfig(),
 	}
 }
 
@@ -319,10 +316,10 @@ func New(cfg Config, functions []string) (*Sim, error) {
 		s.cache = cache
 	}
 	if cfg.Prewarm {
-		s.pred = predict.New(cfg.Predictor)
+		s.pred = predict.New()
 	}
 	if cfg.Core.VM.Faults != nil {
-		s.breaker = fault.NewBreaker(fault.DefaultBreakerConfig())
+		s.breaker = fault.NewBreaker()
 	}
 	return s, nil
 }
@@ -440,11 +437,11 @@ func (s *Sim) dispatch(a workload.ArrivalSpec, arrivedAt simtime.Duration) error
 				kind = PrewarmedStart
 				delete(s.prewarmed, a.Function)
 			}
-			e, d, err := fn.Warm(a.Level, a.Seed, conc)
+			e, err := fn.Warm(a.Level, a.Seed, conc)
 			if err != nil {
 				return err
 			}
-			setup, exec, degraded = s.cfg.ResumeCost, e, d
+			setup, exec = s.cfg.ResumeCost, e
 		}
 	}
 	if kind == ColdStart {

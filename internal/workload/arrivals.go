@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"toss/internal/simtime"
 )
@@ -94,7 +93,7 @@ type ArrivalsConfig struct {
 	// must match len(Functions) otherwise).
 	Weights []float64
 	// Seed drives all randomness. Same config + same seed => byte-identical
-	// schedule (a golden-file test pins this).
+	// stream (a golden-file test pins this).
 	Seed int64
 	// FlashFactor multiplies the aggregate rate inside a flash episode
 	// (ProcFlash only; default 8).
@@ -132,46 +131,6 @@ func (c ArrivalsConfig) Validate() error {
 		return fmt.Errorf("workload: arrivals: invalid flash parameters (factor %v, hot share %v)", c.FlashFactor, c.FlashHotShare)
 	}
 	return nil
-}
-
-// Arrivals generates the time-ordered schedule, materialized as a slice.
-// Generation is single-threaded and consumes one seeded rng stream in a
-// fixed order, so the output is byte-identical across runs and across
-// whatever worker pool the caller happens to run inside. For day-scale
-// schedules that should never live in memory at once, use NewStream — it
-// yields this exact sequence (a golden equivalence test pins that), one
-// arrival at a time.
-func Arrivals(c ArrivalsConfig) ([]ArrivalSpec, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	// The flash-family processes draw the whole baseline before the
-	// episodes on the same rng stream (the seed contract the golden file
-	// pins), so the materialized path runs the two generators back to back.
-	rng := rand.New(rand.NewSource(c.Seed))
-	var out []ArrivalSpec
-	base := newBaseGen(&c, rng)
-	for {
-		a, ok := base.next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	if c.Process == ProcFlash || c.Process == ProcDiurnalFlash {
-		eps := newEpisodeGen(&c, rng)
-		for {
-			a, ok := eps.next()
-			if !ok {
-				break
-			}
-			out = append(out, a)
-		}
-	}
-	// Stable sort on time only: equal-time arrivals keep generation order,
-	// which is itself deterministic.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out, nil
 }
 
 // sample draws one arrival at time t. fnIdx >= 0 pins the function;

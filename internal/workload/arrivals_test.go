@@ -41,18 +41,14 @@ func renderArrivals(c ArrivalsConfig, specs []ArrivalSpec) string {
 	return b.String()
 }
 
-// TestArrivalsGolden pins the exact byte output of every generator for a
-// fixed seed. A diff here means the generators' determinism contract broke:
+// TestArrivalsGolden pins the exact byte output of every generator's
+// stream for a fixed seed. A diff here means the generators' determinism contract broke:
 // refresh with `go test ./internal/workload -update-arrivals` only if the
 // change is intended, and expect ext9 output to shift with it.
 func TestArrivalsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, c := range arrivalsFixtures() {
-		specs, err := Arrivals(c)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Process, err)
-		}
-		b.WriteString(renderArrivals(c, specs))
+		b.WriteString(renderArrivals(c, streamed(t, c)))
 	}
 	got := []byte(b.String())
 
@@ -72,27 +68,20 @@ func TestArrivalsGolden(t *testing.T) {
 	}
 }
 
-// TestArrivalsRepeatable regenerates each schedule several times and under
+// TestArrivalsRepeatable regenerates each stream several times and under
 // a parallel worker pool, asserting byte-identical output every time —
 // the property the cluster layer relies on for serial-vs-parallel
 // determinism of ext9.
 func TestArrivalsRepeatable(t *testing.T) {
 	for _, c := range arrivalsFixtures() {
-		specs, err := Arrivals(c)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Process, err)
-		}
+		specs := streamed(t, c)
 		base := renderArrivals(c, specs)
 		if len(specs) == 0 {
 			t.Fatalf("%s: empty schedule", c.Process)
 		}
 
 		for run := 0; run < 3; run++ {
-			again, err := Arrivals(c)
-			if err != nil {
-				t.Fatalf("%s run %d: %v", c.Process, run, err)
-			}
-			if renderArrivals(c, again) != base {
+			if renderArrivals(c, streamed(t, c)) != base {
 				t.Fatalf("%s: run %d differs from first generation", c.Process, run)
 			}
 		}
@@ -101,9 +90,13 @@ func TestArrivalsRepeatable(t *testing.T) {
 		// the same bytes as the serial run.
 		pool := par.New(4)
 		rendered, err := par.Map(pool, make([]struct{}, 8), func(i int, _ struct{}) (string, error) {
-			specs, err := Arrivals(c)
+			st, err := NewStream(c)
 			if err != nil {
 				return "", err
+			}
+			var specs []ArrivalSpec
+			for a, ok := st.Next(); ok; a, ok = st.Next() {
+				specs = append(specs, a)
 			}
 			return renderArrivals(c, specs), nil
 		})
@@ -118,16 +111,13 @@ func TestArrivalsRepeatable(t *testing.T) {
 	}
 }
 
-// TestArrivalsOrdering asserts the schedules are time-sorted and inside the
+// TestArrivalsOrdering asserts the streams are time-sorted and inside the
 // horizon, and that flash schedules actually concentrate extra traffic
 // (more arrivals than the Poisson baseline at the same mean IAT).
 func TestArrivalsOrdering(t *testing.T) {
 	counts := map[Process]int{}
 	for _, c := range arrivalsFixtures() {
-		specs, err := Arrivals(c)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Process, err)
-		}
+		specs := streamed(t, c)
 		counts[c.Process] = len(specs)
 		for i, s := range specs {
 			if s.At <= 0 || s.At >= c.Horizon {
@@ -175,7 +165,7 @@ func TestArrivalsValidate(t *testing.T) {
 	for _, tc := range cases {
 		c := good
 		tc.mutate(&c)
-		if _, err := Arrivals(c); err == nil {
+		if _, err := NewStream(c); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}

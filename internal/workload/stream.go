@@ -7,15 +7,12 @@ import (
 	"toss/internal/simtime"
 )
 
-// This file is the streaming half of the arrival generator family. The
-// materialized Arrivals() and the pull-based Stream share the same two
-// generator state machines (baseGen, episodeGen), so "streaming equals
-// materialized" is structural rather than a re-implementation that could
-// drift: both paths consume the rng in the same order, and a golden test
-// pins byte-identity of the sequences. Streaming exists for the day-scale
-// runs (ext10): a 24h trace at ~8 arrivals/ms is >1M ArrivalSpecs, which
-// should flow through the cluster core one at a time instead of living in a
-// ~100MB slice first.
+// This file generates the cluster arrival processes pull-based: Stream
+// yields a schedule one arrival at a time, so a day-scale run (ext10: a 24h
+// trace at ~8 arrivals/ms is >1M ArrivalSpecs) flows through the cluster
+// core without ever living in a ~100MB slice. The materialized pass that
+// defines the seed contract lives in the package's tests, as the reference
+// the stream and the arrivals golden file are checked against.
 
 // Source yields a time-ordered arrival sequence one spec at a time. Next
 // returns ok=false when the sequence is exhausted; implementations are not
@@ -26,37 +23,19 @@ type Source interface {
 	Next() (ArrivalSpec, bool)
 }
 
-// SliceSource adapts a materialized schedule to the Source interface, so
-// callers holding a []ArrivalSpec (tests, the faasim CLI) can feed the same
-// streaming entry points.
-func SliceSource(xs []ArrivalSpec) Source { return &sliceSource{xs: xs} }
-
-type sliceSource struct {
-	xs []ArrivalSpec
-	i  int
-}
-
-func (s *sliceSource) Next() (ArrivalSpec, bool) {
-	if s.i >= len(s.xs) {
-		return ArrivalSpec{}, false
-	}
-	a := s.xs[s.i]
-	s.i++
-	return a, true
-}
-
-// Stream is the streaming equivalent of Arrivals: it yields the exact same
-// sequence (same config, same seed => byte-identical specs in the same
-// order) without materializing it. Memory use is O(1) in the horizon.
+// Stream yields a cluster arrival schedule (same config, same seed =>
+// byte-identical specs in the same order) without materializing it. Memory
+// use is O(1) in the horizon.
 //
-// How the equivalence works: Arrivals draws the full baseline and then the
-// episode overlay from one rng stream, concatenates, and stable-sorts on
-// time. Both sub-sequences are individually time-sorted (inter-arrival
-// draws are clamped to >= 1ns, and episodes provably never overlap — each
-// ends before 0.625x the episode spacing past its anchor while the next
-// begins after 0.75x), so the stable sort is exactly a two-way merge that
-// prefers the baseline on ties (baseline entries precede episode entries in
-// the concatenation). Stream performs that merge directly. The episode
+// How it keeps the seed contract: the materialized pass draws the full
+// baseline and then the episode overlay from one rng stream, concatenates,
+// and stable-sorts on time. Both sub-sequences are individually time-sorted
+// (inter-arrival draws are clamped to >= 1ns, and episodes provably never
+// overlap — each ends before 0.625x the episode spacing past its anchor
+// while the next begins after 0.75x), so the stable sort is exactly a
+// two-way merge that prefers the baseline on ties (baseline entries precede
+// episode entries in the concatenation). Stream performs that merge
+// directly. The episode
 // generator gets its own rng seeded identically and fast-forwarded past the
 // baseline's draws in discard mode — O(horizon/IAT) setup time, O(1) memory
 // — so the two lazy generators each see the same draw sub-stream they would

@@ -10,6 +10,13 @@
 // is not reported. It prints each finding as "file:line pkg.Name"
 // (pkg.Type.Name for a method) and exits 1.
 //
+// A godoc pass over the same files holds every package under internal/ to
+// doc-comment coverage: the package needs a package comment on at least one
+// file, and each exported function, method on an exported type, type, and
+// const or var needs a doc comment (a documented const or var group covers
+// its names, as does a spec's own line comment). Each gap prints as
+// "file:line pkg.Name has no doc comment" and fails like dead code.
+//
 // A docs pass holds the design documents (docFiles) to the code the same
 // way: a backticked pkg.Name or pkg.Type.Name whose pkg is the base name of
 // a module directory with Go files must name an exported declaration (a
@@ -61,12 +68,13 @@ func main() {
 	os.Exit(report(os.Stdout, append(dead, stale...), string(allow)))
 }
 
-// finding is one unreachable function, unnamed declaration or stale doc
-// citation.
+// finding is one unreachable function, unnamed declaration, undocumented
+// declaration or stale doc citation.
 type finding struct {
 	pos  token.Pos
 	name string // pkg.Name, or pkg.Type.Name for a method
 	at   string // file:line, the file relative to the module root
+	why  string // what is wrong, when it is not dead code or a stale citation
 }
 
 // stdInterfaces are the interfaces the standard library calls methods
@@ -89,8 +97,9 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // scan type-checks every package under root, and the standard library from
-// source, and returns in file order the functions no root reaches and the
-// declarations nothing names.
+// source, and returns in file order the functions no root reaches, the
+// declarations nothing names, and the undocumented packages and exported
+// declarations under internal/.
 func scan(root string) ([]finding, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -116,7 +125,7 @@ func scan(root string) ([]finding, error) {
 			if ok, err := build.Default.MatchFile(filepath.Dir(file), d.Name()); err != nil || !ok {
 				return err
 			}
-			f, err := parser.ParseFile(fset, file, nil, 0)
+			f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
 			if err != nil {
 				return err
 			}
@@ -164,6 +173,7 @@ func scan(root string) ([]finding, error) {
 		ifaces = append(ifaces, tp.Scope().Lookup("u").Type().Underlying().(*types.Interface))
 	}
 	dead := append(reach(fset, paths, pkgs, ifaces), unnamed(paths, pkgs)...)
+	dead = append(dead, undocumented(mod, paths, pkgs)...)
 	for i, d := range dead {
 		pos := fset.Position(d.pos)
 		rel, _ := filepath.Rel(root, pos.Filename)
@@ -211,6 +221,57 @@ func unnamed(paths []string, pkgs map[string]*pkg) (dead []finding) {
 		}
 	}
 	return dead
+}
+
+// undocumented returns a finding for every package under mod's internal/
+// directory that has no package comment, and for each of its exported
+// declarations that no doc comment covers.
+func undocumented(mod string, paths []string, pkgs map[string]*pkg) (missing []finding) {
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, mod+"/internal/") {
+			continue
+		}
+		p, name := pkgs[ip], path.Base(ip)
+		add := func(pos token.Pos, decl string) {
+			missing = append(missing, finding{pos: pos, name: name + "." + decl, why: " has no doc comment"})
+		}
+		documented := false
+		for _, f := range p.files {
+			documented = documented || f.Doc != nil
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Doc != nil || !d.Name.IsExported() {
+						continue
+					}
+					if d.Recv == nil {
+						add(d.Pos(), d.Name.Name)
+					} else if recv := recvName(d.Recv.List[0].Type); ast.IsExported(recv) {
+						add(d.Pos(), recv+"."+d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							if d.Doc == nil && spec.Doc == nil && spec.Name.IsExported() {
+								add(spec.Pos(), spec.Name.Name)
+							}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if d.Doc == nil && spec.Doc == nil && spec.Comment == nil && id.IsExported() {
+									add(id.Pos(), id.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if !documented {
+			missing = append(missing, finding{pos: p.files[0].Package, name: name, why: " has no package comment"})
+		}
+	}
+	return missing
 }
 
 // reach walks from the roots and returns every function declared outside a
@@ -433,7 +494,7 @@ func report(w io.Writer, dead []finding, allow string) (code int) {
 	}
 	for _, d := range dead {
 		if !allowed[d.name] {
-			fmt.Fprintf(w, "%s %s\n", d.at, d.name)
+			fmt.Fprintf(w, "%s %s%s\n", d.at, d.name, d.why)
 			code = 1
 		}
 	}

@@ -8,14 +8,16 @@ import (
 
 // TestFixture scans a module with one unreachable exported function, one
 // const nothing names, a method reached only through an interface, a method
-// reached only through fmt.Stringer, and a nested module that calls and
-// names code, and expects exactly the two findings.
+// reached only through fmt.Stringer, a nested module that calls and names
+// code, and an internal package with one undocumented exported function,
+// and expects exactly the three findings.
 func TestFixture(t *testing.T) {
 	dead, err := scan("testdata/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "lib/lib.go:21 lib.Unused\nlib/lib.go:30 lib.Spare\n"
+	const want = "internal/note/note.go:8 note.Undocumented has no doc comment\n" +
+		"lib/lib.go:21 lib.Unused\nlib/lib.go:30 lib.Spare\n"
 	var out bytes.Buffer
 	if code := report(&out, dead, ""); code != 1 || out.String() != want {
 		t.Fatalf("no allowlist: exit %d, output %q; want exit 1 and %q", code, out.String(), want)
@@ -25,10 +27,11 @@ func TestFixture(t *testing.T) {
 		code  int
 		want  string
 	}{
-		{"# exceptions\nlib.Unused  kept as an example\nlib.Spare  kept too\n", 0, ""},
-		{"lib.Unused  kept\nlib.Spare  kept\nlib.Gone  was deleted\n", 1, "allow.txt:3: lib.Gone "},
-		{"lib.Unused\nlib.Spare  kept\n", 1, "allow.txt:1: lib.Unused "},
-		{"lib.Unused  kept\n", 1, "lib/lib.go:30 lib.Spare\n"},
+		{"# exceptions\nlib.Unused  kept as an example\nlib.Spare  kept too\nnote.Undocumented  kept\n", 0, ""},
+		{"lib.Unused  kept\nlib.Spare  kept\nnote.Undocumented  kept\nlib.Gone  was deleted\n", 1, "allow.txt:4: lib.Gone "},
+		{"lib.Unused\nlib.Spare  kept\nnote.Undocumented  kept\n", 1, "allow.txt:1: lib.Unused "},
+		{"lib.Unused  kept\nnote.Undocumented  kept\n", 1, "lib/lib.go:30 lib.Spare\n"},
+		{"lib.Unused  kept\nlib.Spare  kept\n", 1, "internal/note/note.go:8 note.Undocumented has no doc comment\n"},
 	} {
 		out.Reset()
 		if code := report(&out, dead, tc.allow); code != tc.code || !strings.Contains(out.String(), tc.want) {

@@ -4,10 +4,11 @@ package main
 import (
 	"fmt"
 
+	"fixture/internal/note"
 	"fixture/lib"
 )
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(s.Area(), lib.Name("sq"))
+	fmt.Println(s.Area(), lib.Name("sq"), note.Documented(), note.Undocumented())
 }
