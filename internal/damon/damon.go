@@ -21,10 +21,10 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"toss/internal/access"
 	"toss/internal/guest"
+	"toss/internal/lazyrand"
 	"toss/internal/simtime"
 	"toss/internal/telemetry"
 )
@@ -121,7 +121,7 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 // Profile runs the monitor over one invocation's ground-truth histogram and
 // returns the observed access pattern. The monitored address space is
 // [0, totalPages): touched pages outside it are ignored. seed drives the
-// deterministic sampling noise.
+// deterministic sampling noise, whose stream is math/rand's for that seed.
 //
 // One pass over the truth's runs does DAMON's three steps per granule:
 //
@@ -131,20 +131,52 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 //     tracks populated VMAs), but a granule starts at a touched page and
 //     absorbs up to MinRegionPages-1 untouched neighbours, blurring the
 //     truth exactly like a real region-based monitor;
-//   - sample: apply sampling noise, one draw per granule in address order;
+//   - sample: apply sampling noise, one Float64 draw per touched granule in
+//     address order: the count c becomes round(c·(1+(2f−1)·NoiseAmplitude)),
+//     at least 1;
 //   - aggregate: merge the granule into the previous region when adjacent
-//     with a similar access count.
+//     with a similar access count (relative difference at most
+//     similarityThreshold of the larger), the merged count being the
+//     truncated page-weighted mean.
 //
 // Then MaxRegions is enforced by merging the most similar adjacent pairs.
+//
+// Profile walks the granules run by run and hands each run's to
+// aggregate.add, whose loop keeps the open region in locals and draws the
+// noise from a lazyrand.Stream on Profile's stack. Each step runs in
+// integers where one of four identities makes that exact, and falls back
+// to the float or division formula outside the identity's guard:
+//
+//   - mean: a granule wholly inside one run whose count c satisfies
+//     |c|·MinRegionPages <= MaxInt64 averages to exactly c;
+//   - rounding: for x in [0.5, 2⁵²), int64(x+0.5) == int64(math.Round(x)).
+//     There x+0.5 is exact, or it crosses a power of two 2ᵏ and lands in
+//     [2ᵏ, 2ᵏ+0.5], so truncating it floors x+0.5 either way;
+//   - similarity: for 0 < a, b < 2⁵⁰, the float64 test
+//     |a−b|/max(a,b) <= 0.2 holds exactly when 5·|a−b| <= max(a,b). The
+//     conversions and the difference are exact and rounding is monotone,
+//     so a ratio of at most 1/5 passes; one above 1/5 exceeds it by at
+//     least 1/(5·max) > 2⁻⁵³, more than float64(0.2)'s excess over 1/5
+//     plus the quotient's rounding;
+//   - merge: for counts a (over the open region) and b (over the granule's
+//     g pages) in [1, 2³¹) and a merged size P < 2³¹, let d = (b−a)·g;
+//     the truncated mean (a·(P−g) + b·g)/P = a + ⌊d/P⌋ is a when
+//     0 <= d < P and a−1 when −P <= d < 0 (mergedCount).
 func (c Config) Profile(truth *access.Histogram, totalPages int64, seed int64) Pattern {
 	runs := truth.Runs()
 	if len(runs) == 0 {
 		return Pattern{}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	amp := c.NoiseAmplitude
+	var noise lazyrand.Stream
+	if amp != 0 {
+		noise.Seed(seed)
+	}
 	granule := guest.PageID(max(c.MinRegionPages, 1))
 	limit := guest.PageID(totalPages)
-	var records []RegionRecord
+	// A run count within ±wide times a granule's pages cannot overflow.
+	wide := math.MaxInt64 / int64(granule)
+	out := aggregate{end: -1}
 	// next is the first page no granule has covered yet; runs[i] is the
 	// first run that ends after it.
 	i, next := 0, guest.PageID(0)
@@ -155,33 +187,87 @@ func (c Config) Profile(truth *access.Histogram, totalPages int64, seed int64) P
 		if i == len(runs) {
 			break
 		}
-		start := max(runs[i].Region.Start, next)
+		r := &runs[i]
+		start := max(r.Region.Start, next)
 		if start >= limit {
 			break
 		}
-		end := min(start+granule, limit)
-		var sum int64
-		for _, r := range runs[i:] {
-			if r.Region.Start >= end {
-				break
+		// The granules from start on that lie wholly inside r have r's count
+		// as their mean; a granule that does not is averaged alone.
+		mean, pages, stop := r.Count, granule, min(r.Region.End(), limit)
+		if stop-start < granule || mean > wide || mean < -wide {
+			end := min(start+granule, limit)
+			mean, pages, stop = granuleMean(runs[i:], start, end), end-start, end
+		}
+		next = out.add(start, stop, pages, mean, amp, &noise)
+	}
+	return Pattern{Records: capRegions(out.close(), c.MaxRegions)}
+}
+
+// aggregate is Profile's output under construction: the closed records and
+// the open region [start, end) with its count; end is -1 while none is
+// open, since no granule ends there.
+type aggregate struct {
+	records    []RegionRecord
+	start, end guest.PageID
+	count      int64
+}
+
+// add samples the granules [from, from+pages), [from+pages, from+2·pages),
+// … that end by stop, all of the given mean, and merges each into the open
+// region or closes that and opens the granule. It returns the first page
+// after the last granule. The loop keeps the open region in locals.
+func (a *aggregate) add(from, stop, pages guest.PageID, mean int64, amp float64, noise *lazyrand.Stream) guest.PageID {
+	start, end, count := a.start, a.end, a.count
+	p := from
+	for ; p+pages <= stop; p += pages {
+		c := mean
+		if c > 0 && amp != 0 {
+			x := float64(c) * (1 + (noise.Float64()*2-1)*amp)
+			if x >= 0.5 && x < 1<<52 {
+				c = int64(x + 0.5)
+			} else {
+				c = max(int64(math.Round(x)), 1)
 			}
-			sum += r.Count * int64(min(r.Region.End(), end)-max(r.Region.Start, start))
 		}
-		next = end
-		pages := int64(end - start)
-		avg := sum / pages
-		if avg < 1 && sum > 0 {
-			avg = 1 // a touched granule always samples at least one access
-		}
-		rec := RegionRecord{Region: guest.Region{Start: start, Pages: pages}, NrAccesses: c.sample(avg, rng)}
-		if n := len(records); n > 0 && records[n-1].Region.Adjacent(rec.Region) &&
-			similar(records[n-1].NrAccesses, rec.NrAccesses, similarityThreshold) {
-			records[n-1] = weightedMerge(records[n-1], rec)
+		if p == end && similar(count, c) {
+			end = p + pages
+			count = mergedCount(count, int64(end-start), c, int64(pages))
 			continue
 		}
-		records = append(records, rec)
+		if end >= 0 {
+			a.records = append(a.records, RegionRecord{Region: guest.Region{Start: start, Pages: int64(end - start)}, NrAccesses: count})
+		}
+		start, end, count = p, p+pages, c
 	}
-	return Pattern{Records: capRegions(records, c.MaxRegions)}
+	a.start, a.end, a.count = start, end, count
+	return p
+}
+
+// close closes the open region, if any, and returns the records.
+func (a *aggregate) close() []RegionRecord {
+	if a.end >= 0 {
+		a.records = append(a.records, RegionRecord{Region: guest.Region{Start: a.start, Pages: int64(a.end - a.start)}, NrAccesses: a.count})
+	}
+	return a.records
+}
+
+// granuleMean returns the page-averaged count of granule [start, end) whose
+// first run is runs[0], counting untouched pages as zero; a touched granule
+// averages to at least 1.
+func granuleMean(runs []access.Run, start, end guest.PageID) int64 {
+	var sum int64
+	for _, r := range runs {
+		if r.Region.Start >= end {
+			break
+		}
+		sum += r.Count * int64(min(r.Region.End(), end)-max(r.Region.Start, start))
+	}
+	avg := sum / int64(end-start)
+	if avg < 1 && sum > 0 {
+		avg = 1
+	}
+	return avg
 }
 
 // ProfileTraced is Profile plus telemetry: when parent is non-nil it emits a
@@ -207,40 +293,56 @@ func (c Config) ProfileTraced(truth *access.Histogram, totalPages int64, seed in
 
 // similarityThreshold is the relative difference below which two adjacent
 // regions are considered to have "similar access frequency" and are merged.
+// similar's integer test multiplies by its reciprocal, 5.
 const similarityThreshold = 0.2
 
-// sample perturbs a true count by the configured noise amplitude.
-func (c Config) sample(trueCount int64, rng *rand.Rand) int64 {
-	if trueCount <= 0 || c.NoiseAmplitude == 0 {
-		return trueCount
+// similar reports whether two counts are within similarityThreshold of each
+// other, relative to the larger: for counts in (0, 2⁵⁰) by the integer test
+// 5·|a−b| <= max(a,b), which Profile's doc comment shows is the same test,
+// and otherwise by |a−b|/max(a,b) <= similarityThreshold in float64, where
+// a max of 0 counts as similar. Equal counts need no case of their own (the
+// quotient is ±0), and the builtin max and a sign flip stand in for
+// math.Max and math.Abs, which they equal on converted int64s (never NaN
+// or −0), so that similar inlines into the granule loop.
+func similar(a, b int64) bool {
+	if 0 < a && a < 1<<50 && 0 < b && b < 1<<50 {
+		d := a - b
+		if d < 0 {
+			d = -d
+		}
+		return 5*d <= max(a, b)
 	}
-	noise := 1 + (rng.Float64()*2-1)*c.NoiseAmplitude
-	v := int64(math.Round(float64(trueCount) * noise))
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-// similar reports whether two counts are within threshold of each other.
-func similar(a, b int64, threshold float64) bool {
-	if a == b {
-		return true
-	}
-	hi := math.Max(float64(a), float64(b))
+	hi := max(float64(a), float64(b))
 	if hi == 0 {
 		return true
 	}
-	return math.Abs(float64(a)-float64(b))/hi <= threshold
+	d := float64(a) - float64(b)
+	if d < 0 {
+		d = -d
+	}
+	return d/hi <= similarityThreshold
+}
+
+// mergedCount returns the truncated page-weighted mean of count a over
+// pages−g pages and count b over g pages, (a·(pages−g) + b·g)/pages,
+// without dividing where Profile's merge identity applies.
+func mergedCount(a, pages, b, g int64) int64 {
+	if 1 <= a && a < 1<<31 && 1 <= b && b < 1<<31 && pages < 1<<31 {
+		if d := (b - a) * g; -pages <= d && d < pages {
+			// d>>63 is -1 when d < 0 and 0 otherwise: no branch on the
+			// noise's sign.
+			return a + d>>63
+		}
+	}
+	return (a*(pages-g) + b*g) / pages
 }
 
 // weightedMerge combines two adjacent records, averaging counts by pages.
 func weightedMerge(a, b RegionRecord) RegionRecord {
 	pages := a.Region.Pages + b.Region.Pages
-	count := (a.NrAccesses*a.Region.Pages + b.NrAccesses*b.Region.Pages) / pages
 	return RegionRecord{
 		Region:     guest.Region{Start: a.Region.Start, Pages: pages},
-		NrAccesses: count,
+		NrAccesses: mergedCount(a.NrAccesses, pages, b.NrAccesses, b.Region.Pages),
 	}
 }
 
@@ -396,7 +498,9 @@ func (u *Unified) Regions(mergeDelta int64) []RegionRecord {
 // monotonically toward the run's count, so once a page joins, the rest of
 // the run does too; once a join leaves the mean unchanged, it stays
 // unchanged for the rest of the run. A run therefore costs the pages until
-// that fixed point, not its length.
+// that fixed point, not its length. The fixed point needs mean·pages+count
+// not to overflow on any remaining page; where it could, the walk goes on
+// page by page, wrapping as the per-page reference does.
 func coalesce(runs []access.Run, near func(mean, count int64) bool) []RegionRecord {
 	var out []RegionRecord
 	for _, r := range runs {
@@ -410,8 +514,11 @@ func coalesce(runs []access.Run, near func(mean, count int64) bool) []RegionReco
 			cur := &out[n-1]
 			mean := (cur.NrAccesses*cur.Region.Pages + c) / (cur.Region.Pages + 1)
 			if mean == cur.NrAccesses {
-				cur.Region.Pages += int64(end - p)
-				break
+				lim := math.MaxInt64 / (cur.Region.Pages + int64(end-p))
+				if -lim <= mean && mean <= lim && -lim <= c && c <= lim {
+					cur.Region.Pages += int64(end - p)
+					break
+				}
 			}
 			cur.Region.Pages++
 			cur.NrAccesses = mean

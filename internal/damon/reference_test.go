@@ -1,6 +1,7 @@
 package damon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,7 +15,47 @@ import (
 
 // This file keeps the per-page implementations that Profile and Unified
 // replaced — one slot per guest page, three passes per profile — as the
-// references the run-based code must match record for record.
+// references the run-based code must match record for record. The
+// references use their own copies of the float formulas for sampling,
+// similarity and merging (refSample, refSimilar, refWeightedMerge), so a
+// change to the production arithmetic is checked, not echoed.
+
+// refSample perturbs a true count by the configured noise amplitude, one
+// math/rand Float64 per touched granule.
+func refSample(c Config, trueCount int64, rng *rand.Rand) int64 {
+	if trueCount <= 0 || c.NoiseAmplitude == 0 {
+		return trueCount
+	}
+	noise := 1 + (rng.Float64()*2-1)*c.NoiseAmplitude
+	v := int64(math.Round(float64(trueCount) * noise))
+	if v < 1 {
+		v = 1
+	}
+	return v
+}
+
+// refSimilar reports whether two counts are within threshold of each other,
+// relative to the larger.
+func refSimilar(a, b int64, threshold float64) bool {
+	if a == b {
+		return true
+	}
+	hi := math.Max(float64(a), float64(b))
+	if hi == 0 {
+		return true
+	}
+	return math.Abs(float64(a)-float64(b))/hi <= threshold
+}
+
+// refWeightedMerge combines two adjacent records, averaging counts by pages.
+func refWeightedMerge(a, b RegionRecord) RegionRecord {
+	pages := a.Region.Pages + b.Region.Pages
+	count := (a.NrAccesses*a.Region.Pages + b.NrAccesses*b.Region.Pages) / pages
+	return RegionRecord{
+		Region:     guest.Region{Start: a.Region.Start, Pages: pages},
+		NrAccesses: count,
+	}
+}
 
 // refProfile is Profile as separate granulate, sample and merge passes over
 // per-page counts. Pages outside [0, totalPages) are dropped first: the
@@ -32,9 +73,9 @@ func refProfile(c Config, truth []access.PageCount, totalPages int64, seed int64
 	}
 	granules := refGranulate(c, counts, totalPages)
 	for i := range granules {
-		granules[i].NrAccesses = c.sample(granules[i].NrAccesses, rng)
+		granules[i].NrAccesses = refSample(c, granules[i].NrAccesses, rng)
 	}
-	records := refMergeSimilar(granules, similarityThreshold)
+	records := refMergeSimilar(granules, 0.2)
 	records = refCapRegions(records, c.MaxRegions)
 	return Pattern{Records: records}
 }
@@ -78,8 +119,8 @@ func refMergeSimilar(in []RegionRecord, threshold float64) []RegionRecord {
 	out := []RegionRecord{in[0]}
 	for _, r := range in[1:] {
 		last := &out[len(out)-1]
-		if last.Region.Adjacent(r.Region) && similar(last.NrAccesses, r.NrAccesses, threshold) {
-			*last = weightedMerge(*last, r)
+		if last.Region.Adjacent(r.Region) && refSimilar(last.NrAccesses, r.NrAccesses, threshold) {
+			*last = refWeightedMerge(*last, r)
 			continue
 		}
 		out = append(out, r)
@@ -109,7 +150,7 @@ func refCapRegions(in []RegionRecord, max int) []RegionRecord {
 		if best < 0 {
 			break
 		}
-		out[best] = weightedMerge(out[best], out[best+1])
+		out[best] = refWeightedMerge(out[best], out[best+1])
 		out = append(out[:best+1], out[best+2:]...)
 	}
 	return out
@@ -217,14 +258,36 @@ func checkFoldAndRegions(t *testing.T, u *Unified, ref *refUnified, p Pattern, d
 
 // FuzzProfile checks Profile, then Fold and Regions, against the per-page
 // references on arbitrary truths. The input is a config byte, a seed byte,
-// a guest-size byte, then five-byte adds (start, length, signed count):
-// negative and zero-crossing counts included, since Add accepts them, and
-// pages past the guest, which Profile must ignore.
+// a guest-size byte, then five-byte adds: start, length, signed count, a
+// multiplier byte and a high byte. Negative and zero-crossing counts are
+// included, since Add accepts them, and pages past the guest, which Profile
+// must ignore. The high byte's low two bits extend the start; its upper six
+// bits, when not zero, lift the count by 2^(30..62), downwards when the
+// multiplier byte's top bit is set. Lifted counts reach past every guard of
+// Profile's integer paths: 2³¹ (merge), 2⁵⁰ (similarity), 2⁵² (rounding)
+// and the count·granule overflow. The 0.99 noise amplitude sends small
+// samples below 0.5, where math.Round runs.
 func FuzzProfile(f *testing.F) {
 	f.Add([]byte{0x3b, 1, 16, 10, 1, 5, 0, 0, 100, 1, 5, 0, 0})     // pages 10 and 100 of a 64-page guest
 	f.Add([]byte{0x7b, 7, 255, 0, 64, 100, 0, 0, 8, 8, 0x9c, 0, 0}) // a hot run with a zeroed dip
 	f.Add([]byte{0x13, 3, 200, 4, 4, 1, 0, 0, 8, 4, 127, 0, 0, 12, 4, 1, 0, 0, 16, 4, 127, 0, 0})
 	f.Add([]byte{0x83, 9, 128, 0, 40, 0xfe, 0, 0, 2, 30, 3, 0, 0}) // negative counts
+	// One seed per guard. Count·granule overflows: 2⁶¹+5 in 8-page granules,
+	// and −2⁶²+5 in 4-page granules.
+	f.Add([]byte{0x7f, 2, 64, 0, 40, 5, 0, 32 << 2, 0, 40, 5, 0x80, 33 << 2})
+	f.Add([]byte{0x7b, 2, 64, 0, 40, 5, 0x80, 33 << 2})
+	// Rounding: samples of 2⁵²−3 under 30% noise straddle 2⁵², and seven
+	// granules stay under the region cap, so each sample is a record.
+	f.Add([]byte{0xbb, 4, 64, 0, 28, 0xfd, 0, 23 << 2})
+	// Similarity: 2⁵⁰−2 beside 2⁵⁰+2, noise off.
+	f.Add([]byte{0x3b, 1, 64, 0, 8, 0xfe, 0, 21 << 2, 8, 8, 2, 0, 21 << 2})
+	// Merge: 2³¹−1 beside 2³¹+1, noise off; and 300 pages of 2⁵⁵, whose
+	// merged total overflows the division.
+	f.Add([]byte{0x3b, 1, 64, 0, 8, 0xff, 0, 2 << 2, 8, 8, 1, 0, 2 << 2})
+	f.Add([]byte{0x3b, 1, 100, 0, 60, 0, 0, 26 << 2, 60, 60, 0, 0, 26 << 2,
+		120, 60, 0, 0, 26 << 2, 180, 60, 0, 0, 26 << 2, 240, 60, 0, 0, 26 << 2})
+	// math.Round: count 1 under 0.99 noise samples below 0.5.
+	f.Add([]byte{0xfb, 5, 64, 0, 60, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -232,13 +295,22 @@ func FuzzProfile(f *testing.F) {
 		c := DefaultConfig()
 		c.MinRegionPages = int64(data[0]&7) + 1
 		c.MaxRegions = int(data[0]>>3&7) + 1
-		c.NoiseAmplitude = []float64{0, 0.05, 0.3, 0.05}[data[0]>>6]
+		c.NoiseAmplitude = []float64{0, 0.05, 0.3, 0.99}[data[0]>>6]
 		seed := int64(data[1])
 		totalPages := int64(data[2]) * 4
 		truth := access.NewHistogram()
 		for rest := data[3:]; len(rest) >= 5; rest = rest[5:] {
 			start := guest.PageID(rest[0]) | guest.PageID(rest[4]&3)<<8
-			addRegion(truth, guest.Region{Start: start, Pages: int64(rest[1] % 64)}, int64(int8(rest[2]))*int64(rest[3]%4+1))
+			count := int64(int8(rest[2])) * int64(rest[3]%4+1)
+			if lift := rest[4] >> 2; lift != 0 {
+				e := 30 + (lift-1)%33
+				if rest[3]&0x80 != 0 {
+					count -= 1 << e
+				} else {
+					count += 1 << e
+				}
+			}
+			addRegion(truth, guest.Region{Start: start, Pages: int64(rest[1] % 64)}, count)
 		}
 		got := c.Profile(truth, totalPages, seed)
 		samePattern(t, "Profile", got, refProfile(c, truth.Sorted(), totalPages, seed))
@@ -250,10 +322,71 @@ func FuzzProfile(f *testing.F) {
 	})
 }
 
+// TestSimilarMatchesFloatTest compares similar with the float reference on
+// pairs whose relative difference is 1/5 give or take one, at every
+// magnitude: below 2⁵⁰ the integer test must agree, and from 2⁵⁴ on it
+// would not (the float conversions round), so a guard widened past where
+// the identity holds fails here.
+func TestSimilarMatchesFloatTest(t *testing.T) {
+	var pairs [][2]int64
+	for e := 3; e <= 62; e++ {
+		k := int64(1) << (e - 3)
+		for _, dk := range []int64{-1, 0, 1, 2, 3} {
+			a := 5 * (k + dk)
+			for _, db := range []int64{-1, 0, 1} {
+				b := 4*(k+dk) + db
+				pairs = append(pairs, [2]int64{a, b}, [2]int64{b, a}, [2]int64{-a, -b}, [2]int64{a, -b})
+			}
+		}
+	}
+	pairs = append(pairs, [2]int64{0, 0}, [2]int64{0, 5}, [2]int64{0, -5}, [2]int64{1 << 50, 1<<50 - 1},
+		[2]int64{math.MaxInt64, math.MaxInt64 - 1}, [2]int64{math.MinInt64, math.MaxInt64})
+	for _, p := range pairs {
+		if got, want := similar(p[0], p[1]), refSimilar(p[0], p[1], 0.2); got != want {
+			t.Errorf("similar(%d, %d) = %t, float test %t", p[0], p[1], got, want)
+		}
+	}
+}
+
+// TestMergedCountMatchesDivision compares mergedCount with the division it
+// stands in for around each guard: counts at 2³¹, merged sizes at 2³¹ and
+// beyond (where a·P overflows), and differences on both sides of ±P.
+func TestMergedCountMatchesDivision(t *testing.T) {
+	counts := []int64{-3, 0, 1, 2, 1000, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, math.MaxInt64}
+	sizes := []int64{1, 4, 5, 1000, 1<<31 - 1, 1 << 31, 1 << 33, 1 << 40}
+	for _, a := range counts {
+		for _, pages := range sizes {
+			for _, g := range []int64{1, 4, pages - 1, pages} {
+				if g < 1 || g > pages {
+					continue
+				}
+				for _, b := range append([]int64{a - 1, a + 1}, counts...) {
+					want := refWeightedMerge(
+						RegionRecord{Region: guest.Region{Pages: pages - g}, NrAccesses: a},
+						RegionRecord{Region: guest.Region{Start: guest.PageID(pages - g), Pages: g}, NrAccesses: b}).NrAccesses
+					if got := mergedCount(a, pages, b, g); got != want {
+						t.Errorf("mergedCount(%d, %d, %d, %d) = %d, division %d", a, pages, b, g, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// edgeSeeds are noise seeds at math/rand's seeding edges: zero, negative
+// seeds, 2³¹−1 and its multiples (which math/rand seeds as it seeds zero),
+// and the int64 extremes.
+var edgeSeeds = []int64{
+	0, -1, -4242,
+	1<<31 - 1, -(1<<31 - 1), 2 * (1<<31 - 1), 3 * (1<<31 - 1),
+	math.MinInt64, math.MaxInt64,
+}
+
 // TestProfileMatchesReferenceOnCatalog runs every catalog function at every
-// input level and seeds 0, 1 and 4242 through Profile, Fold and Regions and
-// the per-page references, and requires identical records and change
-// flags throughout.
+// input level and trace seeds 0, 1 and 4242 through Profile, Fold and
+// Regions and the per-page references, and requires identical records and
+// change flags throughout. Each truth is also profiled under every edge
+// noise seed.
 func TestProfileMatchesReferenceOnCatalog(t *testing.T) {
 	c := DefaultConfig()
 	for _, spec := range workload.Registry() {
@@ -269,9 +402,14 @@ func TestProfileMatchesReferenceOnCatalog(t *testing.T) {
 					t.Fatal(err)
 				}
 				truth := tr.Counts()
+				sorted := truth.Sorted()
 				got := c.Profile(truth, layout.TotalPages, seed)
-				samePattern(t, spec.Name, got, refProfile(c, truth.Sorted(), layout.TotalPages, seed))
+				samePattern(t, spec.Name, got, refProfile(c, sorted, layout.TotalPages, seed))
 				checkFoldAndRegions(t, u, ref, got)
+				for _, noise := range edgeSeeds {
+					samePattern(t, fmt.Sprintf("%s noise seed %d", spec.Name, noise),
+						c.Profile(truth, layout.TotalPages, noise), refProfile(c, sorted, layout.TotalPages, noise))
+				}
 			}
 		}
 		sameRecords(t, spec.Name+" Regions", u.Regions(100), ref.regions(100))
@@ -351,6 +489,42 @@ func BenchmarkProfileAlternating65536(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if p := c.Profile(truth, 4*65536, int64(i)); len(p.Records) > c.MaxRegions {
 			b.Fatalf("%d records over the cap", len(p.Records))
+		}
+	}
+}
+
+// profiled keeps the benchmarks' results live.
+var profiled int
+
+// BenchmarkProfileCatalog profiles every catalog function's trace at every
+// input level (trace seed 1): the granule loop Step II runs per profiling
+// invocation, with one noise draw per touched granule. One op is the 40
+// profiles.
+func BenchmarkProfileCatalog(b *testing.B) {
+	c := DefaultConfig()
+	type input struct {
+		truth *access.Histogram
+		pages int64
+	}
+	var inputs []input
+	for _, spec := range workload.Registry() {
+		layout, err := spec.Layout()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, lv := range workload.Levels {
+			tr, err := spec.Trace(lv, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inputs = append(inputs, input{tr.Counts(), layout.TotalPages})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range inputs {
+			profiled += len(c.Profile(in.truth, in.pages, 1).Records)
 		}
 	}
 }

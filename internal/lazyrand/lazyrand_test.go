@@ -90,17 +90,91 @@ func TestReseed(t *testing.T) {
 	}
 }
 
+// floatDraws is how many Float64s the Stream comparisons draw: four full
+// register periods, so each one wraps the 607-word register.
+const floatDraws = 4 * rngLen
+
+// compareStream reseeds s and compares its first n Float64s with those of
+// math/rand seeded alike.
+func compareStream(t testing.TB, s *Stream, seed int64, n int) {
+	t.Helper()
+	s.Seed(seed)
+	want := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		if g, w := s.Float64(), want.Float64(); g != w {
+			t.Fatalf("seed %d: Float64 %d: got %v, want %v", seed, i, g, w)
+		}
+	}
+}
+
+// TestStreamMatchesMathRand compares a Stream's Float64s with math/rand's
+// over the normalisation edges, seeds on both sides of multiples of 2³¹−1
+// and seeds spread over the int64 range. One Stream serves every seed, so
+// Seed must also restart a stream that has wrapped its register.
+func TestStreamMatchesMathRand(t *testing.T) {
+	seeds := append([]int64(nil), specialSeeds...)
+	for k := int64(-8); k <= 8; k++ {
+		seeds = append(seeds, k*modulus-1, k*modulus, k*modulus+1)
+	}
+	gen := rand.New(rand.NewSource(20261019))
+	for len(seeds) < 300 {
+		seeds = append(seeds, int64(gen.Uint64()), gen.Int63n(1<<40), -gen.Int63n(modulus))
+	}
+	var s Stream
+	for _, seed := range seeds {
+		compareStream(t, &s, seed, floatDraws)
+	}
+}
+
+// registerSource is a rand.Source over a register, so that rand.Rand's own
+// Float64 can run from a constructed register state.
+type registerSource struct{ r *register }
+
+func (s registerSource) Int63() int64 { return int64(s.r.next() & rngMask) }
+func (s registerSource) Seed(int64)   { panic("registerSource: Seed") }
+
+// TestStreamFloat64Retry constructs a register whose next word is 2⁶³−1,
+// whose quotient by 2⁶³ rounds to 1, and checks that Float64 then draws
+// again, consuming a second word, exactly as rand.Rand.Float64 does.
+func TestStreamFloat64Retry(t *testing.T) {
+	if float64(int64(1<<63-1))/(1<<63) != 1 {
+		t.Fatal("2⁶³−1 does not round to 2⁶³")
+	}
+	var s Stream
+	s.Seed(7)
+	// After Seed, the first draw writes word 333 as the sum of words 333
+	// and 606.
+	feed, tap := feedAt(0), tapAt(0)
+	s.r.vec[feed] = 1<<63 - 1 - s.r.vec[tap]
+	ref := s.r
+	want := rand.New(registerSource{&ref})
+	for i := 0; i < 10; i++ {
+		if g, w := s.Float64(), want.Float64(); g != w || g == 1 {
+			t.Fatalf("Float64 %d: got %v, want %v (< 1)", i, g, w)
+		}
+		if i == 0 && s.r.tap != tapAt(1) {
+			t.Fatalf("first Float64 left the tap at %d, want %d: it drew %d words, want 2",
+				s.r.tap, tapAt(1), tapAt(-1)-s.r.tap)
+		}
+	}
+}
+
 func FuzzLazyRand(f *testing.F) {
 	for _, seed := range specialSeeds {
 		f.Add(seed, uint16(streamDraws))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		compare(t, seed, int(n))
+		var s Stream
+		compareStream(t, &s, seed, int(n))
 	})
 }
 
-// sink keeps the benchmarks' draws live.
-var sink uint64
+// sink and fsink keep the benchmarks' draws live.
+var (
+	sink  uint64
+	fsink float64
+)
 
 // Seeding plus ten draws is what one per-trace rng costs.
 func BenchmarkSeedAndDraw10Lazy(b *testing.B) {
@@ -148,4 +222,31 @@ func BenchmarkDrawMathRand(b *testing.B) {
 		sum += r.Uint64()
 	}
 	sink = sum
+}
+
+// Seeding plus 5,000 Float64 draws is what one DAMON profile costs its noise
+// stream: one draw per touched granule, about 5,700 per catalog trace.
+func BenchmarkSeedAndDraw5000Stream(b *testing.B) {
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		var s Stream
+		s.Seed(int64(i))
+		for j := 0; j < 5000; j++ {
+			sum += s.Float64()
+		}
+	}
+	fsink = sum
+}
+
+func BenchmarkSeedAndDraw5000MathRand(b *testing.B) {
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		r := rand.New(rand.NewSource(int64(i)))
+		for j := 0; j < 5000; j++ {
+			sum += r.Float64()
+		}
+	}
+	fsink = sum
 }

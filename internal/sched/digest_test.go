@@ -19,27 +19,40 @@ const simDigestGolden uint64 = 0xb40c4b1fdfe470a0
 // faults recover through the platform's retry and degradation sequence.
 const simDigestGoldenTOSSDRAM uint64 = 0x9244d5e3f3896a88
 
+// simDigestGoldenTiered pins TOSS with a slow keep-alive tier as well. A
+// converged function's warm VM holds slow-tier pages, which a cache with no
+// slow capacity rejects, so only this case serves warm invocations from
+// the tiered snapshot (Function.Warm in PhaseTiered, DAMON-driven
+// convergence first).
+const simDigestGoldenTiered uint64 = 0x541b05b529d84203
+
 // TestSimDigestGolden runs one mixed arrival trace through each mechanism,
 // once fault-free and once under a 10% uniform fault plan, and hashes every
 // record and the report's counters with FNV-64a: one digest for MechREAP
-// and MechFaaSnap, one for MechTOSS and MechDRAM.
+// and MechFaaSnap, one for MechTOSS and MechDRAM, and one for MechTOSS
+// with 1 GiB of slow keep-alive capacity.
 func TestSimDigestGolden(t *testing.T) {
 	for _, c := range []struct {
-		mechs []Mechanism
-		want  uint64
+		mechs     []Mechanism
+		slowBytes int64
+		want      uint64
 	}{
-		{[]Mechanism{MechREAP, MechFaaSnap}, simDigestGolden},
-		{[]Mechanism{MechTOSS, MechDRAM}, simDigestGoldenTOSSDRAM},
+		{[]Mechanism{MechREAP, MechFaaSnap}, 0, simDigestGolden},
+		{[]Mechanism{MechTOSS, MechDRAM}, 0, simDigestGoldenTOSSDRAM},
+		{[]Mechanism{MechTOSS}, 1 << 30, simDigestGoldenTiered},
 	} {
-		if got := simDigest(t, c.mechs, []float64{0, 0.1}); got != c.want {
+		if got := simDigest(t, c.mechs, []float64{0, 0.1}, c.slowBytes); got != c.want {
 			t.Errorf("%v sim digest = %#016x, want %#016x", c.mechs, got, c.want)
 		}
 	}
 }
 
 // simDigest hashes the simulations of the digest trace under each
-// mechanism at each uniform fault rate (0 runs without a plan).
-func simDigest(t *testing.T, mechs []Mechanism, rates []float64) uint64 {
+// mechanism at each uniform fault rate (0 runs without a plan), with
+// slowBytes of slow keep-alive capacity. Every TOSS function must end the
+// run converged, and with slow capacity the cache must end holding a
+// tiered VM's slow pages, or the digest would not cover the tiered path.
+func simDigest(t *testing.T, mechs []Mechanism, rates []float64, slowBytes int64) uint64 {
 	t.Helper()
 	arr, err := workload.MixArrivals(workload.MixConfig{
 		Horizon: 60 * simtime.Second,
@@ -64,6 +77,7 @@ func simDigest(t *testing.T, mechs []Mechanism, rates []float64) uint64 {
 		for _, rate := range rates {
 			cfg := testConfig(mech)
 			cfg.KeepAliveFastBytes = 256 << 20
+			cfg.KeepAliveSlowBytes = slowBytes
 			cfg.KeepAliveTTL = simtime.Second
 			cfg.Prewarm = true
 			if rate > 0 {
@@ -80,6 +94,16 @@ func simDigest(t *testing.T, mechs []Mechanism, rates []float64) uint64 {
 			rep, err := s.Run(arr)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if mech == MechTOSS {
+				for _, fn := range fns {
+					if !s.fns[fn].Ready() {
+						t.Fatalf("rate %v: %s never reached the tiered phase", rate, fn)
+					}
+				}
+				if _, slow := s.cache.Occupancy(); slowBytes > 0 && slow == 0 {
+					t.Fatalf("rate %v: no tiered VM kept alive on the slow tier", rate)
+				}
 			}
 			put(int64(len(rep.Records)))
 			for _, r := range rep.Records {
