@@ -201,26 +201,22 @@ func ablationCost(b *testing.B, fn string, mutate func(*core.Config)) (cost, slo
 	cfg.ConvergenceWindow = 6
 	cfg.ReprofileBudget = 0
 	mutate(&cfg)
-	pd, _, err := core.NewProfileData(cfg, spec, workload.I, 1)
+	ctl, err := core.NewController(cfg, spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	stable := 0
-	for i := 0; stable < cfg.ConvergenceWindow && i < 300; i++ {
-		_, changed, err := pd.ProfileInvocation(cfg, workload.Levels[i%4], int64(i+2), 1)
-		if err != nil {
+	if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
+		if i == 300 {
+			b.Fatalf("%s did not converge in 300 invocations", fn)
+		}
+		if _, err := ctl.Invoke(workload.Levels[i%4], int64(i+2), 1); err != nil {
 			b.Fatal(err)
 		}
-		if changed {
-			stable = 0
-		} else {
-			stable++
-		}
 	}
-	a, err := core.Analyze(cfg, pd)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := ctl.Analysis()
 	return a.MinCost(), a.MinCostSlowdown()
 }
 

@@ -40,7 +40,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 
 	names := o.names()
 	scfg := sched.DefaultConfig()
-	scfg.Core.ConvergenceWindow = o.window
+	scfg.Core = o.coreConfig()
 	scfg.Mechanism = mech
 	fmt.Fprintf(w, "profiling %d functions in %s mode...\n", len(names), mech)
 	profiles, err := cluster.Profile(scfg, names)
@@ -103,7 +103,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 		// event loop finishes — attaching it changes no routing or scaling
 		// decision. Fire edges blame the hottest attribution segment.
 		window := simtime.FromStd(o.sloWindow)
-		eng = insight.NewEngine(nil,
+		eng = insight.NewEngine(insight.DefaultResolution,
 			insight.BurnRule("latency-slo", "latency", simtime.FromStd(o.slo), window, 4*window, 0.10, 0.05),
 			insight.BurnRule("cold-start-rate", "cold", 0, window, 4*window, 0.25, 0.10))
 		eng.SetBlamer(insight.BlameTop(xray.Aggregate("cluster", budgets)))

@@ -209,7 +209,7 @@ func TestAlertEndpoints(t *testing.T) {
 		t.Errorf("/alerts content-type = %q", ct)
 	}
 
-	eng := insight.NewEngine(insight.NewStore(insight.Config{}), insight.Rule{
+	eng := insight.NewEngine(insight.DefaultResolution, insight.Rule{
 		Name: "util-high", Kind: insight.Threshold, Series: "util",
 		Op: insight.Above, Limit: 0.8,
 	})

@@ -117,6 +117,9 @@ func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-requests -5", "faasim: -requests must be at least 0 (got -5)"},
 		{"-workers 0", "faasim: -workers must be at least 1 (got 0)"},
+		{"-window 0", "faasim: core: ConvergenceWindow 0 < 1"},
+		{"-nodes 2 -window -3", "faasim: core: ConvergenceWindow -3 < 1"},
+		{"-migrate-demo -window 0", "faasim: core: ConvergenceWindow 0 < 1"},
 		{"-mode bogus", `faasim: unknown mode "bogus"`},
 		{"-functions bogus", `faasim: unknown function "bogus" ` + known},
 		{"-nodes 2 -functions pyaes,bogus", `faasim: unknown function "bogus" ` + known},

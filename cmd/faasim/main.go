@@ -93,6 +93,7 @@ import (
 	"time"
 
 	"toss/internal/cliutil"
+	"toss/internal/core"
 	"toss/internal/platform"
 	"toss/internal/workload"
 )
@@ -137,6 +138,14 @@ func (o *options) explaining() bool { return o.explain || o.explainTop > 0 }
 
 // alerting reports whether the run evaluates SLO alert rules.
 func (o *options) alerting() bool { return o.alerts || o.reportOut != "" }
+
+// coreConfig returns the paper's TOSS configuration with the -window
+// convergence window, the one core knob faasim's flags set.
+func (o *options) coreConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.ConvergenceWindow = o.window
+	return cfg
+}
 
 // names returns the -functions names in flag order.
 func (o *options) names() []string {
@@ -224,6 +233,9 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 	if o.workers < 1 {
 		return nil, usagef("-workers must be at least 1 (got %d)", o.workers)
+	}
+	if err := o.coreConfig().Validate(); err != nil {
+		return nil, usagef("%v", err)
 	}
 	switch *modeName {
 	case "toss":

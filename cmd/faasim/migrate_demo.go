@@ -25,8 +25,7 @@ func runMigrateDemo(o *options, w io.Writer) error {
 	)
 	spec, seed := o.fns[0], o.seed
 
-	cfg := core.DefaultConfig()
-	cfg.ConvergenceWindow = o.window
+	cfg := o.coreConfig()
 	pd, _, err := core.NewProfileData(cfg, spec, workload.Levels[0], seed)
 	if err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"toss/internal/core"
 	"toss/internal/fault"
 	"toss/internal/insight"
 	"toss/internal/obs"
@@ -28,8 +27,7 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 
 	recording := o.httpAddr != "" || o.promOut != "" || o.csvOut != "" || o.heatmap
 
-	cfg := core.DefaultConfig()
-	cfg.ConvergenceWindow = o.window
+	cfg := o.coreConfig()
 	if tracer != nil || recording {
 		cfg.VM.Metrics = telemetry.NewMetrics()
 	}
@@ -142,7 +140,7 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 	}
 	if o.alerting() {
 		fast := simtime.FromStd(o.sloWindow)
-		eng = insight.NewEngine(nil,
+		eng = insight.NewEngine(insight.DefaultResolution,
 			insight.BurnRule("latency-slo", "latency", simtime.FromStd(o.slo), fast, 4*fast, 0.10, 0.05))
 		if xcol != nil {
 			eng.SetBlamer(insight.BlameTop(xray.Aggregate("replay", budgets)))

@@ -54,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -113,6 +114,19 @@ func run() int {
 		return 2
 	}
 
+	suite := experiments.NewSuite()
+	suite.Iterations = *iters
+	suite.Core.ConvergenceWindow = *window
+	suite.BaseSeed = *seed
+	suite.Core.SlowdownThreshold = *threshold
+	suite.Workers = *parallel
+	suite.ClusterScale = *clusterScale
+	suite.Core.Cost = cost
+	if err := checkSuite(suite); err != nil {
+		fmt.Fprintln(os.Stderr, "tossctl:", err)
+		return 2
+	}
+
 	prof, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tossctl:", err)
@@ -123,15 +137,6 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "tossctl:", err)
 		}
 	}()
-
-	suite := experiments.NewSuite()
-	suite.Iterations = *iters
-	suite.Core.ConvergenceWindow = *window
-	suite.BaseSeed = *seed
-	suite.Core.SlowdownThreshold = *threshold
-	suite.Workers = *parallel
-	suite.ClusterScale = *clusterScale
-	suite.Core.Cost = cost
 
 	if *faults != "" {
 		plan, err := fault.LoadPlan(*faults)
@@ -237,6 +242,19 @@ func run() int {
 			len(timed), time.Since(start).Round(time.Millisecond), suite.Pool().Workers())
 	}
 	return finish()
+}
+
+// checkSuite rejects suite settings no run can mean, before any work: a
+// core config that fails validation (-window, -threshold) and a
+// -cluster-scale that is not a finite positive number.
+func checkSuite(s *experiments.Suite) error {
+	if err := s.Core.Validate(); err != nil {
+		return err
+	}
+	if !(s.ClusterScale > 0) || math.IsInf(s.ClusterScale, 1) {
+		return fmt.Errorf("-cluster-scale must be a finite positive number (got %v)", s.ClusterScale)
+	}
+	return nil
 }
 
 // writeInsight writes the suite's folded alert log and/or insight dump when

@@ -18,7 +18,7 @@ func writeDump(t *testing.T, dir, name string, inflate float64) string {
 	t.Helper()
 	sink := insight.NewSink()
 	for _, cell := range []string{"ext/dram", "ext/toss"} {
-		eng := insight.NewEngine(insight.NewStore(insight.Config{}))
+		eng := insight.NewEngine(insight.DefaultResolution)
 		base := 50.0
 		if cell == "ext/toss" {
 			base = 5.0

@@ -71,24 +71,20 @@ func main() {
 
 // profile runs Steps I-II until the unified pattern converges.
 func profile(cfg core.Config, spec *workload.Spec) *core.ProfileData {
-	pd, _, err := core.NewProfileData(cfg, spec, workload.I, 1)
+	ctl, err := core.NewController(cfg, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stable := 0
-	for i := 0; stable < cfg.ConvergenceWindow; i++ {
+	if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
 		if i > 400 {
 			log.Fatal("profiling did not converge")
 		}
-		_, changed, err := pd.ProfileInvocation(cfg, workload.Levels[i%4], int64(i+2), 1)
-		if err != nil {
+		if _, err := ctl.Invoke(workload.Levels[i%4], int64(i+2), 1); err != nil {
 			log.Fatal(err)
 		}
-		if changed {
-			stable = 0
-		} else {
-			stable++
-		}
 	}
-	return pd
+	return ctl.ProfileData()
 }

@@ -110,6 +110,10 @@ func NewController(cfg Config, spec *workload.Spec) (*Controller, error) {
 // Phase returns the current lifecycle phase.
 func (c *Controller) Phase() Phase { return c.phase }
 
+// ProfileData returns the Steps I-II state: the single-tier snapshot and the
+// unified pattern (nil before the first invocation).
+func (c *Controller) ProfileData() *ProfileData { return c.pd }
+
 // Analysis returns the latest Step III outcome (nil before convergence).
 func (c *Controller) Analysis() *Analysis { return c.analysis }
 

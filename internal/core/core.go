@@ -100,8 +100,8 @@ func (c Config) Validate() error {
 	if c.ConvergenceWindow < 1 {
 		return fmt.Errorf("core: ConvergenceWindow %d < 1", c.ConvergenceWindow)
 	}
-	if c.SlowdownThreshold < 0 {
-		return fmt.Errorf("core: negative SlowdownThreshold")
+	if !(c.SlowdownThreshold >= 0) {
+		return fmt.Errorf("core: SlowdownThreshold %v is negative or NaN", c.SlowdownThreshold)
 	}
 	if c.ReprofileBudget < 0 {
 		return fmt.Errorf("core: negative ReprofileBudget")
@@ -220,8 +220,6 @@ type Bin struct {
 	Regions []guest.Region
 	// Pages is the total page count.
 	Pages int64
-	// Accesses is the bin's total access weight from the unified pattern.
-	Accesses int64
 	// OwnSlowdown is the slowdown of offloading only this bin (vs. the
 	// all-bins-fast baseline), from the individual profiling pass.
 	OwnSlowdown float64
@@ -254,9 +252,6 @@ type Analysis struct {
 	ChosenK int
 	// Placement is the selected two-level page placement.
 	Placement *mem.MultiPlacement
-	// BaselineExec is the representative input's execution time with only
-	// zero pages offloaded.
-	BaselineExec simtime.Duration
 	// FullSlowSlowdown is the slowdown with every bin offloaded.
 	FullSlowSlowdown float64
 	// ProfilingOverhead is Eq. 2: profiled invocations plus the cost of
@@ -342,7 +337,6 @@ func Analyze(cfg Config, pd *ProfileData) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.BaselineExec = baseline
 	overheadRuns := 1.0 // the baseline run itself
 
 	// Individual pass: each bin's own slowdown, for the offload order.
@@ -456,7 +450,6 @@ func packBins(records []damon.RegionRecord, n int) ([]Bin, error) {
 		for _, i := range idxs {
 			b.Regions = append(b.Regions, records[i].Region)
 			b.Pages += records[i].Region.Pages
-			b.Accesses += weights[i]
 		}
 		b.Regions = guest.NormalizeRegions(b.Regions)
 		bins = append(bins, b)

@@ -28,30 +28,26 @@ func spec(t *testing.T, name string) *workload.Spec {
 	return s
 }
 
-// profileUntilConverged drives Steps I-II with rotating inputs.
+// profileUntilConverged drives Steps I-II with rotating inputs through a
+// controller.
 func profileUntilConverged(t *testing.T, cfg Config, s *workload.Spec, levels []workload.Level) *ProfileData {
 	t.Helper()
-	pd, _, err := NewProfileData(cfg, s, levels[0], 1)
+	ctl, err := NewController(cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable := 0
-	for i := 0; i < 300 && stable < cfg.ConvergenceWindow; i++ {
-		lv := levels[i%len(levels)]
-		_, changed, err := pd.ProfileInvocation(cfg, lv, int64(i+2), 1)
-		if err != nil {
+	if _, err := ctl.Invoke(levels[0], 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ctl.Phase() != PhaseTiered; i++ {
+		if i == 300 {
+			t.Fatalf("%s did not converge in 300 invocations", s.Name)
+		}
+		if _, err := ctl.Invoke(levels[i%len(levels)], int64(i+2), 1); err != nil {
 			t.Fatal(err)
 		}
-		if changed {
-			stable = 0
-		} else {
-			stable++
-		}
 	}
-	if stable < cfg.ConvergenceWindow {
-		t.Fatalf("%s did not converge in 300 invocations", s.Name)
-	}
-	return pd
+	return ctl.ProfileData()
 }
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -66,6 +62,7 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 		func(c *Config) { c.MergeDelta = -1 },
 		func(c *Config) { c.ConvergenceWindow = 0 },
 		func(c *Config) { c.SlowdownThreshold = -0.1 },
+		func(c *Config) { c.SlowdownThreshold = math.NaN() },
 		func(c *Config) { c.ReprofileBudget = -1 },
 	}
 	for i, m := range mutations {

@@ -164,33 +164,26 @@ func (s *Suite) buildFor(spec *workload.Spec, levels []workload.Level) (*build, 
 	return e.b, e.err
 }
 
-// runPipeline executes Steps I-IV uncached.
+// runPipeline executes Steps I-IV uncached: a controller runs Step I on
+// levels[0] at the base seed, then profiles levels in rotation at the
+// following seeds until the pattern converges.
 func (s *Suite) runPipeline(spec *workload.Spec, levels []workload.Level) (*build, error) {
-	pd, _, err := core.NewProfileData(s.Core, spec, levels[0], s.BaseSeed)
+	ctl, err := core.NewController(s.Core, spec)
 	if err != nil {
 		return nil, err
 	}
-	stable := 0
-	for i := 0; stable < s.Core.ConvergenceWindow; i++ {
+	if _, err := ctl.Invoke(levels[0], s.BaseSeed, 1); err != nil {
+		return nil, err
+	}
+	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
 		if i >= maxProfilingInvocations {
 			return nil, fmt.Errorf("experiments: %s did not converge in %d invocations", spec.Name, i)
 		}
-		lv := levels[i%len(levels)]
-		_, changed, err := pd.ProfileInvocation(s.Core, lv, s.BaseSeed+int64(i)+1, 1)
-		if err != nil {
+		if _, err := ctl.Invoke(levels[i%len(levels)], s.BaseSeed+int64(i)+1, 1); err != nil {
 			return nil, err
 		}
-		if changed {
-			stable = 0
-		} else {
-			stable++
-		}
 	}
-	analysis, err := core.Analyze(s.Core, pd)
-	if err != nil {
-		return nil, err
-	}
-	return &build{pd: pd, analysis: analysis, tiered: core.BuildSnapshot(pd, analysis)}, nil
+	return &build{pd: ctl.ProfileData(), analysis: ctl.Analysis(), tiered: ctl.Tiered()}, nil
 }
 
 // execResident measures execution time of (spec, lv, seed) fully resident

@@ -15,16 +15,16 @@ import (
 // refuses to compare documents with mismatched schema versions.
 const SchemaVersion = 1
 
-// Result is one cell's exported insight block: the series the store
-// absorbed, the alert edges the engine emitted, and the rules still firing
-// when the feed ended. The json tags are the dump's wire format, in wire
+// Result is one cell's exported insight block: the series summaries and
+// the alert edges the engine kept, and the rules still firing when the feed
+// ended. The json tags are the dump's wire format, in wire
 // order, for Dump and the types it holds.
 type Result struct {
 	// Cell names the run cell, e.g. "ext10/dram" or "faasim/replay".
 	Cell string `json:"cell"`
 	// Evals counts rule evaluations.
 	Evals int64 `json:"evals"`
-	// Series are the store summaries in sorted-name order.
+	// Series are the summaries in sorted-name order.
 	Series []SeriesSummary `json:"series"`
 	// Alerts are the fire/resolve edges in feed order.
 	Alerts []Alert `json:"alerts"`

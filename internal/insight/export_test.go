@@ -20,10 +20,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // raised no alerts, a nil engine's cell, and values whose shortest
 // spelling carries an exponent.
 func goldenDump() Dump {
-	hot := NewEngine(nil, Rule{Name: "hot", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e6})
+	hot := NewEngine(0, Rule{Name: "hot", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e6})
 	hot.Observe("rate", simtime.Second, 1e-05)
 	hot.Observe("rate", 2*simtime.Second, 2.5e+08)
-	quiet := NewEngine(nil, Rule{Name: "never", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e9})
+	quiet := NewEngine(0, Rule{Name: "never", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e9})
 	quiet.Observe("rate", simtime.Second, 1e-05)
 	quiet.Observe("rate", 3*simtime.Second, 0.25)
 	var none *Engine

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"toss/internal/emit"
@@ -11,103 +12,89 @@ import (
 	"toss/internal/xray"
 )
 
-func TestStoreBucketing(t *testing.T) {
-	st := NewStore(Config{Resolution: simtime.Second, MaxBuckets: 8})
-	st.Observe("x", 1500*simtime.Millisecond, 2)
-	st.Observe("x", 1900*simtime.Millisecond, 4)
-	st.Observe("x", 3*simtime.Second, 10)
-	s := st.Series("x")
-	if s == nil {
-		t.Fatal("series missing")
+func TestSeriesAnchorAndClamp(t *testing.T) {
+	e := NewEngine(simtime.Second)
+	e.Observe("x", 1500*simtime.Millisecond, 2)
+	e.Observe("x", 1900*simtime.Millisecond, 4)
+	e.Observe("x", 3*simtime.Second, 10)
+	if s := e.series["x"]; s.start != simtime.Second || s.width != simtime.Second || s.buckets != 3 {
+		t.Fatalf("shape: start=%v width=%v buckets=%d, want 1s 1s 3", s.start, s.width, s.buckets)
 	}
-	if s.Start != simtime.Second {
-		t.Fatalf("Start = %v, want 1s", s.Start)
+	sum, ok := e.Summary("x")
+	if !ok || sum.Points != 3 || sum.Min != 2 || sum.Max != 10 || sum.Mean != 16.0/3 {
+		t.Fatalf("aggregates: %+v", sum)
 	}
-	if got := len(s.Buckets); got != 3 {
-		t.Fatalf("buckets = %d, want 3", got)
+	if sum.FirstAt != 1500*simtime.Millisecond || sum.LastAt != 3*simtime.Second || sum.Last != 10 {
+		t.Fatalf("first/last: %+v", sum)
 	}
-	if b := s.Buckets[0]; b.Count != 2 || b.Sum != 6 || b.Min != 2 || b.Max != 4 {
-		t.Fatalf("bucket0 = %+v", b)
-	}
-	if b := s.Buckets[1]; b.Count != 0 {
-		t.Fatalf("gap bucket not empty: %+v", b)
-	}
-	if b := s.Buckets[2]; b.Count != 1 || b.Sum != 10 {
-		t.Fatalf("bucket2 = %+v", b)
-	}
-	if s.Points() != 3 || s.Min() != 2 || s.Max() != 10 || s.Mean() != 16.0/3 {
-		t.Fatalf("aggregates: points=%d min=%v max=%v mean=%v", s.Points(), s.Min(), s.Max(), s.Mean())
-	}
-	// An observation before the anchor clamps into bucket 0.
-	st.Observe("x", 0, 1)
-	if b := st.Series("x").Buckets[0]; b.Count != 3 || b.Min != 1 {
-		t.Fatalf("clamped bucket0 = %+v", b)
+	// An observation before the anchor clamps into bucket 0: the shape and
+	// the last point hold, the aggregates take it.
+	e.Observe("x", 0, 1)
+	sum, _ = e.Summary("x")
+	if sum.Buckets != 3 || sum.Points != 4 || sum.Min != 1 || sum.Last != 10 || sum.LastAt != 3*simtime.Second {
+		t.Fatalf("after clamped point: %+v", sum)
 	}
 }
 
-func TestStoreDownsampleInvariants(t *testing.T) {
-	st := NewStore(Config{Resolution: simtime.Millisecond, MaxBuckets: 16})
+func TestSeriesDownsampleShape(t *testing.T) {
+	e := NewEngine(simtime.Millisecond)
 	const n = 100000
 	var sum float64
 	for i := 0; i < n; i++ {
 		v := float64(i % 997)
-		st.Observe("lat", simtime.Duration(i)*simtime.Millisecond, v)
+		e.Observe("lat", simtime.Duration(i)*simtime.Millisecond, v)
 		sum += v
 	}
-	s := st.Series("lat")
-	if len(s.Buckets) > 16 {
-		t.Fatalf("bucket budget exceeded: %d", len(s.Buckets))
+	s, _ := e.Summary("lat")
+	if s.Buckets > BucketBudget {
+		t.Fatalf("bucket budget exceeded: %d", s.Buckets)
 	}
-	if s.Downsamples == 0 {
-		t.Fatal("expected downsampling on a 100k-point series")
+	if s.Downsamples == 0 || s.Width != simtime.Millisecond<<s.Downsamples {
+		t.Fatalf("downsamples=%d width=%v on a 100k-point series", s.Downsamples, s.Width)
 	}
-	// Downsampling is exact: bucket aggregates still account for every
-	// observation.
-	var cnt int64
-	var bsum float64
-	minv, maxv := s.Buckets[0].Min, s.Buckets[0].Max
-	for _, b := range s.Buckets {
-		cnt += b.Count
-		bsum += b.Sum
-		if b.Count > 0 {
-			if b.Min < minv {
-				minv = b.Min
-			}
-			if b.Max > maxv {
-				maxv = b.Max
-			}
-		}
+	if end := e.series["lat"].start + simtime.Duration(s.Buckets)*s.Width; end < simtime.Duration(n)*simtime.Millisecond {
+		t.Fatalf("buckets end at %v, short of the feed", end)
 	}
-	if cnt != n {
-		t.Fatalf("bucket counts sum to %d, want %d", cnt, n)
-	}
-	if bsum != sum {
-		t.Fatalf("bucket sums = %v, want %v", bsum, sum)
-	}
-	if minv != 0 || maxv != 996 {
-		t.Fatalf("min/max = %v/%v, want 0/996", minv, maxv)
-	}
-	if s.End() < simtime.Duration(n)*simtime.Millisecond {
-		t.Fatalf("End %v does not cover the feed", s.End())
+	if s.Points != n || s.Mean != emit.Float(sum/n) || s.Min != 0 || s.Max != 996 {
+		t.Fatalf("aggregates: %+v", s)
 	}
 }
 
-func TestNilStoreAndEngine(t *testing.T) {
-	var st *Store
-	st.Observe("x", 0, 1) // must not panic
-	if st.Series("x") != nil || st.Names() != nil || st.Summaries() != nil {
-		t.Fatal("nil store must return zero values")
+// TestEngineSeriesConcurrentFeeds: goroutines feeding series no rule
+// watches may share an engine, and a Result taken meanwhile is consistent;
+// every summary equals a serial feed's.
+func TestEngineSeriesConcurrentFeeds(t *testing.T) {
+	feed := func(e *Engine, name string) {
+		for i := 0; i < 1000; i++ {
+			e.Observe(name, simtime.Duration(i)*simtime.Millisecond, float64(i%7))
+		}
 	}
+	serial, shared := NewEngine(0), NewEngine(0)
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b", "c", "d"} {
+		feed(serial, name)
+		wg.Add(2)
+		go func() { defer wg.Done(); feed(shared, name) }()
+		go func() { defer wg.Done(); shared.Result("mid-feed") }()
+	}
+	wg.Wait()
+	if got, want := shared.Result("c"), serial.Result("c"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent feeds:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestNilEngine(t *testing.T) {
 	var e *Engine
-	e.Observe("x", 0, 1)
+	e.Observe("x", 0, 1) // must not panic
 	e.ObserveLatency("x", 0, simtime.Millisecond)
+	e.SetBlamer(nil)
 	if e.Alerts() != nil || e.Firing() != nil || e.Evals() != 0 {
 		t.Fatal("nil engine must return zero values")
 	}
 }
 
 func TestThresholdRuleSustainedFor(t *testing.T) {
-	e := NewEngine(nil, Rule{
+	e := NewEngine(0, Rule{
 		Name: "hot", Kind: Threshold, Series: "util", Op: Above, Limit: 0.8,
 		For: 10 * simtime.Second,
 	})
@@ -143,7 +130,7 @@ func TestThresholdRuleSustainedFor(t *testing.T) {
 
 func TestBurnRuleMultiWindow(t *testing.T) {
 	// SLO 100ms; fast 10s window at 20%, slow 60s window at 10%.
-	e := NewEngine(nil, BurnRule("slo", "lat", 100*simtime.Millisecond,
+	e := NewEngine(0, BurnRule("slo", "lat", 100*simtime.Millisecond,
 		10*simtime.Second, 60*simtime.Second, 0.2, 0.1))
 	ms := func(n int) simtime.Duration { return simtime.Duration(n) * simtime.Millisecond }
 	at := simtime.Duration(0)
@@ -189,7 +176,7 @@ func TestBurnRuleMultiWindow(t *testing.T) {
 func TestBurnWindowMemoryBound(t *testing.T) {
 	// A long feed must not retain the whole stream: each window of a Burn
 	// rule reclaims its dead prefix once it dominates.
-	e := NewEngine(nil, BurnRule("slo", "lat", simtime.Millisecond, simtime.Second, 2*simtime.Second, 0.5, 0.5))
+	e := NewEngine(0, BurnRule("slo", "lat", simtime.Millisecond, simtime.Second, 2*simtime.Second, 0.5, 0.5))
 	for i := 0; i < 100000; i++ {
 		lat := simtime.Duration(0)
 		if i%10 == 0 {
@@ -210,7 +197,7 @@ func TestBurnWindowMemoryBound(t *testing.T) {
 }
 
 func TestEngineBlame(t *testing.T) {
-	e := NewEngine(nil, Rule{Name: "t", Kind: Threshold, Series: "s", Op: Above, Limit: 1})
+	e := NewEngine(0, Rule{Name: "t", Kind: Threshold, Series: "s", Op: Above, Limit: 1})
 	e.SetBlamer(func(rule string, at simtime.Duration) string { return rule + "@" + at.String() })
 	e.Observe("s", 3*simtime.Second, 5)
 	al := e.Alerts()
@@ -221,7 +208,7 @@ func TestEngineBlame(t *testing.T) {
 
 // feedDemo produces a small deterministic result with one fire/resolve pair.
 func feedDemo(cell string) Result {
-	e := NewEngine(NewStore(Config{Resolution: simtime.Second, MaxBuckets: 32}),
+	e := NewEngine(simtime.Second,
 		Rule{Name: "hot-util", Kind: Threshold, Series: "util", Op: Above, Limit: 0.75, For: 2 * simtime.Second})
 	e.SetBlamer(func(string, simtime.Duration) string { return "pyaes seg=snapshot.pull share=41.0%" })
 	for i := 0; i <= 20; i++ {
@@ -405,7 +392,7 @@ func BenchmarkAlertEngine(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e := NewEngine(NewStore(Config{}), rules...)
+	e := NewEngine(0, rules...)
 	at := simtime.Duration(0)
 	for i := 0; i < b.N; i++ {
 		lat := simtime.Duration(50+i%200) * simtime.Millisecond

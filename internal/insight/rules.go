@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"toss/internal/emit"
 	"toss/internal/simtime"
@@ -63,9 +64,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Rule is one alerting rule. Threshold watches a Store series by name
-// (values arrive via Engine.Observe); Burn watches a latency stream (values
-// arrive via Engine.ObserveLatency).
+// Rule is one alerting rule. Threshold watches a series by name (values
+// arrive via Engine.Observe); Burn watches a latency stream (values arrive
+// via Engine.ObserveLatency).
 type Rule struct {
 	// Name identifies the rule in the alert log.
 	Name string
@@ -182,34 +183,64 @@ type ruleState struct {
 	fast, slow xray.BurnWindow
 }
 
-// Engine evaluates rules purely in virtual time. Feed it with Observe (for
-// threshold series) and ObserveLatency (for burn streams); every
-// observation advances the state machines and may append fire/resolve edges
-// to the alert log. A nil *Engine no-ops every method.
+// Engine evaluates rules purely in virtual time and keeps every series'
+// running summary. Feed it with Observe (for threshold series) and
+// ObserveLatency (for burn streams); every observation folds into its
+// series and advances the state machines watching it, and may append
+// fire/resolve edges to the alert log. The engine's lock guards the series,
+// so goroutines may feed series no rule watches concurrently; rule state
+// and the alert log belong to the one goroutine feeding the watched
+// streams, and byte-stable output requires a deterministic feed order
+// (every feed here replays a completed run serially). A nil *Engine no-ops
+// every method.
 type Engine struct {
-	store  *Store
+	mu         sync.Mutex
+	resolution simtime.Duration
+	// series maps a series/stream name to its summary and the rules
+	// watching it; mu guards the map and the summaries.
+	series map[string]*series
 	states []*ruleState
-	// byStream maps a series/stream name to the rules watching it, in
-	// registration order.
-	byStream map[string][]*ruleState
-	log      []Alert
-	blamer   Blamer
-	evals    int64
+	log    []Alert
+	blamer Blamer
+	evals  int64
 }
 
-// NewEngine builds an engine over the given store (nil creates a private
-// default store) evaluating the given rules.
-func NewEngine(store *Store, rules ...Rule) *Engine {
-	if store == nil {
-		store = NewStore(Config{})
+// NewEngine builds an engine evaluating the given rules. resolution is the
+// initial bucket width of every series' shape (<= 0 uses
+// DefaultResolution); a series' first observation anchors it on a
+// resolution boundary.
+func NewEngine(resolution simtime.Duration, rules ...Rule) *Engine {
+	if resolution <= 0 {
+		resolution = DefaultResolution
 	}
-	e := &Engine{store: store, byStream: make(map[string][]*ruleState)}
+	e := &Engine{resolution: resolution, series: make(map[string]*series)}
 	for _, r := range rules {
 		st := &ruleState{rule: r}
 		e.states = append(e.states, st)
-		e.byStream[r.Series] = append(e.byStream[r.Series], st)
+		s := e.lookup(r.Series)
+		s.rules = append(s.rules, st)
 	}
 	return e
+}
+
+// lookup returns the named series, adding an empty one when absent.
+func (e *Engine) lookup(name string) *series {
+	s := e.series[name]
+	if s == nil {
+		s = &series{}
+		e.series[name] = s
+	}
+	return s
+}
+
+// fold folds v at virtual time at into the named series under the lock and
+// returns the series, whose rules are fixed at construction.
+func (e *Engine) fold(name string, at simtime.Duration, v float64) *series {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s := e.lookup(name)
+	s.observe(at, v, e.resolution)
+	return s
 }
 
 // SetBlamer attaches the attribution callback consulted at fire time.
@@ -219,15 +250,15 @@ func (e *Engine) SetBlamer(b Blamer) {
 	}
 }
 
-// Observe records a value on a named series: it lands in the store and
-// drives every threshold rule watching that series. Feed observations in
-// nondecreasing virtual time per series for deterministic edges.
+// Observe records a value on a named series: it folds into the series'
+// summary and drives every threshold rule watching that series. Feed
+// observations in nondecreasing virtual time per series for deterministic
+// edges.
 func (e *Engine) Observe(name string, at simtime.Duration, v float64) {
 	if e == nil {
 		return
 	}
-	e.store.Observe(name, at, v)
-	for _, st := range e.byStream[name] {
+	for _, st := range e.fold(name, at, v).rules {
 		if st.rule.Kind == Threshold {
 			e.evals++
 			e.step(st, at, v, st.rule.Op.violated(v, st.rule.Limit))
@@ -238,15 +269,14 @@ func (e *Engine) Observe(name string, at simtime.Duration, v float64) {
 // ObserveLatency records one latency sample on a burn stream: every Burn
 // rule watching the stream updates both windows and re-evaluates, and
 // threshold rules watching the same stream evaluate on the value in
-// milliseconds. The sample is also stored as a series point (milliseconds)
-// under the stream name so dumps carry the shape the rules saw.
+// milliseconds. The sample also folds into the stream's series summary
+// (milliseconds) so dumps carry the shape the rules saw.
 func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simtime.Duration) {
 	if e == nil {
 		return
 	}
 	ms := float64(latency) / float64(simtime.Millisecond)
-	e.store.Observe(stream, at, ms)
-	for _, st := range e.byStream[stream] {
+	for _, st := range e.fold(stream, at, ms).rules {
 		e.evals++
 		if st.rule.Kind == Threshold {
 			e.step(st, at, ms, st.rule.Op.violated(ms, st.rule.Limit))
@@ -297,43 +327,26 @@ func (e *Engine) fire(st *ruleState, at simtime.Duration, value float64) {
 	e.log = append(e.log, a)
 }
 
-// Alerts returns the fire/resolve edges in feed order (a copy, non-nil
-// even when empty, so a dump spells an empty list []).
-func (e *Engine) Alerts() []Alert {
-	if e == nil {
-		return nil
-	}
-	return append([]Alert{}, e.log...)
-}
-
-// Firing returns the names of rules currently firing, sorted (non-nil even
-// when empty, as Alerts).
-func (e *Engine) Firing() []string {
-	if e == nil {
-		return nil
-	}
-	out := []string{}
-	for _, st := range e.states {
-		if st.firing {
-			out = append(out, st.rule.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Result snapshots the engine into the exportable per-cell block: series
-// summaries, the alert log, and the rules still firing at the end. A nil
-// engine's block holds empty lists, never nil ones.
+// summaries, the alert log in feed order, and the sorted names of the rules
+// still firing at the end. The lists are never nil, so a dump spells an
+// empty one [].
 func (e *Engine) Result(cell string) Result {
 	if e == nil {
 		return Result{Cell: cell, Series: []SeriesSummary{}, Alerts: []Alert{}, Firing: []string{}}
 	}
+	firing := []string{}
+	for _, st := range e.states {
+		if st.firing {
+			firing = append(firing, st.rule.Name)
+		}
+	}
+	sort.Strings(firing)
 	return Result{
 		Cell:   cell,
-		Series: e.store.Summaries(),
-		Alerts: e.Alerts(),
-		Firing: e.Firing(),
+		Series: e.summaries(),
+		Alerts: append([]Alert{}, e.log...),
+		Firing: firing,
 		Evals:  e.evals,
 	}
 }

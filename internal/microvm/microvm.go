@@ -381,8 +381,6 @@ type Result struct {
 	// Truth is the ground-truth per-page access histogram of the
 	// invocation, which profilers consume.
 	Truth *access.Histogram
-	// Trace is the executed trace (for working-set extraction).
-	Trace *access.Trace
 	// InjectedFaults counts fault-injector firings during the run, and
 	// InjectedStall the virtual time they added (already included in Exec
 	// and, per tier, in the Meter).
@@ -414,7 +412,6 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 	res := Result{
 		Setup: m.setup,
 		Truth: access.NewHistogram(),
-		Trace: tr,
 	}
 	if m.recordTruth {
 		// The ground truth of a replay is a pure function of the trace;

@@ -181,7 +181,6 @@ var tierNames = [2]string{mem.Fast: "fast", mem.Slow: "slow"}
 // timeline is one function's residency history plus cached derived
 // instruments, so the hot fault path never re-formats label strings.
 type timeline struct {
-	fn        string
 	events    []TierEvent
 	restores  int64
 	faults    [2]int64
@@ -209,7 +208,6 @@ func (r *Recorder) timelineLocked(fn string) *timeline {
 	if !ok {
 		m := r.cfg.Metrics
 		tl = &timeline{
-			fn:          fn,
 			slowGauge:   m.Gauge(telemetry.Labeled(MetricSlowPages, "fn", fn)),
 			shareGauge:  m.Gauge(telemetry.Labeled(MetricFastShare, "fn", fn)),
 			phaseCtr:    m.Counter(telemetry.Labeled(MetricPhaseTransitions, "fn", fn)),

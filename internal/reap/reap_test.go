@@ -34,15 +34,18 @@ func TestFirstInvocationCapturesSnapshotAndWS(t *testing.T) {
 	if m.HasSnapshot() {
 		t.Fatal("fresh manager has snapshot")
 	}
-	res, err := m.Invoke(workload.II, 1, 1)
-	if err != nil {
+	if _, err := m.Invoke(workload.II, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !m.HasSnapshot() {
 		t.Fatal("snapshot not captured")
 	}
 	// The userfaultfd working set is exactly the invocation's touched pages.
-	if got, want := m.WorkingSetPages(), res.Trace.FootprintPages(); got != want || got <= 0 {
+	tr, err := workload.ByNameMust("json_load_dump").Trace(workload.II, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.WorkingSetPages(), tr.FootprintPages(); got != want || got <= 0 {
 		t.Errorf("working set %d pages, want the %d touched", got, want)
 	}
 }
@@ -111,9 +114,13 @@ func TestSeedJitterCausesResidualFaults(t *testing.T) {
 		t.Error("expected residual faults from allocation jitter, got none")
 	}
 	// But they are a small fraction of the footprint.
-	if res.MajorFaults > res.Trace.FootprintPages()/4 {
+	tr, err := workload.ByNameMust("matmul").Trace(workload.III, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MajorFaults > tr.FootprintPages()/4 {
 		t.Errorf("jitter faults %d are too large a share of footprint %d",
-			res.MajorFaults, res.Trace.FootprintPages())
+			res.MajorFaults, tr.FootprintPages())
 	}
 }
 

@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -160,5 +162,27 @@ func TestReadRejectsOutOfGuestContents(t *testing.T) {
 		if _, err := ReadSingle(path); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("single-tier page %d read back with err %v, want ErrCorrupt", p, err)
 		}
+	}
+}
+
+// TestDecodeTieredRejectsImplausibleEntryCount: a layout may not claim a
+// negative entry count, or more entries than the guest has pages, even
+// when its checksum trailer vouches for what such a decoder would build.
+func TestDecodeTieredRejectsImplausibleEntryCount(t *testing.T) {
+	empty := &Memory{GuestPages: 1}
+	negative := &Tiered{Function: "f", GuestPages: 1, FastMem: empty, SlowMem: empty}
+	layout, fast, slow := encodeTieredBytes(t, negative)
+	// The count follows the header (16 bytes), the name (8 + 1) and the
+	// guest size (8).
+	binary.LittleEndian.PutUint64(layout[33:], math.MaxUint64) // -1
+	if got, err := decodeTiered(bytes.NewReader(layout), bytes.NewReader(fast), bytes.NewReader(slow)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("entry count -1 read back as %+v, err %v; want ErrCorrupt", got, err)
+	}
+
+	crowded := &Tiered{Function: "f", GuestPages: 1, FastMem: empty, SlowMem: empty,
+		Entries: []LayoutEntry{{Tier: mem.Fast, Pages: 1}, {Tier: mem.Slow, Pages: 1}}}
+	layout, fast, slow = encodeTieredBytes(t, crowded)
+	if got, err := decodeTiered(bytes.NewReader(layout), bytes.NewReader(fast), bytes.NewReader(slow)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("two entries in a one-page guest read back as %+v, err %v; want ErrCorrupt", got, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -151,6 +152,77 @@ func FuzzDecodeSingle(f *testing.F) {
 		consumed := data[:len(data)-r.Len()]
 		if again := encodeSingleBytes(t, s); !bytes.Equal(again, consumed) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(consumed), len(again))
+		}
+	})
+}
+
+// encodeTieredBytes encodes a tiered snapshot's three files in memory, as
+// WriteTiered writes them.
+func encodeTieredBytes(t testing.TB, ts *Tiered) (layout, fast, slow []byte) {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := encodeLayout(w, ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(),
+		encodeSingleBytes(t, &Single{Function: ts.Function, Memory: ts.FastMem}),
+		encodeSingleBytes(t, &Single{Function: ts.Function, Memory: ts.SlowMem})
+}
+
+// FuzzReadTiered feeds arbitrary layout and tier-image bytes to the tiered
+// decoder, seeded from WriteTiered's files and the random mutations
+// TestReadersNeverPanicOnMutatedFiles applies. It must never panic, every
+// error must wrap ErrCorrupt, and an accepted snapshot's layout must
+// re-encode to exactly the layout bytes it consumed, and its re-encoded
+// files must read back equal.
+func FuzzReadTiered(f *testing.F) {
+	rng := rand.New(rand.NewSource(99))
+	dir := f.TempDir()
+	for _, c := range []struct {
+		s    *Single
+		slow []guest.Region
+	}{
+		{&Single{Function: "fuzz", Memory: NewMemory("fuzz", 256, []guest.Region{{Start: 0, Pages: 30}, {Start: 100, Pages: 10}}), VMStateBytes: 4096},
+			[]guest.Region{{Start: 5, Pages: 50}}},
+		{&Single{Function: "f", Memory: NewMemory("f", 8, []guest.Region{{Start: 3, Pages: 2}})}, nil},
+		{&Single{Function: "", Memory: NewMemory("", 1, nil)}, nil},
+	} {
+		if err := WriteTiered(dir, BuildTiered(c.s, slowPlacement(c.s, c.slow...))); err != nil {
+			f.Fatal(err)
+		}
+		var files [3][]byte
+		p := PathsIn(dir)
+		for i, path := range []string{p.Layout, p.Fast, p.Slow} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			files[i] = data
+		}
+		f.Add(files[0], files[1], files[2])
+		for i := 0; i < 4; i++ {
+			f.Add(mutate(rng, files[0]), mutate(rng, files[1]), mutate(rng, files[2]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, layout, fast, slow []byte) {
+		r := bytes.NewReader(layout)
+		ts, err := decodeTiered(r, bytes.NewReader(fast), bytes.NewReader(slow))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		l2, f2, s2 := encodeTieredBytes(t, ts)
+		if consumed := layout[:len(layout)-r.Len()]; !bytes.Equal(l2, consumed) {
+			t.Fatalf("accepted %d layout bytes re-encode to %d different bytes", len(consumed), len(l2))
+		}
+		again, err := decodeTiered(bytes.NewReader(l2), bytes.NewReader(f2), bytes.NewReader(s2))
+		if err != nil || !reflect.DeepEqual(again, ts) {
+			t.Fatalf("re-encoded snapshot read back as %+v, err %v; want %+v", again, err, ts)
 		}
 	})
 }

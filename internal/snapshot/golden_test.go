@@ -27,33 +27,27 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	cfg.ConvergenceWindow = 3
 	cfg.ReprofileBudget = 0
 	for _, name := range []string{"compress", "pagerank", "json_load_dump"} {
-		spec := workload.ByNameMust(name)
-		pd, _, err := core.NewProfileData(cfg, spec, workload.I, 1)
+		ctl, err := core.NewController(cfg, workload.ByNameMust(name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, stable := 0, 0; stable < cfg.ConvergenceWindow; i++ {
+		if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
 			if i == 300 {
 				t.Fatalf("%s did not converge in 300 invocations", name)
 			}
-			_, changed, err := pd.ProfileInvocation(cfg, workload.Levels[i%len(workload.Levels)], int64(i+2), 1)
-			if err != nil {
+			if _, err := ctl.Invoke(workload.Levels[i%len(workload.Levels)], int64(i+2), 1); err != nil {
 				t.Fatal(err)
 			}
-			if stable++; changed {
-				stable = 0
-			}
-		}
-		a, err := core.Analyze(cfg, pd)
-		if err != nil {
-			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		if err := snapshot.WriteTiered(dir, core.BuildSnapshot(pd, a)); err != nil {
+		if err := snapshot.WriteTiered(dir, ctl.Tiered()); err != nil {
 			t.Fatal(err)
 		}
 		single := filepath.Join(dir, "single.toss")
-		if err := snapshot.WriteSingle(single, pd.Single); err != nil {
+		if err := snapshot.WriteSingle(single, ctl.ProfileData().Single); err != nil {
 			t.Fatal(err)
 		}
 		h := sha256.New()

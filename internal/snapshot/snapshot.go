@@ -145,16 +145,6 @@ func encodeSingle(w *bufio.Writer, s *Single) error {
 	return writeMemory(w, s.Memory)
 }
 
-// ReadSingle deserializes a single-tier snapshot.
-func ReadSingle(path string) (*Single, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return decodeSingle(bufio.NewReader(f))
-}
-
 // decodeSingle reads one single-tier snapshot from r, consuming exactly its
 // bytes. Every decode failure wraps ErrCorrupt.
 func decodeSingle(r io.Reader) (*Single, error) {
@@ -371,28 +361,7 @@ func PathsIn(dir string) Paths {
 // WriteTiered writes the layout and both tier images into dir.
 func WriteTiered(dir string, t *Tiered) error {
 	p := PathsIn(dir)
-	if err := writeFile(p.Layout, func(w *bufio.Writer) error {
-		if err := writeHeader(w, magicLayout); err != nil {
-			return err
-		}
-		if err := writeString(w, t.Function); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, t.GuestPages); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, int64(len(t.Entries))); err != nil {
-			return err
-		}
-		for _, e := range t.Entries {
-			rec := []int64{int64(e.Tier), e.FileOffsetPages, int64(e.GuestStart), e.Pages}
-			if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
-				return err
-			}
-		}
-		// Trailing content checksum over layout + both tier images.
-		return binary.Write(w, binary.LittleEndian, t.Checksum())
-	}); err != nil {
+	if err := writeFile(p.Layout, func(w *bufio.Writer) error { return encodeLayout(w, t) }); err != nil {
 		return err
 	}
 	// Each tier image is a single-tier snapshot file with no VM state.
@@ -402,47 +371,78 @@ func WriteTiered(dir string, t *Tiered) error {
 	return WriteSingle(p.Slow, &Single{Function: t.Function, Memory: t.SlowMem})
 }
 
+// encodeLayout writes the layout file: the function, the guest size, every
+// entry, and the content checksum trailer.
+func encodeLayout(w *bufio.Writer, t *Tiered) error {
+	if err := writeHeader(w, magicLayout); err != nil {
+		return err
+	}
+	if err := writeString(w, t.Function); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, t.GuestPages); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, int64(len(t.Entries))); err != nil {
+		return err
+	}
+	for _, e := range t.Entries {
+		rec := []int64{int64(e.Tier), e.FileOffsetPages, int64(e.GuestStart), e.Pages}
+		if err := binary.Write(w, binary.LittleEndian, rec); err != nil {
+			return err
+		}
+	}
+	// Trailing content checksum over layout + both tier images.
+	return binary.Write(w, binary.LittleEndian, t.Checksum())
+}
+
 // ReadTiered loads a tiered snapshot from dir.
 func ReadTiered(dir string) (*Tiered, error) {
 	p := PathsIn(dir)
+	var r [3]io.Reader
+	for i, path := range []string{p.Layout, p.Fast, p.Slow} {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r[i] = bufio.NewReader(f)
+	}
+	return decodeTiered(r[0], r[1], r[2])
+}
+
+// decodeTiered reads a tiered snapshot from its layout file and its two
+// tier images. Every decode failure wraps ErrCorrupt: each entry must name
+// a tier and fit the guest, each image must decode, and the checksum
+// trailer must match the snapshot read.
+func decodeTiered(layout, fast, slow io.Reader) (*Tiered, error) {
+	if err := readHeader(layout, magicLayout); err != nil {
+		return nil, err
+	}
 	t := &Tiered{}
-	f, err := os.Open(p.Layout)
-	if err != nil {
+	var err error
+	if t.Function, err = readString(layout); err != nil {
 		return nil, err
 	}
-	r := bufio.NewReader(f)
-	if err := readHeader(r, magicLayout); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if t.Function, err = readString(r); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &t.GuestPages); err != nil {
-		f.Close()
+	if err := binary.Read(layout, binary.LittleEndian, &t.GuestPages); err != nil {
 		return nil, fmt.Errorf("%w: guest pages: %v", ErrCorrupt, err)
 	}
 	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		f.Close()
+	if err := binary.Read(layout, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: entry count: %v", ErrCorrupt, err)
 	}
 	if n < 0 || n > t.GuestPages {
-		f.Close()
 		return nil, fmt.Errorf("%w: implausible entry count %d", ErrCorrupt, n)
 	}
 	for i := int64(0); i < n; i++ {
 		var rec [4]int64
-		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
-			f.Close()
+		if err := binary.Read(layout, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrCorrupt, i, err)
 		}
 		// A restore maps every entry into the guest, so an entry the
 		// checksum vouches for must still name a tier and fit the guest.
 		if rec[0] != int64(mem.Fast) && rec[0] != int64(mem.Slow) ||
 			rec[2] < 0 || rec[3] <= 0 || rec[3] > t.GuestPages-rec[2] {
-			f.Close()
 			return nil, fmt.Errorf("%w: entry %d (tier %d, %d pages at %d) outside a %d-page guest",
 				ErrCorrupt, i, rec[0], rec[3], rec[2], t.GuestPages)
 		}
@@ -453,25 +453,18 @@ func ReadTiered(dir string) (*Tiered, error) {
 			Pages:           rec[3],
 		})
 	}
-	if err := binary.Read(r, binary.LittleEndian, &t.Sum); err != nil {
-		f.Close()
+	if err := binary.Read(layout, binary.LittleEndian, &t.Sum); err != nil {
 		return nil, fmt.Errorf("%w: checksum trailer: %v", ErrCorrupt, err)
 	}
-	f.Close()
-
-	loadMem := func(path string) (*Memory, error) {
-		s, err := ReadSingle(path)
-		if err != nil {
-			return nil, err
-		}
-		return s.Memory, nil
-	}
-	if t.FastMem, err = loadMem(p.Fast); err != nil {
+	fastImg, err := decodeSingle(fast)
+	if err != nil {
 		return nil, err
 	}
-	if t.SlowMem, err = loadMem(p.Slow); err != nil {
+	slowImg, err := decodeSingle(slow)
+	if err != nil {
 		return nil, err
 	}
+	t.FastMem, t.SlowMem = fastImg.Memory, slowImg.Memory
 	if err := t.Verify(t.Sum); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,17 @@ import (
 	"toss/internal/guest"
 	"toss/internal/mem"
 )
+
+// ReadSingle reads a single-tier snapshot file, as ReadTiered reads each
+// tier image.
+func ReadSingle(path string) (*Single, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return decodeSingle(bufio.NewReader(f))
+}
 
 func TestDigestForDeterministicAndDistinct(t *testing.T) {
 	a := DigestFor("fn", 1)
