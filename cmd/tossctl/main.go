@@ -127,39 +127,6 @@ func run() int {
 		return 2
 	}
 
-	prof, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tossctl:", err)
-		return 1
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-		}
-	}()
-
-	if *faults != "" {
-		plan, err := fault.LoadPlan(*faults)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 2
-		}
-		inj, err := fault.New(plan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tossctl:", err)
-			return 2
-		}
-		// A suite-level injector's sequence counters are shared state, so
-		// Suite.Pool runs serially while it is attached.
-		suite.Core.VM.Faults = inj
-	}
-
-	var met *telemetry.Metrics
-	if *metrics {
-		met = telemetry.NewMetrics()
-		suite.Core.VM.Metrics = met
-	}
-
 	ids := flag.Args()
 	if len(ids) == 1 {
 		switch ids[0] {
@@ -188,6 +155,39 @@ func run() int {
 	default:
 		fmt.Fprintf(os.Stderr, "tossctl: unknown format %q\n", *format)
 		return 2
+	}
+	if *faults != "" {
+		plan, err := fault.LoadPlan(*faults)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tossctl:", err)
+			return 2
+		}
+		inj, err := fault.New(plan)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tossctl:", err)
+			return 2
+		}
+		// A suite-level injector's sequence counters are shared state, so
+		// Suite.Pool runs serially while it is attached.
+		suite.Core.VM.Faults = inj
+	}
+
+	// Every usage check is done: profile the run itself.
+	prof, err := cliutil.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tossctl:", err)
+		return 1
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "tossctl:", err)
+		}
+	}()
+
+	var met *telemetry.Metrics
+	if *metrics {
+		met = telemetry.NewMetrics()
+		suite.Core.VM.Metrics = met
 	}
 	render := func(t *experiments.Table) (string, error) {
 		switch *format {
@@ -246,13 +246,17 @@ func run() int {
 
 // checkSuite rejects suite settings no run can mean, before any work: a
 // core config that fails validation (-window, -threshold) and a
-// -cluster-scale that is not a finite positive number.
+// -cluster-scale that is not a finite positive number or that scales
+// ext10's day to no horizon a run can have.
 func checkSuite(s *experiments.Suite) error {
 	if err := s.Core.Validate(); err != nil {
 		return err
 	}
 	if !(s.ClusterScale > 0) || math.IsInf(s.ClusterScale, 1) {
 		return fmt.Errorf("-cluster-scale must be a finite positive number (got %v)", s.ClusterScale)
+	}
+	if _, err := experiments.Ext10Horizon(s.ClusterScale); err != nil {
+		return fmt.Errorf("-cluster-scale %v: %w", s.ClusterScale, err)
 	}
 	return nil
 }

@@ -22,6 +22,12 @@ func TestCheckSuiteUsageErrors(t *testing.T) {
 		{"-cluster-scale -1", func(s *experiments.Suite) { s.ClusterScale = -1 }, "-cluster-scale must be a finite positive number (got -1)"},
 		{"-cluster-scale 0", func(s *experiments.Suite) { s.ClusterScale = 0 }, "-cluster-scale must be a finite positive number (got 0)"},
 		{"-cluster-scale +Inf", func(s *experiments.Suite) { s.ClusterScale = math.Inf(1) }, "-cluster-scale must be a finite positive number (got +Inf)"},
+		{"-cluster-scale 1e-15", func(s *experiments.Suite) { s.ClusterScale = 1e-15 },
+			"-cluster-scale 1e-15: ext10's 24h0m0s day scales to 0.0864 ns, not a positive duration that fits in int64"},
+		{"-cluster-scale 1e300", func(s *experiments.Suite) { s.ClusterScale = 1e300 },
+			"-cluster-scale 1e+300: ext10's 24h0m0s day scales to +Inf ns, not a positive duration that fits in int64"},
+		{"-cluster-scale 2e5", func(s *experiments.Suite) { s.ClusterScale = 2e5 },
+			"-cluster-scale 200000: ext10's 24h0m0s day scales to 1.728e+19 ns, not a positive duration that fits in int64"},
 	} {
 		s := experiments.NewSuite()
 		s.ClusterScale = 1 // the flag's default
@@ -30,9 +36,11 @@ func TestCheckSuiteUsageErrors(t *testing.T) {
 			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
 		}
 	}
-	s := experiments.NewSuite()
-	s.ClusterScale = 0.02
-	if err := checkSuite(s); err != nil {
-		t.Errorf("CI smoke settings rejected: %v", err)
+	for _, scale := range []float64{0.02, 0.25} {
+		s := experiments.NewSuite()
+		s.ClusterScale = scale
+		if err := checkSuite(s); err != nil {
+			t.Errorf("CI smoke scale %v rejected: %v", scale, err)
+		}
 	}
 }

@@ -23,6 +23,18 @@ const (
 	ext10Nodes   = 4
 )
 
+// Ext10Horizon returns ext10's arrival horizon at a cluster scale (see
+// Suite.ClusterScale): the full day times the scale, in whole nanoseconds.
+// It fails when the scaled day is not a positive duration that fits in
+// int64, so no run could have it.
+func Ext10Horizon(scale float64) (simtime.Duration, error) {
+	h := float64(ext10Horizon) * scale
+	if !(h >= 1 && h < 1<<63) {
+		return 0, fmt.Errorf("ext10's %s day scales to %g ns, not a positive duration that fits in int64", ext10Horizon.Std(), h)
+	}
+	return simtime.Duration(h), nil
+}
+
 // ExtMillionDay replays one simulated day — diurnal baseline, flash-crowd
 // episodes — through a fixed affinity-routed fleet, for a tiered (TOSS)
 // fleet versus the equal-memory-cost DRAM-only fleet (ext9's host sizing).
@@ -38,7 +50,10 @@ func ExtMillionDay(s *Suite) (*Table, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	horizon := simtime.Duration(float64(ext10Horizon) * scale)
+	horizon, err := Ext10Horizon(scale)
+	if err != nil {
+		return nil, err
+	}
 	warmup := horizon / 24
 
 	t := &Table{

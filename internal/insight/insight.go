@@ -76,9 +76,11 @@ type series struct {
 }
 
 // observe folds value v at virtual time at into the summary. The first
-// observation anchors the series on a resolution boundary.
+// observation anchors the series on a resolution boundary and is its last
+// point, whatever its time.
 func (s *series) observe(at simtime.Duration, v float64, resolution simtime.Duration) {
-	if s.points == 0 {
+	first := s.points == 0
+	if first {
 		s.start, s.width = (at/resolution)*resolution, resolution
 		s.firstAt = at
 	}
@@ -96,15 +98,15 @@ func (s *series) observe(at simtime.Duration, v float64, resolution simtime.Dura
 		s.buckets = idx + 1
 	}
 	s.buckets = max(s.buckets, idx+1)
-	if s.points == 0 || v < s.min {
+	if first || v < s.min {
 		s.min = v
 	}
-	if s.points == 0 || v > s.max {
+	if first || v > s.max {
 		s.max = v
 	}
 	s.points++
 	s.sum += v
-	if at >= s.lastAt {
+	if first || at >= s.lastAt {
 		s.last, s.lastAt = v, at
 	}
 }

@@ -34,6 +34,11 @@ func TestSeriesAnchorAndClamp(t *testing.T) {
 	if sum.Buckets != 3 || sum.Points != 4 || sum.Min != 1 || sum.Last != 10 || sum.LastAt != 3*simtime.Second {
 		t.Fatalf("after clamped point: %+v", sum)
 	}
+	// A series observed only before time 0 ends at its last point.
+	e.Observe("early", -5*simtime.Second, 3)
+	if sum, _ = e.Summary("early"); sum.FirstAt != -5*simtime.Second || sum.LastAt != -5*simtime.Second || sum.Last != 3 {
+		t.Fatalf("series before time 0: %+v", sum)
+	}
 }
 
 func TestSeriesDownsampleShape(t *testing.T) {

@@ -105,11 +105,11 @@ func (st *refStore) observe(name string, at simtime.Duration, v float64) {
 	if s.points == 0 || v > s.max {
 		s.max = v
 	}
-	s.points++
-	s.sum += v
-	if at >= s.lastAt {
+	if s.points == 0 || at >= s.lastAt {
 		s.last, s.lastAt = v, at
 	}
+	s.points++
+	s.sum += v
 }
 
 func (st *refStore) summaries() []SeriesSummary {
@@ -218,6 +218,8 @@ func TestEngineMatchesBucketedStore(t *testing.T) {
 func FuzzEngineMatchesBucketedStore(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 0, 8, 1, 100, 3, 4, 2, 0x80, 0, 0x7f})
 	f.Add([]byte{0, 0, 5, 0, 1, 0, 0xfb, 0, 2, 1, 100, 30, 0xf0, 0, 1, 0, 3})
+	// Series "b" observed only before time 0.
+	f.Add([]byte{9, 1, 0xfb, 20, 12, 0, 5, 0, 1, 1, 0, 0, 0xf0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, ref := feedBytes(data)
 		checkAgainstRef(t, e, ref)

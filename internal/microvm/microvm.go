@@ -173,10 +173,13 @@ type Machine struct {
 	// resident is the set of mapped pages as extents, so a restore costs
 	// O(layout entries), not O(guest pages).
 	resident extents
+	// residentShared marks a tiered restore whose resident set is still the
+	// snapshot's restore view (its slow extents), which other machines
+	// share; the first touch that adds pages copies it.
+	residentShared bool
 	// stored marks pages with backing-file contents; non-stored pages are
 	// snapshot holes (zero pages) that only need zero-fill on first touch.
-	// Lazy and REAP restores share the snapshot's resident regions here:
-	// the set is read-only.
+	// Restores share the snapshot's regions here: the set is read-only.
 	stored extents
 	// uffd marks REAP-style restores where every miss is served by a
 	// userspace fault handler instead of kernel demand paging.
@@ -295,26 +298,33 @@ func RestoreREAP(cfg Config, layout guest.Layout, snap *snapshot.Single, ws []gu
 // RestoreTiered returns a machine restored from a TOSS tiered snapshot: one
 // mmap per layout entry, slow-tier entries resident in place (DAX), fast
 // entries demand-loaded from the fast file.
+//
+// The machine maps the snapshot's restore view (snapshot.Tiered.View) and
+// shares it: its stored extents and placement are the view's, read-only,
+// and its resident set starts as the view's slow extents and is copied by
+// the first touch that adds pages. So a restore does no per-call sorting,
+// and any number of machines, on any goroutines, may restore one snapshot.
 func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurrency int) *Machine {
-	var stored, slow []guest.Region
-	for _, e := range ts.Entries {
-		stored = append(stored, e.GuestRegion())
-		if e.Tier == mem.Slow {
-			slow = append(slow, e.GuestRegion())
-		}
+	v := ts.View()
+	placement := v.Placement
+	if ts.GuestPages != layout.TotalPages {
+		// The view's placement spans the snapshot's guest, and the machine
+		// replays against its own layout.
+		placement = twoTier(layout, v.Slow)
 	}
 	m := &Machine{
-		cfg:         cfg,
-		layout:      layout,
-		backing:     BackingTiered,
-		resident:    guest.NormalizeRegions(slow),
-		stored:      guest.NormalizeRegions(stored),
-		concurrency: clampConc(concurrency),
-		recordTruth: true,
-		label:       ts.Function,
+		cfg:            cfg,
+		layout:         layout,
+		placement:      placement,
+		backing:        BackingTiered,
+		resident:       v.Slow,
+		residentShared: true,
+		stored:         v.Stored,
+		concurrency:    clampConc(concurrency),
+		recordTruth:    true,
+		label:          ts.Function,
+		prefetched:     v.SlowPages,
 	}
-	m.placement = twoTier(layout, slow)
-	m.prefetched = guest.TotalPages(slow)
 	m.setup = cfg.VMLoadBase + simtime.Duration(len(ts.Entries))*cfg.MmapCost
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-tiered"
 	m.parts = []setupPart{
@@ -322,7 +332,7 @@ func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurr
 		{kind: telemetry.KindMmap, name: "mmap", dur: simtime.Duration(len(ts.Entries)) * cfg.MmapCost,
 			attrs: []telemetry.Attr{
 				telemetry.I64("mappings", int64(len(ts.Entries))),
-				telemetry.I64("slow_pages", guest.TotalPages(slow)),
+				telemetry.I64("slow_pages", v.SlowPages),
 			}},
 	}
 	return m
@@ -590,6 +600,10 @@ func setupSegID(name string) string {
 // touch marks all pages of r resident and splits the newly-touched count
 // into pages with stored backing-file contents and zero-page holes.
 func (m *Machine) touch(r guest.Region) (newStored, newZero int64) {
+	if m.residentShared && !m.resident.covers(m.resident.search(r.Start), r) {
+		m.resident = slices.Clone(m.resident)
+		m.residentShared = false
+	}
 	m.gapbuf = m.resident.add(r, m.gapbuf[:0])
 	for _, g := range m.gapbuf {
 		n := m.stored.overlap(g)
@@ -711,12 +725,18 @@ func (x extents) search(p guest.PageID) int {
 	return lo
 }
 
+// covers reports whether the set holds every page of r, given i =
+// search(r.Start).
+func (x extents) covers(i int, r guest.Region) bool {
+	return r.Empty() || i < len(x) && x[i].Start <= r.Start && x[i].End() >= r.End()
+}
+
 // add inserts r and appends its sub-runs that were not yet in the set to
-// gaps, in address order.
+// gaps, in address order. It writes the set only when r is not covered.
 func (x *extents) add(r guest.Region, gaps []guest.Region) []guest.Region {
 	s := *x
 	i := s.search(r.Start)
-	if r.Empty() || i < len(s) && s[i].Start <= r.Start && s[i].End() >= r.End() {
+	if s.covers(i, r) {
 		return gaps
 	}
 	// Runs i..j-1 overlap or abut r; they merge with it into one run.

@@ -186,6 +186,12 @@ func (e LayoutEntry) GuestRegion() guest.Region {
 }
 
 // Tiered is a tiered snapshot: the layout plus one memory image per tier.
+//
+// BuildTiered and ReadTiered also derive its restore view (see View) from
+// the entries they return, once; every restore of the snapshot shares that
+// view read-only, on any goroutine. So the exported fields must not change
+// once a snapshot is built or read: the view would not follow them. A
+// hand-built Tiered has no view, and each restore derives its own.
 type Tiered struct {
 	Function   string
 	GuestPages int64
@@ -199,6 +205,60 @@ type Tiered struct {
 	// the three files surfaces as ErrCorrupt instead of a silently wrong
 	// restore.
 	Sum uint64
+
+	// view is the restore view BuildTiered or ReadTiered derived; nil for
+	// a hand-built Tiered.
+	view *RestoreView
+}
+
+// RestoreView is what a tiered restore maps, derived from the layout
+// entries alone: the guest extents with contents in either tier file, the
+// slow-tier extents a restore maps in place, and the two-tier placement a
+// restored machine replays against. A view never changes once derived, so
+// the machines restored from one snapshot share it and only read it.
+type RestoreView struct {
+	// Stored is every entry's guest region, normalized.
+	Stored []guest.Region
+	// Slow is the slow-tier entries' guest regions, normalized: the pages
+	// resident (DAX-mapped) before a restored machine's first touch.
+	Slow []guest.Region
+	// SlowPages is the slow-tier entries' page count.
+	SlowPages int64
+	// Placement puts Slow in mem.Slow and every other page of a
+	// GuestPages-page guest in mem.Fast. It is nil when GuestPages is not
+	// positive.
+	Placement *mem.MultiPlacement
+}
+
+// newRestoreView derives the restore view of a layout over a guest of
+// guestPages pages.
+func newRestoreView(entries []LayoutEntry, guestPages int64) *RestoreView {
+	v := &RestoreView{}
+	stored := make([]guest.Region, 0, len(entries))
+	var slow []guest.Region
+	for _, e := range entries {
+		stored = append(stored, e.GuestRegion())
+		if e.Tier == mem.Slow {
+			slow = append(slow, e.GuestRegion())
+			v.SlowPages += e.Pages
+		}
+	}
+	v.Stored, v.Slow = guest.NormalizeRegions(stored), guest.NormalizeRegions(slow)
+	if mp, err := mem.NewMultiPlacement(2, mem.Fast, guestPages); err == nil {
+		mp.SetRegions(v.Slow, mem.Slow)
+		v.Placement = mp
+	}
+	return v
+}
+
+// View returns the snapshot's restore view: the one BuildTiered or
+// ReadTiered derived, shared, or for a hand-built Tiered a fresh one per
+// call. Treat it as read-only.
+func (t *Tiered) View() *RestoreView {
+	if t.view != nil {
+		return t.view
+	}
+	return newRestoreView(t.Entries, t.GuestPages)
 }
 
 // Checksum computes the snapshot's content checksum: an fnv-64a over the
@@ -263,7 +323,7 @@ func (t *Tiered) Verify(want uint64) error {
 // BuildTiered partitions a single-tier snapshot between the two tiers
 // according to a two-level placement, copying each region serially into the
 // appropriate tier image and recording the layout, exactly as §V-D
-// describes.
+// describes. It derives the snapshot's restore view once, from that layout.
 func BuildTiered(s *Single, placement *mem.MultiPlacement) *Tiered {
 	src := s.Memory
 	t := &Tiered{
@@ -302,6 +362,7 @@ func BuildTiered(s *Single, placement *mem.MultiPlacement) *Tiered {
 		base += int(r.Pages)
 	}
 	t.Sum = t.Checksum()
+	t.view = newRestoreView(t.Entries, t.GuestPages)
 	return t
 }
 
@@ -396,7 +457,8 @@ func encodeLayout(w *bufio.Writer, t *Tiered) error {
 	return binary.Write(w, binary.LittleEndian, t.Checksum())
 }
 
-// ReadTiered loads a tiered snapshot from dir.
+// ReadTiered loads a tiered snapshot from dir and derives its restore view
+// once, from the layout read.
 func ReadTiered(dir string) (*Tiered, error) {
 	p := PathsIn(dir)
 	var r [3]io.Reader
@@ -468,6 +530,7 @@ func decodeTiered(layout, fast, slow io.Reader) (*Tiered, error) {
 	if err := t.Verify(t.Sum); err != nil {
 		return nil, err
 	}
+	t.view = newRestoreView(t.Entries, t.GuestPages)
 	return t, nil
 }
 

@@ -22,10 +22,10 @@
 package workload
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"toss/internal/access"
 	"toss/internal/guest"
@@ -91,6 +91,11 @@ type Spec struct {
 	layoutOnce sync.Once
 	layout     guest.Layout
 	layoutErr  error
+
+	// events holds each level's event count from its latest compile. A
+	// trace's event count depends on the function and the level, not on
+	// the seed, so Trace sizes Events from it once.
+	events [4]atomic.Int32
 }
 
 // Layout returns the guest memory layout for this function. The result is
@@ -110,7 +115,8 @@ func (s *Spec) Layout() (guest.Layout, error) {
 // seed): the experiment sweeps replay the same cells hundreds of times and
 // determinism makes a cache hit indistinguishable from a recompile. The
 // returned trace is shared — treat it (and its memoized views) as
-// read-only.
+// read-only. A compile allocates Events at the event count of the level's
+// previous compile, so only a level's first compile grows it.
 func (s *Spec) Trace(lv Level, seed int64) (*access.Trace, error) {
 	if !lv.Valid() {
 		return nil, fmt.Errorf("workload: invalid input level %d", int(lv))
@@ -127,13 +133,14 @@ func (s *Spec) Trace(lv Level, seed int64) (*access.Trace, error) {
 		layout: layout,
 		alloc:  guest.NewAllocator(layout, seed),
 		rng:    lazyrand.New(seed ^ 0x7055_0001),
-		trace:  &access.Trace{},
+		trace:  &access.Trace{Events: make([]access.Event, 0, s.events[lv].Load())},
 	}
 	s.runtime.emit(b)
 	s.body(b, lv)
 	if b.err != nil {
 		return nil, fmt.Errorf("workload %s: %w", s.Name, b.err)
 	}
+	s.events[lv].Store(int32(len(b.trace.Events)))
 	traceCache.store(key, b.trace)
 	return b.trace, nil
 }
@@ -149,19 +156,26 @@ type traceKey struct {
 // misses on the same key may compile the same trace twice; both results are
 // identical (compilation is deterministic), so the last store simply wins —
 // cheaper than singleflight for a compile that takes a few microseconds
-// (about 2.5 µs on average over all forty function × level cells, 19 µs for
+// (1.5–2 µs on average over all forty function × level cells, 13 µs for
 // the largest, json_load_dump IV; BenchmarkTraceCompileMix and
 // BenchmarkTraceCompile on a 2-core Xeon host).
+//
+// The cells sit in a fixed array of slots, linked in recency order through
+// slot indices, so neither a hit nor a store allocates.
 type traceLRU struct {
 	mu    sync.Mutex
-	limit int
-	elems map[traceKey]*list.Element
-	order *list.List // front = most recently used
+	index map[traceKey]int32
+	// slots[traceCacheLimit] is the list head: its next is the most
+	// recently used slot and its prev the least.
+	slots [traceCacheLimit + 1]traceSlot
+	used  int32
 }
 
-type traceCacheEntry struct {
-	key traceKey
-	tr  *access.Trace
+// traceSlot is one cached cell and its neighbours in recency order.
+type traceSlot struct {
+	key        traceKey
+	tr         *access.Trace
+	prev, next int32
 }
 
 // traceCacheLimit bounds the cache to a few hundred cells; a full
@@ -169,37 +183,59 @@ type traceCacheEntry struct {
 // (function, level, seed) combinations per experiment.
 const traceCacheLimit = 256
 
-var traceCache = traceLRU{
-	limit: traceCacheLimit,
-	elems: map[traceKey]*list.Element{},
-	order: list.New(),
+var traceCache = newTraceLRU()
+
+// newTraceLRU returns an empty cache.
+func newTraceLRU() *traceLRU {
+	c := &traceLRU{index: make(map[traceKey]int32, traceCacheLimit)}
+	c.slots[traceCacheLimit].prev, c.slots[traceCacheLimit].next = traceCacheLimit, traceCacheLimit
+	return c
+}
+
+// unlink takes slot i out of the recency list.
+func (c *traceLRU) unlink(i int32) {
+	p, n := c.slots[i].prev, c.slots[i].next
+	c.slots[p].next, c.slots[n].prev = n, p
+}
+
+// pushFront links slot i in as the most recently used.
+func (c *traceLRU) pushFront(i int32) {
+	first := c.slots[traceCacheLimit].next
+	c.slots[i].prev, c.slots[i].next = traceCacheLimit, first
+	c.slots[first].prev, c.slots[traceCacheLimit].next = i, i
 }
 
 func (c *traceLRU) lookup(k traceKey) (*access.Trace, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.elems[k]
+	i, ok := c.index[k]
 	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*traceCacheEntry).tr, true
+	c.unlink(i)
+	c.pushFront(i)
+	return c.slots[i].tr, true
 }
 
 func (c *traceLRU) store(k traceKey, tr *access.Trace) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.elems[k]; ok {
-		el.Value.(*traceCacheEntry).tr = tr
-		c.order.MoveToFront(el)
-		return
+	i, ok := c.index[k]
+	switch {
+	case ok:
+		c.unlink(i)
+	case c.used < traceCacheLimit:
+		i = c.used
+		c.used++
+	default:
+		// Evict the least recently used cell and reuse its slot.
+		i = c.slots[traceCacheLimit].prev
+		c.unlink(i)
+		delete(c.index, c.slots[i].key)
 	}
-	c.elems[k] = c.order.PushFront(&traceCacheEntry{key: k, tr: tr})
-	for len(c.elems) > c.limit {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.elems, oldest.Value.(*traceCacheEntry).key)
-	}
+	c.slots[i].key, c.slots[i].tr = k, tr
+	c.index[k] = i
+	c.pushFront(i)
 }
 
 // runtimeProfile shapes the interpreter prologue.
