@@ -201,20 +201,9 @@ func ablationCost(b *testing.B, fn string, mutate func(*core.Config)) (cost, slo
 	cfg.ConvergenceWindow = 6
 	cfg.ReprofileBudget = 0
 	mutate(&cfg)
-	ctl, err := core.NewController(cfg, spec)
+	ctl, err := core.Converge(cfg, spec, workload.Levels, 1)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
-		if i == 300 {
-			b.Fatalf("%s did not converge in 300 invocations", fn)
-		}
-		if _, err := ctl.Invoke(workload.Levels[i%4], int64(i+2), 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 	a := ctl.Analysis()
 	return a.MinCost(), a.MinCostSlowdown()

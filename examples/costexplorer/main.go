@@ -69,22 +69,11 @@ func main() {
 	fmt.Println("\nlower ratios shrink the win; tight thresholds trade bill for latency (§V-C)")
 }
 
-// profile runs Steps I-II until the unified pattern converges.
+// profile runs Steps I-IV until the unified pattern converges.
 func profile(cfg core.Config, spec *workload.Spec) *core.ProfileData {
-	ctl, err := core.NewController(cfg, spec)
+	ctl, err := core.Converge(cfg, spec, workload.Levels, 1)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
-		if i > 400 {
-			log.Fatal("profiling did not converge")
-		}
-		if _, err := ctl.Invoke(workload.Levels[i%4], int64(i+2), 1); err != nil {
-			log.Fatal(err)
-		}
 	}
 	return ctl.ProfileData()
 }

@@ -107,6 +107,36 @@ func NewController(cfg Config, spec *workload.Spec) (*Controller, error) {
 	return &Controller{cfg: cfg, spec: spec}, nil
 }
 
+// MaxProfilingInvocations bounds Converge's profiling loop.
+const MaxProfilingInvocations = 400
+
+// Converge runs Steps I-IV for spec on a fresh controller: Step I on
+// levels[0] at seed, then profiling invocations that rotate through levels
+// (levels[i%len(levels)] at seed+i+1, concurrency 1) until the unified
+// pattern converges and the controller serves its tiered snapshot. It fails
+// if profiling has not converged after MaxProfilingInvocations invocations.
+func Converge(cfg Config, spec *workload.Spec, levels []workload.Level, seed int64) (*Controller, error) {
+	if len(levels) == 0 {
+		return nil, errors.New("core: no input levels to profile")
+	}
+	ctl, err := NewController(cfg, spec)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := ctl.Invoke(levels[0], seed, 1); err != nil {
+		return nil, err
+	}
+	for i := 0; ctl.phase != PhaseTiered; i++ {
+		if i == MaxProfilingInvocations {
+			return nil, fmt.Errorf("core: %s did not converge in %d profiling invocations", spec.Name, i)
+		}
+		if _, err := ctl.Invoke(levels[i%len(levels)], seed+int64(i)+1, 1); err != nil {
+			return nil, err
+		}
+	}
+	return ctl, nil
+}
+
 // Phase returns the current lifecycle phase.
 func (c *Controller) Phase() Phase { return c.phase }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"toss/internal/guest"
@@ -28,26 +29,32 @@ func spec(t *testing.T, name string) *workload.Spec {
 	return s
 }
 
-// profileUntilConverged drives Steps I-II with rotating inputs through a
-// controller.
+// profileUntilConverged runs Converge at seed 1 and returns its Steps I-II
+// state.
 func profileUntilConverged(t *testing.T, cfg Config, s *workload.Spec, levels []workload.Level) *ProfileData {
 	t.Helper()
-	ctl, err := NewController(cfg, s)
+	ctl, err := Converge(cfg, s, levels, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Invoke(levels[0], 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ctl.Phase() != PhaseTiered; i++ {
-		if i == 300 {
-			t.Fatalf("%s did not converge in 300 invocations", s.Name)
-		}
-		if _, err := ctl.Invoke(levels[i%len(levels)], int64(i+2), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return ctl.ProfileData()
+}
+
+// TestConvergeBoundsProfiling pins Converge's failure paths: no input
+// levels, and a convergence window no run can fill within the
+// profiling-invocation cap.
+func TestConvergeBoundsProfiling(t *testing.T) {
+	s := spec(t, "float_operation")
+	if _, err := Converge(DefaultConfig(), s, nil, 1); err == nil {
+		t.Error("Converge with no levels succeeded")
+	}
+	cfg := DefaultConfig()
+	cfg.ConvergenceWindow = MaxProfilingInvocations + 1
+	cfg.ReprofileBudget = 0
+	_, err := Converge(cfg, s, []workload.Level{workload.I}, 1)
+	if err == nil || !strings.Contains(err.Error(), "did not converge in 400 profiling invocations") {
+		t.Errorf("Converge past the cap: err = %v", err)
+	}
 }
 
 func TestDefaultConfigValid(t *testing.T) {

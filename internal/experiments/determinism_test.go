@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"toss/internal/par"
@@ -9,18 +11,88 @@ import (
 	"toss/internal/workload"
 )
 
+// reducedScaleBreaks are the claims that fail at the cluster scale
+// TestParallelRunAllByteIdentical runs (0.02): with 12 epochs, the lean
+// shape's oracle mean (63.38 ms) is above full migration's (62.39 ms). It
+// holds at scale 0.5 (64.65 vs 65.57 ms) and at full scale.
+var reducedScaleBreaks = []string{"ext11.lean.oracle_mean_at_most_full"}
+
+// serialRun is the suite's serial run at the reduced cluster scale (ext10
+// at 2% of the day; full scale is benchmarked, not tested). It runs once per
+// test binary: TestParallelRunAllByteIdentical compares it with a parallel
+// run, and every claim check reads its tables.
+var serialRun = sync.OnceValues(func() ([]*Table, error) {
+	s := NewSuite()
+	s.ClusterScale = 0.02
+	return s.RunAll()
+})
+
+// requireClaims fails unless each named claim is stated by the serial run
+// and holds.
+func requireClaims(t *testing.T, ids ...string) {
+	t.Helper()
+	tables, err := serialRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds := map[string]bool{}
+	for _, tab := range tables {
+		for _, c := range tab.claims {
+			holds[c.id] = c.holds
+		}
+	}
+	for _, id := range ids {
+		h, stated := holds[id]
+		switch {
+		case !stated:
+			t.Errorf("claim %s is not stated", id)
+		case !h:
+			t.Errorf("claim %s does not hold", id)
+		}
+	}
+}
+
+// checkClaims holds a run's tables to their claims: every table states at
+// least one, every id is unique and starts with its table's id, and the
+// claims that fail are exactly want, in order.
+func checkClaims(t *testing.T, tables []*Table, want []string) {
+	t.Helper()
+	seen := map[string]bool{}
+	var broken []string
+	for _, tab := range tables {
+		if len(tab.claims) == 0 {
+			t.Errorf("%s states no claim", tab.ID)
+		}
+		for _, c := range tab.claims {
+			if !strings.HasPrefix(c.id, tab.ID+".") {
+				t.Errorf("%s: claim id %q does not start with %q", tab.ID, c.id, tab.ID+".")
+			}
+			if seen[c.id] {
+				t.Errorf("%s: claim id %q stated twice", tab.ID, c.id)
+			}
+			seen[c.id] = true
+			if !c.holds {
+				broken = append(broken, c.id)
+			}
+		}
+	}
+	if !slices.Equal(broken, want) {
+		t.Errorf("claims that do not hold: %q, want %q", broken, want)
+	}
+}
+
 // TestParallelRunAllByteIdentical is the engine's core guarantee: the whole
 // suite run over an 8-worker pool renders every table — ASCII, CSV, and
 // JSON — byte-for-byte identical to a serial run. Under -race this doubles
 // as the concurrency exercise for the pool, the singleflight build cache,
-// and the trace/layout/region memos.
+// and the trace/layout/region memos. The serial tables are also held to
+// their claims (checkClaims).
 func TestParallelRunAllByteIdentical(t *testing.T) {
-	serial := NewSuite()
-	serial.ClusterScale = 0.02 // ext10 at 2% of the day; full scale is benchmarked, not tested
-	serialTables, err := serial.RunAll()
+	serialTables, err := serialRun()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("claims", func(t *testing.T) { checkClaims(t, serialTables, reducedScaleBreaks) })
 	parallel := NewSuite()
 	parallel.ClusterScale = 0.02
 	parallel.Workers = 8

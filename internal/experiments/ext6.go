@@ -23,6 +23,9 @@ func ExtFaaSnapInflation(s *Suite) (*Table, error) {
 	type specRes struct {
 		row       []any
 		inflation float64
+		// covers: mincore's WS covers uffd's; faultsLess: FaaSnap faults no
+		// more than REAP and prefetches at least as long.
+		covers, faultsLess bool
 	}
 	res, err := par.Map(s.Pool(), workload.Registry(), func(_ int, spec *workload.Spec) (specRes, error) {
 		rm, err := reap.NewManager(s.Core.VM, spec)
@@ -56,19 +59,25 @@ func ExtFaaSnapInflation(s *Suite) (*Table, error) {
 				fmt.Sprintf("%.1f", rRes.Setup.Milliseconds()),
 				fmt.Sprintf("%.1f", fRes.Setup.Milliseconds()),
 				rRes.MajorFaults, fRes.MajorFaults},
-			inflation: inflation,
+			inflation:  inflation,
+			covers:     fm.WorkingSetPages() >= rm.WorkingSetPages(),
+			faultsLess: fRes.MajorFaults <= rRes.MajorFaults && fRes.Setup >= rRes.Setup,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var inflations []float64
+	covers, faultsLess := true, true
 	for _, sr := range res {
 		inflations = append(inflations, sr.inflation)
+		covers = covers && sr.covers
+		faultsLess = faultsLess && sr.faultsLess
 		t.AddRow(sr.row...)
 	}
-	t.AddNote("average mincore inflation: %.2fx — prefetched-but-untouched pages billed as working set (§III-C)", stats.Mean(inflations))
+	t.Claim("ext6.mincore_covers_uffd", covers,
+		"average mincore inflation: %.2fx — prefetched-but-untouched pages billed as working set (§III-C)", stats.Mean(inflations))
 	t.AddNote("inflation is per touched run (readahead overshoot), so these coarse-grained traces inflate mildly; scattered small-object heaps inflate far more")
-	t.AddNote("FaaSnap never faults more than REAP but always prefetches at least as much")
+	t.Claim("ext6.faasnap_faults_less", faultsLess, "FaaSnap never faults more than REAP but always prefetches at least as much")
 	return t, nil
 }

@@ -97,11 +97,11 @@ func ExtFaultTolerance(s *Suite) (*Table, error) {
 			}
 		}
 		// Warm-up, excluded from measurement: TOSS profiles to convergence
-		// (mirroring runPipeline's input cycling); the bookends capture
+		// (cycling inputs as core.Converge does); the bookends capture
 		// their snapshot on the first invocation.
 		for _, fn := range ext8Funcs {
 			if c.mode == platform.ModeTOSS {
-				for i := 0; i < maxProfilingInvocations; i++ {
+				for i := 0; i < core.MaxProfilingInvocations; i++ {
 					if rec := p.Invoke(fn, AllLevels[i%len(AllLevels)], s.BaseSeed+int64(i)+1); rec.Err != nil {
 						return result{}, fmt.Errorf("ext8 warmup: %w", rec.Err)
 					}
@@ -163,22 +163,26 @@ func ExtFaultTolerance(s *Suite) (*Table, error) {
 			fmt.Sprintf("%d", r.retries),
 			fmt.Sprintf("%d", r.errors))
 	}
-	// TOSS should hold its tail advantage over the lazy-restore DRAM
-	// baseline at every swept fault rate: both pay the same rare recovery
-	// cold boots, but DRAM demand-faults its whole working set from disk
-	// on every restore while TOSS restores the fast tier up front.
-	holds := true
-	for ri, rate := range ext8Rates {
+	// TOSS holds its tail advantage over the lazy-restore DRAM baseline at
+	// every swept fault rate: both pay the same rare recovery cold boots,
+	// but DRAM demand-faults its whole working set from disk on every
+	// restore while TOSS restores the fast tier up front. DRAM serves every
+	// touch from DRAM, TOSS some from the slow tier, and degradation always
+	// serves, so no cell counts an error.
+	below, allFast, noErrors := true, true, true
+	for ri := range ext8Rates {
 		toss, dram := results[ri], results[len(ext8Rates)+ri]
-		if toss.p99 >= dram.p99 {
-			holds = false
-			t.AddNote("WARNING: TOSS p99 %.1f ms >= DRAM p99 %.1f ms at fault rate %.2f", toss.p99, dram.p99, rate)
-		}
+		below = below && toss.p99 < dram.p99
+		allFast = allFast && dram.fastHit == 100 && toss.fastHit < 100
 	}
-	if holds {
-		t.AddNote("TOSS keeps p99 below lazy-restore DRAM at every fault rate while serving from a partly-slow snapshot")
+	for _, r := range results {
+		noErrors = noErrors && r.errors == 0
 	}
-	t.AddNote("DRAM's fast-hit is 100%% by construction (all pages in DRAM); TOSS trades fast-tier hits for memory cost")
+	t.Claim("ext8.toss_p99_below_dram", below,
+		"TOSS keeps p99 below lazy-restore DRAM at every fault rate while serving from a partly-slow snapshot")
+	t.Claim("ext8.dram_all_fast", allFast,
+		"DRAM's fast-hit is 100%% by construction (all pages in DRAM); TOSS trades fast-tier hits for memory cost")
+	t.Claim("ext8.no_errors", noErrors, "")
 	t.AddNote("identical plans per rate: same seed and per-site rates across modes; see FAULTS.md for sites and policies")
 	return t, nil
 }

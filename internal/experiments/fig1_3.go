@@ -21,13 +21,15 @@ func Table1Inventory(s *Suite) (*Table, error) {
 		Title:  "Functions, memory configurations and inputs (Table I)",
 		Header: []string{"name", "description", "memory", "input type", "inputs I..IV"},
 	}
-	for _, spec := range workload.Registry() {
+	reg := workload.Registry()
+	for _, spec := range reg {
 		t.AddRow(spec.Name, spec.Description,
 			fmt.Sprintf("%d MB", spec.MemBytes>>20),
 			spec.InputType,
 			fmt.Sprintf("%s | %s | %s | %s",
 				spec.InputLabels[0], spec.InputLabels[1], spec.InputLabels[2], spec.InputLabels[3]))
 	}
+	t.Claim("table1.inventory", len(reg) == 10 && reg[7].Name == "pagerank" && reg[7].MemBytes == 1024<<20, "")
 	return t, nil
 }
 
@@ -54,6 +56,9 @@ func Fig1WorkingSetCharacterization(s *Suite) (*Table, error) {
 		Header: []string{"input", "uffd WS (MB)", "mincore WS (MB)", "damon regions",
 			"mean acc/page", "max acc/page", "count buckets"},
 	}
+	grows, covers := true, true
+	var prevUffd int64
+	var lastBuckets int
 	for _, lv := range AllLevels {
 		tr, err := spec.Trace(lv, s.BaseSeed)
 		if err != nil {
@@ -84,9 +89,14 @@ func Fig1WorkingSetCharacterization(s *Suite) (*Table, error) {
 		}
 		t.AddRow(lv, pageMB(uffdPages), pageMB(mincorePages),
 			len(pattern.Records), mean, maxCount, len(buckets))
+		grows = grows && uffdPages >= prevUffd
+		covers = covers && mincorePages >= uffdPages
+		prevUffd, lastBuckets = uffdPages, len(buckets)
 	}
-	t.AddNote("uffd reports a binary touched-set; DAMON grades the same pages into distinct access-count buckets (Obs. #4)")
-	t.AddNote("mincore inflates the working set via host readahead (§III-C)")
+	t.Claim("fig1.uffd_ws_grows", grows, "")
+	t.Claim("fig1.damon_grades", lastBuckets >= 2,
+		"uffd reports a binary touched-set; DAMON grades the same pages into distinct access-count buckets (Obs. #4)")
+	t.Claim("fig1.mincore_covers_uffd", covers, "mincore inflates the working set via host readahead (§III-C)")
 	return t, nil
 }
 
@@ -135,12 +145,21 @@ func Fig2FullSlowTierSlowdown(s *Suite) (*Table, error) {
 		return nil, err
 	}
 	var all []float64
-	for _, r := range res {
+	sdOf := map[string][]float64{}
+	for i, r := range res {
 		all = append(all, r.sds...)
+		sdOf[workload.Registry()[i].Name] = r.sds
 		t.AddRow(r.row...)
 	}
 	t.AddNote("mean over all functions/inputs: %.2fx; max: %.2fx", stats.Mean(all), stats.Max(all))
-	t.AddNote("compute-bound functions run in the slow tier nearly for free (Obs. #1); others vary with input (Obs. #2)")
+	mostSensitive := true
+	for _, sds := range sdOf {
+		mostSensitive = mostSensitive && sds[3] <= sdOf["pagerank"][3]
+	}
+	t.Claim("fig2.pagerank_most_sensitive", mostSensitive, "")
+	lr := sdOf["lr_serving"]
+	t.Claim("fig2.obs1_obs2", sdOf["compress"][3] <= 1.15 && lr[3] > lr[0]*1.05,
+		"compute-bound functions run in the slow tier nearly for free (Obs. #1); others vary with input (Obs. #2)")
 	return t, nil
 }
 
@@ -157,12 +176,13 @@ func Fig3ReapInputMismatch(s *Suite) (*Table, error) {
 	// The 4x4 snapshot-x-exec combos are independent per function: fan the
 	// functions out on the pool, fold rows in registry order.
 	type specRes struct {
-		rows  [][]any
-		norms []float64
-		max   float64
+		rows     [][]any
+		norms    []float64
+		max      float64
+		rowsHold bool
 	}
 	res, err := par.Map(s.Pool(), workload.Registry(), func(_ int, spec *workload.Spec) (specRes, error) {
-		var sr specRes
+		sr := specRes{rowsHold: true}
 		// One REAP manager per snapshot input.
 		managers := make(map[workload.Level]*reap.Manager)
 		for _, snapLv := range AllLevels {
@@ -194,6 +214,9 @@ func Fig3ReapInputMismatch(s *Suite) (*Table, error) {
 			if max > sr.max {
 				sr.max = max
 			}
+			// A mismatched snapshot never speeds REAP up beyond noise, and
+			// the worst case bounds the mean.
+			sr.rowsHold = sr.rowsHold && mean >= 0.97 && max >= mean-1e-9
 			sr.rows = append(sr.rows, []any{spec.Name, execLv, mean, max})
 		}
 		return sr, nil
@@ -203,17 +226,22 @@ func Fig3ReapInputMismatch(s *Suite) (*Table, error) {
 	}
 	var overall []float64
 	var overallMax float64
+	rowsHold := true
 	for _, sr := range res {
 		overall = append(overall, sr.norms...)
 		if sr.max > overallMax {
 			overallMax = sr.max
 		}
+		rowsHold = rowsHold && sr.rowsHold
 		for _, row := range sr.rows {
 			t.AddRow(row...)
 		}
 	}
-	t.AddNote("average slowdown over all cases: %.0f%%; worst case: %.2fx (paper: 26%% avg, up to 3.47x)",
-		(stats.Mean(overall)-1)*100, overallMax)
+	t.Claim("fig3.mismatch_never_faster", rowsHold, "")
+	mean := stats.Mean(overall)
+	t.Claim("fig3.mismatch_slows_reap", mean > 1,
+		"average slowdown over all cases: %.0f%%; worst case: %.2fx (paper: 26%% avg, up to 3.47x)",
+		(mean-1)*100, overallMax)
 	return t, nil
 }
 

@@ -45,11 +45,16 @@ func Fig5MinimumMemoryCost(s *Suite) (*Table, error) {
 		}
 		t.AddRow(workload.Registry()[i].Name, r.cost, fmt.Sprintf("%.1f", r.sd), s.Core.Cost.Optimal(), 1.0)
 	}
-	t.AddNote("cost: avg %.2f, range [%.2f, %.2f] (paper: avg 0.48, range 0.4-0.87)",
-		stats.Mean(costs), stats.Min(costs), stats.Max(costs))
-	t.AddNote("slowdown: avg %.1f%%, range [%.1f%%, %.1f%%] (paper: avg 6.7%%, 0-25.6%%)",
-		stats.Mean(sdowns), stats.Min(sdowns), stats.Max(sdowns))
-	t.AddNote("%d/10 functions stay under 10%% slowdown (paper: 7/10)", under10)
+	minCost, maxCost := stats.Min(costs), stats.Max(costs)
+	t.Claim("fig5.cost_band", minCost >= 0.4-1e-9 && maxCost < 1,
+		"cost: avg %.2f, range [%.2f, %.2f] (paper: avg 0.48, range 0.4-0.87)",
+		stats.Mean(costs), minCost, maxCost)
+	minSD, maxSD := stats.Min(sdowns), stats.Max(sdowns)
+	t.Claim("fig5.slowdown_within_paper_range", minSD >= 0 && maxSD <= 25.6,
+		"slowdown: avg %.1f%%, range [%.1f%%, %.1f%%] (paper: avg 6.7%%, 0-25.6%%)",
+		stats.Mean(sdowns), minSD, maxSD)
+	t.Claim("fig5.most_under_10pct", 2*under10 > len(res),
+		"%d/10 functions stay under 10%% slowdown (paper: 7/10)", under10)
 	return t, nil
 }
 
@@ -71,10 +76,22 @@ func Table2SlowTierShare(s *Suite) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	shareOf := map[string]float64{}
 	for i, share := range shares {
+		shareOf[workload.Registry()[i].Name] = share
 		t.AddRow(workload.Registry()[i].Name, fmt.Sprintf("%.1f%%", share))
 	}
-	t.AddNote("average offloaded: %.0f%% (paper: 92%%; pagerank lowest at 49.1%%)", stats.Mean(shares))
+	pr := shareOf["pagerank"]
+	t.Claim("table2.pagerank_lowest", pr == stats.Min(shares),
+		"average offloaded: %.0f%% (paper: 92%%; pagerank lowest at 49.1%%)", stats.Mean(shares))
+	t.Claim("table2.pagerank_band", pr >= 35 && pr <= 65, "")
+	t.Claim("table2.full_offload", shareOf["compress"] >= 99 && shareOf["json_load_dump"] >= 99 &&
+		shareOf["image_processing"] >= 99, "")
+	hotSubset := true
+	for _, fn := range []string{"float_operation", "pyaes"} {
+		hotSubset = hotSubset && shareOf[fn] >= 85 && shareOf[fn] < 99.5
+	}
+	t.Claim("table2.hot_subset_keeps_fast_slice", hotSubset, "")
 	return t, nil
 }
 
@@ -130,7 +147,8 @@ func Fig6IncrementalBinOffload(s *Suite) (*Table, error) {
 			cells = append(cells, cell{spec, lv})
 		}
 	}
-	blocks, err := par.Map(s.Pool(), cells, func(_ int, c cell) ([][]any, error) {
+	type point struct{ sd, cost float64 }
+	blocks, err := par.Map(s.Pool(), cells, func(_ int, c cell) ([]point, error) {
 		spec, lv := c.spec, c.lv
 		b, err := s.buildFor(spec, AllLevels)
 		if err != nil {
@@ -142,7 +160,7 @@ func Fig6IncrementalBinOffload(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var rows [][]any
+		var points []point
 		cumulative := append([]guest.Region{}, a.ZeroSlow...)
 		slowPages := a.ZeroSlowPages
 		for k := 1; k <= len(a.Bins); k++ {
@@ -156,20 +174,35 @@ func Fig6IncrementalBinOffload(s *Suite) (*Table, error) {
 			if sd < 1 {
 				sd = 1
 			}
-			cost := s.Core.Cost.Normalized(sd, slowPages, a.GuestPages)
-			rows = append(rows, []any{spec.Name, lv, k, sd, cost})
+			points = append(points, point{sd, s.Core.Cost.Normalized(sd, slowPages, a.GuestPages)})
 		}
-		return rows, nil
+		return points, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rows := range blocks {
-		for _, row := range rows {
-			t.AddRow(row...)
+	// Each series' slowdown never falls along the sweep (beyond noise); per
+	// input, the five functions' fully offloaded points are summed.
+	sweepHolds := len(specs) == 5
+	var lastSD, lastCost [4]float64
+	for i, points := range blocks {
+		c := cells[i]
+		prev := 0.0
+		for k, p := range points {
+			t.AddRow(c.spec.Name, c.lv, k+1, p.sd, p.cost)
+			sweepHolds = sweepHolds && p.sd >= 1 && p.sd >= prev-0.03
+			prev = p.sd
+		}
+		if len(points) > 0 {
+			lastSD[i%len(AllLevels)] += points[len(points)-1].sd
+			lastCost[i%len(AllLevels)] += points[len(points)-1].cost
 		}
 	}
-	t.AddNote("larger inputs accumulate more slowdown, confirming the largest-input choice for bin profiling (§VI-C2)")
-	t.AddNote("the largest input's memory cost upper-bounds the smaller inputs' costs")
+	t.Claim("fig6.sweep_shape", sweepHolds, "")
+	largest := func(v [4]float64) bool { return v[3] >= max(v[0], v[1], v[2]) }
+	t.Claim("fig6.largest_input_most_slowdown", largest(lastSD),
+		"larger inputs accumulate more slowdown, confirming the largest-input choice for bin profiling (§VI-C2)")
+	t.Claim("fig6.largest_input_bounds_cost", largest(lastCost),
+		"the largest input's memory cost upper-bounds the smaller inputs' costs")
 	return t, nil
 }

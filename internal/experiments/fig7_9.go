@@ -33,8 +33,8 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 		Header: []string{"function", "dram (ms)", "toss", "reap min", "reap avg", "reap max"},
 	}
 	type specRes struct {
-		row   []any
-		ratio float64
+		row          []any
+		tossN, ratio float64
 	}
 	res, err := par.Map(s.Pool(), workload.Registry(), func(_ int, spec *workload.Spec) (specRes, error) {
 		b, err := s.buildFor(spec, AllLevels)
@@ -70,6 +70,7 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 				stats.Min(reapSetups) / dram,
 				stats.Mean(reapSetups) / dram,
 				stats.Max(reapSetups) / dram},
+			tossN: tossSetup / dram,
 			ratio: stats.Max(reapSetups) / tossSetup,
 		}, nil
 	})
@@ -77,14 +78,18 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 		return nil, err
 	}
 	var worstRatio float64
+	tossFlat, reapAbove := true, true
 	for _, sr := range res {
 		if sr.ratio > worstRatio {
 			worstRatio = sr.ratio
 		}
+		tossFlat = tossFlat && sr.tossN <= 3
+		reapAbove = reapAbove && sr.ratio >= 1
 		t.AddRow(sr.row...)
 	}
-	t.AddNote("TOSS setup is constant per function (one mmap per layout region)")
-	t.AddNote("REAP setup grows with the recorded WS; worst REAP/TOSS ratio: %.0fx (paper: up to 52x)", worstRatio)
+	t.Claim("fig7.toss_setup_constant", tossFlat, "TOSS setup is constant per function (one mmap per layout region)")
+	t.Claim("fig7.reap_max_above_toss", reapAbove,
+		"REAP setup grows with the recorded WS; worst REAP/TOSS ratio: %.0fx (paper: up to 52x)", worstRatio)
 	return t, nil
 }
 
@@ -181,10 +186,12 @@ func Fig8InvocationTime(s *Suite) (*Table, error) {
 		reapAll = append(reapAll, sr.reapNorms...)
 		t.AddRow(sr.row...)
 	}
-	t.AddNote("TOSS: %.2fx avg, %.2fx max (paper: 1.78x avg, up to 3.8x)",
-		stats.Mean(tossAll), stats.Max(tossAll))
-	t.AddNote("REAP: %.2fx avg, %.2fx max (paper: 2.5x avg, up to 13x)",
-		stats.Mean(reapAll), stats.Max(reapAll))
+	tossMean, tossMax := stats.Mean(tossAll), stats.Max(tossAll)
+	reapMean, reapMax := stats.Mean(reapAll), stats.Max(reapAll)
+	t.Claim("fig8.toss_avg_below_reap", tossMean < reapMean,
+		"TOSS: %.2fx avg, %.2fx max (paper: 1.78x avg, up to 3.8x)", tossMean, tossMax)
+	t.Claim("fig8.reap_worst_above_toss", reapMax > tossMax,
+		"REAP: %.2fx avg, %.2fx max (paper: 2.5x avg, up to 13x)", reapMean, reapMax)
 	return t, nil
 }
 
@@ -288,7 +295,8 @@ func Fig9Scalability(s *Suite) (*Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	t.AddNote("at 20 concurrent: TOSS %.2fx avg (paper: 1.95x, up to 4.2x); REAP Worst %.2fx avg, %.2fx max (paper: 3.79x avg, up to 19x)",
+	t.Claim("fig9.toss_below_reap_worst", stats.Mean(toss20) < stats.Mean(worst20) && stats.Max(toss20) < worstMax,
+		"at 20 concurrent: TOSS %.2fx avg (paper: 1.95x, up to 4.2x); REAP Worst %.2fx avg, %.2fx max (paper: 3.79x avg, up to 19x)",
 		stats.Mean(toss20), stats.Mean(worst20), worstMax)
 	return t, nil
 }

@@ -87,9 +87,13 @@ func SnapshotCostVariance(s *Suite) (*Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	t.AddNote("average cost variance: %.1f%% (paper: 7.2%%)", stats.Mean(variances))
-	t.AddNote("excluding short-running invocations and pagerank: %.1f%% (paper: 2.4%%)",
-		stats.Mean(variancesFiltered))
+	// The simulator has less run-to-run noise than the paper's platform, so
+	// the claims are that the input-IV snapshot generalizes at least as
+	// well as the paper measured.
+	mean, filtered := stats.Mean(variances), stats.Mean(variancesFiltered)
+	t.Claim("sec6c3a.variance_within_paper", mean <= 7.2, "average cost variance: %.1f%% (paper: 7.2%%)", mean)
+	t.Claim("sec6c3a.filtered_within_paper", filtered <= 2.4,
+		"excluding short-running invocations and pagerank: %.1f%% (paper: 2.4%%)", filtered)
 	return t, nil
 }
 
@@ -184,7 +188,9 @@ func PlacementGeneralization(s *Suite) (*Table, error) {
 		}
 		t.AddRow(cr.row...)
 	}
-	t.AddNote("average difference: %.1f%% (paper: 6.1%%)", stats.Mean(diffs))
-	t.AddNote("excluding short-running invocations: %.1f%% (paper: 3.3%%)", stats.Mean(diffsFiltered))
+	mean, filtered := stats.Mean(diffs), stats.Mean(diffsFiltered)
+	t.Claim("sec6c3b.diff_within_paper", mean <= 6.1, "average difference: %.1f%% (paper: 6.1%%)", mean)
+	t.Claim("sec6c3b.filtered_within_paper", filtered <= 3.3,
+		"excluding short-running invocations: %.1f%% (paper: 3.3%%)", filtered)
 	return t, nil
 }

@@ -141,9 +141,6 @@ var (
 	LevelIVOnly = []workload.Level{workload.IV}
 )
 
-// maxProfilingInvocations bounds the convergence loop.
-const maxProfilingInvocations = 400
-
 // buildFor runs the TOSS pipeline (Steps I-IV) for a function over an input
 // mix and caches the result. Concurrent callers asking for the same
 // (function, input-mix) build block on a single pipeline run (singleflight)
@@ -164,24 +161,11 @@ func (s *Suite) buildFor(spec *workload.Spec, levels []workload.Level) (*build, 
 	return e.b, e.err
 }
 
-// runPipeline executes Steps I-IV uncached: a controller runs Step I on
-// levels[0] at the base seed, then profiles levels in rotation at the
-// following seeds until the pattern converges.
+// runPipeline executes Steps I-IV uncached (core.Converge at the base seed).
 func (s *Suite) runPipeline(spec *workload.Spec, levels []workload.Level) (*build, error) {
-	ctl, err := core.NewController(s.Core, spec)
+	ctl, err := core.Converge(s.Core, spec, levels, s.BaseSeed)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := ctl.Invoke(levels[0], s.BaseSeed, 1); err != nil {
-		return nil, err
-	}
-	for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
-		if i >= maxProfilingInvocations {
-			return nil, fmt.Errorf("experiments: %s did not converge in %d invocations", spec.Name, i)
-		}
-		if _, err := ctl.Invoke(levels[i%len(levels)], s.BaseSeed+int64(i)+1, 1); err != nil {
-			return nil, err
-		}
 	}
 	return &build{pd: ctl.ProfileData(), analysis: ctl.Analysis(), tiered: ctl.Tiered()}, nil
 }

@@ -21,6 +21,15 @@ type Table struct {
 	// Notes carry the aggregate findings (averages, ratios) the paper
 	// quotes in its prose.
 	Notes []string
+
+	// claims records every Claim in order, with whether it held.
+	claims []claim
+}
+
+// claim is one stated finding of a table: its id and whether it held.
+type claim struct {
+	id    string
+	holds bool
 }
 
 // AddRow appends a row, formatting each cell with %v.
@@ -40,6 +49,27 @@ func (t *Table) AddRow(cells ...any) {
 // AddNote appends a formatted aggregate note.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// Claim states one finding of the experiment, evaluated on the values it
+// computed: holds is the predicate, and format and args render the note that
+// says it. A claim that holds adds that note, or nothing when format is
+// empty. A claim that fails adds "WARNING: claim <id> does not hold" and the
+// note, so a run at any seed, ratio or scale names the claim that broke.
+// Either way the table records the claim; the CSV and JSON shapes do not.
+func (t *Table) Claim(id string, holds bool, format string, args ...any) {
+	t.claims = append(t.claims, claim{id: id, holds: holds})
+	note := fmt.Sprintf(format, args...)
+	if !holds {
+		warning := "WARNING: claim " + id + " does not hold"
+		if note != "" {
+			warning += ": " + note
+		}
+		note = warning
+	}
+	if note != "" {
+		t.Notes = append(t.Notes, note)
+	}
 }
 
 // String renders the table as aligned ASCII.

@@ -27,20 +27,9 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	cfg.ConvergenceWindow = 3
 	cfg.ReprofileBudget = 0
 	for _, name := range []string{"compress", "pagerank", "json_load_dump"} {
-		ctl, err := core.NewController(cfg, workload.ByNameMust(name))
+		ctl, err := core.Converge(cfg, workload.ByNameMust(name), workload.Levels, 1)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if _, err := ctl.Invoke(workload.I, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ctl.Phase() != core.PhaseTiered; i++ {
-			if i == 300 {
-				t.Fatalf("%s did not converge in 300 invocations", name)
-			}
-			if _, err := ctl.Invoke(workload.Levels[i%len(workload.Levels)], int64(i+2), 1); err != nil {
-				t.Fatal(err)
-			}
 		}
 		dir := t.TempDir()
 		if err := snapshot.WriteTiered(dir, ctl.Tiered()); err != nil {
