@@ -203,11 +203,6 @@ type Machine struct {
 	// prefetch, TOSS slow-tier DAX mappings) — demand faults avoided during
 	// execution by paying at restore, reported as a budget mark.
 	prefetched int64
-	// segbuf and gapbuf are reusable scratch slices for per-event tier
-	// splits and freshly touched runs; a machine serves one invocation on
-	// one goroutine, so reuse is safe.
-	segbuf []mem.LevelSegment
-	gapbuf []guest.Region
 }
 
 // setupPart is one component of the setup-time breakdown, in order.
@@ -419,15 +414,14 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 	if err := tr.Validate(); err != nil {
 		return Result{}, fmt.Errorf("microvm: invalid trace: %w", err)
 	}
-	res := Result{
-		Setup: m.setup,
-		Truth: access.NewHistogram(),
-	}
+	res := Result{Setup: m.setup}
 	if m.recordTruth {
 		// The ground truth of a replay is a pure function of the trace;
 		// share the trace's memoized histogram instead of re-folding the
 		// events. Consumers treat Truth as read-only.
 		res.Truth = tr.Counts()
+	} else {
+		res.Truth = access.NewHistogram()
 	}
 	met := m.cfg.Metrics
 	var faultHist *telemetry.Histogram
@@ -467,14 +461,21 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 		execSpan = span.Child(telemetry.KindExec, "exec", m.setup)
 	}
 	clock := simtime.NewClock()
+	// segs and gaps are scratch for one event's tier splits and freshly
+	// touched runs, reused across events. They start in arrays on this
+	// frame, which a typical event's fit, so a run allocates none for them.
+	var seg0 [4]mem.LevelSegment
+	var gap0 [4]guest.Region
+	segs, gaps := seg0[:0], gap0[:0]
 	for _, e := range tr.Events {
 		if e.Region.End() > guest.PageID(m.layout.TotalPages) {
 			return Result{}, fmt.Errorf("microvm: event %v exceeds guest of %d pages", e.Region, m.layout.TotalPages)
 		}
-		m.segbuf = m.placement.AppendSegments(m.segbuf[:0], e.Region)
-		for _, seg := range m.segbuf {
+		segs = m.placement.AppendSegments(segs[:0], e.Region)
+		for _, seg := range segs {
 			// Demand paging for first touches of this segment.
-			newStored, newZero := m.touch(seg.Region)
+			var newStored, newZero int64
+			newStored, newZero, gaps = m.touch(seg.Region, gaps[:0])
 			if newStored+newZero > 0 {
 				cost, major, minor := m.faultCost(e, newStored, newZero)
 				baseCost := cost
@@ -598,19 +599,20 @@ func setupSegID(name string) string {
 }
 
 // touch marks all pages of r resident and splits the newly-touched count
-// into pages with stored backing-file contents and zero-page holes.
-func (m *Machine) touch(r guest.Region) (newStored, newZero int64) {
+// into pages with stored backing-file contents and zero-page holes. It
+// appends the freshly touched runs to gaps and returns it for reuse.
+func (m *Machine) touch(r guest.Region, gaps []guest.Region) (newStored, newZero int64, _ []guest.Region) {
 	if m.residentShared && !m.resident.covers(m.resident.search(r.Start), r) {
 		m.resident = slices.Clone(m.resident)
 		m.residentShared = false
 	}
-	m.gapbuf = m.resident.add(r, m.gapbuf[:0])
-	for _, g := range m.gapbuf {
+	gaps = m.resident.add(r, gaps)
+	for _, g := range gaps {
 		n := m.stored.overlap(g)
 		newStored += n
 		newZero += g.Pages - n
 	}
-	return newStored, newZero
+	return newStored, newZero, gaps
 }
 
 // faultCost prices first touches of new pages under event e's access

@@ -84,38 +84,61 @@ func hotPlacement(tr *access.Trace, layout guest.Layout) *mem.MultiPlacement {
 	return twoTier(layout, append(slow, guest.Region{Start: next, Pages: layout.TotalPages - int64(next)}))
 }
 
-// BenchmarkRestoreTieredRun measures the serving hot path: a tiered restore
-// of lr_serving's 1 GiB guest, then a replay of a fresh input with truth
-// recording off.
-func BenchmarkRestoreTieredRun(b *testing.B) {
+// restoreTieredRun returns the serving hot path that
+// BenchmarkRestoreTieredRun times: a tiered restore of lr_serving's 1 GiB
+// guest, then a replay of a fresh input with truth recording off.
+func restoreTieredRun(tb testing.TB) func() {
+	tb.Helper()
 	cfg := DefaultConfig()
 	spec := workload.ByNameMust("lr_serving")
 	layout, err := spec.Layout()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	first, err := spec.Trace(workload.I, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	booted := NewBooted(cfg, layout)
 	if _, err := booted.Run(first); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	single, _ := booted.SnapshotTraced(spec.Name, nil, 0)
 	ts := snapshot.BuildTiered(single, hotPlacement(first, layout))
 	tr, err := spec.Trace(workload.IV, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		vm := RestoreTiered(cfg, layout, ts, 1)
 		vm.SetRecordTruth(false)
 		if _, err := vm.Run(tr); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRestoreTieredRun measures the serving hot path: a tiered restore
+// of lr_serving's 1 GiB guest, then a replay of a fresh input with truth
+// recording off.
+func BenchmarkRestoreTieredRun(b *testing.B) {
+	run := restoreTieredRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// TestRestoreTieredRunAllocBudget holds BenchmarkRestoreTieredRun's loop to
+// six allocations: the machine, its setup parts, the mmap part's attributes
+// and one formatted attribute value, the copy of the shared resident set
+// that the first touch makes, and the empty truth histogram. An event's tier
+// splits and freshly touched runs allocate nothing.
+func TestRestoreTieredRunAllocBudget(t *testing.T) {
+	run := restoreTieredRun(t)
+	if got := testing.AllocsPerRun(200, run); got > 6 {
+		t.Fatalf("a tiered restore and run allocates %v times, want at most 6", got)
 	}
 }
 

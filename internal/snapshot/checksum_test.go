@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"toss/internal/guest"
@@ -107,10 +109,13 @@ func TestReadTieredPreservesSum(t *testing.T) {
 	}
 }
 
-// TestReadRejectsOutOfGuestContents writes snapshots whose layout entries or
-// page ids fall outside the guest through the normal writers, so their
-// checksums are consistent, and expects every reader to refuse them: a
-// restore would map such contents past the guest's last page.
+// TestReadRejectsOutOfGuestContents writes hand-built snapshots whose
+// layout entries or page ids fall outside the guest through the normal
+// writers, and expects every reader to refuse them by naming the entry or
+// the page: a restore would map such contents past the guest's last page.
+// A hand-built snapshot's Sum is zero, so a writer that did not recompute
+// its trailer would make every read fail on the checksum instead; the one
+// hand-built snapshot inside the guest must read back.
 func TestReadRejectsOutOfGuestContents(t *testing.T) {
 	const guestPages = 256
 	image := func(pages ...guest.PageID) *Memory {
@@ -139,9 +144,20 @@ func TestReadRejectsOutOfGuestContents(t *testing.T) {
 		if err := WriteTiered(dir, ts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: entry %+v read back with err %v, want ErrCorrupt", c.name, c.e, err)
+		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "entry 0 (") {
+			t.Errorf("%s: entry %+v read back with err %v, want ErrCorrupt naming entry 0", c.name, c.e, err)
 		}
+	}
+
+	inGuest := &Tiered{Function: "f", GuestPages: guestPages,
+		Entries: []LayoutEntry{{Tier: mem.Slow, GuestStart: 0, Pages: 1}},
+		FastMem: image(), SlowMem: image(0)}
+	dir := t.TempDir()
+	if err := WriteTiered(dir, inGuest); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadTiered(dir); err != nil || back.Sum != inGuest.Checksum() {
+		t.Fatalf("hand-built snapshot in the guest read back as %+v, err %v", back, err)
 	}
 
 	for _, p := range []guest.PageID{guestPages, -1} {
@@ -152,15 +168,55 @@ func TestReadRejectsOutOfGuestContents(t *testing.T) {
 		if err := WriteTiered(dir, ts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("tier image page %d read back with err %v, want ErrCorrupt", p, err)
+		page := fmt.Sprintf("page id %d outside", p)
+		if _, err := ReadTiered(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), page) {
+			t.Errorf("tier image page %d read back with err %v, want ErrCorrupt naming the page", p, err)
 		}
 		path := filepath.Join(dir, "single.toss")
 		if err := WriteSingle(path, &Single{Function: "f", Memory: image(p)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSingle(path); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("single-tier page %d read back with err %v, want ErrCorrupt", p, err)
+		if _, err := ReadSingle(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), page) {
+			t.Errorf("single-tier page %d read back with err %v, want ErrCorrupt naming the page", p, err)
+		}
+	}
+}
+
+// TestReadRefusesBuiltSnapshotChangedAfterBuild changes a BuildTiered
+// snapshot's layout entries after the build, keeping them inside the guest.
+// WriteTiered writes the Sum the build computed, which no longer covers the
+// entries, so ReadTiered must refuse the files on the checksum; the
+// unchanged snapshot must read back with that Sum.
+func TestReadRefusesBuiltSnapshotChangedAfterBuild(t *testing.T) {
+	s := buildTestSingle()
+	for _, change := range []struct {
+		name string
+		edit func(*Tiered)
+	}{
+		{"none", func(*Tiered) {}},
+		{"file offset", func(ts *Tiered) { ts.Entries[1].FileOffsetPages++ }},
+		{"tier", func(ts *Tiered) { ts.Entries[0].Tier = mem.Slow }},
+		{"entry dropped", func(ts *Tiered) { ts.Entries = ts.Entries[:len(ts.Entries)-1] }},
+	} {
+		ts := BuildTiered(s, slowPlacement(s, guest.Region{Start: 5, Pages: 20}))
+		built := ts.Sum
+		change.edit(ts)
+		dir := t.TempDir()
+		if err := WriteTiered(dir, ts); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTiered(dir)
+		if change.name == "none" {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.Sum != built {
+				t.Fatalf("unchanged snapshot read back with Sum %#x, want %#x", back.Sum, built)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Errorf("%s changed after build: read back as %+v, err %v; want a checksum mismatch", change.name, back, err)
 		}
 	}
 }

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"toss/internal/guest"
@@ -124,9 +128,101 @@ func encodeSingleBytes(t testing.TB, s *Single) []byte {
 	return buf.Bytes()
 }
 
+// sameDecode fails unless decodeSingle and the per-record reference reader
+// agree on one input: the same error text, or the same snapshot and the
+// same number of bytes consumed. It returns decodeSingle's snapshot, the
+// bytes it consumed and its error.
+func sameDecode(t *testing.T, what string, data []byte) (*Single, []byte, error) {
+	t.Helper()
+	r, rr := bytes.NewReader(data), bytes.NewReader(data)
+	got, err := decodeSingle(r)
+	want, wantErr := refDecodeSingle(rr)
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %v, reference reader's %v", what, err, wantErr)
+		}
+		return nil, nil, err
+	}
+	g, w := got.Memory, want.Memory
+	if got.Function != want.Function || got.VMStateBytes != want.VMStateBytes || g.GuestPages != w.GuestPages ||
+		!slices.Equal(g.Regions, w.Regions) || !slices.Equal(g.Pages, w.Pages) {
+		t.Fatalf("%s: read %+v (image %v, %d digests), reference reader %+v (image %v, %d digests)",
+			what, got, g.Regions, len(g.Pages), want, w.Regions, len(w.Pages))
+	}
+	if r.Len() != rr.Len() {
+		t.Fatalf("%s: consumed %d bytes, reference reader %d", what, len(data)-r.Len(), len(data)-rr.Len())
+	}
+	return got, data[:len(data)-r.Len()], nil
+}
+
+// TestDecodeSingleCutMatchesReference cuts single-tier files short and
+// patches their records, and holds the chunked reader to the per-record
+// reference on each: a two-region image cut at every byte length, and a
+// 4,200-page image, whose records span two chunks, cut and patched around
+// the chunk boundary. A cut between records fails as "page N: EOF", a cut
+// inside one as "page N: unexpected EOF". Neither reader may consume the
+// bytes that follow an image.
+func TestDecodeSingleCutMatchesReference(t *testing.T) {
+	cutAt := func(data []byte, records, cut int) {
+		t.Helper()
+		what := fmt.Sprintf("%d-page image cut at byte %d of %d", records, cut, len(data))
+		_, _, err := sameDecode(t, what, data[:cut])
+		head := len(data) - 16*records // the first record's offset
+		if cut < head || cut == len(data) {
+			return
+		}
+		want := fmt.Sprintf("page %d: EOF", (cut-head)/16)
+		if (cut-head)%16 != 0 {
+			want = fmt.Sprintf("page %d: unexpected EOF", (cut-head)/16)
+		}
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("%s: error %v, want one ending %q", what, err, want)
+		}
+	}
+
+	trailing := bytes.Repeat([]byte{0xa5}, 16*recordsPerChunk)
+	small := &Single{Function: "f", Memory: NewMemory("f", 64, []guest.Region{{Start: 2, Pages: 3}, {Start: 40, Pages: 2}})}
+	data := encodeSingleBytes(t, small)
+	for cut := 0; cut <= len(data); cut++ {
+		cutAt(data, 5, cut)
+	}
+	sameDecode(t, "two-region image and trailing bytes", append(data, trailing...))
+
+	resident := []guest.Region{{Start: 0, Pages: 3000}, {Start: 3001, Pages: 1200}}
+	big := &Single{Function: "f", Memory: NewMemory("f", 1<<14, resident)}
+	data = encodeSingleBytes(t, big)
+	var want bytes.Buffer
+	if err := newMapMemory("f", 1<<14, resident).encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, want.Bytes()) {
+		t.Fatal("a two-chunk image encodes differently from the per-page writer")
+	}
+	sameDecode(t, "two-chunk image and trailing bytes", append(data, trailing...))
+	head, n := len(data)-want.Len()+16, 4200
+	for _, k := range []int{0, 1, recordsPerChunk - 1, recordsPerChunk, recordsPerChunk + 1, n - 1, n} {
+		for _, off := range []int{-1, 0, 1, 8, 15} {
+			if cut := head + 16*k + off; cut >= 0 && cut <= len(data) {
+				cutAt(data, n, cut)
+			}
+		}
+	}
+	// Records recordsPerChunk-1 and recordsPerChunk, pages 4096 and 4097,
+	// are the last of one chunk and the first of the next.
+	for _, id := range []uint64{4096, 4095, 1 << 14, math.MaxUint64} {
+		patched := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(patched[head+16*recordsPerChunk:], id)
+		if _, _, err := sameDecode(t, fmt.Sprintf("page id %d after the chunk boundary", id), patched); err == nil {
+			t.Fatalf("page id %d after page 4096 accepted", id)
+		}
+	}
+}
+
 // FuzzDecodeSingle feeds arbitrary bytes to the single-tier decoder. It
-// must never panic, every error must wrap ErrCorrupt, and an accepted input
-// must re-encode to exactly the bytes the decoder consumed.
+// must never panic, must agree with the per-record reference reader (the
+// same error text, or the same snapshot from the same bytes), every error
+// must wrap ErrCorrupt, and an accepted input must re-encode to exactly the
+// bytes the decoder consumed.
 func FuzzDecodeSingle(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	for _, s := range []*Single{
@@ -141,15 +237,13 @@ func FuzzDecodeSingle(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		s, err := decodeSingle(r)
+		s, consumed, err := sameDecode(t, "input", data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 			return
 		}
-		consumed := data[:len(data)-r.Len()]
 		if again := encodeSingleBytes(t, s); !bytes.Equal(again, consumed) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(consumed), len(again))
 		}
@@ -175,9 +269,10 @@ func encodeTieredBytes(t testing.TB, ts *Tiered) (layout, fast, slow []byte) {
 // FuzzReadTiered feeds arbitrary layout and tier-image bytes to the tiered
 // decoder, seeded from WriteTiered's files and the random mutations
 // TestReadersNeverPanicOnMutatedFiles applies. It must never panic, every
-// error must wrap ErrCorrupt, and an accepted snapshot's layout must
-// re-encode to exactly the layout bytes it consumed, and its re-encoded
-// files must read back equal.
+// error must wrap ErrCorrupt, an accepted snapshot's Sum must be the
+// per-page reference's checksum of what was read, its layout must re-encode
+// to exactly the layout bytes it consumed, and its re-encoded files must
+// read back equal.
 func FuzzReadTiered(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	dir := f.TempDir()
@@ -215,6 +310,11 @@ func FuzzReadTiered(f *testing.F) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 			return
+		}
+		ref := &refTiered{function: ts.Function, guestPages: ts.GuestPages, entries: ts.Entries,
+			fast: pageMap(ts.FastMem), slow: pageMap(ts.SlowMem)}
+		if want := ref.checksum(); ts.Sum != want {
+			t.Fatalf("accepted snapshot has Sum %#x, reference checksum %#x", ts.Sum, want)
 		}
 		l2, f2, s2 := encodeTieredBytes(t, ts)
 		if consumed := layout[:len(layout)-r.Len()]; !bytes.Equal(l2, consumed) {

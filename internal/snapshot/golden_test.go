@@ -12,6 +12,20 @@ import (
 	"toss/internal/workload"
 )
 
+// converge runs Steps I-IV for one catalog function, with a three-run
+// convergence window and no re-profiling, from trace seed 1.
+func converge(tb testing.TB, name string) *core.Controller {
+	tb.Helper()
+	cfg := core.DefaultConfig()
+	cfg.ConvergenceWindow = 3
+	cfg.ReprofileBudget = 0
+	ctl, err := core.Converge(cfg, workload.ByNameMust(name), workload.Levels, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctl
+}
+
 // TestSnapshotBytesGolden pins the exact bytes the two writers produce for
 // three catalog functions' real snapshots: the single-tier image Step I
 // captures and the tiered layout plus both tier images Step IV builds. The
@@ -23,14 +37,8 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		"pagerank":       "74ab86c5466ecedd0620b1c94290177a194dd38c0f6bf483bafc16b254f599a3",
 		"json_load_dump": "92aa14a4f369ccc42811dcb8b43dbfb772049f4e1d9eecaa845a7e69e99b9251",
 	}
-	cfg := core.DefaultConfig()
-	cfg.ConvergenceWindow = 3
-	cfg.ReprofileBudget = 0
 	for _, name := range []string{"compress", "pagerank", "json_load_dump"} {
-		ctl, err := core.Converge(cfg, workload.ByNameMust(name), workload.Levels, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctl := converge(t, name)
 		dir := t.TempDir()
 		if err := snapshot.WriteTiered(dir, ctl.Tiered()); err != nil {
 			t.Fatal(err)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,8 +19,9 @@ import (
 
 // This file keeps the per-page Memory that the run-based image replaced —
 // a map from each resident page to its digest, sorted again for every walk —
-// with its writer, checksum and tiering, as the reference the
-// run-based code must match bit for bit.
+// with its writer, checksum and tiering, and the per-record image reader
+// that the chunked one replaced, as the references the code must match bit
+// for bit.
 
 // mapMemory is the per-page memory image.
 type mapMemory struct {
@@ -82,11 +85,76 @@ func (m *mapMemory) encode(w io.Writer) error {
 	return nil
 }
 
+// eachPage calls fn for every resident page of m and its digest in page
+// order, stopping early if Pages holds fewer digests than Regions has pages:
+// the walk the checksum and the writer made through a closure.
+func eachPage(m *Memory, fn func(guest.PageID, PageDigest)) {
+	i := 0
+	for _, r := range m.Regions {
+		for p := r.Start; p < r.End() && i < len(m.Pages); p++ {
+			fn(p, m.Pages[i])
+			i++
+		}
+	}
+}
+
 // pageMap converts a run-based image to the per-page form.
 func pageMap(m *Memory) *mapMemory {
 	out := &mapMemory{GuestPages: m.GuestPages, Pages: make(map[guest.PageID]PageDigest)}
-	m.eachPage(func(p guest.PageID, d PageDigest) { out.Pages[p] = d })
+	eachPage(m, func(p guest.PageID, d PageDigest) { out.Pages[p] = d })
 	return out
+}
+
+// refDecodeSingle is decodeSingle over refReadMemory.
+func refDecodeSingle(r io.Reader) (*Single, error) {
+	if err := readHeader(r, magicSingle); err != nil {
+		return nil, err
+	}
+	s := &Single{}
+	var err error
+	if s.Function, err = readString(r); err != nil {
+		return nil, err
+	}
+	if err := binary.Read(r, binary.LittleEndian, &s.VMStateBytes); err != nil {
+		return nil, fmt.Errorf("%w: vm state size: %v", ErrCorrupt, err)
+	}
+	if s.Memory, err = refReadMemory(r); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// refReadMemory reads an image one 16-byte record at a time, appending
+// each page as a one-page region.
+func refReadMemory(r io.Reader) (*Memory, error) {
+	var guestPages, n int64
+	if err := binary.Read(r, binary.LittleEndian, &guestPages); err != nil {
+		return nil, fmt.Errorf("%w: memory header: %v", ErrCorrupt, err)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, fmt.Errorf("%w: page count: %v", ErrCorrupt, err)
+	}
+	if n < 0 || (guestPages >= 0 && n > guestPages) {
+		return nil, fmt.Errorf("%w: implausible page count %d for %d guest pages", ErrCorrupt, n, guestPages)
+	}
+	m := &Memory{GuestPages: guestPages, Pages: make([]PageDigest, 0, min(n, 1<<12))}
+	var rec [16]byte
+	prev := int64(-1)
+	for i := int64(0); i < n; i++ {
+		if _, err := io.ReadFull(r, rec[:]); err != nil {
+			return nil, fmt.Errorf("%w: page %d: %v", ErrCorrupt, i, err)
+		}
+		p := int64(binary.LittleEndian.Uint64(rec[:8]))
+		if p < 0 || p >= guestPages {
+			return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, guestPages)
+		}
+		if p <= prev {
+			return nil, fmt.Errorf("%w: page id %d after %d: ids must increase", ErrCorrupt, p, prev)
+		}
+		prev = p
+		m.appendPages(guest.Region{Start: guest.PageID(p), Pages: 1}, []PageDigest{PageDigest(binary.LittleEndian.Uint64(rec[8:]))})
+	}
+	return m, nil
 }
 
 // refTiered is a tiered snapshot over per-page images.
@@ -162,6 +230,39 @@ func (t *refTiered) checksum() uint64 {
 	return h.Sum64()
 }
 
+// refChecksum is the checksum the word hash replaced: each word's 8 bytes
+// go to an fnv-64a hasher, walking the images through eachPage, so it also
+// covers images whose regions outrun their digests or wrap past 2⁶³.
+func refChecksum(t *Tiered) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = h.Write(buf[:])
+	}
+	_, _ = io.WriteString(h, t.Function)
+	w(uint64(t.GuestPages))
+	w(uint64(len(t.Entries)))
+	for _, e := range t.Entries {
+		w(uint64(e.Tier))
+		w(uint64(e.FileOffsetPages))
+		w(uint64(e.GuestStart))
+		w(uint64(e.Pages))
+	}
+	for _, img := range []*Memory{t.FastMem, t.SlowMem} {
+		if img == nil {
+			w(0)
+			continue
+		}
+		w(uint64(len(img.Pages)))
+		eachPage(img, func(p guest.PageID, d PageDigest) {
+			w(uint64(p))
+			w(uint64(d))
+		})
+	}
+	return h.Sum64()
+}
+
 func sameImage(t *testing.T, what string, got *Memory, want *mapMemory) {
 	t.Helper()
 	if got.GuestPages != want.GuestPages || !maps.Equal(pageMap(got).Pages, want.Pages) ||
@@ -220,9 +321,72 @@ func TestMemoryMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestChecksumPastTwoToThe24 reaches the word hash's long branch, which no
+// 256-page guest does. Images on a guest of 2⁶³−1 pages whose regions
+// straddle 2²⁴−1/2²⁴, sit at 2³² and end at 2⁶³−1 must match the per-page
+// reference: digests, tiering and checksum. Hand-built snapshots with
+// negative page ids and entries must checksum as the per-page reference
+// does, and images whose regions outrun their digests or wrap past 2⁶³ as
+// the closure walk the word hash replaced.
+func TestChecksumPastTwoToThe24(t *testing.T) {
+	const top = math.MaxInt64
+	resident := []guest.Region{{Start: 1<<24 - 3, Pages: 6}, {Start: 1 << 32, Pages: 3}, {Start: top - 4, Pages: 4}}
+	for _, slow := range [][]guest.Region{
+		nil,
+		{{Start: 1<<24 - 1, Pages: 2}},
+		{{Start: 1 << 32, Pages: 1}, {Start: top - 2, Pages: 2}},
+	} {
+		s := &Single{Function: "fn", Memory: NewMemory("fn", top, resident)}
+		ref := newMapMemory("fn", top, resident)
+		sameImage(t, "NewMemory", s.Memory, ref)
+		placement := slowPlacement(s, slow...)
+		ts := BuildTiered(s, placement)
+		rt := refBuildTiered("fn", ref, placement)
+		if !slices.Equal(ts.Entries, rt.entries) {
+			t.Fatalf("slow %v: entries %+v, reference %+v", slow, ts.Entries, rt.entries)
+		}
+		sameImage(t, "fast tier", ts.FastMem, rt.fast)
+		sameImage(t, "slow tier", ts.SlowMem, rt.slow)
+		if ts.Sum != rt.checksum() {
+			t.Fatalf("slow %v: checksum %#x, reference %#x", slow, ts.Sum, rt.checksum())
+		}
+	}
+
+	image := func(regions ...guest.Region) *Memory {
+		m := &Memory{GuestPages: 8, Regions: regions}
+		for _, r := range regions {
+			for k := int64(0); k < min(r.Pages, 4); k++ {
+				m.Pages = append(m.Pages, DigestFor("g", r.Start+guest.PageID(k)))
+			}
+		}
+		return m
+	}
+	negative := &Tiered{Function: "g", GuestPages: 8,
+		Entries: []LayoutEntry{{Tier: mem.Slow, FileOffsetPages: -1, GuestStart: -3, Pages: 3}, {Tier: -2, GuestStart: math.MinInt64, Pages: -9}},
+		FastMem: image(guest.Region{Start: math.MinInt64, Pages: 2}, guest.Region{Start: -1 << 40, Pages: 1}),
+		SlowMem: image(guest.Region{Start: -3, Pages: 3}, guest.Region{Start: 1 << 24, Pages: 1})}
+	rt := &refTiered{function: negative.Function, guestPages: negative.GuestPages, entries: negative.Entries,
+		fast: pageMap(negative.FastMem), slow: pageMap(negative.SlowMem)}
+	if got, want := negative.Checksum(), rt.checksum(); got != want {
+		t.Fatalf("negative ids: checksum %#x, reference %#x", got, want)
+	}
+
+	for _, odd := range []*Tiered{
+		{Function: "outrun", FastMem: &Memory{Regions: []guest.Region{{Start: 4, Pages: 9}}, Pages: []PageDigest{1, 2}}},
+		{Function: "wraps", FastMem: image(guest.Region{Start: top - 1, Pages: 3}, guest.Region{Start: 7, Pages: 2})},
+		{Function: "wraps back", SlowMem: &Memory{Regions: []guest.Region{{Start: math.MinInt64 + 1, Pages: -5}}, Pages: []PageDigest{1, 2, 3}}},
+		{Function: "empty regions", FastMem: image(guest.Region{Start: 3, Pages: 0}, guest.Region{Start: 5, Pages: -1}, guest.Region{Start: 9, Pages: 1})},
+		{Function: "no images"},
+	} {
+		if got, want := odd.Checksum(), refChecksum(odd); got != want {
+			t.Fatalf("%s: checksum %#x, closure walk %#x", odd.Function, got, want)
+		}
+	}
+}
+
 func TestDigestForMatchesHasher(t *testing.T) {
 	for _, fn := range []string{"", "f", "json_load_dump"} {
-		for _, p := range []guest.PageID{0, 1, 255, 256, 1 << 40, -1} {
+		for _, p := range []guest.PageID{0, 1, 255, 256, 1<<24 - 1, 1 << 24, 1 << 32, 1 << 40, math.MaxInt64, -1, math.MinInt64} {
 			if got, want := DigestFor(fn, p), refDigestFor(fn, p); got != want {
 				t.Fatalf("DigestFor(%q, %d) = %#x, hasher gives %#x", fn, p, got, want)
 			}

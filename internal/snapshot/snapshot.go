@@ -21,10 +21,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"toss/internal/guest"
 	"toss/internal/mem"
@@ -46,10 +46,12 @@ type PageDigest uint64
 // fnv-64a's parameters. A page's digest is fnv-64a over the function name
 // and the page id's 8 little-endian bytes, run inline (digestSeed, then
 // digestFrom), so a captured image hashes its function name once and each
-// page's id without a hasher.
+// page's id without a hasher. fnvPrime64x5 is the prime's fifth power mod
+// 2⁶⁴, five zero bytes' worth of steps (see fnvWord).
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	fnvOffset64  = 14695981039346656037
+	fnvPrime64   = 1099511628211
+	fnvPrime64x5 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
 )
 
 // digestSeed is fnv-64a's state after the function name.
@@ -64,11 +66,24 @@ func digestSeed(function string) uint64 {
 
 // digestFrom continues a digestSeed state with page p's id.
 func digestFrom(h uint64, p guest.PageID) PageDigest {
-	for v, i := uint64(p), 0; i < 8; i, v = i+1, v>>8 {
-		h ^= v & 0xff
-		h *= fnvPrime64
+	return PageDigest(fnvWord(h, uint64(p)))
+}
+
+// fnvWord continues fnv-64a state h with v's 8 little-endian bytes, one
+// xor and one multiply by the prime per byte. A zero byte's step is the
+// multiply alone, since h ^ 0 = h, so for v below 2²⁴ the five zero high
+// bytes fold into one multiply by the prime's fifth power.
+func fnvWord(h, v uint64) uint64 {
+	h = (h ^ v&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	if v < 1<<24 {
+		return h * fnvPrime64x5
 	}
-	return PageDigest(h)
+	for b, i := v>>24, 0; i < 5; b, i = b>>8, i+1 {
+		h = (h ^ b&0xff) * fnvPrime64
+	}
+	return h
 }
 
 // Memory is a captured guest-memory image: the resident pages and their
@@ -199,11 +214,13 @@ type Tiered struct {
 	FastMem    *Memory
 	SlowMem    *Memory
 
-	// Sum is the integrity checksum over the layout and both tier images,
-	// computed by BuildTiered and persisted as a trailer on the layout
-	// file. ReadTiered recomputes and compares it, so bit rot in any of
-	// the three files surfaces as ErrCorrupt instead of a silently wrong
-	// restore.
+	// Sum is the integrity checksum over the layout and both tier images
+	// (Checksum), computed by BuildTiered and persisted as a trailer on the
+	// layout file. ReadTiered recomputes and compares it, so bit rot in any
+	// of the three files surfaces as ErrCorrupt instead of a silently wrong
+	// restore. WriteTiered writes the Sum of a snapshot BuildTiered or
+	// ReadTiered made as it is; a hand-built Tiered gets a recomputed
+	// trailer, whatever its Sum holds.
 	Sum uint64
 
 	// view is the restore view BuildTiered or ReadTiered derived; nil for
@@ -263,52 +280,46 @@ func (t *Tiered) View() *RestoreView {
 
 // Checksum computes the snapshot's content checksum: an fnv-64a over the
 // function name, guest size, every layout entry, and every page id and
-// digest of both tier images in page order. The words go to the hash in
-// chunks of a few kilobytes.
+// digest of both tier images in page order, each word as its 8
+// little-endian bytes. It walks the images' regions and feeds the hash one
+// word at a time (fnvWord): a page id below 2²⁴ costs four multiplies, not
+// eight, because the step for a zero byte is a bare multiply by the prime.
 func (t *Tiered) Checksum() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 4096)
-	w := func(v uint64) {
-		if len(buf) == cap(buf) {
-			_, _ = h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
-	_, _ = io.WriteString(h, t.Function)
-	w(uint64(t.GuestPages))
-	w(uint64(len(t.Entries)))
+	h := fnvWord(digestSeed(t.Function), uint64(t.GuestPages))
+	h = fnvWord(h, uint64(len(t.Entries)))
 	for _, e := range t.Entries {
-		w(uint64(e.Tier))
-		w(uint64(e.FileOffsetPages))
-		w(uint64(e.GuestStart))
-		w(uint64(e.Pages))
+		h = fnvWord(h, uint64(e.Tier))
+		h = fnvWord(h, uint64(e.FileOffsetPages))
+		h = fnvWord(h, uint64(e.GuestStart))
+		h = fnvWord(h, uint64(e.Pages))
 	}
-	for _, img := range []*Memory{t.FastMem, t.SlowMem} {
+	for _, img := range [...]*Memory{t.FastMem, t.SlowMem} {
 		if img == nil {
-			w(0)
+			h = fnvWord(h, 0)
 			continue
 		}
-		w(uint64(len(img.Pages)))
-		img.eachPage(func(p guest.PageID, d PageDigest) {
-			w(uint64(p))
-			w(uint64(d))
-		})
-	}
-	_, _ = h.Write(buf)
-	return h.Sum64()
-}
-
-// eachPage calls fn for every resident page and its digest in page order,
-// stopping early if Pages holds fewer digests than Regions has pages.
-func (m *Memory) eachPage(fn func(guest.PageID, PageDigest)) {
-	i := 0
-	for _, r := range m.Regions {
-		for p := r.Start; p < r.End() && i < len(m.Pages); p++ {
-			fn(p, m.Pages[i])
-			i++
+		h = fnvWord(h, uint64(len(img.Pages)))
+		i := 0
+		for _, r := range img.Regions {
+			ds := img.digests(r, i)
+			for k, d := range ds {
+				h = fnvWord(fnvWord(h, uint64(r.Start)+uint64(k)), uint64(d))
+			}
+			i += len(ds)
 		}
 	}
+	return h
+}
+
+// digests returns region r's digests, given that the first i belong to the
+// regions before it: one per page p with r.Start <= p < r.End(), cut short
+// where Pages ends. A region whose end does not pass its start has none.
+func (m *Memory) digests(r guest.Region, i int) []PageDigest {
+	if r.End() <= r.Start {
+		return nil
+	}
+	n := uint64(r.End()) - uint64(r.Start) // the pages in [Start, End), overflow-free
+	return m.Pages[i : i+int(min(n, uint64(len(m.Pages)-i)))]
 }
 
 // Verify recomputes the checksum and compares it against want, returning a
@@ -419,7 +430,10 @@ func PathsIn(dir string) Paths {
 	}
 }
 
-// WriteTiered writes the layout and both tier images into dir.
+// WriteTiered writes the layout and both tier images into dir. The layout's
+// checksum trailer is Sum for a snapshot BuildTiered or ReadTiered made,
+// which computed it over fields that must not change since, so a write
+// hashes no page; a hand-built Tiered gets Checksum.
 func WriteTiered(dir string, t *Tiered) error {
 	p := PathsIn(dir)
 	if err := writeFile(p.Layout, func(w *bufio.Writer) error { return encodeLayout(w, t) }); err != nil {
@@ -453,8 +467,14 @@ func encodeLayout(w *bufio.Writer, t *Tiered) error {
 			return err
 		}
 	}
-	// Trailing content checksum over layout + both tier images.
-	return binary.Write(w, binary.LittleEndian, t.Checksum())
+	// Trailing content checksum over layout + both tier images: the Sum
+	// BuildTiered or ReadTiered computed (they also derived the view), or a
+	// fresh one for a hand-built snapshot.
+	sum := t.Sum
+	if t.view == nil {
+		sum = t.Checksum()
+	}
+	return binary.Write(w, binary.LittleEndian, sum)
 }
 
 // ReadTiered loads a tiered snapshot from dir and derives its restore view
@@ -594,31 +614,45 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// recordsPerChunk bounds how many 16-byte (page id, digest) records
+// writeMemory encodes, and readMemory reads, per call into the stream.
+const recordsPerChunk = 4096
+
 func writeMemory(w *bufio.Writer, m *Memory) error {
 	if resident := guest.TotalPages(m.Regions); resident != int64(len(m.Pages)) {
 		return fmt.Errorf("snapshot: memory image has %d digests for %d resident pages", len(m.Pages), resident)
 	}
-	var rec [16]byte
-	binary.LittleEndian.PutUint64(rec[:8], uint64(m.GuestPages))
-	binary.LittleEndian.PutUint64(rec[8:], uint64(len(m.Pages)))
-	if _, err := w.Write(rec[:]); err != nil {
-		return err
-	}
-	// Records go out in page order, so files are deterministic.
-	var err error
-	m.eachPage(func(p guest.PageID, d PageDigest) {
-		binary.LittleEndian.PutUint64(rec[:8], uint64(p))
-		binary.LittleEndian.PutUint64(rec[8:], uint64(d))
-		if err == nil {
-			_, err = w.Write(rec[:])
+	// The 16-byte header takes the first chunk's first record slot. Records
+	// go out in page order, so files are deterministic.
+	buf := make([]byte, 0, 16*min(len(m.Pages)+1, recordsPerChunk))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.GuestPages))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.Pages)))
+	i := 0
+	for _, r := range m.Regions {
+		ds := m.digests(r, i)
+		for k, d := range ds {
+			if len(buf) == cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Start)+uint64(k))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
 		}
-	})
+		i += len(ds)
+	}
+	_, err := w.Write(buf)
 	return err
 }
 
 // readMemory decodes a memory image. Page ids must be inside the guest and
 // strictly increasing, as the writer emits them, so the image decodes by
-// appending and re-encodes to the same bytes.
+// extending its last run or starting a new one, and re-encodes to the same
+// bytes. It reads the records in chunks but never past the image's last, so
+// it consumes exactly the image's bytes. A cut file fails at the first
+// record it cuts: "page N: EOF" between records, "page N: unexpected EOF"
+// inside one.
 func readMemory(r io.Reader) (*Memory, error) {
 	var guestPages, n int64
 	if err := binary.Read(r, binary.LittleEndian, &guestPages); err != nil {
@@ -632,22 +666,36 @@ func readMemory(r io.Reader) (*Memory, error) {
 	}
 	// The count is only plausible, not proven: size the digest slice from
 	// what actually decodes.
-	m := &Memory{GuestPages: guestPages, Pages: make([]PageDigest, 0, min(n, 1<<12))}
-	var rec [16]byte
+	m := &Memory{GuestPages: guestPages}
+	buf := make([]byte, 16*min(n, recordsPerChunk))
 	prev := int64(-1)
-	for i := int64(0); i < n; i++ {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("%w: page %d: %v", ErrCorrupt, i, err)
+	for i := int64(0); i < n; {
+		got, err := io.ReadFull(r, buf[:16*min(n-i, recordsPerChunk)])
+		whole := got / 16
+		m.Pages = slices.Grow(m.Pages, whole)
+		for rec := buf[:16*whole]; len(rec) > 0; rec = rec[16:] {
+			p := int64(binary.LittleEndian.Uint64(rec))
+			if p < 0 || p >= guestPages {
+				return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, guestPages)
+			}
+			if p <= prev {
+				return nil, fmt.Errorf("%w: page id %d after %d: ids must increase", ErrCorrupt, p, prev)
+			}
+			if last := len(m.Regions) - 1; last >= 0 && p == prev+1 {
+				m.Regions[last].Pages++
+			} else {
+				m.Regions = append(m.Regions, guest.Region{Start: guest.PageID(p), Pages: 1})
+			}
+			m.Pages = append(m.Pages, PageDigest(binary.LittleEndian.Uint64(rec[8:])))
+			prev = p
 		}
-		p := int64(binary.LittleEndian.Uint64(rec[:8]))
-		if p < 0 || p >= guestPages {
-			return nil, fmt.Errorf("%w: page id %d outside a %d-page guest", ErrCorrupt, p, guestPages)
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && got%16 == 0 {
+				err = io.EOF // the cut falls between records
+			}
+			return nil, fmt.Errorf("%w: page %d: %v", ErrCorrupt, i+int64(whole), err)
 		}
-		if p <= prev {
-			return nil, fmt.Errorf("%w: page id %d after %d: ids must increase", ErrCorrupt, p, prev)
-		}
-		prev = p
-		m.appendPages(guest.Region{Start: guest.PageID(p), Pages: 1}, []PageDigest{PageDigest(binary.LittleEndian.Uint64(rec[8:]))})
+		i += int64(whole)
 	}
 	return m, nil
 }

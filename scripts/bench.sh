@@ -27,8 +27,12 @@ echo "== micro-benchmarks ==" >&2
 # RestoreTieredRun is the serving hot path: a tiered restore of a 1 GiB
 # guest plus one replay. The Lazy/MathRand pairs price internal/lazyrand
 # against math/rand: seeding plus ten draws, and steady-state draws.
-go test -run='^$' -bench='TraceReplay|RestoreTieredRun|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine|Lazy|MathRand' -benchmem \
-    ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ ./internal/lazyrand/ | tee "$tmp/bench.txt" >&2
+# ProfileCatalog (DAMON's Step II sampling of the catalog's 40 truths) and
+# SnapshotRoundTrip (Step IV's checksum and file round trip, in ns per
+# page) time the two layers that dominate perfbench's build workload.
+go test -run='^$' -bench='TraceReplay|RestoreTieredRun|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine|Lazy|MathRand|ProfileCatalog|SnapshotRoundTrip' -benchmem \
+    ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ ./internal/lazyrand/ \
+    ./internal/damon/ ./internal/snapshot/ | tee "$tmp/bench.txt" >&2
 
 echo "== suite wall-clock ==" >&2
 go build -o "$tmp/tossctl" ./cmd/tossctl
