@@ -67,7 +67,6 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	ccfg.Router = pol
 	if o.slo > 0 {
 		ccfg.SLO = simtime.FromStd(o.slo)
-		ccfg.BurnWindow = simtime.FromStd(o.sloWindow)
 	}
 	if o.autoscale {
 		ccfg.Autoscale.Enabled = true
@@ -93,33 +92,40 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 		return nil, err
 	}
 
-	printClusterReport(w, rep, names)
+	// The SLO report and the alert rules replay the run's completion-ordered
+	// record log after the event loop finishes, so they change no routing
+	// or scaling decision. Fire edges blame the hottest attribution segment.
 	budgets := xcol.Snapshot()
-	explain(w, o, budgets)
-
-	var eng *insight.Engine
+	window := simtime.FromStd(o.sloWindow)
+	eng := insight.NewEngine(insight.DefaultResolution,
+		latencyRule(o, ccfg.SLO),
+		insight.BurnRule("cold-start-rate", "cold", 0, window, 4*window, 0.25, 0.10))
+	var alerts *insight.Engine
 	if o.alerting() {
-		// Alerting replays the run's completion-ordered record log after the
-		// event loop finishes — attaching it changes no routing or scaling
-		// decision. Fire edges blame the hottest attribution segment.
-		window := simtime.FromStd(o.sloWindow)
-		eng = insight.NewEngine(insight.DefaultResolution,
-			insight.BurnRule("latency-slo", "latency", simtime.FromStd(o.slo), window, 4*window, 0.10, 0.05),
-			insight.BurnRule("cold-start-rate", "cold", 0, window, 4*window, 0.25, 0.10))
-		eng.SetBlamer(insight.BlameTop(xray.Aggregate("cluster", budgets)))
-		recs := &rep.Records
-		for k := 0; k < recs.Len(); k++ {
-			i := recs.Completed(k)
-			lat := recs.Latency(i)
-			at := recs.Arrival(i) + lat
-			eng.ObserveLatency("latency", at, lat)
-			var coldLat simtime.Duration
-			if recs.Cold(i) {
-				coldLat = simtime.Millisecond // any value > the 0 objective
-			}
-			eng.ObserveLatency("cold", at, coldLat)
+		alerts = eng
+		alerts.SetBlamer(insight.BlameTop(xray.Aggregate("cluster", budgets)))
+	}
+	recs := &rep.Records
+	for k := 0; k < recs.Len(); k++ {
+		i := recs.Completed(k)
+		lat := recs.Latency(i)
+		at := recs.Arrival(i) + lat
+		eng.ObserveLatency("latency", at, lat)
+		if alerts == nil {
+			continue // only the alert log and dump read the cold stream
 		}
-		if err := writeInsight(w, o, eng, "cluster/"+mech.String()); err != nil {
+		var coldLat simtime.Duration
+		if recs.Cold(i) {
+			coldLat = simtime.Millisecond // any value > the 0 objective
+		}
+		eng.ObserveLatency("cold", at, coldLat)
+	}
+
+	printClusterReport(w, rep, names)
+	fmt.Fprintf(w, "\n%s\n", eng.Burn("latency-slo"))
+	explain(w, o, budgets)
+	if alerts != nil {
+		if err := writeInsight(w, o, alerts, "cluster/"+mech.String()); err != nil {
 			return nil, err
 		}
 	}
@@ -143,7 +149,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 	// The fleet simulator drives no microVMs, so there is no flight
 	// recorder; the panels are the node grid, the attribution and alerts.
-	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, rep, eng), nil
+	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, rep, alerts), nil
 }
 
 // printClusterReport renders the per-function table, the per-node table, and
@@ -206,8 +212,5 @@ func printClusterReport(w io.Writer, rep *cluster.Report, functions []string) {
 	for _, ev := range rep.ScaleEvents {
 		fmt.Fprintf(w, "  scale %-4s %-4s at %-10s util %.2f burn %.2f fleet %d\n",
 			ev.Action, ev.Node, ev.At.Std().Round(time.Millisecond), ev.Util, ev.Burn, ev.Fleet)
-	}
-	if rep.Burn != nil {
-		fmt.Fprintf(w, "\n%s", rep.Burn.Summary())
 	}
 }

@@ -76,6 +76,10 @@ func TestOutputDigests(t *testing.T) {
 			map[string]uint64{"stdout": 0x1a6f28701d6751ef}},
 		{"cluster-least-diurnal-dram", "-nodes 3 -horizon 5s -router least -arrival diurnal -mode dram -autoscale",
 			map[string]uint64{"stdout": 0x83fc07b750d7891f}},
+		// -slo-window sets the window of the 250ms default objective's
+		// report too: stdout ends with "peak 2s-windowed burn".
+		{"cluster-slo-window", "-nodes 3 -horizon 5s -slo-window 2s",
+			map[string]uint64{"stdout": 0x182bb1c11c58b20f}},
 		{"cluster-affinity-flash-observed",
 			"-nodes 3 -horizon 5s -router affinity -arrival flash -autoscale -fleetview" +
 				" -decision-log decisions.jsonl -fleet-trace fleet-trace.json -slo 120ms -alerts" +
@@ -117,6 +121,8 @@ func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-requests -5", "faasim: -requests must be at least 0 (got -5)"},
 		{"-workers 0", "faasim: -workers must be at least 1 (got 0)"},
+		{"-slo-window 0s", "faasim: -slo-window must be positive (got 0s)"},
+		{"-nodes 2 -slo-window -1s", "faasim: -slo-window must be positive (got -1s)"},
 		{"-window 0", "faasim: core: ConvergenceWindow 0 < 1"},
 		{"-nodes 2 -window -3", "faasim: core: ConvergenceWindow -3 < 1"},
 		{"-migrate-demo -window 0", "faasim: core: ConvergenceWindow 0 < 1"},

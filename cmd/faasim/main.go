@@ -45,6 +45,11 @@
 // virtual-time decision trace the cluster records, so the artifacts are
 // byte-deterministic for a given flag set.
 //
+// After the run, both modes print the `slo …` line — violations, the
+// run-long burn rate and the peak -slo-window burn — from insight's
+// latency-slo burn rule: replay mode with -slo, cluster mode always, against
+// -slo or the fleet's 250ms default objective.
+//
 // With -alerts (requires -slo), the insight layer (internal/insight)
 // evaluates multi-window multi-burn-rate alert rules over the run's virtual
 // timeline after it completes and prints the deterministic alert log —
@@ -217,8 +222,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.migrateDemo, "migrate-demo", false, "render the N-tier migration timeline for the first -functions entry and exit")
 	fs.BoolVar(&o.explain, "explain", false, "print per-function latency attribution waterfalls after the replay")
 	fs.IntVar(&o.explainTop, "explain-top", 0, "print full attribution waterfalls for the N slowest invocations")
-	fs.DurationVar(&o.slo, "slo", 0, "latency objective; reports SLO burn (violations, burn rate, peak windowed burn) after the replay")
-	fs.DurationVar(&o.sloWindow, "slo-window", 10*time.Second, "virtual-time window for the peak burn rate (with -slo)")
+	fs.DurationVar(&o.slo, "slo", 0, "latency objective; reports SLO burn (violations, burn rate, peak windowed burn) after the run (cluster mode reports it against 250ms without -slo)")
+	fs.DurationVar(&o.sloWindow, "slo-window", 10*time.Second, "virtual-time window (> 0) for the peak burn rate and the alert rules' fast window")
 	fs.BoolVar(&o.alerts, "alerts", false, "evaluate multi-window SLO alert rules over the run's virtual timeline and print the alert log (with -slo)")
 	fs.StringVar(&o.reportOut, "report", "", "write the run's insight dump (series summaries + alert edges, JSON — tossctl report input) to this `file` (with -slo)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -229,10 +234,13 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 
 	// Reject values no run can mean before doing any work.
 	if o.requests < 0 {
-		return nil, usagef("-requests must be at least 0 (got %d)", o.requests)
+		return nil, usageError(cliutil.OutOfRange("faasim", "-requests", "at least 0", o.requests))
 	}
 	if o.workers < 1 {
-		return nil, usagef("-workers must be at least 1 (got %d)", o.workers)
+		return nil, usageError(cliutil.OutOfRange("faasim", "-workers", "at least 1", o.workers))
+	}
+	if o.sloWindow <= 0 {
+		return nil, usageError(cliutil.OutOfRange("faasim", "-slo-window", "positive", o.sloWindow))
 	}
 	if err := o.coreConfig().Validate(); err != nil {
 		return nil, usagef("%v", err)

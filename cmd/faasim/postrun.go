@@ -13,6 +13,7 @@ import (
 	"toss/internal/fleetobs"
 	"toss/internal/insight"
 	"toss/internal/obs"
+	"toss/internal/simtime"
 	"toss/internal/xray"
 )
 
@@ -43,6 +44,14 @@ func explain(w io.Writer, o *options, budgets []*xray.Budget) {
 			fmt.Fprint(w, xray.Waterfall(b, 32))
 		}
 	}
+}
+
+// latencyRule is the latency-slo burn rule both modes evaluate after the
+// run: its fast window is -slo-window, and its BurnStats are the `slo …`
+// line faasim prints.
+func latencyRule(o *options, objective simtime.Duration) insight.Rule {
+	fast := simtime.FromStd(o.sloWindow)
+	return insight.BurnRule("latency-slo", "latency", objective, fast, 4*fast, 0.10, 0.05)
 }
 
 // writeInsight prints eng's alert log (-alerts) and writes its insight dump

@@ -129,37 +129,31 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 		}
 	}
 
-	// Burn tracking and alerting run on the platform's accumulated virtual
+	// The SLO report and alerting run on the platform's accumulated virtual
 	// timeline: each record completes at the running sum of invocation
 	// times, in request order. With attribution on, every fire edge carries
-	// the hottest segment as its blame. Alerting requires -slo.
-	var burn *xray.BurnTracker
-	var eng *insight.Engine
+	// the hottest segment as its blame. Both require -slo.
+	var alerts *insight.Engine
 	if o.slo > 0 {
-		burn = xray.NewBurnTracker(simtime.FromStd(o.slo), simtime.FromStd(o.sloWindow))
-	}
-	if o.alerting() {
-		fast := simtime.FromStd(o.sloWindow)
-		eng = insight.NewEngine(insight.DefaultResolution,
-			insight.BurnRule("latency-slo", "latency", simtime.FromStd(o.slo), fast, 4*fast, 0.10, 0.05))
-		if xcol != nil {
-			eng.SetBlamer(insight.BlameTop(xray.Aggregate("replay", budgets)))
+		eng := insight.NewEngine(insight.DefaultResolution, latencyRule(o, simtime.FromStd(o.slo)))
+		if o.alerting() {
+			alerts = eng
+			if xcol != nil {
+				alerts.SetBlamer(insight.BlameTop(xray.Aggregate("replay", budgets)))
+			}
 		}
-	}
-	var at simtime.Duration
-	for _, r := range records {
-		if r.Err != nil {
-			continue
+		var at simtime.Duration
+		for _, r := range records {
+			if r.Err != nil {
+				continue
+			}
+			at += r.Total()
+			eng.ObserveLatency("latency", at, r.Total())
 		}
-		at += r.Total()
-		burn.Record(at, r.Total())
-		eng.ObserveLatency("latency", at, r.Total())
+		fmt.Fprintf(w, "\n%s\n", eng.Burn("latency-slo"))
 	}
-	if burn != nil {
-		fmt.Fprintf(w, "\n%s", burn.Summary())
-	}
-	if eng != nil {
-		if err := writeInsight(w, o, eng, "replay/"+o.mode.String()); err != nil {
+	if alerts != nil {
+		if err := writeInsight(w, o, alerts, "replay/"+o.mode.String()); err != nil {
 			return nil, err
 		}
 	}
@@ -205,5 +199,5 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 		return nil, nil
 	}
 	return newDashboard("dashboard", "metrics, timeseries.json, heatmap, healthz, debug/pprof",
-		rec, xcol, nil, eng), nil
+		rec, xcol, nil, alerts), nil
 }

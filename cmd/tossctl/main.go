@@ -105,7 +105,7 @@ func run() int {
 		return 2
 	}
 	if *iters < 1 {
-		fmt.Fprintf(os.Stderr, "tossctl: -iters must be at least 1 (got %d)\n", *iters)
+		fmt.Fprintln(os.Stderr, cliutil.OutOfRange("tossctl", "-iters", "at least 1", *iters))
 		return 2
 	}
 	cost, err := costmodel.WithRatio(*ratio)

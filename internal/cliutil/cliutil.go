@@ -80,6 +80,14 @@ func MutuallyExclusive(prog, a, b, why string) string {
 	return fmt.Sprintf("%s: %s and %s are mutually exclusive (%s)", prog, a, b, why)
 }
 
+// OutOfRange renders the error for a flag value no run can mean: the flag,
+// the values it takes, and the value given.
+//
+//	faasim: -slo-window must be positive (got 0s)
+func OutOfRange(prog, flagName, want string, got any) string {
+	return fmt.Sprintf("%s: %s must be %s (got %v)", prog, flagName, want, got)
+}
+
 // Requires renders the error for a flag that only means something alongside
 // another one.
 //

@@ -13,6 +13,14 @@ func TestMutuallyExclusive(t *testing.T) {
 	}
 }
 
+func TestOutOfRange(t *testing.T) {
+	got := OutOfRange("tossctl", "-iters", "at least 1", 0)
+	want := "tossctl: -iters must be at least 1 (got 0)"
+	if got != want {
+		t.Errorf("OutOfRange:\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestRequires(t *testing.T) {
 	got := Requires("faasim", "-router", "-nodes", "cluster mode routes through the fleet simulator")
 	want := "faasim: -router requires -nodes (cluster mode routes through the fleet simulator)"

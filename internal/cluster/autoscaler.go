@@ -9,11 +9,11 @@ import (
 // Autoscaler configures the virtual-time fleet autoscaler. Every Tick of
 // virtual time it inspects two fleet-wide signals — mean core utilization
 // since the last tick and the SLO burn fraction among completions since the
-// last tick (fed by the same xray.BurnTracker the report exposes) — and
-// grows the fleet when utilization tops utilHigh or the burn fraction tops
-// burnHigh, or drains the least-loaded node when utilization is under
-// utilLow and the burn fraction at most half burnHigh. Decisions depend
-// only on virtual-time state, so they replay identically from the seed.
+// last tick (the share of them over Config.SLO) — and grows the fleet when
+// utilization tops utilHigh or the burn fraction tops burnHigh, or drains
+// the least-loaded node when utilization is under utilLow and the burn
+// fraction at most half burnHigh. Decisions depend only on virtual-time
+// state, so they replay identically from the seed.
 type Autoscaler struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
@@ -108,15 +108,13 @@ func (c *Cluster) onScaleTick() {
 	util := float64(busyDelta) / (float64(as.Tick) * float64(c.cfg.Cores) * float64(routable))
 
 	// SLO burn fraction among completions since the last tick, as deltas
-	// of the fleet burn tracker's totals.
+	// of the completion and violation counts (zero without an SLO).
 	var burn float64
-	if c.burn != nil {
-		total, bad := c.burn.Totals()
-		if d := total - c.lastTotal; d > 0 {
-			burn = float64(bad-c.lastBad) / float64(d)
-		}
-		c.lastTotal, c.lastBad = total, bad
+	total, bad := int64(c.report.Records.done), c.violations
+	if d := total - c.lastTotal; d > 0 {
+		burn = float64(bad-c.lastBad) / float64(d)
 	}
+	c.lastTotal, c.lastBad = total, bad
 
 	switch {
 	case (util > utilHigh || burn > burnHigh) && routable < as.Max:

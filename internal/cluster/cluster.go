@@ -69,11 +69,10 @@ type Config struct {
 	Router Policy
 	// Cost prices the tiers for keep-alive eviction decisions.
 	Cost costmodel.Model
-	// SLO is the latency objective the burn tracker (and autoscaler)
-	// watches; zero disables burn tracking.
+	// SLO is the latency objective: the event loop counts the completions
+	// over it, and the autoscaler scales up on their share. Zero counts
+	// none.
 	SLO simtime.Duration
-	// BurnWindow is the sliding window for the peak burn rate.
-	BurnWindow simtime.Duration
 	// Autoscale configures the virtual-time autoscaler.
 	Autoscale Autoscaler
 
@@ -106,7 +105,6 @@ func DefaultConfig(nodes int) Config {
 		Router:          RouteAffinity,
 		Cost:            costmodel.Default(),
 		SLO:             250 * simtime.Millisecond,
-		BurnWindow:      10 * simtime.Second,
 	}
 }
 
@@ -127,8 +125,8 @@ func (c Config) Validate() error {
 	if c.ResumeCost < 0 {
 		return fmt.Errorf("cluster: negative resume cost")
 	}
-	if c.SLO < 0 || c.BurnWindow < 0 {
-		return fmt.Errorf("cluster: negative SLO or burn window")
+	if c.SLO < 0 {
+		return fmt.Errorf("cluster: negative SLO")
 	}
 	if err := c.Cost.Validate(); err != nil {
 		return err
@@ -181,9 +179,11 @@ type queued struct {
 	enq   simtime.Duration
 	fid   int32
 	level uint8
-	// route is the routing reason (a routeReasons code); it rides to
-	// dispatch so the invocation's budget carries it.
-	route uint8
+	// route is the routing reason (a routeReasons code) and diverted
+	// whether the router moved the arrival off its hash primary; both ride
+	// to dispatch so the invocation's budget carries them.
+	route    uint8
+	diverted bool
 }
 
 // waitRing is a growable FIFO ring of queued arrivals: steady-state
@@ -229,6 +229,9 @@ type Record struct {
 	// Route is the routing reason (a Reason* constant: rr, least, affinity,
 	// spill, shed).
 	Route string
+	// Diverted reports the arrival left its hash primary: a spill, or a
+	// shed to another node, which is what RouterStats.Spills counts.
+	Diverted bool
 	// QueueDelay is time waiting for a core on the routed node.
 	QueueDelay simtime.Duration
 	// Pull is snapshot-fetch time on a cold start at a node without the
@@ -270,8 +273,6 @@ type Report struct {
 	// PeakNodes / FinalNodes bracket the fleet size over the run.
 	PeakNodes  int
 	FinalNodes int
-	// Burn is the fleet-wide SLO burn tracker (nil without an SLO).
-	Burn *xray.BurnTracker
 	// Nodes lists per-node statistics in node-id order.
 	Nodes []NodeStats
 	// Trace is the run's decision trace; nil unless Config.Trace is set.
@@ -332,7 +333,9 @@ type Cluster struct {
 	pos   int
 
 	report Report
-	burn   *xray.BurnTracker
+	// violations counts the completions over Config.SLO so far; the
+	// autoscaler reads it against Records' completion count.
+	violations int64
 	// trace is report.Trace, and nextSample the next grid boundary it
 	// samples.
 	trace      *Trace
@@ -392,10 +395,6 @@ func New(cfg Config, profiles map[string]FnProfile) (*Cluster, error) {
 	}
 	for _, h := range cfg.Hosts {
 		c.addNode(h)
-	}
-	if cfg.SLO > 0 {
-		c.burn = xray.NewBurnTracker(cfg.SLO, cfg.BurnWindow)
-		c.report.Burn = c.burn
 	}
 	return c, nil
 }
@@ -489,10 +488,9 @@ func (c *Cluster) RunStream(src workload.Source) (*Report, error) {
 			case evCompletion:
 				n := c.nodes[e.node]
 				n.free++
-				// complete appends to the completion log whether or not a
-				// burn tracker (nil without an SLO) reads the latency.
-				lat := c.report.Records.complete(e.rec)
-				c.burn.Record(c.now, lat)
+				if lat := c.report.Records.complete(e.rec); c.cfg.SLO > 0 && lat > c.cfg.SLO {
+					c.violations++
+				}
 				c.remaining--
 				// The horizon is the last completion, not the last event, so
 				// a trailing autoscaler tick does not dilute Throughput.
@@ -571,7 +569,7 @@ func (c *Cluster) routeArrival(q queued) {
 			Candidates: res.cands,
 		})
 	}
-	q.route = res.reason
+	q.route, q.diverted = res.reason, res.diverted
 	if res.n.free == 0 {
 		res.n.waiting.push(q)
 	} else {
@@ -594,10 +592,9 @@ func (c *Cluster) countRoute(res routeResult, fid int32) bool {
 	if hit {
 		c.report.Router.AffinityHits++
 	}
-	// Spills keeps its original meaning — diverted off the hash-primary —
-	// so a shed that happens to land on the primary counts as a shed only.
-	spilled := res.reason == routeSpill || (res.reason == routeShed && res.diverted)
-	if spilled {
+	// A spill is any arrival diverted off its hash primary, so a shed that
+	// lands on the primary counts as a shed only.
+	if res.diverted {
 		c.report.Router.Spills++
 	}
 	if res.reason == routeShed {
@@ -607,7 +604,7 @@ func (c *Cluster) countRoute(res routeResult, fid int32) bool {
 	if hit {
 		n.router.AffinityHits++
 	}
-	if spilled {
+	if res.diverted {
 		n.router.Spills++
 	}
 	if res.reason == routeShed {
@@ -667,6 +664,7 @@ func (c *Cluster) dispatch(n *node, q queued) {
 		c.observeInvocation(n, Record{
 			Function:   fn,
 			Route:      routeReasons[q.route],
+			Diverted:   q.diverted,
 			QueueDelay: qd,
 			Pull:       pull,
 			Setup:      setup,
@@ -746,10 +744,10 @@ func (c *Cluster) observeInvocation(n *node, rec Record) {
 		bud.Mark("start.warm", 1)
 	}
 	bud.Add(xray.SegExecRun, rec.Exec)
-	switch rec.Route {
-	case ReasonSpill:
+	if rec.Diverted {
 		bud.Mark(xray.MarkRouterSpill, 1)
-	case ReasonShed:
+	}
+	if rec.Route == ReasonShed {
 		bud.Mark(xray.MarkRouterShed, 1)
 	}
 	if c.pendingUp > 0 {

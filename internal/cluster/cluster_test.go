@@ -55,7 +55,6 @@ func testConfig(nodes int, router Policy) Config {
 	cfg.PullBytesPerSec = 1 << 30
 	cfg.Router = router
 	cfg.SLO = 150 * simtime.Millisecond
-	cfg.BurnWindow = 5 * simtime.Second
 	return cfg
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"toss/internal/insight"
 	"toss/internal/simtime"
 	"toss/internal/workload"
 	"toss/internal/xray"
@@ -13,10 +14,23 @@ import (
 
 // clusterDigestGolden pins every output of the event core that a binary
 // reads: per-invocation records, the completion feed, attribution budgets,
-// router and autoscaler decisions, the burn tracker and per-node counters,
-// over every routing policy on two bursty arrival shapes with the
+// router and autoscaler decisions, the SLO burn account and per-node
+// counters, over every routing policy on two bursty arrival shapes with the
 // autoscaler off and on.
-const clusterDigestGolden uint64 = 0xac6802ff278697f6
+const clusterDigestGolden uint64 = 0xf7a3b2ba3db2f4b7
+
+// burnStats replays rep's completion log, in completion order, through an
+// insight burn rule with the given objective and fast window: the SLO
+// account faasim prints after a cluster run.
+func burnStats(rep *Report, objective, window simtime.Duration) insight.BurnStats {
+	eng := insight.NewEngine(0, insight.BurnRule("slo", "latency", objective, window, 4*window, 1, 1))
+	recs := &rep.Records
+	for k := 0; k < recs.Len(); k++ {
+		i := recs.Completed(k)
+		eng.ObserveLatency("latency", recs.Arrival(i)+recs.Latency(i), recs.Latency(i))
+	}
+	return eng.Burn("slo")
+}
 
 // TestClusterDigestGolden streams seeded arrivals through RunStream with an
 // xray collector attached and hashes the run's outputs with FNV-64a, so a
@@ -113,9 +127,9 @@ func TestClusterDigestGolden(t *testing.T) {
 					flt(ev.Util)
 					flt(ev.Burn)
 				}
-				str(rep.Burn.Summary())
-				total, bad := rep.Burn.Totals()
-				put(total, bad, int64(rep.PeakNodes), int64(rep.FinalNodes))
+				burn := burnStats(rep, cfg.SLO, 5*simtime.Second)
+				str(burn.String() + "\n")
+				put(burn.Observations, burn.Violations, int64(rep.PeakNodes), int64(rep.FinalNodes))
 				put(int64(rep.Horizon), rep.Pulls, int64(rep.PullTime), int64(rep.BusyCoreTime))
 				put(int64(len(rep.Nodes)))
 				for _, ns := range rep.Nodes {

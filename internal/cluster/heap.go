@@ -12,8 +12,8 @@ import "toss/internal/simtime"
 type event struct {
 	at  simtime.Duration
 	seq uint64
-	// rec indexes Records on completions; the burn tracker reads the
-	// invocation's latency from there.
+	// rec indexes Records on completions; the loop reads the invocation's
+	// latency from there to count SLO violations.
 	rec int32
 	// node indexes Cluster.nodes on completions.
 	node int32

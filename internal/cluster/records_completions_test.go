@@ -82,7 +82,8 @@ func TestCompletionsSortedByCompletionTime(t *testing.T) {
 			check(policy.String()+"/"+proc.String(), runOnce(t, cfg, testArrivals(t, proc, 25*simtime.Millisecond)))
 		}
 	}
-	// Without an SLO there is no burn tracker, and the log must still fill.
+	// Without an SLO the loop counts no violations, and the log must still
+	// fill.
 	noSLO := testConfig(3, RouteAffinity)
 	noSLO.SLO = 0
 	check("no SLO", runOnce(t, noSLO, testArrivals(t, workload.ProcFlash, 25*simtime.Millisecond)))

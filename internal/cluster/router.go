@@ -90,7 +90,7 @@ type RouterStats struct {
 	// function warm or its snapshot on local disk (any policy).
 	AffinityHits int64
 	// Spills counts affinity routes diverted off the hash-primary node
-	// because it was overloaded.
+	// because it was overloaded, a shed to another node included.
 	Spills int64
 	// Sheds counts affinity routes where every candidate was overloaded
 	// and the arrival went to the least-loaded node of the ranking.
@@ -110,8 +110,9 @@ type NodeRouterStats struct {
 
 // routeResult is one routing decision: the chosen node, the reason code
 // (routeReasons index), whether the choice was diverted off the affinity
-// primary, and — only in a traced run — the ranked candidate list the
-// router considered.
+// primary (a spill, or a shed to another node: the one meaning of a spill),
+// and — only in a traced run — the ranked candidate list the router
+// considered.
 type routeResult struct {
 	n        *node
 	reason   uint8

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -163,6 +164,75 @@ func TestFleetObsTrace(t *testing.T) {
 
 	if again := run(); !reflect.DeepEqual(again.Trace, tr) {
 		t.Fatal("trace not identical across identical runs")
+	}
+}
+
+// TestRouterCountsMatchTrace holds the router's per-node spill and shed
+// counts to the decision trace and to the xray marks. A spill is a decision
+// whose node is not its ranking's first candidate, the hash primary, so a
+// shed diverted to another node is both; a shed is a decision with reason
+// shed. Per node, the trace's tallies must equal Router.PerNode and the
+// counts of the cluster.router.spill and cluster.router.shed marks on the
+// node's budgets.
+func TestRouterCountsMatchTrace(t *testing.T) {
+	type counts struct{ spills, sheds int64 }
+	var divertedSheds int64
+	for _, proc := range []workload.Process{workload.ProcFlash, workload.ProcDiurnalFlash} {
+		arrivals := testArrivals(t, proc, 10*simtime.Millisecond)
+		for _, scale := range []bool{false, true} {
+			cfg := testConfig(2, RouteAffinity)
+			if scale {
+				cfg.Autoscale = Autoscaler{Enabled: true, Tick: 2 * simtime.Second, Min: 2, Max: 8}
+			}
+			cfg.Trace = true
+			col := &xray.Collector{}
+			cfg.XRay = col
+			rep := runOnce(t, cfg, arrivals)
+			name := fmt.Sprintf("%s/autoscale=%v", proc, scale)
+
+			traced := map[string]counts{}
+			for _, d := range rep.Trace.Decisions {
+				c := traced[d.Node]
+				spill := d.Node != d.Candidates[0].Node
+				if spill {
+					c.spills++
+				}
+				if d.Reason == ReasonShed {
+					c.sheds++
+					if spill {
+						divertedSheds++
+					}
+				}
+				traced[d.Node] = c
+			}
+			marked := map[string]counts{}
+			for _, b := range col.Drain() {
+				node := strings.SplitN(strings.SplitN(b.Label, "@", 2)[1], "/", 2)[0]
+				c := marked[node]
+				for _, m := range b.Marks {
+					switch m.ID {
+					case xray.MarkRouterSpill:
+						c.spills += m.N
+					case xray.MarkRouterShed:
+						c.sheds += m.N
+					}
+				}
+				marked[node] = c
+			}
+			if len(rep.Router.PerNode) != len(traced) {
+				t.Fatalf("%s: router counts %d nodes, the trace %d", name, len(rep.Router.PerNode), len(traced))
+			}
+			for _, pn := range rep.Router.PerNode {
+				router := counts{pn.Spills, pn.Sheds}
+				if traced[pn.Node] != router || marked[pn.Node] != router {
+					t.Fatalf("%s: node %s spills/sheds: router %+v, trace %+v, marks %+v",
+						name, pn.Node, router, traced[pn.Node], marked[pn.Node])
+				}
+			}
+		}
+	}
+	if divertedSheds == 0 {
+		t.Fatal("no shed left its hash primary; the spill rule is untested")
 	}
 }
 

@@ -208,7 +208,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 			XRay:            s.Core.VM.XRay,
 			XRayTag:         fmt.Sprintf("%dn/%s/%s/%s", c.nodes, c.router, c.proc, mech),
 			Trace:           s.FleetSink != nil,
-			// No burn tracker: the SLO here is on warm-hit inflation, which
+			// No SLO: the objective here is on warm-hit inflation, which
 			// ext9InflationP99 computes from the records directly.
 		}
 	}

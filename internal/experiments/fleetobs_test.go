@@ -15,7 +15,7 @@ import (
 // cluster loop or of the fleet renderers must leave both artifacts
 // byte-identical.
 const (
-	ext9XRayDigest     uint64 = 0xd9c9f8e3c1cef24e
+	ext9XRayDigest     uint64 = 0xa9244e94dec51e1b
 	ext9FleetLogDigest uint64 = 0x23305349092338f9
 )
 

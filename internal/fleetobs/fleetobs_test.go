@@ -18,8 +18,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden export files")
 
 // sampleReport builds a small deterministic two-node traced run by hand:
-// four routing decisions spanning every affinity reason, one scale-up, and
-// three sampling boundaries. Every golden file renders from this fixture.
+// four routing decisions spanning every affinity reason with the router
+// counters they make, one scale-up, and three sampling boundaries. Every
+// golden file renders from this fixture.
 func sampleReport() *cluster.Report {
 	grid := func(at simtime.Duration, running1, queued1, running2 int) []cluster.NodeSample {
 		return []cluster.NodeSample{
@@ -38,6 +39,12 @@ func sampleReport() *cluster.Report {
 	samples = append(samples, grid(simtime.Second, 2, 1, 1)...)
 	samples = append(samples, grid(2*simtime.Second, 1, 0, 0)...)
 	return &cluster.Report{
+		// The shed onto n01 left its hash primary n02, so it is a spill too.
+		Router: cluster.RouterStats{Decisions: 4, AffinityHits: 1, Spills: 2, Sheds: 1,
+			PerNode: []cluster.NodeRouterStats{
+				{Node: "n01", Decisions: 3, AffinityHits: 1, Spills: 1, Sheds: 1},
+				{Node: "n02", Decisions: 1, Spills: 1},
+			}},
 		Nodes: []cluster.NodeStats{
 			{ID: "n01", Invocations: 3, ColdStarts: 1},
 			{ID: "n02", Invocations: 1, ColdStarts: 1},
@@ -83,7 +90,7 @@ func TestViewAggregates(t *testing.T) {
 	if n1.Invocations != 3 || n1.ColdStarts != 1 {
 		t.Fatalf("n01 invocations/cold = %d/%d, want 3/1", n1.Invocations, n1.ColdStarts)
 	}
-	if n1.Decisions != 3 || n1.AffinityHits != 1 || n1.Sheds != 1 || n1.Spills != 0 {
+	if n1.Decisions != 3 || n1.AffinityHits != 1 || n1.Sheds != 1 || n1.Spills != 1 {
 		t.Fatalf("n01 router counters = %+v", n1)
 	}
 	if v.Nodes[1].Spills != 1 {

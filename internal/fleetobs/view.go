@@ -15,7 +15,9 @@ import (
 // nodeView is one node's row in the fleet view: lifetime aggregates plus
 // the last grid sample.
 type nodeView struct {
-	Node string
+	// NodeRouterStats names the node and holds the router's counters for
+	// it (cluster.RouterStats.PerNode), zero for a node no decision chose.
+	cluster.NodeRouterStats
 	// Alive / Draining are the node's state at the last sampled boundary.
 	Alive    bool
 	Draining bool
@@ -36,12 +38,6 @@ type nodeView struct {
 	ColdStarts  int64
 	P50         simtime.Duration
 	P99         simtime.Duration
-	// Decisions / AffinityHits / Spills / Sheds tally the decisions that
-	// chose the node; a spill is a decision with reason spill only.
-	Decisions    int64
-	AffinityHits int64
-	Spills       int64
-	Sheds        int64
 	// UtilHeat / QueueHeat are the node's heatmap rows: core utilization in
 	// [0,1] and queue depth at each sampled boundary, oldest first.
 	UtilHeat  []float64
@@ -85,7 +81,7 @@ func view(rep *cluster.Report) *fleetView {
 	v := &fleetView{Decisions: int64(len(tr.Decisions)), Scales: int64(len(rep.ScaleEvents)), ScaleEvents: rep.ScaleEvents}
 	rows := map[string]*nodeView{}
 	for _, id := range nodeIDs(tr) {
-		v.Nodes = append(v.Nodes, nodeView{Node: id})
+		v.Nodes = append(v.Nodes, nodeView{NodeRouterStats: cluster.NodeRouterStats{Node: id}})
 	}
 	for i := range v.Nodes {
 		rows[v.Nodes[i].Node] = &v.Nodes[i]
@@ -96,19 +92,13 @@ func view(rep *cluster.Report) *fleetView {
 			n.P50, n.P99 = percentile(tr.Latencies[i], 50), percentile(tr.Latencies[i], 99)
 		}
 	}
-	for _, d := range tr.Decisions {
-		n := rows[d.Node]
-		n.Decisions++
-		if d.Hit {
-			n.AffinityHits++
+	for _, pn := range rep.Router.PerNode {
+		if n := rows[pn.Node]; n != nil {
+			n.NodeRouterStats = pn
 		}
-		switch d.Reason {
-		case cluster.ReasonSpill:
-			n.Spills++
-		case cluster.ReasonShed:
-			n.Sheds++
-		}
-		v.Now = max(v.Now, d.At)
+	}
+	if k := len(tr.Decisions); k > 0 {
+		v.Now = tr.Decisions[k-1].At // decisions are in time order
 	}
 	for _, s := range rep.ScaleEvents {
 		v.Now = max(v.Now, s.At)
@@ -241,12 +231,7 @@ func RenderFleet(rep *cluster.Report, width int) string {
 			bytesShort(n.FastUsed)+"/"+bytesShort(n.FastCap),
 			bytesShort(n.SlowUsed)+"/"+bytesShort(n.SlowCap))
 	}
-	var spills, sheds int64
-	for _, n := range v.Nodes {
-		spills += n.Spills
-		sheds += n.Sheds
-	}
-	fmt.Fprintf(&b, "router: %d spills, %d sheds across the fleet\n", spills, sheds)
+	fmt.Fprintf(&b, "router: %d spills, %d sheds across the fleet\n", rep.Router.Spills, rep.Router.Sheds)
 	for _, s := range v.ScaleEvents {
 		fmt.Fprintf(&b, "scale %-4s %s @ %v (util %.2f, burn %.2f, fleet %d)\n",
 			s.Action, s.Node, s.At, s.Util, s.Burn, s.Fleet)

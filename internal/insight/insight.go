@@ -18,10 +18,12 @@
 //   - The same Engine evaluates rules purely in virtual time: threshold
 //     rules with a sustained-for duration, and Google-SRE-style
 //     multi-window multi-burn-rate SLO rules (a fast window to catch an
-//     ongoing burn, a slow window to confirm it matters), each window an
-//     xray.BurnWindow. The output is a deterministic alert log of
+//     ongoing burn, a slow window to confirm it matters), each window a
+//     BurnWindow. The output is a deterministic alert log of
 //     fire/resolve edges, each fire optionally blamed on the hottest xray
-//     segment at that moment.
+//     segment at that moment. A burn rule also keeps its BurnStats — its
+//     observations, violations and peak fast-window burn — which is the
+//     SLO report faasim prints after a run.
 //
 //   - Compare judges two runs' flattened artifacts cell by cell — insight
 //     dumps, xray attribution dumps, or benchjson reports — and Verdict

@@ -9,7 +9,6 @@ import (
 
 	"toss/internal/emit"
 	"toss/internal/simtime"
-	"toss/internal/xray"
 )
 
 func TestSeriesAnchorAndClamp(t *testing.T) {
@@ -190,9 +189,8 @@ func TestBurnWindowMemoryBound(t *testing.T) {
 		e.ObserveLatency("lat", simtime.Duration(i)*simtime.Millisecond, lat)
 	}
 	st := e.states[0]
-	for _, w := range []*xray.BurnWindow{&st.fast, &st.slow} {
-		// The retained slice is unexported in xray; reflect reads its length.
-		if n := reflect.ValueOf(w).Elem().FieldByName("points").Len(); n > 8192 {
+	for _, w := range []*BurnWindow{&st.fast, &st.slow} {
+		if n := len(w.points); n > 8192 {
 			t.Fatalf("window retained %d points for a 1-2s window on a 100s feed", n)
 		}
 		if got := w.Fraction(); got < 0.09 || got > 0.11 {

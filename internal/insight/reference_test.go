@@ -1,6 +1,7 @@
 package insight
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -224,4 +225,118 @@ func FuzzEngineMatchesBucketedStore(f *testing.F) {
 		e, ref := feedBytes(data)
 		checkAgainstRef(t, e, ref)
 	})
+}
+
+// refBurnTracker is the SLO burn tracker the cluster's event loop and
+// faasim's replay slid beside insight's burn rule until the rule took over
+// its account: run-long totals, and the peak windowed burn rate over one
+// sliding window with the time it was first reached. A window that is not
+// positive keeps no peak. It is the reference BurnStats is held to.
+type refBurnTracker struct {
+	Objective simtime.Duration
+	Window    simtime.Duration
+
+	total      int64
+	violations int64
+
+	// live holds the completions within the current window.
+	live BurnWindow
+
+	peakRate float64
+	peakAt   simtime.Duration
+}
+
+// Record feeds one completion at virtual time at with end-to-end latency
+// latency. Calls must be in nondecreasing at order.
+func (t *refBurnTracker) Record(at, latency simtime.Duration) {
+	violated := latency > t.Objective
+	t.total++
+	if violated {
+		t.violations++
+	}
+	if t.Window <= 0 {
+		return
+	}
+	t.live.Record(at, t.Window, violated)
+	if rate := t.live.Fraction(); rate > t.peakRate {
+		t.peakRate, t.peakAt = rate, at
+	}
+}
+
+// BurnRate returns the run-long violation fraction.
+func (t *refBurnTracker) BurnRate() float64 {
+	if t.total == 0 {
+		return 0
+	}
+	return float64(t.violations) / float64(t.total)
+}
+
+// Summary renders the one-paragraph SLO report faasim printed.
+func (t *refBurnTracker) Summary() string {
+	if t.total == 0 {
+		return "slo: no completions recorded\n"
+	}
+	out := fmt.Sprintf("slo %v: %d/%d over objective (burn rate %.1f%%)",
+		t.Objective, t.violations, t.total, t.BurnRate()*100)
+	if t.Window > 0 {
+		out += fmt.Sprintf("; peak %v-windowed burn %.1f%% at t=%v",
+			t.Window, t.peakRate*100, t.peakAt)
+	}
+	return out + "\n"
+}
+
+// TestBurnRuleMatchesTracker feeds seeded latency streams through a burn
+// rule and through the tracker it replaced, and requires the same
+// completions, violations, peak and peak time. The streams hold runs of
+// equal timestamps and latencies at the objective; the windows include
+// zero and a negative one, and some streams are empty. Where faasim can
+// print the line (a positive window, or no completions), the rendered
+// `slo …` line must match too.
+func TestBurnRuleMatchesTracker(t *testing.T) {
+	windows := []simtime.Duration{-simtime.Second, 0, simtime.Millisecond,
+		50 * simtime.Millisecond, simtime.Second, 10 * simtime.Second}
+	var empty, ties int
+	for seed := int64(1); seed <= 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		objective := simtime.Duration(1+rng.Intn(100)) * simtime.Millisecond
+		window := windows[int(seed)%len(windows)]
+		ref := &refBurnTracker{Objective: objective, Window: window}
+		e := NewEngine(0, BurnRule("slo", "latency", objective, window, 4*window, 0.1, 0.05))
+		n := rng.Intn(800)
+		if seed%10 == 0 {
+			n = 0
+		}
+		var at simtime.Duration
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) > 0 {
+				at += simtime.Duration(rng.Int63n(int64(100 * simtime.Millisecond)))
+			} else if i > 0 {
+				ties++
+			}
+			lat := simtime.Duration(rng.Int63n(int64(2*objective) + 1))
+			if rng.Intn(20) == 0 {
+				lat = objective
+			}
+			ref.Record(at, lat)
+			e.ObserveLatency("latency", at, lat)
+		}
+		got := e.Burn("slo")
+		if got.Observations != ref.total || got.Violations != ref.violations ||
+			got.Peak != ref.peakRate || got.PeakAt != ref.peakAt {
+			t.Fatalf("seed %d (window %v): burn rule %d/%d peak %v at %v, tracker %d/%d peak %v at %v",
+				seed, window, got.Violations, got.Observations, got.Peak, got.PeakAt,
+				ref.violations, ref.total, ref.peakRate, ref.peakAt)
+		}
+		if window > 0 || n == 0 {
+			if line, want := got.String()+"\n", ref.Summary(); line != want {
+				t.Fatalf("seed %d: slo line\n %q\nwant\n %q", seed, line, want)
+			}
+		}
+		if n == 0 {
+			empty++
+		}
+	}
+	if empty == 0 || ties == 0 {
+		t.Fatalf("streams covered %d empty runs and %d equal timestamps; both must be exercised", empty, ties)
+	}
 }

@@ -179,8 +179,9 @@ type ruleState struct {
 	pendingSince simtime.Duration
 	firing       bool
 
-	// Burn windows.
-	fast, slow xray.BurnWindow
+	// Burn rules: the two windows and the run-long account.
+	fast, slow BurnWindow
+	burn       BurnStats
 }
 
 // Engine evaluates rules purely in virtual time and keeps every series'
@@ -215,7 +216,7 @@ func NewEngine(resolution simtime.Duration, rules ...Rule) *Engine {
 	}
 	e := &Engine{resolution: resolution, series: make(map[string]*series)}
 	for _, r := range rules {
-		st := &ruleState{rule: r}
+		st := &ruleState{rule: r, burn: BurnStats{Objective: r.Objective, Window: r.FastWindow}}
 		e.states = append(e.states, st)
 		s := e.lookup(r.Series)
 		s.rules = append(s.rules, st)
@@ -267,10 +268,10 @@ func (e *Engine) Observe(name string, at simtime.Duration, v float64) {
 }
 
 // ObserveLatency records one latency sample on a burn stream: every Burn
-// rule watching the stream updates both windows and re-evaluates, and
-// threshold rules watching the same stream evaluate on the value in
-// milliseconds. The sample also folds into the stream's series summary
-// (milliseconds) so dumps carry the shape the rules saw.
+// rule watching the stream updates both windows and its BurnStats and
+// re-evaluates, and threshold rules watching the same stream evaluate on
+// the value in milliseconds. The sample also folds into the stream's series
+// summary (milliseconds) so dumps carry the shape the rules saw.
 func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simtime.Duration) {
 	if e == nil {
 		return
@@ -286,6 +287,7 @@ func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simt
 		st.fast.Record(at, st.rule.FastWindow, violated)
 		st.slow.Record(at, st.rule.SlowWindow, violated)
 		ff, sf := st.fast.Fraction(), st.slow.Fraction()
+		st.burn.observe(at, violated, ff)
 		if !st.firing {
 			if ff >= st.rule.FastBurn && sf >= st.rule.SlowBurn {
 				st.firing = true

@@ -191,11 +191,17 @@ type Machine struct {
 	// recordTruth controls whether Run builds the ground-truth access
 	// histogram. Profiling needs it; timing-only runs can skip the cost.
 	recordTruth bool
-	// setupKind/setupName label the setup span; parts break the setup time
-	// into its telemetry sub-spans (vm-load, mmap, prefetch, ...).
+	// setupKind/setupName label the setup span; parts[:nparts] break the
+	// setup time into its telemetry sub-spans (vm-load, mmap, prefetch,
+	// ...) and attribution segments. REAP's four parts are the most any
+	// constructor sets.
 	setupKind telemetry.SpanKind
 	setupName string
-	parts     []setupPart
+	parts     [4]setupPart
+	nparts    int
+	// mappings counts the memory-file mappings a restore makes; the mmap
+	// part's span reports it.
+	mappings int64
 	// label identifies the machine to observers, normally the function
 	// name. Restores inherit it from the snapshot's Function field.
 	label string
@@ -205,12 +211,35 @@ type Machine struct {
 	prefetched int64
 }
 
-// setupPart is one component of the setup-time breakdown, in order.
+// setupPart is one component of the setup-time breakdown, in order: its
+// span kind and name, its xray segment id, and its duration.
 type setupPart struct {
-	kind  telemetry.SpanKind
-	name  string
-	dur   simtime.Duration
-	attrs []telemetry.Attr
+	kind telemetry.SpanKind
+	name string
+	seg  string
+	dur  simtime.Duration
+}
+
+// setParts records the setup-time breakdown; the parts sum to m.setup.
+func (m *Machine) setParts(parts ...setupPart) {
+	m.nparts = copy(m.parts[:], parts)
+}
+
+// partAttrs returns setup part p's span attributes, built from the counts
+// the machine keeps: the mmap part's mapping count (and a tiered restore's
+// DAX-mapped slow pages), and the prefetched page count of REAP's prefetch
+// and page-table parts.
+func (m *Machine) partAttrs(p setupPart) []telemetry.Attr {
+	switch p.kind {
+	case telemetry.KindMmap:
+		if m.backing == BackingTiered {
+			return []telemetry.Attr{telemetry.I64("mappings", m.mappings), telemetry.I64("slow_pages", m.prefetched)}
+		}
+		return []telemetry.Attr{telemetry.I64("mappings", m.mappings)}
+	case telemetry.KindPrefetch, telemetry.KindPTEPopulate:
+		return []telemetry.Attr{telemetry.I64("pages", m.prefetched)}
+	}
+	return nil
 }
 
 // SetRecordTruth enables or disables ground-truth histogram collection for
@@ -236,7 +265,7 @@ func NewBooted(cfg Config, layout guest.Layout) *Machine {
 		setupKind:   telemetry.KindBoot,
 		setupName:   "boot",
 	}
-	m.parts = []setupPart{{kind: telemetry.KindBoot, name: "kernel+runtime", dur: cfg.BootTime}}
+	m.setParts(setupPart{kind: telemetry.KindBoot, name: "kernel+runtime", seg: xray.SegBootKernel, dur: cfg.BootTime})
 	return m
 }
 
@@ -254,12 +283,11 @@ func RestoreLazy(cfg Config, layout guest.Layout, snap *snapshot.Single, concurr
 		label:       snap.Function,
 	}
 	m.setup = cfg.VMLoadBase + cfg.MmapCost // one mapping for the memory file
+	m.mappings = 1
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-lazy"
-	m.parts = []setupPart{
-		{kind: telemetry.KindSnapshotRestore, name: "vm-load", dur: cfg.VMLoadBase},
-		{kind: telemetry.KindMmap, name: "mmap", dur: cfg.MmapCost,
-			attrs: []telemetry.Attr{telemetry.I64("mappings", 1)}},
-	}
+	m.setParts(
+		setupPart{kind: telemetry.KindSnapshotRestore, name: "vm-load", seg: xray.SegRestoreVMLoad, dur: cfg.VMLoadBase},
+		setupPart{kind: telemetry.KindMmap, name: "mmap", seg: xray.SegRestoreMmap, dur: cfg.MmapCost})
 	return m
 }
 
@@ -275,16 +303,13 @@ func RestoreREAP(cfg Config, layout guest.Layout, snap *snapshot.Single, ws []gu
 	ptePop := simtime.Duration(wsPages) * cfg.PTEPopulateCost
 	m.setup = cfg.VMLoadBase + 2*cfg.MmapCost + // memory file + WS file
 		prefetch + ptePop
+	m.mappings = 2
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-reap"
-	m.parts = []setupPart{
-		{kind: telemetry.KindSnapshotRestore, name: "vm-load", dur: cfg.VMLoadBase},
-		{kind: telemetry.KindMmap, name: "mmap", dur: 2 * cfg.MmapCost,
-			attrs: []telemetry.Attr{telemetry.I64("mappings", 2)}},
-		{kind: telemetry.KindPrefetch, name: "ws-prefetch", dur: prefetch,
-			attrs: []telemetry.Attr{telemetry.I64("pages", wsPages)}},
-		{kind: telemetry.KindPTEPopulate, name: "pte-populate", dur: ptePop,
-			attrs: []telemetry.Attr{telemetry.I64("pages", wsPages)}},
-	}
+	m.setParts(
+		setupPart{kind: telemetry.KindSnapshotRestore, name: "vm-load", seg: xray.SegRestoreVMLoad, dur: cfg.VMLoadBase},
+		setupPart{kind: telemetry.KindMmap, name: "mmap", seg: xray.SegRestoreMmap, dur: 2 * cfg.MmapCost},
+		setupPart{kind: telemetry.KindPrefetch, name: "ws-prefetch", seg: xray.SegRestorePrefetch, dur: prefetch},
+		setupPart{kind: telemetry.KindPTEPopulate, name: "pte-populate", seg: xray.SegRestorePTEPopulate, dur: ptePop})
 	m.resident = ws // NormalizeRegions returned a fresh slice
 	m.prefetched = wsPages
 	return m
@@ -319,17 +344,13 @@ func RestoreTiered(cfg Config, layout guest.Layout, ts *snapshot.Tiered, concurr
 		recordTruth:    true,
 		label:          ts.Function,
 		prefetched:     v.SlowPages,
+		mappings:       int64(len(ts.Entries)),
 	}
 	m.setup = cfg.VMLoadBase + simtime.Duration(len(ts.Entries))*cfg.MmapCost
 	m.setupKind, m.setupName = telemetry.KindSnapshotRestore, "restore-tiered"
-	m.parts = []setupPart{
-		{kind: telemetry.KindSnapshotRestore, name: "vm-load", dur: cfg.VMLoadBase},
-		{kind: telemetry.KindMmap, name: "mmap", dur: simtime.Duration(len(ts.Entries)) * cfg.MmapCost,
-			attrs: []telemetry.Attr{
-				telemetry.I64("mappings", int64(len(ts.Entries))),
-				telemetry.I64("slow_pages", v.SlowPages),
-			}},
-	}
+	m.setParts(
+		setupPart{kind: telemetry.KindSnapshotRestore, name: "vm-load", seg: xray.SegRestoreVMLoad, dur: cfg.VMLoadBase},
+		setupPart{kind: telemetry.KindMmap, name: "mmap", seg: xray.SegRestoreMmap, dur: simtime.Duration(m.mappings) * cfg.MmapCost})
 	return m
 }
 
@@ -448,11 +469,11 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 	}
 	var execSpan *telemetry.Span
 	if span != nil {
-		if m.setup > 0 || len(m.parts) > 0 {
+		if m.setup > 0 || m.nparts > 0 {
 			setupSpan := span.Child(m.setupKind, m.setupName, 0)
 			cursor := simtime.Duration(0)
-			for _, p := range m.parts {
-				ps := setupSpan.Child(p.kind, p.name, cursor, p.attrs...)
+			for _, p := range m.parts[:m.nparts] {
+				ps := setupSpan.Child(p.kind, p.name, cursor, m.partAttrs(p)...)
 				cursor += p.dur
 				ps.EndAt(cursor)
 			}
@@ -552,8 +573,8 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 	}
 	if bud != nil {
 		// Setup: the parts sum exactly to m.setup in every constructor.
-		for _, p := range m.parts {
-			bud.Add(setupSegID(p.name), p.dur)
+		for _, p := range m.parts[:m.nparts] {
+			bud.Add(p.seg, p.dur)
 		}
 		// Exec: Exec == FaultTime + Meter total, FaultTime splits into
 		// per-tier cost plus injected disk stalls, and slow-tier memory
@@ -578,24 +599,6 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 		m.cfg.XRay.Observe(bud)
 	}
 	return res, nil
-}
-
-// setupSegID maps a setup-part name to its attribution segment id.
-func setupSegID(name string) string {
-	switch name {
-	case "kernel+runtime":
-		return xray.SegBootKernel
-	case "vm-load":
-		return xray.SegRestoreVMLoad
-	case "mmap":
-		return xray.SegRestoreMmap
-	case "ws-prefetch":
-		return xray.SegRestorePrefetch
-	case "pte-populate":
-		return xray.SegRestorePTEPopulate
-	default:
-		return "restore." + name
-	}
 }
 
 // touch marks all pages of r resident and splits the newly-touched count

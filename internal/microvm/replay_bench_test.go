@@ -131,14 +131,15 @@ func BenchmarkRestoreTieredRun(b *testing.B) {
 }
 
 // TestRestoreTieredRunAllocBudget holds BenchmarkRestoreTieredRun's loop to
-// six allocations: the machine, its setup parts, the mmap part's attributes
-// and one formatted attribute value, the copy of the shared resident set
-// that the first touch makes, and the empty truth histogram. An event's tier
-// splits and freshly touched runs allocate nothing.
+// three allocations: the machine, the copy of the shared resident set that
+// the first touch makes, and the empty truth histogram. The setup parts live
+// in the machine, their span attributes are built only when a span is
+// attached, and an event's tier splits and freshly touched runs allocate
+// nothing.
 func TestRestoreTieredRunAllocBudget(t *testing.T) {
 	run := restoreTieredRun(t)
-	if got := testing.AllocsPerRun(200, run); got > 6 {
-		t.Fatalf("a tiered restore and run allocates %v times, want at most 6", got)
+	if got := testing.AllocsPerRun(200, run); got > 3 {
+		t.Fatalf("a tiered restore and run allocates %v times, want at most 3", got)
 	}
 }
 
