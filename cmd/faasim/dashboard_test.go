@@ -45,6 +45,16 @@ func serveRun(t *testing.T, args string) *httptest.Server {
 // recomputed its panel from the recorder; the dashboard now computes them
 // once after the run, and must serve the same bytes. Cluster mode has no
 // flight recorder: its index lists no recorder panel, and their paths 404.
+//
+// The fault-path replay (-fault-rate 0.1) holds every kind of timeline
+// event the recorder is fed: boot, resident, restore-lazy and
+// restore-tiered restores, four placement:converged events, the
+// profiling<->tiered transitions, both degraded-serve phases
+// (profile-stale->reprofile, restore-corrupt->resnapshot) and 69 DAMON
+// audits. Its digests were recorded while the recorder was fed three ways
+// (an interface on microvm, callbacks on core's controller and a platform
+// setter), before microvm.Config.Recorder replaced them, so they pin the
+// causes and order of those events across that move.
 func TestDashboardDigests(t *testing.T) {
 	contentType := map[string]string{
 		"/":                "text/html; charset=utf-8",
@@ -70,6 +80,11 @@ func TestDashboardDigests(t *testing.T) {
 			"/xray": 0x96069a98234b8237, "/xray.json": 0x508a5ae21d53d378,
 			"/fleet": 0xbce1df577811c7f7, "/fleet.json": 0x7679a3dcdd8a6515,
 			"/alerts": 0x36601a0c264011d1, "/alerts.json": 0x591ac93b80608e18}},
+		{"-mode toss -requests 120 -window 4 -fault-rate 0.1", map[string]uint64{"/": replayIndex,
+			"/metrics": 0x3594eb69d5ebe260, "/timeseries.json": 0xa75244463ba7557b, "/heatmap": 0xd597a06996c97186,
+			"/xray": 0xa4a3620a550147df, "/xray.json": 0x8a296a0a64fc5e46,
+			"/fleet": 0xbce1df577811c7f7, "/fleet.json": 0x7679a3dcdd8a6515,
+			"/alerts": 0xd3dfc9fee6827202, "/alerts.json": 0x634a53155ec9a1a5}},
 		{"-nodes 3 -horizon 5s", map[string]uint64{"/": clusterIndex,
 			"/xray": 0x704f360f66cdd09c, "/xray.json": 0xd4d6d1c8c1953dbf,
 			"/fleet": 0x7409544b2021810e, "/fleet.json": 0x782d028c1ce1c484,

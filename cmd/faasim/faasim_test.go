@@ -123,6 +123,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-workers 0", "faasim: -workers must be at least 1 (got 0)"},
 		{"-slo-window 0s", "faasim: -slo-window must be positive (got 0s)"},
 		{"-nodes 2 -slo-window -1s", "faasim: -slo-window must be positive (got -1s)"},
+		{"-record-interval 0s", "faasim: -record-interval must be positive (got 0s)"},
+		{"-record-interval -5s", "faasim: -record-interval must be positive (got -5s)"},
 		{"-window 0", "faasim: core: ConvergenceWindow 0 < 1"},
 		{"-nodes 2 -window -3", "faasim: core: ConvergenceWindow -3 < 1"},
 		{"-migrate-demo -window 0", "faasim: core: ConvergenceWindow 0 < 1"},
@@ -139,6 +141,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-nodes 2 -trace x.json", "faasim: -nodes and -trace are mutually exclusive (the cluster simulator replays a modeled fleet, not the microVM platform)"},
 		{"-nodes 2 -workers 2", "faasim: -nodes and -workers are mutually exclusive (the cluster simulator replays a modeled fleet, not the microVM platform)"},
 		{"-nodes 2 -fault-rate 0.1", "faasim: -nodes and -fault-rate are mutually exclusive (the cluster simulator replays a modeled fleet, not the microVM platform)"},
+		{"-nodes 2 -horizon 1s -record-interval 50ms", "faasim: -nodes and -record-interval are mutually exclusive (the cluster simulator replays a modeled fleet, not the microVM platform)"},
 		{"-nodes 2 -mode slow", "faasim: -mode slow has no cluster profile (cluster mode supports toss, reap, faasnap, dram)"},
 		{"-nodes 2 -router bogus", `faasim: cluster: unknown router policy "bogus" (want rr, least, or affinity)`},
 		{"-nodes 2 -arrival bogus", `faasim: workload: unknown arrival process "bogus" (want poisson, diurnal, flash, or diurnalflash)`},

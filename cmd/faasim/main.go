@@ -207,7 +207,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.promOut, "prom", "", "write a Prometheus text export to this file")
 	fs.StringVar(&o.csvOut, "csv", "", "write the sampled series as CSV to this file")
 	fs.BoolVar(&o.heatmap, "heatmap", false, "print the ASCII tier-residency heatmap")
-	fs.DurationVar(&o.recordInterval, "record-interval", 100*time.Millisecond, "flight-recorder sampling cadence in virtual time")
+	fs.DurationVar(&o.recordInterval, "record-interval", 100*time.Millisecond, "flight-recorder sampling cadence (> 0) in virtual time")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform per-site fault rate in [0, 1] (0 disables)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-plan seed (with -fault-rate)")
 	fs.IntVar(&o.nodes, "nodes", 0, "simulate a fleet of N nodes instead of one host (cluster mode)")
@@ -241,6 +241,9 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 	if o.sloWindow <= 0 {
 		return nil, usageError(cliutil.OutOfRange("faasim", "-slo-window", "positive", o.sloWindow))
+	}
+	if o.recordInterval <= 0 {
+		return nil, usageError(cliutil.OutOfRange("faasim", "-record-interval", "positive", o.recordInterval))
 	}
 	if err := o.coreConfig().Validate(); err != nil {
 		return nil, usagef("%v", err)
@@ -309,6 +312,7 @@ func (o *options) checkModeFlags(fs *flag.FlagSet) error {
 			{o.promOut != "", "-prom"},
 			{o.csvOut != "", "-csv"},
 			{o.heatmap, "-heatmap"},
+			{given["-record-interval"], "-record-interval"},
 			{o.faultRate > 0, "-fault-rate"},
 			{given["-workers"] && o.workers > 1, "-workers"},
 		} {

@@ -45,20 +45,19 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 		xcol = xray.NewCollector()
 		cfg.VM.XRay = xcol
 	}
-	p, err := platform.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.SetTracer(tracer)
-
 	var rec *obs.Recorder
 	if recording {
 		rec = obs.New(obs.Config{
 			Interval: simtime.FromStd(o.recordInterval),
 			Metrics:  cfg.VM.Metrics,
 		})
-		p.SetRecorder(rec) // before Register: TOSS hooks wire at registration
+		cfg.VM.Recorder = rec
 	}
+	p, err := platform.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.SetTracer(tracer)
 
 	for _, spec := range o.fns {
 		if err := p.Register(spec, o.mode); err != nil {

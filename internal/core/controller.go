@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"toss/internal/access"
-	"toss/internal/damon"
 	"toss/internal/fault"
+	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
@@ -62,38 +61,6 @@ type Controller struct {
 	accelFactor float64
 	// reprofiles counts completed re-profiling cycles.
 	reprofiles int
-
-	// hooks receive pipeline artifacts as they are produced.
-	hooks Hooks
-}
-
-// Hooks lets observers watch the pipeline without coupling the controller
-// to them.
-type Hooks struct {
-	// OnProfiled receives, per profiling invocation, DAMON's estimated
-	// pattern alongside the invocation's exact ground-truth access counts —
-	// the join the DAMON-accuracy audit (internal/obs) consumes.
-	OnProfiled func(seq int, p damon.Pattern, truth *access.Histogram)
-	// OnConverged fires after Step IV with the analysis and the tiered
-	// snapshot built from it (also on re-profiling convergences).
-	OnConverged func(a *Analysis, ts *snapshot.Tiered)
-	// OnPhase observes lifecycle transitions.
-	OnPhase func(from, to Phase)
-}
-
-// SetHooks installs artifact hooks; call before the first invocation.
-func (c *Controller) SetHooks(h Hooks) {
-	c.hooks = h
-	if c.pd != nil {
-		c.pd.OnProfiled = h.OnProfiled
-	}
-}
-
-// firePhase notifies the OnPhase hook of a transition.
-func (c *Controller) firePhase(from, to Phase) {
-	if c.hooks.OnPhase != nil {
-		c.hooks.OnPhase(from, to)
-	}
 }
 
 // NewController validates the configuration and returns a fresh controller.
@@ -184,10 +151,9 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 			return Result{}, err
 		}
 		c.pd = pd
-		c.pd.OnProfiled = c.hooks.OnProfiled
 		c.phase = PhaseProfiling
 		c.stable = 0
-		c.firePhase(PhaseInitial, PhaseProfiling)
+		c.cfg.VM.Recorder.ObservePhase(c.spec.Name, PhaseInitial.String(), PhaseProfiling.String())
 		phaseSpan.EndAt(res.Total())
 		return Result{Result: res, Phase: PhaseInitial}, nil
 
@@ -300,9 +266,9 @@ func (c *Controller) converge(span *telemetry.Span, at simtime.Duration) error {
 	c.phase = PhaseTiered
 	c.iterations = 0
 	c.accelFactor = 0
-	c.firePhase(PhaseProfiling, PhaseTiered)
-	if c.hooks.OnConverged != nil {
-		c.hooks.OnConverged(a, c.tiered)
+	if rec := c.cfg.VM.Recorder; rec != nil {
+		rec.ObservePhase(c.spec.Name, PhaseProfiling.String(), PhaseTiered.String())
+		rec.ObservePlacement(c.spec.Name, a.Placement.Regions(mem.Slow), c.tiered.GuestPages, "converged")
 	}
 	return nil
 }
@@ -324,7 +290,7 @@ func (c *Controller) startReprofile() {
 	c.phase = PhaseProfiling
 	c.stable = 0
 	c.reprofiles++
-	c.firePhase(PhaseTiered, PhaseProfiling)
+	c.cfg.VM.Recorder.ObservePhase(c.spec.Name, PhaseTiered.String(), PhaseProfiling.String())
 }
 
 // Degradation policy names (FAULTS.md), recorded in platform.Record.Degraded.

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 
-	"toss/internal/access"
 	"toss/internal/binpack"
 	"toss/internal/costmodel"
 	"toss/internal/damon"
@@ -129,10 +128,6 @@ type ProfileData struct {
 	Profiled int
 	// Largest is the longest invocation seen while profiling.
 	Largest LargestInput
-	// OnProfiled, when set, additionally receives the invocation's exact
-	// ground-truth access histogram alongside the pattern — the join the
-	// DAMON-accuracy audit (internal/obs) scores.
-	OnProfiled func(seq int, p damon.Pattern, truth *access.Histogram)
 	// damonSeq seeds DAMON's sampling noise differently per invocation.
 	damonSeq int64
 }
@@ -171,7 +166,8 @@ func NewProfileDataTraced(cfg Config, spec *workload.Spec, lv workload.Level, se
 // ProfileInvocation performs one Step II invocation: restore the single-tier
 // snapshot, run with DAMON attached (paying its overhead), fold the observed
 // pattern into the unified file, and report whether the unified pattern
-// changed.
+// changed. The config's flight recorder, if any, audits the pattern against
+// the run's ground-truth access counts.
 func (pd *ProfileData) ProfileInvocation(cfg Config, lv workload.Level, seed int64, concurrency int) (microvm.Result, bool, error) {
 	return pd.ProfileInvocationTraced(cfg, lv, seed, concurrency, nil)
 }
@@ -205,9 +201,7 @@ func (pd *ProfileData) ProfileInvocationTraced(cfg Config, lv workload.Level, se
 			EndAt(res.Setup + res.Exec)
 	}
 	pd.Profiled++
-	if pd.OnProfiled != nil {
-		pd.OnProfiled(pd.Profiled, pattern, res.Truth)
-	}
+	cfg.VM.Recorder.AuditDAMON(pd.Spec.Name, pd.Profiled, pattern, res.Truth)
 	if res.Exec > pd.Largest.Exec {
 		pd.Largest = LargestInput{Level: lv, Seed: seed, Exec: res.Exec}
 	}

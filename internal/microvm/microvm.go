@@ -27,6 +27,7 @@ import (
 	"toss/internal/fault"
 	"toss/internal/guest"
 	"toss/internal/mem"
+	"toss/internal/obs"
 	"toss/internal/simtime"
 	"toss/internal/snapshot"
 	"toss/internal/telemetry"
@@ -71,12 +72,14 @@ type Config struct {
 	// every machine built with this config. Nil (the default) disables
 	// metric recording at the cost of one pointer comparison per site.
 	Metrics *telemetry.Metrics
-	// Observer, when non-nil, receives lifecycle callbacks (restore
-	// placements, demand-fault stalls) from every machine built with this
-	// config — the flight recorder in internal/obs implements it. Nil (the
-	// default) disables observation at the cost of one interface comparison
-	// per site.
-	Observer Observer
+	// Recorder, when non-nil, is the flight recorder: every machine built
+	// with this config reports its restore (kind and placement) before it
+	// runs and the stall of each demand-fault burst, and the callers that
+	// drive the TOSS lifecycle with it (core's controller and profiling,
+	// the platform) report their phase transitions, convergences, DAMON
+	// audits and degraded serves. Nil (the default) disables recording at
+	// the cost of one pointer comparison per site.
+	Recorder *obs.Recorder
 	// Faults, when non-nil, injects deterministic device stalls into the
 	// replay hot loop (slow-tier reads, snapshot demand reads) of every
 	// machine built with this config; restore-time sites are queried by the
@@ -93,20 +96,6 @@ type Config struct {
 	// the recorded time. Nil (the default) disables attribution at the cost
 	// of one pointer comparison per run.
 	XRay *xray.Collector
-}
-
-// Observer receives machine lifecycle callbacks. Implementations must be
-// safe for concurrent use: machines running on different goroutines share
-// one Observer. internal/obs.Recorder is the canonical implementation.
-type Observer interface {
-	// MachineRestored fires once per Run, before the first event executes.
-	// kind names the setup flavor ("boot", "restore-lazy", "restore-reap",
-	// "restore-tiered", or "resident"); slow lists the slow-tier regions of
-	// the machine's placement (shared — do not mutate).
-	MachineRestored(label, kind string, slow []guest.Region, totalPages int64)
-	// FaultStall fires once per demand-fault burst with the tier level
-	// (mem.Fast or mem.Slow) that served it and the stall cost.
-	FaultStall(label string, level int, major, minor int64, cost simtime.Duration)
 }
 
 // DefaultConfig returns the calibrated platform.
@@ -450,7 +439,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 		faultHist = met.Histogram(telemetry.MetricFaultLatency, telemetry.LatencyBuckets())
 	}
 	inj := m.cfg.Faults
-	ob := m.cfg.Observer
+	rec := m.cfg.Recorder
 	// Attribution: faultTier accumulates demand-fault cost per serving tier
 	// excluding injected disk stalls; injDisk tracks those stalls so the
 	// injected share of slow-tier memory time can be recovered exactly.
@@ -460,12 +449,12 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 	if m.cfg.XRay != nil {
 		bud = xray.New(m.label)
 	}
-	if ob != nil {
+	if rec != nil {
 		kind := m.setupName
 		if kind == "" {
 			kind = "resident"
 		}
-		ob.MachineRestored(m.label, kind, m.placement.Regions(mem.Slow), m.layout.TotalPages)
+		rec.MachineRestored(m.label, kind, m.placement.Regions(mem.Slow), m.layout.TotalPages)
 	}
 	var execSpan *telemetry.Span
 	if span != nil {
@@ -503,7 +492,7 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 				if inj != nil && newStored > 0 && m.backing != BackingAnon {
 					// An injected SSD hiccup stalls this demand-read burst;
 					// the stall rides inside the burst's cost so spans,
-					// histograms, and observers all see it.
+					// histograms and the flight recorder all see it.
 					if spec, fired := inj.At(fault.SiteDiskRead, m.label, m.setup+clock.Now()); fired {
 						stall := m.cfg.Disk.StallCost(spec.Stall, m.concurrency)
 						cost += stall
@@ -521,8 +510,8 @@ func (m *Machine) RunTraced(tr *access.Trace, span *telemetry.Span) (Result, err
 					fs.EndAt(m.setup + clock.Now() + cost)
 				}
 				faultHist.Observe(cost.Nanoseconds())
-				if ob != nil {
-					ob.FaultStall(m.label, seg.Level, major, minor, cost)
+				if rec != nil {
+					rec.FaultStall(m.label, seg.Level, major, minor, cost)
 				}
 				clock.Advance(cost)
 				res.FaultTime += cost

@@ -11,9 +11,9 @@ import (
 )
 
 // BenchmarkRecorderDisabled mirrors microvm's BenchmarkRunTracedOverhead for
-// the flight recorder: the disabled path (nil Observer) must cost one
-// interface comparison per site, so "disabled" must stay within noise of a
-// run with no recorder compiled in at all.
+// the flight recorder: the disabled path (nil microvm.Config.Recorder) must
+// cost one pointer comparison per site, so "disabled" must stay within
+// noise of a run with no recorder compiled in at all.
 func BenchmarkRecorderDisabled(b *testing.B) {
 	spec, _ := workload.ByName("pyaes")
 	layout, _ := spec.Layout()
@@ -38,7 +38,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 		mcfg := cfg
 		mcfg.Metrics = telemetry.NewMetrics()
 		rec := obs.New(obs.Config{Interval: 100 * simtime.Millisecond, Metrics: mcfg.Metrics})
-		mcfg.Observer = rec
+		mcfg.Recorder = rec
 		for i := 0; i < b.N; i++ {
 			vm := microvm.RestoreLazy(mcfg, layout, snap, 1)
 			vm.SetRecordTruth(false)

@@ -31,11 +31,11 @@ func miniRun(t testing.TB) *obs.Recorder {
 		Interval: 250 * simtime.Millisecond,
 		Metrics:  cfg.VM.Metrics,
 	})
+	cfg.VM.Recorder = rec
 	p, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetRecorder(rec)
 	spec, ok := workload.ByName("pyaes")
 	if !ok {
 		t.Fatal("pyaes not in registry")

@@ -16,8 +16,10 @@
 //     ring-buffered store, exported as Prometheus text, CSV, or JSON.
 //   - Tier-residency timelines: which guest regions sat in mem.Fast vs
 //     mem.Slow, when placements changed (restore, convergence, re-profiling),
-//     and the demand-fault latency attributed to each tier. Fed by the
-//     microvm.Observer hooks and the core controller's phase hooks.
+//     and the demand-fault latency attributed to each tier. Fed through
+//     microvm.Config.Recorder: machines report restores and fault stalls,
+//     the core controller its phase transitions and convergences, and the
+//     platform its degraded serves.
 //   - DAMON-accuracy audits: per profiling invocation, DAMON's estimated
 //     heat joined against the wstrack-style ground-truth access counts,
 //     scored by rank correlation and hot/cold misclassification.
@@ -67,11 +69,12 @@ const (
 	MetricColdAsHot = "obs.damon_cold_as_hot_ppm"
 )
 
-// Defaults for Config zero values.
-const (
-	DefaultInterval = 100 * simtime.Millisecond
-	DefaultCapacity = 4096
-)
+// DefaultInterval is the sampling cadence of a Config with no Interval.
+const DefaultInterval = 100 * simtime.Millisecond
+
+// Capacity bounds each ring-buffered series, each residency timeline and
+// the audit log; the oldest entries fall off.
+const Capacity = 4096
 
 // Config parameterizes a Recorder.
 type Config struct {
@@ -80,9 +83,6 @@ type Config struct {
 	// so the series a run produces depend only on the run's virtual
 	// timeline. <= 0 uses DefaultInterval.
 	Interval simtime.Duration
-	// Capacity bounds each ring-buffered series and each residency
-	// timeline; the oldest entries fall off. <= 0 uses DefaultCapacity.
-	Capacity int
 	// Metrics is the registry sampled on every boundary. The recorder also
 	// registers its derived residency/fault/audit instruments here. A nil
 	// registry records timelines and audits only.
@@ -107,9 +107,6 @@ func New(cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	return &Recorder{
 		cfg:       cfg,
 		series:    make(map[string]*series),
@@ -123,24 +120,20 @@ type Point struct {
 	V int64
 }
 
-// series is a ring buffer of points.
+// series is a ring buffer of at most Capacity points; start indexes the
+// oldest once it is full.
 type series struct {
 	points []Point
 	start  int
-	filled bool
 }
 
-func (s *series) append(p Point, capacity int) {
-	if !s.filled && len(s.points) < capacity {
+func (s *series) append(p Point) {
+	if len(s.points) < Capacity {
 		s.points = append(s.points, p)
-		if len(s.points) == capacity {
-			s.filled = true
-		}
 		return
 	}
-	s.filled = true
 	s.points[s.start] = p
-	s.start = (s.start + 1) % len(s.points)
+	s.start = (s.start + 1) % Capacity
 }
 
 // linear returns the points oldest-first.
@@ -229,8 +222,8 @@ func (tl *timeline) last() *TierEvent {
 	return &tl.events[len(tl.events)-1]
 }
 
-func (tl *timeline) appendEvent(e TierEvent, capacity int) {
-	if len(tl.events) >= capacity {
+func (tl *timeline) appendEvent(e TierEvent) {
+	if len(tl.events) >= Capacity {
 		copy(tl.events, tl.events[1:])
 		tl.events[len(tl.events)-1] = e
 		return
@@ -280,11 +273,11 @@ func (r *Recorder) sampleLocked(at simtime.Duration) {
 	r.cfg.Metrics.Each(func(name string, kind telemetry.Kind, s telemetry.Sample) {
 		switch kind {
 		case telemetry.KindCounter, telemetry.KindGauge:
-			r.seriesLocked(name).append(Point{at, s.Value}, r.cfg.Capacity)
+			r.seriesLocked(name).append(Point{at, s.Value})
 		case telemetry.KindHistogram:
-			r.seriesLocked(suffixed(name, ".count")).append(Point{at, s.Count}, r.cfg.Capacity)
-			r.seriesLocked(suffixed(name, ".sum")).append(Point{at, s.Sum}, r.cfg.Capacity)
-			r.seriesLocked(suffixed(name, ".max")).append(Point{at, s.Max}, r.cfg.Capacity)
+			r.seriesLocked(suffixed(name, ".count")).append(Point{at, s.Count})
+			r.seriesLocked(suffixed(name, ".sum")).append(Point{at, s.Sum})
+			r.seriesLocked(suffixed(name, ".max")).append(Point{at, s.Max})
 		}
 	})
 }
@@ -336,7 +329,7 @@ func (r *Recorder) observeLocked(tl *timeline, cause string, slow []guest.Region
 		tl.appendEvent(TierEvent{
 			At: r.now, Cause: cause,
 			SlowPages: slowPages, TotalPages: totalPages, Slow: slow,
-		}, r.cfg.Capacity)
+		})
 	}
 	tl.slowGauge.Set(slowPages)
 	if totalPages > 0 {
@@ -357,12 +350,15 @@ func (r *Recorder) ObservePhase(fn, from, to string) {
 	if last := tl.last(); last != nil {
 		ev.SlowPages, ev.TotalPages, ev.Slow = last.SlowPages, last.TotalPages, last.Slow
 	}
-	tl.appendEvent(ev, r.cfg.Capacity)
+	tl.appendEvent(ev)
 	tl.phaseCtr.Add(1)
 }
 
-// MachineRestored implements microvm.Observer: every machine run reports its
-// restore flavor and placement before executing.
+// MachineRestored records a machine run's restore, reported once per run
+// before its first event executes: kind names the setup flavor ("boot",
+// "restore-lazy", "restore-reap", "restore-tiered", or "resident"), and slow
+// lists the slow-tier regions of the machine's placement (the timeline keeps
+// it, so the caller must not mutate it).
 func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, totalPages int64) {
 	if r == nil {
 		return
@@ -381,8 +377,8 @@ func (r *Recorder) MachineRestored(label, kind string, slow []guest.Region, tota
 	r.observeLocked(tl, "restore:"+kind, slow, totalPages)
 }
 
-// FaultStall implements microvm.Observer: every demand-fault burst attributes
-// its stall cost to the tier that served it.
+// FaultStall attributes one demand-fault burst's stall cost to the tier
+// level (mem.Fast or mem.Slow) that served it.
 func (r *Recorder) FaultStall(label string, level int, major, minor int64, cost simtime.Duration) {
 	if r == nil {
 		return
@@ -412,7 +408,7 @@ func (r *Recorder) AuditDAMON(fn string, seq int, p damon.Pattern, truth *access
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res.At = r.now
-	if len(r.audits) >= r.cfg.Capacity {
+	if len(r.audits) >= Capacity {
 		copy(r.audits, r.audits[1:])
 		r.audits[len(r.audits)-1] = res
 	} else {

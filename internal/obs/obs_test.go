@@ -91,22 +91,25 @@ func TestHistogramSampleSeries(t *testing.T) {
 	}
 }
 
+// TestRingCapacity wraps a series past Capacity: only the newest Capacity
+// samples survive, oldest first.
 func TestRingCapacity(t *testing.T) {
 	m := telemetry.NewMetrics()
-	r := New(Config{Interval: simtime.Second, Capacity: 4, Metrics: m})
+	r := New(Config{Interval: simtime.Second, Metrics: m})
 	g := m.Gauge("test.g")
-	for i := 0; i < 10; i++ {
+	const dropped = 6
+	for i := 0; i < Capacity+dropped; i++ {
 		g.Set(int64(i))
 		r.RecordAt(simtime.Duration(i) * simtime.Second)
 	}
 	pts := r.Snapshot().Series[0].Points
-	if len(pts) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(pts))
+	if len(pts) != Capacity {
+		t.Fatalf("ring holds %d, want %d", len(pts), Capacity)
 	}
 	for i, p := range pts {
-		wantT := simtime.Duration(6+i) * simtime.Second
-		if p.T != wantT || p.V != int64(6+i) {
-			t.Fatalf("point[%d] = %v, want {%v %d}", i, p, wantT, 6+i)
+		want := dropped + i
+		if wantT := simtime.Duration(want) * simtime.Second; p.T != wantT || p.V != int64(want) {
+			t.Fatalf("point[%d] = %v, want {%v %d}", i, p, wantT, want)
 		}
 	}
 }

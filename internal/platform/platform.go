@@ -16,13 +16,9 @@ import (
 	"fmt"
 	"sync"
 
-	"toss/internal/access"
 	"toss/internal/core"
-	"toss/internal/damon"
 	"toss/internal/mem"
-	"toss/internal/obs"
 	"toss/internal/simtime"
-	"toss/internal/snapshot"
 	"toss/internal/telemetry"
 	"toss/internal/workload"
 	"toss/internal/xray"
@@ -73,31 +69,12 @@ type Platform struct {
 	// tracer, when set, records every invocation as a root span on its own
 	// track (nil disables tracing at near-zero cost).
 	tracer *telemetry.Tracer
-
-	// recorder, when set, receives machine restore/fault observations, TOSS
-	// controller phase/placement transitions, and DAMON-accuracy audits, and
-	// has its virtual clock advanced by each invocation's duration.
-	recorder *obs.Recorder
 }
 
 // SetTracer attaches a tracer; each invocation becomes one root span with
 // the full restore/fault/execution tree below it. Pass nil to disable.
 // Call before invoking; the tracer is read without synchronization.
 func (p *Platform) SetTracer(t *telemetry.Tracer) { p.tracer = t }
-
-// SetRecorder attaches a flight recorder; it also becomes the microvm
-// observer so demand faults and restores land on the residency timelines.
-// Call before Register: each function's mechanism copies the config, and
-// TOSS controllers wire their phase and audit hooks to the recorder at
-// registration time. Pass nil to detach.
-func (p *Platform) SetRecorder(r *obs.Recorder) {
-	p.recorder = r
-	if r == nil {
-		p.cfg.VM.Observer = nil // avoid a typed-nil interface in the hot path
-		return
-	}
-	p.cfg.VM.Observer = r
-}
 
 type functionState struct {
 	mu    sync.Mutex
@@ -149,20 +126,6 @@ func (p *Platform) Register(spec *workload.Spec, mode Mode) error {
 	defer p.mu.Unlock()
 	if _, dup := p.fns[spec.Name]; dup {
 		return fmt.Errorf("platform: function %q already registered", spec.Name)
-	}
-	if c, r := fn.toss, p.recorder; c != nil && r != nil {
-		name := spec.Name
-		c.SetHooks(core.Hooks{
-			OnPhase: func(from, to core.Phase) {
-				r.ObservePhase(name, from.String(), to.String())
-			},
-			OnProfiled: func(seq int, pat damon.Pattern, truth *access.Histogram) {
-				r.AuditDAMON(name, seq, pat, truth)
-			},
-			OnConverged: func(a *core.Analysis, ts *snapshot.Tiered) {
-				r.ObservePlacement(name, a.Placement.Regions(mem.Slow), ts.GuestPages, "converged")
-			},
-		})
 	}
 	p.fns[spec.Name] = &functionState{fn: fn, stats: Stats{NormCost: 1}}
 	return nil
@@ -260,8 +223,9 @@ func (p *Platform) invoke(name string, lv workload.Level, seed int64, conc int) 
 }
 
 // finish closes the invocation's root span and records platform metrics,
-// then advances the flight recorder's virtual clock by the invocation's
-// duration so samples land on the platform's accumulated timeline.
+// then advances the flight recorder's (cfg.VM.Recorder) virtual clock by
+// the invocation's duration so samples land on the platform's accumulated
+// timeline.
 func (p *Platform) finish(rec Record, span *telemetry.Span) Record {
 	span.EndAt(rec.Total())
 	if rec.XRay != nil {
@@ -293,10 +257,10 @@ func (p *Platform) finish(rec Record, span *telemetry.Span) Record {
 		}
 	}
 	if rec.Degraded != "" && rec.Err == nil {
-		p.recorder.ObservePhase(rec.Function, "fault:"+rec.FaultSite, "degraded:"+rec.Degraded)
+		p.cfg.VM.Recorder.ObservePhase(rec.Function, "fault:"+rec.FaultSite, "degraded:"+rec.Degraded)
 	}
 	if rec.Err == nil {
-		p.recorder.Advance(rec.Total())
+		p.cfg.VM.Recorder.Advance(rec.Total())
 	}
 	return rec
 }

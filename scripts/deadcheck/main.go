@@ -17,6 +17,16 @@
 // its names, as does a spec's own line comment). Each gap prints as
 // "file:line pkg.Name has no doc comment" and fails like dead code.
 //
+// An interface pass flags abstractions with nothing to abstract over: each
+// method-set interface declared in the module (outside a nested module)
+// that fewer than two named types implement, a type counting when it or its
+// pointer does. Implementations are counted over the packages the scan
+// loads, the nested module's included and test files not, so an interface
+// whose second implementation is a test fake needs an allow.txt entry.
+// Generic types are not counted. Each prints as "file:line pkg.Name has one
+// implementation, pkg.Type" (or "has no implementation") and fails like dead
+// code.
+//
 // A docs pass holds the design documents (docFiles) to the code the same
 // way: a backticked pkg.Name or pkg.Type.Name whose pkg is the base name of
 // a module directory with Go files must name an exported declaration (a
@@ -174,6 +184,7 @@ func scan(root string) ([]finding, error) {
 	}
 	dead := append(reach(fset, paths, pkgs, ifaces), unnamed(paths, pkgs)...)
 	dead = append(dead, undocumented(mod, paths, pkgs)...)
+	dead = append(dead, lonely(paths, pkgs)...)
 	for i, d := range dead {
 		pos := fset.Position(d.pos)
 		rel, _ := filepath.Rel(root, pos.Filename)
@@ -221,6 +232,49 @@ func unnamed(paths []string, pkgs map[string]*pkg) (dead []finding) {
 		}
 	}
 	return dead
+}
+
+// lonely returns every method-set interface declared outside a nested
+// module that fewer than two of the scanned named types implement.
+func lonely(paths []string, pkgs map[string]*pkg) (found []finding) {
+	qualified := func(o types.Object) string { return path.Base(o.Pkg().Path()) + "." + o.Name() }
+	var ifaces []*types.TypeName
+	var concrete []*types.Named
+	for _, ip := range paths {
+		for _, obj := range pkgs[ip].info.Defs {
+			tn, _ := obj.(*types.TypeName)
+			if tn == nil || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named) // not a type parameter
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if iface, ok := n.Underlying().(*types.Interface); !ok {
+				concrete = append(concrete, n)
+			} else if iface.IsMethodSet() && iface.NumMethods() > 0 && !pkgs[ip].callerOnly {
+				ifaces = append(ifaces, tn)
+			}
+		}
+	}
+	for _, tn := range ifaces {
+		iface := tn.Type().Underlying().(*types.Interface)
+		var impls []string
+		for _, n := range concrete {
+			if types.Implements(n, iface) || types.Implements(types.NewPointer(n), iface) {
+				impls = append(impls, qualified(n.Obj()))
+			}
+		}
+		if len(impls) > 1 {
+			continue
+		}
+		why := " has no implementation"
+		if len(impls) == 1 {
+			why = " has one implementation, " + impls[0]
+		}
+		found = append(found, finding{pos: tn.Pos(), name: qualified(tn), why: why})
+	}
+	return found
 }
 
 // undocumented returns a finding for every package under mod's internal/

@@ -10,5 +10,6 @@ import (
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(s.Area(), lib.Name("sq"), note.Documented(), note.Undocumented())
+	var src lib.Source = &lib.Ticker{}
+	fmt.Println(s.Area(), src.Next(), lib.Name("sq"), note.Documented(), note.Undocumented())
 }

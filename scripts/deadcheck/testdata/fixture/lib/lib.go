@@ -1,9 +1,19 @@
-// Package lib holds one function no binary reaches and one const nothing
-// names, beside methods that are reached only through an interface.
+// Package lib holds one function no binary reaches, one const nothing
+// names and one interface with a single implementation, beside methods
+// that are reached only through an interface.
 package lib
 
-// Shape is called through by the binary.
+// Shape is called through by the binary; Square is its one implementation.
 type Shape interface{ Area() float64 }
+
+// Source is implemented twice: by Ticker and by the nested module.
+type Source interface{ Next() int }
+
+// Ticker is the module's own Source.
+type Ticker struct{ n int }
+
+// Next is reached only through Source.
+func (t *Ticker) Next() int { t.n++; return t.n }
 
 // Square is a Shape.
 type Square struct{ Side float64 }
