@@ -97,7 +97,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	// or scaling decision. Fire edges blame the hottest attribution segment.
 	budgets := xcol.Snapshot()
 	window := simtime.FromStd(o.sloWindow)
-	eng := insight.NewEngine(insight.DefaultResolution,
+	eng := insight.NewEngine(
 		latencyRule(o, ccfg.SLO),
 		insight.BurnRule("cold-start-rate", "cold", 0, window, 4*window, 0.25, 0.10))
 	var alerts *insight.Engine
@@ -149,7 +149,7 @@ func runCluster(o *options, w io.Writer) (*dashboard, error) {
 	}
 	// The fleet simulator drives no microVMs, so there is no flight
 	// recorder; the panels are the node grid, the attribution and alerts.
-	return newDashboard("fleet dashboard", "fleet, fleet.json, xray, healthz", nil, xcol, rep, alerts), nil
+	return newDashboard("fleet dashboard", nil, xcol, rep, alerts), nil
 }
 
 // printClusterReport renders the per-function table, the per-node table, and

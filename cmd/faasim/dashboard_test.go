@@ -43,7 +43,9 @@ func serveRun(t *testing.T, args string) *httptest.Server {
 // TestDashboardDigests pins the body of every dashboard route but the
 // pprof ones, in both modes, to FNV-64a digests recorded when each request
 // recomputed its panel from the recorder; the dashboard now computes them
-// once after the run, and must serve the same bytes. Cluster mode has no
+// once after the run, and must serve the same bytes. The alerting runs'
+// /alerts and /alerts.json were re-recorded when the series table lost its
+// width column and each series its three shape keys. Cluster mode has no
 // flight recorder: its index lists no recorder panel, and their paths 404.
 //
 // The fault-path replay (-fault-rate 0.1) holds every kind of timeline
@@ -79,7 +81,7 @@ func TestDashboardDigests(t *testing.T) {
 			"/metrics": 0x36e3539cb9abd068, "/timeseries.json": 0x5f5e87750056beeb, "/heatmap": 0xf734a66136435a0d,
 			"/xray": 0x96069a98234b8237, "/xray.json": 0x508a5ae21d53d378,
 			"/fleet": 0xbce1df577811c7f7, "/fleet.json": 0x7679a3dcdd8a6515,
-			"/alerts": 0x36601a0c264011d1, "/alerts.json": 0x591ac93b80608e18}},
+			"/alerts": 0xc3b7827d6e4cb412, "/alerts.json": 0x0c69cb39e037db7a}},
 		{"-mode toss -requests 120 -window 4 -fault-rate 0.1", map[string]uint64{"/": replayIndex,
 			"/metrics": 0x3594eb69d5ebe260, "/timeseries.json": 0xa75244463ba7557b, "/heatmap": 0xd597a06996c97186,
 			"/xray": 0xa4a3620a550147df, "/xray.json": 0x8a296a0a64fc5e46,
@@ -92,7 +94,7 @@ func TestDashboardDigests(t *testing.T) {
 		{"-nodes 3 -horizon 5s -router affinity -arrival flash -autoscale -slo 120ms -alerts", map[string]uint64{"/": clusterIndex,
 			"/xray": 0x82069f1a6724c362, "/xray.json": 0xe44224b9cc22c48a,
 			"/fleet": 0x9d0302891d90f643, "/fleet.json": 0x55550e3814d92a99,
-			"/alerts": 0x290e2164ca755f7e, "/alerts.json": 0x83477c482419f72b}},
+			"/alerts": 0x4a38a4380c841077, "/alerts.json": 0x1833dd5f67602a6b}},
 	} {
 		srv := serveRun(t, c.args)
 		c.want["/healthz"] = healthz
@@ -212,6 +214,30 @@ func TestIndexListsRegisteredEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeBannerListsRoutes: the line serve prints names every route the
+// dashboard registers, in index order, in both modes. The address is one
+// no listener accepts, so serve prints the banner and returns.
+func TestServeBannerListsRoutes(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-functions pyaes -requests 30 -window 4", "\nserving dashboard on http://localhost:99999/ (metrics, timeseries.json, " +
+			"heatmap, xray, xray.json, fleet, fleet.json, alerts, alerts.json, healthz, debug/pprof)\n"},
+		{"-nodes 2 -horizon 2s", "\nserving fleet dashboard on http://localhost:99999/ (xray, xray.json, " +
+			"fleet, fleet.json, alerts, alerts.json, healthz, debug/pprof)\n"},
+	} {
+		_, diag, code, dash := runFaasim(t, c.args+" -http :99999")
+		if code != 0 || dash == nil {
+			t.Fatalf("faasim %s: exit %d (%s)", c.args, code, diag)
+		}
+		var banner strings.Builder
+		if err := dash.serve(&banner, ":99999"); err == nil {
+			t.Fatalf("faasim %s: serve on an invalid port returned no error", c.args)
+		}
+		if got := banner.String(); got != c.want {
+			t.Errorf("faasim %s: banner\n %q\nwant\n %q", c.args, got, c.want)
+		}
+	}
+}
+
 // TestAlertEndpoints covers the SLO alert panel: the empty banner without
 // an engine, the firing view with one, and the JSON snapshot reading back
 // as a one-cell insight dump named "live".
@@ -224,12 +250,9 @@ func TestAlertEndpoints(t *testing.T) {
 		t.Errorf("/alerts content-type = %q", ct)
 	}
 
-	eng := insight.NewEngine(insight.DefaultResolution, insight.Rule{
-		Name: "util-high", Kind: insight.Threshold, Series: "util",
-		Op: insight.Above, Limit: 0.8,
-	})
+	eng := insight.NewEngine(insight.Rule{Name: "util-high", Kind: insight.Threshold, Series: "util", Limit: 0.8})
 	eng.Observe("util", simtime.Second, 0.95)
-	srv := httptest.NewServer(newDashboard("", "", nil, nil, nil, eng).handler())
+	srv := httptest.NewServer(newDashboard("", nil, nil, nil, eng).handler())
 	defer srv.Close()
 
 	code, body, _ = get(t, srv, "/alerts")
@@ -276,7 +299,7 @@ func TestFleetEndpoints(t *testing.T) {
 			Latencies: [][]simtime.Duration{{10 * simtime.Millisecond}},
 		},
 	}
-	srv := httptest.NewServer(newDashboard("", "", nil, nil, rep, nil).handler())
+	srv := httptest.NewServer(newDashboard("", nil, nil, rep, nil).handler())
 	defer srv.Close()
 
 	code, body, _ = get(t, srv, "/fleet")

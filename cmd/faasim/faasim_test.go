@@ -48,26 +48,27 @@ const exportFlags = " -requests 40 -window 8 -heatmap -prom faasim.prom -csv faa
 // every mode: FNV-64a digests of stdout and of each file a run leaves in its
 // working directory. The digests were recorded from the faasim that kept a
 // separate post-run path per mode; any change to a digest is a change to
-// faasim's output.
+// faasim's output. The insight dumps' were re-recorded when each series
+// dropped its buckets, downsamples and width_ns, the only bytes that moved.
 func TestOutputDigests(t *testing.T) {
 	for _, c := range []struct {
 		name, args string
 		want       map[string]uint64
 	}{
 		{"replay-toss", "-mode toss" + exportFlags, map[string]uint64{
-			"faasim-insight.json": 0xc78134a92c156e3d, "faasim-trace.json": 0x7db28f37f22801ab,
+			"faasim-insight.json": 0x65d94ae7e262a244, "faasim-trace.json": 0x7db28f37f22801ab,
 			"faasim.csv": 0x24242214a4c2b3bc, "faasim.prom": 0x437fb7753d126f36, "stdout": 0xb35395503ed9897d}},
 		{"replay-reap", "-mode reap" + exportFlags, map[string]uint64{
-			"faasim-insight.json": 0xb6249634415da173, "faasim-trace.json": 0xac0100a01ac17816,
+			"faasim-insight.json": 0xcbb27872ffb48bc3, "faasim-trace.json": 0xac0100a01ac17816,
 			"faasim.csv": 0xe2078d7c936e76b2, "faasim.prom": 0xe11e869f8fd0668b, "stdout": 0x4bf83d925c627036}},
 		{"replay-faasnap", "-mode faasnap" + exportFlags, map[string]uint64{
-			"faasim-insight.json": 0x1e604691f88ccdad, "faasim-trace.json": 0x01180cbfea5a4d21,
+			"faasim-insight.json": 0xa5240ddba7513e4d, "faasim-trace.json": 0x01180cbfea5a4d21,
 			"faasim.csv": 0x8203788b8bde617d, "faasim.prom": 0x7c0a25ff3f975141, "stdout": 0x29d573834203b3e2}},
 		{"replay-dram", "-mode dram" + exportFlags, map[string]uint64{
-			"faasim-insight.json": 0x7bb8af2956c4edf7, "faasim-trace.json": 0x2c80f9a383976472,
+			"faasim-insight.json": 0x0be6a98c3247e84c, "faasim-trace.json": 0x2c80f9a383976472,
 			"faasim.csv": 0x2d125e3160e78a80, "faasim.prom": 0xa3c1c3c57335d6fd, "stdout": 0x633df60615b82847}},
 		{"replay-slow", "-mode slow" + exportFlags, map[string]uint64{
-			"faasim-insight.json": 0x1e84da9fa1e84551, "faasim-trace.json": 0x24de48910055047d,
+			"faasim-insight.json": 0x1969aec929fbbd19, "faasim-trace.json": 0x24de48910055047d,
 			"faasim.csv": 0x44017eebd8f47b9d, "faasim.prom": 0xd295f299ee408a79, "stdout": 0x1d5103048542f967}},
 		{"replay-explain",
 			"-requests 40 -window 8 -explain -explain-top 2 -slo 60ms -alerts -flame -trace trace.jsonl -trace-format jsonl",
@@ -86,7 +87,7 @@ func TestOutputDigests(t *testing.T) {
 				" -report insight.json -explain -explain-top 2",
 			map[string]uint64{
 				"decisions.jsonl": 0x5c39ecad340c78b2, "fleet-trace.json": 0xbfb3c2f27b96f86b,
-				"insight.json": 0x5349cdb56878819d, "stdout": 0x690f4db866b603e7}},
+				"insight.json": 0xf17c3fbadb11807d, "stdout": 0x690f4db866b603e7}},
 		{"migrate-demo", "-migrate-demo -functions pagerank", map[string]uint64{"stdout": 0x03aa0fb6ba8b32da}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -146,6 +147,12 @@ func TestUsageErrors(t *testing.T) {
 		{"-nodes 2 -router bogus", `faasim: cluster: unknown router policy "bogus" (want rr, least, or affinity)`},
 		{"-nodes 2 -arrival bogus", `faasim: workload: unknown arrival process "bogus" (want poisson, diurnal, flash, or diurnalflash)`},
 		{"-migrate-demo -nodes 2", "faasim: -migrate-demo and -nodes are mutually exclusive (the migration demo drives one engine, not a fleet)"},
+		{"-migrate-demo -functions pagerank -prom x.prom -trace t.json -fault-rate 0.5 -router rr",
+			"faasim: -migrate-demo and -fault-rate are mutually exclusive (the migration demo reads only -functions, -window and -seed)"},
+		{"-migrate-demo -http :0 -mode reap -requests 5",
+			"faasim: -migrate-demo and -http are mutually exclusive (the migration demo reads only -functions, -window and -seed)"},
+		{"-migrate-demo -mode toss", "faasim: -migrate-demo and -mode are mutually exclusive (the migration demo reads only -functions, -window and -seed)"},
+		{"-migrate-demo -nodes 2 -alerts", "faasim: -migrate-demo and -alerts are mutually exclusive (the migration demo reads only -functions, -window and -seed)"},
 	} {
 		stdout, diag, code, _ := runFaasim(t, c.args)
 		if code != 2 || diag != c.want || stdout != "" {

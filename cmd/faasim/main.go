@@ -67,7 +67,9 @@
 // drifting hot window for 24 epochs, and renders the ASCII tier timeline —
 // one row per epoch, one column per extent bucket, glyph = tier — followed
 // by per-tier occupancy and the daemon's move statistics. TIERS.md explains
-// the model; the README's "Watching a region migrate" walks the output.
+// the model; the README's "Watching a region migrate" walks the output. The
+// demo reads no flag but those three and the profile pair; any other given
+// with it is a usage error.
 //
 // -cpuprofile and -memprofile profile the run in every mode, and stop before
 // the dashboard starts serving. The heap profile is written once the run has
@@ -264,11 +266,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 
 	if o.migrateDemo {
-		// The migration demo is a self-contained pipeline: it reads only
-		// -functions, -window and -seed.
-		if o.nodes > 0 {
-			return nil, usageError(cliutil.MutuallyExclusive("faasim", "-migrate-demo", "-nodes",
-				"the migration demo drives one engine, not a fleet"))
+		if err := checkDemoFlags(fs); err != nil {
+			return nil, err
 		}
 	} else if err := o.checkModeFlags(fs); err != nil {
 		return nil, err
@@ -282,6 +281,32 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 		o.fns = append(o.fns, spec)
 	}
 	return o, nil
+}
+
+// checkDemoFlags rejects every flag the migration demo does not read. The
+// demo is a self-contained pipeline: besides the profiles it reads only
+// -functions, -window and -seed. The first other flag given, in flag-name
+// order, is named.
+func checkDemoFlags(fs *flag.FlagSet) error {
+	var offender string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "migrate-demo", "functions", "window", "seed", "cpuprofile", "memprofile":
+		default:
+			if offender == "" {
+				offender = "-" + f.Name
+			}
+		}
+	})
+	switch offender {
+	case "":
+		return nil
+	case "-nodes":
+		return usageError(cliutil.MutuallyExclusive("faasim", "-migrate-demo", offender,
+			"the migration demo drives one engine, not a fleet"))
+	}
+	return usageError(cliutil.MutuallyExclusive("faasim", "-migrate-demo", offender,
+		"the migration demo reads only -functions, -window and -seed"))
 }
 
 // checkModeFlags rejects flags the selected mode cannot honor. Alerting needs

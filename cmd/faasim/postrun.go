@@ -89,18 +89,18 @@ func writeExport(w io.Writer, path, done string, write func(io.Writer) error) er
 // panels computed once from what the run produced. Nothing changes after the
 // run, so each page renders the same bytes on every request.
 type dashboard struct {
-	// title and panels name the dashboard in the serve banner.
-	title, panels string
-	rec           *obs.Recorder   // nil: no flight recorder (cluster mode)
-	xray          *xray.Report    // nil: no attribution collector
-	fleet         *cluster.Report // nil: no fleet (replay mode)
-	alerts        *insight.Result // nil: no alert engine
+	// title names the dashboard in the serve banner.
+	title  string
+	rec    *obs.Recorder   // nil: no flight recorder (cluster mode)
+	xray   *xray.Report    // nil: no attribution collector
+	fleet  *cluster.Report // nil: no fleet (replay mode)
+	alerts *insight.Result // nil: no alert engine
 }
 
 // newDashboard builds the dashboard over a finished run; any of rec, xcol,
 // fleet and eng may be nil.
-func newDashboard(title, panels string, rec *obs.Recorder, xcol *xray.Collector, fleet *cluster.Report, eng *insight.Engine) *dashboard {
-	d := &dashboard{title: title, panels: panels, rec: rec, fleet: fleet}
+func newDashboard(title string, rec *obs.Recorder, xcol *xray.Collector, fleet *cluster.Report, eng *insight.Engine) *dashboard {
+	d := &dashboard{title: title, rec: rec, fleet: fleet}
 	if xcol != nil {
 		d.xray = xray.Aggregate("live", xcol.Snapshot())
 	}
@@ -113,7 +113,8 @@ func newDashboard(title, panels string, rec *obs.Recorder, xcol *xray.Collector,
 
 // route is one dashboard endpoint: its path, the one-line description the
 // index renders, and its handler. Keeping the table authoritative means the
-// index can never drift from what is actually registered.
+// index and the serve banner can never drift from what is actually
+// registered.
 type route struct {
 	path    string
 	desc    string
@@ -218,13 +219,17 @@ func (d *dashboard) handler() http.Handler {
 	return mux
 }
 
-// serve prints the banner to w and serves the dashboard on addr; it returns
-// only on failure.
+// serve prints the banner, which names every route, to w and serves the
+// dashboard on addr; it returns only on failure.
 func (d *dashboard) serve(w io.Writer, addr string) error {
 	display := addr
 	if strings.HasPrefix(display, ":") {
 		display = "localhost" + display
 	}
-	fmt.Fprintf(w, "\nserving %s on http://%s/ (%s)\n", d.title, display, d.panels)
+	var panels []string
+	for _, rt := range d.routes() {
+		panels = append(panels, strings.Trim(rt.path, "/"))
+	}
+	fmt.Fprintf(w, "\nserving %s on http://%s/ (%s)\n", d.title, display, strings.Join(panels, ", "))
 	return http.ListenAndServe(addr, d.handler())
 }

@@ -134,7 +134,7 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 	// the hottest segment as its blame. Both require -slo.
 	var alerts *insight.Engine
 	if o.slo > 0 {
-		eng := insight.NewEngine(insight.DefaultResolution, latencyRule(o, simtime.FromStd(o.slo)))
+		eng := insight.NewEngine(latencyRule(o, simtime.FromStd(o.slo)))
 		if o.alerting() {
 			alerts = eng
 			if xcol != nil {
@@ -197,6 +197,5 @@ func runReplay(o *options, w io.Writer) (*dashboard, error) {
 	if o.httpAddr == "" {
 		return nil, nil
 	}
-	return newDashboard("dashboard", "metrics, timeseries.json, heatmap, healthz, debug/pprof",
-		rec, xcol, nil, alerts), nil
+	return newDashboard("dashboard", rec, xcol, nil, alerts), nil
 }

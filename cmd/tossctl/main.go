@@ -204,7 +204,7 @@ func run() int {
 		suite.FleetSink = par.NewSink[string]()
 	}
 	if *alerts != "" || *insightOut != "" {
-		suite.InsightSink = insight.NewSink()
+		suite.InsightSink = par.NewSink[insight.Result]()
 	}
 	finish := func() int {
 		if code := writeFleetLog(suite, *fleetLog); code != 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"toss/internal/insight"
+	"toss/internal/par"
 	"toss/internal/simtime"
 	"toss/internal/xray"
 )
@@ -16,9 +17,9 @@ import (
 // inflate and writes it to dir/name. inflate=1 is the healthy baseline.
 func writeDump(t *testing.T, dir, name string, inflate float64) string {
 	t.Helper()
-	sink := insight.NewSink()
+	sink := par.NewSink[insight.Result]()
 	for _, cell := range []string{"ext/dram", "ext/toss"} {
-		eng := insight.NewEngine(insight.DefaultResolution)
+		eng := insight.NewEngine()
 		base := 50.0
 		if cell == "ext/toss" {
 			base = 5.0
@@ -220,6 +221,18 @@ func TestReportPinsXRayPair(t *testing.T) {
 		"\n## VERDICT: FAIL — 1 regression(s) across 1 section(s) (6 cells compared)\n"
 	if out != want {
 		t.Fatalf("xray verdict drifted:\n--- got ---\n%s\n--- want ---\n%s", out, want)
+	}
+}
+
+// TestReportComparesDumpWithShapeFields: an insight dump whose series still
+// carry buckets, downsamples and width_ns (the golden as written before
+// they were dropped) compares clean against the current golden, so
+// `tossctl report -fail` passes a pair taken across that change.
+func TestReportComparesDumpWithShapeFields(t *testing.T) {
+	const dir = "../../internal/insight/testdata/"
+	code, out := captureReport(t, "-fail", dir+"dump_shape.json", dir+"dump.json")
+	if code != 0 || !strings.Contains(out, "VERDICT: PASS") {
+		t.Fatalf("exit %d, want 0 and a PASS verdict\n%s", code, out)
 	}
 }
 

@@ -23,7 +23,7 @@ const clusterDigestGolden uint64 = 0xf7a3b2ba3db2f4b7
 // insight burn rule with the given objective and fast window: the SLO
 // account faasim prints after a cluster run.
 func burnStats(rep *Report, objective, window simtime.Duration) insight.BurnStats {
-	eng := insight.NewEngine(0, insight.BurnRule("slo", "latency", objective, window, 4*window, 1, 1))
+	eng := insight.NewEngine(insight.BurnRule("slo", "latency", objective, window, 4*window, 1, 1))
 	recs := &rep.Records
 	for k := 0; k < recs.Len(); k++ {
 		i := recs.Completed(k)

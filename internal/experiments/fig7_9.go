@@ -209,8 +209,9 @@ func Fig9Scalability(s *Suite) (*Table, error) {
 		Header: []string{"function", "conc", "toss", "reap best", "reap worst"},
 	}
 	// The concurrency ladder is independent per function: fan functions out,
-	// fold the 4-row blocks in registry order. Recorder calls stay ordered
-	// because an attached recorder forces the pool serial (see Suite.Pool).
+	// fold the 4-row blocks in registry order, so the table is the same at
+	// any pool width (Suite.Pool serializes only for a suite-level fault
+	// injector).
 	type specRes struct {
 		rows            [][]any
 		toss20, worst20 float64

@@ -38,7 +38,7 @@ const (
 // the table's p99 inflation metric applies.
 func ext10Insight(mech string, rep *cluster.Report, horizon, warmup simtime.Duration, p99Ms, coldPct float64) insight.Result {
 	fast, slow := horizon/288, horizon/24
-	eng := insight.NewEngine(horizon/insight.BucketBudget,
+	eng := insight.NewEngine(
 		insight.BurnRule("warm-hit-inflation-slo", "inflation", ext10InflObjective, fast, slow, ext10FastBurn, ext10SlowBurn),
 		insight.BurnRule("cold-start-rate", "cold", 0, fast, slow, ext10FastBurn, ext10SlowBurn),
 	)
@@ -86,11 +86,11 @@ const (
 // on invocation latency (fast 4 epochs, slow 16) and a sustained-fetch
 // threshold rule on the per-epoch synchronous fault-in cost.
 func newExt11InsightFeed(epoch simtime.Duration) *ext11InsightFeed {
-	return &ext11InsightFeed{eng: insight.NewEngine(epoch,
+	return &ext11InsightFeed{eng: insight.NewEngine(
 		insight.BurnRule("epoch-latency-slo", "latency", ext11LatencyObjective, 4*epoch, 16*epoch, ext11FastBurn, ext11SlowBurn),
 		insight.Rule{
 			Name: "sustained-fetch", Kind: insight.Threshold, Series: "epoch_fetch_ms",
-			Op: insight.Above, Limit: ext11FetchLimitMs, For: 4 * epoch,
+			Limit: ext11FetchLimitMs, For: 4 * epoch,
 		},
 	)}
 }

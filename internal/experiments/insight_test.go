@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"toss/internal/insight"
+	"toss/internal/par"
 )
 
 // TestInsightSinkParallelIdentical pins the alert pipeline's parallelism
@@ -23,7 +24,7 @@ func TestInsightSinkParallelIdentical(t *testing.T) {
 		s := NewSuite()
 		s.Workers = workers
 		s.ClusterScale = 0.02
-		s.InsightSink = insight.NewSink()
+		s.InsightSink = par.NewSink[insight.Result]()
 		if _, err := s.RunMany([]string{"ext10", "ext11"}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -83,7 +84,7 @@ func TestInsightObserverIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs both alert-wired experiments twice")
 	}
-	render := func(sink *insight.Sink) []string {
+	render := func(sink *par.Sink[insight.Result]) []string {
 		s := NewSuite()
 		s.ClusterScale = 0.02
 		s.InsightSink = sink
@@ -98,7 +99,7 @@ func TestInsightObserverIdentity(t *testing.T) {
 		return out
 	}
 	bare := render(nil)
-	observed := render(insight.NewSink())
+	observed := render(par.NewSink[insight.Result]())
 	if len(bare) != len(observed) {
 		t.Fatalf("table counts differ: %d vs %d", len(bare), len(observed))
 	}

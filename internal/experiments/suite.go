@@ -50,7 +50,7 @@ type Suite struct {
 	// alerts are computed either way (the tables note them); the sink
 	// only exports them. It folds parallel cells by sorted cell name, so
 	// the alert log and dump are byte-identical at any worker-pool size.
-	InsightSink *insight.Sink
+	InsightSink *par.Sink[insight.Result]
 	// Workers bounds the experiment engine's parallelism (see Pool). Zero
 	// or one runs everything serially. Set before the first Run.
 	Workers int

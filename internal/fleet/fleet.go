@@ -2,9 +2,10 @@
 // granularity: DRAM is 40-50% of server cost (§I, §III), so a platform that
 // keeps 92% of every warm VM in the cheap tier can hold far more warm VMs
 // per host — or buy far less DRAM per host — than a DRAM-only platform.
-// The packing model is deliberately simple (per-tier byte capacities,
-// first-fit-decreasing placement) because that is how serverless fleets
-// place memory-bound microVMs in practice.
+// The packing model is deliberately simple: per-tier byte capacities, and a
+// host keeps as many copies of one VM warm as its tightest tier holds
+// (MaxResident). It places nothing; routing VMs onto hosts is the cluster
+// simulator's job.
 package fleet
 
 import (
@@ -54,9 +55,9 @@ func (h HostSpec) Hosts(n int) []HostSpec {
 }
 
 // ValidateFleet checks a (possibly heterogeneous) fleet: at least one host,
-// every spec individually valid. Mixed tiered/DRAM-only fleets are legal —
-// the cluster router is what has to cope with them — but a fleet where every
-// host lacks a slow tier and any host has one of zero DRAM is not.
+// and every spec valid on its own (HostSpec.Validate). Mixed tiered and
+// DRAM-only fleets are legal; the cluster router is what has to cope with
+// them.
 func ValidateFleet(hosts []HostSpec) error {
 	if len(hosts) == 0 {
 		return fmt.Errorf("fleet: empty fleet")

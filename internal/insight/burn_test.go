@@ -10,7 +10,7 @@ import (
 // sloRule is the burn rule the BurnStats tests feed: objective, fast window
 // and a slow window four times as wide.
 func sloRule(objective, window simtime.Duration) *Engine {
-	return NewEngine(0, BurnRule("slo", "latency", objective, window, 4*window, 0.1, 0.05))
+	return NewEngine(BurnRule("slo", "latency", objective, window, 4*window, 0.1, 0.05))
 }
 
 func TestBurnStatsTotals(t *testing.T) {

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"toss/internal/par"
 )
 
 // SchemaVersion identifies the insight dump format. The regression sentinel
@@ -52,13 +50,6 @@ type Dump struct {
 	// Cells are the per-cell results, sorted by cell name.
 	Cells []Result `json:"cells"`
 }
-
-// Sink folds per-cell Results from a parallel run by sorted cell name, so
-// the alert log and dump bytes are identical at any `par` width.
-type Sink = par.Sink[Result]
-
-// NewSink returns an empty sink.
-func NewSink() *Sink { return par.NewSink[Result]() }
 
 // fmtValue renders a float with the shortest round-trip representation —
 // deterministic for a given value.
@@ -150,10 +141,10 @@ td,th{border:1px solid #444;padding:4px 10px;text-align:left}
 			b.WriteString("</table>\n")
 		}
 		if len(res.Series) > 0 {
-			b.WriteString("<h2>series</h2><table><tr><th>series</th><th>points</th><th>min</th><th>mean</th><th>max</th><th>last</th><th>width</th></tr>\n")
+			b.WriteString("<h2>series</h2><table><tr><th>series</th><th>points</th><th>min</th><th>mean</th><th>max</th><th>last</th></tr>\n")
 			for _, s := range res.Series {
-				fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%g</td><td>%g</td><td>%g</td><td>%g</td><td>%s</td></tr>\n",
-					html.EscapeString(s.Name), s.Points, s.Min, s.Mean, s.Max, s.Last, s.Width.Std())
+				fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%g</td><td>%g</td><td>%g</td><td>%g</td></tr>\n",
+					html.EscapeString(s.Name), s.Points, s.Min, s.Mean, s.Max, s.Last)
 			}
 			b.WriteString("</table>\n")
 		}

@@ -20,10 +20,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // raised no alerts, a nil engine's cell, and values whose shortest
 // spelling carries an exponent.
 func goldenDump() Dump {
-	hot := NewEngine(0, Rule{Name: "hot", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e6})
+	hot := NewEngine(Rule{Name: "hot", Kind: Threshold, Series: "rate", Limit: 1e6})
 	hot.Observe("rate", simtime.Second, 1e-05)
 	hot.Observe("rate", 2*simtime.Second, 2.5e+08)
-	quiet := NewEngine(0, Rule{Name: "never", Kind: Threshold, Series: "rate", Op: Above, Limit: 1e9})
+	quiet := NewEngine(Rule{Name: "never", Kind: Threshold, Series: "rate", Limit: 1e9})
 	quiet.Observe("rate", simtime.Second, 1e-05)
 	quiet.Observe("rate", 3*simtime.Second, 0.25)
 	var none *Engine
@@ -69,6 +69,38 @@ func TestDumpGolden(t *testing.T) {
 	}
 }
 
+// TestReadDumpAcceptsShapeFields: testdata/dump_shape.json is the golden
+// dump as written while each series also carried its buckets, downsamples
+// and width_ns. ReadDump must accept it, and it must compare clean against
+// the current golden: every cell compared, none regressed or improved, none
+// in one dump only.
+func TestReadDumpAcceptsShapeFields(t *testing.T) {
+	read := func(name string) Dump {
+		t.Helper()
+		f, err := os.Open(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		d, err := ReadDump(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return d
+	}
+	old, cur := read("dump_shape.json"), read("dump.json")
+	sec, err := DiffDumps("old -> new", old, cur, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(DumpCells(cur)); sec.Compared != want || want == 0 {
+		t.Errorf("compared %d cells, want all %d", sec.Compared, want)
+	}
+	if len(sec.Regressions)+len(sec.Improvements)+len(sec.OnlyOld)+len(sec.OnlyNew) != 0 {
+		t.Errorf("old dump does not compare clean: %+v", sec)
+	}
+}
+
 // TestWriteDumpJSONRejectsNonFinite: NaN and ±Inf have no JSON spelling,
 // so a series or alert value holding one fails the write, which then
 // writes nothing.
@@ -95,6 +127,7 @@ func TestWriteDumpJSONRejectsNonFinite(t *testing.T) {
 func FuzzReadDump(f *testing.F) {
 	for _, path := range []string{
 		filepath.Join("testdata", "dump.json"),
+		filepath.Join("testdata", "dump_shape.json"),
 		filepath.Join("..", "xray", "testdata", "rundoc.json"),
 		filepath.Join("..", "..", "BENCH_experiments.json"),
 	} {

@@ -11,9 +11,7 @@
 //     series' running summary — points, sum, min, max, last, and the first
 //     and last times — which is all a dump, `tossctl report` or the alert
 //     panel reads, so a million-invocation run costs the same memory as a
-//     hundred-invocation one. Three integers replay the shape of a bounded,
-//     resolution-doubling bucket series (its bucket count, width, and
-//     doublings) without storing a bucket.
+//     hundred-invocation one.
 //
 //   - The same Engine evaluates rules purely in virtual time: threshold
 //     rules with a sustained-for duration, and Google-SRE-style
@@ -38,9 +36,15 @@
 //
 // Determinism follows the package conventions established by telemetry and
 // fleetobs: all iteration orders are explicit, the dump encodes its types
-// in fixed field order with fixed number spelling (emit.Float), and a Sink
-// (par.Sink) folds per-cell results by sorted cell name so suite-level
+// in fixed field order with fixed number spelling (emit.Float), and a
+// par.Sink folds per-cell results by sorted cell name so suite-level
 // artifacts are byte-identical at any parallelism.
+//
+// Dumps written before the series kept only their running summaries also
+// carry three shape integers per series (buckets, downsamples, width_ns).
+// ReadDump skips them, and SchemaVersion stays 1: no field a reader reads
+// was removed, so `tossctl report` compares a dump from either side with
+// one from the other, cell for cell.
 package insight
 
 import (
@@ -50,25 +54,9 @@ import (
 	"toss/internal/simtime"
 )
 
-const (
-	// DefaultResolution is the initial bucket width of a fresh series when
-	// NewEngine is given none.
-	DefaultResolution = 100 * simtime.Millisecond
-	// BucketBudget bounds every series' bucket count: a series that
-	// outgrows it downsamples (the width doubles) instead of dropping
-	// points.
-	BucketBudget = 512
-)
-
 // series is one named series: its running summary and the rules watching
-// it. The shape fields replay a series of at most BucketBudget buckets
-// anchored at start, without storing one: an observation past the budget
-// doubles the width, merging the buckets pairwise, until it lands; one
-// earlier than the anchor clamps into bucket 0.
+// it.
 type series struct {
-	start, width         simtime.Duration
-	buckets, downsamples int
-
 	points              int64
 	sum, min, max, last float64
 	firstAt, lastAt     simtime.Duration
@@ -78,28 +66,13 @@ type series struct {
 }
 
 // observe folds value v at virtual time at into the summary. The first
-// observation anchors the series on a resolution boundary and is its last
-// point, whatever its time.
-func (s *series) observe(at simtime.Duration, v float64, resolution simtime.Duration) {
+// observation sets the first time and is the last point, whatever its
+// time; a later one replaces the last point unless it is earlier in time.
+func (s *series) observe(at simtime.Duration, v float64) {
 	first := s.points == 0
 	if first {
-		s.start, s.width = (at/resolution)*resolution, resolution
 		s.firstAt = at
 	}
-	if at < s.start {
-		at = s.start // interleaved sources may lag the anchor; clamp exactly
-	}
-	idx := int((at - s.start) / s.width)
-	for idx >= BucketBudget {
-		// Merging pairwise leaves at most BucketBudget/2 buckets, and the
-		// point lands at BucketBudget/2 or later, so its bucket ends the
-		// series.
-		s.width *= 2
-		s.downsamples++
-		idx = int((at - s.start) / s.width)
-		s.buckets = idx + 1
-	}
-	s.buckets = max(s.buckets, idx+1)
 	if first || v < s.min {
 		s.min = v
 	}
@@ -118,12 +91,8 @@ func (s *series) observe(at simtime.Duration, v float64, resolution simtime.Dura
 type SeriesSummary struct {
 	// Name is the series identifier.
 	Name string `json:"name"`
-	// Points / Buckets / Downsamples describe the series' shape.
-	Points      int64 `json:"points"`
-	Buckets     int   `json:"buckets"`
-	Downsamples int   `json:"downsamples"`
-	// Width is the final bucket width.
-	Width simtime.Duration `json:"width_ns"`
+	// Points counts the observations.
+	Points int64 `json:"points"`
 	// FirstAt / LastAt bound the observations in virtual time.
 	FirstAt simtime.Duration `json:"first_ns"`
 	LastAt  simtime.Duration `json:"last_ns"`
@@ -149,17 +118,14 @@ func (e *Engine) summaries() []SeriesSummary {
 	for _, n := range names {
 		s := e.series[n]
 		out = append(out, SeriesSummary{
-			Name:        n,
-			Points:      s.points,
-			Buckets:     s.buckets,
-			Downsamples: s.downsamples,
-			Width:       s.width,
-			FirstAt:     s.firstAt,
-			LastAt:      s.lastAt,
-			Min:         emit.Float(s.min),
-			Max:         emit.Float(s.max),
-			Mean:        emit.Float(s.sum / float64(s.points)),
-			Last:        emit.Float(s.last),
+			Name:    n,
+			Points:  s.points,
+			FirstAt: s.firstAt,
+			LastAt:  s.lastAt,
+			Min:     emit.Float(s.min),
+			Max:     emit.Float(s.max),
+			Mean:    emit.Float(s.sum / float64(s.points)),
+			Last:    emit.Float(s.last),
 		})
 	}
 	return out

@@ -8,17 +8,18 @@ import (
 	"testing"
 
 	"toss/internal/emit"
+	"toss/internal/par"
 	"toss/internal/simtime"
 )
 
-func TestSeriesAnchorAndClamp(t *testing.T) {
-	e := NewEngine(simtime.Second)
+// TestSeriesFirstAndLast: the first observation fixes the first time, and
+// the last point is the latest in time; an earlier one after it counts in
+// the aggregates only.
+func TestSeriesFirstAndLast(t *testing.T) {
+	e := NewEngine()
 	e.Observe("x", 1500*simtime.Millisecond, 2)
 	e.Observe("x", 1900*simtime.Millisecond, 4)
 	e.Observe("x", 3*simtime.Second, 10)
-	if s := e.series["x"]; s.start != simtime.Second || s.width != simtime.Second || s.buckets != 3 {
-		t.Fatalf("shape: start=%v width=%v buckets=%d, want 1s 1s 3", s.start, s.width, s.buckets)
-	}
 	sum, ok := e.Summary("x")
 	if !ok || sum.Points != 3 || sum.Min != 2 || sum.Max != 10 || sum.Mean != 16.0/3 {
 		t.Fatalf("aggregates: %+v", sum)
@@ -26,41 +27,16 @@ func TestSeriesAnchorAndClamp(t *testing.T) {
 	if sum.FirstAt != 1500*simtime.Millisecond || sum.LastAt != 3*simtime.Second || sum.Last != 10 {
 		t.Fatalf("first/last: %+v", sum)
 	}
-	// An observation before the anchor clamps into bucket 0: the shape and
-	// the last point hold, the aggregates take it.
 	e.Observe("x", 0, 1)
 	sum, _ = e.Summary("x")
-	if sum.Buckets != 3 || sum.Points != 4 || sum.Min != 1 || sum.Last != 10 || sum.LastAt != 3*simtime.Second {
-		t.Fatalf("after clamped point: %+v", sum)
+	if sum.Points != 4 || sum.Min != 1 || sum.FirstAt != 1500*simtime.Millisecond ||
+		sum.Last != 10 || sum.LastAt != 3*simtime.Second {
+		t.Fatalf("after an earlier point: %+v", sum)
 	}
 	// A series observed only before time 0 ends at its last point.
 	e.Observe("early", -5*simtime.Second, 3)
 	if sum, _ = e.Summary("early"); sum.FirstAt != -5*simtime.Second || sum.LastAt != -5*simtime.Second || sum.Last != 3 {
 		t.Fatalf("series before time 0: %+v", sum)
-	}
-}
-
-func TestSeriesDownsampleShape(t *testing.T) {
-	e := NewEngine(simtime.Millisecond)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := float64(i % 997)
-		e.Observe("lat", simtime.Duration(i)*simtime.Millisecond, v)
-		sum += v
-	}
-	s, _ := e.Summary("lat")
-	if s.Buckets > BucketBudget {
-		t.Fatalf("bucket budget exceeded: %d", s.Buckets)
-	}
-	if s.Downsamples == 0 || s.Width != simtime.Millisecond<<s.Downsamples {
-		t.Fatalf("downsamples=%d width=%v on a 100k-point series", s.Downsamples, s.Width)
-	}
-	if end := e.series["lat"].start + simtime.Duration(s.Buckets)*s.Width; end < simtime.Duration(n)*simtime.Millisecond {
-		t.Fatalf("buckets end at %v, short of the feed", end)
-	}
-	if s.Points != n || s.Mean != emit.Float(sum/n) || s.Min != 0 || s.Max != 996 {
-		t.Fatalf("aggregates: %+v", s)
 	}
 }
 
@@ -73,7 +49,7 @@ func TestEngineSeriesConcurrentFeeds(t *testing.T) {
 			e.Observe(name, simtime.Duration(i)*simtime.Millisecond, float64(i%7))
 		}
 	}
-	serial, shared := NewEngine(0), NewEngine(0)
+	serial, shared := NewEngine(), NewEngine()
 	var wg sync.WaitGroup
 	for _, name := range []string{"a", "b", "c", "d"} {
 		feed(serial, name)
@@ -98,8 +74,8 @@ func TestNilEngine(t *testing.T) {
 }
 
 func TestThresholdRuleSustainedFor(t *testing.T) {
-	e := NewEngine(0, Rule{
-		Name: "hot", Kind: Threshold, Series: "util", Op: Above, Limit: 0.8,
+	e := NewEngine(Rule{
+		Name: "hot", Kind: Threshold, Series: "util", Limit: 0.8,
 		For: 10 * simtime.Second,
 	})
 	e.Observe("util", 0*simtime.Second, 0.5)
@@ -134,7 +110,7 @@ func TestThresholdRuleSustainedFor(t *testing.T) {
 
 func TestBurnRuleMultiWindow(t *testing.T) {
 	// SLO 100ms; fast 10s window at 20%, slow 60s window at 10%.
-	e := NewEngine(0, BurnRule("slo", "lat", 100*simtime.Millisecond,
+	e := NewEngine(BurnRule("slo", "lat", 100*simtime.Millisecond,
 		10*simtime.Second, 60*simtime.Second, 0.2, 0.1))
 	ms := func(n int) simtime.Duration { return simtime.Duration(n) * simtime.Millisecond }
 	at := simtime.Duration(0)
@@ -180,7 +156,7 @@ func TestBurnRuleMultiWindow(t *testing.T) {
 func TestBurnWindowMemoryBound(t *testing.T) {
 	// A long feed must not retain the whole stream: each window of a Burn
 	// rule reclaims its dead prefix once it dominates.
-	e := NewEngine(0, BurnRule("slo", "lat", simtime.Millisecond, simtime.Second, 2*simtime.Second, 0.5, 0.5))
+	e := NewEngine(BurnRule("slo", "lat", simtime.Millisecond, simtime.Second, 2*simtime.Second, 0.5, 0.5))
 	for i := 0; i < 100000; i++ {
 		lat := simtime.Duration(0)
 		if i%10 == 0 {
@@ -200,7 +176,7 @@ func TestBurnWindowMemoryBound(t *testing.T) {
 }
 
 func TestEngineBlame(t *testing.T) {
-	e := NewEngine(0, Rule{Name: "t", Kind: Threshold, Series: "s", Op: Above, Limit: 1})
+	e := NewEngine(Rule{Name: "t", Kind: Threshold, Series: "s", Limit: 1})
 	e.SetBlamer(func(rule string, at simtime.Duration) string { return rule + "@" + at.String() })
 	e.Observe("s", 3*simtime.Second, 5)
 	al := e.Alerts()
@@ -211,8 +187,7 @@ func TestEngineBlame(t *testing.T) {
 
 // feedDemo produces a small deterministic result with one fire/resolve pair.
 func feedDemo(cell string) Result {
-	e := NewEngine(simtime.Second,
-		Rule{Name: "hot-util", Kind: Threshold, Series: "util", Op: Above, Limit: 0.75, For: 2 * simtime.Second})
+	e := NewEngine(Rule{Name: "hot-util", Kind: Threshold, Series: "util", Limit: 0.75, For: 2 * simtime.Second})
 	e.SetBlamer(func(string, simtime.Duration) string { return "pyaes seg=snapshot.pull share=41.0%" })
 	for i := 0; i <= 20; i++ {
 		v := 0.5
@@ -278,8 +253,8 @@ func TestDumpJSONRoundTripAndDeterminism(t *testing.T) {
 }
 
 func TestSinkFoldsSorted(t *testing.T) {
-	record := func(cells ...string) *Sink {
-		s := NewSink()
+	record := func(cells ...string) *par.Sink[Result] {
+		s := par.NewSink[Result]()
 		for _, c := range cells {
 			s.Record(c, feedDemo(c))
 		}
@@ -302,7 +277,7 @@ func TestSinkFoldsSorted(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatal("sink alert log depends on record order")
 	}
-	var nilSink *Sink
+	var nilSink *par.Sink[Result]
 	nilSink.Record("x", Result{Cell: "x"})
 	if nilSink.Len() != 0 || nilSink.Sorted() != nil {
 		t.Fatal("nil sink must no-op")
@@ -391,11 +366,11 @@ func TestVerdictSchemaMismatch(t *testing.T) {
 func BenchmarkAlertEngine(b *testing.B) {
 	rules := []Rule{
 		BurnRule("slo", "lat", 100*simtime.Millisecond, 5*simtime.Second, 60*simtime.Second, 0.1, 0.05),
-		{Name: "hot", Kind: Threshold, Series: "lat", Op: Above, Limit: 400, For: simtime.Second},
+		{Name: "hot", Kind: Threshold, Series: "lat", Limit: 400, For: simtime.Second},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e := NewEngine(0, rules...)
+	e := NewEngine(rules...)
 	at := simtime.Duration(0)
 	for i := 0; i < b.N; i++ {
 		lat := simtime.Duration(50+i%200) * simtime.Millisecond

@@ -11,190 +11,89 @@ import (
 	"toss/internal/simtime"
 )
 
-// refStore is the bucketed series store the Engine's running summaries
-// replaced: every series keeps up to BucketBudget exact count/sum/min/max
-// buckets, and on overflow adjacent buckets merge pairwise and the width
-// doubles. It is the reference the Engine's shape arithmetic is held to.
-type refStore struct {
-	resolution simtime.Duration
-	series     map[string]*refSeries
-}
-
-// refBucket is one time slot: the exact count, sum, min and max of the
-// observations that landed in it.
-type refBucket struct {
-	count    int64
-	sum      float64
-	min, max float64
-}
-
-func (b *refBucket) merge(o refBucket) {
-	if o.count == 0 {
-		return
-	}
-	if b.count == 0 {
-		*b = o
-		return
-	}
-	b.count += o.count
-	b.sum += o.sum
-	b.min = min(b.min, o.min)
-	b.max = max(b.max, o.max)
-}
-
-func (b *refBucket) observe(v float64) {
-	if b.count == 0 || v < b.min {
-		b.min = v
-	}
-	if b.count == 0 || v > b.max {
-		b.max = v
-	}
-	b.count++
-	b.sum += v
-}
-
-type refSeries struct {
-	start, width    simtime.Duration
-	buckets         []refBucket
-	downsamples     int
-	points          int64
-	sum             float64
-	min, max, last  float64
-	firstAt, lastAt simtime.Duration
-}
-
-func newRefStore(resolution simtime.Duration) *refStore {
-	return &refStore{resolution: resolution, series: make(map[string]*refSeries)}
-}
-
-func (st *refStore) observe(name string, at simtime.Duration, v float64) {
-	s := st.series[name]
-	if s == nil {
-		s = &refSeries{
-			start:   (at / st.resolution) * st.resolution,
-			width:   st.resolution,
-			buckets: make([]refBucket, 0, BucketBudget),
-			firstAt: at,
-		}
-		st.series[name] = s
-	}
-	if at < s.start {
-		at = s.start
-	}
-	idx := int((at - s.start) / s.width)
-	for idx >= BucketBudget {
-		n := (len(s.buckets) + 1) / 2
-		for i := 0; i < n; i++ {
-			b := s.buckets[2*i]
-			if 2*i+1 < len(s.buckets) {
-				b.merge(s.buckets[2*i+1])
-			}
-			s.buckets[i] = b
-		}
-		s.buckets = s.buckets[:n]
-		s.width *= 2
-		s.downsamples++
-		idx = int((at - s.start) / s.width)
-	}
-	for len(s.buckets) <= idx {
-		s.buckets = append(s.buckets, refBucket{})
-	}
-	s.buckets[idx].observe(v)
-	if s.points == 0 || v < s.min {
-		s.min = v
-	}
-	if s.points == 0 || v > s.max {
-		s.max = v
-	}
-	if s.points == 0 || at >= s.lastAt {
-		s.last, s.lastAt = v, at
-	}
-	s.points++
-	s.sum += v
-}
-
-func (st *refStore) summaries() []SeriesSummary {
-	names := make([]string, 0, len(st.series))
-	for n := range st.series {
+// refSummaries is the fold the Engine's running summaries are held to: it
+// computes each summary field from every observation of a series, kept in
+// feed order. The first time is the first observation's; the last
+// point is the latest in time, the later fed among equal times; min and max
+// come from the sorted values; the mean is the feed-order sum over the
+// count.
+func refSummaries(obs map[string][]refObs) []SeriesSummary {
+	names := make([]string, 0, len(obs))
+	for n := range obs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := make([]SeriesSummary, 0, len(names))
 	for _, n := range names {
-		s := st.series[n]
+		list := obs[n]
+		last := 0
+		values := make([]float64, len(list))
+		var sum float64
+		for i, o := range list {
+			if o.at >= list[last].at {
+				last = i
+			}
+			values[i] = o.v
+			sum += o.v
+		}
+		sort.Float64s(values)
 		out = append(out, SeriesSummary{
-			Name:        n,
-			Points:      s.points,
-			Buckets:     len(s.buckets),
-			Downsamples: s.downsamples,
-			Width:       s.width,
-			FirstAt:     s.firstAt,
-			LastAt:      s.lastAt,
-			Min:         emit.Float(s.min),
-			Max:         emit.Float(s.max),
-			Mean:        emit.Float(s.sum / float64(s.points)),
-			Last:        emit.Float(s.last),
+			Name:    n,
+			Points:  int64(len(list)),
+			FirstAt: list[0].at,
+			LastAt:  list[last].at,
+			Min:     emit.Float(values[0]),
+			Max:     emit.Float(values[len(values)-1]),
+			Mean:    emit.Float(sum / float64(len(list))),
+			Last:    emit.Float(list[last].v),
 		})
 	}
 	return out
 }
 
-// checkAgainstRef requires the engine's summaries and anchors to equal the
-// reference store's, and the reference's buckets to account for every
-// point.
-func checkAgainstRef(t *testing.T, e *Engine, ref *refStore) {
-	t.Helper()
-	got, want := e.Result("").Series, ref.summaries()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("summaries differ from the bucketed store:\n got %+v\nwant %+v", got, want)
-	}
-	for name, r := range ref.series {
-		if s := e.series[name]; s.start != r.start {
-			t.Fatalf("%s: start %v, reference %v", name, s.start, r.start)
-		}
-		var count int64
-		for _, b := range r.buckets {
-			count += b.count
-		}
-		if count != r.points {
-			t.Fatalf("%s: reference buckets hold %d of %d points", name, count, r.points)
-		}
-	}
+// refObs is one observation the reference fold keeps.
+type refObs struct {
+	at simtime.Duration
+	v  float64
 }
 
-// feedBytes decodes data into observations on both an engine and the
-// reference store: each 4-byte record picks a series, a signed time step
-// scaled by up to 2^31, and a value. Steps backward reach before a
-// series' anchor; scaled steps open gaps that force several doublings.
-func feedBytes(data []byte) (*Engine, *refStore) {
-	res := simtime.Microsecond
-	if len(data) > 0 {
-		res *= simtime.Duration(data[0]) + 1
-		data = data[1:]
-	}
-	e, ref := NewEngine(res), newRefStore(res)
+// feedBytes decodes data into observations on an engine and the reference
+// fold: each 4-byte record picks a series, a signed time step scaled by up
+// to 2^31, and a value. Steps backward reach before a series' first
+// observation and before time 0.
+func feedBytes(data []byte) (*Engine, map[string][]refObs) {
+	e, ref := NewEngine(), make(map[string][]refObs)
 	var at simtime.Duration
 	for ; len(data) >= 4; data = data[4:] {
 		name := [...]string{"a", "b", "c"}[data[0]%3]
 		at += simtime.Duration(int8(data[1])) << (data[2] % 32)
 		v := float64(int8(data[3])) / 4
 		e.Observe(name, at, v)
-		ref.observe(name, at, v)
+		ref[name] = append(ref[name], refObs{at, v})
 	}
 	return e, ref
 }
 
-// TestEngineMatchesBucketedStore feeds random sequences — forward steps,
-// steps back before the anchor, and gaps many bucket budgets wide — to the
-// Engine and the bucketed reference, and requires every summary field to
+// checkAgainstRef requires the engine's summaries to equal the reference
+// fold's.
+func checkAgainstRef(t *testing.T, e *Engine, ref map[string][]refObs) {
+	t.Helper()
+	if got, want := e.Result("").Series, refSummaries(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summaries differ from the reference fold:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSeriesMatchesFold feeds random sequences — forward steps, steps back
+// before a series' first observation, and gaps up to 2^31 steps wide — to
+// the Engine and the reference fold, and requires every summary field to
 // match.
-func TestEngineMatchesBucketedStore(t *testing.T) {
-	maxDown := 0
+func TestSeriesMatchesFold(t *testing.T) {
+	backward := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, 1+4*(1+rng.Intn(600)))
+		data := make([]byte, 4*(1+rng.Intn(600)))
 		rng.Read(data)
-		for i := 1; i+4 <= len(data); i += 4 {
+		for i := 0; i+4 <= len(data); i += 4 {
 			switch rng.Intn(8) {
 			case 0: // a gap of 2^20..2^31 steps
 				data[i+2] = byte(20 + rng.Intn(12))
@@ -205,22 +104,27 @@ func TestEngineMatchesBucketedStore(t *testing.T) {
 		}
 		e, ref := feedBytes(data)
 		checkAgainstRef(t, e, ref)
-		for _, s := range ref.series {
-			maxDown = max(maxDown, s.downsamples)
+		for _, list := range ref {
+			for _, o := range list[1:] {
+				if o.at < list[0].at {
+					backward++
+				}
+			}
 		}
 	}
-	if maxDown < 3 {
-		t.Fatalf("no sequence forced more than %d doublings", maxDown)
+	if backward == 0 {
+		t.Fatal("no sequence observed a series before its first observation")
 	}
 }
 
-// FuzzEngineMatchesBucketedStore: for any observation sequence, the
-// Engine's summaries equal the bucketed reference store's.
-func FuzzEngineMatchesBucketedStore(f *testing.F) {
-	f.Add([]byte{9, 0, 1, 0, 8, 1, 100, 3, 4, 2, 0x80, 0, 0x7f})
-	f.Add([]byte{0, 0, 5, 0, 1, 0, 0xfb, 0, 2, 1, 100, 30, 0xf0, 0, 1, 0, 3})
-	// Series "b" observed only before time 0.
-	f.Add([]byte{9, 1, 0xfb, 20, 12, 0, 5, 0, 1, 1, 0, 0, 0xf0})
+// FuzzSeriesMatchesFold: for any observation sequence, the Engine's
+// summaries equal the reference fold's.
+func FuzzSeriesMatchesFold(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 8, 1, 100, 3, 4, 2, 0x80, 0, 0x7f})
+	f.Add([]byte{0, 5, 0, 1, 0, 0xfb, 0, 2, 1, 100, 30, 0xf0, 0, 1, 0, 3})
+	// Both series observed only before time 0; "a" steps back before its
+	// first observation, then returns to its last point's time.
+	f.Add([]byte{1, 0xfb, 20, 12, 0, 5, 0, 1, 1, 0, 0, 0xf0, 0, 0xfb, 0, 2, 0, 5, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, ref := feedBytes(data)
 		checkAgainstRef(t, e, ref)
@@ -301,7 +205,7 @@ func TestBurnRuleMatchesTracker(t *testing.T) {
 		objective := simtime.Duration(1+rng.Intn(100)) * simtime.Millisecond
 		window := windows[int(seed)%len(windows)]
 		ref := &refBurnTracker{Objective: objective, Window: window}
-		e := NewEngine(0, BurnRule("slo", "latency", objective, window, 4*window, 0.1, 0.05))
+		e := NewEngine(BurnRule("slo", "latency", objective, window, 4*window, 0.1, 0.05))
 		n := rng.Intn(800)
 		if seed%10 == 0 {
 			n = 0

@@ -11,40 +11,13 @@ import (
 	"toss/internal/xray"
 )
 
-// Op compares an observed value against a rule limit.
-type Op int
-
-// Comparison directions for threshold rules.
-const (
-	// Above fires when the value exceeds the limit.
-	Above Op = iota
-	// Below fires when the value drops under the limit.
-	Below
-)
-
-// String returns ">" or "<".
-func (o Op) String() string {
-	if o == Below {
-		return "<"
-	}
-	return ">"
-}
-
-// violated reports whether v breaks the limit under o.
-func (o Op) violated(v, limit float64) bool {
-	if o == Below {
-		return v < limit
-	}
-	return v > limit
-}
-
 // Kind selects a rule's evaluation strategy.
 type Kind int
 
 // Rule kinds.
 const (
-	// Threshold fires when the watched series violates Limit for at least
-	// For of sustained virtual time.
+	// Threshold fires when the watched series stays above Limit for at
+	// least For of sustained virtual time.
 	Threshold Kind = iota
 	// Burn is a Google-SRE multi-window multi-burn-rate SLO rule over a
 	// latency stream: an observation violates when latency > Objective;
@@ -76,8 +49,7 @@ type Rule struct {
 	// name.
 	Series string
 
-	// Op and Limit define the Threshold rule's violation.
-	Op    Op
+	// Limit is the Threshold rule's bound: a value above it violates.
 	Limit float64
 	// For is how long a violation must be sustained before the rule fires
 	// (0 fires on the first violating observation).
@@ -195,8 +167,7 @@ type ruleState struct {
 // (every feed here replays a completed run serially). A nil *Engine no-ops
 // every method.
 type Engine struct {
-	mu         sync.Mutex
-	resolution simtime.Duration
+	mu sync.Mutex
 	// series maps a series/stream name to its summary and the rules
 	// watching it; mu guards the map and the summaries.
 	series map[string]*series
@@ -206,15 +177,9 @@ type Engine struct {
 	evals  int64
 }
 
-// NewEngine builds an engine evaluating the given rules. resolution is the
-// initial bucket width of every series' shape (<= 0 uses
-// DefaultResolution); a series' first observation anchors it on a
-// resolution boundary.
-func NewEngine(resolution simtime.Duration, rules ...Rule) *Engine {
-	if resolution <= 0 {
-		resolution = DefaultResolution
-	}
-	e := &Engine{resolution: resolution, series: make(map[string]*series)}
+// NewEngine builds an engine evaluating the given rules.
+func NewEngine(rules ...Rule) *Engine {
+	e := &Engine{series: make(map[string]*series)}
 	for _, r := range rules {
 		st := &ruleState{rule: r, burn: BurnStats{Objective: r.Objective, Window: r.FastWindow}}
 		e.states = append(e.states, st)
@@ -240,7 +205,7 @@ func (e *Engine) fold(name string, at simtime.Duration, v float64) *series {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.lookup(name)
-	s.observe(at, v, e.resolution)
+	s.observe(at, v)
 	return s
 }
 
@@ -262,7 +227,7 @@ func (e *Engine) Observe(name string, at simtime.Duration, v float64) {
 	for _, st := range e.fold(name, at, v).rules {
 		if st.rule.Kind == Threshold {
 			e.evals++
-			e.step(st, at, v, st.rule.Op.violated(v, st.rule.Limit))
+			e.step(st, at, v, v > st.rule.Limit)
 		}
 	}
 }
@@ -280,7 +245,7 @@ func (e *Engine) ObserveLatency(stream string, at simtime.Duration, latency simt
 	for _, st := range e.fold(stream, at, ms).rules {
 		e.evals++
 		if st.rule.Kind == Threshold {
-			e.step(st, at, ms, st.rule.Op.violated(ms, st.rule.Limit))
+			e.step(st, at, ms, ms > st.rule.Limit)
 			continue
 		}
 		violated := latency > st.rule.Objective

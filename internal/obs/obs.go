@@ -3,9 +3,9 @@
 // timelines and a DAMON-accuracy audit.
 //
 // The recorder never reads the wall clock. Its clock is the simulation's
-// virtual time, advanced explicitly by whoever owns the timeline (the
-// platform after each invocation, the discrete-event scheduler after each
-// event, experiments after each measured phase). Every registered
+// virtual time, which only the platform advances (Recorder.Advance), by
+// each finished invocation's virtual duration; no scheduler or experiment
+// drives it. Every registered
 // telemetry.Metrics instrument is sampled exactly on interval boundaries of
 // that virtual clock, so two same-seed runs produce byte-identical series —
 // the property the exporters' golden tests enforce.

@@ -87,20 +87,15 @@ type ArrivalsConfig struct {
 	// MeanIAT is the aggregate mean inter-arrival time across all
 	// functions (1/MeanIAT is the offered cluster-wide request rate).
 	MeanIAT simtime.Duration
-	// Functions lists the candidate functions; each arrival samples one.
+	// Functions lists the candidate functions; each arrival samples one
+	// uniformly.
 	Functions []string
-	// Weights optionally biases the function sample (uniform when empty;
-	// must match len(Functions) otherwise).
-	Weights []float64
 	// Seed drives all randomness. Same config + same seed => byte-identical
 	// stream (a golden-file test pins this).
 	Seed int64
 	// FlashFactor multiplies the aggregate rate inside a flash episode
 	// (ProcFlash only; default 8).
 	FlashFactor float64
-	// FlashHotShare is the fraction of episode traffic concentrated on the
-	// episode's hot function (ProcFlash only; default 0.7).
-	FlashHotShare float64
 }
 
 // Validate checks the configuration.
@@ -119,25 +114,17 @@ func (c ArrivalsConfig) Validate() error {
 			return fmt.Errorf("workload: arrivals: unknown function %q (index %d)", fn, i)
 		}
 	}
-	if len(c.Weights) > 0 && len(c.Weights) != len(c.Functions) {
-		return fmt.Errorf("workload: arrivals: %d weights for %d functions", len(c.Weights), len(c.Functions))
-	}
-	for i, w := range c.Weights {
-		if w < 0 {
-			return fmt.Errorf("workload: arrivals: negative weight at index %d", i)
-		}
-	}
-	if c.FlashFactor < 0 || c.FlashHotShare < 0 || c.FlashHotShare > 1 {
-		return fmt.Errorf("workload: arrivals: invalid flash parameters (factor %v, hot share %v)", c.FlashFactor, c.FlashHotShare)
+	if c.FlashFactor < 0 {
+		return fmt.Errorf("workload: arrivals: negative flash factor %v", c.FlashFactor)
 	}
 	return nil
 }
 
 // sample draws one arrival at time t. fnIdx >= 0 pins the function;
-// otherwise it is sampled from the weights (uniform when empty).
+// otherwise it is sampled uniformly.
 func (c ArrivalsConfig) sample(t simtime.Duration, fnIdx int, rng *rand.Rand) ArrivalSpec {
 	if fnIdx < 0 {
-		fnIdx = c.pickFunction(rng)
+		fnIdx = rng.Intn(len(c.Functions))
 	}
 	return ArrivalSpec{
 		At:       t,
@@ -145,28 +132,6 @@ func (c ArrivalsConfig) sample(t simtime.Duration, fnIdx int, rng *rand.Rand) Ar
 		Level:    Level(rng.Intn(len(Levels))),
 		Seed:     rng.Int63n(1 << 40),
 	}
-}
-
-// pickFunction samples a function index from the weights.
-func (c ArrivalsConfig) pickFunction(rng *rand.Rand) int {
-	if len(c.Weights) == 0 {
-		return rng.Intn(len(c.Functions))
-	}
-	var total float64
-	for _, w := range c.Weights {
-		total += w
-	}
-	if total == 0 {
-		return rng.Intn(len(c.Functions))
-	}
-	x := rng.Float64() * total
-	for i, w := range c.Weights {
-		if x < w {
-			return i
-		}
-		x -= w
-	}
-	return len(c.Functions) - 1
 }
 
 // expIAT draws an exponential inter-arrival time with the given mean,

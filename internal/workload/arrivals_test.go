@@ -22,11 +22,9 @@ func arrivalsFixtures() []ArrivalsConfig {
 	fns := []string{"float_operation", "pyaes", "compress", "matmul"}
 	return []ArrivalsConfig{
 		{Process: ProcPoisson, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7},
-		{Process: ProcDiurnal, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7,
-			Weights: []float64{4, 2, 1, 1}},
+		{Process: ProcDiurnal, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7},
 		{Process: ProcFlash, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7},
-		{Process: ProcDiurnalFlash, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7,
-			Weights: []float64{4, 2, 1, 1}},
+		{Process: ProcDiurnalFlash, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond, Functions: fns, Seed: 7},
 	}
 }
 
@@ -157,10 +155,7 @@ func TestArrivalsValidate(t *testing.T) {
 		{"zero mean IAT", func(c *ArrivalsConfig) { c.MeanIAT = 0 }},
 		{"no functions", func(c *ArrivalsConfig) { c.Functions = nil }},
 		{"unknown function", func(c *ArrivalsConfig) { c.Functions = []string{"nope"} }},
-		{"weight count mismatch", func(c *ArrivalsConfig) { c.Weights = []float64{1} }},
-		{"negative weight", func(c *ArrivalsConfig) { c.Weights = []float64{1, -1, 1, 1} }},
 		{"negative flash factor", func(c *ArrivalsConfig) { c.FlashFactor = -1 }},
-		{"hot share above one", func(c *ArrivalsConfig) { c.FlashHotShare = 1.5 }},
 	}
 	for _, tc := range cases {
 		c := good

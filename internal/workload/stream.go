@@ -137,12 +137,11 @@ func (g *baseGen) next() (ArrivalSpec, bool) {
 // episodeGen draws the flash-crowd overlay: episodes tile the horizon at
 // ~Horizon/6 spacing, each ~Horizon/24 long with jitter, and each picks its
 // own hot function; inside an episode an extra Poisson process at
-// (FlashFactor-1)x the base rate fires, FlashHotShare of it on the hot
+// (FlashFactor-1)x the base rate fires, flashHotShare of it on the hot
 // function.
 type episodeGen struct {
 	c        *ArrivalsConfig
 	rng      *rand.Rand
-	hotShare float64
 	extraIAT simtime.Duration
 	spacing  simtime.Duration
 	length   simtime.Duration
@@ -153,19 +152,18 @@ type episodeGen struct {
 	hot      int
 }
 
+// flashHotShare is the fraction of episode traffic concentrated on the
+// episode's hot function.
+const flashHotShare = 0.7
+
 func newEpisodeGen(c *ArrivalsConfig, rng *rand.Rand) *episodeGen {
 	factor := c.FlashFactor
 	if factor <= 0 {
 		factor = 8
 	}
-	hotShare := c.FlashHotShare
-	if hotShare == 0 {
-		hotShare = 0.7
-	}
 	g := &episodeGen{
 		c:        c,
 		rng:      rng,
-		hotShare: hotShare,
 		extraIAT: simtime.Duration(float64(c.MeanIAT) / (factor - 1)),
 		spacing:  c.Horizon / 6,
 		length:   c.Horizon / 24,
@@ -197,8 +195,8 @@ func (g *episodeGen) next() (ArrivalSpec, bool) {
 			continue
 		}
 		fn := g.hot
-		if g.rng.Float64() >= g.hotShare {
-			fn = -1 // fall back to the weighted sample
+		if g.rng.Float64() >= flashHotShare {
+			fn = -1 // fall back to the uniform sample
 		}
 		return g.c.sample(g.et, fn, g.rng), true
 	}

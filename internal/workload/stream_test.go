@@ -72,13 +72,13 @@ func TestStreamMatchesArrivals(t *testing.T) {
 	configs := []ArrivalsConfig{
 		{Process: ProcPoisson, Horizon: 90 * simtime.Second, MeanIAT: 300 * simtime.Millisecond, Functions: []string{"json_load_dump", "pyaes"}},
 		{Process: ProcDiurnal, Horizon: 120 * simtime.Second, MeanIAT: 250 * simtime.Millisecond,
-			Functions: []string{"json_load_dump", "pyaes", "compress"}, Weights: []float64{5, 3, 1}},
+			Functions: []string{"json_load_dump", "pyaes", "compress"}},
 		{Process: ProcFlash, Horizon: 120 * simtime.Second, MeanIAT: 400 * simtime.Millisecond,
 			Functions: []string{"json_load_dump", "pyaes", "compress"}},
 		{Process: ProcFlash, Horizon: 45 * simtime.Second, MeanIAT: 120 * simtime.Millisecond,
-			Functions: []string{"pyaes", "compress"}, FlashFactor: 3, FlashHotShare: 0.95},
+			Functions: []string{"pyaes", "compress"}, FlashFactor: 3},
 		{Process: ProcDiurnalFlash, Horizon: 180 * simtime.Second, MeanIAT: 200 * simtime.Millisecond,
-			Functions: []string{"json_load_dump", "pyaes", "compress"}, Weights: []float64{1, 1, 8}},
+			Functions: []string{"json_load_dump", "pyaes", "compress"}},
 	}
 	for _, base := range configs {
 		for _, seed := range []int64{1, 7, 42, 99991} {
