@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"toss/internal/fault"
 	"toss/internal/mem"
 	"toss/internal/microvm"
 	"toss/internal/simtime"
@@ -178,69 +177,34 @@ func (c *Controller) InvokeTraced(lv workload.Level, seed int64, concurrency int
 		return out, nil
 
 	case PhaseTiered:
-		// Restore-time fault queries (see FAULTS.md). These fire before the
-		// tiered restore is attempted, modelling failures the restore path
-		// itself would hit: the slow tier's device being unreachable, the
-		// snapshot failing its checksum, or the DAMON profile having gone
-		// stale. Callers recover through Degrade.
-		if inj := c.cfg.VM.Faults; inj != nil {
-			name := c.spec.Name
-			if _, fired := inj.At(fault.SiteSlowOutage, name, 0); fired {
-				return Result{}, fault.Errorf(fault.SiteSlowOutage, name, fault.ErrTierUnavailable)
-			}
-			if _, fired := inj.At(fault.SiteRestoreCorrupt, name, 0); fired {
-				return Result{}, fault.Errorf(fault.SiteRestoreCorrupt, name,
-					fmt.Errorf("%w: injected checksum mismatch (sum %#x)", snapshot.ErrCorrupt, c.tiered.Sum))
-			}
-			if _, fired := inj.At(fault.SiteProfileStale, name, 0); fired {
-				return Result{}, fault.Errorf(fault.SiteProfileStale, name, fault.ErrProfileStale)
-			}
+		tr, err := c.spec.Trace(lv, seed)
+		if err != nil {
+			return Result{}, err
 		}
-		return c.invokeTiered(lv, seed, concurrency, phaseSpan)
+		vm := microvm.RestoreTiered(c.cfg.VM, c.pd.Layout, c.tiered, concurrency)
+		vm.SetRecordTruth(false) // profiling is detached in the tiered phase
+		res, err := vm.RunTraced(tr, phaseSpan)
+		if err != nil {
+			return Result{}, fmt.Errorf("core: tiered invocation: %w", err)
+		}
+		c.iterations++
+		// Eq. 3: every invocation longer than the profiling phase's
+		// longest-running invocation accelerates re-profiling.
+		// FullSlowSlowdown is already the ratio (1 + Slowdown_Slow).
+		if lri := c.pd.Largest.Exec; lri > 0 && res.Exec > lri {
+			c.accelFactor += float64(res.Exec) / float64(lri) * c.analysis.FullSlowSlowdown
+		}
+		out := Result{Result: res, Phase: PhaseTiered}
+		if c.shouldReprofile() {
+			c.Reprofile()
+			out.ReprofileTriggered = true
+		}
+		phaseSpan.EndAt(res.Total())
+		return out, nil
 
 	default:
 		return Result{}, fmt.Errorf("core: invalid phase %v", c.phase)
 	}
-}
-
-// InvokeWarm serves one invocation in a kept-alive VM: it runs the
-// lifecycle exactly as Invoke does, but a tiered-phase invocation queries
-// none of the restore-time fault sites, because a warm VM restores nothing.
-// The tiered path's Eq. 3/4 re-profiling bookkeeping runs as usual.
-func (c *Controller) InvokeWarm(lv workload.Level, seed int64, concurrency int) (Result, error) {
-	if c.phase == PhaseTiered {
-		return c.invokeTiered(lv, seed, concurrency, nil)
-	}
-	return c.InvokeTraced(lv, seed, concurrency, nil)
-}
-
-// invokeTiered serves one tiered-phase invocation from the tiered snapshot
-// and keeps the Eq. 3/4 re-profiling bookkeeping.
-func (c *Controller) invokeTiered(lv workload.Level, seed int64, concurrency int, phaseSpan *telemetry.Span) (Result, error) {
-	tr, err := c.spec.Trace(lv, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	vm := microvm.RestoreTiered(c.cfg.VM, c.pd.Layout, c.tiered, concurrency)
-	vm.SetRecordTruth(false) // profiling is detached in the tiered phase
-	res, err := vm.RunTraced(tr, phaseSpan)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: tiered invocation: %w", err)
-	}
-	c.iterations++
-	// Eq. 3: every invocation longer than the profiling phase's
-	// longest-running invocation accelerates re-profiling.
-	// FullSlowSlowdown is already the ratio (1 + Slowdown_Slow).
-	if lri := c.pd.Largest.Exec; lri > 0 && res.Exec > lri {
-		c.accelFactor += float64(res.Exec) / float64(lri) * c.analysis.FullSlowSlowdown
-	}
-	out := Result{Result: res, Phase: PhaseTiered}
-	if c.shouldReprofile() {
-		c.startReprofile()
-		out.ReprofileTriggered = true
-	}
-	phaseSpan.EndAt(res.Total())
-	return out, nil
 }
 
 // converge runs Step III and Step IV and switches to tiered serving. When a
@@ -283,105 +247,24 @@ func (c *Controller) shouldReprofile() bool {
 	return float64(c.iterations)*c.cfg.ReprofileBudget >= c.analysis.ProfilingOverhead-c.accelFactor
 }
 
-// startReprofile sends the controller back to Step II, keeping the single
+// Reprofile sends a tiered controller back to Step II, keeping the single
 // snapshot and the unified pattern so new behaviour *enhances* the existing
-// profile rather than replacing it.
-func (c *Controller) startReprofile() {
+// profile rather than replacing it. Eq. 4 calls it, and so does the platform
+// when a restore finds the profile stale (FAULTS.md).
+func (c *Controller) Reprofile() {
 	c.phase = PhaseProfiling
 	c.stable = 0
 	c.reprofiles++
 	c.cfg.VM.Recorder.ObservePhase(c.spec.Name, PhaseTiered.String(), PhaseProfiling.String())
 }
 
-// Degradation policy names (FAULTS.md), recorded in platform.Record.Degraded.
-const (
-	// DegradeLazy serves from the single-tier snapshot with on-demand
-	// paging — the fallback for slow-tier outages and stale profiles.
-	DegradeLazy = "lazy-fallback"
-	// DegradeResnapshot invalidates a corrupt snapshot, cold-boots, and
-	// re-captures — the fallback for checksum failures at restore.
-	DegradeResnapshot = "resnapshot"
-	// DegradeReprofile demotes a TOSS function back to the profiling phase
-	// before the lazy fallback — the response to a stale DAMON profile.
-	DegradeReprofile = "reprofile"
-)
-
-// Degrade serves an invocation whose tiered restore failed with cause
-// through the degradation policy for that failure (FAULTS.md), and returns
-// the result with the policy's name: a slow-tier outage falls back to a lazy
-// restore, a checksum failure re-snapshots, and a stale profile re-profiles,
-// then falls back to a lazy restore. Any other error passes through with no
-// policy.
-func (c *Controller) Degrade(cause error, lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, string, error) {
-	switch {
-	case errors.Is(cause, fault.ErrTierUnavailable):
-		res, err := c.invokeLazy(lv, seed, concurrency, parent)
-		return res, DegradeLazy, err
-	case errors.Is(cause, snapshot.ErrCorrupt):
-		res, err := c.recoverCorrupt(lv, seed, concurrency, parent)
-		return res, DegradeResnapshot, err
-	case errors.Is(cause, fault.ErrProfileStale):
-		// Serve from the single snapshot with DAMON re-attached until the
-		// pattern re-converges.
-		if c.phase == PhaseTiered {
-			c.startReprofile()
-		}
-		res, err := c.invokeLazy(lv, seed, concurrency, parent)
-		return res, DegradeReprofile, err
-	}
-	return Result{}, "", cause
-}
-
-// invokeLazy serves one invocation from the single-tier snapshot with
-// on-demand paging, bypassing the tiered restore path entirely:
-// correctness over placement — every page demand-faults from disk, but no
-// tier is touched. The lifecycle phase is unchanged.
-func (c *Controller) invokeLazy(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
-	if c.pd == nil || c.pd.Single == nil {
-		return Result{}, fmt.Errorf("core: no single snapshot for lazy fallback")
-	}
-	tr, err := c.spec.Trace(lv, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	var phaseSpan *telemetry.Span
-	if parent != nil {
-		phaseSpan = parent.Child(telemetry.KindControllerPhase, "phase:degraded-lazy", 0)
-	}
-	vm := microvm.RestoreLazy(c.cfg.VM, c.pd.Layout, c.pd.Single, concurrency)
-	vm.SetRecordTruth(false)
-	res, err := vm.RunTraced(tr, phaseSpan)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: lazy fallback: %w", err)
-	}
-	phaseSpan.EndAt(res.Total())
-	return Result{Result: res, Phase: c.phase}, nil
-}
-
-// recoverCorrupt handles an injected (or detected) snapshot corruption: it
-// invalidates the tiered snapshot, cold-boots the function to re-capture a
-// fresh single-tier snapshot, and — when an analysis already exists —
-// immediately rebuilds the tiered snapshot from it (FAULTS.md's
-// invalidate + cold boot + re-snapshot policy). The returned result is the
-// cold invocation, with the capture cost charged to its setup time.
-func (c *Controller) recoverCorrupt(lv workload.Level, seed int64, concurrency int, parent *telemetry.Span) (Result, error) {
-	tr, err := c.spec.Trace(lv, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	var phaseSpan *telemetry.Span
-	if parent != nil {
-		phaseSpan = parent.Child(telemetry.KindControllerPhase, "phase:recover-corrupt", 0)
-	}
-	c.tiered = nil
-	res, single, err := microvm.Capture(c.cfg.VM, c.pd.Layout, c.spec.Name, tr, phaseSpan)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: corrupt recovery boot: %w", err)
-	}
+// Resnapshot replaces the single-tier snapshot with single, captured afresh
+// after the old one failed its checksum, and rebuilds the tiered snapshot
+// from the current analysis (Step IV), so the lifecycle carries on from the
+// new capture.
+func (c *Controller) Resnapshot(single *snapshot.Single) {
 	c.pd.Single = single
 	if c.analysis != nil {
 		c.tiered = BuildSnapshot(c.pd, c.analysis)
 	}
-	phaseSpan.EndAt(res.Total())
-	return Result{Result: res, Phase: c.phase}, nil
 }

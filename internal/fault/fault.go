@@ -46,22 +46,22 @@ const (
 	// a PMem/CXL device hiccup. Fires in microvm.RunTraced.
 	SiteSlowRead Site = "slow-read"
 	// SiteSlowOutage makes the slow tier unavailable at restore time: the
-	// tiered snapshot's slow file cannot be mapped. Queried by the TOSS
-	// controller and the slow-only platform mode before RestoreTiered.
+	// tiered snapshot's slow file cannot be mapped. Queried by
+	// platform.Function before a TOSS or slow-only tiered restore.
 	SiteSlowOutage Site = "slow-outage"
 	// SiteDiskRead stalls a snapshot-file demand read — an SSD hiccup on
 	// the major-fault path. Fires in microvm.RunTraced.
 	SiteDiskRead Site = "disk-read"
 	// SiteRestoreCorrupt reports snapshot corruption detected at restore
-	// (checksum mismatch in the layout table or a memory file). Queried
-	// before lazy and tiered restores.
+	// (checksum mismatch in the layout table or a memory file). Queried by
+	// platform.Function before lazy and tiered restores.
 	SiteRestoreCorrupt Site = "restore-corrupt"
 	// SitePrefetch kills REAP's working-set prefetch thread mid-restore;
 	// the manager degrades to a plain lazy restore.
 	SitePrefetch Site = "prefetch"
 	// SiteProfileStale marks the DAMON-derived placement stale (workload
-	// drift beyond what Eq. 4 noticed). Queried by the TOSS controller
-	// before serving from the tiered snapshot.
+	// drift beyond what Eq. 4 noticed). Queried by platform.Function
+	// before a TOSS function serves from its tiered snapshot.
 	SiteProfileStale Site = "profile-stale"
 	// SiteEvictStorm flushes the keep-alive cache (host memory pressure).
 	// Queried by the sched event loop per arrival.

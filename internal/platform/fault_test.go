@@ -99,8 +99,8 @@ func TestTOSSDegradesToLazyOnPersistentOutage(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("degradation should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeLazy {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeLazy)
+	if rec.Degraded != DegradeLazy {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeLazy)
 	}
 	if rec.FaultSite != string(fault.SiteSlowOutage) {
 		t.Errorf("FaultSite = %q, want %q", rec.FaultSite, fault.SiteSlowOutage)
@@ -126,8 +126,8 @@ func TestTOSSCorruptionResnapshots(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("resnapshot recovery should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeResnapshot {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeResnapshot)
+	if rec.Degraded != DegradeResnapshot {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeResnapshot)
 	}
 	if rec.Retries != 0 {
 		t.Errorf("Retries = %d; corruption is not retryable", rec.Retries)
@@ -153,8 +153,8 @@ func TestTOSSStaleProfileReprofiles(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("reprofile degradation should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeReprofile {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeReprofile)
+	if rec.Degraded != DegradeReprofile {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeReprofile)
 	}
 	// The function is demoted to profiling and converges back to tiered.
 	if st, _ := p.Stats("json_load_dump"); st.Phase != core.PhaseProfiling {
@@ -176,8 +176,8 @@ func TestREAPPrefetchFailureFallsBackToLazy(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("prefetch fallback should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeLazy {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeLazy)
+	if rec.Degraded != DegradeLazy {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeLazy)
 	}
 	if rec.FaultSite != string(fault.SitePrefetch) {
 		t.Errorf("FaultSite = %q, want %q", rec.FaultSite, fault.SitePrefetch)
@@ -196,8 +196,8 @@ func TestSlowModeOutageFallsBackToLazy(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("outage fallback should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeLazy {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeLazy)
+	if rec.Degraded != DegradeLazy {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeLazy)
 	}
 }
 
@@ -213,8 +213,8 @@ func TestDRAMCorruptionResnapshots(t *testing.T) {
 	if rec.Err != nil {
 		t.Fatalf("resnapshot recovery should serve the request: %v", rec.Err)
 	}
-	if rec.Degraded != core.DegradeResnapshot {
-		t.Errorf("Degraded = %q, want %q", rec.Degraded, core.DegradeResnapshot)
+	if rec.Degraded != DegradeResnapshot {
+		t.Errorf("Degraded = %q, want %q", rec.Degraded, DegradeResnapshot)
 	}
 	if next := p.Invoke("json_load_dump", workload.IV, 9); next.Err != nil || next.Degraded != "" {
 		t.Errorf("post-recovery invoke: err=%v degraded=%q, want clean", next.Err, next.Degraded)
