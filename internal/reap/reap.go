@@ -127,16 +127,12 @@ func (m *Manager) InvokeTraced(lv workload.Level, seed int64, concurrency int, s
 		return Result{}, err
 	}
 	if m.snap == nil {
-		vm := microvm.NewBooted(m.cfg, m.layout)
-		vm.SetLabel(m.spec.Name)
-		vm.SetRecordTruth(false) // REAP only needs the trace's touched set
-		res, err := vm.RunTraced(tr, span)
+		// The capture is charged to setup, as in every other mode.
+		res, snap, err := microvm.Capture(m.cfg, m.layout, m.spec.Name, tr, span)
 		if err != nil {
 			return Result{}, fmt.Errorf("reap: initial invocation: %w", err)
 		}
-		// The capture cost is charged to neither setup nor the budget: this
-		// invocation's setup is the boot alone.
-		m.snap, _ = vm.SnapshotTraced(m.spec.Name, span, res.Setup+res.Exec)
+		m.snap = snap
 		if m.readahead > 0 {
 			m.ws = wstrack.WorkingSetMincore(tr, m.readahead, m.layout.TotalPages)
 		} else {
