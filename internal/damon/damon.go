@@ -144,14 +144,15 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 // Profile walks the granules run by run and hands each run's to
 // aggregate.add, whose loop keeps the open region in locals and draws the
 // noise from a lazyrand.Stream on Profile's stack. Each step runs in
-// integers where one of four identities makes that exact, and falls back
+// integers where one of five identities makes that exact, and falls back
 // to the float or division formula outside the identity's guard:
 //
 //   - mean: a granule wholly inside one run whose count c satisfies
 //     |c|·MinRegionPages <= MaxInt64 averages to exactly c;
 //   - rounding: for x in [0.5, 2⁵²), int64(x+0.5) == int64(math.Round(x)).
 //     There x+0.5 is exact, or it crosses a power of two 2ᵏ and lands in
-//     [2ᵏ, 2ᵏ+0.5], so truncating it floors x+0.5 either way;
+//     [2ᵏ, 2ᵏ+0.5], so truncating it floors x+0.5 either way (sample
+//     needs no math.Round outside it either);
 //   - similarity: for 0 < a, b < 2⁵⁰, the float64 test
 //     |a−b|/max(a,b) <= 0.2 holds exactly when 5·|a−b| <= max(a,b). The
 //     conversions and the difference are exact and rounding is monotone,
@@ -161,7 +162,24 @@ func (p Pattern) CountAt(pg guest.PageID) int64 {
 //   - merge: for counts a (over the open region) and b (over the granule's
 //     g pages) in [1, 2³¹) and a merged size P < 2³¹, let d = (b−a)·g;
 //     the truncated mean (a·(P−g) + b·g)/P = a + ⌊d/P⌋ is a when
-//     0 <= d < P and a−1 when −P <= d < 0 (mergedCount).
+//     0 <= d < P and a−1 when −P <= d < 0 (mergedCount);
+//   - band: for granules of g pages and one mean m in [1, 2³¹), and an
+//     amplitude in [0, 1), x = m·(1+(2f−1)·amp) is below 2³² and does not
+//     fall as the draw f rises (each float operation rounds monotonically),
+//     so neither does the sampled count. Every sample therefore lies in
+//     the band [lo, hi], the samples at f = 0 and at f = 1−2⁻⁵³, the least
+//     and greatest values lazyrand.Stream.Float64 returns (with no noise,
+//     lo = hi = m). Let 5·(hi−lo) <= lo and hi < 2³¹; then any two counts
+//     in the band are similar. Let the open region be adjacent with its
+//     count in the band, and let P, the pages of the region it becomes by
+//     merging the next granule, be below 2³¹ and above (hi−lo)·g. Then
+//     the merge identity applies, since |d| <= (hi−lo)·g < P, and each
+//     merge lowers the count by one when the sample is below it. The count
+//     stays in the band and P only grows, so this holds for every granule
+//     of the run until P would reach 2³¹: each costs one draw, one sample
+//     and one compare (band). Once the count is lo no sample is below it,
+//     and the rest of the run only advances the noise stream
+//     (lazyrand.Stream.Skip).
 func (c Config) Profile(truth *access.Histogram, totalPages int64, seed int64) Pattern {
 	runs := truth.Runs()
 	if len(runs) == 0 {
@@ -216,32 +234,89 @@ type aggregate struct {
 // add samples the granules [from, from+pages), [from+pages, from+2·pages),
 // … that end by stop, all of the given mean, and merges each into the open
 // region or closes that and opens the granule. It returns the first page
-// after the last granule. The loop keeps the open region in locals.
+// after the last granule. The loop keeps the open region in locals, and
+// once Profile's band identity holds it runs the band loop for the rest.
 func (a *aggregate) add(from, stop, pages guest.PageID, mean int64, amp float64, noise *lazyrand.Stream) guest.PageID {
 	start, end, count := a.start, a.end, a.count
+	g := int64(pages)
+	// Every sample of mean lies in the band [lo, hi], which stays empty
+	// (lo > hi) outside the band identity's guards.
+	lo, hi := int64(1), int64(0)
+	if 0 < mean && mean < 1<<31 && amp >= 0 && amp < 1 {
+		lo, hi = mean, mean
+		if amp != 0 {
+			lo, hi = sample(mean, 0, amp), sample(mean, lazyrand.MaxFloat64, amp)
+		}
+		if hi >= 1<<31 || 5*(hi-lo) > lo {
+			lo, hi = 1, 0
+		}
+	}
 	p := from
-	for ; p+pages <= stop; p += pages {
-		c := mean
-		if c > 0 && amp != 0 {
-			x := float64(c) * (1 + (noise.Float64()*2-1)*amp)
-			if x >= 0.5 && x < 1<<52 {
-				c = int64(x + 0.5)
-			} else {
-				c = max(int64(math.Round(x)), 1)
+	for p+pages <= stop {
+		if p == end && count <= hi && lo <= count {
+			// The region granule p merges into must stay under 2³¹ pages
+			// and span more than (hi−lo)·g.
+			if merged := int64(end + pages - start); merged < 1<<31 && (hi-lo)*g < merged {
+				n := min(int64(stop-p)/g, (1<<31-1-int64(end-start))/g)
+				count = band(count, lo, n, mean, amp, noise)
+				p += guest.PageID(n * g)
+				end = p
+				continue
 			}
 		}
+		c := mean
+		if c > 0 && amp != 0 {
+			c = sample(c, noise.Float64(), amp)
+		}
 		if p == end && similar(count, c) {
-			end = p + pages
-			count = mergedCount(count, int64(end-start), c, int64(pages))
+			p += pages
+			end = p
+			count = mergedCount(count, int64(end-start), c, g)
 			continue
 		}
 		if end >= 0 {
 			a.records = append(a.records, RegionRecord{Region: guest.Region{Start: start, Pages: int64(end - start)}, NrAccesses: count})
 		}
 		start, end, count = p, p+pages, c
+		p += pages
 	}
 	a.start, a.end, a.count = start, end, count
 	return p
+}
+
+// band merges n granules of the given mean into an open region of count
+// in [lo, hi] under Profile's band identity, drawing one noise value per
+// granule when amp is not 0, and returns the region's count. Each merge
+// lowers the count by one when the sample is below it; once the count is
+// lo no sample is, so the rest of the granules only advance the noise.
+func band(count, lo, n, mean int64, amp float64, noise *lazyrand.Stream) int64 {
+	if amp == 0 {
+		return count
+	}
+	for ; n > 0 && count > lo; n-- {
+		if sample(mean, noise.Float64(), amp) < count {
+			count--
+		}
+	}
+	noise.Skip(int(n))
+	return count
+}
+
+// sample returns the count Profile observes for a granule of mean c > 0
+// under the noise draw f: max(int64(math.Round(x)), 1) for
+// x = c·(1+(2f−1)·amp), by the rounding identity on [0.5, 2⁵²). Below it
+// and above −2⁵², math.Round(x) is at most 0, so the count is 1; elsewhere
+// math.Round(x) is x itself (an integer, an infinity or NaN). Without
+// math.Round, sample inlines into the granule loops.
+func sample(c int64, f, amp float64) int64 {
+	x := float64(c) * (1 + (f*2-1)*amp)
+	if x >= 0.5 && x < 1<<52 {
+		return int64(x + 0.5)
+	}
+	if x > -1<<52 && x < 0.5 {
+		return 1
+	}
+	return max(int64(x), 1)
 }
 
 // close closes the open region, if any, and returns the records.

@@ -10,6 +10,7 @@ import (
 
 	"toss/internal/access"
 	"toss/internal/guest"
+	"toss/internal/lazyrand"
 	"toss/internal/workload"
 )
 
@@ -55,6 +56,36 @@ func refWeightedMerge(a, b RegionRecord) RegionRecord {
 		Region:     guest.Region{Start: a.Region.Start, Pages: pages},
 		NrAccesses: count,
 	}
+}
+
+// refAdd is aggregate.add as it was before the band loop: every granule
+// draws its noise, rounds through math.Round outside the rounding identity,
+// and is tested for similarity and merged on its own.
+func (a *aggregate) refAdd(from, stop, pages guest.PageID, mean int64, amp float64, noise *lazyrand.Stream) guest.PageID {
+	start, end, count := a.start, a.end, a.count
+	p := from
+	for ; p+pages <= stop; p += pages {
+		c := mean
+		if c > 0 && amp != 0 {
+			x := float64(c) * (1 + (noise.Float64()*2-1)*amp)
+			if x >= 0.5 && x < 1<<52 {
+				c = int64(x + 0.5)
+			} else {
+				c = max(int64(math.Round(x)), 1)
+			}
+		}
+		if p == end && similar(count, c) {
+			end = p + pages
+			count = mergedCount(count, int64(end-start), c, int64(pages))
+			continue
+		}
+		if end >= 0 {
+			a.records = append(a.records, RegionRecord{Region: guest.Region{Start: start, Pages: int64(end - start)}, NrAccesses: count})
+		}
+		start, end, count = p, p+pages, c
+	}
+	a.start, a.end, a.count = start, end, count
+	return p
 }
 
 // refProfile is Profile as separate granulate, sample and merge passes over
@@ -320,6 +351,146 @@ func FuzzProfile(f *testing.F) {
 		again := c.Profile(truth, totalPages, seed+1)
 		checkFoldAndRegions(t, u, ref, again, 0, 1, 3, 100)
 	})
+}
+
+// bandRun is one aggregate.add call of a band test: granules of one mean,
+// starting gap pages after the previous call's last granule, with slack
+// pages after the last whole granule that no granule covers.
+type bandRun struct {
+	mean       int64
+	granules   int64
+	gap, slack guest.PageID
+}
+
+// checkBand feeds runs to add and to refAdd, each aggregate with its own
+// noise stream of one seed, and requires the same return values, the same
+// records and the streams in step afterwards.
+func checkBand(t *testing.T, amp float64, granule guest.PageID, seed int64, runs []bandRun) {
+	t.Helper()
+	got, want := aggregate{end: -1}, aggregate{end: -1}
+	var gotNoise, wantNoise lazyrand.Stream
+	gotNoise.Seed(seed)
+	wantNoise.Seed(seed)
+	what := func() string {
+		return fmt.Sprintf("amplitude %v, granule %d, seed %d, runs %v", amp, granule, seed, runs)
+	}
+	p := guest.PageID(0)
+	for _, r := range runs {
+		p += r.gap
+		stop := p + guest.PageID(r.granules)*granule + r.slack
+		if g, w := got.add(p, stop, granule, r.mean, amp, &gotNoise), want.refAdd(p, stop, granule, r.mean, amp, &wantNoise); g != w {
+			t.Fatalf("%s: add returned %d, refAdd %d", what(), g, w)
+		}
+		p = stop
+	}
+	sameRecords(t, what(), got.close(), want.close())
+	if g, w := gotNoise.Float64(), wantNoise.Float64(); g != w {
+		t.Fatalf("%s: noise streams out of step: next draws %v and %v", what(), g, w)
+	}
+}
+
+// bandAmplitudes are noise amplitudes on both sides of the band guard
+// 5·(hi−lo) <= lo, which a wide band passes up to an amplitude of 1/11,
+// plus no noise, where every band is the mean alone.
+var bandAmplitudes = []float64{0, 0.05, 0.09, 0.1, 0.3}
+
+// bandMeans are counts at the band's edges: up to 9 a 5% band holds one
+// value and from 10 two; 20 and 30 have bands of three and four values,
+// which the width guard lets into the band loop at a region's third and
+// fourth granule; 2045222521 is the largest mean whose 5% band stays below
+// 2³¹; and the lifts approach and pass 2³¹ (the merge identity's bound) and
+// 2⁵² (the rounding identity's).
+var bandMeans = []int64{1, 2, 9, 10, 11, 20, 30, 100, 1000, 1 << 20,
+	2045222521, 1<<31 - 1, 1 << 31, 1 << 50, 1<<52 - 1, 1 << 52}
+
+// TestBandMatchesReference holds add's band loop to refAdd over every band
+// amplitude and mean, granules of 1, 4 and 2²⁰ pages and 64 noise seeds:
+// short runs, where the width guard decides, a run after a gap, a long run
+// (4,100 granules of 2²⁰ pages pass 2³² pages, where a merged count of
+// 2³¹−1 overflows the division), and a run opening inside the region of a
+// neighbour whose count is similar but outside the band.
+func TestBandMatchesReference(t *testing.T) {
+	for _, amp := range bandAmplitudes {
+		for _, granule := range []guest.PageID{1, 4, 1 << 20} {
+			for _, m := range bandMeans {
+				for seed := int64(0); seed < 64; seed++ {
+					checkBand(t, amp, granule, seed, []bandRun{{mean: m, granules: 2}, {mean: m, granules: 3, gap: 1},
+						{mean: m, granules: 5, gap: 1, slack: granule / 2}})
+				}
+				for seed := int64(0); seed < 3; seed++ {
+					checkBand(t, amp, granule, seed, []bandRun{{mean: m, granules: 4100}})
+					checkBand(t, amp, granule, seed, []bandRun{{mean: m + m/8 + 1, granules: 40}, {mean: m, granules: 2000}})
+				}
+			}
+		}
+	}
+}
+
+// FuzzProfileBand holds add to refAdd on long runs of one count, which
+// FuzzProfile's runs of at most 63 pages never reach for counts above a
+// few hundred. The input is a config byte, whose low three bits pick a
+// bandAmplitudes entry and whose top five the granule size 2^(0..20), a
+// seed byte, then four-byte runs: a mean byte, a signed offset added to
+// the bandMeans entry the mean byte's low four bits pick, and a 13-bit
+// granule count, up to 8,191, in the last two. The mean byte's top bit puts
+// a one-page gap before the run, and its bits 4–6 add that many pages of
+// slack after it.
+func FuzzProfileBand(f *testing.F) {
+	// One entry per band guard, each failing when its guard is dropped or
+	// loosened. The 2³¹ limit: no noise at 2³¹−1, where the merged region
+	// passes 2³² pages and the division overflows.
+	f.Add([]byte{20 << 3, 1, 11, 0, 0x04, 0x10})
+	// The width guard: at 5% noise, four two-granule runs of mean 20 whose
+	// first granule samples 19 and second 21 (seed 7).
+	f.Add([]byte{1 | 2<<3, 7, 5, 0, 2, 0, 0x85, 0, 2, 0, 0x85, 0, 2, 0, 0x85, 0, 2, 0})
+	// The similarity guard: at 30% noise, mean 2 samples 1, 2 and 3, no
+	// two of which are similar.
+	f.Add([]byte{4 | 2<<3, 8, 1, 0, 50, 0})
+	// 10% and 30% noise at 100 and 1000: no band, every granule takes the
+	// loop.
+	f.Add([]byte{3 | 2<<3, 4, 7, 0, 0xd0, 0x07})
+	f.Add([]byte{4, 5, 8, 0, 0xd0, 0x07})
+	// 9% noise at 1000, opening inside a similar neighbour's region.
+	f.Add([]byte{2 | 2<<3, 6, 8, 126, 40, 0, 8, 0, 0xb8, 0x0b})
+	// Singletons at 9 and two-value bands at 10, then counts past 2⁵².
+	f.Add([]byte{1 | 4<<3, 7, 2, 0, 0xe8, 0x03, 3, 0, 0xe8, 0x03, 0x1f, 0xfd, 0x10, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		amp := bandAmplitudes[int(data[0]&7)%len(bandAmplitudes)]
+		granule := guest.PageID(1) << (data[0] >> 3 % 21)
+		var runs []bandRun
+		for rest := data[2:]; len(rest) >= 4 && len(runs) < 16; rest = rest[4:] {
+			runs = append(runs, bandRun{
+				mean:     bandMeans[rest[0]&15] + int64(int8(rest[1])),
+				granules: int64(rest[2]) | int64(rest[3]&0x1f)<<8,
+				gap:      guest.PageID(rest[0] >> 7),
+				slack:    guest.PageID(rest[0] >> 4 & 7),
+			})
+		}
+		checkBand(t, amp, granule, int64(data[1]), runs)
+	})
+}
+
+// TestSampleMatchesMathRound compares sample with the math.Round formula it
+// stands in for, max(int64(math.Round(x)), 1), on draws at both ends and
+// inside [0, lazyrand.MaxFloat64], for counts and amplitudes (beyond the
+// [0, 1) Validate allows too) that put x below 0.5, at the ends of the
+// rounding identity's interval, past ±2⁵², at ±Inf and at NaN.
+func TestSampleMatchesMathRound(t *testing.T) {
+	counts := []int64{1, 2, 9, 10, 1<<31 - 1, 1<<52 - 3, 1 << 52, 1 << 53, 1<<62 + 1, math.MaxInt64}
+	amps := []float64{0, 0.05, 0.3, 0.99, 1, 3, -3, math.Inf(1), math.NaN()}
+	for _, c := range counts {
+		for _, amp := range amps {
+			for _, f := range []float64{0, 0.1, 0.25, 0.5, 0.75, lazyrand.MaxFloat64} {
+				x := float64(c) * (1 + (f*2-1)*amp)
+				if got, want := sample(c, f, amp), max(int64(math.Round(x)), 1); got != want {
+					t.Errorf("sample(%d, %v, %v) = %d, math.Round formula %d (x = %v)", c, f, amp, got, want, x)
+				}
+			}
+		}
+	}
 }
 
 // TestSimilarMatchesFloatTest compares similar with the float reference on

@@ -159,6 +159,101 @@ func TestStreamFloat64Retry(t *testing.T) {
 	}
 }
 
+// skipLengths are the Skip lengths the comparisons interleave with Float64:
+// none, one, either side of the first draw that reads a written-back word,
+// a full register period, and many periods.
+var skipLengths = []int{0, 1, rngTap - 1, rngTap, rngLen, 10000}
+
+// compareSkip reseeds s and interleaves Skips of every skipLengths length,
+// starting at index rot, with Float64s, against math/rand seeded alike:
+// each Skip(n) must leave s where n Float64s leave math/rand.
+func compareSkip(t testing.TB, s *Stream, seed int64, rot int) {
+	t.Helper()
+	s.Seed(seed)
+	want := rand.New(rand.NewSource(seed))
+	for i := range skipLengths {
+		n := skipLengths[(i+rot)%len(skipLengths)]
+		s.Skip(n)
+		for k := 0; k < n; k++ {
+			want.Float64()
+		}
+		for k := 0; k < 3; k++ {
+			if g, w := s.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d: Float64 %d after Skip(%d): got %v, want %v", seed, k, n, g, w)
+			}
+		}
+	}
+}
+
+// TestStreamSkipMatchesMathRand runs compareSkip from every rotation of the
+// lengths over the normalisation edges and seeds spread over int64, so
+// each length starts at several register phases.
+func TestStreamSkipMatchesMathRand(t *testing.T) {
+	seeds := append([]int64(nil), specialSeeds...)
+	gen := rand.New(rand.NewSource(20261020))
+	for len(seeds) < 40 {
+		seeds = append(seeds, int64(gen.Uint64()))
+	}
+	var s Stream
+	for _, seed := range seeds {
+		for rot := range skipLengths {
+			compareSkip(t, &s, seed, rot)
+		}
+	}
+}
+
+// TestStreamSkipRetry forces one word of a Skip to a chosen value, at a
+// wrap of either register index and inside a run between wraps, and
+// checks that Skip(10) leaves the register exactly where ten of
+// rand.Rand's Float64s over the same register do: one word further when
+// the forced word is retryAt or above (its quotient rounds to 1), and on
+// the words below it none. It also pins retryAt and MaxFloat64 to the
+// float64 conversion.
+func TestStreamSkipRetry(t *testing.T) {
+	if f := float64(int64(retryAt)) / (1 << 63); f != 1 {
+		t.Fatalf("retryAt's quotient is %v, want 1", f)
+	}
+	if f := float64(int64(retryAt-1)) / (1 << 63); f != MaxFloat64 {
+		t.Fatalf("retryAt-1's quotient is %v, want MaxFloat64 %v", f, MaxFloat64)
+	}
+	forced := []uint64{retryAt - 1, retryAt, 1<<63 - 1, 1<<64 - 1, 1 << 63}
+	// pre draws come before the Skip, and the forced word is draw pre+off:
+	// draws 0 and 607 wrap the tap index, draw 334 the feed index, and draw
+	// 5 falls between wraps.
+	for _, at := range [][2]int{{0, 0}, {0, 5}, {330, 4}, {600, 7}} {
+		pre, off := at[0], at[1]
+		for _, w := range forced {
+			var s Stream
+			s.Seed(7)
+			for k := 0; k < pre; k++ {
+				s.r.next()
+			}
+			ahead := s.r
+			for k := 0; k < off; k++ {
+				ahead.next()
+			}
+			feed, tap := (ahead.feed+rngLen-1)%rngLen, (ahead.tap+rngLen-1)%rngLen
+			s.r.vec[feed] = w - ahead.vec[tap]
+			ref, before := s.r, s.r.feed
+			want := rand.New(registerSource{&ref})
+			s.Skip(10)
+			for k := 0; k < 10; k++ {
+				want.Float64()
+			}
+			if s.r != ref {
+				t.Fatalf("draw %d forced to %#x: Skip(10) left feed %d, ten Float64s feed %d", pre+off, w, s.r.feed, ref.feed)
+			}
+			n := 10
+			if w&rngMask >= retryAt {
+				n++
+			}
+			if drawn := (before + rngLen - s.r.feed) % rngLen; drawn != n {
+				t.Fatalf("draw %d forced to %#x: Skip(10) drew %d words, want %d", pre+off, w, drawn, n)
+			}
+		}
+	}
+}
+
 func FuzzLazyRand(f *testing.F) {
 	for _, seed := range specialSeeds {
 		f.Add(seed, uint16(streamDraws))
@@ -167,6 +262,7 @@ func FuzzLazyRand(f *testing.F) {
 		compare(t, seed, int(n))
 		var s Stream
 		compareStream(t, &s, seed, int(n))
+		compareSkip(t, &s, seed, int(n))
 	})
 }
 
@@ -235,6 +331,20 @@ func BenchmarkSeedAndDraw5000Stream(b *testing.B) {
 		for j := 0; j < 5000; j++ {
 			sum += s.Float64()
 		}
+	}
+	fsink = sum
+}
+
+// Seeding plus skipping 5,000 Float64 values is what a DAMON profile costs
+// its noise stream once every granule is in a band at its floor.
+func BenchmarkSeedAndSkip5000Stream(b *testing.B) {
+	b.ReportAllocs()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		var s Stream
+		s.Seed(int64(i))
+		s.Skip(5000)
+		sum += s.Float64()
 	}
 	fsink = sum
 }

@@ -337,40 +337,49 @@ func (t *Tiered) Verify(want uint64) error {
 // describes. It derives the snapshot's restore view once, from that layout.
 func BuildTiered(s *Single, placement *mem.MultiPlacement) *Tiered {
 	src := s.Memory
+	// The segments of the resident regions, in page order, partition
+	// src.Pages; counting each tier's pages first sizes both images once.
+	segs := make([]mem.LevelSegment, 0, len(src.Regions))
+	for _, r := range src.Regions {
+		segs = placement.AppendSegments(segs, r)
+	}
+	var fastPages, slowPages int
+	for _, sg := range segs {
+		if sg.Level == mem.Slow {
+			slowPages += int(sg.Region.Pages)
+		} else {
+			fastPages += int(sg.Region.Pages)
+		}
+	}
 	t := &Tiered{
 		Function:   s.Function,
 		GuestPages: src.GuestPages,
-		FastMem:    &Memory{GuestPages: src.GuestPages},
-		SlowMem:    &Memory{GuestPages: src.GuestPages},
+		FastMem:    &Memory{GuestPages: src.GuestPages, Pages: make([]PageDigest, 0, fastPages)},
+		SlowMem:    &Memory{GuestPages: src.GuestPages, Pages: make([]PageDigest, 0, slowPages)},
 	}
 	var fastOff, slowOff int64
-	var segs []mem.LevelSegment
-	base := 0 // index in src.Pages of the current region's first page
-	for _, r := range src.Regions {
-		segs = placement.AppendSegments(segs[:0], r)
-		for _, sg := range segs {
-			img, off := t.FastMem, &fastOff
-			if sg.Level == mem.Slow {
-				img, off = t.SlowMem, &slowOff
-			}
-			i := base + int(sg.Region.Start-r.Start)
-			img.appendPages(sg.Region, src.Pages[i:i+int(sg.Region.Pages)])
-			// Extend the last entry when contiguous in both guest and
-			// file space and same tier ("Bins Merging", §V-F).
-			if n := len(t.Entries); n > 0 && t.Entries[n-1].Tier == sg.Level &&
-				t.Entries[n-1].GuestRegion().End() == sg.Region.Start {
-				t.Entries[n-1].Pages += sg.Region.Pages
-			} else {
-				t.Entries = append(t.Entries, LayoutEntry{
-					Tier:            sg.Level,
-					FileOffsetPages: *off,
-					GuestStart:      sg.Region.Start,
-					Pages:           sg.Region.Pages,
-				})
-			}
-			*off += sg.Region.Pages
+	i := 0 // index in src.Pages of the current segment's first page
+	for _, sg := range segs {
+		img, off := t.FastMem, &fastOff
+		if sg.Level == mem.Slow {
+			img, off = t.SlowMem, &slowOff
 		}
-		base += int(r.Pages)
+		img.appendPages(sg.Region, src.Pages[i:i+int(sg.Region.Pages)])
+		i += int(sg.Region.Pages)
+		// Extend the last entry when contiguous in both guest and file
+		// space and same tier ("Bins Merging", §V-F).
+		if n := len(t.Entries); n > 0 && t.Entries[n-1].Tier == sg.Level &&
+			t.Entries[n-1].GuestRegion().End() == sg.Region.Start {
+			t.Entries[n-1].Pages += sg.Region.Pages
+		} else {
+			t.Entries = append(t.Entries, LayoutEntry{
+				Tier:            sg.Level,
+				FileOffsetPages: *off,
+				GuestStart:      sg.Region.Start,
+				Pages:           sg.Region.Pages,
+			})
+		}
+		*off += sg.Region.Pages
 	}
 	t.Sum = t.Checksum()
 	t.view = newRestoreView(t.Entries, t.GuestPages)
@@ -665,14 +674,17 @@ func readMemory(r io.Reader) (*Memory, error) {
 		return nil, fmt.Errorf("%w: implausible page count %d for %d guest pages", ErrCorrupt, n, guestPages)
 	}
 	// The count is only plausible, not proven: size the digest slice from
-	// what actually decodes.
+	// what actually decodes. A chunk that does not fit at least doubles it,
+	// up to the count, so a large image is copied a few times, not per chunk.
 	m := &Memory{GuestPages: guestPages}
 	buf := make([]byte, 16*min(n, recordsPerChunk))
 	prev := int64(-1)
 	for i := int64(0); i < n; {
 		got, err := io.ReadFull(r, buf[:16*min(n-i, recordsPerChunk)])
 		whole := got / 16
-		m.Pages = slices.Grow(m.Pages, whole)
+		if len(m.Pages)+whole > cap(m.Pages) {
+			m.Pages = slices.Grow(m.Pages, min(max(whole, len(m.Pages)), int(n-i)))
+		}
 		for rec := buf[:16*whole]; len(rec) > 0; rec = rec[16:] {
 			p := int64(binary.LittleEndian.Uint64(rec))
 			if p < 0 || p >= guestPages {
