@@ -7,7 +7,7 @@ import (
 	"toss/internal/guest"
 	"toss/internal/microvm"
 	"toss/internal/par"
-	"toss/internal/reap"
+	"toss/internal/platform"
 	"toss/internal/stats"
 	"toss/internal/workload"
 	"toss/internal/wstrack"
@@ -183,27 +183,24 @@ func Fig3ReapInputMismatch(s *Suite) (*Table, error) {
 	}
 	res, err := par.Map(s.Pool(), workload.Registry(), func(_ int, spec *workload.Spec) (specRes, error) {
 		sr := specRes{rowsHold: true}
-		// One REAP manager per snapshot input.
-		managers := make(map[workload.Level]*reap.Manager)
+		// One REAP function per snapshot input.
+		fns := make(map[workload.Level]*platform.Function)
 		for _, snapLv := range AllLevels {
-			m, err := reap.NewManager(s.Core.VM, spec)
+			fn, err := s.reapFunction(spec, snapLv, platform.ModeREAP)
 			if err != nil {
 				return sr, err
 			}
-			if _, err := m.Invoke(snapLv, s.BaseSeed, 1); err != nil {
-				return sr, err
-			}
-			managers[snapLv] = m
+			fns[snapLv] = fn
 		}
 		for _, execLv := range AllLevels {
 			// Matched baseline: snapshot input == execution input.
-			base, err := reapMeanInvocation(s, managers[execLv], execLv)
+			base, err := reapMeanInvocation(s, fns[execLv], execLv)
 			if err != nil {
 				return sr, err
 			}
 			var norms []float64
 			for _, snapLv := range AllLevels {
-				inv, err := reapMeanInvocation(s, managers[snapLv], execLv)
+				inv, err := reapMeanInvocation(s, fns[snapLv], execLv)
 				if err != nil {
 					return sr, err
 				}
@@ -245,16 +242,29 @@ func Fig3ReapInputMismatch(s *Suite) (*Table, error) {
 	return t, nil
 }
 
+// reapFunction returns a function served by mode (REAP or FaaSnap) whose
+// first invocation, on input snapLv, captured its snapshot and working set.
+func (s *Suite) reapFunction(spec *workload.Spec, snapLv workload.Level, mode platform.Mode) (*platform.Function, error) {
+	fn, err := platform.NewFunction(s.Core, spec, mode)
+	if err != nil {
+		return nil, err
+	}
+	if rec := fn.Cold(snapLv, s.BaseSeed, 1, nil); rec.Err != nil {
+		return nil, rec.Err
+	}
+	return fn, nil
+}
+
 // reapMeanInvocation averages REAP's total invocation time (setup + exec)
 // over the suite's iterations with distinct seeds.
-func reapMeanInvocation(s *Suite, m *reap.Manager, lv workload.Level) (float64, error) {
+func reapMeanInvocation(s *Suite, fn *platform.Function, lv workload.Level) (float64, error) {
 	var sum float64
 	for it := 0; it < s.Iterations; it++ {
-		res, err := m.Invoke(lv, s.BaseSeed+int64(it)*31+7, 1)
-		if err != nil {
-			return 0, err
+		rec := fn.Cold(lv, s.BaseSeed+int64(it)*31+7, 1, nil)
+		if rec.Err != nil {
+			return 0, rec.Err
 		}
-		sum += float64(res.Total())
+		sum += float64(rec.Total())
 	}
 	return sum / float64(s.Iterations), nil
 }

@@ -3,12 +3,15 @@ package experiments
 import (
 	"fmt"
 
+	"toss/internal/guest"
 	"toss/internal/microvm"
 	"toss/internal/par"
-	"toss/internal/reap"
+	"toss/internal/platform"
 	"toss/internal/simtime"
+	"toss/internal/snapshot"
 	"toss/internal/stats"
 	"toss/internal/workload"
+	"toss/internal/wstrack"
 )
 
 // dramInvocation measures the DRAM baseline the paper normalizes against:
@@ -50,18 +53,15 @@ func Fig7SetupTime(s *Suite) (*Table, error) {
 
 		var reapSetups []float64
 		for _, snapLv := range AllLevels {
-			m, err := reap.NewManager(s.Core.VM, spec)
+			fn, err := s.reapFunction(spec, snapLv, platform.ModeREAP)
 			if err != nil {
 				return specRes{}, err
 			}
-			if _, err := m.Invoke(snapLv, s.BaseSeed, 1); err != nil {
-				return specRes{}, err
+			rec := fn.Cold(snapLv, s.BaseSeed+1, 1, nil)
+			if rec.Err != nil {
+				return specRes{}, rec.Err
 			}
-			res, err := m.Invoke(snapLv, s.BaseSeed+1, 1)
-			if err != nil {
-				return specRes{}, err
-			}
-			reapSetups = append(reapSetups, float64(res.Setup))
+			reapSetups = append(reapSetups, float64(rec.Setup))
 		}
 		return specRes{
 			row: []any{spec.Name,
@@ -155,15 +155,12 @@ func Fig8InvocationTime(s *Suite) (*Table, error) {
 		// REAP: every snapshot x exec combo.
 		var reapNorms []float64
 		for _, snapLv := range AllLevels {
-			m, err := reap.NewManager(s.Core.VM, spec)
+			fn, err := s.reapFunction(spec, snapLv, platform.ModeREAP)
 			if err != nil {
 				return specRes{}, err
 			}
-			if _, err := m.Invoke(snapLv, s.BaseSeed, 1); err != nil {
-				return specRes{}, err
-			}
 			for _, execLv := range AllLevels {
-				inv, err := reapMeanInvocation(s, m, execLv)
+				inv, err := reapMeanInvocation(s, fn, execLv)
 				if err != nil {
 					return specRes{}, err
 				}
@@ -201,7 +198,9 @@ var fig9Concurrency = []int{1, 5, 10, 20}
 // Fig9Scalability reproduces Fig. 9: execution-time slowdown at 1/5/10/20
 // concurrent invocations of input IV, normalized to the DRAM execution at
 // the same concurrency, for TOSS, REAP Best (matched snapshot input) and
-// REAP Worst (snapshot input I).
+// REAP Worst (snapshot input I). Every column times the restore mechanism
+// alone, on a machine restored from a captured snapshot, with no fault
+// query of its own.
 func Fig9Scalability(s *Suite) (*Table, error) {
 	t := &Table{
 		ID:     "fig9",
@@ -226,19 +225,22 @@ func Fig9Scalability(s *Suite) (*Table, error) {
 		if err != nil {
 			return sr, err
 		}
-		// Working sets for REAP Best (input IV) and Worst (input I).
-		mBest, err := reap.NewManager(s.Core.VM, spec)
+		// REAP Best (input IV) and Worst (input I) restore the snapshot and
+		// working set REAP's first invocation captures on that input.
+		captureREAP := func(lv workload.Level) (*snapshot.Single, []guest.Region, error) {
+			tr, err := spec.Trace(lv, s.BaseSeed)
+			if err != nil {
+				return nil, nil, err
+			}
+			_, snap, err := microvm.Capture(s.Core.VM, layout, spec.Name, tr, nil)
+			return snap, wstrack.WorkingSet(tr), err
+		}
+		bestSnap, bestWS, err := captureREAP(workload.IV)
 		if err != nil {
 			return sr, err
 		}
-		if _, err := mBest.Invoke(workload.IV, s.BaseSeed, 1); err != nil {
-			return sr, err
-		}
-		mWorst, err := reap.NewManager(s.Core.VM, spec)
+		worstSnap, worstWS, err := captureREAP(workload.I)
 		if err != nil {
-			return sr, err
-		}
-		if _, err := mWorst.Invoke(workload.I, s.BaseSeed, 1); err != nil {
 			return sr, err
 		}
 
@@ -265,11 +267,11 @@ func Fig9Scalability(s *Suite) (*Table, error) {
 			if err != nil {
 				return sr, err
 			}
-			bestExec, err := runExec(microvm.RestoreREAP(s.Core.VM, mBest.Layout(), mBest.Snapshot(), mBest.WorkingSet(), conc))
+			bestExec, err := runExec(microvm.RestoreREAP(s.Core.VM, layout, bestSnap, bestWS, conc))
 			if err != nil {
 				return sr, err
 			}
-			worstExec, err := runExec(microvm.RestoreREAP(s.Core.VM, mWorst.Layout(), mWorst.Snapshot(), mWorst.WorkingSet(), conc))
+			worstExec, err := runExec(microvm.RestoreREAP(s.Core.VM, layout, worstSnap, worstWS, conc))
 			if err != nil {
 				return sr, err
 			}

@@ -56,8 +56,9 @@ const (
 	// (checksum mismatch in the layout table or a memory file). Queried by
 	// platform.Function before lazy and tiered restores.
 	SiteRestoreCorrupt Site = "restore-corrupt"
-	// SitePrefetch kills REAP's working-set prefetch thread mid-restore;
-	// the manager degrades to a plain lazy restore.
+	// SitePrefetch kills REAP's (or FaaSnap's) working-set prefetch thread
+	// mid-restore. Queried by platform.Function before a REAP or FaaSnap
+	// restore, which degrades to a plain lazy restore.
 	SitePrefetch Site = "prefetch"
 	// SiteProfileStale marks the DAMON-derived placement stale (workload
 	// drift beyond what Eq. 4 noticed). Queried by platform.Function
@@ -309,6 +310,10 @@ var (
 	ErrTierUnavailable = errors.New("fault: slow tier unavailable")
 	// ErrProfileStale marks a DAMON-derived placement as stale.
 	ErrProfileStale = errors.New("fault: access profile stale")
+	// ErrPrefetchFailed is a dead working-set prefetch thread at restore.
+	// The snapshot is intact, so the restore degrades to lazy paging
+	// instead of retrying.
+	ErrPrefetchFailed = errors.New("fault: working-set prefetch failed")
 )
 
 // SiteError ties a fired fault to its site and function. It wraps the

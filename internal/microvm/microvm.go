@@ -83,7 +83,7 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic device stalls into the
 	// replay hot loop (slow-tier reads, snapshot demand reads) of every
 	// machine built with this config; restore-time sites are queried by the
-	// callers that can return errors (platform, reap, sched). Nil
+	// callers that can return errors (platform, sched). Nil
 	// (the default) disables injection at the cost of one pointer
 	// comparison per site — the zero-fault platform is byte-identical to
 	// the pre-fault one. See FAULTS.md.

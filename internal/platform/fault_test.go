@@ -182,6 +182,31 @@ func TestREAPPrefetchFailureFallsBackToLazy(t *testing.T) {
 	if rec.FaultSite != string(fault.SitePrefetch) {
 		t.Errorf("FaultSite = %q, want %q", rec.FaultSite, fault.SitePrefetch)
 	}
+	// A dead prefetch is not retried: the snapshot is intact.
+	if rec.Retries != 0 {
+		t.Errorf("Retries = %d, want 0", rec.Retries)
+	}
+}
+
+// TestPrefetchingModesAskOnlyPrefetch pins REAP's and FaaSnap's restore-time
+// fault sites: a plan that fires every other restore-time site on every
+// query leaves their restores clean.
+func TestPrefetchingModesAskOnlyPrefetch(t *testing.T) {
+	for _, mode := range []Mode{ModeREAP, ModeFaaSnap} {
+		p := faultPlatform(t, fault.Plan{Seed: 1, Sites: map[fault.Site]fault.Spec{
+			fault.SiteSlowOutage:     {Rate: 1},
+			fault.SiteRestoreCorrupt: {Rate: 1},
+			fault.SiteProfileStale:   {Rate: 1},
+		}})
+		mustRegister(t, p, "json_load_dump", mode)
+		for seed := int64(7); seed < 10; seed++ {
+			rec := p.Invoke("json_load_dump", workload.IV, seed)
+			if rec.Err != nil || rec.Degraded != "" || rec.Retries != 0 {
+				t.Errorf("%v seed %d: err=%v degraded=%q retries=%d, want a clean serve",
+					mode, seed, rec.Err, rec.Degraded, rec.Retries)
+			}
+		}
+	}
 }
 
 func TestSlowModeOutageFallsBackToLazy(t *testing.T) {

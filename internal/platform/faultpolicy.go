@@ -60,10 +60,17 @@ const (
 // restoreFault asks the restore-time fault sites f's restore reads, in
 // order, and returns the first that fires as a fault-site error: the slow
 // tier unreachable (TOSS and slow-only), the snapshot failing its checksum
-// (TOSS, DRAM and slow-only), the DAMON profile gone stale (TOSS).
+// (TOSS, DRAM and slow-only), the DAMON profile gone stale (TOSS). REAP and
+// FaaSnap ask only whether the working-set prefetch thread dies.
 func (f *Function) restoreFault() error {
 	inj, name := f.cfg.VM.Faults, f.spec.Name
 	if inj == nil {
+		return nil
+	}
+	if f.mode == ModeREAP || f.mode == ModeFaaSnap {
+		if _, fired := inj.At(fault.SitePrefetch, name, 0); fired {
+			return fault.Errorf(fault.SitePrefetch, name, fault.ErrPrefetchFailed)
+		}
 		return nil
 	}
 	if f.mode != ModeDRAM {
@@ -85,15 +92,16 @@ func (f *Function) restoreFault() error {
 
 // degrade serves an invocation whose restore failed with the fault-site
 // error cause through the policy for that cause, and names the policy (""
-// with cause returned for any other error): a slow-tier outage falls back to
-// a lazy restore of the single-tier snapshot, a checksum failure
-// re-captures the snapshot from a cold boot, and a stale profile sends TOSS
-// back to profiling, then falls back lazily. TOSS serves each under a
-// controller-phase span and records the phase it leaves the function in.
+// with cause returned for any other error): a slow-tier outage or a dead
+// prefetch falls back to a lazy restore of the single-tier snapshot, a
+// checksum failure re-captures the snapshot from a cold boot, and a stale
+// profile sends TOSS back to profiling, then falls back lazily. TOSS serves
+// each under a controller-phase span and records the phase it leaves the
+// function in.
 func (f *Function) degrade(rec *Record, cause error, lv workload.Level, seed int64, conc int, span *telemetry.Span) (microvm.Result, string, error) {
 	var policy, phase string
 	switch {
-	case errors.Is(cause, fault.ErrTierUnavailable):
+	case errors.Is(cause, fault.ErrTierUnavailable), errors.Is(cause, fault.ErrPrefetchFailed):
 		policy, phase = DegradeLazy, "phase:degraded-lazy"
 	case errors.Is(cause, snapshot.ErrCorrupt):
 		policy, phase = DegradeResnapshot, "phase:recover-corrupt"

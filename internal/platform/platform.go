@@ -6,6 +6,27 @@
 // included: the discrete-event host simulator (internal/sched) and the
 // cluster profiler serve through it too.
 //
+// REAP (Ustiugov et al., ASPLOS'21), the snapshot-based state of the art
+// the paper compares against (§VI-B), runs every mode's capture-then-restore
+// cycle with a working set beside the snapshot:
+//
+//  1. The first invocation runs in a fresh microVM. REAP records, via
+//     userfaultfd, the set of pages touched during that invocation (the
+//     working set) and captures a snapshot plus a consolidated working-set
+//     file.
+//  2. Every subsequent invocation restores the snapshot, eagerly prefetches
+//     the recorded working set into memory with one sequential read, and
+//     populates the corresponding page-table entries. Pages outside the
+//     recorded WS demand-fault from disk.
+//
+// The paper's two REAP pathologies fall straight out of this design: the
+// setup time grows with the recorded working set (Fig. 7), and an execution
+// input that diverges from the snapshot input faults on every page the
+// recorded WS missed (Fig. 3). FaaSnap (Ao et al., EuroSys'22) runs the same
+// lifecycle with the working set recorded by mincore(), which also reports
+// the pages host readahead brought in around every fault, so it prefetches
+// more than the function touched (§III-C).
+//
 // Concurrency is a model input, not an observation: Replay serves a trace
 // in request order and charges every invocation the memory/disk contention
 // of the concurrency level it is given, so all timing is virtual and every

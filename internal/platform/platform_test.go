@@ -115,6 +115,8 @@ func TestDRAMModeLifecycle(t *testing.T) {
 	}
 }
 
+// TestREAPModeThroughPlatform serves a matched input: the recorded working
+// set covers every page, so the restore takes no faults.
 func TestREAPModeThroughPlatform(t *testing.T) {
 	p := testPlatform(t)
 	mustRegister(t, p, "json_load_dump", ModeREAP)

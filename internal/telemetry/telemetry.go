@@ -1,6 +1,6 @@
 // Package telemetry is the platform's virtual-time observability layer: a
 // deterministic tracing and metrics subsystem shared by every component of
-// the stack (microvm, core, reap, platform, sched).
+// the stack (microvm, core, platform, sched).
 //
 // Spans are stamped with simtime — the simulator's virtual clock — never the
 // wall clock, so given the same seed two runs produce byte-for-byte
